@@ -176,7 +176,7 @@ fn window_name(w: Option<u32>) -> String {
     }
 }
 
-/// Run the post-join protocol checks over all node logs and mailbox
+/// Run the post-join protocol checks over all node logs and queue
 /// residue. Deterministic: every send has landed by the time this runs.
 /// `clean` is false when some node panicked — completeness-style checks
 /// (message drain, collective participation) are skipped then, because an

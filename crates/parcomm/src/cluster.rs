@@ -1,8 +1,8 @@
 //! The SPMD cluster harness.
 //!
 //! [`Cluster::run`] gives every simulated compute node its own OS thread
-//! (private stack, blocking call style), wires up the mailboxes, and
-//! executes the same program on every node — the SPMD model of MPI. The
+//! (private stack, blocking call style) and executes the same program on
+//! every node — the SPMD model of MPI. The
 //! threads do not free-run: a [`crate::sched::Scheduler`] dispatches
 //! exactly one runnable node at a time by minimum `(virtual time, rank)`,
 //! so execution order is deterministic and node count is decoupled from
@@ -17,18 +17,14 @@ use std::thread;
 
 use crate::comm::NodeCtx;
 use crate::fault::{FailureScript, FaultOracle};
-use crate::mailbox::Mailbox;
-#[cfg(any(debug_assertions, feature = "audit"))]
-use crate::payload::Message;
 use crate::sched::Scheduler;
 use crate::vclock::{CostModel, VClock};
 
 /// What a node thread hands back at teardown: the program's result (or its
-/// panic payload), the mailbox (so the harness can inspect residue), and —
-/// under `--features audit` — the node's protocol log.
+/// panic payload) and — under `--features audit` / `trace` — the node's
+/// protocol log and event trace.
 struct NodeFinish<T> {
     result: thread::Result<T>,
-    mailbox: Mailbox,
     #[cfg(feature = "audit")]
     log: Option<crate::audit::NodeLog>,
     #[cfg(feature = "trace")]
@@ -177,22 +173,12 @@ impl Cluster {
         config.script.validate_for_cluster(n);
         let oracle = FaultOracle::new(config.script.clone());
 
-        // Wire mailboxes: every node gets the senders of all nodes.
-        let mut mailboxes = Vec::with_capacity(n);
-        let mut outboxes = Vec::with_capacity(n);
-        for rank in 0..n {
-            let (mb, tx) = Mailbox::new(rank);
-            mailboxes.push(mb);
-            outboxes.push(tx);
-        }
-
         let sched = Arc::new(Scheduler::new(n));
 
         let program = &program;
         thread::scope(|s| {
             let mut handles = Vec::with_capacity(n);
-            for (rank, mb) in mailboxes.into_iter().enumerate() {
-                let outboxes = outboxes.clone();
+            for rank in 0..n {
                 let oracle = oracle.clone();
                 let cost = config.cost;
                 let spares = config.spares;
@@ -208,13 +194,11 @@ impl Cluster {
                             let mut ctx = NodeCtx::new(
                                 rank,
                                 n,
-                                mb,
-                                outboxes,
+                                sched.clone(),
                                 oracle,
                                 VClock::new(cost),
                                 spares,
                             );
-                            ctx.install_sched(sched.clone());
                             #[cfg(feature = "audit")]
                             ctx.install_audit();
                             #[cfg(feature = "trace")]
@@ -234,16 +218,12 @@ impl Cluster {
                                 Ok(_) => sched.finish(rank),
                                 Err(_) => sched.abort(rank),
                             }
-                            #[cfg(feature = "trace")]
-                            let trace = ctx.take_trace();
-                            let (mailbox, _log) = ctx.into_teardown();
                             NodeFinish {
                                 result,
-                                mailbox,
                                 #[cfg(feature = "audit")]
-                                log: _log,
+                                log: ctx.take_audit_log(),
                                 #[cfg(feature = "trace")]
-                                trace,
+                                trace: ctx.take_trace(),
                             }
                         })
                         .expect("failed to spawn node thread"),
@@ -252,7 +232,7 @@ impl Cluster {
 
             // Every node thread parks on the scheduler first; hand out the
             // first baton (rank 0, all clocks at 0.0).
-            sched.start();
+            sched.start(handles.iter().map(|h| h.thread().clone()).collect());
 
             // Join all nodes first — teardown checks must see every log.
             let finishes: Vec<NodeFinish<T>> = handles
@@ -266,8 +246,6 @@ impl Cluster {
             let mut logs: Vec<crate::audit::NodeLog> = Vec::with_capacity(n);
             #[cfg(feature = "trace")]
             let mut traces: TraceVec = Vec::with_capacity(n);
-            #[cfg(any(debug_assertions, feature = "audit"))]
-            let mut end_mailboxes: Vec<Mailbox> = Vec::with_capacity(n);
             for (rank, fin) in finishes.into_iter().enumerate() {
                 match fin.result {
                     Ok(v) => values.push(v),
@@ -281,10 +259,6 @@ impl Cluster {
                         panics.push((rank, msg));
                     }
                 }
-                #[cfg(any(debug_assertions, feature = "audit"))]
-                end_mailboxes.push(fin.mailbox);
-                #[cfg(not(any(debug_assertions, feature = "audit")))]
-                drop(fin.mailbox);
                 #[cfg(feature = "audit")]
                 logs.push(fin.log.unwrap_or_default());
                 #[cfg(feature = "trace")]
@@ -292,19 +266,19 @@ impl Cluster {
             }
             #[cfg(any(debug_assertions, feature = "audit"))]
             let clean = panics.is_empty();
+            // If any node panicked, the *root cause* is a real panic, not a
+            // secondary "peer aborted" one.
+            let root_cause = panics
+                .iter()
+                .find(|(_, m)| !m.contains("aborted"))
+                .or_else(|| panics.first());
 
-            // Mailbox-drain inspection: a message still sitting in a queue at
+            // Queue-drain inspection: a message still sitting in a queue at
             // teardown is a protocol leak. Only meaningful on clean runs — a
             // panic legitimately strands in-flight traffic.
             #[cfg(any(debug_assertions, feature = "audit"))]
-            let leaks: Vec<(usize, Message)> = if clean {
-                let mut leaks = Vec::new();
-                for (rank, mb) in end_mailboxes.iter_mut().enumerate() {
-                    for m in mb.drain_residue() {
-                        leaks.push((rank, m));
-                    }
-                }
-                leaks
+            let leaks = if clean {
+                sched.drain_residue()
             } else {
                 Vec::new()
             };
@@ -319,7 +293,7 @@ impl Cluster {
                         report.push_str("\n  ");
                         report.push_str(v);
                     }
-                    if let Some((rank, msg)) = panics.first() {
+                    if let Some((rank, msg)) = root_cause {
                         report.push_str(&format!("\n  (node {rank} also panicked: {msg})"));
                     }
                     panic!("{report}");
@@ -331,7 +305,7 @@ impl Cluster {
             #[cfg(all(debug_assertions, not(feature = "audit")))]
             if let Some((rank, m)) = leaks.first() {
                 panic!(
-                    "mailbox residue at cluster teardown: rank {rank} holds an \
+                    "queue residue at cluster teardown: rank {rank} holds an \
                      unconsumed message from rank {} (tag {}, {} elems); \
                      every send must be matched by a receive",
                     m.src,
@@ -340,13 +314,7 @@ impl Cluster {
                 );
             }
 
-            // If any node panicked, report the *root cause* (a real panic)
-            // rather than a secondary "peer aborted" one.
-            if let Some((rank, msg)) = panics
-                .iter()
-                .find(|(_, m)| !m.contains("aborted"))
-                .or_else(|| panics.first())
-            {
+            if let Some((rank, msg)) = root_cause {
                 panic!("node {rank} panicked: {msg}");
             }
             #[cfg(feature = "trace")]
@@ -658,6 +626,24 @@ mod tests {
             if ctx.rank() == 1 {
                 // Rank 0 finishes without ever sending; rank 1's wait can
                 // never be satisfied.
+                ctx.recv(0, 1);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 blocked in allreduce(tag coll(allreduce, seq 0)): \
+                    1 of 3 arrived, missing ranks [1, 2] -> rank 1 (terminated)")]
+    fn skipped_allreduce_is_reported_with_the_missing_ranks() {
+        // Rank 1 returns without joining; rank 2 waits on rank 0, which is
+        // parked in the collective. The walk starts at rank 0 and follows
+        // its lowest missing rank.
+        Cluster::run(ClusterConfig::new(3), |ctx| match ctx.rank() {
+            0 => {
+                ctx.allreduce_sum(1.0);
+            }
+            1 => {}
+            _ => {
                 ctx.recv(0, 1);
             }
         });

@@ -3,22 +3,33 @@
 //!
 //! Collectives have a **structure fixed by (root, size)**, so floating-point
 //! reductions are bitwise reproducible across runs — the reduction order
-//! never depends on message timing. Broadcast and gather use binomial trees;
-//! all-reduce uses **recursive doubling** (⌈log₂N⌉ rounds, no root
-//! bottleneck; non-power-of-two sizes fold the surplus ranks in before and
-//! out after the doubling phase, +2 rounds). This mirrors what MPI
-//! implementations provide on a fixed topology and is essential for the
-//! reproducibility of the numerical experiments.
+//! never depends on message timing. Broadcast and gather use binomial trees
+//! of point-to-point messages; all-reduce and barrier use **recursive
+//! doubling** (⌈log₂N⌉ rounds, no root bottleneck; non-power-of-two sizes
+//! fold the surplus ranks in before and out after the doubling phase,
+//! +2 rounds). This mirrors what MPI implementations provide on a fixed
+//! topology and is essential for the reproducibility of the numerical
+//! experiments.
+//!
+//! The recursive-doubling rounds are **scheduler-resident**: participants
+//! meet once in [`crate::sched`], the last arriver computes the reduced
+//! buffer and every round's message stamps for everyone, and each rank then
+//! books its own rounds here — the same `record_send` / `stamp_send` /
+//! `absorb_arrival` / trace calls, in the same order, that exchanging the
+//! messages would have made. Every virtual time, statistic and trace event
+//! is what the message exchange produces; only the physical messages and
+//! their host-thread hand-offs are gone.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 #[cfg(feature = "audit")]
 use crate::audit;
 use crate::fault::{FailAt, FaultOracle};
 use crate::group::Group;
-use crate::mailbox::{Mailbox, Outbox};
 use crate::payload::{Message, Payload};
-use crate::request::{AllreduceRequest, EnginePort, RecvRequest, SendRequest};
+use crate::request::{AllreduceRequest, RecvRequest, SendRequest};
+use crate::sched::{Deposit, RdShape, Scheduler};
 use crate::stats::{CommPhase, CommStats};
 use crate::tag::{op, Tag};
 use crate::vclock::VClock;
@@ -97,7 +108,7 @@ impl PayloadElem for (u64, f64) {
 }
 
 /// Personalized all-to-all of per-participant buffers under one tag: post
-/// all sends first (asynchronous channels — no deadlock), then receive in
+/// all sends first (sends never block — no deadlock), then receive in
 /// ascending participant order; the own slot is passed through untouched.
 /// One implementation for the world (`members: None`) and group
 /// communicators and for every element type that fits in a payload — the
@@ -115,8 +126,15 @@ pub(crate) fn alltoallv_generic<T: PayloadElem>(
     let mut own = Some(std::mem::take(&mut sends[my_index]));
     for i in 0..n {
         if i != my_index {
+            // Most pairs of an all-to-all exchange nothing: an empty list
+            // travels as `Empty`, not as a heap-allocated empty buffer.
             let data = std::mem::take(&mut sends[i]);
-            ctx.send_tag(rank_of(i), tag, T::wrap(data), phase);
+            let payload = if data.is_empty() {
+                Payload::Empty
+            } else {
+                T::wrap(data)
+            };
+            ctx.send_tag(rank_of(i), tag, payload, phase);
         }
     }
     let mut out: Vec<Vec<T>> = Vec::with_capacity(n);
@@ -130,6 +148,85 @@ pub(crate) fn alltoallv_generic<T: PayloadElem>(
     out
 }
 
+/// Gather per-participant buffers on participant index `root`, in index
+/// order (`members`: as in [`alltoallv_generic`]); the others return `None`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gatherv_generic<T: PayloadElem>(
+    ctx: &mut NodeCtx,
+    my_index: usize,
+    n: usize,
+    members: Option<&[usize]>,
+    root: usize,
+    tag: Tag,
+    phase: CommPhase,
+    x: Vec<T>,
+) -> Option<Vec<Vec<T>>> {
+    let rank_of = |i: usize| members.map_or(i, |m| m[i]);
+    if my_index != root {
+        ctx.send_tag(rank_of(root), tag, T::wrap(x), phase);
+        return None;
+    }
+    let mut own = Some(x);
+    let mut gathered = Vec::with_capacity(n);
+    for i in 0..n {
+        gathered.push(if i == root {
+            own.take().expect("own slot filled once")
+        } else {
+            T::unwrap(ctx.recv_tag(rank_of(i), tag, phase).payload)
+        });
+    }
+    Some(gathered)
+}
+
+/// Broadcast from participant index `root` over a binomial tree of `n`
+/// participants (`members`: as in [`alltoallv_generic`]). The per-child
+/// `data.clone()` is an `Arc` bump, not a buffer copy.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tree_bcast_generic(
+    ctx: &mut NodeCtx,
+    my_index: usize,
+    n: usize,
+    members: Option<&[usize]>,
+    root: usize,
+    tag: Tag,
+    phase: CommPhase,
+    payload: Payload,
+) -> Payload {
+    if n == 1 {
+        return payload;
+    }
+    // Tree positions are indices rotated so the root sits at 0.
+    let rank_of = |v: usize| members.map_or((v + root) % n, |m| m[(v + root) % n]);
+    let vrank = (my_index + n - root) % n;
+    // Find the highest power of two ≤ n.
+    let mut top = 1usize;
+    while top << 1 < n {
+        top <<= 1;
+    }
+    let data: Payload = if vrank == 0 {
+        payload
+    } else {
+        // Receive from parent: clear lowest set bit of vrank.
+        ctx.recv_tag(rank_of(vrank & (vrank - 1)), tag, phase)
+            .payload
+    };
+    // Forward to children (bits below our lowest set bit), farthest
+    // subtree first so it starts as early as possible.
+    let lowbit = if vrank == 0 {
+        top << 1
+    } else {
+        vrank & vrank.wrapping_neg()
+    };
+    let mut mask = top;
+    while mask > 0 {
+        if mask < lowbit && vrank | mask < n {
+            ctx.send_tag(rank_of(vrank | mask), tag, data.clone(), phase);
+        }
+        mask >>= 1;
+    }
+    data
+}
+
 /// Split a flattened buffer back into per-rank pieces of the given lengths.
 pub(crate) fn split_by_counts<T>(flat: Vec<T>, counts: &[u64]) -> Vec<Vec<T>> {
     debug_assert_eq!(flat.len() as u64, counts.iter().sum::<u64>());
@@ -140,23 +237,44 @@ pub(crate) fn split_by_counts<T>(flat: Vec<T>, counts: &[u64]) -> Vec<Vec<T>> {
         .collect()
 }
 
-/// A node's view of the cluster: rank, mailbox, peers, clock, statistics,
-/// and the failure oracle. Exactly one `NodeCtx` exists per node thread.
+/// Whose clock a communication step is booked on: the node's own (the
+/// blocking primitives), or a detached engine timeline that started when a
+/// non-blocking operation was issued and leaves the node clock untouched
+/// until `wait` charges the un-hidden remainder (see [`crate::request`]).
+/// Both run the same algebra — `now += λ + s·µ` per send,
+/// `now = max(now, arrival)` per receive — so a collective's result and
+/// completion time do not depend on which one its participants use.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Timeline {
+    Node,
+    Engine(f64),
+}
+
+impl Timeline {
+    /// The timeline's current time (`clock` is the node's).
+    pub(crate) fn now(self, clock: &VClock) -> f64 {
+        match self {
+            Timeline::Node => clock.now(),
+            Timeline::Engine(now) => now,
+        }
+    }
+}
+
+/// A node's view of the cluster: rank, peers, clock, statistics, the
+/// failure oracle, and the scheduler that carries its messages. Exactly one
+/// `NodeCtx` exists per node thread.
 pub struct NodeCtx {
     rank: usize,
     size: usize,
-    mailbox: Mailbox,
-    outboxes: Vec<Outbox>,
+    /// The cluster's node scheduler: owns every rank's message queue and
+    /// the open collectives, and parks this node when it must wait.
+    sched: Arc<Scheduler>,
     oracle: FaultOracle,
     clock: VClock,
     stats: CommStats,
     coll_seq: u64,
     group_counters: HashMap<Vec<usize>, u32>,
     spares: usize,
-    /// The cluster's node scheduler (`None` only in standalone unit
-    /// tests): sends notify it so a blocked matching receiver becomes
-    /// runnable.
-    sched: Option<std::sync::Arc<crate::sched::Scheduler>>,
     #[cfg(feature = "audit")]
     audit: Option<Box<audit::AuditState>>,
     #[cfg(feature = "trace")]
@@ -164,12 +282,10 @@ pub struct NodeCtx {
 }
 
 impl NodeCtx {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rank: usize,
         size: usize,
-        mailbox: Mailbox,
-        outboxes: Vec<Outbox>,
+        sched: Arc<Scheduler>,
         oracle: FaultOracle,
         clock: VClock,
         spares: usize,
@@ -177,15 +293,13 @@ impl NodeCtx {
         NodeCtx {
             rank,
             size,
-            mailbox,
-            outboxes,
+            sched,
             oracle,
             clock,
             stats: CommStats::new(),
             coll_seq: 0,
             group_counters: HashMap::new(),
             spares,
-            sched: None,
             #[cfg(feature = "audit")]
             audit: None,
             #[cfg(feature = "trace")]
@@ -200,19 +314,10 @@ impl NodeCtx {
         self.trace = Some(Box::new(crate::trace::TraceState::new(self.rank)));
     }
 
-    /// Surrender this node's trace log (called at teardown, before
-    /// [`NodeCtx::into_teardown`]).
+    /// Surrender this node's trace log (called at teardown).
     #[cfg(feature = "trace")]
     pub(crate) fn take_trace(&mut self) -> Option<crate::trace::NodeTrace> {
         self.trace.take().map(|t| t.into_log())
-    }
-
-    /// Attach the cluster's node scheduler: would-block receives park on
-    /// it, sends wake matching blocked receivers. Called by `Cluster::run`
-    /// before the program starts.
-    pub(crate) fn install_sched(&mut self, sched: std::sync::Arc<crate::sched::Scheduler>) {
-        self.mailbox.install_sched(sched.clone());
-        self.sched = Some(sched);
     }
 
     /// Attach the protocol auditor (this node's event log). Called by
@@ -222,16 +327,10 @@ impl NodeCtx {
         self.audit = Some(Box::new(audit::AuditState::new(self.rank)));
     }
 
-    /// Surrender the mailbox (for the cluster's teardown drain check) and
-    /// the audit event log, consuming the context.
+    /// Surrender this node's audit event log (called at teardown).
     #[cfg(feature = "audit")]
-    pub(crate) fn into_teardown(self) -> (Mailbox, Option<audit::NodeLog>) {
-        (self.mailbox, self.audit.map(|a| a.into_log()))
-    }
-
-    #[cfg(not(feature = "audit"))]
-    pub(crate) fn into_teardown(self) -> (Mailbox, Option<()>) {
-        (self.mailbox, None)
+    pub(crate) fn take_audit_log(&mut self) -> Option<audit::NodeLog> {
+        self.audit.take().map(|a| a.into_log())
     }
 
     /// Record a matched receive into the audit log (no-op without the
@@ -255,6 +354,26 @@ impl NodeCtx {
         }
     }
 
+    /// Record a world-communicator collective call (no-op without `audit`).
+    /// `len` is the contributed length where the protocol requires
+    /// agreement — `None` for ragged collectives and for participants that
+    /// do not know it up front (bcast leaves); the checker compares lengths
+    /// among declared values only.
+    fn audit_world_coll(&mut self, seq: u64, kind: u8, rop: Option<ReduceOp>, len: Option<usize>) {
+        #[cfg(not(feature = "audit"))]
+        let _ = (seq, kind, rop, len);
+        #[cfg(feature = "audit")]
+        self.audit_coll(audit::CollEvent {
+            scope: None,
+            seq,
+            kind,
+            rop,
+            len,
+            members_hash: audit::WORLD_HASH,
+            n_members: self.size,
+        });
+    }
+
     /// Declare entry into recovery-attempt tag window `id` (a no-op without
     /// the `audit` feature). The engine calls this at the top of each
     /// recovery attempt; receives issued until the matching
@@ -265,7 +384,7 @@ impl NodeCtx {
         #[cfg(feature = "audit")]
         if let Some(a) = &mut self.audit {
             if let Some(prev) = a.window.replace(id) {
-                self.mailbox.scan_window_residue(prev);
+                self.sched.scan_window_residue(self.rank, prev);
             }
         }
         #[cfg(not(feature = "audit"))]
@@ -274,12 +393,12 @@ impl NodeCtx {
 
     /// Close the current recovery-attempt tag window (no-op without the
     /// `audit` feature): checks that no message stamped with the closing
-    /// window remains unconsumed in this node's mailbox.
+    /// window remains unconsumed in this node's queue.
     pub fn audit_exit_window(&mut self) {
         #[cfg(feature = "audit")]
         if let Some(a) = &mut self.audit {
             if let Some(prev) = a.window.take() {
-                self.mailbox.scan_window_residue(prev);
+                self.sched.scan_window_residue(self.rank, prev);
             }
         }
     }
@@ -324,8 +443,8 @@ impl NodeCtx {
         let _ = (name, arg);
     }
 
-    /// Record a send event with its per-`(dst, tag)` sequence number.
-    #[cfg(feature = "trace")]
+    /// Record a send event with its per-`(dst, tag)` sequence number
+    /// (no-op without `trace`, like the span markers above).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn trace_send_event(
         &mut self,
@@ -337,6 +456,9 @@ impl NodeCtx {
         dt: f64,
         engine: bool,
     ) {
+        #[cfg(not(feature = "trace"))]
+        let _ = (phase, dst, tag, elems, t, dt, engine);
+        #[cfg(feature = "trace")]
         if let Some(tr) = &mut self.trace {
             let seq = tr.next_send_seq(dst, tag);
             tr.record(
@@ -355,7 +477,6 @@ impl NodeCtx {
     }
 
     /// Record a receive event with its per-`(src, tag)` sequence number.
-    #[cfg(feature = "trace")]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn trace_recv_event(
         &mut self,
@@ -367,6 +488,9 @@ impl NodeCtx {
         stall: f64,
         engine: bool,
     ) {
+        #[cfg(not(feature = "trace"))]
+        let _ = (phase, src, tag, elems, t, stall, engine);
+        #[cfg(feature = "trace")]
         if let Some(tr) = &mut self.trace {
             let seq = tr.next_recv_seq(src, tag);
             tr.record(
@@ -385,8 +509,10 @@ impl NodeCtx {
     }
 
     /// Record the exposed/hidden split charged by a non-blocking `wait`.
-    #[cfg(feature = "trace")]
     pub(crate) fn trace_wait_event(&mut self, phase: CommPhase, t: f64, exposed: f64, hidden: f64) {
+        #[cfg(not(feature = "trace"))]
+        let _ = (phase, t, exposed, hidden);
+        #[cfg(feature = "trace")]
         if let Some(tr) = &mut self.trace {
             tr.record(
                 t,
@@ -400,11 +526,11 @@ impl NodeCtx {
     }
 
     /// Test double: reintroduce the PR 2 `swap_remove` FIFO defect in this
-    /// node's mailbox, to prove the auditor's non-overtaking check fires.
+    /// node's queue, to prove the auditor's non-overtaking check fires.
     #[doc(hidden)]
     #[cfg(feature = "audit")]
     pub fn audit_seed_fifo_bug(&mut self) {
-        self.mailbox.seed_fifo_bug();
+        self.sched.seed_fifo_bug(self.rank);
     }
 
     /// This node's rank in `0..size`.
@@ -428,20 +554,72 @@ impl NodeCtx {
 
     pub(crate) fn send_tag(&mut self, dest: usize, tag: Tag, payload: Payload, phase: CommPhase) {
         debug_assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
-        let elems = payload.elems();
+        let arrival = self.book_send(&mut Timeline::Node, dest, tag, payload.elems(), phase);
+        self.raw_send(dest, tag, payload, arrival);
+    }
+
+    /// Book one outgoing message of `elems` elements on `tl` — statistics,
+    /// clock, trace — and return its arrival stamp. Everything a send does
+    /// except deliver: the blocking and non-blocking sends deliver next,
+    /// a resident collective's rounds have nothing to deliver.
+    fn book_send(
+        &mut self,
+        tl: &mut Timeline,
+        dest: usize,
+        tag: Tag,
+        elems: usize,
+        phase: CommPhase,
+    ) -> f64 {
         self.stats.record_send(phase, elems);
-        let t0 = self.clock.now();
-        let arrival_vtime = self.clock.stamp_send(elems);
-        self.stats.record_send_vtime(phase, arrival_vtime - t0);
-        #[cfg(feature = "trace")]
-        self.trace_send_event(phase, dest, tag, elems, t0, arrival_vtime - t0, false);
-        self.raw_send(dest, tag, payload, arrival_vtime);
+        match tl {
+            Timeline::Node => {
+                let t0 = self.clock.now();
+                let arrival = self.clock.stamp_send(elems);
+                self.stats.record_send_vtime(phase, arrival - t0);
+                self.trace_send_event(phase, dest, tag, elems, t0, arrival - t0, false);
+                arrival
+            }
+            Timeline::Engine(now) => {
+                let cost = self.clock.model().msg_cost(elems);
+                self.trace_send_event(phase, dest, tag, elems, *now, cost, true);
+                *now += cost;
+                *now
+            }
+        }
+    }
+
+    /// Book the receipt of a message stamped `arrival` on `tl`: a blocking
+    /// receive stalls the node clock until the stamp; the engine timeline
+    /// just moves up to it (any exposed cost is charged later, at `wait`).
+    fn book_recv(
+        &mut self,
+        tl: &mut Timeline,
+        src: usize,
+        tag: Tag,
+        elems: usize,
+        arrival: f64,
+        phase: CommPhase,
+    ) {
+        match tl {
+            Timeline::Node => {
+                let t0 = self.clock.now();
+                let stall = self.clock.absorb_arrival(arrival);
+                self.stats.record_wait_vtime(phase, stall);
+                self.trace_recv_event(phase, src, tag, elems, t0, stall, false);
+            }
+            Timeline::Engine(now) => {
+                if arrival > *now {
+                    *now = arrival;
+                }
+                self.trace_recv_event(phase, src, tag, elems, *now, 0.0, true);
+            }
+        }
     }
 
     /// Deliver a message with an explicit arrival stamp, touching neither
     /// the clock nor the statistics — the primitive beneath both the
     /// blocking path (which charges the sender first) and the non-blocking
-    /// engine (which stamps with its own detached timeline).
+    /// `isend` (which stamps with its own detached timeline).
     pub(crate) fn raw_send(&mut self, dest: usize, tag: Tag, payload: Payload, arrival_vtime: f64) {
         debug_assert_ne!(dest, self.rank, "self-send is a protocol bug");
         #[allow(unused_mut)]
@@ -450,30 +628,22 @@ impl NodeCtx {
         if let Some(a) = &mut self.audit {
             msg.stamp = a.stamp_send(dest, tag);
         }
-        // A closed channel means the peer thread panicked; propagate.
-        self.outboxes[dest]
-            .send(msg)
-            .unwrap_or_else(|_| panic!("rank {}: peer {} is gone", self.rank, dest));
-        // Push first, then notify: when the receiver is re-dispatched the
-        // message is guaranteed to be in its channel.
-        if let Some(sched) = &self.sched {
-            sched.notify_send(dest, self.rank, tag);
-        }
+        self.sched.send(dest, msg);
     }
 
-    /// Blocking mailbox receive with no clock or stats effects (the
-    /// non-blocking engine accounts on its own timeline).
-    pub(crate) fn raw_recv_blocking(&mut self, src: usize, tag: Tag) -> Message {
-        let now = self.clock.now();
-        let m = self.mailbox.recv(src, tag, now);
+    /// Blocking receive (`src: None` ⇒ any source) with no clock or stats
+    /// effects: non-blocking requests account on their own timeline.
+    pub(crate) fn raw_recv_blocking(&mut self, src: Option<usize>, tag: Tag) -> Message {
+        let m = self.sched.recv(self.rank, src, tag, self.clock.now());
         self.audit_recv(&m);
         m
     }
 
-    /// Non-blocking, non-consuming mailbox probe with no clock or stats
-    /// effects (advisory `test` path — matching stays in program order).
-    pub(crate) fn raw_peek_recv(&mut self, src: usize, tag: Tag) -> Option<&Message> {
-        self.mailbox.peek_match(src, tag)
+    /// Arrival stamp of the next `(src, tag)` match already delivered, if
+    /// any — non-blocking and non-consuming, with no clock or stats effects
+    /// (advisory `test` path — matching stays in program order).
+    pub(crate) fn raw_peek_arrival(&self, src: usize, tag: Tag) -> Option<f64> {
+        self.sched.peek_arrival(self.rank, src, tag)
     }
 
     /// Send one physical message whose elements belong to several
@@ -520,7 +690,6 @@ impl NodeCtx {
             .find(|&&(_, n)| n > 0)
             .map_or(split[0].0, |&(p, _)| p);
         self.stats.record_send_vtime(owner, arrival_vtime - t0);
-        #[cfg(feature = "trace")]
         self.trace_send_event(
             owner,
             dest,
@@ -547,34 +716,24 @@ impl NodeCtx {
     }
 
     pub(crate) fn recv_tag(&mut self, src: usize, tag: Tag, phase: CommPhase) -> Message {
-        let m = self.raw_recv_blocking(src, tag);
-        #[cfg(feature = "trace")]
-        let t0 = self.clock.now();
-        let stall = self.clock.absorb_arrival(m.arrival_vtime);
-        self.stats.record_wait_vtime(phase, stall);
-        #[cfg(feature = "trace")]
-        self.trace_recv_event(phase, src, tag, m.payload.elems(), t0, stall, false);
+        let m = self.raw_recv_blocking(Some(src), tag);
+        let (elems, arrival) = (m.payload.elems(), m.arrival_vtime);
+        self.book_recv(&mut Timeline::Node, src, tag, elems, arrival, phase);
         m
     }
 
     /// Blocking receive of a user-tagged message from any source.
     pub fn recv_any(&mut self, tag: u32) -> (usize, Payload) {
-        let now = self.clock.now();
-        let m = self.mailbox.recv_any(Tag::user(tag), now);
-        self.audit_recv(&m);
-        #[cfg(feature = "trace")]
-        let t0 = self.clock.now();
-        let stall = self.clock.absorb_arrival(m.arrival_vtime);
-        self.stats.record_wait_vtime(CommPhase::Other, stall);
-        #[cfg(feature = "trace")]
-        self.trace_recv_event(
-            CommPhase::Other,
+        let tag = Tag::user(tag);
+        let m = self.raw_recv_blocking(None, tag);
+        let (elems, arrival) = (m.payload.elems(), m.arrival_vtime);
+        self.book_recv(
+            &mut Timeline::Node,
             m.src,
-            Tag::user(tag),
-            m.payload.elems(),
-            t0,
-            stall,
-            false,
+            tag,
+            elems,
+            arrival,
+            CommPhase::Other,
         );
         (m.src, m.payload)
     }
@@ -597,14 +756,10 @@ impl NodeCtx {
     ) -> SendRequest {
         debug_assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
         let elems = payload.elems();
-        self.stats.record_send(phase, elems);
-        let start = self.clock.now();
-        let cost = self.clock.model().msg_cost(elems);
-        let done_at = start + cost;
-        #[cfg(feature = "trace")]
-        self.trace_send_event(phase, dest, Tag::user(tag), elems, start, cost, true);
+        let mut engine = Timeline::Engine(self.clock.now());
+        let done_at = self.book_send(&mut engine, dest, Tag::user(tag), elems, phase);
         self.raw_send(dest, Tag::user(tag), payload, done_at);
-        SendRequest::new(done_at, cost, phase)
+        SendRequest::new(done_at, self.clock.model().msg_cost(elems), phase)
     }
 
     /// Non-blocking receive: returns a handle that matches `(src, tag)`.
@@ -633,25 +788,24 @@ impl NodeCtx {
     pub fn iallreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> AllreduceRequest {
         let seq = self.next_seq();
         let tag = Tag::coll(op::ALLREDUCE, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::ALLREDUCE,
-            rop: Some(opr),
-            len: Some(x.len()),
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        let (rank, size) = (self.rank, self.size);
+        self.audit_world_coll(seq, op::ALLREDUCE, Some(opr), Some(x.len()));
         self.trace_open("iallreduce", seq);
         let start = self.clock.now();
-        let mut port = EnginePort::new(self, start, CommPhase::Reduction);
-        let (acc, rounds) = rd_allreduce(&mut port, rank, size, None, tag, opr, x);
-        let done_at = port.now();
+        let mut engine = Timeline::Engine(start);
+        let (rank, size) = (self.rank, self.size);
+        let (acc, rounds) = self.rd_rounds(
+            &mut engine,
+            rank,
+            size,
+            None,
+            tag,
+            opr,
+            x,
+            CommPhase::Reduction,
+        );
         self.trace_close();
         self.stats.record_allreduce(rounds);
-        AllreduceRequest::new(acc, start, done_at, CommPhase::Reduction)
+        AllreduceRequest::new(acc, start, engine.now(&self.clock), CommPhase::Reduction)
     }
 
     // ------------------------------------------------------------------
@@ -665,48 +819,45 @@ impl NodeCtx {
     }
 
     /// Synchronize all nodes (and their virtual clocks). Implemented as a
-    /// zero-length recursive-doubling exchange, so every node transitively
+    /// zero-length recursive-doubling all-reduce, so every node transitively
     /// absorbs every other node's clock in ⌈log₂N⌉(+2) rounds.
     pub fn barrier(&mut self) {
         let seq = self.next_seq();
         let tag = Tag::coll(op::BARRIER, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::BARRIER,
-            rop: None,
-            len: Some(0),
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        let (rank, size) = (self.rank, self.size);
+        self.audit_world_coll(seq, op::BARRIER, None, Some(0));
         self.trace_open("barrier", seq);
-        let mut port = BlockingPort {
-            ctx: self,
-            phase: CommPhase::Reduction,
-        };
-        rd_allreduce(&mut port, rank, size, None, tag, ReduceOp::Sum, Vec::new());
+        let (rank, size) = (self.rank, self.size);
+        let (tl, x) = (&mut Timeline::Node, Vec::new());
+        self.rd_rounds(
+            tl,
+            rank,
+            size,
+            None,
+            tag,
+            ReduceOp::Sum,
+            x,
+            CommPhase::Reduction,
+        );
         self.trace_close();
     }
 
     /// Broadcast `payload` from `root`; every node returns the payload.
     pub fn bcast(&mut self, root: usize, payload: Payload) -> Payload {
         let seq = self.next_seq();
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::BCAST,
-            rop: None,
-            // Only the root knows the length up front; leaves record None
-            // and the checker compares lengths among declared values only.
-            len: None,
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
+        self.audit_world_coll(seq, op::BCAST, None, None);
         self.trace_open("bcast", seq);
-        let out = self.tree_bcast_from(root, payload, Tag::coll(op::BCAST, seq));
+        let tag = Tag::coll(op::BCAST, seq);
+        let (rank, size) = (self.rank, self.size);
+        let out = tree_bcast_generic(
+            self,
+            rank,
+            size,
+            None,
+            root,
+            tag,
+            CommPhase::Reduction,
+            payload,
+        );
         self.trace_close();
         out
     }
@@ -731,106 +882,109 @@ impl NodeCtx {
     ///
     /// Recursive doubling: ⌈log₂N⌉ rounds (+2 on non-power-of-two sizes),
     /// every node sends and receives one buffer per round — no root
-    /// bottleneck, and half the rounds of the former reduce-to-root +
-    /// broadcast implementation. The pairing and combination order are
-    /// fixed functions of (rank, size), so the result is deterministic.
+    /// bottleneck. The pairing and combination order are fixed functions
+    /// of (rank, size), so the result is deterministic.
     pub fn allreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
         let seq = self.next_seq();
         let tag = Tag::coll(op::ALLREDUCE, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::ALLREDUCE,
-            rop: Some(opr),
-            len: Some(x.len()),
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        let (rank, size) = (self.rank, self.size);
+        self.audit_world_coll(seq, op::ALLREDUCE, Some(opr), Some(x.len()));
         self.trace_open("allreduce", seq);
-        let mut port = BlockingPort {
-            ctx: self,
-            phase: CommPhase::Reduction,
-        };
-        let (acc, rounds) = rd_allreduce(&mut port, rank, size, None, tag, opr, x);
+        let (rank, size) = (self.rank, self.size);
+        let tl = &mut Timeline::Node;
+        let (acc, rounds) = self.rd_rounds(tl, rank, size, None, tag, opr, x, CommPhase::Reduction);
         self.trace_close();
         self.stats.record_allreduce(rounds);
         acc
     }
 
+    /// Deterministic recursive-doubling all-reduce over `n` participants
+    /// (schedule: [`RdShape`]), booked on `tl`.
+    ///
+    /// `my_index` is this node's participant index; `members` maps
+    /// participant indices to global ranks (`None` ⇒ identity, i.e. the
+    /// world communicator). Returns the reduced buffer — **bitwise
+    /// identical on every participant** — and the number of communication
+    /// rounds this participant took part in.
+    ///
+    /// The rendezvous in [`Scheduler::allreduce`] yields the result and the
+    /// arrival stamp of every message of the schedule; this node then books
+    /// exactly its own rounds, in schedule order. Within one call every
+    /// ordered pair of participants exchanges at most one message, so a
+    /// single tag covers all rounds.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn rd_rounds(
+        &mut self,
+        tl: &mut Timeline,
+        my_index: usize,
+        n: usize,
+        members: Option<&[usize]>,
+        tag: Tag,
+        opr: ReduceOp,
+        x: Vec<f64>,
+        phase: CommPhase,
+    ) -> (Vec<f64>, usize) {
+        if n == 1 {
+            return (x, 0);
+        }
+        let elems = x.len();
+        let deposit = Deposit {
+            tag,
+            index: my_index,
+            n,
+            members,
+            opr,
+            entry: tl.now(&self.clock),
+            x,
+            msg_cost: self.clock.model().msg_cost(elems),
+        };
+        let out = self.sched.allreduce(self.rank, deposit, self.clock.now());
+
+        let rank_of = |i: usize| members.map_or(i, |m| m[i]);
+        let mine = RdShape::new(n).rounds_of(my_index);
+        for (k, round) in mine.iter().enumerate() {
+            let peer = rank_of(round.peer);
+            self.trace_open("round", k as u64);
+            if round.sends {
+                let sent = self.book_send(tl, peer, tag, elems, phase);
+                debug_assert_eq!(sent.to_bits(), out.stamps[round.row][my_index].to_bits());
+            }
+            if round.recvs {
+                let arrival = out.stamps[round.row][round.peer];
+                self.book_recv(tl, peer, tag, elems, arrival, phase);
+            }
+            self.trace_close();
+        }
+        // Whoever finishes last takes the shared buffer; the others copy.
+        let result = Arc::try_unwrap(out).map_or_else(|o| o.result.clone(), |o| o.result);
+        (result, mine.len())
+    }
+
     /// Gather variable-length `f64` buffers on `root` (rank order).
     /// Non-roots return `None`.
     pub fn gatherv_f64(&mut self, root: usize, x: Vec<f64>) -> Option<Vec<Vec<f64>>> {
+        self.gatherv(root, x)
+    }
+
+    fn gatherv<T: PayloadElem>(&mut self, root: usize, x: Vec<T>) -> Option<Vec<Vec<T>>> {
         let seq = self.next_seq();
         let tag = Tag::coll(op::GATHER, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::GATHER,
-            rop: None,
-            len: None, // ragged by design
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
+        self.audit_world_coll(seq, op::GATHER, None, None);
         self.trace_open("gather", seq);
-        let out = if self.rank == root {
-            let mut own = Some(x);
-            let mut out: Vec<Vec<f64>> = Vec::with_capacity(self.size);
-            for r in 0..self.size {
-                if r == root {
-                    out.push(own.take().expect("own slot filled once"));
-                } else {
-                    out.push(self.recv_tag(r, tag, CommPhase::Other).payload.into_f64s());
-                }
-            }
-            Some(out)
-        } else {
-            self.send_tag(root, tag, Payload::f64s(x), CommPhase::Other);
-            None
-        };
+        let (rank, size) = (self.rank, self.size);
+        let out = gatherv_generic(self, rank, size, None, root, tag, CommPhase::Other, x);
         self.trace_close();
         out
     }
 
     /// All-gather variable-length `f64` buffers; result indexed by rank.
     pub fn allgatherv_f64(&mut self, x: Vec<f64>) -> Vec<Vec<f64>> {
-        let gathered = self.gatherv_f64(0, x);
+        let gathered = self.gatherv(0, x);
         self.bcast_ragged(0, gathered)
     }
 
     /// All-gather variable-length `u64` buffers; result indexed by rank.
     pub fn allgatherv_u64(&mut self, x: Vec<u64>) -> Vec<Vec<u64>> {
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::GATHER, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::GATHER,
-            rop: None,
-            len: None, // ragged by design
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        self.trace_open("gather", seq);
-        let gathered: Option<Vec<Vec<u64>>> = if self.rank == 0 {
-            let mut own = Some(x);
-            let mut out: Vec<Vec<u64>> = Vec::with_capacity(self.size);
-            for r in 0..self.size {
-                if r == 0 {
-                    out.push(own.take().expect("own slot filled once"));
-                } else {
-                    out.push(self.recv_tag(r, tag, CommPhase::Other).payload.into_u64s());
-                }
-            }
-            Some(out)
-        } else {
-            self.send_tag(0, tag, Payload::u64s(x), CommPhase::Other);
-            None
-        };
-        self.trace_close();
+        let gathered = self.gatherv(0, x);
         self.bcast_ragged(0, gathered)
     }
 
@@ -865,24 +1019,7 @@ impl NodeCtx {
     /// plan setup, where symmetric knowledge is simplest and N ≤ a few
     /// hundred.
     pub fn alltoallv_u64(&mut self, sends: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-        assert_eq!(sends.len(), self.size, "alltoallv needs one list per rank");
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::ALLTOALL, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::ALLTOALL,
-            rop: None,
-            len: None, // ragged by design
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
-        let rank = self.rank;
-        self.trace_open("alltoall", seq);
-        let out = alltoallv_generic(self, rank, None, tag, CommPhase::Setup, sends);
-        self.trace_close();
-        out
+        self.alltoallv(sends, CommPhase::Setup)
     }
 
     /// Personalized all-to-all of `(index, value)` pair lists, charged to
@@ -892,70 +1029,19 @@ impl NodeCtx {
         sends: Vec<Vec<(u64, f64)>>,
         phase: CommPhase,
     ) -> Vec<Vec<(u64, f64)>> {
+        self.alltoallv(sends, phase)
+    }
+
+    fn alltoallv<T: PayloadElem>(&mut self, sends: Vec<Vec<T>>, phase: CommPhase) -> Vec<Vec<T>> {
         assert_eq!(sends.len(), self.size, "alltoallv needs one list per rank");
         let seq = self.next_seq();
         let tag = Tag::coll(op::ALLTOALL, seq);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind: op::ALLTOALL,
-            rop: None,
-            len: None, // ragged by design
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
+        self.audit_world_coll(seq, op::ALLTOALL, None, None);
         let rank = self.rank;
         self.trace_open("alltoall", seq);
         let out = alltoallv_generic(self, rank, None, tag, phase, sends);
         self.trace_close();
         out
-    }
-
-    // ------------------------------------------------------------------
-    // Binomial-tree broadcast primitive
-    // ------------------------------------------------------------------
-
-    /// Broadcast from `root` over a binomial tree. The per-child
-    /// `data.clone()` is an `Arc` bump, not a buffer copy.
-    fn tree_bcast_from(&mut self, root: usize, payload: Payload, tag: Tag) -> Payload {
-        let n = self.size;
-        if n == 1 {
-            return payload;
-        }
-        let vrank = (self.rank + n - root) % n;
-        // Find the highest power of two ≤ n.
-        let mut top = 1usize;
-        while top << 1 < n {
-            top <<= 1;
-        }
-        let data: Payload = if vrank == 0 {
-            payload
-        } else {
-            // Receive from parent: clear lowest set bit of vrank.
-            let parent_v = vrank & (vrank - 1);
-            let parent = (parent_v + root) % n;
-            self.recv_tag(parent, tag, CommPhase::Reduction).payload
-        };
-        // Forward to children (bits below our lowest set bit), farthest
-        // subtree first so it starts as early as possible.
-        let lowbit = if vrank == 0 {
-            top << 1
-        } else {
-            vrank & vrank.wrapping_neg()
-        };
-        let mut mask = top;
-        while mask > 0 {
-            if mask < lowbit {
-                let child_v = vrank | mask;
-                if child_v < n {
-                    let child = (child_v + root) % n;
-                    self.send_tag(child, tag, data.clone(), CommPhase::Reduction);
-                }
-            }
-            mask >>= 1;
-        }
-        data
     }
 
     // ------------------------------------------------------------------
@@ -1032,169 +1118,9 @@ impl NodeCtx {
     }
 }
 
-/// How a recursive-doubling round moves bytes and time: the blocking path
-/// charges the node clock directly; the non-blocking engine runs the same
-/// schedule on a detached timeline (see [`crate::request::EnginePort`]).
-/// Factoring the transport out keeps the *schedule* — and therefore the
-/// bitwise result — identical between `allreduce_vec` and `iallreduce_vec`.
-pub(crate) trait RdPort {
-    fn port_send(&mut self, peer: usize, tag: Tag, payload: Payload);
-    fn port_recv(&mut self, peer: usize, tag: Tag) -> Payload;
-    /// Trace hook: one recursive-doubling communication round begins
-    /// (default no-op; ports forward to the node's tracer).
-    fn round_open(&mut self, _round: usize) {}
-    /// Trace hook: the current communication round ends.
-    fn round_close(&mut self) {}
-}
-
-/// The blocking transport: sends charge the node clock, receives stall it.
-pub(crate) struct BlockingPort<'a> {
-    pub ctx: &'a mut NodeCtx,
-    pub phase: CommPhase,
-}
-
-impl RdPort for BlockingPort<'_> {
-    fn port_send(&mut self, peer: usize, tag: Tag, payload: Payload) {
-        self.ctx.send_tag(peer, tag, payload, self.phase);
-    }
-
-    fn port_recv(&mut self, peer: usize, tag: Tag) -> Payload {
-        self.ctx.recv_tag(peer, tag, self.phase).payload
-    }
-
-    fn round_open(&mut self, round: usize) {
-        self.ctx.trace_open("round", round as u64);
-    }
-
-    fn round_close(&mut self) {
-        self.ctx.trace_close();
-    }
-}
-
-/// Deterministic recursive-doubling all-reduce over `n` participants.
-///
-/// `my_index` is this node's participant index; `members` maps participant
-/// indices to global ranks (`None` ⇒ identity, i.e. the world communicator).
-/// Returns the reduced buffer — **bitwise identical on every participant** —
-/// and the number of communication rounds this participant took part in.
-///
-/// The standard MPICH scheme, fixed pairing so reductions are reproducible:
-///
-/// 1. **Fold-in** (non-power-of-two only): the first `2·rem` indices pair up
-///    `(2k, 2k+1)`; evens push their buffer to the odd neighbour and sit
-///    out. `pof2 = n − rem` participants remain.
-/// 2. **Doubling**: `log₂(pof2)` rounds; in round `mask` each participant
-///    exchanges its partial with `index ⊕ mask` and both combine. Partial
-///    results are always combined lower-index-group first, so after every
-///    round both partners hold bitwise-identical buffers.
-/// 3. **Fold-out**: the odd fold-in indices return the finished result to
-///    their even neighbours.
-///
-/// Within one call every ordered pair of participants exchanges at most one
-/// message, so a single tag covers all rounds.
-pub(crate) fn rd_allreduce<P: RdPort>(
-    port: &mut P,
-    my_index: usize,
-    n: usize,
-    members: Option<&[usize]>,
-    tag: Tag,
-    opr: ReduceOp,
-    x: Vec<f64>,
-) -> (Vec<f64>, usize) {
-    if n == 1 {
-        return (x, 0);
-    }
-    let rank_of = |i: usize| members.map_or(i, |m| m[i]);
-    let mut acc = x;
-    let pof2 = prev_power_of_two(n);
-    let rem = n - pof2;
-    let mut rounds = 0usize;
-
-    // Phase 1: fold-in.
-    let newidx = if my_index < 2 * rem {
-        port.round_open(rounds);
-        rounds += 1;
-        let r = if my_index.is_multiple_of(2) {
-            let peer = rank_of(my_index + 1);
-            port.port_send(peer, tag, Payload::f64s(acc.clone()));
-            None // folded out until phase 3
-        } else {
-            let theirs = port.port_recv(rank_of(my_index - 1), tag).into_f64s();
-            acc = combined(opr, theirs, &acc); // lower index first
-            Some(my_index / 2)
-        };
-        port.round_close();
-        r
-    } else {
-        Some(my_index - rem)
-    };
-
-    // Phase 2: doubling among the pof2 survivors. `orig` maps a doubling
-    // index back to the participant index holding it.
-    if let Some(v) = newidx {
-        let orig = |d: usize| if d < rem { 2 * d + 1 } else { d + rem };
-        let mut mask = 1usize;
-        while mask < pof2 {
-            port.round_open(rounds);
-            let peer = rank_of(orig(v ^ mask));
-            port.port_send(peer, tag, Payload::f64s(acc.clone()));
-            let theirs = port.port_recv(peer, tag).into_f64s();
-            if v & mask == 0 {
-                opr.combine(&mut acc, &theirs);
-            } else {
-                acc = combined(opr, theirs, &acc);
-            }
-            port.round_close();
-            mask <<= 1;
-            rounds += 1;
-        }
-    }
-
-    // Phase 3: fold-out.
-    if my_index < 2 * rem {
-        port.round_open(rounds);
-        rounds += 1;
-        if my_index % 2 == 1 {
-            let peer = rank_of(my_index - 1);
-            port.port_send(peer, tag, Payload::f64s(acc.clone()));
-        } else {
-            acc = port.port_recv(rank_of(my_index + 1), tag).into_f64s();
-        }
-        port.round_close();
-    }
-    (acc, rounds)
-}
-
-/// `lower ⊕ higher` with the lower-index group as the left operand — the
-/// canonical combination order every participant applies identically.
-fn combined(opr: ReduceOp, mut lower: Vec<f64>, higher: &[f64]) -> Vec<f64> {
-    opr.combine(&mut lower, higher);
-    lower
-}
-
-/// Largest power of two ≤ `n` (`n ≥ 1`).
-fn prev_power_of_two(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    if n.is_power_of_two() {
-        n
-    } else {
-        n.next_power_of_two() >> 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prev_power_of_two_bounds() {
-        assert_eq!(prev_power_of_two(1), 1);
-        assert_eq!(prev_power_of_two(2), 2);
-        assert_eq!(prev_power_of_two(3), 2);
-        assert_eq!(prev_power_of_two(13), 8);
-        assert_eq!(prev_power_of_two(16), 16);
-        assert_eq!(prev_power_of_two(64), 64);
-    }
 
     #[test]
     fn split_by_counts_partitions() {

@@ -6,17 +6,19 @@
 //! A [`Group`] gives them a private collective context, like an MPI
 //! sub-communicator obtained from `MPI_Comm_split`.
 //!
-//! Group all-reduces use the same recursive-doubling algorithm as the world
-//! communicator (see [`crate::comm`]), over group indices instead of global
-//! ranks — recovery's inner solves get the ⌈log₂ψ⌉-round cost too.
+//! Group all-reduces and barriers run the same scheduler-resident
+//! recursive-doubling rounds as the world communicator (see
+//! [`crate::comm`]), over group indices instead of global ranks —
+//! recovery's inner solves get the ⌈log₂ψ⌉-round cost too.
 
 #[cfg(feature = "audit")]
 use crate::audit;
 use crate::comm::{
-    alltoallv_generic, rd_allreduce, split_by_counts, BlockingPort, NodeCtx, ReduceOp,
+    alltoallv_generic, gatherv_generic, split_by_counts, tree_bcast_generic, NodeCtx, PayloadElem,
+    ReduceOp, Timeline,
 };
 use crate::payload::Payload;
-use crate::request::{AllreduceRequest, EnginePort};
+use crate::request::AllreduceRequest;
 use crate::stats::CommPhase;
 use crate::tag::{op, Tag};
 
@@ -94,25 +96,22 @@ impl Group {
         }
     }
 
-    /// Group barrier (zero-length recursive-doubling exchange).
+    /// Group barrier (zero-length recursive-doubling all-reduce).
     pub fn barrier(&mut self, ctx: &mut NodeCtx) {
         let seq = self.next_seq();
         let tag = Tag::group(self.gid, op::BARRIER, seq);
         #[cfg(feature = "audit")]
         ctx.audit_coll(self.coll_event(seq, op::BARRIER, None, Some(0)));
         ctx.trace_open("group_barrier", seq as u64);
-        let mut port = BlockingPort {
-            ctx,
-            phase: CommPhase::Recovery,
-        };
-        rd_allreduce(
-            &mut port,
+        ctx.rd_rounds(
+            &mut Timeline::Node,
             self.my_index,
             self.members.len(),
             Some(&self.members),
             tag,
             ReduceOp::Sum,
             Vec::new(),
+            CommPhase::Recovery,
         );
         ctx.trace_close();
     }
@@ -150,15 +149,15 @@ impl Group {
         #[cfg(feature = "audit")]
         ctx.audit_coll(self.coll_event(seq, op::ALLREDUCE, Some(opr), Some(x.len())));
         ctx.trace_open("group_allreduce", seq as u64);
-        let mut port = BlockingPort { ctx, phase };
-        let (acc, rounds) = rd_allreduce(
-            &mut port,
+        let (acc, rounds) = ctx.rd_rounds(
+            &mut Timeline::Node,
             self.my_index,
             self.members.len(),
             Some(&self.members),
             tag,
             opr,
             x,
+            phase,
         );
         ctx.trace_close();
         ctx.stats_mut().record_allreduce(rounds);
@@ -184,20 +183,20 @@ impl Group {
         ctx.audit_coll(self.coll_event(seq, op::ALLREDUCE, Some(opr), Some(x.len())));
         ctx.trace_open("group_iallreduce", seq as u64);
         let start = ctx.clock().now();
-        let mut port = EnginePort::new(ctx, start, phase);
-        let (acc, rounds) = rd_allreduce(
-            &mut port,
+        let mut engine = Timeline::Engine(start);
+        let (acc, rounds) = ctx.rd_rounds(
+            &mut engine,
             self.my_index,
             self.members.len(),
             Some(&self.members),
             tag,
             opr,
             x,
+            phase,
         );
-        let done_at = port.now();
         ctx.trace_close();
         ctx.stats_mut().record_allreduce(rounds);
-        AllreduceRequest::new(acc, start, done_at, phase)
+        AllreduceRequest::new(acc, start, engine.now(ctx.clock()), phase)
     }
 
     /// Personalized all-to-all of pair lists among members;
@@ -208,15 +207,7 @@ impl Group {
         sends: Vec<Vec<(u64, f64)>>,
         phase: CommPhase,
     ) -> Vec<Vec<(u64, f64)>> {
-        assert_eq!(sends.len(), self.size());
-        let seq = self.next_seq();
-        let tag = Tag::group(self.gid, op::ALLTOALL, seq);
-        #[cfg(feature = "audit")]
-        ctx.audit_coll(self.coll_event(seq, op::ALLTOALL, None, None));
-        ctx.trace_open("group_alltoall", seq as u64);
-        let out = alltoallv_generic(ctx, self.my_index, Some(&self.members), tag, phase, sends);
-        ctx.trace_close();
-        out
+        self.alltoallv(ctx, sends, phase)
     }
 
     /// Personalized all-to-all of `u64` index lists among members;
@@ -228,6 +219,15 @@ impl Group {
         sends: Vec<Vec<u64>>,
         phase: CommPhase,
     ) -> Vec<Vec<u64>> {
+        self.alltoallv(ctx, sends, phase)
+    }
+
+    fn alltoallv<T: PayloadElem>(
+        &mut self,
+        ctx: &mut NodeCtx,
+        sends: Vec<Vec<T>>,
+        phase: CommPhase,
+    ) -> Vec<Vec<T>> {
         assert_eq!(sends.len(), self.size());
         let seq = self.next_seq();
         let tag = Tag::group(self.gid, op::ALLTOALL, seq);
@@ -247,25 +247,8 @@ impl Group {
         ctx.audit_coll(self.coll_event(seq, op::GATHER, None, None));
         ctx.trace_open("group_gather", seq as u64);
         // Gather on group index 0.
-        let gathered: Option<Vec<Vec<f64>>> = if self.my_index == 0 {
-            let mut own = Some(x);
-            let mut out = Vec::with_capacity(self.size());
-            for i in 0..self.size() {
-                if i == 0 {
-                    out.push(own.take().expect("own slot filled once"));
-                } else {
-                    out.push(
-                        ctx.recv_tag(self.members[i], tag, CommPhase::Recovery)
-                            .payload
-                            .into_f64s(),
-                    );
-                }
-            }
-            Some(out)
-        } else {
-            ctx.send_tag(self.members[0], tag, Payload::f64s(x), CommPhase::Recovery);
-            None
-        };
+        let (me, n, members) = (self.my_index, self.size(), Some(&self.members[..]));
+        let gathered = gatherv_generic(ctx, me, n, members, 0, tag, CommPhase::Recovery, x);
         // Broadcast counts, then data.
         let seq_counts = self.next_seq();
         let counts = self.tree_bcast(
@@ -289,9 +272,7 @@ impl Group {
         split_by_counts(flat.into_f64s(), &counts.into_u64s())
     }
 
-    // Binomial broadcast tree over group indices (root = index 0). The
-    // per-child `data.clone()` is an `Arc` bump, not a buffer copy.
-
+    /// Binomial-tree broadcast over group indices, from index 0.
     fn tree_bcast(&self, ctx: &mut NodeCtx, payload: Payload, seq: u32) -> Payload {
         #[cfg(feature = "audit")]
         ctx.audit_coll(self.coll_event(seq, op::BCAST, None, None));
@@ -300,38 +281,9 @@ impl Group {
             return payload;
         }
         let tag = Tag::group(self.gid, op::BCAST, seq);
+        let (me, members, phase) = (self.my_index, Some(&self.members[..]), CommPhase::Recovery);
         ctx.trace_open("group_bcast", seq as u64);
-        let v = self.my_index;
-        let mut top = 1usize;
-        while top << 1 < n {
-            top <<= 1;
-        }
-        let data = if v == 0 {
-            payload
-        } else {
-            let parent = self.members[v & (v - 1)];
-            ctx.recv_tag(parent, tag, CommPhase::Recovery).payload
-        };
-        let lowbit = if v == 0 {
-            top << 1
-        } else {
-            v & v.wrapping_neg()
-        };
-        let mut mask = top;
-        while mask > 0 {
-            if mask < lowbit {
-                let child_v = v | mask;
-                if child_v < n {
-                    ctx.send_tag(
-                        self.members[child_v],
-                        tag,
-                        data.clone(),
-                        CommPhase::Recovery,
-                    );
-                }
-            }
-            mask >>= 1;
-        }
+        let data = tree_bcast_generic(ctx, me, n, members, 0, tag, phase, payload);
         ctx.trace_close();
         data
     }

@@ -6,8 +6,9 @@
 //!
 //! The paper runs on MPI (with ULFM-style fault tolerance assumed) on 128
 //! physical nodes. Here, every **node** of the parallel computer has
-//! strictly private state and a mailbox; all interaction happens through
-//! explicit message passing, mirroring the MPI programming model. Node
+//! strictly private state and a message queue; all interaction happens
+//! through explicit message passing and collectives, mirroring the MPI
+//! programming model. Node
 //! programs are written in blocking style (each node owns an OS thread as
 //! its stack), but execution is driven by a deterministic discrete-event
 //! scheduler ([`sched`]): exactly one node runs at a time, blocking
@@ -18,9 +19,11 @@
 //! * point-to-point [`NodeCtx::send`] / [`NodeCtx::recv`] with
 //!   `(source, tag)` matching,
 //! * deterministic collectives ([`NodeCtx::allreduce_sum`],
-//!   [`NodeCtx::allgatherv_f64`], [`NodeCtx::alltoallv_u64`], …) built on
-//!   point-to-point messages — recursive doubling for all-reduce,
-//!   binomial trees for broadcast/gather,
+//!   [`NodeCtx::allgatherv_f64`], [`NodeCtx::alltoallv_u64`], …):
+//!   recursive doubling for all-reduce and barrier — one rendezvous in the
+//!   scheduler per call, booked round by round as the message exchange it
+//!   stands for — and binomial trees of point-to-point messages for
+//!   broadcast/gather,
 //! * non-blocking operations ([`NodeCtx::isend`], [`NodeCtx::irecv`],
 //!   [`NodeCtx::iallreduce_vec`]) with request handles ([`request`]) and an
 //!   **overlap-aware clock**: compute issued between start and wait hides
@@ -52,8 +55,9 @@ pub mod cluster;
 pub mod comm;
 pub mod fault;
 pub mod group;
-pub mod mailbox;
 pub mod payload;
+#[cfg(test)]
+mod rd_oracle;
 pub mod request;
 pub(crate) mod sched;
 pub mod stats;

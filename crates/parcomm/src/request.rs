@@ -11,7 +11,7 @@
 //!
 //! * `start` records the operation's begin time `t₀` and computes its
 //!   completion time `T` on the engine timeline (for collectives the engine
-//!   replays the exact recursive-doubling schedule, so the *result* is
+//!   books the exact recursive-doubling schedule, so the *result* is
 //!   bitwise identical to the blocking collective);
 //! * compute issued between `start` and `wait` advances the node clock
 //!   normally — concurrently with the flight time;
@@ -20,86 +20,21 @@
 //!   the overlapped part `T − t₀ − exposed` as *hidden*
 //!   ([`crate::CommStats::hidden_vtime`]).
 //!
-//! The engine drains its partner messages eagerly through the real mailbox
-//! inside `start` — which may park the node on the scheduler like any
-//! blocking receive. That is invisible to the cost model: scheduling order
-//! carries no time, virtual time is what the experiments measure.
+//! A non-blocking all-reduce meets its partners in the scheduler's
+//! rendezvous inside `start` — which may park the node like any blocking
+//! operation, and may pair it with partners that issued the blocking form.
+//! That is invisible to the cost model: scheduling order carries no time,
+//! and the rendezvous computes the same stamps for either accounting (see
+//! [`crate::comm::Timeline`]); virtual time is what the experiments measure.
 //!
 //! Requests are **linear**: every request must be consumed by `wait`.
 //! Dropping an un-waited request is a protocol bug (MPI would leak the
 //! request and possibly its buffer) and panics.
 
-use crate::comm::{NodeCtx, RdPort};
+use crate::comm::NodeCtx;
 use crate::payload::Payload;
 use crate::stats::CommPhase;
 use crate::tag::Tag;
-
-/// The detached transport used by non-blocking collectives: the same
-/// recursive-doubling schedule as the blocking path, but time flows on the
-/// engine's own clock (`now`), starting from the moment the operation was
-/// issued. Sends advance the engine by the full transfer cost; receives
-/// wait (on the engine timeline) for the partner's stamp. The node clock is
-/// never touched — the caller charges the un-hidden remainder at `wait`.
-pub(crate) struct EnginePort<'a> {
-    ctx: &'a mut NodeCtx,
-    now: f64,
-    phase: CommPhase,
-}
-
-impl<'a> EnginePort<'a> {
-    pub(crate) fn new(ctx: &'a mut NodeCtx, start: f64, phase: CommPhase) -> Self {
-        EnginePort {
-            ctx,
-            now: start,
-            phase,
-        }
-    }
-
-    /// The engine's current time (the operation's completion time once the
-    /// schedule has run).
-    pub(crate) fn now(&self) -> f64 {
-        self.now
-    }
-}
-
-impl RdPort for EnginePort<'_> {
-    fn port_send(&mut self, peer: usize, tag: Tag, payload: Payload) {
-        let elems = payload.elems();
-        self.ctx.stats_mut().record_send(self.phase, elems);
-        let cost = self.ctx.clock().model().msg_cost(elems);
-        #[cfg(feature = "trace")]
-        self.ctx
-            .trace_send_event(self.phase, peer, tag, elems, self.now, cost, true);
-        self.now += cost;
-        self.ctx.raw_send(peer, tag, payload, self.now);
-    }
-
-    fn port_recv(&mut self, peer: usize, tag: Tag) -> Payload {
-        let m = self.ctx.raw_recv_blocking(peer, tag);
-        if m.arrival_vtime > self.now {
-            self.now = m.arrival_vtime;
-        }
-        #[cfg(feature = "trace")]
-        self.ctx.trace_recv_event(
-            self.phase,
-            peer,
-            tag,
-            m.payload.elems(),
-            self.now,
-            0.0,
-            true,
-        );
-        m.payload
-    }
-
-    fn round_open(&mut self, round: usize) {
-        self.ctx.trace_open("round", round as u64);
-    }
-
-    fn round_close(&mut self) {
-        self.ctx.trace_close();
-    }
-}
 
 /// Charge the un-hidden remainder of an operation spanning
 /// `[start, done_at]` on the engine timeline: the node clock advances by
@@ -115,7 +50,6 @@ fn charge_wait(ctx: &mut NodeCtx, phase: CommPhase, start: f64, done_at: f64) {
     let duration = (done_at - start).max(0.0);
     let hidden = (duration - exposed).max(0.0);
     ctx.stats_mut().record_hidden_vtime(phase, hidden);
-    #[cfg(feature = "trace")]
     ctx.trace_wait_event(phase, t0, exposed, hidden);
 }
 
@@ -197,10 +131,9 @@ impl RecvRequest {
     /// True once a matching message has been delivered *and* has arrived
     /// in virtual time — a subsequent `wait` charges nothing. Advisory
     /// (see the type docs); never consumes the message.
-    pub fn test(&self, ctx: &mut NodeCtx) -> bool {
-        let now = ctx.clock().now();
-        ctx.raw_peek_recv(self.src, self.tag)
-            .is_some_and(|m| m.arrival_vtime <= now)
+    pub fn test(&self, ctx: &NodeCtx) -> bool {
+        ctx.raw_peek_arrival(self.src, self.tag)
+            .is_some_and(|arrival| arrival <= ctx.clock().now())
     }
 
     /// Complete the receive: blocks until the matching message is here and
@@ -208,20 +141,9 @@ impl RecvRequest {
     /// (`max(clock, arrival) − clock`).
     pub fn wait(mut self, ctx: &mut NodeCtx) -> Payload {
         self.completed = true;
-        let m = ctx.raw_recv_blocking(self.src, self.tag);
-        #[cfg(feature = "trace")]
-        {
-            let t = ctx.clock().now();
-            ctx.trace_recv_event(
-                self.phase,
-                self.src,
-                self.tag,
-                m.payload.elems(),
-                t,
-                0.0,
-                true,
-            );
-        }
+        let m = ctx.raw_recv_blocking(Some(self.src), self.tag);
+        let (elems, t) = (m.payload.elems(), ctx.clock().now());
+        ctx.trace_recv_event(self.phase, self.src, self.tag, elems, t, 0.0, true);
         charge_wait(
             ctx,
             self.phase,

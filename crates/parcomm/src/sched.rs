@@ -1,65 +1,70 @@
 //! The discrete-event node scheduler: deterministic cooperative execution
-//! of the simulated cluster.
+//! of the simulated cluster, its message queues, and its resident
+//! collectives.
 //!
 //! [`crate::cluster::Cluster::run`] still gives every node its own OS
 //! thread (node programs keep their blocking call style and their private
-//! stacks), but the threads no longer free-run: exactly **one** node
-//! executes at any moment, and the scheduler decides which. A node runs
-//! until it *blocks* (a receive with no matching message) or *finishes*;
-//! the scheduler then hands the baton to the runnable node with the
-//! minimum `(virtual time, rank)` key. Execution order is therefore a
-//! pure function of the program — independent of host load, core count,
-//! and OS scheduling — and the cluster occupies one core no matter how
-//! many nodes it simulates, which is what makes N = 1024 runs routine.
+//! stacks), but the threads never free-run: exactly **one** node executes
+//! at any moment, and the scheduler decides which. A node runs until it
+//! *blocks* (a receive with no matching message, or a collective not every
+//! participant has reached) or *finishes*; the scheduler then hands the
+//! baton to the runnable node with the minimum `(virtual time, rank)` key.
+//! Execution order is therefore a pure function of the program —
+//! independent of host load, core count, and OS scheduling — and the
+//! cluster occupies one core no matter how many nodes it simulates, which
+//! is what makes N = 1024 runs routine.
 //!
 //! ## Invariants
 //!
-//! * **Single baton.** At most one node is in [`NodeState::Running`];
-//!   every other thread is parked on its per-rank condvar. All scheduler
-//!   state sits behind one mutex, and the running node is the only
-//!   thread that transitions it (until the baton is handed over).
-//! * **Park implies no match.** A node parks only after draining its
-//!   channel and finding no matching message — and no peer can send
-//!   while it drains, because sending requires the baton. A parked
-//!   node's wait is therefore genuine, and "no runnable node while
-//!   blocked nodes exist" is *exactly* a deadlock: detected the instant
-//!   it forms, with the wait-for chain spelled out. No timeouts, no
-//!   snapshot heuristics.
+//! * **Single baton.** At most one node is [`NodeState::Running`]; every
+//!   other thread is parked. All scheduler state — node states, the
+//!   per-rank message queues, the runnable heap, the open collectives —
+//!   sits behind one mutex, and the running node is the only thread that
+//!   transitions it.
+//! * **Park implies no match.** A receive checks its rank's queue under
+//!   the lock and parks under the same lock hold, and a send needs the
+//!   baton, so a parked node's wait is genuine. "No runnable node while
+//!   blocked nodes exist" is therefore *exactly* a deadlock: detected the
+//!   instant it forms, with the wait-for chain spelled out. No timeouts,
+//!   no snapshot heuristics.
 //! * **Wake on match only.** A send marks a blocked matching receiver
-//!   [`NodeState::Runnable`] (at the virtual time it parked at) but does
-//!   not preempt the sender; the receiver runs when dispatch order
-//!   reaches it.
+//!   runnable (at the virtual time it parked at) but does not preempt the
+//!   sender; the receiver runs when dispatch order reaches it.
+//! * **One rendezvous per collective.** An all-reduce or barrier
+//!   participant deposits `(entry clock, contribution)` and parks once.
+//!   The last arriver runs the whole recursive-doubling schedule for
+//!   everyone ([`run_rounds`]), marks the others runnable at their parked
+//!   virtual time, and keeps the baton — a completing collective never
+//!   preempts. Each rank then books only its own rounds, from the send
+//!   stamps in the shared [`CollOutcome`].
+//! * **Direct hand-off.** The next node is chosen under the lock, the lock
+//!   is released, and only then is exactly that thread unparked. The woken
+//!   thread reads its own atomic flag and takes no lock to resume.
 //!
 //! Dispatching by minimum `(vtime, rank)` mirrors the BSP cost model of
 //! [`crate::vclock`]: virtual time advances only through each node's own
-//! compute and communication charges, and message arrival stamps are
-//! fixed by the sender — the scheduler's choice never feeds back into
-//! the clock algebra. Every virtual-time result is bitwise identical to
-//! the old free-running thread-per-node runtime, which computed the same
-//! clock values in whatever order the host happened to run the threads.
+//! compute and communication charges, message arrival stamps are fixed by
+//! the sender, and a collective's stamps are a function of the deposited
+//! entry clocks alone — the scheduler's choice never feeds back into the
+//! clock algebra.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::Thread;
 
+use crate::comm::ReduceOp;
+use crate::payload::Message;
 use crate::tag::Tag;
 
-/// What a blocked node is waiting for (`src: None` ⇒ any source).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct BlockedOn {
-    pub src: Option<usize>,
-    pub tag: Tag,
-}
-
-impl BlockedOn {
-    fn matches(&self, src: usize, tag: Tag) -> bool {
-        self.src.is_none_or(|s| s == src) && self.tag == tag
-    }
-
-    fn describe(&self) -> String {
-        match self.src {
-            Some(s) => format!("recv(src {}, tag {})", s, self.tag.describe()),
-            None => format!("recv_any(tag {})", self.tag.describe()),
-        }
-    }
+/// What a blocked node is waiting for.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum BlockedOn {
+    /// A message (`src: None` ⇒ from any source).
+    Recv { src: Option<usize>, tag: Tag },
+    /// The remaining participants of the collective open under `tag`.
+    Allreduce { tag: Tag },
 }
 
 /// The node lifecycle, as the scheduler sees it. (Failed-and-replaced
@@ -68,88 +73,447 @@ impl BlockedOn {
 /// still Runnable/Blocked/Done here.)
 #[derive(Clone, Debug)]
 enum NodeState {
-    /// Parked but dispatchable: runs when its `(vtime, rank)` key is the
-    /// minimum among runnable nodes.
-    Runnable(f64),
+    /// Parked but dispatchable: its `(vtime, rank)` key is in the heap.
+    Runnable,
     /// Holds the baton (at most one node at a time).
     Running,
-    /// Parked in a blocking receive with no matching message delivered.
+    /// Parked in a receive or collective that cannot complete yet.
     Blocked { on: BlockedOn, vtime: f64 },
     /// The node program returned — or panicked (see `abort`).
     Done,
 }
 
+/// Geometry of a recursive-doubling all-reduce over `n` participants (the
+/// standard MPICH scheme, fixed pairing so reductions are reproducible):
+///
+/// 1. **Fold-in** (non-power-of-two only): the first `2·rem` indices pair
+///    up `(2k, 2k+1)`; evens push their buffer to the odd neighbour and
+///    sit out. `pof2 = n − rem` participants remain.
+/// 2. **Doubling**: `log₂(pof2)` rounds; in round `mask` the holder of
+///    doubling index `d` exchanges its partial with `d ⊕ mask` and both
+///    combine, always lower-index group first, so after every round both
+///    partners hold bitwise-identical buffers.
+/// 3. **Fold-out**: the odd fold-in indices return the finished result to
+///    their even neighbours.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RdShape {
+    /// Largest power of two ≤ `n`.
+    pub pof2: usize,
+    /// `n − pof2`: how many index pairs fold.
+    pub rem: usize,
+}
+
+impl RdShape {
+    pub(crate) fn new(n: usize) -> Self {
+        let pof2 = 1 << n.ilog2();
+        RdShape {
+            pof2,
+            rem: n - pof2,
+        }
+    }
+
+    /// The participant index holding doubling index `d`.
+    fn orig(&self, d: usize) -> usize {
+        if d < self.rem {
+            2 * d + 1
+        } else {
+            d + self.rem
+        }
+    }
+
+    /// Participant `i`'s doubling index (`None`: folded out, sits idle).
+    fn doubling_index(&self, i: usize) -> Option<usize> {
+        if i >= 2 * self.rem {
+            Some(i - self.rem)
+        } else {
+            (i % 2 == 1).then_some(i / 2)
+        }
+    }
+
+    /// Rounds of the whole schedule: fold-in, doubling, fold-out.
+    fn rounds(&self) -> usize {
+        2 * usize::from(self.rem > 0) + self.pof2.trailing_zeros() as usize
+    }
+
+    /// The rounds participant `i` takes part in, in schedule order.
+    pub(crate) fn rounds_of(&self, i: usize) -> Vec<Round> {
+        let round = |row, peer, sends, recvs| Round {
+            row,
+            peer,
+            sends,
+            recvs,
+        };
+        let folds = i < 2 * self.rem;
+        let even = i.is_multiple_of(2);
+        let mut mine = Vec::new();
+        if folds {
+            mine.push(round(0, i ^ 1, even, !even));
+        }
+        if let Some(d) = self.doubling_index(i) {
+            let first = usize::from(self.rem > 0);
+            let doubling = 0..self.pof2.trailing_zeros() as usize;
+            mine.extend(doubling.map(|k| round(first + k, self.orig(d ^ (1 << k)), true, true)));
+        }
+        if folds {
+            mine.push(round(self.rounds() - 1, i ^ 1, !even, even));
+        }
+        mine
+    }
+}
+
+/// One participant's part in one round: a send to and/or a receive from
+/// participant `peer` (send first), in row `row` of the schedule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Round {
+    pub row: usize,
+    pub peer: usize,
+    pub sends: bool,
+    pub recvs: bool,
+}
+
+/// What one participant brings to a collective's rendezvous.
+pub(crate) struct Deposit<'a> {
+    pub tag: Tag,
+    /// This participant's index in `0..n`.
+    pub index: usize,
+    pub n: usize,
+    /// Participant index → global rank (`None` ⇒ identity: the world).
+    pub members: Option<&'a [usize]>,
+    pub opr: ReduceOp,
+    /// The clock the participant's first round starts from.
+    pub entry: f64,
+    pub x: Vec<f64>,
+    /// `λ + len·µ`: what each of the schedule's messages costs.
+    pub msg_cost: f64,
+}
+
+/// A finished collective, shared by its participants.
+pub(crate) struct CollOutcome {
+    /// The reduced buffer, bitwise identical for every participant.
+    pub result: Vec<f64>,
+    /// `stamps[row][i]`: the arrival stamp of the message participant `i`
+    /// sent in round `row` of the schedule (0 where it sent none).
+    pub stamps: Vec<Vec<f64>>,
+}
+
+/// A collective between its first and its last arrival.
+struct CollSlot {
+    n: usize,
+    opr: ReduceOp,
+    len: usize,
+    /// Rank of the first arriver (whom a mismatching peer is named against).
+    first: usize,
+    members: Option<Vec<usize>>,
+    deposits: Vec<Option<(f64, Vec<f64>)>>,
+    arrived: usize,
+}
+
+impl CollSlot {
+    /// Global ranks that have not deposited yet, ascending.
+    fn missing(&self) -> Vec<usize> {
+        (0..self.n)
+            .filter(|&i| self.deposits[i].is_none())
+            .map(|i| self.members.as_ref().map_or(i, |m| m[i]))
+            .collect()
+    }
+}
+
+/// Run the whole recursive-doubling schedule for every participant in one
+/// pass: the reduced value (a pairwise tree — groups that have exchanged
+/// hold identical buffers, so one buffer per group suffices) and, round by
+/// round, the clock algebra of the message exchange it replaces:
+/// `now += λ + s·µ` per send, `now = max(now, arrival)` per receive.
+fn run_rounds(
+    shape: RdShape,
+    opr: ReduceOp,
+    msg_cost: f64,
+    deposits: Vec<(f64, Vec<f64>)>,
+) -> CollOutcome {
+    let n = deposits.len();
+    let RdShape { pof2, rem } = shape;
+    let (mut now, bufs): (Vec<f64>, Vec<Vec<f64>>) = deposits.into_iter().unzip();
+    let mut stamps = vec![vec![0.0; n]; shape.rounds()];
+    let mut rows = stamps.iter_mut();
+    // One message `from → to` in the current round.
+    let send = |now: &mut [f64], row: &mut [f64], from: usize| {
+        now[from] += msg_cost;
+        row[from] = now[from];
+    };
+    let recv = |now: &mut [f64], row: &[f64], from: usize, to: usize| {
+        if row[from] > now[to] {
+            now[to] = row[from];
+        }
+    };
+
+    if rem > 0 {
+        let row = rows.next().expect("fold-in row");
+        for k in 0..rem {
+            send(&mut now, row, 2 * k);
+            recv(&mut now, row, 2 * k, 2 * k + 1);
+        }
+    }
+    let mut mask = 1;
+    while mask < pof2 {
+        let row = rows.next().expect("doubling row");
+        for d in 0..pof2 {
+            send(&mut now, row, shape.orig(d));
+        }
+        for d in 0..pof2 {
+            recv(&mut now, row, shape.orig(d ^ mask), shape.orig(d));
+        }
+        mask <<= 1;
+    }
+    if rem > 0 {
+        let row = rows.next().expect("fold-out row");
+        for k in 0..rem {
+            send(&mut now, row, 2 * k + 1);
+            recv(&mut now, row, 2 * k + 1, 2 * k);
+        }
+    }
+
+    // Level 0: one buffer per doubling index (fold-in pairs combined,
+    // lower index first); each level halves by combining neighbours.
+    let mut it = bufs.into_iter();
+    let mut level: Vec<Vec<f64>> = Vec::with_capacity(pof2);
+    for d in 0..pof2 {
+        let mut lower = it.next().expect("one buffer per participant");
+        if d < rem {
+            opr.combine(&mut lower, &it.next().expect("fold-in partner"));
+        }
+        level.push(lower);
+    }
+    while level.len() > 1 {
+        let mut it = level.into_iter();
+        let mut next = Vec::with_capacity(it.len() / 2);
+        while let (Some(mut lower), Some(higher)) = (it.next(), it.next()) {
+            opr.combine(&mut lower, &higher);
+            next.push(lower);
+        }
+        level = next;
+    }
+    CollOutcome {
+        result: level.pop().expect("n ≥ 1 participants"),
+        stamps,
+    }
+}
+
 struct SchedInner {
     state: Vec<NodeState>,
+    /// Per-rank unexpected-message queue, in delivery order. One queue per
+    /// receiver: per-source deques cost 30 % more resident memory at
+    /// N = 512 and bought no wall time. Sized up front, by the harness
+    /// thread, for the largest burst a collective produces (an all-to-all
+    /// parks N − 1 messages; untouched capacity is never resident):
+    /// growing and shrinking per burst from the node threads fragmented
+    /// their malloc arenas, +25 MB peak RSS over 25 runs at N = 512.
+    queues: Vec<VecDeque<Message>>,
+    /// Runnable nodes keyed by `(vtime bits, rank)`. Virtual times are
+    /// non-negative, so their bit patterns order like the values; ties
+    /// resolve to the lower rank.
+    runnable: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Collectives some participant has yet to reach.
+    colls: HashMap<Tag, CollSlot>,
+    /// Per rank: the outcome of the collective it is parked in, left by the
+    /// last arriver for pick-up.
+    outcomes: Vec<Option<Arc<CollOutcome>>>,
     /// First rank whose program panicked; set before waking everyone so
     /// woken peers can name the culprit.
     abort: Option<usize>,
     /// Deadlock report, built by the dispatch that proved the stall.
     deadlock: Option<String>,
+    /// Test double: ranks whose queue reintroduces the PR 2 `swap_remove`
+    /// FIFO defect, so the auditor's non-overtaking check can be proven.
+    #[cfg(feature = "audit")]
+    fifo_bug: Vec<bool>,
 }
+
+/// What the thread that just gave up the baton must do once it has
+/// released the lock.
+enum HandOff {
+    /// Unpark this rank: it is now `Running`.
+    Wake(usize),
+    /// The cluster deadlocked: send every parked thread to the report.
+    Poison,
+    /// Nobody is left to run.
+    Idle,
+}
+
+// Per-rank baton flag values. `store(Release)` by the thread handing over
+// pairs with the `swap(Acquire)` in `wait_for_baton`, so everything the
+// previous baton holder wrote is visible to the next one.
+const PARKED: u8 = 0;
+const GO: u8 = 1;
+/// Abort or deadlock: go to the lock and panic with the report.
+const POISONED: u8 = 2;
 
 /// The cluster-wide scheduler. One per [`crate::cluster::Cluster`] run,
 /// shared by all node threads.
 pub(crate) struct Scheduler {
     inner: Mutex<SchedInner>,
-    /// One condvar per rank: a single shared condvar would thundering-herd
-    /// every baton handoff at N = 1024.
-    cvs: Vec<Condvar>,
+    flags: Vec<AtomicU8>,
+    /// The node threads, by rank (set once by `start`).
+    threads: OnceLock<Vec<Thread>>,
 }
 
 impl Scheduler {
     pub(crate) fn new(n: usize) -> Self {
         Scheduler {
             inner: Mutex::new(SchedInner {
-                state: vec![NodeState::Runnable(0.0); n],
+                state: vec![NodeState::Runnable; n],
+                queues: (0..n).map(|_| VecDeque::with_capacity(n)).collect(),
+                runnable: (0..n).map(|r| Reverse((0, r))).collect(),
+                colls: HashMap::new(),
+                outcomes: vec![None; n],
                 abort: None,
                 deadlock: None,
+                #[cfg(feature = "audit")]
+                fifo_bug: vec![false; n],
             }),
-            cvs: (0..n).map(|_| Condvar::new()).collect(),
+            flags: (0..n).map(|_| AtomicU8::new(PARKED)).collect(),
+            threads: OnceLock::new(),
         }
     }
 
-    /// Hand out the first baton (all nodes start Runnable at vtime 0.0,
-    /// so rank 0 runs first). Called by the harness thread after the node
-    /// threads are spawned.
-    pub(crate) fn start(&self) {
-        let mut g = self.lock();
-        self.dispatch_locked(&mut g);
+    /// Register the spawned node threads and hand out the first baton (all
+    /// nodes start runnable at vtime 0.0, so rank 0 runs first). Called by
+    /// the harness thread.
+    pub(crate) fn start(&self, threads: Vec<Thread>) {
+        self.threads
+            .set(threads)
+            .expect("a scheduler is started once");
+        let next = self.lock().dispatch();
+        self.hand_off(next);
     }
 
-    /// Node-thread entry point: park until dispatched for the first time.
+    /// Park until this rank holds the baton. Panics (inside the node's
+    /// `catch_unwind`) when the cluster aborted or deadlocked meanwhile.
     pub(crate) fn wait_for_baton(&self, rank: usize) {
-        let g = self.lock();
-        self.wait_until_running(rank, g);
-    }
-
-    /// Block `rank` in a receive: record what it waits for, hand the baton
-    /// to the next runnable node (or declare deadlock), and park until a
-    /// matching send makes this node runnable and dispatch reaches it.
-    pub(crate) fn park_recv(&self, rank: usize, on: BlockedOn, vtime: f64) {
-        let mut g = self.lock();
-        g.state[rank] = NodeState::Blocked { on, vtime };
-        self.dispatch_locked(&mut g);
-        self.wait_until_running(rank, g);
-    }
-
-    /// A message `(src, tag)` was pushed into `dest`'s channel. If `dest`
-    /// is blocked on a matching receive it becomes runnable (at the
-    /// virtual time it parked at) — the sender keeps the baton.
-    pub(crate) fn notify_send(&self, dest: usize, src: usize, tag: Tag) {
-        let mut g = self.lock();
-        if let NodeState::Blocked { on, vtime } = g.state[dest] {
-            if on.matches(src, tag) {
-                g.state[dest] = NodeState::Runnable(vtime);
+        loop {
+            match self.flags[rank].swap(PARKED, Ordering::Acquire) {
+                GO => return,
+                POISONED => {
+                    let g = self.lock();
+                    let report = match (&g.deadlock, g.abort) {
+                        (Some(report), _) => report.clone(),
+                        (None, Some(p)) => format!("rank {rank}: peer {p} aborted"),
+                        (None, None) => unreachable!("poisoned without a cause"),
+                    };
+                    drop(g);
+                    panic!("{report}");
+                }
+                _ => std::thread::park(),
             }
         }
+    }
+
+    /// Deliver `msg` into `dest`'s queue. If `dest` is blocked on a
+    /// matching receive it becomes runnable (at the virtual time it parked
+    /// at) — the sender keeps the baton.
+    pub(crate) fn send(&self, dest: usize, msg: Message) {
+        let mut g = self.lock();
+        if let NodeState::Blocked {
+            on: BlockedOn::Recv { src, tag },
+            vtime,
+        } = g.state[dest]
+        {
+            if matches(&msg, src, tag) {
+                g.make_runnable(dest, vtime);
+            }
+        }
+        g.queues[dest].push_back(msg);
+    }
+
+    /// Blocking receive on `rank`'s queue (`src: None` ⇒ any source); `now`
+    /// is the virtual time the node parks at if nothing matches yet.
+    ///
+    /// # Panics
+    /// Panics when the receive can never be matched: the dispatch that
+    /// finds no runnable node reports the exact wait-for cycle (or
+    /// terminated-rank chain).
+    pub(crate) fn recv(&self, rank: usize, src: Option<usize>, tag: Tag, now: f64) -> Message {
+        loop {
+            let mut g = self.lock();
+            if let Some(m) = g.take_match(rank, src, tag) {
+                return m;
+            }
+            // Wake on match only: the re-scan after this park succeeds.
+            self.park(g, rank, BlockedOn::Recv { src, tag }, now);
+        }
+    }
+
+    /// Arrival stamp of the earliest-delivered `(src, tag)` match in
+    /// `rank`'s queue, if any. Never blocks and never consumes — the
+    /// advisory `RecvRequest::test` path; matching stays in program order.
+    pub(crate) fn peek_arrival(&self, rank: usize, src: usize, tag: Tag) -> Option<f64> {
+        let g = self.lock();
+        let mut q = g.queues[rank].iter();
+        q.find(|m| matches(m, Some(src), tag))
+            .map(|m| m.arrival_vtime)
+    }
+
+    /// Join the collective open under `d.tag` and return its outcome once
+    /// all `d.n` participants have arrived. Everyone but the last arriver
+    /// parks here (at `vtime`); the last arriver runs the schedule, leaves
+    /// each of them the outcome, and returns without giving up the baton.
+    ///
+    /// # Panics
+    /// `[collective-mismatch]` when this participant's operator, length or
+    /// participant count disagrees with the first arriver's.
+    pub(crate) fn allreduce(&self, rank: usize, d: Deposit<'_>, vtime: f64) -> Arc<CollOutcome> {
+        let mut g = self.lock();
+        let inner = &mut *g;
+        let slot = inner.colls.entry(d.tag).or_insert_with(|| CollSlot {
+            n: d.n,
+            opr: d.opr,
+            len: d.x.len(),
+            first: rank,
+            members: d.members.map(<[usize]>::to_vec),
+            deposits: vec![None; d.n],
+            arrived: 0,
+        });
+        if (slot.n, slot.opr, slot.len) != (d.n, d.opr, d.x.len()) {
+            let report = format!(
+                "[collective-mismatch] tag {}: rank {} issued {:?} len {} on {} members \
+                 but rank {rank} issued {:?} len {} on {} members",
+                d.tag.describe(),
+                slot.first,
+                slot.opr,
+                slot.len,
+                slot.n,
+                d.opr,
+                d.x.len(),
+                d.n,
+            );
+            // Panicking under the lock would poison it and hang teardown.
+            drop(g);
+            panic!("{report}");
+        }
+        slot.deposits[d.index] = Some((d.entry, d.x));
+        slot.arrived += 1;
+        if slot.arrived < slot.n {
+            self.park(g, rank, BlockedOn::Allreduce { tag: d.tag }, vtime);
+            let out = self.lock().outcomes[rank].take();
+            return out.expect("woken by the last arriver");
+        }
+        let slot = inner.colls.remove(&d.tag).expect("slot just used");
+        let deposits = slot.deposits.into_iter().flatten().collect();
+        let out = Arc::new(run_rounds(RdShape::new(d.n), d.opr, d.msg_cost, deposits));
+        for peer in (0..d.n).map(|i| d.members.map_or(i, |m| m[i])) {
+            if let NodeState::Blocked { vtime, .. } = inner.state[peer] {
+                inner.outcomes[peer] = Some(out.clone());
+                inner.make_runnable(peer, vtime);
+            }
+        }
+        out
     }
 
     /// `rank`'s program returned cleanly; hand the baton on.
     pub(crate) fn finish(&self, rank: usize) {
         let mut g = self.lock();
         g.state[rank] = NodeState::Done;
-        self.dispatch_locked(&mut g);
+        let next = g.dispatch();
+        drop(g);
+        self.hand_off(next);
     }
 
     /// `rank`'s program panicked. Record the root cause (first aborter
@@ -157,87 +521,165 @@ impl Scheduler {
     /// the culprit, so the whole cluster tears down immediately.
     pub(crate) fn abort(&self, rank: usize) {
         let mut g = self.lock();
-        if g.abort.is_none() {
-            g.abort = Some(rank);
-        }
         g.state[rank] = NodeState::Done;
-        for cv in &self.cvs {
-            cv.notify_all();
+        let first = g.abort.is_none() && g.deadlock.is_none();
+        g.abort.get_or_insert(rank);
+        drop(g);
+        // Later aborters are the peers this broadcast woke.
+        if first {
+            self.hand_off(HandOff::Poison);
         }
+    }
+
+    /// Test double: reintroduce the `swap_remove` FIFO defect on `rank`.
+    #[cfg(feature = "audit")]
+    pub(crate) fn seed_fifo_bug(&self, rank: usize) {
+        self.lock().fifo_bug[rank] = true;
+    }
+
+    /// Recovery-attempt boundary check: when the engine closes tag window
+    /// `window`, no message stamped with it may remain undelivered to the
+    /// program — such a message could only ever be matched (wrongly) by a
+    /// later attempt, or leak. Panics with provenance if one is found.
+    #[cfg(feature = "audit")]
+    pub(crate) fn scan_window_residue(&self, rank: usize, window: u32) {
+        let g = self.lock();
+        let mut q = g.queues[rank].iter();
+        let report = q.find(|m| m.stamp.window == Some(window)).map(|m| {
+            format!(
+                "[message-drain] rank {rank}: recovery window {window} closed with an \
+                 unconsumed message from rank {} (tag {}, {} elems, send #{})",
+                m.src,
+                m.tag.describe(),
+                m.payload.elems(),
+                m.stamp.seq,
+            )
+        });
+        drop(g);
+        if let Some(report) = report {
+            panic!("{report}");
+        }
+    }
+
+    /// Hand over everything still queued, as `(receiver, message)`. Called
+    /// by the cluster after all node threads have joined; any message here
+    /// was never matched by a receive. The leak check that consumes this
+    /// only exists in debug and audit builds.
+    #[cfg(any(debug_assertions, feature = "audit", test))]
+    pub(crate) fn drain_residue(&self) -> Vec<(usize, Message)> {
+        let mut g = self.lock();
+        let queues = g.queues.iter_mut().enumerate();
+        queues
+            .flat_map(|(rank, q)| q.drain(..).map(move |m| (rank, m)))
+            .collect()
     }
 
     fn lock(&self) -> MutexGuard<'_, SchedInner> {
         self.inner.lock().expect("scheduler lock poisoned")
     }
 
-    /// Park on this rank's condvar until dispatched. Panics (inside the
-    /// node's `catch_unwind`) when the cluster aborted or deadlocked
-    /// while parked.
-    fn wait_until_running(&self, rank: usize, mut g: MutexGuard<'_, SchedInner>) {
-        loop {
-            if matches!(g.state[rank], NodeState::Running) {
-                return;
-            }
-            if let Some(report) = &g.deadlock {
-                let report = report.clone();
-                drop(g);
-                panic!("{report}");
-            }
-            if let Some(p) = g.abort {
-                drop(g);
-                panic!("rank {rank}: peer {p} aborted");
-            }
-            g = self.cvs[rank].wait(g).expect("scheduler lock poisoned");
-        }
+    /// Block `rank` on `on`, pass the baton, and park until it comes back.
+    fn park(&self, mut g: MutexGuard<'_, SchedInner>, rank: usize, on: BlockedOn, vtime: f64) {
+        g.state[rank] = NodeState::Blocked { on, vtime };
+        let next = g.dispatch();
+        drop(g);
+        self.hand_off(next);
+        self.wait_for_baton(rank);
     }
 
-    /// Hand the baton to the runnable node with the minimum
+    /// The lock-free half of a baton pass (call with the lock released, so
+    /// the woken thread never runs into it).
+    fn hand_off(&self, next: HandOff) {
+        let threads = self.threads.get().expect("scheduler started");
+        let wake = |rank: usize, flag: u8| {
+            self.flags[rank].store(flag, Ordering::Release);
+            threads[rank].unpark();
+        };
+        match next {
+            HandOff::Wake(rank) => wake(rank, GO),
+            HandOff::Poison => (0..threads.len()).for_each(|rank| wake(rank, POISONED)),
+            HandOff::Idle => {}
+        }
+    }
+}
+
+/// Does `m` satisfy a receive for `(src, tag)` (`src: None` ⇒ any source)?
+fn matches(m: &Message, src: Option<usize>, tag: Tag) -> bool {
+    src.is_none_or(|s| m.src == s) && m.tag == tag
+}
+
+impl SchedInner {
+    fn make_runnable(&mut self, rank: usize, vtime: f64) {
+        debug_assert!(vtime >= 0.0, "virtual time is non-negative");
+        self.state[rank] = NodeState::Runnable;
+        self.runnable.push(Reverse((vtime.to_bits(), rank)));
+    }
+
+    /// Remove and return the earliest-delivered message in `rank`'s queue
+    /// matching `(src, tag)`, preserving the order of the rest.
+    fn take_match(&mut self, rank: usize, src: Option<usize>, tag: Tag) -> Option<Message> {
+        let q = &mut self.queues[rank];
+        let pos = q.iter().position(|m| matches(m, src, tag))?;
+        #[cfg(feature = "audit")]
+        if self.fifo_bug[rank] {
+            // Test double: the PR 2 defect. Moving the last queued message
+            // into this slot makes a later receive for the same
+            // `(src, tag)` match out of delivery order.
+            return q.swap_remove_back(pos);
+        }
+        // Order-preserving removal: anything else would reorder later
+        // same-`(src, tag)` matches — an MPI non-overtaking violation.
+        q.remove(pos)
+    }
+
+    /// Give the baton to the runnable node with the minimum
     /// `(vtime, rank)` key. If none is runnable but blocked nodes remain,
-    /// the cluster is deadlocked: publish the report and wake everyone.
-    fn dispatch_locked(&self, inner: &mut SchedInner) {
-        let mut best: Option<(f64, usize)> = None;
-        for (rank, st) in inner.state.iter().enumerate() {
-            if let NodeState::Runnable(vt) = st {
-                // Ascending rank scan with a strict comparison ⇒ ties on
-                // vtime resolve to the lower rank. NaN never appears in a
-                // vclock, but total_cmp keeps the order total regardless.
-                if best.is_none_or(|(bt, _)| vt.total_cmp(&bt).is_lt()) {
-                    best = Some((*vt, rank));
-                }
-            }
+    /// the cluster is deadlocked: publish the report.
+    fn dispatch(&mut self) -> HandOff {
+        if let Some(Reverse((_, rank))) = self.runnable.pop() {
+            self.state[rank] = NodeState::Running;
+            return HandOff::Wake(rank);
         }
-        match best {
-            Some((_, rank)) => {
-                inner.state[rank] = NodeState::Running;
-                self.cvs[rank].notify_one();
-            }
-            None => {
-                let any_blocked = inner
-                    .state
-                    .iter()
-                    .any(|s| matches!(s, NodeState::Blocked { .. }));
-                if any_blocked && inner.abort.is_none() && inner.deadlock.is_none() {
-                    inner.deadlock = Some(deadlock_report(&inner.state));
-                    for cv in &self.cvs {
-                        cv.notify_all();
-                    }
-                }
-            }
+        let any_blocked = self
+            .state
+            .iter()
+            .any(|s| matches!(s, NodeState::Blocked { .. }));
+        if any_blocked && self.abort.is_none() && self.deadlock.is_none() {
+            self.deadlock = Some(deadlock_report(&self.state, &self.colls));
+            return HandOff::Poison;
         }
+        HandOff::Idle
     }
 }
 
 /// Spell out why the cluster can make no progress. Reached only when no
 /// node is runnable and at least one is blocked — every live node is
 /// blocked, so the wait-for graph has either a cycle, a chain into a
-/// terminated rank, or an any-source wait that nobody can satisfy.
-fn deadlock_report(state: &[NodeState]) -> String {
+/// terminated rank, or an any-source wait that nobody can satisfy. A rank
+/// parked in a collective waits for its missing ranks; the walk follows
+/// the lowest.
+fn deadlock_report(state: &[NodeState], colls: &HashMap<Tag, CollSlot>) -> String {
     let blocked_on = |r: usize| match &state[r] {
         NodeState::Blocked { on, .. } => Some(*on),
         _ => None,
     };
     let describe = |r: usize| match blocked_on(r) {
-        Some(b) => format!("rank {} blocked in {}", r, b.describe()),
+        Some(BlockedOn::Recv { src: Some(s), tag }) => {
+            format!("rank {r} blocked in recv(src {s}, tag {})", tag.describe())
+        }
+        Some(BlockedOn::Recv { src: None, tag }) => {
+            format!("rank {r} blocked in recv_any(tag {})", tag.describe())
+        }
+        Some(BlockedOn::Allreduce { tag }) => {
+            let slot = &colls[&tag];
+            format!(
+                "rank {r} blocked in allreduce(tag {}): {} of {} arrived, missing ranks {:?}",
+                tag.describe(),
+                slot.arrived,
+                slot.n,
+                slot.missing()
+            )
+        }
         None => format!("rank {r} (running)"),
     };
     let start = state
@@ -247,47 +689,36 @@ fn deadlock_report(state: &[NodeState]) -> String {
     let mut chain = vec![start];
     loop {
         let cur = *chain.last().expect("chain non-empty");
-        let on = blocked_on(cur).expect("chain members are blocked");
-        let Some(src) = on.src else {
+        let waits_for = match blocked_on(cur).expect("chain members are blocked") {
+            BlockedOn::Recv { src, .. } => src,
+            BlockedOn::Allreduce { tag } => colls[&tag].missing().first().copied(),
+        };
+        let join = |ranks: &[usize], sep: &str| {
+            let described: Vec<String> = ranks.iter().map(|&r| describe(r)).collect();
+            described.join(sep)
+        };
+        let Some(src) = waits_for else {
             // An any-source wait that no live node can satisfy: report
             // the whole (fully blocked) cluster.
-            let mut out =
-                String::from("[deadlock] every live rank is blocked with no messages in flight: ");
-            let mut first = true;
-            for r in 0..state.len() {
-                if matches!(state[r], NodeState::Done) {
-                    continue;
-                }
-                if !first {
-                    out.push_str("; ");
-                }
-                first = false;
-                out.push_str(&describe(r));
-            }
-            return out;
+            let live: Vec<usize> = (0..state.len())
+                .filter(|&r| !matches!(state[r], NodeState::Done))
+                .collect();
+            return format!(
+                "[deadlock] every live rank is blocked with no messages in flight: {}",
+                join(&live, "; ")
+            );
         };
         if matches!(state[src], NodeState::Done) {
-            let mut out = String::from("[deadlock] wait chain ends at a terminated rank: ");
-            for (i, &r) in chain.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(" -> ");
-                }
-                out.push_str(&describe(r));
-            }
-            out.push_str(&format!(" -> rank {src} (terminated)"));
-            return out;
+            return format!(
+                "[deadlock] wait chain ends at a terminated rank: {} -> rank {src} (terminated)",
+                join(&chain, " -> ")
+            );
         }
         if let Some(pos) = chain.iter().position(|&r| r == src) {
-            let cycle = &chain[pos..];
-            let mut out = String::from("[deadlock] wait-for cycle, no messages in flight: ");
-            for (i, &r) in cycle.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(" -> ");
-                }
-                out.push_str(&describe(r));
-            }
-            out.push_str(&format!(" -> rank {}", cycle[0]));
-            return out;
+            return format!(
+                "[deadlock] wait-for cycle, no messages in flight: {} -> rank {src}",
+                join(&chain[pos..], " -> ")
+            );
         }
         chain.push(src);
     }
@@ -296,29 +727,156 @@ fn deadlock_report(state: &[NodeState]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Payload;
 
     fn blocked(src: Option<usize>, tag: Tag) -> NodeState {
         NodeState::Blocked {
-            on: BlockedOn { src, tag },
+            on: BlockedOn::Recv { src, tag },
             vtime: 0.0,
         }
     }
 
+    fn msg(src: usize, tag: Tag, x: f64) -> Message {
+        Message::new(src, tag, Payload::F64(x), 0.0)
+    }
+
+    /// A scheduler whose rank-0 queue holds `msgs`, in delivery order.
+    fn queued(msgs: &[(usize, u32, f64)]) -> Scheduler {
+        let s = Scheduler::new(1);
+        for &(src, tag, x) in msgs {
+            s.send(0, msg(src, Tag::user(tag), x));
+        }
+        s
+    }
+
+    fn take(s: &Scheduler, src: Option<usize>, tag: u32) -> Option<Payload> {
+        let m = s.lock().take_match(0, src, Tag::user(tag));
+        m.map(|m| m.payload)
+    }
+
     #[test]
-    fn blocked_on_matching() {
-        let b = BlockedOn {
-            src: Some(3),
-            tag: Tag::user(7),
+    fn matches_src_and_tag_and_buffers_the_rest() {
+        let s = queued(&[(2, 9, 2.0), (1, 7, 1.0)]);
+        // Ask for the later-sent message first: the other stays queued.
+        assert_eq!(take(&s, Some(1), 7), Some(Payload::F64(1.0)));
+        assert_eq!(take(&s, Some(1), 7), None);
+        assert_eq!(take(&s, Some(2), 8), None);
+        assert_eq!(take(&s, Some(2), 9), Some(Payload::F64(2.0)));
+        assert!(s.drain_residue().is_empty());
+    }
+
+    #[test]
+    fn fifo_preserved_with_three_queued_same_key() {
+        // Regression: with ≥3 messages of the same (src, tag) queued,
+        // `swap_remove` matched the *third* before the second. Take an
+        // unrelated message from behind them first, then demand delivery
+        // order — through the exact-source and the any-source path.
+        for src in [Some(1), None] {
+            let s = queued(&[(1, 7, 1.0), (1, 7, 2.0), (1, 7, 3.0), (2, 9, 99.0)]);
+            assert_eq!(take(&s, Some(2), 9), Some(Payload::F64(99.0)));
+            for x in [1.0, 2.0, 3.0] {
+                assert_eq!(take(&s, src, 7), Some(Payload::F64(x)));
+            }
+        }
+    }
+
+    #[test]
+    fn any_source_match_reports_the_source() {
+        let s = queued(&[(5, 3, 4.0)]);
+        let m = s.lock().take_match(0, None, Tag::user(3)).unwrap();
+        assert_eq!(m.src, 5);
+    }
+
+    #[test]
+    fn peek_is_nonblocking_and_nonconsuming() {
+        let s = Scheduler::new(1);
+        assert!(s.peek_arrival(0, 1, Tag::user(7)).is_none());
+        s.send(0, Message::new(1, Tag::user(7), Payload::F64(1.0), 3.0));
+        s.send(0, Message::new(1, Tag::user(7), Payload::F64(2.0), 5.0));
+        // Peek sees the earliest-delivered match and does not consume it…
+        assert_eq!(s.peek_arrival(0, 1, Tag::user(7)), Some(3.0));
+        assert_eq!(s.peek_arrival(0, 1, Tag::user(7)), Some(3.0));
+        // …so a receive still matches in delivery order.
+        assert_eq!(take(&s, Some(1), 7), Some(Payload::F64(1.0)));
+        assert_eq!(s.peek_arrival(0, 1, Tag::user(7)), Some(5.0));
+    }
+
+    #[test]
+    fn drain_residue_names_each_receiver() {
+        let s = Scheduler::new(3);
+        s.send(2, msg(0, Tag::user(1), 1.0));
+        s.send(1, msg(0, Tag::user(2), 2.0));
+        s.send(2, msg(1, Tag::user(3), 3.0));
+        let residue = s.drain_residue();
+        let who: Vec<(usize, usize)> = residue.iter().map(|(r, m)| (*r, m.src)).collect();
+        assert_eq!(who, vec![(1, 0), (2, 0), (2, 1)]);
+        assert!(s.drain_residue().is_empty());
+    }
+
+    #[cfg(feature = "audit")]
+    #[test]
+    fn fifo_bug_double_reorders_same_key_matches() {
+        let s = queued(&[(1, 7, 1.0), (1, 7, 2.0), (1, 7, 3.0), (2, 9, 99.0)]);
+        s.seed_fifo_bug(0);
+        assert_eq!(take(&s, Some(2), 9), Some(Payload::F64(99.0)));
+        // The defect: matching the earliest entry but removing with
+        // swap_remove delivers 1, then *3*, then 2.
+        for x in [1.0, 3.0, 2.0] {
+            assert_eq!(take(&s, Some(1), 7), Some(Payload::F64(x)));
+        }
+    }
+
+    #[test]
+    fn dispatch_pops_minimum_vtime_then_rank() {
+        let s = Scheduler::new(4);
+        let mut g = s.lock();
+        g.runnable.clear();
+        for (r, vt) in [(3, 2.0), (1, 1.0), (2, 1.0), (0, 1.5)] {
+            g.make_runnable(r, vt);
+        }
+        let order: Vec<usize> = std::iter::from_fn(|| match g.dispatch() {
+            HandOff::Wake(r) => Some(r),
+            _ => None,
+        })
+        .collect();
+        assert_eq!(order, vec![1, 2, 0, 3]);
+    }
+
+    #[test]
+    fn rd_shape_geometry() {
+        for (n, pof2) in [(1, 1), (2, 2), (3, 2), (13, 8), (16, 16), (64, 64)] {
+            assert_eq!(RdShape::new(n).pof2, pof2, "n={n}");
+        }
+        // n = 13: five pairs fold, indices 10.. go straight to doubling.
+        let s = RdShape::new(13);
+        let rows = |i: usize| -> Vec<usize> { s.rounds_of(i).iter().map(|r| r.row).collect() };
+        assert_eq!(rows(4), vec![0, 4]); // even: fold-in, sit out, fold-out
+        assert_eq!(rows(5), vec![0, 1, 2, 3, 4]);
+        assert_eq!(rows(12), vec![1, 2, 3]);
+        let fold_in = Round {
+            row: 0,
+            peer: 5,
+            sends: true,
+            recvs: false,
         };
-        assert!(b.matches(3, Tag::user(7)));
-        assert!(!b.matches(2, Tag::user(7)));
-        assert!(!b.matches(3, Tag::user(8)));
-        let any = BlockedOn {
-            src: None,
-            tag: Tag::user(7),
-        };
-        assert!(any.matches(5, Tag::user(7)));
-        assert!(!any.matches(5, Tag::user(8)));
+        assert_eq!(s.rounds_of(4)[0], fold_in);
+        // Doubling index 2 (participant 5) meets index 3 (participant 7).
+        assert_eq!(s.rounds_of(5)[1].peer, 7);
+        assert_eq!(s.rounds_of(7)[1].peer, 5);
+    }
+
+    #[test]
+    fn one_pass_matches_hand_computed_three_ranks() {
+        // n = 3: fold-in 0→1, one doubling round 1↔2, fold-out 1→0.
+        let shape = RdShape::new(3);
+        assert_eq!((shape.pof2, shape.rem, shape.rounds()), (2, 1, 3));
+        let deposits = vec![(0.0, vec![1.0]), (5.0, vec![2.0]), (1.0, vec![4.0])];
+        let out = run_rounds(shape, ReduceOp::Sum, 1.0, deposits);
+        assert_eq!(out.result, vec![7.0]);
+        assert_eq!(out.stamps[0][0], 1.0); // 0 sends at 0 → arrives 1; 1 stays at 5
+        assert_eq!(out.stamps[1][1], 6.0); // 1 sends at 5
+        assert_eq!(out.stamps[1][2], 2.0); // 2 sends at 1, then waits until 6
+        assert_eq!(out.stamps[2][1], 7.0); // 1 (at 6) returns the result to 0
     }
 
     #[test]
@@ -327,7 +885,7 @@ mod tests {
             blocked(Some(1), Tag::user(1)),
             blocked(Some(0), Tag::user(2)),
         ];
-        let r = deadlock_report(&state);
+        let r = deadlock_report(&state, &HashMap::new());
         assert!(r.contains("[deadlock] wait-for cycle"), "{r}");
         assert!(
             r.contains("rank 0 blocked in recv(src 1, tag user(1))"),
@@ -343,7 +901,7 @@ mod tests {
     #[test]
     fn report_names_terminated_targets() {
         let state = vec![blocked(Some(1), Tag::user(1)), NodeState::Done];
-        let r = deadlock_report(&state);
+        let r = deadlock_report(&state, &HashMap::new());
         assert!(r.contains("wait chain ends at a terminated rank"), "{r}");
         assert!(r.ends_with("-> rank 1 (terminated)"), "{r}");
     }
@@ -351,8 +909,44 @@ mod tests {
     #[test]
     fn report_names_starved_any_source_waits() {
         let state = vec![blocked(None, Tag::user(4)), NodeState::Done];
-        let r = deadlock_report(&state);
+        let r = deadlock_report(&state, &HashMap::new());
         assert!(r.contains("every live rank is blocked"), "{r}");
         assert!(r.contains("recv_any(tag user(4))"), "{r}");
+    }
+
+    #[test]
+    fn report_names_missing_collective_participants() {
+        // Group members {1, 4, 6}: 1 and 6 arrived, 4 waits on a receive
+        // from terminated rank 0 — the walk follows the missing rank.
+        let tag = Tag::coll(crate::tag::op::ALLREDUCE, 3);
+        let in_coll = NodeState::Blocked {
+            on: BlockedOn::Allreduce { tag },
+            vtime: 0.0,
+        };
+        let mut state = vec![NodeState::Done; 7];
+        state[1] = in_coll.clone();
+        state[6] = in_coll;
+        state[4] = blocked(Some(0), Tag::user(2));
+        let slot = CollSlot {
+            n: 3,
+            opr: ReduceOp::Sum,
+            len: 1,
+            first: 6,
+            members: Some(vec![1, 4, 6]),
+            deposits: vec![Some((0.0, vec![1.0])), None, Some((0.0, vec![1.0]))],
+            arrived: 2,
+        };
+        let r = deadlock_report(&state, &HashMap::from([(tag, slot)]));
+        assert!(
+            r.contains(
+                "rank 1 blocked in allreduce(tag coll(allreduce, seq 3)): \
+                 2 of 3 arrived, missing ranks [4]"
+            ),
+            "{r}"
+        );
+        assert!(
+            r.ends_with("-> rank 4 blocked in recv(src 0, tag user(2)) -> rank 0 (terminated)"),
+            "{r}"
+        );
     }
 }

@@ -161,7 +161,7 @@ impl TraceState {
     }
 
     /// Sequence number of the next message sent to `(dst, tag)`. The
-    /// mailbox is FIFO per `(src, tag)`, so the k-th message consumed by
+    /// queue is FIFO per `(src, tag)`, so the k-th message consumed by
     /// the receiver is the k-th sent — the counters pair sends and
     /// receives without touching the wire format.
     pub(crate) fn next_send_seq(&mut self, dst: usize, tag: Tag) -> u64 {

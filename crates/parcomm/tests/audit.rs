@@ -80,9 +80,11 @@ fn resurrected_swap_remove_fifo_bug_is_caught() {
 
 #[test]
 fn mismatched_reduce_operators_are_caught() {
-    // Both ranks complete (n = 2 exchanges one message each way), the
-    // results silently disagree — exactly the class of corruption that
-    // today manifests as a wrong residual thousands of iterations later.
+    // Exchanged as messages, both ranks completed and the results silently
+    // disagreed — the class of corruption that manifests as a wrong
+    // residual thousands of iterations later. The rendezvous now refuses
+    // the second arriver in every build; the teardown check still names
+    // both operators from the logs.
     let msg = expect_panic(|ctx| {
         if ctx.rank() == 0 {
             ctx.allreduce_sum(1.0)

@@ -228,6 +228,37 @@ fn group_allreduce_on_nonpow2_group_is_bitwise_uniform() {
     }
 }
 
+// Collective agreement is checked at the rendezvous in every build (the
+// `audit` feature re-checks it at teardown; see tests/audit.rs for the same
+// two seeded cases under the auditor).
+
+#[test]
+#[should_panic(
+    expected = "[collective-mismatch] tag coll(allreduce, seq 0): rank 0 issued Sum len 1 \
+                on 2 members but rank 1 issued Max len 1 on 2 members"
+)]
+fn mismatched_reduce_operators_panic_at_the_rendezvous() {
+    Cluster::run(ClusterConfig::new(2), |ctx| {
+        if ctx.rank() == 0 {
+            ctx.allreduce_sum(1.0)
+        } else {
+            ctx.allreduce_max(1.0)
+        }
+    });
+}
+
+#[test]
+#[should_panic(
+    expected = "[collective-mismatch] tag coll(allreduce, seq 0): rank 0 issued Sum len 1 \
+                on 2 members but rank 1 issued Sum len 2 on 2 members"
+)]
+fn length_mismatched_collective_panics_at_the_rendezvous() {
+    Cluster::run(ClusterConfig::new(2), |ctx| {
+        let n = 1 + ctx.rank(); // rank 0 contributes len 1, rank 1 len 2
+        ctx.allreduce_vec(ReduceOp::Sum, vec![1.0; n])
+    });
+}
+
 #[test]
 fn reduce_vec_ops_cover_all_variants() {
     for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
