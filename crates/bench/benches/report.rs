@@ -65,7 +65,9 @@ use std::time::Instant;
 
 use esr_bench::{write_json, BenchConfig};
 use esr_core::localmat::LocalMatrix;
-use esr_core::{run_pcg, run_pipecg, ExperimentResult, RecoveryPolicy, SolverConfig};
+use esr_core::{
+    run, run_pcg, run_pipecg, ExperimentResult, RecoveryPolicy, SolverConfig, SolverKind,
+};
 use parcomm::comm::ReduceOp;
 use parcomm::{Cluster, ClusterConfig, CommPhase, FailureScript};
 use precond::SparseLdl;
@@ -389,17 +391,10 @@ fn policy_matrix_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
     const PSI: usize = 2;
     const PHI: usize = 2;
     const CR_INTERVAL: usize = 4;
-    type Runner = fn(
-        &esr_core::Problem,
-        usize,
-        &SolverConfig,
-        parcomm::CostModel,
-        FailureScript,
-    ) -> Result<ExperimentResult, esr_core::ConfigError>;
-    let solvers: [(&str, Runner); 3] = [
-        ("pcg", run_pcg as Runner),
-        ("pipecg", esr_core::run_pipecg as Runner),
-        ("bicgstab", esr_core::run_bicgstab as Runner),
+    let solvers = [
+        ("pcg", SolverKind::Pcg),
+        ("pipecg", SolverKind::PipeCg),
+        ("bicgstab", SolverKind::BiCgStab),
     ];
     let policies: [(&str, RecoveryPolicy); 3] = [
         ("replace", RecoveryPolicy::Replace),
@@ -410,10 +405,11 @@ fn policy_matrix_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
     for &n in nodes.iter().filter(|&&n| (4..=16).contains(&n)) {
         let problem = cfgb.problem(PaperMatrix::M1);
         let mut solver_rows = Vec::new();
-        for (sname, runner) in solvers {
+        for (sname, solver) in solvers {
             // Each solver's failure is injected at half of its own
             // failure-free progress.
-            let reference = runner(
+            let reference = run(
+                solver,
                 &problem,
                 n,
                 &SolverConfig::reference(),
@@ -437,8 +433,15 @@ fn policy_matrix_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
                     .map(|r| r.with_protection(esr_core::Protection::Checkpoint(cr.clone())));
                 c
             };
-            let cr_clean =
-                runner(&problem, n, &cr_clean_cfg, cfgb.cost, FailureScript::none()).unwrap();
+            let cr_clean = run(
+                solver,
+                &problem,
+                n,
+                &cr_clean_cfg,
+                cfgb.cost,
+                FailureScript::none(),
+            )
+            .unwrap();
             assert!(cr_clean.converged, "{sname} clean C/R (N={n})");
             let ckpt_overhead_pct = 100.0 * (cr_clean.vtime / reference.vtime - 1.0);
             let mut rows = Vec::new();
@@ -451,7 +454,7 @@ fn policy_matrix_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
                         });
                     }
                     let script = FailureScript::simultaneous(fail_at, n / 2, PSI, n);
-                    let r = runner(&problem, n, &cfg, cfgb.cost, script).unwrap();
+                    let r = run(solver, &problem, n, &cfg, cfgb.cost, script).unwrap();
                     assert!(
                         r.converged,
                         "{sname} × {label} × {prot} must converge (N={n})"

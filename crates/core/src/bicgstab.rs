@@ -1,4 +1,5 @@
-//! ESR-protected distributed BiCGSTAB.
+//! ESR-protected distributed BiCGSTAB, as a [`Recurrence`] of the shared
+//! node loop ([`crate::node`]).
 //!
 //! The paper (Sec. 1): "our proposed algorithmic modifications can also be
 //! applied to the ESR approach for the … preconditioned bi-conjugate
@@ -14,7 +15,7 @@
 //! vectors are naturally scattered per iteration and both are retained
 //! (two retention channels). At the failure boundary (after the second
 //! scatter) the full state is exactly reconstructible per failed block
-//! (see [`BicgstabKernel`]):
+//! (see [`BicgstabState`]):
 //!
 //! * `p̂_If`, `ŝ_If` — from the retained redundant copies;
 //! * `p_If = M p̂_If`, `s_If = M ŝ_If` — per block from static data
@@ -33,25 +34,22 @@
 //! within the iteration, so only the *current* generation of each channel
 //! is read during recovery.
 
-use std::collections::HashSet;
 use std::ops::Range;
-use std::sync::Arc;
 
 use parcomm::comm::ReduceOp;
-use parcomm::fault::poison;
-use parcomm::{FailAt, NodeCtx};
+use parcomm::NodeCtx;
 use sparsemat::vecops::{axpy, dot};
-use sparsemat::Csr;
 
-use crate::config::SolverConfig;
+use crate::config::SolverKind;
 use crate::engine::{
-    self, splice, ChannelRead, EngineComm, EngineEnv, EngineOutcome, EngineShared, Layout,
-    ReconBlock, RecoveryTimeline, ResilientKernel,
+    self, splice_slots, ChannelRead, EngineComm, EngineShared, KernelShape, Layout, ReconBlock,
+    ResilientKernel,
 };
-use crate::pcg::NodeOutcome;
+use crate::node::{Recurrence, Resume};
 use crate::retention::Gen;
 
-// Block-vector slots of the BiCGSTAB kernel.
+// Vector slots: the seven block vectors, then the static shadow residual
+// and the `t = A ŝ` scratch.
 const PHAT: usize = 0;
 const SHAT: usize = 1;
 const P: usize = 2;
@@ -59,50 +57,57 @@ const S: usize = 3;
 const V: usize = 4;
 const R: usize = 5;
 const X: usize = 6;
+const RHAT0: usize = 7;
 
-/// BiCGSTAB's [`ResilientKernel`]: two retention channels (`p̂(j)`,
-/// `ŝ(j)`), one replicated scalar `α(j)`, and the reconstruction
-/// identities listed in the module docs.
-pub(crate) struct BicgstabKernel<'a> {
-    /// The iterate block `x(j)_Iᵢ`.
-    pub x: &'a mut Vec<f64>,
-    /// The residual block `r_Iᵢ`.
-    pub r: &'a mut Vec<f64>,
-    /// The search direction `p_Iᵢ`.
-    pub p: &'a mut Vec<f64>,
-    /// `v = A p̂`.
-    pub v: &'a mut Vec<f64>,
-    /// `s = r − α v`.
-    pub s: &'a mut Vec<f64>,
-    /// `p̂ = M⁻¹ p`.
-    pub phat: &'a mut Vec<f64>,
-    /// `ŝ = M⁻¹ s`.
-    pub shat: &'a mut Vec<f64>,
-    /// `t = A ŝ` scratch.
-    pub t: &'a mut Vec<f64>,
-    /// Ghost values from the last exchange.
-    pub ghosts: &'a mut Vec<f64>,
-    /// Owned right-hand-side block.
-    pub b_loc: &'a mut Vec<f64>,
-    /// The shadow residual `r̂0 = b` (static; re-cut after a shrink).
-    pub rhat0: &'a mut Vec<f64>,
-    /// The replicated scalar `α(j)`.
-    pub alpha: &'a mut f64,
-    /// The replicated scalar `ρ(j) = r̂0ᵀr(j)` (needed by the *next*
-    /// iteration's β; `ρ(j+1)` is recomputed by the post-recovery fused
-    /// reduction, but `ρ(j)` itself would be lost with the node).
-    pub rho: &'a mut f64,
-    /// The replicated scalar `ω(j)` (checkpoint-pack state: the loop-top
-    /// β-update reads it; ESR restarts mid-iteration and recomputes it).
-    pub omega: &'a mut f64,
-    /// The replicated scalar `ρ(j+1)` carried by the fused end-of-iteration
-    /// reduction (checkpoint-pack state, like `ω`).
-    pub rho_next: &'a mut f64,
+// Scalar slots.
+const ALPHA: usize = 0;
+const RHO: usize = 2;
+
+static SHAPE: KernelShape = KernelShape {
+    n_block_vecs: 7,
+    r_slot: R,
+    x_slot: X,
+    // Loop-top recurrence state: [x | r | r̂0 | p | v | α, ω, ρ, ρ(j+1)].
+    // Everything else (s, p̂, ŝ, t) is recomputed within the restarted
+    // iteration.
+    pack_slots: &[X, R, RHAT0, P, V],
+    // ρ(j) is needed by the *next* iteration's β and would be lost with
+    // the node; ω and ρ(j+1) are recomputed after the ESR mid-iteration
+    // restart.
+    resent_scalars: &[ALPHA, RHO],
+};
+
+/// BiCGSTAB's state over the owned rows: two retention channels (`p̂(j)`,
+/// `ŝ(j)`) and the reconstruction identities listed in the module docs.
+pub(crate) struct BicgstabState {
+    /// `[p̂ = M⁻¹p, ŝ = M⁻¹s, p, s = r − α v, v = A p̂, r, x, r̂0, t = A ŝ]`.
+    /// The shadow residual `r̂0 = b` is static (the solver fixes
+    /// `x(0) = 0`): never poisoned, re-cut from `b` after a shrink.
+    v: [Vec<f64>; 9],
+    /// `[α(j), ω(j), ρ(j) = r̂0ᵀr(j), ρ(j+1)]` — `ρ(j+1)` is carried by the
+    /// fused end-of-iteration reduction into the next p-update.
+    s: [f64; 4],
 }
 
-impl ResilientKernel for BicgstabKernel<'_> {
-    fn n_channels(&self) -> usize {
-        2
+impl ResilientKernel for BicgstabState {
+    fn shape(&self) -> &'static KernelShape {
+        &SHAPE
+    }
+
+    fn vecs(&self) -> &[Vec<f64>] {
+        &self.v
+    }
+
+    fn vecs_mut(&mut self) -> &mut [Vec<f64>] {
+        &mut self.v
+    }
+
+    fn scalars(&self) -> &[f64] {
+        &self.s
+    }
+
+    fn scalars_mut(&mut self) -> &mut [f64] {
+        &mut self.s
     }
 
     fn channel_reads(&self, _has_prev: bool) -> Vec<ChannelRead> {
@@ -122,92 +127,6 @@ impl ResilientKernel for BicgstabKernel<'_> {
                 what: "ŝ(j)",
             },
         ]
-    }
-
-    fn scalars(&self) -> Vec<f64> {
-        vec![*self.alpha, *self.rho]
-    }
-
-    fn set_scalars(&mut self, s: &[f64]) {
-        *self.alpha = s[0];
-        *self.rho = s[1];
-    }
-
-    fn poison(&mut self) {
-        poison(self.x);
-        poison(self.r);
-        poison(self.p);
-        poison(self.v);
-        poison(self.s);
-        poison(self.phat);
-        poison(self.shat);
-        poison(self.ghosts);
-        *self.alpha = f64::NAN;
-        *self.rho = f64::NAN;
-        *self.omega = f64::NAN;
-        *self.rho_next = f64::NAN;
-        // r̂0 and b_loc are static data (r̂0 = b with x(0) = 0) and survive
-        // on reliable storage — paper Sec. 1.1.2.
-    }
-
-    fn n_pack_vecs(&self) -> usize {
-        5
-    }
-
-    fn n_pack_scalars(&self) -> usize {
-        4
-    }
-
-    fn pack(&self) -> Vec<f64> {
-        // Loop-top recurrence state: [x | r | r̂0 | p | v | α, ω, ρ, ρ(j+1)].
-        // Everything else (s, p̂, ŝ, t, ghosts) is recomputed within the
-        // restarted iteration.
-        let mut data = Vec::with_capacity(5 * self.x.len() + 4);
-        data.extend_from_slice(self.x);
-        data.extend_from_slice(self.r);
-        data.extend_from_slice(self.rhat0);
-        data.extend_from_slice(self.p);
-        data.extend_from_slice(self.v);
-        data.push(*self.alpha);
-        data.push(*self.omega);
-        data.push(*self.rho);
-        data.push(*self.rho_next);
-        data
-    }
-
-    fn unpack(&mut self, data: &[f64], new_range: &Range<usize>, b: &[f64]) {
-        let nloc = new_range.len();
-        let vec_at = |slot: usize| data[slot * nloc..(slot + 1) * nloc].to_vec();
-        *self.x = vec_at(0);
-        *self.r = vec_at(1);
-        *self.rhat0 = vec_at(2);
-        *self.p = vec_at(3);
-        *self.v = vec_at(4);
-        *self.alpha = data[5 * nloc];
-        *self.omega = data[5 * nloc + 1];
-        *self.rho = data[5 * nloc + 2];
-        *self.rho_next = data[5 * nloc + 3];
-        *self.b_loc = b[new_range.clone()].to_vec();
-        *self.s = vec![0.0; nloc];
-        *self.phat = vec![0.0; nloc];
-        *self.shat = vec![0.0; nloc];
-        *self.t = vec![0.0; nloc];
-    }
-
-    fn n_block_vecs(&self) -> usize {
-        7
-    }
-
-    fn r_slot(&self) -> usize {
-        R
-    }
-
-    fn x_slot(&self) -> usize {
-        X
-    }
-
-    fn x_loc(&self) -> &[f64] {
-        self.x
     }
 
     fn rebuild_local(
@@ -235,9 +154,9 @@ impl ResilientKernel for BicgstabKernel<'_> {
     ) {
         // v_If = A_{If,·} p̂: survivors serve the outside-If values, the
         // If-columns come from the reconstructors' rebuilt p̂ blocks.
-        comm.apply_matrix(ctx, shared.a, blocks, PHAT, V, self.phat);
+        comm.apply_matrix(ctx, shared.a, blocks, PHAT, V, &self.v[PHAT]);
         // r_If = s_If + α v_If  (from s = r − α v).
-        let alpha = *self.alpha;
+        let alpha = self.s[ALPHA];
         for blk in blocks.iter_mut() {
             let blen = blk.range.len();
             let mut r = vec![0.0; blen];
@@ -249,16 +168,6 @@ impl ResilientKernel for BicgstabKernel<'_> {
         }
     }
 
-    fn install(&mut self, blk: &ReconBlock) {
-        self.phat.copy_from_slice(&blk.vecs[PHAT]);
-        self.shat.copy_from_slice(&blk.vecs[SHAT]);
-        self.p.copy_from_slice(&blk.vecs[P]);
-        self.s.copy_from_slice(&blk.vecs[S]);
-        self.v.copy_from_slice(&blk.vecs[V]);
-        self.r.copy_from_slice(&blk.vecs[R]);
-        self.x.copy_from_slice(&blk.vecs[X]);
-    }
-
     fn splice(
         &mut self,
         new_range: &Range<usize>,
@@ -266,294 +175,124 @@ impl ResilientKernel for BicgstabKernel<'_> {
         blocks: &[ReconBlock],
         b: &[f64],
     ) {
-        *self.x = splice(new_range, own, self.x, blocks, X);
-        *self.r = splice(new_range, own, self.r, blocks, R);
-        *self.p = splice(new_range, own, self.p, blocks, P);
-        *self.v = splice(new_range, own, self.v, blocks, V);
-        *self.s = splice(new_range, own, self.s, blocks, S);
-        *self.phat = splice(new_range, own, self.phat, blocks, PHAT);
-        *self.shat = splice(new_range, own, self.shat, blocks, SHAT);
-        *self.b_loc = b[new_range.clone()].to_vec();
+        splice_slots(&mut self.v[..SHAPE.n_block_vecs], new_range, own, blocks);
         // x(0) = 0 makes r̂0 = b static: the widened block is just b.
-        *self.rhat0 = self.b_loc.clone();
-    }
-
-    fn resize_scratch(&mut self, nloc: usize, n_ghosts: usize) {
-        *self.t = vec![0.0; nloc];
-        *self.ghosts = vec![0.0; n_ghosts];
+        self.v[RHAT0] = b[new_range.clone()].to_vec();
     }
 }
 
-/// The SPMD node program: solve `A x = b` with (optionally resilient)
-/// preconditioned BiCGSTAB. `A` may be non-symmetric; the preconditioner
-/// must be one of the block-diagonal (M-given) variants.
-pub fn esr_bicgstab_node(
-    ctx: &mut NodeCtx,
-    a: &Arc<Csr>,
-    b: &Arc<Vec<f64>>,
-    cfg: &SolverConfig,
-) -> NodeOutcome {
-    let n = a.n_rows();
-    assert_eq!(b.len(), n, "rhs length");
-    let rank = ctx.rank();
-    // Protection flavor (see `pcg`): ESR needs two retention channels,
-    // copies of p̂(j) and of ŝ(j); checkpoint/rollback needs none.
-    let cr = cfg.resilience.as_ref().and_then(|res| res.cr());
-    let esr = cfg.resilience.is_some() && cr.is_none();
-    let mut layout = Layout::build_full(ctx, a, cfg, if cr.is_some() { 0 } else { 2 });
-    assert!(
-        !layout.prec.is_explicit_p(),
-        "rank {rank}: ESR-BiCGSTAB supports the block-diagonal (M-given) preconditioners"
-    );
-    ctx.barrier();
-    let vtime_setup = ctx.vtime();
-    ctx.reset_metrics();
+impl Recurrence for BicgstabState {
+    const KIND: SolverKind = SolverKind::BiCgStab;
+    const CHANNELS: usize = 2;
+    const TEST_FOLLOWS_UPDATE: bool = true;
 
-    let mut nloc = layout.lm.n_local();
-    let mut b_loc: Vec<f64> = b[layout.lm.range.clone()].to_vec();
-    // x(0) = 0 so that r̂0 = r(0) = b is static data.
-    let mut x = vec![0.0; nloc];
-    let mut r = b_loc.clone();
-    let mut rhat0 = b_loc.clone();
-    let mut p = r.clone();
-    let mut v = vec![0.0; nloc];
-    let mut phat = vec![0.0; nloc];
-    let mut shat = vec![0.0; nloc];
-    let mut s = vec![0.0; nloc];
-    let mut t = vec![0.0; nloc];
-    let mut ghosts = vec![0.0; layout.lm.ghost_cols.len()];
-    let mut pool = ctx.spare_pool();
-
-    // ‖r(0)‖² and ρ(0) = r̂0ᵀr(0) travel in one fused length-2 all-reduce.
-    let init = ctx.allreduce_vec(ReduceOp::Sum, vec![dot(&r, &r), dot(&rhat0, &r)]);
-    let r0_sq = init[0];
-    let r0_norm = r0_sq.sqrt();
-    let target_sq = cfg.rel_tol * cfg.rel_tol * r0_sq;
-    let mut rho = init[1];
-    // ρ for the *next* iteration's p-update, fused with the convergence
-    // reduction at the end of each iteration (both are dots against the
-    // just-updated r) — three global reductions per iteration, not four.
-    let mut rho_next = rho;
-    let mut alpha = 0.0f64;
-    let mut omega = 0.0f64;
-
-    let mut iterations = 0usize;
-    let mut residual_sq = r0_sq;
-    let mut converged = r0_norm <= f64::MIN_POSITIVE;
-    let mut retired = false;
-    let mut recoveries = 0usize;
-    let mut ranks_recovered = 0usize;
-    let mut vtime_recovery = 0.0f64;
-    let mut handled_iter: HashSet<u64> = HashSet::new();
-    let mut handled_sub: HashSet<(u64, u32)> = HashSet::new();
-    let mut recovery_seq: u32 = 0;
-    let mut recovery_timelines: Vec<RecoveryTimeline> = Vec::new();
-    let resilient = cfg.resilience.is_some();
-    let mut ckpt =
-        cr.map(|c| crate::retention::CheckpointStore::new(c, &layout.members, layout.my_slot));
-
-    while !converged && iterations < cfg.max_iter {
-        let j = iterations as u64;
-        ctx.trace_open("iteration", j);
-
-        // Periodic checkpoint deposit of the loop-top recurrence state
-        // (before the p-update, which consumes ρ(j+1)).
-        if let Some(store) = ckpt.as_mut() {
-            if j.is_multiple_of(store.interval() as u64) {
-                let kernel = BicgstabKernel {
-                    x: &mut x,
-                    r: &mut r,
-                    p: &mut p,
-                    v: &mut v,
-                    s: &mut s,
-                    phat: &mut phat,
-                    shat: &mut shat,
-                    t: &mut t,
-                    ghosts: &mut ghosts,
-                    b_loc: &mut b_loc,
-                    rhat0: &mut rhat0,
-                    alpha: &mut alpha,
-                    rho: &mut rho,
-                    omega: &mut omega,
-                    rho_next: &mut rho_next,
-                };
-                let data = kernel.pack();
-                let seq = recovery_seq;
-                recovery_seq += 1;
-                store.deposit(ctx, seq, j, data);
-            }
+    fn init(ctx: &mut NodeCtx, layout: &mut Layout, b: &[f64]) -> (Self, f64) {
+        // x(0) = 0 so that r̂0 = r(0) = p(0) = b is static data.
+        let nloc = layout.lm.n_local();
+        let b_loc = &b[layout.lm.range.clone()];
+        let mut v: [Vec<f64>; 9] = std::array::from_fn(|_| vec![0.0; nloc]);
+        for slot in [P, R, RHAT0] {
+            v[slot].copy_from_slice(b_loc);
         }
+        // ‖r(0)‖² and ρ(0) = r̂0ᵀr(0) travel in one fused length-2
+        // all-reduce.
+        let init = ctx.allreduce_vec(
+            ReduceOp::Sum,
+            vec![dot(&v[R], &v[R]), dot(&v[RHAT0], &v[R])],
+        );
+        // ρ for the *next* iteration's p-update is fused with the
+        // convergence reduction at the end of each iteration (both are
+        // dots against the just-updated r) — three global reductions per
+        // iteration, not four.
+        let s = [0.0, 0.0, init[1], init[1]];
+        (BicgstabState { v, s }, init[0])
+    }
 
+    fn has_prev(&self, _j: u64) -> bool {
+        // Both channels are from *this* iteration; recovery never reads
+        // previous-generation data.
+        false
+    }
+
+    fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, j: u64) {
+        let [phat, shat, p, s, v, r, _, rhat0, _] = &mut self.v;
+        let [alpha, omega, rho, rho_next] = &mut self.s;
+        let (rank, nloc) = (ctx.rank(), r.len());
         // p update (j > 0): p = r + β (p − ω v); ρ(j) was carried from the
         // previous iteration's fused reduction.
         if j > 0 {
             if rho_next.abs() < f64::MIN_POSITIVE {
                 panic!("rank {rank}: BiCGSTAB breakdown (ρ = 0) at iteration {j}");
             }
-            let beta = (rho_next / rho) * (alpha / omega);
-            rho = rho_next;
-            for ((pi, ri), vi) in p.iter_mut().zip(&r).zip(&v) {
-                *pi = ri + beta * (*pi - omega * vi);
+            let beta = (*rho_next / *rho) * (*alpha / *omega);
+            *rho = *rho_next;
+            for ((pi, ri), vi) in p.iter_mut().zip(r.iter()).zip(v.iter()) {
+                *pi = ri + beta * (*pi - *omega * vi);
             }
             ctx.clock_mut().advance_flops(6 * nloc);
         }
         // p̂ = M⁻¹ p ; first scatter (channel 0).
-        layout.prec.apply(ctx, &p, &mut phat);
-        if esr {
-            layout.channels[0].rotate();
-            layout
-                .plan
-                .exchange(ctx, &phat, &mut ghosts, Some(&mut layout.channels[0]));
-            layout.channels[0].finish_generation();
-        } else {
-            layout.plan.exchange(ctx, &phat, &mut ghosts, None);
-        }
-        layout.lm.spmv(&phat, &ghosts, &mut v);
+        layout.prec.apply(ctx, p, phat);
+        layout.scatter(ctx, phat, 0);
+        layout.lm.spmv(phat, &layout.ghosts, v);
         ctx.clock_mut().advance_flops(layout.lm.spmv_flops());
-        let rhat0_v = layout.allreduce_sum(ctx, dot(&rhat0, &v));
+        let rhat0_v = layout.allreduce_sum(ctx, dot(rhat0, v));
         if rhat0_v.abs() < f64::MIN_POSITIVE {
             panic!("rank {rank}: BiCGSTAB breakdown ((r̂0,v) = 0) at iteration {j}");
         }
-        alpha = rho / rhat0_v;
+        *alpha = *rho / rhat0_v;
         // s = r − α v
-        s.copy_from_slice(&r);
-        axpy(-alpha, &v, &mut s);
+        s.copy_from_slice(r);
+        axpy(-*alpha, v, s);
         ctx.clock_mut().advance_flops(2 * nloc);
-        // ŝ = M⁻¹ s ; second scatter (channel 1).
-        layout.prec.apply(ctx, &s, &mut shat);
-        if esr {
-            layout.channels[1].rotate();
-            layout
-                .plan
-                .exchange(ctx, &shat, &mut ghosts, Some(&mut layout.channels[1]));
-            layout.channels[1].finish_generation();
-        } else {
-            layout.plan.exchange(ctx, &shat, &mut ghosts, None);
-        }
+        // ŝ = M⁻¹ s ; second scatter (channel 1) — the failure boundary
+        // follows with both channels scattered.
+        layout.prec.apply(ctx, s, shat);
+        layout.scatter(ctx, shat, 1);
+    }
 
-        // ---- failure boundary: both channels scattered -----------------
-        if resilient && !handled_iter.contains(&j) {
-            handled_iter.insert(j);
-            let failed = layout.poll_member_failures(ctx, FailAt::Iteration(j));
-            if !failed.is_empty() {
-                let t0 = ctx.vtime();
-                let res = cfg.resilience.as_ref().unwrap();
-                let env = EngineEnv {
-                    a,
-                    b,
-                    res,
-                    precond: &cfg.precond,
-                    iteration: j,
-                    // Both channels are from *this* iteration; recovery
-                    // never reads previous-generation data.
-                    has_prev: false,
-                };
-                let mut kernel = BicgstabKernel {
-                    x: &mut x,
-                    r: &mut r,
-                    p: &mut p,
-                    v: &mut v,
-                    s: &mut s,
-                    phat: &mut phat,
-                    shat: &mut shat,
-                    t: &mut t,
-                    ghosts: &mut ghosts,
-                    b_loc: &mut b_loc,
-                    rhat0: &mut rhat0,
-                    alpha: &mut alpha,
-                    rho: &mut rho,
-                    omega: &mut omega,
-                    rho_next: &mut rho_next,
-                };
-                let rolled_back = match engine::recover(
-                    ctx,
-                    &env,
-                    &mut layout,
-                    &mut kernel,
-                    &failed,
-                    &mut handled_sub,
-                    &mut recovery_seq,
-                    &mut pool,
-                    ckpt.as_mut(),
-                ) {
-                    EngineOutcome::Retired => {
-                        retired = true;
-                        ctx.trace_close(); // iteration
-                        break;
-                    }
-                    EngineOutcome::Recovered(report) => {
-                        recoveries += 1;
-                        ranks_recovered += report.total_failed;
-                        vtime_recovery += ctx.vtime() - t0;
-                        nloc = layout.lm.n_local();
-                        let rollback_to = report.rollback_to;
-                        recovery_timelines.push(report.timeline);
-                        rollback_to
-                    }
-                };
-                if let Some(epoch) = rolled_back {
-                    // Rollback restores *loop-top* state: abandon the
-                    // interrupted iteration entirely and resume the epoch
-                    // (ESR instead restarts mid-iteration below).
-                    iterations = epoch as usize;
-                    ctx.trace_close(); // iteration
-                    continue;
-                }
-                // Restart from the ŝ scatter: re-exchange (restores the
-                // replacement ghosts and the s-channel redundancy; the
-                // p channel heals at the next iteration's scatter).
-                layout.channels[1].rotate();
-                layout
-                    .plan
-                    .exchange(ctx, &shat, &mut ghosts, Some(&mut layout.channels[1]));
-                layout.channels[1].finish_generation();
-            }
-        }
+    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout) -> Resume {
+        // Restart from the ŝ scatter: re-exchange (restores the
+        // replacement ghosts and the s-channel redundancy; the p channel
+        // heals at the next iteration's scatter), then fall through to
+        // t = A ŝ.
+        layout.scatter(ctx, &self.v[SHAT], 1);
+        Resume::Proceed
+    }
 
+    fn finish_iteration(
+        &mut self,
+        ctx: &mut NodeCtx,
+        layout: &mut Layout,
+        j: u64,
+        _target_sq: f64,
+    ) -> f64 {
+        let [phat, shat, _, s, _, r, x, rhat0, t] = &mut self.v;
+        let [alpha, omega, _, rho_next] = &mut self.s;
+        let nloc = r.len();
         // t = A ŝ
-        layout.lm.spmv(&shat, &ghosts, &mut t);
+        layout.lm.spmv(shat, &layout.ghosts, t);
         ctx.clock_mut().advance_flops(layout.lm.spmv_flops());
-        let tt_ts = layout.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(&t, &t), dot(&t, &s)]);
+        let tt_ts = layout.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(t, t), dot(t, s)]);
         ctx.clock_mut().advance_flops(4 * nloc);
         let (tt, ts) = (tt_ts[0], tt_ts[1]);
         if tt <= 0.0 || !tt.is_finite() {
+            let rank = ctx.rank();
             panic!("rank {rank}: BiCGSTAB breakdown ((t,t) = {tt}) at iteration {j}");
         }
-        omega = ts / tt;
+        *omega = ts / tt;
         // x += α p̂ + ω ŝ ; r = s − ω t
-        axpy(alpha, &phat, &mut x);
-        axpy(omega, &shat, &mut x);
-        r.copy_from_slice(&s);
-        axpy(-omega, &t, &mut r);
+        axpy(*alpha, phat, x);
+        axpy(*omega, shat, x);
+        r.copy_from_slice(s);
+        axpy(-*omega, t, r);
         ctx.clock_mut().advance_flops(6 * nloc);
-
-        iterations += 1;
         // Fused: convergence test ‖r‖² + the next iteration's ρ = r̂0ᵀr.
-        let rr_rho = layout.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(&r, &r), dot(&rhat0, &r)]);
+        let rr_rho = layout.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(r, r), dot(rhat0, r)]);
         ctx.clock_mut().advance_flops(4 * nloc);
-        residual_sq = rr_rho[0];
-        rho_next = rr_rho[1];
-        if residual_sq <= target_sq {
-            converged = true;
-        }
-        ctx.trace_close(); // iteration
+        *rho_next = rr_rho[1];
+        rr_rho[0]
     }
-
-    NodeOutcome::finish(
-        ctx,
-        x,
-        layout.lm.range.start,
-        iterations,
-        residual_sq.sqrt(),
-        r0_norm,
-        converged,
-        vtime_recovery,
-        recoveries,
-        ranks_recovered,
-        vtime_setup,
-        retired,
-        recovery_timelines,
-    )
 }
 
 #[cfg(test)]
@@ -561,6 +300,7 @@ mod tests {
     use super::*;
     use crate::config::SolverConfig;
     use crate::driver::Problem;
+    use crate::node::{node_program, NodeOutcome};
     use parcomm::{Cluster, ClusterConfig, FailureScript};
     use sparsemat::gen::poisson2d;
 
@@ -574,7 +314,7 @@ mod tests {
         let b = problem.b.clone();
         let cfg = cfg.clone();
         Cluster::run(ClusterConfig::new(nodes).with_script(script), move |ctx| {
-            esr_bicgstab_node(ctx, &a, &b, &cfg)
+            node_program(SolverKind::BiCgStab, ctx, &a, &b, &cfg)
         })
     }
 

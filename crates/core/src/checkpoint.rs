@@ -12,7 +12,7 @@
 //! comparison: **diskless neighbour checkpointing**, selected per run via
 //! [`Protection::Checkpoint`](crate::config::Protection). Every
 //! [`CrConfig::interval`] iterations each node packs its dynamic solver
-//! state ([`ResilientKernel::pack`]) and deposits [`CrConfig::copies`]
+//! state ([`crate::engine::pack`]) and deposits [`CrConfig::copies`]
 //! replicas on ring partners — the same Eqn. (5) alternating-ring
 //! placement ESR uses for redundant copies, so the two flavors are equally
 //! failure-decorrelated (the deposit store lives in
@@ -33,26 +33,25 @@
 //!
 //! Contrast with ESR (same solver, same cluster, same failures):
 //!
-//! * C/R pays `n_pack_vecs·(n/N)·copies` extra elements every `interval`
+//! * C/R pays `pack_slots.len()·(n/N)·copies` extra elements every `interval`
 //!   iterations whether or not anything fails; ESR pays only the elements
 //!   that do not already travel in SpMV (often zero — paper Sec. 5);
 //! * after a failure, C/R repeats up to `interval` iterations of work on
 //!   the *whole cluster*; ESR reconstructs locally and repeats one SpMV.
 
-use std::collections::HashSet;
 use std::ops::Range;
 
 use parcomm::comm::ReduceOp;
-use parcomm::{CommPhase, NodeCtx, Payload, SparePool};
+use parcomm::{CommPhase, NodeCtx, Payload};
 use sparsemat::BlockPartition;
 
 pub use crate::config::CrConfig;
 use crate::config::RecoveryPolicy;
 use crate::engine::{
-    poll_overlap, rebuild_layout_after_shrink, tag, EngineEnv, EngineOutcome, Layout,
-    RecoveryReport, RecoveryTimeline, ResilientKernel,
+    poison, poll_overlap, rebuild_layout_after_shrink, tag, unpack, EngineEnv, EngineOutcome,
+    Layout, RecoveryBook, RecoveryReport, RecoveryTimeline, ResilientKernel,
 };
-use crate::retention::{Checkpoint, CheckpointStore};
+use crate::retention::Checkpoint;
 
 /// Tag offset of the rollback replica push inside an attempt's window.
 const OFF_FETCH: u32 = 1;
@@ -80,18 +79,24 @@ struct Fetched {
 /// rewinds its iteration counter to [`RecoveryReport::rollback_to`].
 /// Any overlapping failure at a substep boundary aborts the attempt and
 /// restarts with the enlarged failed set.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn recover_rollback(
     ctx: &mut NodeCtx,
     env: &EngineEnv<'_>,
     layout: &mut Layout,
     kernel: &mut dyn ResilientKernel,
-    store: &mut CheckpointStore,
     initial_failed: &[usize],
-    handled: &mut HashSet<(u64, u32)>,
-    recovery_seq: &mut u32,
-    pool: &mut SparePool,
+    book: &mut RecoveryBook,
 ) -> EngineOutcome {
+    let RecoveryBook {
+        handled_sub: handled,
+        recovery_seq,
+        pool,
+        ckpt,
+        ..
+    } = book;
+    let store = ckpt
+        .as_mut()
+        .expect("checkpoint protection requires a deposit store");
     let me = ctx.rank();
     ctx.trace_open("rollback", env.iteration);
     let mut timeline = RecoveryTimeline::new(env.iteration, "cr");
@@ -167,11 +172,9 @@ pub(crate) fn recover_rollback(
         if am_failed {
             // The node failure: all dynamic data *and* all checkpoint data
             // of this rank is lost.
-            kernel.poison();
+            poison(kernel);
+            parcomm::fault::poison(&mut layout.ghosts);
             store.poison();
-            for ch in &mut layout.channels {
-                ch.poison();
-            }
         }
 
         // ---- substep 0: before any recovery communication --------------
@@ -313,14 +316,14 @@ pub(crate) fn recover_rollback(
             // and every rank rolls back exactly its own block.
             if am_failed {
                 debug_assert!(blocks.len() == 1 && blocks[0].range == my_range);
-                kernel.unpack(&blocks[0].data, &my_range, env.b);
+                unpack(kernel, &blocks[0].data, my_range.len());
                 store.own = Checkpoint {
                     iteration: epoch,
                     data: std::sync::Arc::new(std::mem::take(&mut blocks[0].data)),
                 };
             } else {
                 debug_assert_eq!(store.own.iteration, epoch);
-                kernel.unpack(&store.own.data, &my_range, env.b);
+                unpack(kernel, &store.own.data, my_range.len());
             }
             ctx.trace_close(); // commit
             timeline.mark(ctx, &mut seg_t, attempts, "commit");
@@ -340,8 +343,8 @@ pub(crate) fn recover_rollback(
             .binary_search(&me)
             .expect("active non-retired rank is a new member");
         let new_range = new_part.range(my_new_slot);
-        let nv = kernel.n_pack_vecs();
-        let ns = kernel.n_pack_scalars();
+        let nv = kernel.shape().pack_slots.len();
+        let ns = kernel.scalars().len();
         let new_nloc = new_range.len();
         let mut merged = vec![f64::NAN; nv * new_nloc + ns];
         {
@@ -369,7 +372,7 @@ pub(crate) fn recover_rollback(
             merged[..nv * new_nloc].iter().all(|v| !v.is_nan()),
             "merged rollback pack does not cover the adopted range"
         );
-        kernel.unpack(&merged, &new_range, env.b);
+        unpack(kernel, &merged, new_nloc);
         rebuild_layout_after_shrink(
             ctx,
             env,
@@ -397,8 +400,8 @@ pub(crate) fn recover_rollback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{RecoveryPolicy, SolverConfig};
-    use crate::driver::{run_checkpoint_restart, ExperimentResult, Problem};
+    use crate::config::{Protection, RecoveryPolicy, SolverConfig};
+    use crate::driver::{run_pcg, ExperimentResult, Problem};
     use parcomm::{CostModel, FailureScript};
     use sparsemat::gen::poisson2d;
 
@@ -409,7 +412,11 @@ mod tests {
         cr: &CrConfig,
         script: FailureScript,
     ) -> ExperimentResult {
-        run_checkpoint_restart(problem, nodes, cfg, cr, CostModel::default(), script)
+        let mut cfg = cfg.clone();
+        cfg.resilience = cfg
+            .resilience
+            .map(|res| res.with_protection(Protection::Checkpoint(cr.clone())));
+        run_pcg(problem, nodes, &cfg, CostModel::default(), script)
             .expect("valid C/R configuration")
     }
 

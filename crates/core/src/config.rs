@@ -234,8 +234,9 @@ impl ResilienceConfig {
     }
 }
 
-/// The distributed solvers the driver can run — named so configuration
-/// errors can state exactly which solver rejected which combination.
+/// The distributed solvers [`crate::driver::run`] can run — also named so
+/// configuration errors can state exactly which solver rejected which
+/// combination.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverKind {
     /// Blocking PCG ([`crate::driver::run_pcg`]).
@@ -246,9 +247,6 @@ pub enum SolverKind {
     BiCgStab,
     /// The stationary Jacobi iteration ([`crate::driver::run_jacobi`]).
     Jacobi,
-    /// The checkpoint/restart baseline
-    /// ([`crate::driver::run_checkpoint_restart`]).
-    CheckpointRestart,
 }
 
 impl SolverKind {
@@ -259,7 +257,6 @@ impl SolverKind {
             SolverKind::PipeCg => "pipelined PCG",
             SolverKind::BiCgStab => "BiCGSTAB",
             SolverKind::Jacobi => "the Jacobi iteration",
-            SolverKind::CheckpointRestart => "checkpoint/restart",
         }
     }
 }
@@ -443,21 +440,14 @@ impl SolverConfig {
             });
         }
         let policy = res.policy;
-        let engine_backed = matches!(
-            solver,
-            SolverKind::Pcg
-                | SolverKind::PipeCg
-                | SolverKind::BiCgStab
-                | SolverKind::CheckpointRestart
-        );
+        let engine_backed = solver != SolverKind::Jacobi;
         if policy != RecoveryPolicy::Replace && !engine_backed {
             return Err(ConfigError::PolicyUnsupported {
                 solver,
                 policy,
                 constraint: "this solver assumes the full cluster outlives the solve; \
                              only the RecoveryEngine-backed solvers (PCG, pipelined PCG, \
-                             BiCGSTAB, checkpoint/restart) support spare pools and \
-                             shrinking",
+                             BiCGSTAB) support spare pools and shrinking",
             });
         }
         if let Protection::Checkpoint(cr) = &res.protection {

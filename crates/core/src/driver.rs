@@ -10,7 +10,7 @@ use sparsemat::Csr;
 
 use crate::config::{ConfigError, RecoveryPolicy, SolverConfig, SolverKind};
 use crate::engine::RecoveryTimeline;
-use crate::pcg::{esr_pcg_node, NodeOutcome};
+use crate::node::{node_program, NodeOutcome};
 
 /// A linear system `A x = b` with `A` SPD.
 #[derive(Clone)]
@@ -199,121 +199,24 @@ impl ExperimentResult {
     }
 }
 
-/// Run (resilient) PCG on a simulated cluster of `nodes` nodes.
+/// Run the (optionally resilient) `solver` on a simulated cluster of
+/// `nodes` nodes.
 ///
-/// Every `run_*` entry point validates the solver × policy × precondi-
-/// tioner combination up front ([`SolverConfig::validate`]) and returns a
-/// typed [`ConfigError`] naming the violated constraint — unsupported
-/// combinations fail as a `Result`, not as a panic deep in a node thread.
-pub fn run_pcg(
+/// Validates the solver × policy × preconditioner combination up front
+/// ([`SolverConfig::validate`]) and returns a typed [`ConfigError`] naming
+/// the violated constraint — unsupported combinations fail as a `Result`,
+/// not as a panic deep in a node thread. State protection is part of the
+/// configuration, not of the entry point: checkpoint/restart is
+/// `cfg.resilience` with [`crate::config::Protection::Checkpoint`].
+pub fn run(
+    solver: SolverKind,
     problem: &Problem,
     nodes: usize,
     cfg: &SolverConfig,
     cost: CostModel,
     script: FailureScript,
 ) -> Result<ExperimentResult, ConfigError> {
-    cfg.validate(SolverKind::Pcg, nodes)?;
-    Ok(run_with(problem, nodes, cfg, cost, script, esr_pcg_node))
-}
-
-/// Run (resilient) **pipelined** PCG: the communication-hiding variant
-/// that overlaps its single fused reduction with the SpMV and
-/// preconditioner application (Levonyak et al., arXiv:1912.09230).
-/// Requires a block-diagonal (M-given) preconditioner.
-pub fn run_pipecg(
-    problem: &Problem,
-    nodes: usize,
-    cfg: &SolverConfig,
-    cost: CostModel,
-    script: FailureScript,
-) -> Result<ExperimentResult, ConfigError> {
-    cfg.validate(SolverKind::PipeCg, nodes)?;
-    Ok(run_with(
-        problem,
-        nodes,
-        cfg,
-        cost,
-        script,
-        crate::pipecg::esr_pipecg_node,
-    ))
-}
-
-/// Run (resilient) preconditioned BiCGSTAB (paper Sec. 1 extension).
-pub fn run_bicgstab(
-    problem: &Problem,
-    nodes: usize,
-    cfg: &SolverConfig,
-    cost: CostModel,
-    script: FailureScript,
-) -> Result<ExperimentResult, ConfigError> {
-    cfg.validate(SolverKind::BiCgStab, nodes)?;
-    Ok(run_with(
-        problem,
-        nodes,
-        cfg,
-        cost,
-        script,
-        crate::bicgstab::esr_bicgstab_node,
-    ))
-}
-
-/// Run the (resilient) distributed Jacobi iteration (paper Sec. 1
-/// extension; requires a Jacobi-convergent matrix). Replace-only: the
-/// stationary solver assumes the full cluster outlives the solve.
-pub fn run_jacobi(
-    problem: &Problem,
-    nodes: usize,
-    cfg: &SolverConfig,
-    cost: CostModel,
-    script: FailureScript,
-) -> Result<ExperimentResult, ConfigError> {
-    cfg.validate(SolverKind::Jacobi, nodes)?;
-    Ok(run_with(
-        problem,
-        nodes,
-        cfg,
-        cost,
-        script,
-        crate::stationary::esr_jacobi_node,
-    ))
-}
-
-/// Run checkpoint/restart-protected PCG (paper Sec. 1.2's comparator
-/// class; see [`crate::checkpoint`]).
-///
-/// Compatibility shim over the engine-backed protection axis: equivalent
-/// to [`run_pcg`] with `resilience.protection =`
-/// [`Protection::Checkpoint`]`(cr)`. A missing `cfg.resilience` defaults
-/// to [`ResilienceConfig::paper`] (the C/R parameters all live in `cr`).
-pub fn run_checkpoint_restart(
-    problem: &Problem,
-    nodes: usize,
-    cfg: &SolverConfig,
-    cr: &crate::config::CrConfig,
-    cost: CostModel,
-    script: FailureScript,
-) -> Result<ExperimentResult, ConfigError> {
-    let mut cfg = cfg.clone();
-    let res = cfg
-        .resilience
-        .take()
-        .unwrap_or_else(|| crate::config::ResilienceConfig::paper(1));
-    cfg.resilience = Some(res.with_protection(crate::config::Protection::Checkpoint(cr.clone())));
-    cfg.validate(SolverKind::CheckpointRestart, nodes)?;
-    Ok(run_with(problem, nodes, &cfg, cost, script, esr_pcg_node))
-}
-
-fn run_with<F>(
-    problem: &Problem,
-    nodes: usize,
-    cfg: &SolverConfig,
-    cost: CostModel,
-    script: FailureScript,
-    node_program: F,
-) -> ExperimentResult
-where
-    F: Fn(&mut parcomm::NodeCtx, &Arc<Csr>, &Arc<Vec<f64>>, &SolverConfig) -> NodeOutcome + Sync,
-{
+    cfg.validate(solver, nodes)?;
     let a = problem.a.clone();
     let b = problem.b.clone();
     let cfg = cfg.clone();
@@ -329,10 +232,13 @@ where
         .with_spares(spares);
     let start = Instant::now();
     #[cfg(feature = "trace")]
-    let (per_node, trace) =
-        Cluster::run_traced(cluster_cfg, move |ctx| node_program(ctx, &a, &b, &cfg));
+    let (per_node, trace) = Cluster::run_traced(cluster_cfg, move |ctx| {
+        node_program(solver, ctx, &a, &b, &cfg)
+    });
     #[cfg(not(feature = "trace"))]
-    let per_node = Cluster::run(cluster_cfg, move |ctx| node_program(ctx, &a, &b, &cfg));
+    let per_node = Cluster::run(cluster_cfg, move |ctx| {
+        node_program(solver, ctx, &a, &b, &cfg)
+    });
     let wall = start.elapsed();
 
     // Assemble the global solution in rank order (retired nodes own no
@@ -369,7 +275,7 @@ where
         .fold(0.0, f64::max);
     let vtime_setup = per_node.iter().map(|o| o.vtime_setup).fold(0.0, f64::max);
 
-    ExperimentResult {
+    Ok(ExperimentResult {
         iterations: canon.iterations,
         converged: canon.converged,
         solver_residual,
@@ -387,7 +293,58 @@ where
         per_node,
         #[cfg(feature = "trace")]
         trace,
-    }
+    })
+}
+
+/// [`run`] with blocking PCG ([`SolverKind::Pcg`]).
+pub fn run_pcg(
+    problem: &Problem,
+    nodes: usize,
+    cfg: &SolverConfig,
+    cost: CostModel,
+    script: FailureScript,
+) -> Result<ExperimentResult, ConfigError> {
+    run(SolverKind::Pcg, problem, nodes, cfg, cost, script)
+}
+
+/// [`run`] with **pipelined** PCG ([`SolverKind::PipeCg`]): the
+/// communication-hiding variant that overlaps its single fused reduction
+/// with the SpMV and preconditioner application (Levonyak et al.,
+/// arXiv:1912.09230). Requires a block-diagonal (M-given) preconditioner.
+pub fn run_pipecg(
+    problem: &Problem,
+    nodes: usize,
+    cfg: &SolverConfig,
+    cost: CostModel,
+    script: FailureScript,
+) -> Result<ExperimentResult, ConfigError> {
+    run(SolverKind::PipeCg, problem, nodes, cfg, cost, script)
+}
+
+/// [`run`] with preconditioned BiCGSTAB ([`SolverKind::BiCgStab`]; paper
+/// Sec. 1 extension).
+pub fn run_bicgstab(
+    problem: &Problem,
+    nodes: usize,
+    cfg: &SolverConfig,
+    cost: CostModel,
+    script: FailureScript,
+) -> Result<ExperimentResult, ConfigError> {
+    run(SolverKind::BiCgStab, problem, nodes, cfg, cost, script)
+}
+
+/// [`run`] with the distributed Jacobi iteration ([`SolverKind::Jacobi`];
+/// paper Sec. 1 extension; requires a Jacobi-convergent matrix).
+/// Replace-only: the stationary solver assumes the full cluster outlives
+/// the solve.
+pub fn run_jacobi(
+    problem: &Problem,
+    nodes: usize,
+    cfg: &SolverConfig,
+    cost: CostModel,
+    script: FailureScript,
+) -> Result<ExperimentResult, ConfigError> {
+    run(SolverKind::Jacobi, problem, nodes, cfg, cost, script)
 }
 
 #[cfg(test)]

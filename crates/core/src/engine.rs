@@ -33,18 +33,25 @@
 //!   retention channels, and the splice of reconstructed blocks into the
 //!   adopters' widened state.
 //!
-//! The **kernel** (one per solver — `pcg`, `pipecg`, `bicgstab`) declares:
+//! The **kernel** (one per solver — `pcg`, `pipecg`, `bicgstab`) *owns* the
+//! solver state — vectors in a slot-indexed array shared with
+//! [`ReconBlock::vecs`], scalars in a second one — and declares:
 //!
-//! * its retention channels and which `(channel, generation)` copies the
-//!   reconstruction reads;
-//! * the replicated scalars a replacement must be re-sent;
+//! * which `(channel, generation)` retained copies the reconstruction
+//!   reads;
+//! * its [`KernelShape`]: which slots are per-block vectors, which are
+//!   checkpoint-packed and in which order, which scalars a replacement is
+//!   re-sent;
 //! * how the locally derivable part of a failed block follows from the
 //!   copies (e.g. PCG's `z = p(j) − β p(j−1)`, `r = M z`);
 //! * which auxiliary vectors need distributed `A`-products to rebuild
 //!   (pipelined PCG's `w = Au, s = Ap, q = M⁻¹s, z = Aq`; BiCGSTAB's
-//!   `v = A p̂`, `r = s + α v`), expressed through [`EngineComm`];
-//! * how to install a rebuilt block in place, and how to splice/resize its
-//!   state after a layout change.
+//!   `v = A p̂`, `r = s + α v`), expressed through [`EngineComm`].
+//!
+//! Poisoning a failed node, packing/unpacking a checkpoint, installing a
+//! rebuilt block and splicing/resizing state after a layout change are
+//! engine-side functions over those two arrays and the shape
+//! ([`poison`], [`pack`], [`unpack`]) — no solver spells them out.
 //!
 //! Retirement is monotone across restart attempts: the spare budget is
 //! snapshotted at event start and always granted to the lowest-ranked
@@ -68,7 +75,7 @@ use crate::config::{
 use crate::localmat::LocalMatrix;
 use crate::precsetup::NodePrecond;
 use crate::redundancy;
-use crate::retention::{Gen, Retention};
+use crate::retention::{CheckpointStore, Gen, Retention};
 use crate::scatter::ScatterPlan;
 
 // Recovery tag bases; each attempt gets its own tag window so messages
@@ -103,6 +110,9 @@ pub(crate) struct Layout {
     pub channels: Vec<Retention>,
     /// Preconditioner state on the current layout.
     pub prec: NodePrecond,
+    /// Ghost values of the most recently scattered vector (one per ghost
+    /// column of `lm`).
+    pub ghosts: Vec<f64>,
     /// Sorted global ranks of the active members.
     pub members: Vec<usize>,
     /// This node's slot (`members[my_slot] == rank`).
@@ -112,37 +122,37 @@ pub(crate) struct Layout {
 }
 
 impl Layout {
-    /// Build the full-cluster layout: local rows, scatter plan with
-    /// redundancy extras, `n_channels` retention stores, preconditioner.
-    /// Collective — all nodes call together at setup.
+    /// Build the full-cluster layout: local rows, scatter plan,
+    /// preconditioner and — under ESR protection only — the redundancy
+    /// extras and the solver's `n_channels` retention stores
+    /// (checkpoint protection pays its deposit traffic instead, and an
+    /// unprotected solve retains nothing). Collective — all nodes call
+    /// together at setup.
     pub fn build_full(ctx: &mut NodeCtx, a: &Csr, cfg: &SolverConfig, n_channels: usize) -> Self {
         let rank = ctx.rank();
         let part = BlockPartition::new(a.n_rows(), ctx.size());
         let lm = LocalMatrix::build(a, &part, rank);
         let mut plan = ScatterPlan::build(ctx, &lm, &part);
-        match &cfg.resilience {
-            // Only ESR rides redundancy extras on the SpMV traffic;
-            // checkpoint protection pays its deposit traffic instead.
-            Some(res) if res.is_esr() => {
-                plan.send_extra = redundancy::compute_extra_sends(
-                    rank,
-                    ctx.size(),
-                    res.phi,
-                    &res.strategy,
-                    lm.n_local(),
-                    &plan.send_natural,
-                );
-                plan.announce_extras(ctx);
-            }
-            _ => {}
+        let esr = cfg.resilience.as_ref().filter(|res| res.is_esr());
+        if let Some(res) = esr {
+            plan.send_extra = redundancy::compute_extra_sends(
+                rank,
+                ctx.size(),
+                res.phi,
+                &res.strategy,
+                lm.n_local(),
+                &plan.send_natural,
+            );
+            plan.announce_extras(ctx);
         }
-        let channels = (0..n_channels)
+        let channels = (0..if esr.is_some() { n_channels } else { 0 })
             .map(|_| Retention::build(&plan, &lm.ghost_cols))
             .collect();
         let prec = NodePrecond::setup(ctx, &cfg.precond, &part, &lm)
             .unwrap_or_else(|e| panic!("rank {rank}: preconditioner setup failed: {e}"));
         Layout {
             part,
+            ghosts: vec![0.0; lm.ghost_cols.len()],
             lm,
             plan,
             channels,
@@ -150,6 +160,24 @@ impl Layout {
             members: (0..ctx.size()).collect(),
             my_slot: rank,
             group: None,
+        }
+    }
+
+    /// The SpMV scatter of `v_loc` into [`Layout::ghosts`]. Under ESR
+    /// protection (the layout carries retention channels) the exchange
+    /// also distributes the redundant copies and retains what it receives
+    /// in `channel`, rotating that channel's generations — on every
+    /// scatter of a new vector and identically on a post-recovery
+    /// re-scatter, which thereby restores lost redundancy.
+    pub fn scatter(&mut self, ctx: &mut NodeCtx, v_loc: &[f64], channel: usize) {
+        match self.channels.get_mut(channel) {
+            Some(ch) => {
+                ch.rotate();
+                self.plan
+                    .exchange(ctx, v_loc, &mut self.ghosts, Some(&mut *ch));
+                ch.finish_generation();
+            }
+            None => self.plan.exchange(ctx, v_loc, &mut self.ghosts, None),
         }
     }
 
@@ -321,9 +349,10 @@ pub(crate) struct ChannelRead {
 }
 
 /// One failed block at its reconstructor. The engine carries
-/// `n_block_vecs` per-block vectors whose meaning the kernel defines by
-/// slot index; the engine itself only touches the kernel-declared `r` slot
-/// (read, for the x right-hand side) and `x` slot (written by the solve).
+/// [`KernelShape::n_block_vecs`] per-block vectors, indexed by the same
+/// slot constants as the kernel's own [`ResilientKernel::vecs`]; the engine
+/// itself only touches the declared `r` slot (read, for the x right-hand
+/// side) and `x` slot (written by the solve).
 pub(crate) struct ReconBlock {
     /// Global rows of the block (one failed rank's old owned range).
     pub range: Range<usize>,
@@ -331,32 +360,46 @@ pub(crate) struct ReconBlock {
     pub vecs: Vec<Vec<f64>>,
 }
 
+/// The tables that let the engine handle a kernel's state generically.
+/// Indices are into [`ResilientKernel::vecs`] / [`ResilientKernel::scalars`].
+pub(crate) struct KernelShape {
+    /// Slots `0..n_block_vecs` are the per-block vectors: lost with a
+    /// node, rebuilt per failed block, installed or spliced back. A later
+    /// slot that is not packed either carries no state across a recovery —
+    /// scratch, re-zeroed at the new block length.
+    pub n_block_vecs: usize,
+    /// Slot of the residual `r` (the engine reads the reconstructed one
+    /// when forming `w = b_If − r_If − A_{If,I\If} x_{I\If}`).
+    pub r_slot: usize,
+    /// Slot of the iterate `x` (survivors serve it to the x gather; the
+    /// engine writes the reconstructed one).
+    pub x_slot: usize,
+    /// The checkpoint pack's vector slots **in wire order** — deposit
+    /// sizes feed virtual time and the redundancy-traffic counters. The
+    /// pack is these vectors concatenated, then every scalar.
+    pub pack_slots: &'static [usize],
+    /// The replicated scalars a replacement node must be re-sent (the rest
+    /// are recomputed by the restarted iteration).
+    pub resent_scalars: &'static [usize],
+}
+
 /// What a solver must describe for the [`RecoveryEngine`] to reconstruct
-/// it: retained channels, replicated scalars, and the maps from retained
-/// copies to full iteration state. Kernel instances borrow the node
-/// program's live solver state for the duration of one recovery event.
+/// it. The implementor owns the live solver state; the engine sees it as
+/// two slot-indexed arrays plus the [`KernelShape`] tables, and calls back
+/// only for the solver-specific reconstruction maps.
 pub(crate) trait ResilientKernel {
-    /// Retention channels this solver scatters (== `Layout::channels` len).
-    fn n_channels(&self) -> usize;
+    /// The state-layout tables.
+    fn shape(&self) -> &'static KernelShape;
+    /// Every owned-block-length vector of the solver, by slot.
+    fn vecs(&self) -> &[Vec<f64>];
+    /// Mutable view of [`ResilientKernel::vecs`].
+    fn vecs_mut(&mut self) -> &mut [Vec<f64>];
+    /// Every replicated scalar of the solver, in checkpoint-pack order.
+    fn scalars(&self) -> &[f64];
+    /// Mutable view of [`ResilientKernel::scalars`].
+    fn scalars_mut(&mut self) -> &mut [f64];
     /// The copy reads recovery needs at this boundary.
     fn channel_reads(&self, has_prev: bool) -> Vec<ChannelRead>;
-    /// Replicated scalars a replacement must be re-sent (valid on
-    /// survivors; NaN on a poisoned node).
-    fn scalars(&self) -> Vec<f64>;
-    /// Install the re-sent replicated scalars.
-    fn set_scalars(&mut self, s: &[f64]);
-    /// Destroy every dynamic vector and scalar of this node (NaN poison;
-    /// the retention channels are poisoned by the engine).
-    fn poison(&mut self);
-    /// Number of per-block vectors the engine carries for this kernel.
-    fn n_block_vecs(&self) -> usize;
-    /// Slot of the reconstructed residual `r` (the engine reads it when
-    /// forming `w = b_If − r_If − A_{If,I\If} x_{I\If}`).
-    fn r_slot(&self) -> usize;
-    /// Slot the engine writes the reconstructed `x` into.
-    fn x_slot(&self) -> usize;
-    /// The owned block of the iterate (survivors serve it to the x gather).
-    fn x_loc(&self) -> &[f64];
     /// Rebuild the locally derivable part of one failed block from the
     /// assembled copies (`copies[i]` answers `channel_reads()[i]`; reads
     /// marked `required` are always `Some`). Local math only.
@@ -380,50 +423,102 @@ pub(crate) trait ResilientKernel {
     ) {
         let _ = (ctx, shared, comm, blocks);
     }
-    /// Install a reconstructed block in place — the pure-replacement path,
-    /// where each replaced rank rebuilt exactly its own block.
-    fn install(&mut self, blk: &ReconBlock);
     /// Splice surviving values and reconstructed blocks into the adopted
     /// (possibly widened) range after a shrink. `own` is this node's old
     /// owned range, `None` if the node was itself replaced in a mixed
     /// event (its old values are poisoned; its block is in `blocks`).
+    /// Default: every block slot; a kernel overrides it to also re-cut
+    /// static data it keeps over the owned range from `b`.
     fn splice(
         &mut self,
         new_range: &Range<usize>,
         own: Option<&Range<usize>>,
         blocks: &[ReconBlock],
         b: &[f64],
-    );
-    /// Resize scratch buffers after the post-shrink layout rebuild.
-    fn resize_scratch(&mut self, nloc: usize, n_ghosts: usize);
+    ) {
+        let _ = b;
+        let n = self.shape().n_block_vecs;
+        splice_slots(&mut self.vecs_mut()[..n], new_range, own, blocks);
+    }
+}
 
-    // ---- checkpoint pack ([`crate::config::Protection::Checkpoint`]) ----
-    // Solvers that support checkpoint protection override the four pack
-    // methods; the defaults declare no pack, and `SolverConfig::validate`
-    // keeps checkpoint protection away from such solvers.
+/// The node failure: every per-block vector and every scalar of this node
+/// is destroyed (NaN poison; ghosts, retention channels and the deposit
+/// store are poisoned by the caller). Scratch is overwritten before it is
+/// read, and static data survives on reliable storage (paper Sec. 1.1.2).
+pub(crate) fn poison(kernel: &mut dyn ResilientKernel) {
+    let n = kernel.shape().n_block_vecs;
+    for v in &mut kernel.vecs_mut()[..n] {
+        parcomm::fault::poison(v);
+    }
+    kernel.scalars_mut().fill(f64::NAN);
+}
 
-    /// Number of owned-block-length vectors in this solver's checkpoint
-    /// pack.
-    fn n_pack_vecs(&self) -> usize {
-        panic!("this solver declares no checkpoint pack")
+/// Pack the loop-top state a rolled-back iteration resumes from: the
+/// [`KernelShape::pack_slots`] vectors concatenated, then the scalars.
+pub(crate) fn pack(kernel: &dyn ResilientKernel) -> Vec<f64> {
+    let (vecs, slots, scalars) = (kernel.vecs(), kernel.shape().pack_slots, kernel.scalars());
+    let mut data = Vec::with_capacity(slots.len() * vecs[slots[0]].len() + scalars.len());
+    for &slot in slots {
+        data.extend_from_slice(&vecs[slot]);
     }
-    /// Number of replicated scalars at the tail of the pack.
-    fn n_pack_scalars(&self) -> usize {
-        panic!("this solver declares no checkpoint pack")
+    data.extend_from_slice(scalars);
+    data
+}
+
+/// Restore the state over a block of `nloc` rows from a [`pack`] (after a
+/// shrink: merged across the adopted blocks, so `nloc` may exceed the
+/// packing block's length). Every vector that is not packed restarts
+/// zeroed at the new length — the restarted iteration recomputes it.
+pub(crate) fn unpack(kernel: &mut dyn ResilientKernel, data: &[f64], nloc: usize) {
+    let slots = kernel.shape().pack_slots;
+    for (slot, v) in kernel.vecs_mut().iter_mut().enumerate() {
+        *v = match slots.iter().position(|&s| s == slot) {
+            Some(i) => data[i * nloc..(i + 1) * nloc].to_vec(),
+            None => vec![0.0; nloc],
+        };
     }
-    /// Pack the dynamic state: `n_pack_vecs()` vectors of the owned block
-    /// length concatenated, then `n_pack_scalars()` scalars.
-    fn pack(&self) -> Vec<f64> {
-        panic!("this solver declares no checkpoint pack")
-    }
-    /// Restore the dynamic state over `new_range` from a pack produced by
-    /// [`ResilientKernel::pack`] (after a shrink: merged across the
-    /// adopted blocks, so `new_range` may be wider than the packing
-    /// range). Must also resize every scratch vector that tracks the
-    /// owned-block length.
-    fn unpack(&mut self, data: &[f64], new_range: &Range<usize>, b: &[f64]) {
-        let _ = (data, new_range, b);
-        panic!("this solver declares no checkpoint pack")
+    kernel
+        .scalars_mut()
+        .copy_from_slice(&data[slots.len() * nloc..]);
+}
+
+/// The per-solve recovery bookkeeping: what the engine threads through
+/// every event (tag-window sequence, handled substep boundaries, spare
+/// pool, deposit store) and what the node loop reports at the end.
+pub(crate) struct RecoveryBook {
+    /// Substep boundaries `(iteration, substep)` already polled.
+    pub handled_sub: HashSet<(u64, u32)>,
+    /// Next tag window: numbers ESR attempts, deposit rounds and rollback
+    /// attempts alike.
+    pub recovery_seq: u32,
+    /// This node's view of the cluster's hot-spare pool.
+    pub pool: SparePool,
+    /// The deposit store under [`Protection::Checkpoint`].
+    pub ckpt: Option<CheckpointStore>,
+    /// Completed recovery events.
+    pub recoveries: usize,
+    /// Ranks reconstructed across all events.
+    pub ranks_recovered: usize,
+    /// Virtual time spent recovering.
+    pub vtime_recovery: f64,
+    /// Per-substep timeline of every completed event.
+    pub timelines: Vec<RecoveryTimeline>,
+}
+
+impl RecoveryBook {
+    /// Fresh bookkeeping at solve start.
+    pub fn new(pool: SparePool, ckpt: Option<CheckpointStore>) -> Self {
+        RecoveryBook {
+            handled_sub: HashSet::new(),
+            recovery_seq: 0,
+            pool,
+            ckpt,
+            recoveries: 0,
+            ranks_recovered: 0,
+            vtime_recovery: 0.0,
+            timelines: Vec::new(),
+        }
     }
 }
 
@@ -447,42 +542,32 @@ pub struct RecoveryEngine;
 ///
 /// Dispatches on the configured protection flavor: ESR reconstruction
 /// (below) or checkpoint rollback ([`crate::checkpoint::recover_rollback`]
-/// — `ckpt` must then carry the node's deposit store). Both flavors share
-/// the attempt loop with per-attempt tag windows, the overlap substep
-/// boundaries, and the policy grant/retire/adoption math.
-#[allow(clippy::too_many_arguments)]
+/// — `book.ckpt` then carries the node's deposit store). Both flavors
+/// share the attempt loop with per-attempt tag windows, the overlap
+/// substep boundaries, and the policy grant/retire/adoption math.
 pub(crate) fn recover(
     ctx: &mut NodeCtx,
     env: &EngineEnv<'_>,
     layout: &mut Layout,
     kernel: &mut dyn ResilientKernel,
     initial_failed: &[usize],
-    handled: &mut HashSet<(u64, u32)>,
-    recovery_seq: &mut u32,
-    pool: &mut SparePool,
-    ckpt: Option<&mut crate::retention::CheckpointStore>,
+    book: &mut RecoveryBook,
 ) -> EngineOutcome {
     if let Protection::Checkpoint(_) = &env.res.protection {
-        let store = ckpt.expect("checkpoint protection requires a deposit store");
-        return crate::checkpoint::recover_rollback(
-            ctx,
-            env,
-            layout,
-            kernel,
-            store,
-            initial_failed,
-            handled,
-            recovery_seq,
-            pool,
-        );
+        return crate::checkpoint::recover_rollback(ctx, env, layout, kernel, initial_failed, book);
     }
+    let RecoveryBook {
+        handled_sub: handled,
+        recovery_seq,
+        pool,
+        ..
+    } = book;
     let me = ctx.rank();
     ctx.trace_open("recovery", env.iteration);
     let mut timeline = RecoveryTimeline::new(env.iteration, "esr");
     let mut failed = initial_failed.to_vec();
     failed.sort_unstable();
     failed.dedup();
-    debug_assert_eq!(layout.channels.len(), kernel.n_channels());
     // The replacement budget at event start: Replace models ULFM's
     // unbounded replacement capacity, Spares grants from the finite pool
     // snapshot (every attempt of this event grants from the same budget,
@@ -584,7 +669,8 @@ pub(crate) fn recover(
 
         if am_failed {
             // The node failure: all dynamic data of this rank is lost.
-            kernel.poison();
+            poison(kernel);
+            parcomm::fault::poison(&mut layout.ghosts);
             for ch in &mut layout.channels {
                 ch.poison();
             }
@@ -605,8 +691,9 @@ pub(crate) fn recover(
         // lost theirs to poisoning and receive them from the lowest
         // survivor.
         let lowest_surv = survivors[0];
+        let resent = kernel.shape().resent_scalars;
         if me == lowest_surv {
-            let sc = kernel.scalars();
+            let sc: Vec<f64> = resent.iter().map(|&i| kernel.scalars()[i]).collect();
             for &f in &replaced {
                 ctx.send(
                     f,
@@ -619,7 +706,9 @@ pub(crate) fn recover(
             let sc = ctx
                 .recv_phase(lowest_surv, tag(seq, OFF_SCALARS), CommPhase::Recovery)
                 .into_f64s();
-            kernel.set_scalars(&sc);
+            for (&i, v) in resent.iter().zip(sc) {
+                kernel.scalars_mut()[i] = v;
+            }
         }
 
         // ---- retained copies → reconstructors --------------------------
@@ -679,7 +768,7 @@ pub(crate) fn recover(
             }
             let mut blk = ReconBlock {
                 range: br,
-                vecs: vec![Vec::new(); kernel.n_block_vecs()],
+                vecs: vec![Vec::new(); kernel.shape().n_block_vecs],
             };
             kernel.rebuild_local(ctx, &shared, &mut blk, copies);
             blocks.push(blk);
@@ -728,10 +817,10 @@ pub(crate) fn recover(
         // Reconstructors gather the surviving x values their failed rows
         // couple to, form `w = b_If − r_If − A_{If,I\If} x_{I\If}`, and
         // solve `A_{If,If} x_If = w` cooperatively over the group.
-        let lookup = comm.gather_outside(ctx, env.a, &blocks, kernel.x_loc());
+        let &KernelShape { r_slot, x_slot, .. } = kernel.shape();
+        let lookup = comm.gather_outside(ctx, env.a, &blocks, &kernel.vecs()[x_slot]);
         if !blocks.is_empty() {
             let lookup = lookup.expect("reconstructors obtain the x lookup");
-            let r_slot = kernel.r_slot();
             let mut rows: Vec<usize> = Vec::new();
             let mut rhs: Vec<f64> = Vec::new();
             for blk in &blocks {
@@ -756,7 +845,6 @@ pub(crate) fn recover(
             }
             debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
             let x_new = comm.solve_if_system(ctx, env.a, &rows, rhs);
-            let x_slot = kernel.x_slot();
             let mut off = 0usize;
             for blk in &mut blocks {
                 blk.vecs[x_slot] = x_new[off..off + blk.range.len()].to_vec();
@@ -793,9 +881,11 @@ pub(crate) fn recover(
             // Every failed rank got a replacement: pure in-place rebuild.
             if am_failed {
                 debug_assert!(blocks.len() == 1 && blocks[0].range == my_range);
-                kernel.install(&blocks[0]);
+                for (v, rebuilt) in kernel.vecs_mut().iter_mut().zip(&blocks[0].vecs) {
+                    v.copy_from_slice(rebuilt);
+                }
                 // ghosts/retention refill on the restarted iteration's
-                // re-scatter, exactly as before.
+                // re-scatter.
             }
             ctx.trace_close(); // commit
             timeline.mark(ctx, &mut seg_t, attempts, "commit");
@@ -830,9 +920,9 @@ pub(crate) fn recover(
 /// [`LocalMatrix`], preconditioner, the survivors' [`Group`], the scatter
 /// plan (with re-derived redundancy extras when `with_redundancy` — the
 /// ESR flavor; checkpoint protection deposits replicas instead), retention
-/// channels, and the kernel's scratch buffers. Collective over
-/// `new_members`; the caller has already installed the solver state over
-/// the new ranges (ESR: `splice`; rollback: `unpack`).
+/// channels, the ghost buffer, and the kernel's scratch vectors. Collective
+/// over `new_members`; the caller has already installed the solver state
+/// over the new ranges (ESR: `splice`; rollback: `unpack`).
 pub(crate) fn rebuild_layout_after_shrink(
     ctx: &mut NodeCtx,
     env: &EngineEnv<'_>,
@@ -870,9 +960,15 @@ pub(crate) fn rebuild_layout_after_shrink(
     let channels = (0..layout.channels.len())
         .map(|_| Retention::build(&plan, &lm.ghost_cols))
         .collect();
-    kernel.resize_scratch(lm.n_local(), lm.ghost_cols.len());
+    let shape = kernel.shape();
+    for (slot, v) in kernel.vecs_mut().iter_mut().enumerate() {
+        if slot >= shape.n_block_vecs && !shape.pack_slots.contains(&slot) {
+            *v = vec![0.0; lm.n_local()];
+        }
+    }
 
     layout.part = new_part;
+    layout.ghosts = vec![0.0; lm.ghost_cols.len()];
     layout.lm = lm;
     layout.plan = plan;
     layout.channels = channels;
@@ -1341,26 +1437,27 @@ pub(crate) fn m_block_inverse(
     }
 }
 
-/// Build the new local vector over `new_range` from the node's old owned
-/// values (`None` for a replaced rank, whose old values are poisoned and
-/// whose block is in `blocks`) and its reconstructed blocks' `slot`
-/// vectors. Every row of `new_range` is covered exactly once by
-/// construction.
-pub(crate) fn splice(
+/// Rebuild every vector of `vecs` (slot = index) over `new_range` from the
+/// node's old owned values (`own_range` is `None` for a replaced rank,
+/// whose old values are poisoned and whose block is in `blocks`) and its
+/// reconstructed blocks' vectors of the same slot. Every row of
+/// `new_range` is covered exactly once by construction.
+pub(crate) fn splice_slots(
+    vecs: &mut [Vec<f64>],
     new_range: &Range<usize>,
     own_range: Option<&Range<usize>>,
-    old: &[f64],
     blocks: &[ReconBlock],
-    slot: usize,
-) -> Vec<f64> {
-    let mut out = vec![f64::NAN; new_range.len()];
-    if let Some(own) = own_range {
-        out[own.start - new_range.start..own.end - new_range.start].copy_from_slice(old);
+) {
+    for (slot, v) in vecs.iter_mut().enumerate() {
+        let mut out = vec![f64::NAN; new_range.len()];
+        if let Some(own) = own_range {
+            out[own.start - new_range.start..own.end - new_range.start].copy_from_slice(v);
+        }
+        for blk in blocks {
+            out[blk.range.start - new_range.start..blk.range.end - new_range.start]
+                .copy_from_slice(&blk.vecs[slot]);
+        }
+        debug_assert!(out.iter().all(|x| !x.is_nan()), "shrink splice left a gap");
+        *v = out;
     }
-    for blk in blocks {
-        out[blk.range.start - new_range.start..blk.range.end - new_range.start]
-            .copy_from_slice(&blk.vecs[slot]);
-    }
-    debug_assert!(out.iter().all(|v| !v.is_nan()), "shrink splice left a gap");
-    out
 }

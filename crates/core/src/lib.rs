@@ -12,10 +12,12 @@
 //! | Paper | Module |
 //! |---|---|
 //! | Alg. 1 (PCG), block-row distribution (Sec. 1.1.2) | [`pcg`], [`localmat`] |
+//! | The one SPMD node program: setup, failure boundary, restart (Secs. 1.1.1, 2.2) | [`node`] |
 //! | SpMV generalized scatter (Sec. 6) | [`scatter`] |
 //! | Eqns. (2)–(6): `S_ik`, `mᵢ(s)`, `d_ik`, `Rᶜᵢₖ` (Secs. 3–4) | [`redundancy`] |
 //! | Retention of `p(j)`, `p(j-1)` copies (Sec. 2.2) | [`retention`] |
 //! | Alg. 2 generalized to `ψ ≤ φ` failures (Sec. 4.1), recovery policies | [`engine`] |
+//! | Checkpoint/rollback protection flavor (Sec. 1.2's comparator) | [`checkpoint`] |
 //! | Communication-hiding pipelined PCG + its ESR (arXiv:1912.09230) | [`pipecg`] |
 //! | Preconditioner variants (M-given / P-given) | [`precsetup`] |
 //! | Communication-overhead bounds (Sec. 4.2, Sec. 5) | [`analysis`] |
@@ -24,9 +26,14 @@
 //!
 //! The recovery protocol itself — scalar/copy routing, the four-substep
 //! overlapping-failure restart, spare-pool grants, shrink adoption and the
-//! post-shrink layout rebuild — lives once, in [`engine`]; each solver
-//! contributes only a `ResilientKernel` describing which vectors it
-//! retains and how its full state follows from them.
+//! post-shrink layout rebuild — lives once, in [`engine`], and so does the
+//! solve around it, in [`node`]: one generic loop owns setup, the
+//! checkpoint deposit, the failure boundary and the restart control flow.
+//! Each solver ([`pcg`], [`pipecg`], [`bicgstab`]) contributes only its
+//! owned state, its recurrence split at its failure boundary, and the
+//! maps from retained copies back to full state. [`driver::run`] takes the
+//! solver as a [`SolverKind`]. The stationary Jacobi iteration keeps its
+//! own node program: its reconstruction is a copy, not the engine's.
 
 // Indexed loops over several parallel arrays are the clearest form for
 // the numeric kernels in this crate; iterator-zip pyramids obscure the math.
@@ -39,6 +46,7 @@ pub mod config;
 pub mod driver;
 pub mod engine;
 pub mod localmat;
+pub mod node;
 pub mod pcg;
 pub mod pipecg;
 pub mod precsetup;
@@ -52,8 +60,7 @@ pub use config::{
     RecoveryPolicy, ResilienceConfig, SolverConfig, SolverKind,
 };
 pub use driver::{
-    run_bicgstab, run_checkpoint_restart, run_jacobi, run_pcg, run_pipecg, ExperimentResult,
-    PhaseBreakdown, Problem,
+    run, run_bicgstab, run_jacobi, run_pcg, run_pipecg, ExperimentResult, PhaseBreakdown, Problem,
 };
 pub use engine::{RecoveryEngine, RecoveryReport, RecoveryTimeline, SubstepTiming};
-pub use pcg::NodeOutcome;
+pub use node::{node_program, NodeOutcome};

@@ -157,11 +157,6 @@ impl NodePrecond {
         }
     }
 
-    /// True if recovery must use the P-given path (Alg. 2 lines 5–6).
-    pub fn is_explicit_p(&self) -> bool {
-        matches!(self, NodePrecond::ExplicitP { .. })
-    }
-
     /// The explicit `P` matrix (P-given recovery needs its rows).
     pub fn p_matrix(&self) -> Option<&Arc<Csr>> {
         match self {

@@ -23,7 +23,7 @@ use sparsemat::{BlockPartition, Csr};
 
 use crate::config::SolverConfig;
 use crate::localmat::LocalMatrix;
-use crate::pcg::NodeOutcome;
+use crate::node::NodeOutcome;
 use crate::redundancy;
 use crate::retention::{Gen, Retention};
 use crate::scatter::ScatterPlan;

@@ -13,79 +13,88 @@
 //! program — resetting or reading the counter on the test thread would
 //! observe nothing. Each closure resets its node's counter, runs the
 //! solve, and returns the node's miss count for the assertion.
+//!
+//! Every solver runs the one generic node loop (`esr_core::node`), so the
+//! audit takes the solver as an input and the cells are rows of one table:
+//! {PCG, pipelined PCG, BiCGSTAB} × {plain, ESR φ = 2, checkpoint}.
 
-use std::sync::Arc;
-
-use esr_core::pcg::esr_pcg_node;
-use esr_core::pipecg::esr_pipecg_node;
-use esr_core::{CrConfig, Problem, Protection, ResilienceConfig, SolverConfig};
-use parcomm::{Cluster, ClusterConfig, NodeCtx};
+use esr_core::{
+    node_program, CrConfig, Problem, Protection, ResilienceConfig, SolverConfig, SolverKind,
+};
+use parcomm::{Cluster, ClusterConfig};
 use sparsemat::gen::poisson2d;
 use sparsemat::hotpath;
-use sparsemat::Csr;
 
-/// Run `node_program` on a failure-free cluster and return, per node, the
+/// Run `solver` on a failure-free cluster and return, per node, the
 /// alloc-miss count recorded on that node's thread plus whether its solve
 /// converged.
-fn audit<F>(nodes: usize, problem: &Problem, cfg: SolverConfig, node_program: F) -> Vec<(u64, bool)>
-where
-    F: Fn(&mut NodeCtx, &Arc<Csr>, &Arc<Vec<f64>>, &SolverConfig) -> esr_core::NodeOutcome + Sync,
-{
+fn audit(
+    nodes: usize,
+    problem: &Problem,
+    cfg: SolverConfig,
+    solver: SolverKind,
+) -> Vec<(u64, bool)> {
     let a = problem.a.clone();
     let b = problem.b.clone();
     Cluster::run(ClusterConfig::new(nodes), move |ctx| {
         hotpath::reset_alloc_misses();
-        let out = node_program(ctx, &a, &b, &cfg);
+        let out = node_program(solver, ctx, &a, &b, &cfg);
         (hotpath::alloc_misses(), out.converged)
     })
 }
 
-fn assert_zero_misses(results: &[(u64, bool)]) {
-    for (rank, &(misses, converged)) in results.iter().enumerate() {
-        assert!(converged, "node {rank} did not converge");
-        assert_eq!(
-            misses, 0,
-            "node {rank} recorded {misses} hot-path allocation misses"
-        );
-    }
-}
-
-#[test]
-fn esr_pcg_steady_state_allocates_nothing() {
-    // φ = 2 redundancy: every iteration ships natural ghosts *and* the
-    // Eqn. (6) extras through the reused send buffers.
-    let problem = Problem::with_ones_solution(poisson2d(20, 20));
-    let results = audit(4, &problem, SolverConfig::resilient(2), esr_pcg_node);
-    assert_zero_misses(&results);
-}
-
-#[test]
-fn plain_pcg_steady_state_allocates_nothing() {
-    let problem = Problem::with_random_rhs(poisson2d(16, 16), 7);
-    let results = audit(4, &problem, SolverConfig::reference(), esr_pcg_node);
-    assert_zero_misses(&results);
-}
-
-#[test]
-fn pipelined_pcg_steady_state_allocates_nothing() {
-    // The pipelined exchange packs three vectors (m, u-backups, p-backups)
-    // per peer message through the same reused buffers.
-    let problem = Problem::with_ones_solution(poisson2d(18, 18));
-    let results = audit(4, &problem, SolverConfig::resilient(2), esr_pipecg_node);
-    assert_zero_misses(&results);
-}
-
-#[test]
-fn checkpoint_protected_pcg_steady_state_allocates_nothing() {
-    // Periodic deposits allocate one fresh pack buffer per round by design
-    // (cold path, every `interval`-th iteration); the in-between
-    // iterations must still be miss-free.
+/// Checkpoint protection: periodic deposits allocate one fresh pack buffer
+/// per round by design (cold path, every `interval`-th iteration); the
+/// in-between iterations must still be miss-free.
+fn checkpointed() -> SolverConfig {
     let mut cfg = SolverConfig::resilient(1);
     cfg.resilience = Some(
         ResilienceConfig::paper(1)
             .with_protection(Protection::Checkpoint(CrConfig::default().with_interval(5))),
     );
-    let problem = Problem::with_ones_solution(poisson2d(16, 16));
-    let results = audit(4, &problem, cfg, esr_pcg_node);
-    assert_zero_misses(&results);
+    cfg
+}
+
+#[test]
+fn steady_state_allocates_nothing() {
+    use SolverKind::{BiCgStab, Pcg, PipeCg};
+    let ones = |g| Problem::with_ones_solution(poisson2d(g, g));
+    // φ = 2 redundancy: every iteration ships natural ghosts *and* the
+    // Eqn. (6) extras through the reused send buffers; the pipelined
+    // exchange packs three vectors (m, u-backups, p-backups) per peer
+    // message through the same buffers.
+    let cells = [
+        (
+            "pcg plain",
+            Pcg,
+            Problem::with_random_rhs(poisson2d(16, 16), 7),
+            SolverConfig::reference(),
+        ),
+        ("pcg esr", Pcg, ones(20), SolverConfig::resilient(2)),
+        ("pcg checkpoint", Pcg, ones(16), checkpointed()),
+        ("pipecg esr", PipeCg, ones(18), SolverConfig::resilient(2)),
+        ("pipecg checkpoint", PipeCg, ones(16), checkpointed()),
+        (
+            "bicgstab plain",
+            BiCgStab,
+            ones(16),
+            SolverConfig::reference(),
+        ),
+        (
+            "bicgstab esr",
+            BiCgStab,
+            ones(18),
+            SolverConfig::resilient(2),
+        ),
+        ("bicgstab checkpoint", BiCgStab, ones(16), checkpointed()),
+    ];
+    for (cell, solver, problem, cfg) in cells {
+        for (rank, (misses, converged)) in audit(4, &problem, cfg, solver).into_iter().enumerate() {
+            assert!(converged, "{cell}: node {rank} did not converge");
+            assert_eq!(
+                misses, 0,
+                "{cell}: node {rank} recorded {misses} hot-path allocation misses"
+            );
+        }
+    }
 }

@@ -203,7 +203,7 @@ fn consecutive_ring_strategy_survives() {
 
 #[test]
 fn checkpoint_restart_baseline_survives_failures() {
-    use esr_core::{run_checkpoint_restart, CrConfig};
+    use esr_core::{CrConfig, Protection, ResilienceConfig};
     let a = poisson2d(14, 14);
     let problem = Problem::with_ones_solution(a);
     let script = FailureScript::simultaneous(9, 1, 2, 7);
@@ -211,15 +211,9 @@ fn checkpoint_restart_baseline_survives_failures() {
         interval: 4,
         copies: 2,
     };
-    let res = run_checkpoint_restart(
-        &problem,
-        7,
-        &SolverConfig::resilient(2),
-        &cr,
-        cost(),
-        script,
-    )
-    .unwrap();
+    let mut cfg = SolverConfig::resilient(2);
+    cfg.resilience = Some(ResilienceConfig::paper(2).with_protection(Protection::Checkpoint(cr)));
+    let res = run_pcg(&problem, 7, &cfg, cost(), script).unwrap();
     assert!(res.converged);
     assert_eq!(res.recoveries, 1);
     assert!(max_err_ones(&res) < 1e-6);

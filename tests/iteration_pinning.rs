@@ -203,17 +203,22 @@ fn checkpoint_restart_trajectories_are_pinned_bitwise() {
     // C/R path must reproduce them bitwise: the fused loop-top reductions
     // are element-wise identical to the old separate ones, the pack layout
     // is unchanged, and rollback restores the exact deposited state.
-    use esr_suite::core::{run_checkpoint_restart, CrConfig};
+    use esr_suite::core::{CrConfig, Protection, ResilienceConfig};
     let problem = Problem::with_ones_solution(poisson2d(14, 14));
+    let cr_cfg = |phi: usize, cr: CrConfig| {
+        let mut cfg = SolverConfig::resilient(phi);
+        cfg.resilience =
+            Some(ResilienceConfig::paper(phi).with_protection(Protection::Checkpoint(cr)));
+        cfg
+    };
 
     // Two simultaneous failures at iteration 6, interval 5: rollback to
     // epoch 5 re-executes one iteration.
     let cr = CrConfig::default().with_interval(5).with_copies(2);
-    let r = run_checkpoint_restart(
+    let r = run_pcg(
         &problem,
         7,
-        &SolverConfig::resilient(2),
-        &cr,
+        &cr_cfg(2, cr),
         CostModel::default(),
         FailureScript::simultaneous(6, 2, 2, 7),
     )
@@ -227,11 +232,10 @@ fn checkpoint_restart_trajectories_are_pinned_bitwise() {
     // Single failure at iteration 13 on 4 nodes, one replica per block:
     // rollback to epoch 10 re-executes three iterations.
     let cr = CrConfig::default().with_interval(5).with_copies(1);
-    let r = run_checkpoint_restart(
+    let r = run_pcg(
         &problem,
         4,
-        &SolverConfig::resilient(1),
-        &cr,
+        &cr_cfg(1, cr),
         CostModel::default(),
         FailureScript::simultaneous(13, 2, 1, 4),
     )

@@ -22,18 +22,11 @@
 //! — the mixed event exercises both halves of the engine at once.
 
 use esr_core::{
-    run_bicgstab, run_pcg, run_pipecg, CrConfig, ExperimentResult, Problem, Protection,
-    RecoveryPolicy, SolverConfig,
+    run, CrConfig, ExperimentResult, Problem, Protection, RecoveryPolicy, SolverConfig,
+    SolverKind as Solver,
 };
 use parcomm::{CostModel, FailAt, FailureEvent, FailureScript};
 use sparsemat::gen::poisson2d;
-
-#[derive(Clone, Copy, Debug)]
-enum Solver {
-    Pcg,
-    PipeCg,
-    BiCgStab,
-}
 
 const SOLVERS: [Solver; 3] = [Solver::Pcg, Solver::PipeCg, Solver::BiCgStab];
 
@@ -122,12 +115,8 @@ fn run_cell_prot(
     }
     let cost = CostModel::default();
     let sc = script(mode, at, first, nodes);
-    let res = match solver {
-        Solver::Pcg => run_pcg(&problem, nodes, &cfg, cost, sc),
-        Solver::PipeCg => run_pipecg(&problem, nodes, &cfg, cost, sc),
-        Solver::BiCgStab => run_bicgstab(&problem, nodes, &cfg, cost, sc),
-    }
-    .expect("every engine-backed cell is a supported configuration");
+    let res = run(solver, &problem, nodes, &cfg, cost, sc)
+        .expect("every engine-backed cell is a supported configuration");
     let label = format!("{prot:?} × {solver:?} × {policy:?} × {mode:?} (N={nodes})");
     assert!(res.converged, "{label}: did not converge");
     let err = res.x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0, f64::max);
@@ -300,12 +289,7 @@ fn spares_cover_then_run_dry_for_every_solver() {
         let cfg = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Spares(2));
         let cost = CostModel::default();
         let sc = FailureScript::at_iterations(7, &[(3, 1), (3, 5), (9, 2)]);
-        let res = match solver {
-            Solver::Pcg => run_pcg(&problem, 7, &cfg, cost, sc),
-            Solver::PipeCg => run_pipecg(&problem, 7, &cfg, cost, sc),
-            Solver::BiCgStab => run_bicgstab(&problem, 7, &cfg, cost, sc),
-        }
-        .unwrap();
+        let res = run(solver, &problem, 7, &cfg, cost, sc).unwrap();
         assert!(res.converged, "{solver:?}");
         let err = res.x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0, f64::max);
         assert!(err < 1e-6, "{solver:?}: err={err}");
@@ -328,12 +312,7 @@ fn shrink_after_shrink_for_every_solver() {
         let cfg = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Shrink);
         let cost = CostModel::default();
         let sc = FailureScript::at_iterations(7, &[(3, 4), (9, 0)]);
-        let res = match solver {
-            Solver::Pcg => run_pcg(&problem, 7, &cfg, cost, sc),
-            Solver::PipeCg => run_pipecg(&problem, 7, &cfg, cost, sc),
-            Solver::BiCgStab => run_bicgstab(&problem, 7, &cfg, cost, sc),
-        }
-        .unwrap();
+        let res = run(solver, &problem, 7, &cfg, cost, sc).unwrap();
         assert!(res.converged, "{solver:?}");
         let err = res.x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0, f64::max);
         assert!(err < 1e-6, "{solver:?}: err={err}");
@@ -352,12 +331,7 @@ fn shrink_to_single_survivor_for_every_solver() {
         let cfg = SolverConfig::resilient_with_policy(4, RecoveryPolicy::Shrink);
         let cost = CostModel::default();
         let sc = FailureScript::simultaneous(4, 1, 4, 5);
-        let res = match solver {
-            Solver::Pcg => run_pcg(&problem, 5, &cfg, cost, sc),
-            Solver::PipeCg => run_pipecg(&problem, 5, &cfg, cost, sc),
-            Solver::BiCgStab => run_bicgstab(&problem, 5, &cfg, cost, sc),
-        }
-        .unwrap();
+        let res = run(solver, &problem, 5, &cfg, cost, sc).unwrap();
         assert!(res.converged, "{solver:?}");
         let err = res.x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0, f64::max);
         assert!(err < 1e-6, "{solver:?}: err={err}");
@@ -379,12 +353,7 @@ fn shrink_at_iteration_zero_for_every_solver() {
         let cfg = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Shrink);
         let cost = CostModel::default();
         let sc = FailureScript::simultaneous(0, 1, 2, 6);
-        let res = match solver {
-            Solver::Pcg => run_pcg(&problem, 6, &cfg, cost, sc),
-            Solver::PipeCg => run_pipecg(&problem, 6, &cfg, cost, sc),
-            Solver::BiCgStab => run_bicgstab(&problem, 6, &cfg, cost, sc),
-        }
-        .unwrap();
+        let res = run(solver, &problem, 6, &cfg, cost, sc).unwrap();
         assert!(res.converged, "{solver:?}");
         let err = res.x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0, f64::max);
         assert!(err < 1e-6, "{solver:?}: err={err}");
@@ -404,20 +373,8 @@ fn covered_spares_match_replace_bitwise_for_every_solver() {
     for solver in SOLVERS {
         let replace = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Replace);
         let spares = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Spares(4));
-        let (a_res, b_res) = match solver {
-            Solver::Pcg => (
-                run_pcg(&problem, 7, &replace, cost, script()).unwrap(),
-                run_pcg(&problem, 7, &spares, cost, script()).unwrap(),
-            ),
-            Solver::PipeCg => (
-                run_pipecg(&problem, 7, &replace, cost, script()).unwrap(),
-                run_pipecg(&problem, 7, &spares, cost, script()).unwrap(),
-            ),
-            Solver::BiCgStab => (
-                run_bicgstab(&problem, 7, &replace, cost, script()).unwrap(),
-                run_bicgstab(&problem, 7, &spares, cost, script()).unwrap(),
-            ),
-        };
+        let a_res = run(solver, &problem, 7, &replace, cost, script()).unwrap();
+        let b_res = run(solver, &problem, 7, &spares, cost, script()).unwrap();
         assert_eq!(a_res.iterations, b_res.iterations, "{solver:?}");
         assert_eq!(a_res.solver_residual, b_res.solver_residual, "{solver:?}");
         assert_eq!(a_res.vtime, b_res.vtime, "{solver:?}");

@@ -382,7 +382,7 @@ fn solvers_outside_the_engine_reject_non_replace_policies() {
 fn checkpoint_restart_runs_under_every_policy() {
     // The other half of the engine fold: C/R protection composes with the
     // full recovery-policy axis, not just Replace.
-    use esr_core::{run_checkpoint_restart, CrConfig};
+    use esr_core::{CrConfig, Protection, ResilienceConfig};
     let a = poisson2d(12, 12);
     let problem = Problem::with_ones_solution(a);
     let cr = CrConfig::default().with_interval(4).with_copies(2);
@@ -391,16 +391,14 @@ fn checkpoint_restart_runs_under_every_policy() {
         RecoveryPolicy::Spares(2),
         RecoveryPolicy::Shrink,
     ] {
-        let cfg = SolverConfig::resilient_with_policy(2, policy);
-        let res = run_checkpoint_restart(
-            &problem,
-            6,
-            &cfg,
-            &cr,
-            cost(),
-            FailureScript::simultaneous(5, 2, 2, 6),
-        )
-        .unwrap();
+        let mut cfg = SolverConfig::resilient(2);
+        cfg.resilience = Some(
+            ResilienceConfig::paper(2)
+                .with_policy(policy)
+                .with_protection(Protection::Checkpoint(cr.clone())),
+        );
+        let script = FailureScript::simultaneous(5, 2, 2, 6);
+        let res = run_pcg(&problem, 6, &cfg, cost(), script).unwrap();
         assert!(res.converged, "{policy:?}");
         assert_eq!(res.recoveries, 1, "{policy:?}");
         assert!(max_err_ones(&res) < 1e-6, "{policy:?}");

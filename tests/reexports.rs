@@ -91,8 +91,9 @@ fn engine_and_config_error_types_reach_through_umbrella_paths() {
 fn checkpoint_protection_reaches_through_umbrella_paths() {
     // The protection axis (engine-folded checkpoint/restart) is public
     // surface: CrConfig through both spellings (the old `core::checkpoint`
-    // home re-exports the config type), Protection on ResilienceConfig,
-    // and the run_checkpoint_restart compatibility entry point.
+    // home re-exports the config type) and Protection on ResilienceConfig.
+    // There is no C/R entry point or SolverKind of its own: protection is
+    // configuration, and the one driver `run(SolverKind, …)` takes it.
     let via_umbrella = esr_suite::core::CrConfig::default()
         .with_interval(5)
         .with_copies(2);
@@ -101,20 +102,22 @@ fn checkpoint_protection_reaches_through_umbrella_paths() {
     assert_eq!(via_old_home.interval, 5);
     assert_eq!(via_old_home.copies, 2);
 
-    let res = esr_core::ResilienceConfig::paper(2)
-        .with_protection(esr_suite::core::Protection::Checkpoint(via_member));
+    let res = esr_core::ResilienceConfig::paper(1)
+        .with_protection(esr_suite::core::Protection::Checkpoint(via_old_home));
     assert!(res.cr().is_some());
     assert!(!res.is_esr());
     assert!(esr_core::ResilienceConfig::paper(2).is_esr());
 
-    // The compatibility shim still runs a full C/R-protected solve.
+    // A full C/R-protected solve through the generic driver.
     let a = esr_suite::sparsemat::gen::poisson2d(8, 8);
     let problem = Problem::with_ones_solution(a);
-    let result = esr_suite::core::run_checkpoint_restart(
+    let mut cfg = SolverConfig::resilient(1);
+    cfg.resilience = Some(res);
+    let result = esr_suite::core::run(
+        esr_core::SolverKind::Pcg,
         &problem,
         4,
-        &SolverConfig::resilient(1),
-        &via_old_home,
+        &cfg,
         CostModel::default(),
         FailureScript::simultaneous(6, 1, 1, 4),
     )
