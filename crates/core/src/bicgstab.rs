@@ -139,8 +139,8 @@ impl ResilientKernel for BicgstabState {
         let phat = copies[0].take().expect("p̂(j) copies are mandatory");
         let shat = copies[1].take().expect("ŝ(j) copies are mandatory");
         // p_b = M_{b,b} p̂_b ; s_b = M_{b,b} ŝ_b (block-diagonal M).
-        blk.vecs[P] = engine::m_block_forward(ctx, shared.a, shared.precond, &blk.range, &phat);
-        blk.vecs[S] = engine::m_block_forward(ctx, shared.a, shared.precond, &blk.range, &shat);
+        blk.vecs[P] = engine::m_block_forward(ctx, shared, &blk.range, &phat);
+        blk.vecs[S] = engine::m_block_forward(ctx, shared, &blk.range, &shat);
         blk.vecs[PHAT] = phat;
         blk.vecs[SHAT] = shat;
     }
@@ -310,11 +310,10 @@ mod tests {
         cfg: &SolverConfig,
         script: FailureScript,
     ) -> Vec<NodeOutcome> {
-        let a = problem.a.clone();
-        let b = problem.b.clone();
+        let problem = problem.clone();
         let cfg = cfg.clone();
         Cluster::run(ClusterConfig::new(nodes).with_script(script), move |ctx| {
-            node_program(SolverKind::BiCgStab, ctx, &a, &b, &cfg)
+            node_program(SolverKind::BiCgStab, ctx, &problem, &cfg)
         })
     }
 

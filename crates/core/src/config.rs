@@ -304,6 +304,14 @@ pub enum ConfigError {
         /// The constraint that rules the combination out.
         constraint: &'static str,
     },
+    /// The block-row distribution gives every node at least one row:
+    /// `1 ≤ N ≤ n` must hold.
+    NodesOutOfRange {
+        /// Cluster size.
+        nodes: usize,
+        /// System dimension.
+        rows: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -341,6 +349,11 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "CrConfig {{ interval: {interval}, copies: {copies} }} on a cluster \
                  of {nodes} nodes: {constraint}"
+            ),
+            ConfigError::NodesOutOfRange { nodes, rows } => write!(
+                f,
+                "a cluster of {nodes} nodes for a system of {rows} rows: every node \
+                 owns at least one block row, so 1 ≤ N ≤ n must hold"
             ),
         }
     }

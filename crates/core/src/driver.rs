@@ -11,22 +11,30 @@ use sparsemat::Csr;
 use crate::config::{ConfigError, RecoveryPolicy, SolverConfig, SolverKind};
 use crate::engine::RecoveryTimeline;
 use crate::node::{node_program, NodeOutcome};
+use crate::statics::{StaticCounts, StaticData};
 
-/// A linear system `A x = b` with `A` SPD.
+/// A linear system `A x = b` with `A` SPD. Clones share the matrix, the
+/// right-hand side and the static data solves derive from the matrix
+/// ([`crate::statics`]): block rows and their exact factors are computed
+/// by the first solve that needs them and reused by every later one.
 #[derive(Clone)]
 pub struct Problem {
     /// The SPD system matrix (static data on reliable storage).
     pub a: Arc<Csr>,
     /// The right-hand side.
     pub b: Arc<Vec<f64>>,
+    /// What solves have derived from `a` so far.
+    statics: Arc<StaticData>,
 }
 
 impl Problem {
     /// Wrap a matrix and right-hand side.
     pub fn new(a: Csr, b: Vec<f64>) -> Self {
         assert_eq!(a.n_rows(), b.len());
+        let a = Arc::new(a);
         Problem {
-            a: Arc::new(a),
+            statics: Arc::new(StaticData::new(a.clone())),
+            a,
             b: Arc::new(b),
         }
     }
@@ -46,6 +54,23 @@ impl Problem {
     /// System dimension.
     pub fn n(&self) -> usize {
         self.a.n_rows()
+    }
+
+    /// The static data of `a`. `a` is a public field: if it was replaced
+    /// since this `Problem` was built, what was derived from the old matrix
+    /// must not be served, and the result is a new, unshared store.
+    pub fn statics(&self) -> Arc<StaticData> {
+        if Arc::ptr_eq(&self.a, self.statics.matrix()) {
+            self.statics.clone()
+        } else {
+            Arc::new(StaticData::new(self.a.clone()))
+        }
+    }
+
+    /// How many blocks and factors the solves of this `Problem` (and of
+    /// its clones) have derived so far.
+    pub fn static_counts(&self) -> StaticCounts {
+        self.statics.counts()
     }
 }
 
@@ -202,12 +227,14 @@ impl ExperimentResult {
 /// Run the (optionally resilient) `solver` on a simulated cluster of
 /// `nodes` nodes.
 ///
-/// Validates the solver × policy × preconditioner combination up front
-/// ([`SolverConfig::validate`]) and returns a typed [`ConfigError`] naming
-/// the violated constraint — unsupported combinations fail as a `Result`,
-/// not as a panic deep in a node thread. State protection is part of the
-/// configuration, not of the entry point: checkpoint/restart is
-/// `cfg.resilience` with [`crate::config::Protection::Checkpoint`].
+/// Validates the cluster size against the system (`1 ≤ nodes ≤ n`: every
+/// node owns at least one row) and the solver × policy × preconditioner
+/// combination ([`SolverConfig::validate`]) up front and returns a typed
+/// [`ConfigError`] naming the violated constraint — unsupported
+/// combinations fail as a `Result`, not as a panic deep in a node thread.
+/// State protection is part of the configuration, not of the entry point:
+/// checkpoint/restart is `cfg.resilience` with
+/// [`crate::config::Protection::Checkpoint`].
 pub fn run(
     solver: SolverKind,
     problem: &Problem,
@@ -216,9 +243,18 @@ pub fn run(
     cost: CostModel,
     script: FailureScript,
 ) -> Result<ExperimentResult, ConfigError> {
+    if nodes == 0 || nodes > problem.n() {
+        return Err(ConfigError::NodesOutOfRange {
+            nodes,
+            rows: problem.n(),
+        });
+    }
     cfg.validate(solver, nodes)?;
-    let a = problem.a.clone();
-    let b = problem.b.clone();
+    // One store for all node threads, also when `problem.a` was replaced.
+    let shared = Problem {
+        statics: problem.statics(),
+        ..problem.clone()
+    };
     let cfg = cfg.clone();
     // A Spares policy provisions the cluster's hot-spare pool; the node
     // programs consume it through `NodeCtx::spare_pool`.
@@ -233,11 +269,11 @@ pub fn run(
     let start = Instant::now();
     #[cfg(feature = "trace")]
     let (per_node, trace) = Cluster::run_traced(cluster_cfg, move |ctx| {
-        node_program(solver, ctx, &a, &b, &cfg)
+        node_program(solver, ctx, &shared, &cfg)
     });
     #[cfg(not(feature = "trace"))]
     let per_node = Cluster::run(cluster_cfg, move |ctx| {
-        node_program(solver, ctx, &a, &b, &cfg)
+        node_program(solver, ctx, &shared, &cfg)
     });
     let wall = start.elapsed();
 
@@ -390,6 +426,43 @@ mod tests {
             res.iterations,
             seq.iterations
         );
+    }
+
+    #[test]
+    fn a_cluster_the_rows_cannot_be_cut_over_is_a_typed_error() {
+        // Four rows: eight nodes would leave some without one, and
+        // `BlockPartition::new` would panic inside node 0.
+        let problem = Problem::with_ones_solution(poisson2d(2, 2));
+        for solver in [
+            SolverKind::Pcg,
+            SolverKind::PipeCg,
+            SolverKind::BiCgStab,
+            SolverKind::Jacobi,
+        ] {
+            for nodes in [8, 0] {
+                let err = run(
+                    solver,
+                    &problem,
+                    nodes,
+                    &SolverConfig::reference(),
+                    CostModel::default(),
+                    FailureScript::none(),
+                )
+                .expect_err("no block-row distribution exists");
+                assert_eq!(err, ConfigError::NodesOutOfRange { nodes, rows: 4 });
+                assert!(err.to_string().contains("1 ≤ N ≤ n"), "{err}");
+            }
+        }
+        // The boundary is fine: one row per node.
+        let res = run_pcg(
+            &problem,
+            4,
+            &SolverConfig::reference(),
+            CostModel::default(),
+            FailureScript::none(),
+        )
+        .unwrap();
+        assert!(res.converged);
     }
 
     #[test]

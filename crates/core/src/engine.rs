@@ -77,6 +77,7 @@ use crate::precsetup::NodePrecond;
 use crate::redundancy;
 use crate::retention::{CheckpointStore, Gen, Retention};
 use crate::scatter::ScatterPlan;
+use crate::statics::StaticData;
 
 // Recovery tag bases; each attempt gets its own tag window so messages
 // from an aborted attempt can never be confused with a later one. The
@@ -100,8 +101,8 @@ pub(crate) fn tag(seq: u32, off: u32) -> u32 {
 pub(crate) struct Layout {
     /// One contiguous block per member, in member order.
     pub part: BlockPartition,
-    /// This node's block rows of `A`.
-    pub lm: LocalMatrix,
+    /// This node's block rows of `A` (shared static data).
+    pub lm: Arc<LocalMatrix>,
     /// Ghost-exchange + redundancy plan on the current layout.
     pub plan: ScatterPlan,
     /// Redundant-copy stores on the current layout — one per vector the
@@ -128,10 +129,15 @@ impl Layout {
     /// (checkpoint protection pays its deposit traffic instead, and an
     /// unprotected solve retains nothing). Collective — all nodes call
     /// together at setup.
-    pub fn build_full(ctx: &mut NodeCtx, a: &Csr, cfg: &SolverConfig, n_channels: usize) -> Self {
+    pub fn build_full(
+        ctx: &mut NodeCtx,
+        statics: &StaticData,
+        cfg: &SolverConfig,
+        n_channels: usize,
+    ) -> Self {
         let rank = ctx.rank();
-        let part = BlockPartition::new(a.n_rows(), ctx.size());
-        let lm = LocalMatrix::build(a, &part, rank);
+        let part = BlockPartition::new(statics.matrix().n_rows(), ctx.size());
+        let lm = statics.block(&part.range(rank));
         let mut plan = ScatterPlan::build(ctx, &lm, &part);
         let esr = cfg.resilience.as_ref().filter(|res| res.is_esr());
         if let Some(res) = esr {
@@ -148,7 +154,7 @@ impl Layout {
         let channels = (0..if esr.is_some() { n_channels } else { 0 })
             .map(|_| Retention::build(&plan, &lm.ghost_cols))
             .collect();
-        let prec = NodePrecond::setup(ctx, &cfg.precond, &part, &lm)
+        let prec = NodePrecond::setup(ctx, &cfg.precond, &part, statics, &lm)
             .unwrap_or_else(|e| panic!("rank {rank}: preconditioner setup failed: {e}"));
         Layout {
             part,
@@ -320,8 +326,9 @@ pub(crate) enum EngineOutcome {
 
 /// Static context of one recovery event.
 pub(crate) struct EngineEnv<'a> {
-    /// Full system matrix (static data, reliable storage).
-    pub a: &'a Arc<Csr>,
+    /// The system matrix and what is derived from it (static data,
+    /// reliable storage).
+    pub statics: &'a StaticData,
     /// Full right-hand side (static data; adopters read adopted rows).
     pub b: &'a [f64],
     /// Resilience configuration (φ, strategy, inner solver, policy).
@@ -526,6 +533,8 @@ impl RecoveryBook {
 pub(crate) struct EngineShared<'a> {
     /// Full system matrix.
     pub a: &'a Csr,
+    /// Its per-range blocks and factors.
+    pub statics: &'a StaticData,
     /// Preconditioner configuration (block reconstruction operators).
     pub precond: &'a PrecondConfig,
     /// `false` at iteration 0.
@@ -661,8 +670,10 @@ pub(crate) fn recover(
             .collect();
         debug_assert!(if_indices.windows(2).all(|w| w[0] < w[1]));
         let my_range = layout.lm.range.clone();
+        let a: &Csr = env.statics.matrix();
         let shared = EngineShared {
-            a: env.a,
+            a,
+            statics: env.statics,
             precond: env.precond,
             has_prev: env.has_prev,
         };
@@ -818,7 +829,7 @@ pub(crate) fn recover(
         // couple to, form `w = b_If − r_If − A_{If,I\If} x_{I\If}`, and
         // solve `A_{If,If} x_If = w` cooperatively over the group.
         let &KernelShape { r_slot, x_slot, .. } = kernel.shape();
-        let lookup = comm.gather_outside(ctx, env.a, &blocks, &kernel.vecs()[x_slot]);
+        let lookup = comm.gather_outside(ctx, a, &blocks, &kernel.vecs()[x_slot]);
         if !blocks.is_empty() {
             let lookup = lookup.expect("reconstructors obtain the x lookup");
             let mut rows: Vec<usize> = Vec::new();
@@ -826,7 +837,7 @@ pub(crate) fn recover(
             for blk in &blocks {
                 let mut flops = 0usize;
                 for (i, gr) in blk.range.clone().enumerate() {
-                    let (cols, vals) = env.a.row(gr);
+                    let (cols, vals) = a.row(gr);
                     let mut s = 0.0;
                     for (c, v) in cols.iter().zip(vals) {
                         let c = *c as usize;
@@ -844,7 +855,7 @@ pub(crate) fn recover(
                 rows.extend(blk.range.clone());
             }
             debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
-            let x_new = comm.solve_if_system(ctx, env.a, &rows, rhs);
+            let x_new = comm.solve_if_system(ctx, a, Some(env.statics), &rows, rhs);
             let mut off = 0usize;
             for blk in &mut blocks {
                 blk.vecs[x_slot] = x_new[off..off + blk.range.len()].to_vec();
@@ -936,11 +947,11 @@ pub(crate) fn rebuild_layout_after_shrink(
     let my_new_slot = new_members
         .binary_search(&me)
         .expect("active non-retired rank is a new member");
-    let lm = LocalMatrix::build(env.a, &new_part, my_new_slot);
+    let lm = env.statics.block(&new_part.range(my_new_slot));
     // Coarse cost of re-extracting the adopted static rows.
     ctx.clock_mut()
         .advance_flops(lm.diag.nnz() + lm.offdiag.nnz());
-    let prec = NodePrecond::setup(ctx, env.precond, &new_part, &lm)
+    let prec = NodePrecond::setup(ctx, env.precond, &new_part, env.statics, &lm)
         .unwrap_or_else(|e| panic!("rank {me}: preconditioner rebuild after shrink: {e}"));
     let mut group = ctx.group(&new_members);
     let mut plan = ScatterPlan::build_on(ctx, &mut group, &lm, &new_part);
@@ -1254,11 +1265,13 @@ impl EngineComm<'_> {
     /// blocks matching each member's reconstructed rows). `rows` is this
     /// member's sorted row set; the concatenation of the members' rows in
     /// ascending rank order equals `If` — guaranteed by the
-    /// nearest-preceding-survivor adoption rule. Reconstructors only.
+    /// nearest-preceding-survivor adoption rule. `statics` is the store
+    /// when `m` is the system matrix (`None` for `P`). Reconstructors only.
     pub fn solve_if_system(
         &mut self,
         ctx: &mut NodeCtx,
         m: &Csr,
+        statics: Option<&StaticData>,
         rows: &[usize],
         rhs: Vec<f64>,
     ) -> Vec<f64> {
@@ -1269,13 +1282,14 @@ impl EngineComm<'_> {
             let recon = self.reconstructors;
             self.group.get_or_insert_with(|| ctx.group(recon))
         };
-        let (y, iters) = solve_failed_rows(ctx, group, rcfg, rows, if_indices, m, rhs);
+        let (y, iters) = solve_failed_rows(ctx, group, rcfg, rows, if_indices, m, statics, rhs);
         self.inner_iterations += iters;
         y
     }
 }
 
 /// The cooperative inner solve behind [`EngineComm::solve_if_system`].
+#[allow(clippy::too_many_arguments)]
 fn solve_failed_rows(
     ctx: &mut NodeCtx,
     group: &mut Group,
@@ -1283,25 +1297,41 @@ fn solve_failed_rows(
     rows: &[usize],
     if_indices: &[usize],
     m: &Csr,
+    statics: Option<&StaticData>,
     rhs: Vec<f64>,
 ) -> (Vec<f64>, usize) {
     let rank = ctx.rank();
     // This member's rows of M_{If,If} (columns renumbered into If).
     let sub = m.extract(rows, if_indices);
-    // Own diagonal block of M_{If,If} for preconditioning.
-    let block = m.extract(rows, rows);
+    // Own diagonal block of M_{If,If} for preconditioning, and its exact
+    // factor: shared static data when the rows are one contiguous range of
+    // `A` (Replace and Spares always; a Shrink adopter of adjacent blocks),
+    // extracted and factored for this solve otherwise (`P`-given systems;
+    // an adopter of blocks on both sides of its own).
+    let own;
+    let (statics, range) = match statics {
+        Some(st) if rows[rows.len() - 1] + 1 - rows[0] == rows.len() => {
+            (st, rows[0]..rows[0] + rows.len())
+        }
+        _ => {
+            own = StaticData::new(Arc::new(m.extract(rows, rows)));
+            (&own, 0..rows.len())
+        }
+    };
+    let block = &statics.block(&range).diag;
     enum BlockPrec {
-        Exact(SparseLdl),
+        Exact(Arc<SparseLdl>),
         Ilu(Ilu0),
     }
     let prec = if rcfg.exact_block_precond {
         BlockPrec::Exact(
-            SparseLdl::new(&block)
+            statics
+                .factor(&range)
                 .unwrap_or_else(|e| panic!("rank {rank}: reconstruction block not SPD: {e}")),
         )
     } else {
         BlockPrec::Ilu(
-            Ilu0::new(&block)
+            Ilu0::new(block)
                 .unwrap_or_else(|e| panic!("rank {rank}: reconstruction block ILU breakdown: {e}")),
         )
     };
@@ -1369,25 +1399,24 @@ fn solve_failed_rows(
 /// lets an *adopter* reconstruct a block it never owned.
 pub(crate) fn m_block_forward(
     ctx: &mut NodeCtx,
-    a: &Csr,
-    precond: &PrecondConfig,
+    shared: &EngineShared<'_>,
     range: &Range<usize>,
     z: &[f64],
 ) -> Vec<f64> {
     let blen = range.len();
-    let rows: Vec<usize> = range.clone().collect();
-    match precond {
+    let statics = shared.statics;
+    match shared.precond {
         PrecondConfig::None => z.to_vec(),
         PrecondConfig::Jacobi => {
-            let d = a.extract(&rows, &rows).diag();
+            let d = statics.block(range).diag.diag();
             ctx.clock_mut().advance_flops(blen);
             z.iter().zip(&d).map(|(z, d)| z * d).collect()
         }
         PrecondConfig::BlockJacobiExact => {
-            let m_bb = a.extract(&rows, &rows);
+            let block = statics.block(range);
             let mut r = vec![0.0; blen];
-            m_bb.spmv(z, &mut r);
-            ctx.clock_mut().advance_flops(m_bb.spmv_flops());
+            block.diag.spmv(z, &mut r);
+            ctx.clock_mut().advance_flops(block.diag.spmv_flops());
             r
         }
         PrecondConfig::ExplicitP(_) => {
@@ -1403,23 +1432,21 @@ pub(crate) fn m_block_forward(
 /// `q = M⁻¹ s` per block).
 pub(crate) fn m_block_inverse(
     ctx: &mut NodeCtx,
-    a: &Csr,
-    precond: &PrecondConfig,
+    shared: &EngineShared<'_>,
     range: &Range<usize>,
     s: &[f64],
 ) -> Vec<f64> {
     let blen = range.len();
-    let rows: Vec<usize> = range.clone().collect();
-    match precond {
+    let statics = shared.statics;
+    match shared.precond {
         PrecondConfig::None => s.to_vec(),
         PrecondConfig::Jacobi => {
-            let d = a.extract(&rows, &rows).diag();
+            let d = statics.block(range).diag.diag();
             ctx.clock_mut().advance_flops(blen);
             s.iter().zip(&d).map(|(s, d)| s / d).collect()
         }
         PrecondConfig::BlockJacobiExact => {
-            let m_bb = a.extract(&rows, &rows);
-            let factor = SparseLdl::new(&m_bb).unwrap_or_else(|e| {
+            let factor = statics.factor(range).unwrap_or_else(|e| {
                 panic!(
                     "reconstruction block [{}, {}) not SPD: {e}",
                     range.start, range.end

@@ -21,6 +21,7 @@
 //! | Communication-hiding pipelined PCG + its ESR (arXiv:1912.09230) | [`pipecg`] |
 //! | Preconditioner variants (M-given / P-given) | [`precsetup`] |
 //! | Communication-overhead bounds (Sec. 4.2, Sec. 5) | [`analysis`] |
+//! | Static data on reliable storage, derived once per problem (Sec. 1.1.2) | [`statics`] |
 //! | Experiment orchestration (Secs. 6–7) | [`driver`] |
 //! | ESR beyond PCG: BiCGSTAB, stationary methods (Sec. 1) | [`bicgstab`], [`stationary`] |
 //!
@@ -53,6 +54,7 @@ pub mod precsetup;
 pub mod redundancy;
 pub mod retention;
 pub mod scatter;
+pub mod statics;
 pub mod stationary;
 
 pub use config::{
@@ -64,3 +66,4 @@ pub use driver::{
 };
 pub use engine::{RecoveryEngine, RecoveryReport, RecoveryTimeline, SubstepTiming};
 pub use node::{node_program, NodeOutcome};
+pub use statics::{StaticCounts, StaticData};

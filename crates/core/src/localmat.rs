@@ -26,14 +26,22 @@ pub struct LocalMatrix {
 impl LocalMatrix {
     /// Extract `rank`'s block rows from the full matrix.
     pub fn build(a: &Csr, part: &BlockPartition, rank: usize) -> Self {
-        let range = part.range(rank);
-        let ghost_cols = sparsemat::analysis::ghost_needs(a, part, rank);
+        Self::build_range(a, part.range(rank))
+    }
+
+    /// Extract the block rows `range` from the full matrix. The result
+    /// depends on nothing but `a` and `range`: the ghost columns are the
+    /// columns of those rows outside the range
+    /// ([`sparsemat::analysis::ghost_needs`] of any partition that cuts
+    /// this block).
+    pub fn build_range(a: &Csr, range: Range<usize>) -> Self {
         let nloc = range.len();
 
         let mut diag_ptr = Vec::with_capacity(nloc + 1);
         let mut diag_col = Vec::new();
         let mut diag_val = Vec::new();
         let mut off_ptr = Vec::with_capacity(nloc + 1);
+        // Global column indices until the ghost list is known.
         let mut off_col = Vec::new();
         let mut off_val = Vec::new();
         diag_ptr.push(0);
@@ -46,14 +54,19 @@ impl LocalMatrix {
                     diag_col.push(c - range.start);
                     diag_val.push(*v);
                 } else {
-                    // ghost_cols is sorted and complete by construction.
-                    let pos = ghost_cols.binary_search(&c).expect("ghost column");
-                    off_col.push(pos);
+                    off_col.push(c);
                     off_val.push(*v);
                 }
             }
             diag_ptr.push(diag_col.len());
             off_ptr.push(off_col.len());
+        }
+        let mut ghost_cols = off_col.clone();
+        ghost_cols.sort_unstable();
+        ghost_cols.dedup();
+        for c in &mut off_col {
+            // ghost_cols is sorted and complete by construction.
+            *c = ghost_cols.binary_search(c).expect("ghost column");
         }
         LocalMatrix {
             range,

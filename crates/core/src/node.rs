@@ -26,12 +26,10 @@
 //! not a `Recurrence`: its reconstruction is a copy of the retained
 //! iterate, not the engine's gather → rebuild → inner solve.
 
-use std::sync::Arc;
-
 use parcomm::{CommStats, FailAt, NodeCtx};
-use sparsemat::Csr;
 
 use crate::config::{SolverConfig, SolverKind};
+use crate::driver::Problem;
 use crate::engine::{
     self, EngineEnv, EngineOutcome, Layout, RecoveryBook, RecoveryTimeline, ResilientKernel,
 };
@@ -138,38 +136,39 @@ pub(crate) trait Recurrence: ResilientKernel + Sized {
 }
 
 /// The SPMD node program: solve `A x = b` with the (optionally resilient)
-/// `solver`. All nodes receive the same `a`, `b` (static data on reliable
-/// storage) and configuration; the failure script lives in the cluster's
-/// oracle. Panics with the [`crate::config::ConfigError`] message on a
+/// `solver`. All nodes receive the same `problem` (static data on reliable
+/// storage; clones share what is derived from it, see [`crate::statics`])
+/// and configuration; the failure script lives in the cluster's oracle.
+/// Panics with the [`crate::config::ConfigError`] message on a
 /// configuration `solver` cannot run on this cluster size — the guard for
 /// direct [`parcomm::Cluster::run`] users; [`crate::driver::run`] returns
 /// the same error as a value first.
 pub fn node_program(
     solver: SolverKind,
     ctx: &mut NodeCtx,
-    a: &Arc<Csr>,
-    b: &Arc<Vec<f64>>,
+    problem: &Problem,
     cfg: &SolverConfig,
 ) -> NodeOutcome {
     match solver {
-        SolverKind::Pcg => solve_node::<crate::pcg::PcgState>(ctx, a, b, cfg),
-        SolverKind::PipeCg => solve_node::<crate::pipecg::PipeState>(ctx, a, b, cfg),
-        SolverKind::BiCgStab => solve_node::<crate::bicgstab::BicgstabState>(ctx, a, b, cfg),
-        SolverKind::Jacobi => crate::stationary::esr_jacobi_node(ctx, a, b, cfg),
+        SolverKind::Pcg => solve_node::<crate::pcg::PcgState>(ctx, problem, cfg),
+        SolverKind::PipeCg => solve_node::<crate::pipecg::PipeState>(ctx, problem, cfg),
+        SolverKind::BiCgStab => solve_node::<crate::bicgstab::BicgstabState>(ctx, problem, cfg),
+        SolverKind::Jacobi => crate::stationary::esr_jacobi_node(ctx, problem, cfg),
     }
 }
 
 fn solve_node<K: Recurrence>(
     ctx: &mut NodeCtx,
-    a: &Arc<Csr>,
-    b: &Arc<Vec<f64>>,
+    problem: &Problem,
     cfg: &SolverConfig,
 ) -> NodeOutcome {
-    assert_eq!(b.len(), a.n_rows(), "rhs length");
+    let statics = problem.statics();
+    let b = &problem.b;
+    assert_eq!(b.len(), problem.n(), "rhs length");
     if let Err(e) = cfg.validate(K::KIND, ctx.size()) {
         panic!("rank {}: {e}", ctx.rank());
     }
-    let mut layout = Layout::build_full(ctx, a, cfg, K::CHANNELS);
+    let mut layout = Layout::build_full(ctx, &statics, cfg, K::CHANNELS);
     ctx.barrier();
     let vtime_setup = ctx.vtime();
     ctx.reset_metrics();
@@ -221,7 +220,7 @@ fn solve_node<K: Recurrence>(
                 kernel.drain(ctx);
                 let t0 = ctx.vtime();
                 let env = EngineEnv {
-                    a,
+                    statics: &statics,
                     b,
                     res,
                     precond: &cfg.precond,
@@ -311,17 +310,18 @@ mod tests {
     use crate::pipecg::PipeState;
     use parcomm::{Cluster, ClusterConfig};
     use sparsemat::gen::poisson2d;
+    use sparsemat::Csr;
+    use std::sync::Arc;
 
     /// The kernel contract the engine-side `poison`/`pack`/`unpack` rely
     /// on, checked on every node of a 4-node Poisson layout. A wrong table
     /// entry fails here, not as a 1e-6 miss in a solve-level matrix cell.
     fn check_kernel_contract<K: Recurrence>() {
         let problem = Problem::with_ones_solution(poisson2d(12, 12));
-        let (a, b) = (problem.a.clone(), problem.b.clone());
         Cluster::run(ClusterConfig::new(4), move |ctx| {
             let cfg = SolverConfig::resilient(1);
-            let mut layout = Layout::build_full(ctx, &a, &cfg, K::CHANNELS);
-            let (mut k, _) = K::init(ctx, &mut layout, &b);
+            let mut layout = Layout::build_full(ctx, &problem.statics(), &cfg, K::CHANNELS);
+            let (mut k, _) = K::init(ctx, &mut layout, &problem.b);
             let nloc = layout.lm.n_local();
             let shape = k.shape();
             let (n_vecs, n_scalars) = (k.vecs().len(), k.scalars().len());
@@ -402,9 +402,8 @@ mod tests {
     /// configuration `solver` cannot run.
     fn run_unvalidated(solver: SolverKind, nodes: usize, cfg: SolverConfig) {
         let problem = Problem::with_ones_solution(poisson2d(8, 8));
-        let (a, b) = (problem.a.clone(), problem.b.clone());
         Cluster::run(ClusterConfig::new(nodes), move |ctx| {
-            node_program(solver, ctx, &a, &b, &cfg).converged
+            node_program(solver, ctx, &problem, &cfg).converged
         });
     }
 

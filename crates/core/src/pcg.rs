@@ -133,7 +133,7 @@ impl ResilientKernel for PcgState {
         // adopter rebuild a block it never owned). P-given defers r to the
         // distributed stage.
         if self.explicit_p.is_none() {
-            blk.vecs[R] = engine::m_block_forward(ctx, shared.a, shared.precond, &blk.range, &z);
+            blk.vecs[R] = engine::m_block_forward(ctx, shared, &blk.range, &z);
         }
         blk.vecs[P] = p_cur;
         blk.vecs[Z] = z;
@@ -179,7 +179,7 @@ impl ResilientKernel for PcgState {
             ctx.clock_mut().advance_flops(flops + blk.range.len());
             rows.extend(blk.range.clone());
         }
-        let r_new = comm.solve_if_system(ctx, &p_full, &rows, rhs);
+        let r_new = comm.solve_if_system(ctx, &p_full, None, &rows, rhs);
         let mut off = 0usize;
         for blk in blocks.iter_mut() {
             blk.vecs[R] = r_new[off..off + blk.range.len()].to_vec();

@@ -160,7 +160,7 @@ impl ResilientKernel for PipeState {
         self.s[HAS_DIR] = f64::from(shared.has_prev);
         let u_new = copies[0].take().expect("u(j) copies are mandatory");
         // r_If = M_{If,If} u_If — local because M is block-diagonal.
-        blk.vecs[R] = engine::m_block_forward(ctx, shared.a, shared.precond, &blk.range, &u_new);
+        blk.vecs[R] = engine::m_block_forward(ctx, shared, &blk.range, &u_new);
         if let Some(p_new) = copies[1].take() {
             blk.vecs[P] = p_new;
         } else {
@@ -190,13 +190,7 @@ impl ResilientKernel for PipeState {
             // static data), then z_If = (A q)_If.
             comm.apply_matrix(ctx, shared.a, blocks, P, S, &self.v[P]);
             for blk in blocks.iter_mut() {
-                blk.vecs[Q] = engine::m_block_inverse(
-                    ctx,
-                    shared.a,
-                    shared.precond,
-                    &blk.range,
-                    &blk.vecs[S],
-                );
+                blk.vecs[Q] = engine::m_block_inverse(ctx, shared, &blk.range, &blk.vecs[S]);
             }
             comm.apply_matrix(ctx, shared.a, blocks, Q, Z, &self.v[Q]);
         }

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use crate::config::PrecondConfig;
 use crate::localmat::LocalMatrix;
 use crate::scatter::ScatterPlan;
+use crate::statics::StaticData;
 
 /// A node's share of the preconditioner.
 ///
@@ -36,8 +37,9 @@ pub enum NodePrecond {
     /// The paper's setup: `M` = the node's diagonal block of `A`, solved
     /// exactly by sparse LDLᵀ. The block itself is `LocalMatrix::diag`.
     BlockJacobiExact {
-        /// Exact LDLᵀ factorization of the node's diagonal block.
-        factor: SparseLdl,
+        /// Exact LDLᵀ factorization of the node's diagonal block (shared
+        /// static data).
+        factor: Arc<SparseLdl>,
     },
     /// Explicit `P = M⁻¹` as a distributed sparse matrix: apply is a
     /// distributed SpMV over `P`'s own communication plan.
@@ -55,11 +57,13 @@ pub enum NodePrecond {
 
 impl NodePrecond {
     /// Collective setup — all nodes must call this at the same SPMD point
-    /// with the same configuration.
+    /// with the same configuration. `lm` is this node's block of
+    /// `statics`' matrix.
     pub fn setup(
         ctx: &mut NodeCtx,
         cfg: &PrecondConfig,
         part: &BlockPartition,
+        statics: &StaticData,
         lm: &LocalMatrix,
     ) -> Result<Self, PrecondError> {
         match cfg {
@@ -78,9 +82,9 @@ impl NodePrecond {
                 Ok(NodePrecond::Jacobi { diag, inv_diag })
             }
             PrecondConfig::BlockJacobiExact => {
-                let factor = SparseLdl::new(&lm.diag)?;
-                // Charge the factorization to the virtual clock (done once;
-                // a coarse 20 flops per factor nonzero).
+                let factor = statics.factor(&lm.range)?;
+                // Charge the factorization to the virtual clock (a coarse
+                // 20 flops per factor nonzero), whoever computed it.
                 ctx.clock_mut().advance_flops(20 * factor.l_nnz().max(1));
                 Ok(NodePrecond::BlockJacobiExact { factor })
             }

@@ -14,15 +14,14 @@
 //! `krylov::stationary`).
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use parcomm::fault::poison;
 use parcomm::{CommPhase, FailAt, NodeCtx, Payload};
 use sparsemat::vecops::dot;
-use sparsemat::{BlockPartition, Csr};
+use sparsemat::BlockPartition;
 
 use crate::config::SolverConfig;
-use crate::localmat::LocalMatrix;
+use crate::driver::Problem;
 use crate::node::NodeOutcome;
 use crate::redundancy;
 use crate::retention::{Gen, Retention};
@@ -33,16 +32,11 @@ const TAG_XCOPY: u32 = (1 << 25) + 1;
 /// The SPMD node program: solve `A x = b` with the (optionally resilient)
 /// distributed Jacobi iteration `x ← x + D⁻¹(b − A x)`. Requires `A` to
 /// be such that Jacobi converges (e.g. strictly diagonally dominant).
-pub fn esr_jacobi_node(
-    ctx: &mut NodeCtx,
-    a: &Arc<Csr>,
-    b: &Arc<Vec<f64>>,
-    cfg: &SolverConfig,
-) -> NodeOutcome {
-    let n = a.n_rows();
+pub fn esr_jacobi_node(ctx: &mut NodeCtx, problem: &Problem, cfg: &SolverConfig) -> NodeOutcome {
+    let b = &problem.b;
     let rank = ctx.rank();
-    let part = BlockPartition::new(n, ctx.size());
-    let lm = LocalMatrix::build(a, &part, rank);
+    let part = BlockPartition::new(problem.n(), ctx.size());
+    let lm = problem.statics().block(&part.range(rank));
     let mut plan = ScatterPlan::build(ctx, &lm, &part);
     if let Some(res) = &cfg.resilience {
         plan.send_extra = redundancy::compute_extra_sends(
@@ -204,11 +198,10 @@ mod tests {
         cfg: &SolverConfig,
         script: FailureScript,
     ) -> Vec<NodeOutcome> {
-        let a = problem.a.clone();
-        let b = problem.b.clone();
+        let problem = problem.clone();
         let cfg = cfg.clone();
         Cluster::run(ClusterConfig::new(nodes).with_script(script), move |ctx| {
-            esr_jacobi_node(ctx, &a, &b, &cfg)
+            esr_jacobi_node(ctx, &problem, &cfg)
         })
     }
 

@@ -34,11 +34,10 @@ fn audit(
     cfg: SolverConfig,
     solver: SolverKind,
 ) -> Vec<(u64, bool)> {
-    let a = problem.a.clone();
-    let b = problem.b.clone();
+    let problem = problem.clone();
     Cluster::run(ClusterConfig::new(nodes), move |ctx| {
         hotpath::reset_alloc_misses();
-        let out = node_program(solver, ctx, &a, &b, &cfg);
+        let out = node_program(solver, ctx, &problem, &cfg);
         (hotpath::alloc_misses(), out.converged)
     })
 }

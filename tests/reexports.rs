@@ -231,3 +231,51 @@ fn resilient_solve_through_umbrella_paths_only() {
     let err = result.x.iter().map(|x| (x - 1.0).abs()).fold(0.0, f64::max);
     assert!(err < 1e-6, "reconstruction not exact: {err}");
 }
+
+#[test]
+fn static_data_reaches_through_umbrella_paths() {
+    // The per-problem store of blocks and factors is public surface: its
+    // counters through `Problem`, the store and `node_program`'s
+    // `&Problem` form for direct `Cluster::run` users, the range form of
+    // `LocalMatrix::build`, and the cluster-size error `run` returns.
+    use esr_suite::parcomm::{Cluster, ClusterConfig};
+    let a = esr_suite::sparsemat::gen::poisson2d(8, 8);
+    let problem = Problem::with_ones_solution(a);
+    assert_eq!(
+        problem.static_counts(),
+        esr_suite::core::StaticCounts::default()
+    );
+
+    let shared = problem.clone();
+    let cfg = SolverConfig::reference();
+    let outs = Cluster::run(ClusterConfig::new(4), move |ctx| {
+        esr_suite::core::node_program(esr_core::SolverKind::Pcg, ctx, &shared, &cfg)
+    });
+    assert!(outs.iter().all(|o| o.converged));
+    let counts: esr_core::StaticCounts = problem.static_counts();
+    assert_eq!((counts.blocks_built, counts.factors_built), (4, 4));
+
+    let store: std::sync::Arc<esr_suite::core::StaticData> = problem.statics();
+    let part = BlockPartition::new(64, 4);
+    let block = store.block(&part.range(2));
+    let direct = esr_core::localmat::LocalMatrix::build_range(&problem.a, part.range(2));
+    assert_eq!(block.ghost_cols, direct.ghost_cols);
+    assert!(store.factor(&part.range(2)).is_ok());
+    assert_eq!(problem.static_counts(), counts, "served, not rebuilt");
+
+    let err = esr_suite::core::run_pcg(
+        &problem,
+        65,
+        &SolverConfig::reference(),
+        CostModel::default(),
+        FailureScript::none(),
+    )
+    .expect_err("65 nodes cannot each own one of 64 rows");
+    assert!(matches!(
+        err,
+        esr_core::ConfigError::NodesOutOfRange {
+            nodes: 65,
+            rows: 64
+        }
+    ));
+}
