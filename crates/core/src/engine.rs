@@ -1361,13 +1361,16 @@ fn solve_failed_rows(
     }
     let target_sq = rcfg.inner_rel_tol * rcfg.inner_rel_tol * rn0_sq;
     let mut u = vec![0.0; nloc];
+    let mut p_full = Vec::with_capacity(if_indices.len());
     let mut iters = 0usize;
     for _ in 0..rcfg.inner_max_iter {
         iters += 1;
         // Assemble the full If-vector (group index order == ascending
         // reconstructor ranks == the layout of `if_indices`).
-        let parts = group.allgatherv_f64(ctx, p.clone());
-        let p_full: Vec<f64> = parts.into_iter().flatten().collect();
+        p_full.clear();
+        for part in group.allgatherv_f64(ctx, p.clone()) {
+            p_full.extend_from_slice(&part);
+        }
         debug_assert_eq!(p_full.len(), if_indices.len());
         sub.spmv(&p_full, &mut u);
         ctx.clock_mut().advance_flops(sub.spmv_flops());

@@ -7,8 +7,36 @@
 //! with unit lower-triangular `L` (stored column-compressed) and positive
 //! diagonal `D` for SPD input — a non-positive pivot reports
 //! [`PrecondError::Breakdown`], which doubles as an SPD test.
+//!
+//! ## The factor's two encodings
+//!
+//! One solve per rank per PCG iteration makes the two triangular sweeps
+//! the per-iteration local work, so the factor is stored for them. The row
+//! pattern of L's columns is kept in one of two encodings, chosen at the
+//! end of [`SparseLdl::factor_with`] from the pattern itself, exactly as
+//! [`Csr`] chooses for its rows (same helper, [`sparsemat::csr::Runs`];
+//! same threshold, [`sparsemat::csr::SEG_MIN_AVG_RUN`]):
+//!
+//! * **runs** — the columns of a banded factor are almost entirely runs of
+//!   consecutive rows. When the average run is long enough only the runs
+//!   are kept and the per-entry `u32` indices are dropped (12 → 8 B per
+//!   entry). Both sweeps then walk contiguous slices: the forward column
+//!   update is the element-wise `x[s..s+len] -= lx[p..p+len] * xj`, the
+//!   backward column dot reads `x[s..s+len]` with no index loads;
+//! * **indexed** — one `u32` row per entry, swept over zipped column
+//!   slices (scattered patterns: the circuit and unstructured-mesh classes).
+//!
+//! **Accumulation-order contract** (DESIGN.md, "The kernel layer"): the
+//! forward sweep applies the updates of each `x[i]` in ascending column
+//! order; the backward sweep forms each `x[j]` in one accumulator over the
+//! column's rows in ascending order. Both encodings do exactly that, so
+//! [`SparseLdl::solve_in_place`] is *bitwise identical* to the textbook
+//! loops of [`SparseLdl::solve_reference`] — the encodings re-shape memory
+//! traffic, never floating-point association — and `l_nnz`, the flop
+//! charges and every virtual time are those of the indexed factor.
 
 use crate::traits::{PrecondError, Preconditioner};
+use sparsemat::csr::Runs;
 use sparsemat::Csr;
 
 /// Reusable scratch for [`SparseLdl`] factorizations.
@@ -58,12 +86,21 @@ pub struct SparseLdl {
     n: usize,
     /// Column pointers of L (strictly lower part, unit diagonal implicit).
     lp: Vec<usize>,
-    /// Row indices per column of L (compact, like [`Csr`] columns).
-    li: Vec<u32>,
+    /// Row pattern of L's columns, in one of the two encodings.
+    rows: Rows,
     /// Values per column of L.
     lx: Vec<f64>,
     /// The diagonal D.
     d: Vec<f64>,
+}
+
+/// The ascending row indices of each column of L.
+#[derive(Clone, Debug)]
+enum Rows {
+    /// One `u32` per entry (compact, like [`Csr`] columns).
+    Indexed(Vec<u32>),
+    /// Runs of consecutive rows, kept *instead of* the indices.
+    Runs(Runs),
 }
 
 impl SparseLdl {
@@ -177,7 +214,9 @@ impl SparseLdl {
             }
             d[k] = dk;
         }
-        Ok(SparseLdl { n, lp, li, lx, d })
+        // Long enough runs: keep them and drop the per-entry indices.
+        let rows = Runs::detect(&lp, &li).map_or_else(|| Rows::Indexed(li), Rows::Runs);
+        Ok(SparseLdl { n, lp, rows, lx, d })
     }
 
     /// Solve `A x = b` exactly (forward, diagonal, backward substitution).
@@ -187,38 +226,111 @@ impl SparseLdl {
         x
     }
 
-    /// In-place variant of [`SparseLdl::solve`].
+    /// In-place variant of [`SparseLdl::solve`]. Bitwise identical to
+    /// [`SparseLdl::solve_reference`] in both encodings (module docs).
     pub fn solve_in_place(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n);
-        // L y = b (column-oriented forward substitution, unit diagonal).
+        let col = |j: usize| self.lp[j]..self.lp[j + 1];
+        match &self.rows {
+            Rows::Indexed(li) => {
+                for j in 0..self.n {
+                    let xj = x[j];
+                    for (&i, l) in li[col(j)].iter().zip(&self.lx[col(j)]) {
+                        x[i as usize] -= l * xj;
+                    }
+                }
+                for (xi, di) in x.iter_mut().zip(&self.d) {
+                    *xi /= di;
+                }
+                for j in (0..self.n).rev() {
+                    let mut xj = x[j];
+                    for (&i, l) in li[col(j)].iter().zip(&self.lx[col(j)]) {
+                        xj -= l * x[i as usize];
+                    }
+                    x[j] = xj;
+                }
+            }
+            Rows::Runs(runs) => {
+                for j in 0..self.n {
+                    let xj = x[j];
+                    let mut p = self.lp[j];
+                    for (i0, len) in runs.of(j) {
+                        for (xi, l) in x[i0..i0 + len].iter_mut().zip(&self.lx[p..p + len]) {
+                            *xi -= l * xj;
+                        }
+                        p += len;
+                    }
+                }
+                for (xi, di) in x.iter_mut().zip(&self.d) {
+                    *xi /= di;
+                }
+                for j in (0..self.n).rev() {
+                    let mut xj = x[j];
+                    let mut p = self.lp[j];
+                    for (i0, len) in runs.of(j) {
+                        for (xi, l) in x[i0..i0 + len].iter().zip(&self.lx[p..p + len]) {
+                            xj -= l * xi;
+                        }
+                        p += len;
+                    }
+                    x[j] = xj;
+                }
+            }
+        }
+    }
+
+    /// Row index of every entry of L, column by column, from either
+    /// encoding.
+    fn row_indices(&self) -> Vec<u32> {
+        match &self.rows {
+            Rows::Indexed(li) => li.clone(),
+            Rows::Runs(runs) => (0..self.n)
+                .flat_map(|j| runs.of(j))
+                .flat_map(|(i0, len)| i0 as u32..(i0 + len) as u32)
+                .collect(),
+        }
+    }
+
+    /// Reference solve: the textbook per-entry indexed loops (forward
+    /// column scatter, diagonal scale, backward column gather into one
+    /// accumulator) that [`SparseLdl::solve_in_place`] is pinned against,
+    /// bit for bit, in both encodings. Kept for the proptest oracle.
+    #[doc(hidden)]
+    pub fn solve_reference(&self, x: &mut [f64]) {
+        assert_eq!(x.len(), self.n);
+        let li = self.row_indices();
         for j in 0..self.n {
             let xj = x[j];
             for p in self.lp[j]..self.lp[j + 1] {
-                x[self.li[p] as usize] -= self.lx[p] * xj;
+                x[li[p] as usize] -= self.lx[p] * xj;
             }
         }
-        // D z = y
-        for (xi, di) in x.iter_mut().zip(&self.d) {
-            *xi /= di;
+        for j in 0..self.n {
+            x[j] /= self.d[j];
         }
-        // Lᵀ x = z
         for j in (0..self.n).rev() {
             let mut xj = x[j];
             for p in self.lp[j]..self.lp[j + 1] {
-                xj -= self.lx[p] * x[self.li[p] as usize];
+                xj -= self.lx[p] * x[li[p] as usize];
             }
             x[j] = xj;
         }
     }
 
+    /// True if the factor keeps the run-length encoding of its columns.
+    #[doc(hidden)]
+    pub fn uses_segments(&self) -> bool {
+        matches!(self.rows, Rows::Runs(_))
+    }
+
     /// Nonzeros in the strictly-lower factor (fill-in diagnostics).
     pub fn l_nnz(&self) -> usize {
-        self.li.len()
+        self.lx.len()
     }
 
     /// Flop count of one solve: 2 per L entry twice, plus n divisions.
     pub fn solve_flops(&self) -> usize {
-        4 * self.li.len() + self.n
+        4 * self.lx.len() + self.n
     }
 }
 
@@ -328,5 +440,110 @@ mod tests {
             assert!((zi - 1.0).abs() < 1e-10);
         }
         assert!(f.flops_per_apply() > 0);
+    }
+
+    /// The same factor in the other encoding (`segmented` forces the choice
+    /// `factor_with` makes from the pattern) — measurement tests only.
+    fn reencoded(f: &SparseLdl, segmented: bool) -> SparseLdl {
+        let li = f.row_indices();
+        let rows = if segmented {
+            Rows::Runs(Runs::encode(&f.lp, &li, 0))
+        } else {
+            Rows::Indexed(li)
+        };
+        SparseLdl { rows, ..f.clone() }
+    }
+
+    /// Best-of-`reps` nanoseconds per factor entry of one `solve_in_place`.
+    fn ns_per_entry(f: &SparseLdl, reps: usize) -> f64 {
+        let b: Vec<f64> = (0..f.n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut x = b.clone();
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            x.copy_from_slice(&b);
+            let t = std::time::Instant::now();
+            f.solve_in_place(std::hint::black_box(&mut x));
+            best = best.min(t.elapsed().as_secs_f64());
+        }
+        best * 1e9 / f.l_nnz().max(1) as f64
+    }
+
+    /// Where the segmented kernel overtakes the indexed one (DESIGN.md, "The
+    /// kernel layer"): synthetic unit-lower factors whose columns are runs
+    /// of exactly `run` rows separated by one-row holes, ~48 entries per
+    /// column, solved in both encodings. Run with
+    /// `cargo test --release -p precond --lib -- --ignored --nocapture crossover`.
+    #[test]
+    #[ignore = "measurement, not a check"]
+    fn run_length_crossover_sweep() {
+        let n = 4000usize;
+        println!("avg_run  indexed_ns/entry  segmented_ns/entry");
+        for run in [1usize, 2, 3, 4, 6, 8, 12, 24, 48] {
+            let (mut lp, mut li, mut lx) = (vec![0usize], Vec::new(), Vec::new());
+            for j in 0..n {
+                let rows = (j + 1..n).filter(|i| (i - j - 1) % (run + 1) < run);
+                for i in rows.take(48) {
+                    li.push(i as u32);
+                    lx.push(0.01 * ((i * 31 + j * 17) % 13) as f64 - 0.06);
+                }
+                lp.push(li.len());
+            }
+            let indexed = SparseLdl {
+                n,
+                lp,
+                rows: Rows::Indexed(li),
+                lx,
+                d: vec![1.0; n],
+            };
+            let segmented = reencoded(&indexed, true);
+            let Rows::Runs(runs) = &segmented.rows else {
+                unreachable!()
+            };
+            println!(
+                "{:7.2}  {:16.3}  {:18.3}",
+                indexed.l_nnz() as f64 / runs.count() as f64,
+                ns_per_entry(&indexed, 200),
+                ns_per_entry(&segmented, 200),
+            );
+        }
+    }
+
+    /// Average run length of the block factors of every suite matrix in the
+    /// benchmark's configurations, and the solve's cost in both encodings
+    /// (EXPERIMENTS.md, PR 16). Run like the sweep, filter `run_length_table`.
+    #[test]
+    #[ignore = "measurement, not a check"]
+    fn run_length_table() {
+        use sparsemat::gen::suite::{all_ids, generate, PaperMatrix};
+        let cells = all_ids()
+            .map(|id| (id, 0.04, 128))
+            .into_iter()
+            .chain([(PaperMatrix::M1, 0.03, 16), (PaperMatrix::M1, 0.004, 512)]);
+        println!("matrix scale nodes  l_nnz  avg_run  segmented  indexed_ns  segmented_ns");
+        for (id, scale, nodes) in cells {
+            let a = generate(id, scale);
+            let part = sparsemat::BlockPartition::new(a.n_rows(), nodes);
+            let (mut l_nnz, mut runs, mut segmented) = (0usize, 0usize, 0usize);
+            let (mut t_idx, mut t_seg) = (0.0, 0.0);
+            for k in 0..nodes {
+                let rows: Vec<usize> = part.range(k).collect();
+                let f = SparseLdl::new(&a.extract(&rows, &rows)).unwrap();
+                let seg = reencoded(&f, true);
+                let Rows::Runs(r) = &seg.rows else {
+                    unreachable!()
+                };
+                l_nnz += f.l_nnz();
+                runs += r.count();
+                segmented += f.uses_segments() as usize;
+                t_idx += ns_per_entry(&reencoded(&f, false), 20) * f.l_nnz() as f64;
+                t_seg += ns_per_entry(&seg, 20) * f.l_nnz() as f64;
+            }
+            println!(
+                "{id:?} {scale} {nodes}  {l_nnz}  {:.1}  {segmented}/{nodes}  {:.2}  {:.2}",
+                l_nnz as f64 / runs.max(1) as f64,
+                t_idx / l_nnz.max(1) as f64,
+                t_seg / l_nnz.max(1) as f64,
+            );
+        }
     }
 }

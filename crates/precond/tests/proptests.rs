@@ -7,7 +7,7 @@ use precond::{
 };
 use sparsemat::gen::banded_spd;
 use sparsemat::vecops::{dot, norm2};
-use sparsemat::Csr;
+use sparsemat::{Coo, Csr, Rng};
 
 fn residual(a: &Csr, x: &[f64], b: &[f64]) -> f64 {
     let mut r = a.mul_vec(x);
@@ -15,6 +15,69 @@ fn residual(a: &Csr, x: &[f64], b: &[f64]) -> f64 {
         *ri -= bi;
     }
     norm2(&r) / norm2(b).max(1e-300)
+}
+
+/// Strictly diagonally dominant SPD matrix with off-diagonal entries at the
+/// given `(i, j)` pairs (`i != j`; mirrored, duplicates summed).
+fn spd_with_pattern(n: usize, pairs: impl IntoIterator<Item = (usize, usize)>, seed: u64) -> Csr {
+    let mut rng = Rng::new(seed);
+    let mut coo = Coo::new(n, n);
+    let mut rowsum = vec![0.0f64; n];
+    for (i, j) in pairs {
+        let w = rng.range_f64(0.1, 1.0);
+        coo.push_sym(i, j, -w);
+        rowsum[i] += w;
+        rowsum[j] += w;
+    }
+    for (i, &s) in rowsum.iter().enumerate() {
+        coo.push(i, i, s + 0.05 * s.max(1.0));
+    }
+    coo.to_csr()
+}
+
+/// Entry count of the strictly-lower factor by dense symbolic elimination —
+/// the reference both encodings of [`SparseLdl`] must report.
+fn symbolic_l_nnz(a: &Csr) -> usize {
+    let n = a.n_rows();
+    let mut pat = vec![vec![false; n]; n];
+    for (r, row) in pat.iter_mut().enumerate() {
+        for &c in a.row(r).0 {
+            row[c as usize] = true;
+        }
+    }
+    let mut count = 0;
+    for k in 0..n {
+        let below: Vec<usize> = (k + 1..n).filter(|&i| pat[i][k]).collect();
+        count += below.len();
+        for &i in &below {
+            for &j in &below {
+                pat[i][j] = true;
+            }
+        }
+    }
+    count
+}
+
+/// `solve_in_place` ≡ `solve_reference` bit for bit on `a`'s factor, whose
+/// encoding must be `segmented` and whose counts must be the reference's.
+fn assert_solve_matches_reference(a: &Csr, segmented: Option<bool>) -> Result<(), TestCaseError> {
+    let n = a.n_rows();
+    let f = SparseLdl::new(a).unwrap();
+    if let Some(segmented) = segmented {
+        prop_assert_eq!(f.uses_segments(), segmented);
+    }
+    let l_nnz = symbolic_l_nnz(a);
+    prop_assert_eq!(f.l_nnz(), l_nnz);
+    prop_assert_eq!(f.solve_flops(), 4 * l_nnz + n);
+    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() + 0.1).collect();
+    let (mut x, mut x_ref) = (b.clone(), b.clone());
+    f.solve_in_place(&mut x);
+    f.solve_reference(&mut x_ref);
+    for (u, v) in x.iter().zip(&x_ref) {
+        prop_assert_eq!(u.to_bits(), v.to_bits());
+    }
+    prop_assert!(residual(a, &x, &b) < 1e-10);
+    Ok(())
 }
 
 proptest! {
@@ -92,6 +155,86 @@ proptest! {
                 m.name()
             );
             prop_assert!(dot(&x, &mx) > 0.0, "{} not positive", m.name());
+        }
+    }
+
+    /// Full bands straddling the run-length threshold: the factor of a
+    /// bandwidth-`bw` matrix has columns that are one run of `bw` rows
+    /// (shorter in the last `bw` columns), so `bw` decides the encoding.
+    #[test]
+    fn ldl_solve_is_bitwise_reference_on_bands(seed in any::<u64>(), n in 40usize..90, bw in 1usize..9) {
+        let a = banded_spd(n, bw, 1.0, seed);
+        let segmented = match bw {
+            1..=3 => Some(false),
+            4 => None, // the short trailing columns pull the average under 4
+            _ => Some(true),
+        };
+        assert_solve_matches_reference(&a, segmented)?;
+        // Sparse bands: holes inside the envelope, partly closed by fill.
+        assert_solve_matches_reference(&banded_spd(n, bw, 0.5, seed), None)?;
+    }
+
+    /// Long runs with runs of length 1 between them: a band, one dense row
+    /// in the middle and a dense border, so column `j` of L is
+    /// `[j+1 ..= j+bw] [mid] [n-border .. n]`; then empty trailing columns.
+    #[test]
+    fn ldl_solve_is_bitwise_reference_on_holes(
+        seed in any::<u64>(),
+        n in 40usize..80,
+        bw in 10usize..16,
+        border in 5usize..9,
+        tail in 0usize..4,
+    ) {
+        // The last `tail` rows are decoupled: their columns of L are empty.
+        let (mid, m) = (n / 2, n - tail);
+        let pattern = |bw: usize| {
+            let band = (0..m).flat_map(move |i| (i + 1..(i + bw + 1).min(m)).map(move |j| (i, j)));
+            let row = (0..mid).map(move |j| (mid, j));
+            let edge = (m - border..m).flat_map(move |i| (0..m - border).map(move |j| (i, j)));
+            band.chain(row).chain(edge)
+        };
+        assert_solve_matches_reference(&spd_with_pattern(n, pattern(bw), seed), Some(true))?;
+        // A thin band under the same row and border sits near the threshold.
+        assert_solve_matches_reference(&spd_with_pattern(n, pattern(bw - 8), seed), None)?;
+    }
+
+    /// Scattered couplings keep the indexed encoding; `n = 1` and the
+    /// identity have no entries at all.
+    #[test]
+    fn ldl_solve_is_bitwise_reference_on_scattered(seed in any::<u64>(), n in 1usize..70) {
+        let mut rng = Rng::new(seed);
+        let pairs: Vec<(usize, usize)> = (0..if n > 1 { n } else { 0 })
+            .map(|_| (rng.below(n), rng.below(n)))
+            .filter(|(i, j)| i != j)
+            .collect();
+        assert_solve_matches_reference(&spd_with_pattern(n, pairs, seed), None)?;
+        assert_solve_matches_reference(&spd_with_pattern(1, [], seed), Some(false))?;
+        assert_solve_matches_reference(&Csr::identity(n), Some(false))?;
+    }
+
+    /// `BlockJacobi::apply` is the per-block reference solve, bit for bit,
+    /// whichever encoding each block's factor chose.
+    #[test]
+    fn block_jacobi_apply_is_bitwise_reference(
+        seed in any::<u64>(),
+        n in 30usize..90,
+        bw in 2usize..8,
+        blocks in 1usize..5,
+    ) {
+        let a = banded_spd(n, bw, 0.9, seed);
+        let bj = BlockJacobi::with_blocks(&a, blocks, BlockSolver::ExactLdl).unwrap();
+        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).cos()).collect();
+        let mut z = vec![0.0; n];
+        bj.apply(&r, &mut z);
+        let part = sparsemat::BlockPartition::new(n, blocks);
+        let mut z_ref = r.clone();
+        for k in 0..blocks {
+            let rows: Vec<usize> = part.range(k).collect();
+            let f = SparseLdl::new(&a.extract(&rows, &rows)).unwrap();
+            f.solve_reference(&mut z_ref[part.range(k)]);
+        }
+        for (u, v) in z.iter().zip(&z_ref) {
+            prop_assert_eq!(u.to_bits(), v.to_bits());
         }
     }
 

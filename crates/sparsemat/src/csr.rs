@@ -11,10 +11,11 @@
 //! bandwidth against the former `usize` storage. On top of the indexed
 //! representation, construction detects **runs** of consecutive columns
 //! and, when the average run is long enough ([`SEG_MIN_AVG_RUN`]), keeps a
-//! run-length encoding (`seg_*` arrays). The segment kernel turns the
-//! per-element gather `x[col[p]]` into contiguous slice dot-products with
-//! no index traffic at all — the big win on the banded matrices that
-//! dominate the paper's suite.
+//! run-length encoding ([`Runs`]; `precond`'s LDLᵀ factor encodes its
+//! columns with the same helper). The segment kernel turns the per-element
+//! gather `x[col[p]]` into contiguous slice dot-products with no index
+//! traffic at all — the big win on the banded matrices that dominate the
+//! paper's suite.
 //!
 //! **Accumulation-order contract:** every kernel — indexed, unrolled,
 //! segmented, fused — accumulates each row strictly left-to-right through
@@ -29,6 +30,81 @@ use crate::coo::Coo;
 /// the saved index traffic and the indexed kernel is used instead.
 pub const SEG_MIN_AVG_RUN: usize = 4;
 
+/// Run-length encoding of the index array of a compressed pattern — the
+/// columns of a [`Csr`]'s rows, or the rows of a column-compressed factor's
+/// columns: `ptr[k]..ptr[k+1]` indexes the runs of slice `k`; run `s`
+/// covers the consecutive indices `start[s] .. start[s] + len[s]`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Runs {
+    ptr: Vec<u32>,
+    start: Vec<u32>,
+    len: Vec<u32>,
+}
+
+impl Runs {
+    /// Detect the runs of consecutive indices in every slice
+    /// `idx[ptr[k]..ptr[k+1]]` (each sorted and unique) and keep the
+    /// encoding when the average run is at least [`SEG_MIN_AVG_RUN`].
+    pub fn detect(ptr: &[usize], idx: &[u32]) -> Option<Runs> {
+        // First pass: count runs to decide profitability without building.
+        let runs: usize = ptr
+            .windows(2)
+            .map(|w| {
+                let slice = &idx[w[0]..w[1]];
+                let breaks = slice.windows(2).filter(|p| p[1] != p[0] + 1).count();
+                usize::from(!slice.is_empty()) + breaks
+            })
+            .sum();
+        if runs == 0 || idx.len() >= u32::MAX as usize || idx.len() / runs < SEG_MIN_AVG_RUN {
+            return None;
+        }
+        Some(Runs::encode(ptr, idx, runs))
+    }
+
+    /// The encoding itself, whatever the average run (`runs` is a capacity
+    /// hint). Callers outside this module go through [`Runs::detect`].
+    #[doc(hidden)]
+    pub fn encode(ptr: &[usize], idx: &[u32], runs: usize) -> Runs {
+        let mut enc = Runs {
+            ptr: Vec::with_capacity(ptr.len()),
+            start: Vec::with_capacity(runs),
+            len: Vec::with_capacity(runs),
+        };
+        enc.ptr.push(0);
+        for w in ptr.windows(2) {
+            let slice = &idx[w[0]..w[1]];
+            let mut i = 0usize;
+            while i < slice.len() {
+                let start = slice[i];
+                let mut len = 1u32;
+                while i + (len as usize) < slice.len() && slice[i + len as usize] == start + len {
+                    len += 1;
+                }
+                enc.start.push(start);
+                enc.len.push(len);
+                i += len as usize;
+            }
+            enc.ptr.push(enc.start.len() as u32);
+        }
+        enc
+    }
+
+    /// The `(start, len)` runs of slice `k`, ascending.
+    #[inline(always)]
+    pub fn of(&self, k: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let span = self.ptr[k] as usize..self.ptr[k + 1] as usize;
+        self.start[span.clone()]
+            .iter()
+            .zip(&self.len[span])
+            .map(|(&s, &l)| (s as usize, l as usize))
+    }
+
+    /// Number of runs over all slices.
+    pub fn count(&self) -> usize {
+        self.start.len()
+    }
+}
+
 /// A sparse matrix in CSR format.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Csr {
@@ -37,12 +113,8 @@ pub struct Csr {
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
     vals: Vec<f64>,
-    /// Run-length encoding of `col_idx` (empty when not profitable):
-    /// `seg_ptr[r]..seg_ptr[r+1]` indexes the runs of row `r`; run `s`
-    /// covers columns `seg_col[s] .. seg_col[s] + seg_len[s]`.
-    seg_ptr: Vec<u32>,
-    seg_col: Vec<u32>,
-    seg_len: Vec<u32>,
+    /// Run-length encoding of `col_idx` (`None` when not profitable).
+    segs: Option<Runs>,
 }
 
 impl Csr {
@@ -77,69 +149,19 @@ impl Csr {
             );
         }
         let col_idx: Vec<u32> = col_idx.into_iter().map(|c| c as u32).collect();
-        let mut m = Csr {
+        Csr {
             n_rows,
             n_cols,
+            segs: Runs::detect(&row_ptr, &col_idx),
             row_ptr,
             col_idx,
             vals,
-            seg_ptr: Vec::new(),
-            seg_col: Vec::new(),
-            seg_len: Vec::new(),
-        };
-        m.build_segments();
-        m
-    }
-
-    /// Detect runs of consecutive columns and keep the run-length encoding
-    /// when the average run is at least [`SEG_MIN_AVG_RUN`].
-    fn build_segments(&mut self) {
-        let nnz = self.col_idx.len();
-        if nnz == 0 || nnz >= u32::MAX as usize {
-            return;
         }
-        // First pass: count runs to decide profitability without building.
-        let mut runs = 0usize;
-        for r in 0..self.n_rows {
-            let row = &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]];
-            let mut prev = u32::MAX;
-            for &c in row {
-                if prev == u32::MAX || c != prev + 1 {
-                    runs += 1;
-                }
-                prev = c;
-            }
-        }
-        if runs == 0 || nnz / runs < SEG_MIN_AVG_RUN {
-            return;
-        }
-        let mut seg_ptr = Vec::with_capacity(self.n_rows + 1);
-        let mut seg_col = Vec::with_capacity(runs);
-        let mut seg_len = Vec::with_capacity(runs);
-        seg_ptr.push(0u32);
-        for r in 0..self.n_rows {
-            let row = &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]];
-            let mut i = 0usize;
-            while i < row.len() {
-                let start = row[i];
-                let mut len = 1u32;
-                while i + (len as usize) < row.len() && row[i + len as usize] == start + len {
-                    len += 1;
-                }
-                seg_col.push(start);
-                seg_len.push(len);
-                i += len as usize;
-            }
-            seg_ptr.push(seg_col.len() as u32);
-        }
-        self.seg_ptr = seg_ptr;
-        self.seg_col = seg_col;
-        self.seg_len = seg_len;
     }
 
     /// True if the run-length-encoded kernel is active for this matrix.
     pub fn uses_segments(&self) -> bool {
-        !self.seg_ptr.is_empty()
+        self.segs.is_some()
     }
 
     /// `n × n` identity.
@@ -202,20 +224,17 @@ impl Csr {
     /// segment kernel when the encoding is active.
     #[inline(always)]
     fn row_dot(&self, r: usize, x: &[f64]) -> f64 {
-        if self.seg_ptr.is_empty() {
+        let Some(segs) = &self.segs else {
             let span = self.row_ptr[r]..self.row_ptr[r + 1];
-            dot_indexed(&self.col_idx[span.clone()], &self.vals[span], x)
-        } else {
-            let mut acc = 0.0;
-            let mut base = self.row_ptr[r];
-            for s in self.seg_ptr[r] as usize..self.seg_ptr[r + 1] as usize {
-                let c0 = self.seg_col[s] as usize;
-                let l = self.seg_len[s] as usize;
-                acc = dot_run(acc, &self.vals[base..base + l], &x[c0..c0 + l]);
-                base += l;
-            }
-            acc
+            return dot_indexed(&self.col_idx[span.clone()], &self.vals[span], x);
+        };
+        let mut acc = 0.0;
+        let mut base = self.row_ptr[r];
+        for (c0, l) in segs.of(r) {
+            acc = dot_run(acc, &self.vals[base..base + l], &x[c0..c0 + l]);
+            base += l;
         }
+        acc
     }
 
     /// `y ← A·x`.
