@@ -4,7 +4,7 @@
 //! the solver", while ESR keeps only the search-direction copies that
 //! mostly ride along with SpMV.
 //!
-//! Both protections are now *policies of the same `RecoveryEngine`*: the
+//! Both protections are *flavors of the same restart protocol*: the
 //! identical PCG loop, cluster, matrices, and failure scenarios run under
 //! `Protection::Esr` and `Protection::Checkpoint`, so every measured
 //! difference is protection cost, not harness drift. C/R uses diskless

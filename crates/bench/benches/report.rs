@@ -17,7 +17,7 @@
 //!   N ≥ 16 the pipelined solver's exposed reduction time must come in
 //!   strictly below blocking PCG's (asserted here, so CI gates on it).
 //! * **`BENCH_policy_matrix.json`** — the full protection × policy ×
-//!   solver grid through the shared `RecoveryEngine`: for every cell of
+//!   solver grid through the one restart protocol: for every cell of
 //!   {ESR, checkpoint} × {replace, spares(1), shrink} × {PCG, pipelined
 //!   PCG, BiCGSTAB}, recovery virtual time, reconstruction traffic
 //!   (Recovery-phase messages/elements), retired-node count, and
@@ -39,16 +39,6 @@
 //!   `--features trace`) — a traced N = 16 single-failure solve: the
 //!   Chrome-trace/Perfetto artifact plus an event census and the
 //!   virtual-time critical path attributed by phase/rank/scope.
-//! * **`BENCH_kernels.json`** — host wall-clock microbench of the
-//!   sequential kernel layer: whole-matrix SpMV (optimized vs a live
-//!   replica of the pre-overhaul naive kernel, bitwise cross-checked),
-//!   the fused distributed local product vs the old two-pass form, the
-//!   block-LDLᵀ in-place solve vs the allocate-and-return one, and ghost
-//!   pack/unpack, for every configured paper matrix — plus the
-//!   `paper_regime` acceptance entry: the largest matrix regenerated at
-//!   `ESR_KERNEL_SCALE` (default 0.15, DRAM-resident; `0` skips it)
-//!   compared against the embedded pre-PR baseline
-//!   ([`BASELINE_NAIVE_SPMV_DRAM_GFLOPS`]).
 //!
 //! `BENCH_comm`/`BENCH_pcg` embed the pre-overhaul numbers
 //! (reduce-to-root + broadcast all-reduce, 3 reductions per PCG iteration)
@@ -64,15 +54,12 @@
 use std::time::Instant;
 
 use esr_bench::{write_json, BenchConfig};
-use esr_core::localmat::LocalMatrix;
 use esr_core::{
     run, run_pcg, run_pipecg, ExperimentResult, RecoveryPolicy, SolverConfig, SolverKind,
 };
 use parcomm::comm::ReduceOp;
 use parcomm::{Cluster, ClusterConfig, CommPhase, FailureScript};
-use precond::SparseLdl;
-use sparsemat::gen::suite::{self, PaperMatrix};
-use sparsemat::{BlockPartition, Csr};
+use sparsemat::gen::suite::PaperMatrix;
 
 /// Pre-PR reference numbers (reduce+bcast all-reduce, 3 reductions/iter),
 /// captured with the default cost model before the overhaul. Virtual times
@@ -110,20 +97,6 @@ const INSTR_OFF_PCG: &[(usize, usize, f64)] = &[
     (13, 39, 2.6066512820512788e-5),
     (16, 43, 1.55297674418605e-5),
 ];
-
-/// Pre-PR naive SpMV on the M8 analog in the DRAM-resident regime
-/// (`ESR_KERNEL_SCALE = 0.15`: 10.7 M nnz, a 171 MB matrix footprint with
-/// `usize` indices — several times any L3), measured at commit 189077d on
-/// the dev container (1-core 2.1 GHz Xeon, ~9.5 GB/s stream bandwidth).
-/// In that regime the naive kernel is memory-bound on its 16.6 B/element
-/// traffic (8 B value + 8 B `usize` column index) and the number is stable
-/// run-to-run (0.92–0.93 GFLOP/s over repeated measurements), unlike the
-/// cache-resident small-scale numbers, which swing ±25% with host
-/// contention. This is the embedded baseline the ≥ 2× SpMV acceptance gate
-/// compares against; the live-measured naive replica (same algorithm,
-/// re-run every invocation) is reported alongside as the
-/// hardware-independent comparator.
-const BASELINE_NAIVE_SPMV_DRAM_GFLOPS: f64 = 0.93;
 
 fn report_nodes() -> Vec<usize> {
     match std::env::var("ESR_REPORT_NODES") {
@@ -379,7 +352,7 @@ fn pipecg_report(
 /// state reconstruction and periodic diskless checkpointing — under every
 /// [`RecoveryPolicy`] — in-place replacement, an *undersized* spare pool
 /// (1 spare for ψ = 2, so one subdomain is replaced and one adopted in a
-/// mixed event), and pure shrink — on every `RecoveryEngine`-backed
+/// mixed event), and pure shrink — on every engine-backed
 /// solver (blocking PCG, pipelined PCG, BiCGSTAB). Reports per cell the
 /// recovery cost (virtual time, Recovery-phase reconstruction traffic),
 /// retired-node count, and the post-recovery iteration count; checkpoint
@@ -713,343 +686,6 @@ fn trace_report(cfgb: &BenchConfig) -> (String, String) {
     (summary, chrome)
 }
 
-// ---------------------------------------------------------------------------
-// Kernel microbench (`BENCH_kernels.json`)
-// ---------------------------------------------------------------------------
-
-/// Pre-PR SpMV replica: `usize` column indices and the per-element gather
-/// loop, exactly the `row_dot` of commit 189077d (before the u32/segment
-/// kernel overhaul). Measured live every run so the before/after holds on
-/// any hardware, not just the machine the embedded constants came from.
-fn naive_spmv(row_ptr: &[usize], col: &[usize], vals: &[f64], x: &[f64], y: &mut [f64]) {
-    for (r, yr) in y.iter_mut().enumerate() {
-        let (cs, vs) = (
-            &col[row_ptr[r]..row_ptr[r + 1]],
-            &vals[row_ptr[r]..row_ptr[r + 1]],
-        );
-        let mut acc = 0.0;
-        for (c, v) in cs.iter().zip(vs) {
-            acc += v * x[*c];
-        }
-        *yr = acc;
-    }
-}
-
-/// Pre-PR `spmv_add` replica (second pass of the old two-pass local
-/// product).
-fn naive_spmv_add(row_ptr: &[usize], col: &[usize], vals: &[f64], x: &[f64], y: &mut [f64]) {
-    for (r, yr) in y.iter_mut().enumerate() {
-        let (cs, vs) = (
-            &col[row_ptr[r]..row_ptr[r + 1]],
-            &vals[row_ptr[r]..row_ptr[r + 1]],
-        );
-        let mut acc = 0.0;
-        for (c, v) in cs.iter().zip(vs) {
-            acc += v * x[*c];
-        }
-        *yr += acc;
-    }
-}
-
-/// Widen the compact `u32` indices back to the pre-PR `usize` storage.
-fn usize_cols(a: &Csr) -> Vec<usize> {
-    a.col_idx().iter().map(|&c| c as usize).collect()
-}
-
-/// Best (minimum) seconds per call over `passes` timing passes of `reps`
-/// calls each — the contention-robust microbench estimator on a shared
-/// host.
-fn best_call_secs(passes: usize, reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..passes {
-        let t = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(t.elapsed().as_secs_f64() / reps as f64);
-    }
-    best
-}
-
-/// Repetitions so one timing pass covers a few milliseconds of work.
-fn spmv_reps(nnz: usize) -> usize {
-    (4_000_000 / nnz.max(1)).clamp(1, 2000)
-}
-
-fn gflops(flops: usize, secs: f64) -> f64 {
-    flops as f64 / secs / 1e9
-}
-
-fn ns_per(secs: f64, count: usize) -> f64 {
-    secs * 1e9 / count.max(1) as f64
-}
-
-/// Whole-matrix SpMV: optimized kernel vs the pre-PR replica (bitwise
-/// cross-checked first). Returns (opt_secs, naive_secs) per call.
-fn bench_spmv_pair(a: &Csr, x: &[f64], passes: usize) -> (f64, f64) {
-    let cols_us = usize_cols(a);
-    let mut y = vec![0.0; a.n_rows()];
-    let mut y_naive = vec![0.0; a.n_rows()];
-    a.spmv(x, &mut y);
-    naive_spmv(a.row_ptr(), &cols_us, a.vals(), x, &mut y_naive);
-    for (o, n) in y.iter().zip(&y_naive) {
-        assert_eq!(o.to_bits(), n.to_bits(), "naive replica drifted");
-    }
-    let reps = spmv_reps(a.nnz());
-    let opt = best_call_secs(passes, reps, || {
-        a.spmv(x, &mut y);
-        std::hint::black_box(&y);
-    });
-    let naive = best_call_secs(passes, reps, || {
-        naive_spmv(a.row_ptr(), &cols_us, a.vals(), x, &mut y_naive);
-        std::hint::black_box(&y_naive);
-    });
-    (opt, naive)
-}
-
-/// One matrix's kernel row: whole-matrix SpMV, the distributed local
-/// product (diag / offdiag / fused one-pass vs pre-PR two-pass), the
-/// block-LDLᵀ solve, and ghost pack/unpack, all at the configured scale.
-#[allow(clippy::too_many_lines)]
-fn kernel_entry(cfgb: &BenchConfig, id: PaperMatrix) -> String {
-    let a = suite::generate(id, cfgb.scale);
-    let n = a.n_rows();
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-    let (opt, naive) = bench_spmv_pair(&a, &x, 5);
-    let spmv_json = format!(
-        "{{\"gflops\": {}, \"ns_per_row\": {}, \"naive_gflops\": {}, \"speedup\": {}}}",
-        json_f(gflops(a.spmv_flops(), opt)),
-        json_f(ns_per(opt, n)),
-        json_f(gflops(a.spmv_flops(), naive)),
-        json_f(naive / opt),
-    );
-
-    // Distributed local product on the middle rank of the configured
-    // partition: the shape the solver actually runs per iteration.
-    let part = BlockPartition::new(n, cfgb.nodes);
-    let mid = cfgb.nodes / 2;
-    let lm = LocalMatrix::build(&a, &part, mid);
-    let range = part.range(mid);
-    let x_loc = &x[range.clone()];
-    let ghosts: Vec<f64> = lm.ghost_cols.iter().map(|&g| x[g]).collect();
-    let rows = lm.n_local();
-    let mut y_loc = vec![0.0; rows];
-    let diag_us = usize_cols(&lm.diag);
-    let off_us = usize_cols(&lm.offdiag);
-    let reps = spmv_reps(lm.diag.nnz() + lm.offdiag.nnz()).min(20_000);
-    let fused = best_call_secs(5, reps, || {
-        lm.spmv(x_loc, &ghosts, &mut y_loc);
-        std::hint::black_box(&y_loc);
-    });
-    let diag_only = best_call_secs(5, reps, || {
-        lm.diag.spmv(x_loc, &mut y_loc);
-        std::hint::black_box(&y_loc);
-    });
-    let off_only = best_call_secs(5, reps, || {
-        lm.offdiag.spmv_add(&ghosts, &mut y_loc);
-        std::hint::black_box(&y_loc);
-    });
-    let two_pass = best_call_secs(5, reps, || {
-        naive_spmv(
-            lm.diag.row_ptr(),
-            &diag_us,
-            lm.diag.vals(),
-            x_loc,
-            &mut y_loc,
-        );
-        naive_spmv_add(
-            lm.offdiag.row_ptr(),
-            &off_us,
-            lm.offdiag.vals(),
-            &ghosts,
-            &mut y_loc,
-        );
-        std::hint::black_box(&y_loc);
-    });
-    let lflops = lm.spmv_flops();
-    let local_json = format!(
-        concat!(
-            "{{\"nodes\": {}, \"rows\": {}, \"diag_nnz\": {}, \"off_nnz\": {}, ",
-            "\"fused\": {{\"gflops\": {}, \"ns_per_row\": {}}}, ",
-            "\"diag\": {{\"gflops\": {}, \"ns_per_row\": {}}}, ",
-            "\"offdiag\": {{\"gflops\": {}, \"ns_per_row\": {}}}, ",
-            "\"two_pass_naive_gflops\": {}, \"fused_speedup\": {}}}"
-        ),
-        cfgb.nodes,
-        rows,
-        lm.diag.nnz(),
-        lm.offdiag.nnz(),
-        json_f(gflops(lflops, fused)),
-        json_f(ns_per(fused, rows)),
-        json_f(gflops(lm.diag.spmv_flops(), diag_only)),
-        json_f(ns_per(diag_only, rows)),
-        json_f(gflops(lm.offdiag.spmv_flops(), off_only)),
-        json_f(ns_per(off_only, rows)),
-        json_f(gflops(lflops, two_pass)),
-        json_f(two_pass / fused),
-    );
-
-    // Block-LDLᵀ solve on the owned diagonal block (the block-Jacobi
-    // ExactLdl shape). `solve_in_place` timings include the right-hand-side
-    // refill copy, so repeated solves don't compound through the solution.
-    let ldl_json = match SparseLdl::new(&lm.diag) {
-        Ok(f) => {
-            let mut b = vec![0.0; rows];
-            let reps_ldl = (2_000_000 / f.solve_flops().max(1)).clamp(1, 50_000);
-            let in_place = best_call_secs(5, reps_ldl, || {
-                b.copy_from_slice(x_loc);
-                f.solve_in_place(&mut b);
-                std::hint::black_box(&b);
-            });
-            let alloc = best_call_secs(5, reps_ldl, || {
-                let z = f.solve(x_loc);
-                std::hint::black_box(&z);
-            });
-            format!(
-                concat!(
-                    "{{\"rows\": {}, \"l_nnz\": {}, \"solve_gflops\": {}, ",
-                    "\"solve_ns_per_row\": {}, \"alloc_solve_ns_per_row\": {}}}"
-                ),
-                rows,
-                f.l_nnz(),
-                json_f(gflops(f.solve_flops(), in_place)),
-                json_f(ns_per(in_place, rows)),
-                json_f(ns_per(alloc, rows)),
-            )
-        }
-        Err(_) => "null".into(),
-    };
-
-    // Ghost pack/unpack: the true send list from rank mid to mid+1 (the
-    // mirror of mid+1's ghost needs inside mid's owned range). Reused-buffer
-    // gather vs the pre-PR fresh `Vec` + `Arc` per exchange.
-    let lm2 = LocalMatrix::build(&a, &part, mid + 1);
-    let offs: Vec<usize> = lm2
-        .ghost_cols
-        .iter()
-        .filter(|&&g| range.contains(&g))
-        .map(|&g| g - range.start)
-        .collect();
-    let ghost_json = if offs.is_empty() {
-        "null".to_string()
-    } else {
-        let mut sbuf = vec![0.0; offs.len()];
-        let mut gdst = vec![0.0; offs.len()];
-        let reps_g = (500_000 / offs.len()).clamp(1, 100_000);
-        let pack = best_call_secs(5, reps_g, || {
-            for (slot, &o) in sbuf.iter_mut().zip(&offs) {
-                *slot = x_loc[o];
-            }
-            std::hint::black_box(&sbuf);
-        });
-        let pack_prepr = best_call_secs(5, reps_g, || {
-            let mut buf = Vec::with_capacity(offs.len());
-            buf.extend(offs.iter().map(|&o| x_loc[o]));
-            let payload = std::sync::Arc::new(buf);
-            std::hint::black_box(&payload);
-        });
-        let unpack = best_call_secs(5, reps_g, || {
-            gdst.copy_from_slice(&sbuf);
-            std::hint::black_box(&gdst);
-        });
-        format!(
-            concat!(
-                "{{\"elems\": {}, \"pack_ns_per_elem\": {}, ",
-                "\"prepr_pack_ns_per_elem\": {}, \"unpack_ns_per_elem\": {}}}"
-            ),
-            offs.len(),
-            json_f(ns_per(pack, offs.len())),
-            json_f(ns_per(pack_prepr, offs.len())),
-            json_f(ns_per(unpack, offs.len())),
-        )
-    };
-
-    format!(
-        concat!(
-            "    {{\"matrix\": \"{:?}\", \"paper_name\": \"{}\", \"n\": {}, ",
-            "\"nnz\": {}, \"segments\": {}, \"spmv\": {}, \"local\": {}, ",
-            "\"ldl\": {}, \"ghost\": {}}}"
-        ),
-        id,
-        suite::spec(id).paper_name,
-        n,
-        a.nnz(),
-        a.uses_segments(),
-        spmv_json,
-        local_json,
-        ldl_json,
-        ghost_json,
-    )
-}
-
-/// The acceptance measurement: the largest configured matrix, regenerated
-/// at `ESR_KERNEL_SCALE` (default 0.15 — a footprint several times any
-/// L3, the regime actual paper-scale solves run in), optimized kernel vs
-/// both the live naive replica and the embedded pre-PR constant.
-fn kernel_paper_regime(cfgb: &BenchConfig) -> String {
-    let kernel_scale = std::env::var("ESR_KERNEL_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.15);
-    let Some(&id) = cfgb
-        .matrices
-        .iter()
-        .max_by_key(|&&id| suite::spec(id).paper_nnz)
-    else {
-        return "null".into();
-    };
-    if kernel_scale <= 0.0 {
-        return "null".into();
-    }
-    let a = suite::generate(id, kernel_scale);
-    let n = a.n_rows();
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-    let (opt, naive) = bench_spmv_pair(&a, &x, 9);
-    let opt_gf = gflops(a.spmv_flops(), opt);
-    let naive_gf = gflops(a.spmv_flops(), naive);
-    format!(
-        concat!(
-            "{{\"matrix\": \"{:?}\", \"scale\": {}, \"n\": {}, \"nnz\": {}, ",
-            "\"opt_gflops\": {}, \"naive_live_gflops\": {}, ",
-            "\"baseline_embedded_gflops\": {}, \"speedup_vs_embedded\": {}, ",
-            "\"speedup_live\": {}}}"
-        ),
-        id,
-        json_f(kernel_scale),
-        n,
-        a.nnz(),
-        json_f(opt_gf),
-        json_f(naive_gf),
-        json_f(BASELINE_NAIVE_SPMV_DRAM_GFLOPS),
-        json_f(opt_gf / BASELINE_NAIVE_SPMV_DRAM_GFLOPS),
-        json_f(opt_gf / naive_gf),
-    )
-}
-
-fn kernels_report(cfgb: &BenchConfig) -> String {
-    let entries: Vec<String> = cfgb
-        .matrices
-        .iter()
-        .map(|&id| {
-            println!("  kernels: {id:?}");
-            kernel_entry(cfgb, id)
-        })
-        .collect();
-    println!("  kernels: paper-regime sweep");
-    let regime = kernel_paper_regime(cfgb);
-    format!(
-        concat!(
-            "{{\n  \"schema\": \"esr-kernels-v1\",\n  \"scale\": {},\n",
-            "  \"nodes\": {},\n  \"matrices\": [\n{}\n  ],\n",
-            "  \"paper_regime\": {}\n}}\n"
-        ),
-        json_f(cfgb.scale),
-        cfgb.nodes,
-        entries.join(",\n"),
-        regime,
-    )
-}
-
 fn main() {
     let cfgb = BenchConfig::from_env();
     let nodes = report_nodes();
@@ -1066,7 +702,6 @@ fn main() {
         &policy_matrix_report(&cfgb, &nodes),
     );
     write_json("BENCH_scale.json", &scale_report(&cfgb, &scale_nodes()));
-    write_json("BENCH_kernels.json", &kernels_report(&cfgb));
     #[cfg(feature = "trace")]
     {
         let (summary, chrome) = trace_report(&cfgb);

@@ -42,7 +42,7 @@ use sparsemat::vecops::{axpy, dot};
 
 use crate::config::SolverKind;
 use crate::engine::{
-    self, splice_slots, ChannelRead, EngineComm, EngineShared, KernelShape, Layout, ReconBlock,
+    self, splice_slots, ChannelRead, EngineComm, EngineEnv, KernelShape, Layout, ReconBlock,
     ResilientKernel,
 };
 use crate::node::{Recurrence, Resume};
@@ -132,15 +132,15 @@ impl ResilientKernel for BicgstabState {
     fn rebuild_local(
         &mut self,
         ctx: &mut NodeCtx,
-        shared: &EngineShared<'_>,
+        env: &EngineEnv<'_>,
         blk: &mut ReconBlock,
         mut copies: Vec<Option<Vec<f64>>>,
     ) {
         let phat = copies[0].take().expect("p̂(j) copies are mandatory");
         let shat = copies[1].take().expect("ŝ(j) copies are mandatory");
         // p_b = M_{b,b} p̂_b ; s_b = M_{b,b} ŝ_b (block-diagonal M).
-        blk.vecs[P] = engine::m_block_forward(ctx, shared, &blk.range, &phat);
-        blk.vecs[S] = engine::m_block_forward(ctx, shared, &blk.range, &shat);
+        blk.vecs[P] = engine::m_block_forward(ctx, env, &blk.range, &phat);
+        blk.vecs[S] = engine::m_block_forward(ctx, env, &blk.range, &shat);
         blk.vecs[PHAT] = phat;
         blk.vecs[SHAT] = shat;
     }
@@ -148,13 +148,13 @@ impl ResilientKernel for BicgstabState {
     fn rebuild_distributed(
         &mut self,
         ctx: &mut NodeCtx,
-        shared: &EngineShared<'_>,
+        env: &EngineEnv<'_>,
         comm: &mut EngineComm<'_>,
         blocks: &mut [ReconBlock],
     ) {
         // v_If = A_{If,·} p̂: survivors serve the outside-If values, the
         // If-columns come from the reconstructors' rebuilt p̂ blocks.
-        comm.apply_matrix(ctx, shared.a, blocks, PHAT, V, &self.v[PHAT]);
+        comm.apply_matrix(ctx, env.statics.matrix(), blocks, PHAT, V, &self.v[PHAT]);
         // r_If = s_If + α v_If  (from s = r − α v).
         let alpha = self.s[ALPHA];
         for blk in blocks.iter_mut() {

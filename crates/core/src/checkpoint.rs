@@ -17,19 +17,19 @@
 //! placement ESR uses for redundant copies, so the two flavors are equally
 //! failure-decorrelated (the deposit store lives in
 //! [`crate::retention::CheckpointStore`], next to ESR's [`Retention`]
-//! (crate::retention::Retention) channels). On a failure,
-//! [`recover_rollback`] fetches the newest surviving replica of every
-//! failed block and **all** ranks roll back to the checkpointed epoch,
-//! re-executing the lost iterations.
+//! (crate::retention::Retention) channels). On a failure, [`Rollback`]
+//! fetches the newest surviving replica of every failed block and **all**
+//! ranks roll back to the checkpointed epoch, re-executing the lost
+//! iterations.
 //!
-//! Rollback is a *peer* of the four-substep ESR restart protocol inside
-//! the [`RecoveryEngine`](crate::engine::RecoveryEngine): it runs the same
-//! attempt loop with per-attempt tag windows, the same overlap substep
-//! boundaries (a failure *during* rollback aborts the attempt and restarts
-//! with the enlarged failed set — which the old standalone C/R baseline
-//! never handled), and the same policy grant/retire/adoption math, so the
-//! full {Replace, Spares(k), Shrink} × {PCG, PipeCG, BiCGSTAB} grid works
-//! under either protection flavor.
+//! Rollback is a *peer* of the ESR reconstruction inside the one restart
+//! protocol ([`crate::engine::recover`]): it runs the same attempt loop —
+//! per-attempt tag windows, the same overlap substep boundaries (a failure
+//! *during* rollback aborts the attempt and restarts with the enlarged
+//! failed set — which the old standalone C/R baseline never handled), the
+//! same policy grant/retire/adoption plan — and supplies only its stages,
+//! so the full {Replace, Spares(k), Shrink} × {PCG, PipeCG, BiCGSTAB} grid
+//! works under either protection flavor.
 //!
 //! Contrast with ESR (same solver, same cluster, same failures):
 //!
@@ -40,18 +40,16 @@
 //!   the *whole cluster*; ESR reconstructs locally and repeats one SpMV.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use parcomm::comm::ReduceOp;
 use parcomm::{CommPhase, NodeCtx, Payload};
-use sparsemat::BlockPartition;
 
 pub use crate::config::CrConfig;
-use crate::config::RecoveryPolicy;
 use crate::engine::{
-    poison, poll_overlap, rebuild_layout_after_shrink, tag, unpack, EngineEnv, EngineOutcome,
-    Layout, RecoveryBook, RecoveryReport, RecoveryTimeline, ResilientKernel,
+    rebuild_layout_after_shrink, tag, unpack, Attempt, Flavor, Layout, ResilientKernel,
 };
-use crate::retention::Checkpoint;
+use crate::retention::{Checkpoint, CheckpointStore};
 
 /// Tag offset of the rollback replica push inside an attempt's window.
 const OFF_FETCH: u32 = 1;
@@ -64,142 +62,47 @@ struct Fetched {
     data: Vec<f64>,
 }
 
-/// The checkpoint-rollback restart path — the engine's second protection
-/// flavor, dispatched from [`crate::engine::recover`]. All *active*
-/// members call this together at a failure boundary with the same failed
-/// set.
-///
-/// Per attempt: grant/retire under the recovery policy, poison the failed
-/// ranks' state and deposit store, push each failed block's newest
-/// surviving replica to its reconstructor (substeps 0–1), agree on the
-/// rollback epoch over the post-event members (substep 2), then commit
-/// (substep 3): everyone restores the epoch's pack — survivors from their
-/// own copy, replacements from the fetched data, adopters from their own
-/// copy merged with the adopted blocks' replicas — and the node program
-/// rewinds its iteration counter to [`RecoveryReport::rollback_to`].
-/// Any overlapping failure at a substep boundary aborts the attempt and
-/// restarts with the enlarged failed set.
-pub(crate) fn recover_rollback(
-    ctx: &mut NodeCtx,
-    env: &EngineEnv<'_>,
-    layout: &mut Layout,
-    kernel: &mut dyn ResilientKernel,
-    initial_failed: &[usize],
-    book: &mut RecoveryBook,
-) -> EngineOutcome {
-    let RecoveryBook {
-        handled_sub: handled,
-        recovery_seq,
-        pool,
-        ckpt,
-        ..
-    } = book;
-    let store = ckpt
-        .as_mut()
-        .expect("checkpoint protection requires a deposit store");
-    let me = ctx.rank();
-    ctx.trace_open("rollback", env.iteration);
-    let mut timeline = RecoveryTimeline::new(env.iteration, "cr");
-    let mut failed = initial_failed.to_vec();
-    failed.sort_unstable();
-    failed.dedup();
-    // The replacement budget at event start — same monotone-retirement
-    // snapshot as the ESR flavor (see `engine::recover`).
-    let avail = match env.res.policy {
-        RecoveryPolicy::Replace => usize::MAX,
-        RecoveryPolicy::Spares(_) => pool.remaining(),
-        RecoveryPolicy::Shrink => 0,
-    };
-    let mut attempts = 0usize;
+/// The checkpoint-rollback flavor of the restart protocol: push each failed
+/// block's newest surviving replica to its reconstructor (`fetch`), agree
+/// on the rollback epoch over the post-event members (`epoch`), hold one
+/// more overlap boundary (`idle`), then commit — everyone restores the
+/// epoch's pack, survivors from their own copy, replacements from the
+/// fetched data, adopters from both — and the node program rewinds its
+/// iteration counter to [`crate::engine::RecoveryReport::rollback_to`].
+pub(crate) struct Rollback<'a> {
+    /// The node's deposit store.
+    store: &'a mut CheckpointStore,
+    /// The replicas this attempt fetched: the failed blocks this node
+    /// restores, in ascending row order.
+    fetched: Vec<Fetched>,
+    /// The epoch this attempt agreed on.
+    epoch: u64,
+}
 
-    'attempt: loop {
-        attempts += 1;
-        let seq = *recovery_seq;
-        *recovery_seq += 1;
-        ctx.audit_enter_window(seq);
-        ctx.trace_open("attempt", seq as u64);
-        let mut seg_t = ctx.vtime();
-        ctx.trace_open("setup", 0);
-        assert!(
-            failed.len() < layout.members.len(),
-            "all {} active nodes failed — nothing left to roll back to",
-            layout.members.len()
-        );
-
-        // ---- grant replacements to the lowest-ranked failed nodes ------
-        let granted = avail.min(failed.len());
-        let replaced: Vec<usize> = failed[..granted].to_vec();
-        let retired: Vec<usize> = failed[granted..].to_vec();
-        ctx.trace_instant("grant", granted as u64);
-        if retired.binary_search(&me).is_ok() {
-            ctx.trace_close(); // setup
-            ctx.trace_close(); // attempt
-            ctx.trace_close(); // rollback
-            ctx.audit_exit_window();
-            return EngineOutcome::Retired;
+impl<'a> Rollback<'a> {
+    /// The flavor over this node's deposit store.
+    pub fn new(store: &'a mut CheckpointStore) -> Self {
+        Rollback {
+            store,
+            fetched: Vec::new(),
+            epoch: 0,
         }
-        let am_failed = failed.binary_search(&me).is_ok();
+    }
 
-        let old_slot = |r: usize| {
-            layout
-                .members
-                .binary_search(&r)
-                .expect("failed rank is an active member")
-        };
-        let new_members: Vec<usize> = layout
-            .members
-            .iter()
-            .copied()
-            .filter(|r| retired.binary_search(r).is_err())
-            .collect();
-        let mut new_starts = Vec::with_capacity(new_members.len() + 1);
-        new_starts.push(0);
-        for m in new_members.iter().skip(1) {
-            new_starts.push(layout.part.range(old_slot(*m)).start);
-        }
-        new_starts.push(layout.part.n());
-        let new_part = BlockPartition::from_starts(new_starts);
-        let reconstructor = |f: usize| -> usize {
-            if replaced.binary_search(&f).is_ok() {
-                f // in-place replacement rolls back its own block
-            } else {
-                let start = layout.part.range(old_slot(f)).start;
-                new_members[new_part.owner_of(start)] // adopter
-            }
-        };
-        let my_range = layout.lm.range.clone();
-
-        if am_failed {
-            // The node failure: all dynamic data *and* all checkpoint data
-            // of this rank is lost.
-            poison(kernel);
-            parcomm::fault::poison(&mut layout.ghosts);
-            store.poison();
-        }
-
-        // ---- substep 0: before any recovery communication --------------
-        ctx.trace_close();
-        timeline.mark(ctx, &mut seg_t, attempts, "setup");
-        if poll_overlap(ctx, env.iteration, 0, handled, &mut failed, &layout.members) {
-            ctx.trace_instant("overlap_restart", failed.len() as u64);
-            ctx.trace_close(); // attempt
-            continue 'attempt;
-        }
-        ctx.trace_open("fetch", 0);
-
-        // ---- replica fetch ----------------------------------------------
-        // Push each failed block's newest surviving replica to its
-        // reconstructor. Deterministic on every node: the serving holder
-        // is the first *surviving* holder on the block's ring; FIFO
-        // (src, tag) order over the sorted failed set disambiguates
-        // multiple blocks pushed to one adopter. A reconstructor that is
-        // itself a surviving holder reads its replica locally.
-        let server_of = |f: usize, failed: &[usize]| -> usize {
+    /// Stage 1. Deterministic on every node: the serving holder is the
+    /// first *surviving* holder on the block's ring; FIFO (src, tag) order
+    /// over the sorted failed set disambiguates multiple blocks pushed to
+    /// one adopter. A reconstructor that is itself a surviving holder
+    /// reads its replica locally.
+    fn fetch(&mut self, ctx: &mut NodeCtx, at: &Attempt<'_>, layout: &Layout) {
+        let (plan, store) = (at.plan, &*self.store);
+        let me = plan.me;
+        let server_of = |f: usize| -> usize {
             let holders = store.holders_of(&layout.members, f);
             holders
                 .iter()
                 .copied()
-                .find(|h| failed.binary_search(h).is_err())
+                .find(|h| plan.failed.binary_search(h).is_err())
                 .unwrap_or_else(|| {
                     panic!(
                         "rank {me}: unrecoverable — all {} checkpoint holders of \
@@ -208,192 +111,141 @@ pub(crate) fn recover_rollback(
                     )
                 })
         };
-        for &f in &failed {
-            let rho = reconstructor(f);
-            let server = server_of(f, &failed);
-            if me == server && server != rho {
+        for lost in &plan.lost {
+            if me == server_of(lost.rank) && me != lost.reconstructor {
                 let ck = store
-                    .replica_of(f)
-                    .unwrap_or_else(|| panic!("rank {me}: no held replica of rank {f}"));
+                    .replica_of(lost.rank)
+                    .unwrap_or_else(|| panic!("rank {me}: no held replica of rank {}", lost.rank));
                 ctx.send(
-                    rho,
-                    tag(seq, OFF_FETCH),
+                    lost.reconstructor,
+                    tag(at.seq, OFF_FETCH),
                     Payload::f64s_shared(ck.data.clone()),
                     CommPhase::Recovery,
                 );
             }
         }
-        let mut blocks: Vec<Fetched> = Vec::new();
-        for &f in &failed {
-            if reconstructor(f) != me {
-                continue;
-            }
-            let server = server_of(f, &failed);
-            let data = if server == me {
-                store
-                    .replica_of(f)
-                    .expect("surviving holder keeps the replica")
-                    .data
-                    .as_ref()
-                    .clone()
-            } else {
-                ctx.recv_phase(server, tag(seq, OFF_FETCH), CommPhase::Recovery)
-                    .into_f64s()
-            };
-            assert!(
-                !data.is_empty(),
-                "rank {me}: holder {server} had no checkpoint of rank {f}'s block"
-            );
-            blocks.push(Fetched {
-                range: layout.part.range(old_slot(f)),
-                data,
-            });
-        }
-
-        // ---- substep 1: after the replica fetch -------------------------
-        ctx.trace_close();
-        timeline.mark(ctx, &mut seg_t, attempts, "fetch");
-        if poll_overlap(ctx, env.iteration, 1, handled, &mut failed, &layout.members) {
-            ctx.trace_instant("overlap_restart", failed.len() as u64);
-            ctx.trace_close(); // attempt
-            continue 'attempt;
-        }
-        ctx.trace_open("epoch", 0);
-
-        // ---- epoch agreement over the post-event members ----------------
-        // Survivors propose their own newest checkpoint's iteration;
-        // replaced ranks (whose store is poisoned) propose +∞. Deposits
-        // happen at the same SPMD boundaries, so the min is a guard more
-        // than an arbiter — and the fetched replicas carry the same epoch
-        // (deposit rounds and failure boundaries never interleave).
-        let mut g = ctx.group(&new_members);
-        let epoch = g.allreduce_vec_phase(
-            ctx,
-            ReduceOp::Min,
-            vec![if am_failed {
-                f64::INFINITY
-            } else {
-                store.own.iteration as f64
-            }],
-            CommPhase::Recovery,
-        )[0] as u64;
-        drop(g);
-
-        // ---- substep 2: after epoch agreement ---------------------------
-        ctx.trace_close();
-        timeline.mark(ctx, &mut seg_t, attempts, "epoch");
-        if poll_overlap(ctx, env.iteration, 2, handled, &mut failed, &layout.members) {
-            ctx.trace_instant("overlap_restart", failed.len() as u64);
-            ctx.trace_close(); // attempt
-            continue 'attempt;
-        }
-        ctx.trace_open("idle", 0);
-        // ---- substep 3: last boundary before the state is committed -----
-        ctx.trace_close();
-        timeline.mark(ctx, &mut seg_t, attempts, "idle");
-        if poll_overlap(ctx, env.iteration, 3, handled, &mut failed, &layout.members) {
-            ctx.trace_instant("overlap_restart", failed.len() as u64);
-            ctx.trace_close(); // attempt
-            continue 'attempt;
-        }
-        ctx.trace_open("commit", 0);
-
-        // ---- success: commit the spare claim, install the rollback ------
-        if matches!(env.res.policy, RecoveryPolicy::Spares(_)) {
-            pool.claim(granted);
-        }
-        let mut report = RecoveryReport {
-            total_failed: failed.len(),
-            retired_ranks: retired.len(),
-            attempts,
-            inner_iterations: 0,
-            rollback_to: Some(epoch),
-            timeline: RecoveryTimeline::default(),
-        };
-
-        if retired.is_empty() {
-            // Every failed rank got a replacement: the layout is unchanged
-            // and every rank rolls back exactly its own block.
-            if am_failed {
-                debug_assert!(blocks.len() == 1 && blocks[0].range == my_range);
-                unpack(kernel, &blocks[0].data, my_range.len());
-                store.own = Checkpoint {
-                    iteration: epoch,
-                    data: std::sync::Arc::new(std::mem::take(&mut blocks[0].data)),
+        self.fetched = plan
+            .mine()
+            .map(|lost| {
+                let (f, server) = (lost.rank, server_of(lost.rank));
+                let data = if server == me {
+                    store
+                        .replica_of(f)
+                        .expect("surviving holder keeps the replica")
+                        .data
+                        .as_ref()
+                        .clone()
+                } else {
+                    ctx.recv_phase(server, tag(at.seq, OFF_FETCH), CommPhase::Recovery)
+                        .into_f64s()
                 };
-            } else {
-                debug_assert_eq!(store.own.iteration, epoch);
-                unpack(kernel, &store.own.data, my_range.len());
-            }
-            ctx.trace_close(); // commit
-            timeline.mark(ctx, &mut seg_t, attempts, "commit");
-            ctx.trace_close(); // attempt
-            ctx.trace_close(); // rollback
-            report.timeline = timeline;
-            ctx.audit_exit_window();
-            return EngineOutcome::Recovered(report);
-        }
+                assert!(
+                    !data.is_empty(),
+                    "rank {me}: holder {server} had no checkpoint of rank {f}'s block"
+                );
+                Fetched {
+                    range: lost.range.clone(),
+                    data,
+                }
+            })
+            .collect();
+    }
 
-        // Shrink: merge this node's own pack with the adopted blocks'
-        // fetched packs over the widened range, then rebuild the layout on
-        // the survivors (without ESR redundancy extras — checkpoint
-        // protection deposits replicas instead) and re-seed the deposit
-        // ring for the new member list.
-        let my_new_slot = new_members
-            .binary_search(&me)
-            .expect("active non-retired rank is a new member");
-        let new_range = new_part.range(my_new_slot);
+    /// Stage 2. Survivors propose their own newest checkpoint's iteration;
+    /// replaced ranks (whose store is poisoned) propose +∞. Deposits happen
+    /// at the same SPMD boundaries, so the min is a guard more than an
+    /// arbiter — and the fetched replicas carry the same epoch (deposit
+    /// rounds and failure boundaries never interleave).
+    fn agree_on_epoch(&mut self, ctx: &mut NodeCtx, at: &Attempt<'_>) {
+        let proposal = if at.plan.am_failed {
+            f64::INFINITY
+        } else {
+            self.store.own.iteration as f64
+        };
+        let mut g = ctx.group(&at.plan.new_members);
+        let agreed = g.allreduce_vec_phase(ctx, ReduceOp::Min, vec![proposal], CommPhase::Recovery);
+        self.epoch = agreed[0] as u64;
+    }
+}
+
+impl Flavor for Rollback<'_> {
+    const SPAN: &'static str = "rollback";
+    const NAME: &'static str = "cr";
+    const STAGES: [&'static str; 3] = ["fetch", "epoch", "idle"];
+
+    /// All checkpoint data of the rank is lost with its dynamic data.
+    fn lose(&mut self, _layout: &mut Layout) {
+        self.store.poison();
+    }
+
+    fn stage(
+        &mut self,
+        substep: u32,
+        ctx: &mut NodeCtx,
+        at: &Attempt<'_>,
+        layout: &Layout,
+        _kernel: &mut dyn ResilientKernel,
+    ) {
+        match substep {
+            1 => self.fetch(ctx, at, layout),
+            2 => self.agree_on_epoch(ctx, at),
+            // Nothing left to do but hold the last boundary before the
+            // state is committed.
+            _ => {}
+        }
+    }
+
+    /// Merge this node's own pack with the fetched packs over its new
+    /// range (its own old block when nobody retired) and restore it; on a
+    /// shrink, rebuild the layout on the survivors and re-seed the deposit
+    /// ring for the new member list — the re-deposit at the rolled-back
+    /// iteration refills the replicas.
+    fn commit(
+        &mut self,
+        ctx: &mut NodeCtx,
+        at: &Attempt<'_>,
+        layout: &mut Layout,
+        kernel: &mut dyn ResilientKernel,
+    ) -> (usize, Option<u64>) {
+        let (plan, epoch) = (at.plan, self.epoch);
+        let new_range = plan.new_part.range(plan.new_slot());
         let nv = kernel.shape().pack_slots.len();
         let ns = kernel.scalars().len();
         let new_nloc = new_range.len();
         let mut merged = vec![f64::NAN; nv * new_nloc + ns];
-        {
-            let mut put = |range: &Range<usize>, data: &[f64]| {
-                let blen = range.len();
-                debug_assert_eq!(data.len(), nv * blen + ns);
-                let off = range.start - new_range.start;
-                for v in 0..nv {
-                    merged[v * new_nloc + off..v * new_nloc + off + blen]
-                        .copy_from_slice(&data[v * blen..(v + 1) * blen]);
-                }
-                // The scalar tail is replicated: identical in every pack
-                // of the same epoch.
-                merged[nv * new_nloc..].copy_from_slice(&data[nv * blen..]);
-            };
-            if !am_failed {
-                debug_assert_eq!(store.own.iteration, epoch);
-                put(&my_range, &store.own.data);
+        let mut put = |range: &Range<usize>, data: &[f64]| {
+            let blen = range.len();
+            debug_assert_eq!(data.len(), nv * blen + ns);
+            let off = range.start - new_range.start;
+            for v in 0..nv {
+                merged[v * new_nloc + off..v * new_nloc + off + blen]
+                    .copy_from_slice(&data[v * blen..(v + 1) * blen]);
             }
-            for blk in &blocks {
-                put(&blk.range, &blk.data);
-            }
+            // The scalar tail is replicated: identical in every pack of
+            // the same epoch.
+            merged[nv * new_nloc..].copy_from_slice(&data[nv * blen..]);
+        };
+        if !plan.am_failed {
+            debug_assert_eq!(self.store.own.iteration, epoch);
+            put(&plan.my_range, &self.store.own.data);
+        }
+        for blk in &self.fetched {
+            put(&blk.range, &blk.data);
         }
         debug_assert!(
             merged[..nv * new_nloc].iter().all(|v| !v.is_nan()),
-            "merged rollback pack does not cover the adopted range"
+            "merged rollback pack does not cover the new range"
         );
         unpack(kernel, &merged, new_nloc);
-        rebuild_layout_after_shrink(
-            ctx,
-            env,
-            layout,
-            kernel,
-            new_part,
-            new_members,
-            /* with_redundancy = */ false,
-        );
-        store.rebuild(&layout.members, layout.my_slot);
-        store.own = Checkpoint {
+        if !plan.retired().is_empty() {
+            rebuild_layout_after_shrink(ctx, at, layout, kernel);
+            self.store.rebuild(&layout.members, layout.my_slot);
+        }
+        self.store.own = Checkpoint {
             iteration: epoch,
-            data: std::sync::Arc::new(merged),
+            data: Arc::new(merged),
         };
-        ctx.trace_close(); // commit
-        timeline.mark(ctx, &mut seg_t, attempts, "commit");
-        ctx.trace_close(); // attempt
-        ctx.trace_close(); // rollback
-        report.timeline = timeline;
-        ctx.audit_exit_window();
-        return EngineOutcome::Recovered(report);
+        (0, Some(epoch))
     }
 }
 

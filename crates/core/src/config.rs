@@ -406,8 +406,8 @@ impl SolverConfig {
     /// Check this configuration against a solver and cluster size, naming
     /// the violated constraint on rejection. The full recovery-policy ×
     /// solver matrix {Replace, Spares, Shrink} × {PCG, PipeCG, BiCGSTAB}
-    /// runs through the shared [`crate::engine::RecoveryEngine`] under
-    /// either state-protection flavor; what remains unsupported:
+    /// runs through the one restart protocol (`crate::engine::recover`)
+    /// under either state-protection flavor; what remains unsupported:
     ///
     /// * the stationary Jacobi solver assumes the full cluster outlives
     ///   the solve (Replace only) and has no checkpoint pack;
@@ -459,7 +459,7 @@ impl SolverConfig {
                 solver,
                 policy,
                 constraint: "this solver assumes the full cluster outlives the solve; \
-                             only the RecoveryEngine-backed solvers (PCG, pipelined PCG, \
+                             only the engine-backed solvers (PCG, pipelined PCG, \
                              BiCGSTAB) support spare pools and shrinking",
             });
         }
@@ -471,7 +471,7 @@ impl SolverConfig {
                     nodes,
                     constraint: "the stationary Jacobi iteration has no checkpoint \
                                  pack; checkpoint protection runs on the \
-                                 RecoveryEngine-backed solvers only",
+                                 engine-backed solvers only",
                 });
             }
             if cr.interval == 0 {

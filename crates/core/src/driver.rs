@@ -187,15 +187,6 @@ impl ExperimentResult {
         }
     }
 
-    /// [`Self::phase_breakdown`] for every [`parcomm::CommPhase`], in
-    /// `CommPhase::ALL` order.
-    pub fn phase_breakdowns(&self) -> Vec<PhaseBreakdown> {
-        parcomm::CommPhase::ALL
-            .iter()
-            .map(|&p| self.phase_breakdown(p))
-            .collect()
-    }
-
     /// Critical-path **exposed** communication time per iteration in
     /// `phase`: max over nodes of blocking send transfers + stalls +
     /// non-blocking wait charges, divided by the iteration count. The

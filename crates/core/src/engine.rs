@@ -1,37 +1,47 @@
 //! The solver-agnostic resilience engine.
 //!
-//! Before this module existed, the four-substep ESR restart protocol of
-//! paper Sec. 4.1 was implemented three separate times — once for blocking
-//! PCG (`recovery.rs`), once for pipelined PCG (`pipe_recovery.rs`), and
-//! once for the spare-pool/shrink policies (`shrink.rs`) — and BiCGSTAB
-//! carried a fourth, overlap-blind copy. One [`RecoveryEngine`] now owns
-//! everything a recovery has in common, and a [`ResilientKernel`] describes
-//! the one thing that differs per solver: *which vectors are retained and
-//! how full iteration state follows from them*.
+//! The paper's multi-failure protocol is one sentence of Sec. 4.1: if
+//! further nodes fail during a reconstruction, abort it and restart with
+//! the enlarged failed set. [`recover`] is that sentence, written once —
+//! one attempt loop for every solver, recovery policy and state
+//! protection. A [`ResilientKernel`] describes what differs per solver
+//! (*which vectors are retained and how full iteration state follows from
+//! them*), a [`Flavor`] what differs per protection (*what a recovery does
+//! between the loop's boundaries*).
 //!
 //! ## Division of labour
 //!
-//! The **engine** owns:
+//! The **attempt loop** owns:
 //!
-//! * the attempt loop with per-attempt tag windows, and the four overlap
-//!   substep boundaries (any new failure aborts the attempt and restarts
-//!   with the enlarged failed set — paper Sec. 4.1);
-//! * the recovery **policy** ([`crate::config::RecoveryPolicy`]): in-place
-//!   replacement (the paper's unbounded model), spare-pool grants to the
-//!   lowest-ranked failed nodes, and survivor **adoption** of uncovered
-//!   subdomains with the nearest-preceding-survivor rule, which keeps
-//!   ownership contiguous and makes the post-shrink layout a generalized
+//! * the event span, the per-attempt tag window and the
+//!   [`RECOVERY_SUBSTEPS`] overlap boundaries (any new failure aborts the
+//!   attempt and restarts with the enlarged failed set);
+//! * the recovery **policy** ([`crate::config::RecoveryPolicy`]) as one
+//!   [`EventPlan`] per attempt: in-place replacement (the paper's
+//!   unbounded model), spare-pool grants to the lowest-ranked failed
+//!   nodes, and survivor **adoption** of uncovered subdomains with the
+//!   nearest-preceding-survivor rule, which keeps ownership contiguous and
+//!   makes the post-shrink layout a generalized
 //!   [`BlockPartition::from_starts`] partition;
+//! * the retire exit, the node failure itself ([`poison`], ghosts,
+//!   [`Flavor::lose`]), the spare claim, the [`RecoveryReport`] and its
+//!   [`RecoveryTimeline`].
+//!
+//! A **flavor** supplies its labels, three stage bodies and a commit. The
+//! ESR flavor ([`Reconstruction`], below) owns:
+//!
 //! * routing of replicated scalars and retained redundant copies from the
 //!   survivors to each failed block's *reconstructor* (the replacement
 //!   node, or the adopting survivor);
 //! * the cooperative inner solve of `A_{If,If} x_If = w` over the
 //!   reconstructor group (Alg. 2 lines 7–8), generalized to reconstructors
 //!   owning several failed blocks at once;
-//! * the post-shrink layout rebuild: [`LocalMatrix`], [`ScatterPlan`] and
-//!   redundancy targets over the shrunken communicator, preconditioner,
-//!   retention channels, and the splice of reconstructed blocks into the
-//!   adopters' widened state.
+//! * the splice of reconstructed blocks into the (possibly widened) state.
+//!
+//! The rollback flavor is [`crate::checkpoint::Rollback`]. Both end a
+//! shrinking event in [`rebuild_layout_after_shrink`]: [`LocalMatrix`],
+//! [`ScatterPlan`] and redundancy targets over the shrunken communicator,
+//! preconditioner and retention channels.
 //!
 //! The **kernel** (one per solver — `pcg`, `pipecg`, `bicgstab`) *owns* the
 //! solver state — vectors in a slot-indexed array shared with
@@ -58,13 +68,12 @@
 //! failed nodes, and the failed set only grows, so a rank that retired can
 //! never be resurrected by a later attempt.
 
-use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
 use parcomm::comm::ReduceOp;
 use parcomm::request::AllreduceRequest;
-use parcomm::{CommPhase, FailAt, Group, NodeCtx, Payload, SparePool};
+use parcomm::{CommPhase, FailAt, Group, NodeCtx, Payload, SparePool, RECOVERY_SUBSTEPS};
 use precond::{Ilu0, SparseLdl};
 use sparsemat::vecops::{axpy, dot, xpay};
 use sparsemat::{BlockPartition, Csr};
@@ -390,10 +399,10 @@ pub(crate) struct KernelShape {
     pub resent_scalars: &'static [usize],
 }
 
-/// What a solver must describe for the [`RecoveryEngine`] to reconstruct
-/// it. The implementor owns the live solver state; the engine sees it as
-/// two slot-indexed arrays plus the [`KernelShape`] tables, and calls back
-/// only for the solver-specific reconstruction maps.
+/// What a solver must describe for the engine to reconstruct it. The
+/// implementor owns the live solver state; the engine sees it as two
+/// slot-indexed arrays plus the [`KernelShape`] tables, and calls back only
+/// for the solver-specific reconstruction maps.
 pub(crate) trait ResilientKernel {
     /// The state-layout tables.
     fn shape(&self) -> &'static KernelShape;
@@ -413,7 +422,7 @@ pub(crate) trait ResilientKernel {
     fn rebuild_local(
         &mut self,
         ctx: &mut NodeCtx,
-        shared: &EngineShared<'_>,
+        env: &EngineEnv<'_>,
         blk: &mut ReconBlock,
         copies: Vec<Option<Vec<f64>>>,
     );
@@ -424,11 +433,11 @@ pub(crate) trait ResilientKernel {
     fn rebuild_distributed(
         &mut self,
         ctx: &mut NodeCtx,
-        shared: &EngineShared<'_>,
+        env: &EngineEnv<'_>,
         comm: &mut EngineComm<'_>,
         blocks: &mut [ReconBlock],
     ) {
-        let _ = (ctx, shared, comm, blocks);
+        let _ = (ctx, env, comm, blocks);
     }
     /// Splice surviving values and reconstructed blocks into the adopted
     /// (possibly widened) range after a shrink. `own` is this node's old
@@ -491,11 +500,9 @@ pub(crate) fn unpack(kernel: &mut dyn ResilientKernel, data: &[f64], nloc: usize
 }
 
 /// The per-solve recovery bookkeeping: what the engine threads through
-/// every event (tag-window sequence, handled substep boundaries, spare
-/// pool, deposit store) and what the node loop reports at the end.
+/// every event (tag-window sequence, spare pool, deposit store) and what
+/// the node loop reports at the end.
 pub(crate) struct RecoveryBook {
-    /// Substep boundaries `(iteration, substep)` already polled.
-    pub handled_sub: HashSet<(u64, u32)>,
     /// Next tag window: numbers ESR attempts, deposit rounds and rollback
     /// attempts alike.
     pub recovery_seq: u32,
@@ -517,7 +524,6 @@ impl RecoveryBook {
     /// Fresh bookkeeping at solve start.
     pub fn new(pool: SparePool, ckpt: Option<CheckpointStore>) -> Self {
         RecoveryBook {
-            handled_sub: HashSet::new(),
             recovery_seq: 0,
             pool,
             ckpt,
@@ -529,31 +535,194 @@ impl RecoveryBook {
     }
 }
 
-/// Static per-attempt context shared with kernel callbacks.
-pub(crate) struct EngineShared<'a> {
-    /// Full system matrix.
-    pub a: &'a Csr,
-    /// Its per-range blocks and factors.
-    pub statics: &'a StaticData,
-    /// Preconditioner configuration (block reconstruction operators).
-    pub precond: &'a PrecondConfig,
-    /// `false` at iteration 0.
-    pub has_prev: bool,
+/// What one attempt derives from the layout, the failed set and the
+/// replacement budget before it communicates: who is replaced in place,
+/// who retires, who rebuilds which rows, and the layout after the event.
+/// A restart with an enlarged failed set derives a new one.
+pub(crate) struct EventPlan {
+    /// This node's rank.
+    pub me: usize,
+    /// Whether this node is among the failed (past the retire exit: a
+    /// replacement node).
+    pub am_failed: bool,
+    /// This node's owned rows on the layout the event started on.
+    pub my_range: Range<usize>,
+    /// The attempt's failed ranks, ascending (a snapshot: the loop's own
+    /// set may grow at the next boundary).
+    pub failed: Vec<usize>,
+    /// The `granted` lowest failed ranks are replaced in place; the rest
+    /// retire and their subdomains are adopted.
+    pub granted: usize,
+    /// Active members that did not fail, ascending.
+    pub survivors: Vec<usize>,
+    /// The members after the event: everyone but the retired.
+    pub new_members: Vec<usize>,
+    /// Their partition. Boundaries are the old block starts of the
+    /// remaining members (the first pulled to row 0), which *is* the
+    /// nearest-preceding-survivor adoption rule; with no retirements it
+    /// reproduces the old partition exactly.
+    pub new_part: BlockPartition,
+    /// Per failed rank, in `failed` order: its old rows and who rebuilds
+    /// them. The reconstructors' row sets concatenate to sorted `If`.
+    pub lost: Vec<LostBlock>,
+    /// The distinct reconstructors, ascending.
+    pub reconstructors: Vec<usize>,
+    /// Sorted global rows of all failed blocks (`If`).
+    pub if_indices: Vec<usize>,
 }
 
-/// The engine's namespace for the entry point (the protocol itself lives
-/// in [`recover`]; kernels and the communication helpers around it).
-pub struct RecoveryEngine;
+/// One failed rank's subdomain in an [`EventPlan`].
+pub(crate) struct LostBlock {
+    /// The failed rank.
+    pub rank: usize,
+    /// Its owned rows before the event.
+    pub range: Range<usize>,
+    /// Who rebuilds them: the rank itself when replaced in place, else the
+    /// adopting survivor.
+    pub reconstructor: usize,
+}
 
-/// Run the unified recovery protocol. All *active* members call this
-/// together at a failure boundary with the same failed set (already
-/// filtered to active members — ULFM-consistent notification).
-///
-/// Dispatches on the configured protection flavor: ESR reconstruction
-/// (below) or checkpoint rollback ([`crate::checkpoint::recover_rollback`]
-/// — `book.ckpt` then carries the node's deposit store). Both flavors
-/// share the attempt loop with per-attempt tag windows, the overlap
-/// substep boundaries, and the policy grant/retire/adoption math.
+impl EventPlan {
+    /// Plan the event for sorted `failed` ranks (all active members) under
+    /// a budget of `avail` replacements.
+    fn new(layout: &Layout, me: usize, failed: &[usize], avail: usize) -> Self {
+        let granted = avail.min(failed.len());
+        let old_range = |r: usize| {
+            let slot = layout
+                .members
+                .binary_search(&r)
+                .expect("failed rank is an active member");
+            layout.part.range(slot)
+        };
+        let without = |gone: &[usize]| -> Vec<usize> {
+            let stays = |r: &usize| gone.binary_search(r).is_err();
+            layout.members.iter().copied().filter(stays).collect()
+        };
+        let new_members = without(&failed[granted..]);
+        let mut new_starts = Vec::with_capacity(new_members.len() + 1);
+        new_starts.push(0);
+        new_starts.extend(new_members.iter().skip(1).map(|&m| old_range(m).start));
+        new_starts.push(layout.part.n());
+        let new_part = BlockPartition::from_starts(new_starts);
+        let lost: Vec<LostBlock> = failed
+            .iter()
+            .enumerate()
+            .map(|(i, &rank)| {
+                let range = old_range(rank);
+                let reconstructor = if i < granted {
+                    rank
+                } else {
+                    new_members[new_part.owner_of(range.start)]
+                };
+                LostBlock {
+                    rank,
+                    range,
+                    reconstructor,
+                }
+            })
+            .collect();
+        let mut reconstructors: Vec<usize> = lost.iter().map(|l| l.reconstructor).collect();
+        reconstructors.sort_unstable();
+        reconstructors.dedup();
+        let if_indices: Vec<usize> = lost.iter().flat_map(|l| l.range.clone()).collect();
+        debug_assert!(if_indices.windows(2).all(|w| w[0] < w[1]));
+        EventPlan {
+            me,
+            am_failed: failed.binary_search(&me).is_ok(),
+            my_range: layout.lm.range.clone(),
+            failed: failed.to_vec(),
+            granted,
+            survivors: without(failed),
+            new_members,
+            new_part,
+            lost,
+            reconstructors,
+            if_indices,
+        }
+    }
+
+    /// The failed ranks that get a replacement node.
+    pub fn replaced(&self) -> &[usize] {
+        &self.failed[..self.granted]
+    }
+
+    /// The failed ranks that leave the cluster.
+    pub fn retired(&self) -> &[usize] {
+        &self.failed[self.granted..]
+    }
+
+    /// The failed blocks this node rebuilds, in ascending row order.
+    pub fn mine(&self) -> impl Iterator<Item = &LostBlock> {
+        self.lost.iter().filter(|l| l.reconstructor == self.me)
+    }
+
+    /// This node's slot among [`EventPlan::new_members`] (it did not
+    /// retire).
+    pub fn new_slot(&self) -> usize {
+        self.new_members
+            .binary_search(&self.me)
+            .expect("active non-retired rank is a new member")
+    }
+}
+
+/// One attempt as a [`Flavor`] sees it.
+pub(crate) struct Attempt<'a> {
+    /// The event's static context.
+    pub env: &'a EngineEnv<'a>,
+    /// The attempt's tag window (see [`tag`]).
+    pub seq: u32,
+    /// Who failed, who rebuilds what, the layout afterwards.
+    pub plan: &'a EventPlan,
+}
+
+/// What a state protection contributes to the restart protocol. The attempt
+/// loop ([`recover`]) owns everything a recovery has in common; a flavor is
+/// the three stages between the loop's substep boundaries and the commit
+/// past the last one. State a flavor carries from stage to stage belongs
+/// to one attempt: a restarted attempt must not see the aborted one's.
+pub(crate) trait Flavor {
+    /// Trace span of the whole event.
+    const SPAN: &'static str;
+    /// [`RecoveryTimeline::flavor`].
+    const NAME: &'static str;
+    /// Span and timeline labels of stages `1..RECOVERY_SUBSTEPS`.
+    const STAGES: [&'static str; 3];
+
+    /// This node failed: destroy what the protection keeps beside the
+    /// kernel's state and the ghosts.
+    fn lose(&mut self, layout: &mut Layout);
+
+    /// Stage `substep` (`1..RECOVERY_SUBSTEPS`): what the attempt does
+    /// between overlap boundaries `substep − 1` and `substep`. Collective
+    /// over the active members that did not retire.
+    fn stage(
+        &mut self,
+        substep: u32,
+        ctx: &mut NodeCtx,
+        at: &Attempt<'_>,
+        layout: &Layout,
+        kernel: &mut dyn ResilientKernel,
+    );
+
+    /// Past the last boundary: install the recovered state and, when ranks
+    /// retired, the shrunken layout ([`rebuild_layout_after_shrink`]).
+    /// Returns [`RecoveryReport::inner_iterations`] and
+    /// [`RecoveryReport::rollback_to`].
+    fn commit(
+        &mut self,
+        ctx: &mut NodeCtx,
+        at: &Attempt<'_>,
+        layout: &mut Layout,
+        kernel: &mut dyn ResilientKernel,
+    ) -> (usize, Option<u64>);
+}
+
+/// Run the restart protocol. All *active* members call this together at a
+/// failure boundary with the same failed set (already filtered to active
+/// members — ULFM-consistent notification). The configured protection
+/// selects the flavor: ESR reconstruction ([`Reconstruction`]) or checkpoint
+/// rollback ([`crate::checkpoint::Rollback`], over the deposit store in
+/// `book.ckpt`).
 pub(crate) fn recover(
     ctx: &mut NodeCtx,
     env: &EngineEnv<'_>,
@@ -562,18 +731,62 @@ pub(crate) fn recover(
     initial_failed: &[usize],
     book: &mut RecoveryBook,
 ) -> EngineOutcome {
-    if let Protection::Checkpoint(_) = &env.res.protection {
-        return crate::checkpoint::recover_rollback(ctx, env, layout, kernel, initial_failed, book);
-    }
     let RecoveryBook {
-        handled_sub: handled,
-        recovery_seq,
+        recovery_seq: seq,
         pool,
+        ckpt,
         ..
     } = book;
+    match &env.res.protection {
+        Protection::Esr => {
+            let mut flavor = Reconstruction::default();
+            restart_protocol(
+                ctx,
+                env,
+                layout,
+                kernel,
+                initial_failed,
+                seq,
+                pool,
+                &mut flavor,
+            )
+        }
+        Protection::Checkpoint(_) => {
+            let store = ckpt
+                .as_mut()
+                .expect("checkpoint protection requires a deposit store");
+            let mut flavor = crate::checkpoint::Rollback::new(store);
+            restart_protocol(
+                ctx,
+                env,
+                layout,
+                kernel,
+                initial_failed,
+                seq,
+                pool,
+                &mut flavor,
+            )
+        }
+    }
+}
+
+/// The attempt loop of [`recover`], for one flavor.
+#[allow(clippy::too_many_arguments)]
+fn restart_protocol<F: Flavor>(
+    ctx: &mut NodeCtx,
+    env: &EngineEnv<'_>,
+    layout: &mut Layout,
+    kernel: &mut dyn ResilientKernel,
+    initial_failed: &[usize],
+    recovery_seq: &mut u32,
+    pool: &mut SparePool,
+    flavor: &mut F,
+) -> EngineOutcome {
     let me = ctx.rank();
-    ctx.trace_open("recovery", env.iteration);
-    let mut timeline = RecoveryTimeline::new(env.iteration, "esr");
+    ctx.trace_open(F::SPAN, env.iteration);
+    let mut timeline = RecoveryTimeline::new(env.iteration, F::NAME);
+    let [s1, s2, s3] = F::STAGES;
+    let labels = ["setup", s1, s2, s3, "commit"];
     let mut failed = initial_failed.to_vec();
     failed.sort_unstable();
     failed.dedup();
@@ -588,6 +801,10 @@ pub(crate) fn recover(
         RecoveryPolicy::Shrink => 0,
     };
     let mut attempts = 0usize;
+    // Overlap boundaries below this substep were polled by an earlier
+    // attempt. Per event is enough: the node loop starts at most one
+    // recovery per iteration, so no boundary is ever seen by two events.
+    let mut next_substep = 0u32;
 
     'attempt: loop {
         attempts += 1;
@@ -600,112 +817,250 @@ pub(crate) fn recover(
         ctx.audit_enter_window(seq);
         ctx.trace_open("attempt", seq as u64);
         let mut seg_t = ctx.vtime();
-        ctx.trace_open("setup", 0);
+        ctx.trace_open(labels[0], 0);
         assert!(
             failed.len() < layout.members.len(),
             "all {} active nodes failed — nothing left to recover from",
             layout.members.len()
         );
-
-        // ---- grant replacements to the lowest-ranked failed nodes ------
-        let granted = avail.min(failed.len());
-        let replaced: Vec<usize> = failed[..granted].to_vec();
-        let retired: Vec<usize> = failed[granted..].to_vec();
-        ctx.trace_instant("grant", granted as u64);
-        if retired.binary_search(&me).is_ok() {
+        let plan = EventPlan::new(layout, me, &failed, avail);
+        ctx.trace_instant("grant", plan.granted as u64);
+        if plan.retired().binary_search(&me).is_ok() {
             // No replacement for this node: it is gone. Its subdomain is
-            // adopted by a survivor; the thread leaves the cluster.
-            ctx.trace_close(); // setup
-            ctx.trace_close(); // attempt
-            ctx.trace_close(); // recovery
+            // adopted by a survivor; the thread leaves the cluster, closing
+            // setup, attempt and event (no timeline: it reports none).
+            for _ in 0..3 {
+                ctx.trace_close();
+            }
             ctx.audit_exit_window();
             return EngineOutcome::Retired;
         }
-        let am_failed = failed.binary_search(&me).is_ok(); // ⇒ replaced
-        let am_survivor = !am_failed;
-
-        let old_slot = |r: usize| {
-            layout
-                .members
-                .binary_search(&r)
-                .expect("failed rank is an active member")
+        let at = Attempt {
+            env,
+            seq,
+            plan: &plan,
         };
-        let survivors: Vec<usize> = layout
-            .members
-            .iter()
-            .copied()
-            .filter(|r| failed.binary_search(r).is_err())
-            .collect();
-        let new_members: Vec<usize> = layout
-            .members
-            .iter()
-            .copied()
-            .filter(|r| retired.binary_search(r).is_err())
-            .collect();
-        // The post-event partition: boundaries are the old block starts of
-        // the remaining members (the first pulled to row 0), which *is*
-        // the nearest-preceding-survivor adoption rule. With no
-        // retirements this reproduces the old partition exactly.
-        let mut new_starts = Vec::with_capacity(new_members.len() + 1);
-        new_starts.push(0);
-        for m in new_members.iter().skip(1) {
-            new_starts.push(layout.part.range(old_slot(*m)).start);
-        }
-        new_starts.push(layout.part.n());
-        let new_part = BlockPartition::from_starts(new_starts);
-        let reconstructor = |f: usize| -> usize {
-            if replaced.binary_search(&f).is_ok() {
-                f // in-place replacement
-            } else {
-                let start = layout.part.range(old_slot(f)).start;
-                new_members[new_part.owner_of(start)] // adopter
+
+        for substep in 0..RECOVERY_SUBSTEPS {
+            if substep > 0 {
+                flavor.stage(substep, ctx, &at, layout, kernel);
+            } else if plan.am_failed {
+                // The node failure: all dynamic data of this rank is lost.
+                poison(kernel);
+                parcomm::fault::poison(&mut layout.ghosts);
+                flavor.lose(layout);
             }
-        };
-        let mut reconstructors: Vec<usize> = failed.iter().map(|&f| reconstructor(f)).collect();
-        reconstructors.sort_unstable();
-        reconstructors.dedup();
-        let if_indices: Vec<usize> = failed
-            .iter()
-            .flat_map(|&f| layout.part.range(old_slot(f)))
-            .collect();
-        debug_assert!(if_indices.windows(2).all(|w| w[0] < w[1]));
-        let my_range = layout.lm.range.clone();
-        let a: &Csr = env.statics.matrix();
-        let shared = EngineShared {
-            a,
-            statics: env.statics,
-            precond: env.precond,
-            has_prev: env.has_prev,
-        };
-
-        if am_failed {
-            // The node failure: all dynamic data of this rank is lost.
-            poison(kernel);
-            parcomm::fault::poison(&mut layout.ghosts);
-            for ch in &mut layout.channels {
-                ch.poison();
+            // ---- overlap boundary `substep` ----------------------------
+            ctx.trace_close();
+            timeline.mark(ctx, &mut seg_t, attempts, labels[substep as usize]);
+            if substep >= next_substep {
+                next_substep = substep + 1;
+                let boundary = FailAt::RecoverySubstep {
+                    after_iteration: env.iteration,
+                    substep,
+                };
+                let new = layout.poll_member_failures(ctx, boundary);
+                if !new.is_empty() {
+                    failed.extend(new);
+                    failed.sort_unstable();
+                    failed.dedup();
+                    ctx.trace_instant("overlap_restart", failed.len() as u64);
+                    ctx.trace_close(); // attempt
+                    continue 'attempt;
+                }
             }
+            ctx.trace_open(labels[substep as usize + 1], 0);
         }
 
-        // ---- substep 0: before any recovery communication --------------
-        ctx.trace_close();
-        timeline.mark(ctx, &mut seg_t, attempts, "setup");
-        if poll_overlap(ctx, env.iteration, 0, handled, &mut failed, &layout.members) {
-            ctx.trace_instant("overlap_restart", failed.len() as u64);
-            ctx.trace_close(); // attempt
-            continue 'attempt;
+        // ---- success: commit the spare claim, apply the new state ------
+        if matches!(env.res.policy, RecoveryPolicy::Spares(_)) {
+            pool.claim(plan.granted);
         }
-        ctx.trace_open("gather", 0);
+        let (inner_iterations, rollback_to) = flavor.commit(ctx, &at, layout, kernel);
+        ctx.trace_close(); // commit
+        timeline.mark(
+            ctx,
+            &mut seg_t,
+            attempts,
+            labels[RECOVERY_SUBSTEPS as usize],
+        );
+        ctx.trace_close(); // attempt
+        ctx.trace_close(); // event
+        ctx.audit_exit_window();
+        return EngineOutcome::Recovered(RecoveryReport {
+            total_failed: failed.len(),
+            retired_ranks: plan.retired().len(),
+            attempts,
+            inner_iterations,
+            rollback_to,
+            timeline,
+        });
+    }
+}
 
+/// Rebuild every piece of distributed state on the shrunken layout of
+/// `at.plan`: [`LocalMatrix`], preconditioner, the survivors' [`Group`],
+/// the scatter plan (with re-derived redundancy extras under ESR
+/// protection; checkpoint protection deposits replicas instead), retention
+/// channels, the ghost buffer, and the kernel's scratch vectors. Collective
+/// over the new members; the caller has already installed the solver state
+/// over the new ranges (ESR: `splice`; rollback: `unpack`).
+pub(crate) fn rebuild_layout_after_shrink(
+    ctx: &mut NodeCtx,
+    at: &Attempt<'_>,
+    layout: &mut Layout,
+    kernel: &mut dyn ResilientKernel,
+) {
+    let (env, plan) = (at.env, at.plan);
+    let me = plan.me;
+    let my_new_slot = plan.new_slot();
+    let lm = env.statics.block(&plan.new_part.range(my_new_slot));
+    // Coarse cost of re-extracting the adopted static rows.
+    ctx.clock_mut()
+        .advance_flops(lm.diag.nnz() + lm.offdiag.nnz());
+    let prec = NodePrecond::setup(ctx, env.precond, &plan.new_part, env.statics, &lm)
+        .unwrap_or_else(|e| panic!("rank {me}: preconditioner rebuild after shrink: {e}"));
+    let mut group = ctx.group(&plan.new_members);
+    let mut scatter = ScatterPlan::build_on(ctx, &mut group, &lm, &plan.new_part);
+    let k = plan.new_members.len();
+    let phi_eff = env.res.phi.min(k.saturating_sub(1));
+    if env.res.is_esr() && phi_eff >= 1 {
+        scatter.send_extra = redundancy::compute_extra_sends(
+            my_new_slot,
+            k,
+            phi_eff,
+            &env.res.strategy,
+            lm.n_local(),
+            &scatter.send_natural,
+        );
+        scatter.announce_extras_on(ctx, &mut group);
+    }
+    let channels = (0..layout.channels.len())
+        .map(|_| Retention::build(&scatter, &lm.ghost_cols))
+        .collect();
+    let shape = kernel.shape();
+    for (slot, v) in kernel.vecs_mut().iter_mut().enumerate() {
+        if slot >= shape.n_block_vecs && !shape.pack_slots.contains(&slot) {
+            *v = vec![0.0; lm.n_local()];
+        }
+    }
+
+    layout.part = plan.new_part.clone();
+    layout.ghosts = vec![0.0; lm.ghost_cols.len()];
+    layout.lm = lm;
+    layout.plan = scatter;
+    layout.channels = channels;
+    layout.prec = prec;
+    layout.members = plan.new_members.clone();
+    layout.my_slot = my_new_slot;
+    layout.group = Some(group);
+}
+
+/// The ESR flavor — exact state reconstruction (paper Alg. 2) — and what
+/// one attempt of it accumulates: `gather` starts from a fresh one.
+#[derive(Default)]
+struct Reconstruction {
+    /// The failed blocks this node rebuilds, in ascending row order.
+    blocks: Vec<ReconBlock>,
+    /// What [`EngineComm`] carries from `rebuild` into `xsolve`.
+    wire: Wire,
+}
+
+/// The per-attempt state behind [`EngineComm`].
+#[derive(Default)]
+struct Wire {
+    /// Request/response tag pairs handed out so far.
+    tag_pairs: u32,
+    /// The reconstructor sub-communicator, created on first use and shared
+    /// by every group operation of the attempt — `rebuild` and `xsolve`
+    /// alike: a group's id derives from a per-member-set creation counter,
+    /// so creating one per stage would move every group tag.
+    group: Option<Group>,
+    /// Inner-solver iterations accumulated by [`EngineComm::solve_if_system`].
+    inner_iterations: usize,
+}
+
+impl Flavor for Reconstruction {
+    const SPAN: &'static str = "recovery";
+    const NAME: &'static str = "esr";
+    const STAGES: [&'static str; 3] = ["gather", "rebuild", "xsolve"];
+
+    fn lose(&mut self, layout: &mut Layout) {
+        for ch in &mut layout.channels {
+            ch.poison();
+        }
+    }
+
+    fn stage(
+        &mut self,
+        substep: u32,
+        ctx: &mut NodeCtx,
+        at: &Attempt<'_>,
+        layout: &Layout,
+        kernel: &mut dyn ResilientKernel,
+    ) {
+        if substep == 1 {
+            *self = Reconstruction::default();
+            return self.gather(ctx, at, layout, kernel);
+        }
+        let mut comm = EngineComm {
+            at,
+            layout,
+            wire: &mut self.wire,
+        };
+        match substep {
+            2 => kernel.rebuild_distributed(ctx, at.env, &mut comm, &mut self.blocks),
+            _ => comm.solve_x(ctx, kernel, &mut self.blocks),
+        }
+    }
+
+    fn commit(
+        &mut self,
+        ctx: &mut NodeCtx,
+        at: &Attempt<'_>,
+        layout: &mut Layout,
+        kernel: &mut dyn ResilientKernel,
+    ) -> (usize, Option<u64>) {
+        let plan = at.plan;
+        let shrunk = !plan.retired().is_empty();
+        // Install the rebuilt blocks: a replacement node over its own old
+        // range, and on a shrink every member over its adopted (possibly
+        // wider) range next to its surviving values. Ghosts and retention
+        // refill on the restarted iteration's re-scatter.
+        if shrunk || plan.am_failed {
+            let new_range = plan.new_part.range(plan.new_slot());
+            let own = (!plan.am_failed).then_some(&plan.my_range);
+            kernel.splice(&new_range, own, &self.blocks, at.env.b);
+        }
+        if shrunk {
+            rebuild_layout_after_shrink(ctx, at, layout, kernel);
+        }
+        (self.wire.inner_iterations, None)
+    }
+}
+
+impl Reconstruction {
+    /// Stage 1: route the replicated scalars to the replaced ranks and the
+    /// retained copies to the reconstructors, which rebuild the locally
+    /// derivable part of their blocks.
+    fn gather(
+        &mut self,
+        ctx: &mut NodeCtx,
+        at: &Attempt<'_>,
+        layout: &Layout,
+        kernel: &mut dyn ResilientKernel,
+    ) {
+        let (plan, seq) = (at.plan, at.seq);
+        let me = plan.me;
         // ---- replicated scalars → the replaced ranks -------------------
         // Adopters are survivors and already hold them; replaced ranks
         // lost theirs to poisoning and receive them from the lowest
         // survivor.
-        let lowest_surv = survivors[0];
+        let lowest_surv = plan.survivors[0];
         let resent = kernel.shape().resent_scalars;
         if me == lowest_surv {
             let sc: Vec<f64> = resent.iter().map(|&i| kernel.scalars()[i]).collect();
-            for &f in &replaced {
+            for &f in plan.replaced() {
                 ctx.send(
                     f,
                     tag(seq, OFF_SCALARS),
@@ -713,7 +1068,7 @@ pub(crate) fn recover(
                     CommPhase::Recovery,
                 );
             }
-        } else if am_failed {
+        } else if plan.am_failed {
             let sc = ctx
                 .recv_phase(lowest_surv, tag(seq, OFF_SCALARS), CommPhase::Recovery)
                 .into_f64s();
@@ -727,317 +1082,62 @@ pub(crate) fn recover(
         // channel read, its retained pairs in that block's range to the
         // block's reconstructor; FIFO (src, tag) ordering disambiguates
         // multiple blocks bound for the same reconstructor.
-        let reads = kernel.channel_reads(env.has_prev);
+        let reads = kernel.channel_reads(at.env.has_prev);
         assert!(
             reads.len() as u32 <= OFF_DYNAMIC - OFF_COPIES,
             "kernel declares more channel reads than the tag window holds"
         );
-        if am_survivor {
-            for &f in &failed {
-                let rho = reconstructor(f);
-                if rho == me {
-                    continue; // used locally during assembly below
-                }
-                let br = layout.part.range(old_slot(f));
+        let retained = |rd: &ChannelRead, range: &Range<usize>| {
+            layout.channels[rd.channel].collect_range(rd.generation, range.start, range.end)
+        };
+        if !plan.am_failed {
+            // Blocks this survivor adopts itself are read locally below.
+            for lost in plan.lost.iter().filter(|l| l.reconstructor != me) {
                 for (ri, rd) in reads.iter().enumerate() {
                     ctx.send(
-                        rho,
+                        lost.reconstructor,
                         tag(seq, OFF_COPIES + ri as u32),
-                        Payload::pairs(layout.channels[rd.channel].collect_range(
-                            rd.generation,
-                            br.start,
-                            br.end,
-                        )),
+                        Payload::pairs(retained(rd, &lost.range)),
                         CommPhase::Recovery,
                     );
                 }
             }
         }
-        let mut blocks: Vec<ReconBlock> = Vec::new();
-        for &f in &failed {
-            if reconstructor(f) != me {
-                continue;
-            }
-            let br = layout.part.range(old_slot(f));
+        for lost in plan.mine() {
             let mut copies: Vec<Option<Vec<f64>>> = Vec::with_capacity(reads.len());
             for (ri, rd) in reads.iter().enumerate() {
-                let own = if am_survivor {
-                    layout.channels[rd.channel].collect_range(rd.generation, br.start, br.end)
-                } else {
+                // A replacement node's own retention is lost.
+                let own = if plan.am_failed {
                     Vec::new()
+                } else {
+                    retained(rd, &lost.range)
                 };
-                copies.push(assemble_range(
-                    ctx,
-                    &survivors,
-                    me,
-                    own,
-                    &br,
-                    tag(seq, OFF_COPIES + ri as u32),
-                    rd.what,
-                    rd.required,
-                ));
+                let tag = tag(seq, OFF_COPIES + ri as u32);
+                copies.push(assemble_range(ctx, plan, own, &lost.range, tag, rd));
             }
             let mut blk = ReconBlock {
-                range: br,
+                range: lost.range.clone(),
                 vecs: vec![Vec::new(); kernel.shape().n_block_vecs],
             };
-            kernel.rebuild_local(ctx, &shared, &mut blk, copies);
-            blocks.push(blk);
-        }
-
-        // ---- substep 1: after copy gathering ---------------------------
-        ctx.trace_close();
-        timeline.mark(ctx, &mut seg_t, attempts, "gather");
-        if poll_overlap(ctx, env.iteration, 1, handled, &mut failed, &layout.members) {
-            ctx.trace_instant("overlap_restart", failed.len() as u64);
-            ctx.trace_close(); // attempt
-            continue 'attempt;
-        }
-        ctx.trace_open("rebuild", 0);
-
-        // ---- kernel-specific distributed rebuilds ----------------------
-        let mut comm = EngineComm {
-            seq,
-            next_off: OFF_DYNAMIC,
-            part: &layout.part,
-            members: &layout.members,
-            my_range: my_range.clone(),
-            failed: failed.clone(),
-            survivors: &survivors,
-            reconstructors: &reconstructors,
-            if_indices: &if_indices,
-            me,
-            am_survivor,
-            rcfg: &env.res.recovery,
-            group: None,
-            inner_iterations: 0,
-        };
-        kernel.rebuild_distributed(ctx, &shared, &mut comm, &mut blocks);
-
-        // ---- substep 2: after the auxiliary rebuilds -------------------
-        ctx.trace_close();
-        timeline.mark(ctx, &mut seg_t, attempts, "rebuild");
-        if poll_overlap(ctx, env.iteration, 2, handled, &mut failed, &layout.members) {
-            ctx.trace_instant("overlap_restart", failed.len() as u64);
-            ctx.trace_close(); // attempt
-            continue 'attempt;
-        }
-        ctx.trace_open("xsolve", 0);
-
-        // ---- x reconstruction (Alg. 2 lines 7–8) -----------------------
-        // Reconstructors gather the surviving x values their failed rows
-        // couple to, form `w = b_If − r_If − A_{If,I\If} x_{I\If}`, and
-        // solve `A_{If,If} x_If = w` cooperatively over the group.
-        let &KernelShape { r_slot, x_slot, .. } = kernel.shape();
-        let lookup = comm.gather_outside(ctx, a, &blocks, &kernel.vecs()[x_slot]);
-        if !blocks.is_empty() {
-            let lookup = lookup.expect("reconstructors obtain the x lookup");
-            let mut rows: Vec<usize> = Vec::new();
-            let mut rhs: Vec<f64> = Vec::new();
-            for blk in &blocks {
-                let mut flops = 0usize;
-                for (i, gr) in blk.range.clone().enumerate() {
-                    let (cols, vals) = a.row(gr);
-                    let mut s = 0.0;
-                    for (c, v) in cols.iter().zip(vals) {
-                        let c = *c as usize;
-                        if if_indices.binary_search(&c).is_err() {
-                            let pos = lookup
-                                .binary_search_by_key(&c, |e| e.0)
-                                .expect("gathered every surviving coupled x");
-                            s += v * lookup[pos].1;
-                        }
-                    }
-                    flops += 2 * cols.len();
-                    rhs.push(env.b[gr] - blk.vecs[r_slot][i] - s);
-                }
-                ctx.clock_mut().advance_flops(flops + 2 * blk.range.len());
-                rows.extend(blk.range.clone());
-            }
-            debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
-            let x_new = comm.solve_if_system(ctx, a, Some(env.statics), &rows, rhs);
-            let mut off = 0usize;
-            for blk in &mut blocks {
-                blk.vecs[x_slot] = x_new[off..off + blk.range.len()].to_vec();
-                off += blk.range.len();
-            }
-        }
-        let inner_iterations = comm.inner_iterations;
-        drop(comm);
-
-        // ---- substep 3: failures during the x solve --------------------
-        ctx.trace_close();
-        timeline.mark(ctx, &mut seg_t, attempts, "xsolve");
-        if poll_overlap(ctx, env.iteration, 3, handled, &mut failed, &layout.members) {
-            ctx.trace_instant("overlap_restart", failed.len() as u64);
-            ctx.trace_close(); // attempt
-            continue 'attempt;
-        }
-        ctx.trace_open("commit", 0);
-
-        // ---- success: commit the spare claim, apply the new layout -----
-        if matches!(env.res.policy, RecoveryPolicy::Spares(_)) {
-            pool.claim(granted);
-        }
-        let mut report = RecoveryReport {
-            total_failed: failed.len(),
-            retired_ranks: retired.len(),
-            attempts,
-            inner_iterations,
-            rollback_to: None,
-            timeline: RecoveryTimeline::default(),
-        };
-
-        if retired.is_empty() {
-            // Every failed rank got a replacement: pure in-place rebuild.
-            if am_failed {
-                debug_assert!(blocks.len() == 1 && blocks[0].range == my_range);
-                for (v, rebuilt) in kernel.vecs_mut().iter_mut().zip(&blocks[0].vecs) {
-                    v.copy_from_slice(rebuilt);
-                }
-                // ghosts/retention refill on the restarted iteration's
-                // re-scatter.
-            }
-            ctx.trace_close(); // commit
-            timeline.mark(ctx, &mut seg_t, attempts, "commit");
-            ctx.trace_close(); // attempt
-            ctx.trace_close(); // recovery
-            report.timeline = timeline;
-            ctx.audit_exit_window();
-            return EngineOutcome::Recovered(report);
-        }
-
-        // Shrink: splice own surviving values and reconstructed blocks
-        // into the adopted (wider) range, then rebuild every piece of
-        // distributed state on the new layout.
-        let my_new_slot = new_members
-            .binary_search(&me)
-            .expect("active non-retired rank is a new member");
-        let new_range = new_part.range(my_new_slot);
-        let own = if am_failed { None } else { Some(&my_range) };
-        kernel.splice(&new_range, own, &blocks, env.b);
-        rebuild_layout_after_shrink(ctx, env, layout, kernel, new_part, new_members, true);
-        ctx.trace_close(); // commit
-        timeline.mark(ctx, &mut seg_t, attempts, "commit");
-        ctx.trace_close(); // attempt
-        ctx.trace_close(); // recovery
-        report.timeline = timeline;
-        ctx.audit_exit_window();
-        return EngineOutcome::Recovered(report);
-    }
-}
-
-/// Rebuild every piece of distributed state on the shrunken layout:
-/// [`LocalMatrix`], preconditioner, the survivors' [`Group`], the scatter
-/// plan (with re-derived redundancy extras when `with_redundancy` — the
-/// ESR flavor; checkpoint protection deposits replicas instead), retention
-/// channels, the ghost buffer, and the kernel's scratch vectors. Collective
-/// over `new_members`; the caller has already installed the solver state
-/// over the new ranges (ESR: `splice`; rollback: `unpack`).
-pub(crate) fn rebuild_layout_after_shrink(
-    ctx: &mut NodeCtx,
-    env: &EngineEnv<'_>,
-    layout: &mut Layout,
-    kernel: &mut dyn ResilientKernel,
-    new_part: BlockPartition,
-    new_members: Vec<usize>,
-    with_redundancy: bool,
-) {
-    let me = ctx.rank();
-    let my_new_slot = new_members
-        .binary_search(&me)
-        .expect("active non-retired rank is a new member");
-    let lm = env.statics.block(&new_part.range(my_new_slot));
-    // Coarse cost of re-extracting the adopted static rows.
-    ctx.clock_mut()
-        .advance_flops(lm.diag.nnz() + lm.offdiag.nnz());
-    let prec = NodePrecond::setup(ctx, env.precond, &new_part, env.statics, &lm)
-        .unwrap_or_else(|e| panic!("rank {me}: preconditioner rebuild after shrink: {e}"));
-    let mut group = ctx.group(&new_members);
-    let mut plan = ScatterPlan::build_on(ctx, &mut group, &lm, &new_part);
-    let k = new_members.len();
-    let phi_eff = env.res.phi.min(k.saturating_sub(1));
-    if with_redundancy && phi_eff >= 1 {
-        plan.send_extra = redundancy::compute_extra_sends(
-            my_new_slot,
-            k,
-            phi_eff,
-            &env.res.strategy,
-            lm.n_local(),
-            &plan.send_natural,
-        );
-        plan.announce_extras_on(ctx, &mut group);
-    }
-    let channels = (0..layout.channels.len())
-        .map(|_| Retention::build(&plan, &lm.ghost_cols))
-        .collect();
-    let shape = kernel.shape();
-    for (slot, v) in kernel.vecs_mut().iter_mut().enumerate() {
-        if slot >= shape.n_block_vecs && !shape.pack_slots.contains(&slot) {
-            *v = vec![0.0; lm.n_local()];
+            kernel.rebuild_local(ctx, at.env, &mut blk, copies);
+            self.blocks.push(blk);
         }
     }
-
-    layout.part = new_part;
-    layout.ghosts = vec![0.0; lm.ghost_cols.len()];
-    layout.lm = lm;
-    layout.plan = plan;
-    layout.channels = channels;
-    layout.prec = prec;
-    layout.members = new_members;
-    layout.my_slot = my_new_slot;
-    layout.group = Some(group);
-}
-
-/// Check the overlap boundary `(iteration, substep)`; merge any newly
-/// failed *active* ranks into `failed` and report whether a restart is
-/// needed. Failures naming ranks outside `members` are inert — retired
-/// hardware is gone and has nothing left to lose.
-pub(crate) fn poll_overlap(
-    ctx: &NodeCtx,
-    iteration: u64,
-    substep: u32,
-    handled: &mut HashSet<(u64, u32)>,
-    failed: &mut Vec<usize>,
-    members: &[usize],
-) -> bool {
-    let key = (iteration, substep);
-    if !handled.insert(key) {
-        return false; // already processed in an earlier attempt
-    }
-    let new: Vec<usize> = ctx
-        .poll_failures(FailAt::RecoverySubstep {
-            after_iteration: iteration,
-            substep,
-        })
-        .into_iter()
-        .filter(|r| members.binary_search(r).is_ok())
-        .collect();
-    if new.is_empty() {
-        return false;
-    }
-    failed.extend(new);
-    failed.sort_unstable();
-    failed.dedup();
-    true
 }
 
 /// Assemble one failed block over `range` from the `(global index, value)`
 /// pair lists sent by every survivor except the receiver itself, seeded
 /// with the receiver's own retained pairs (`own`, empty on a replacement
-/// node whose retention is lost). Panics on a coverage gap when `required`
-/// (more simultaneous failures than φ); returns `None` on a gap otherwise
-/// (e.g. no `p(j-1)` exists yet at iteration 0).
-#[allow(clippy::too_many_arguments)]
+/// node whose retention is lost). Panics on a coverage gap when the read is
+/// required (more simultaneous failures than φ); returns `None` on a gap
+/// otherwise (e.g. no `p(j-1)` exists yet at iteration 0).
 fn assemble_range(
     ctx: &mut NodeCtx,
-    survivors: &[usize],
-    me: usize,
+    plan: &EventPlan,
     own: Vec<(u64, f64)>,
     range: &Range<usize>,
     tag: u32,
-    what: &str,
-    required: bool,
+    read: &ChannelRead,
 ) -> Option<Vec<f64>> {
     let blen = range.len();
     let mut vals = vec![0.0; blen];
@@ -1050,18 +1150,17 @@ fn assemble_range(
         }
     };
     put(own, &mut vals, &mut got);
-    for &s in survivors {
-        if s == me {
-            continue;
-        }
+    for &s in plan.survivors.iter().filter(|&&s| s != plan.me) {
         let pairs = ctx.recv_phase(s, tag, CommPhase::Recovery).into_pairs();
         put(pairs, &mut vals, &mut got);
     }
     if let Some(o) = got.iter().position(|&g| !g) {
-        if required {
+        if read.required {
             panic!(
-                "rank {me}: unrecoverable — no surviving copy of {what}[{}]; \
+                "rank {}: unrecoverable — no surviving copy of {}[{}]; \
                  more simultaneous failures than φ?",
+                plan.me,
+                read.what,
                 range.start + o
             );
         }
@@ -1076,39 +1175,24 @@ fn assemble_range(
 /// kernels must call them unconditionally — not gated on whether this node
 /// reconstructs anything.
 pub(crate) struct EngineComm<'a> {
-    seq: u32,
-    next_off: u32,
-    part: &'a BlockPartition,
-    members: &'a [usize],
-    my_range: Range<usize>,
-    /// Snapshot of the attempt's failed set (owned: the engine may enlarge
-    /// its own copy at the next substep boundary while this one is alive).
-    failed: Vec<usize>,
-    survivors: &'a [usize],
-    reconstructors: &'a [usize],
-    /// Sorted global rows of all failed blocks.
-    pub if_indices: &'a [usize],
-    me: usize,
-    am_survivor: bool,
-    rcfg: &'a RecoveryConfig,
-    /// The reconstructor sub-communicator, created lazily on first use and
-    /// shared by every group operation of the attempt.
-    group: Option<Group>,
-    /// Inner-solver iterations accumulated by [`EngineComm::solve_if_system`].
-    inner_iterations: usize,
+    /// The attempt: its tag window and plan (`at.plan.if_indices` is `If`).
+    pub at: &'a Attempt<'a>,
+    /// The layout the event started on.
+    layout: &'a Layout,
+    wire: &'a mut Wire,
 }
 
 impl EngineComm<'_> {
     fn next_tag_pair(&mut self) -> (u32, u32) {
-        let req = self.next_off;
-        self.next_off += 2;
-        assert!(self.next_off <= TAG_STRIDE, "tag window exhausted");
-        (tag(self.seq, req), tag(self.seq, req + 1))
+        let req = OFF_DYNAMIC + 2 * self.wire.tag_pairs;
+        self.wire.tag_pairs += 1;
+        assert!(req + 2 <= TAG_STRIDE, "tag window exhausted");
+        (tag(self.at.seq, req), tag(self.at.seq, req + 1))
     }
 
     fn group(&mut self, ctx: &mut NodeCtx) -> &mut Group {
-        let recon = self.reconstructors;
-        self.group.get_or_insert_with(|| ctx.group(recon))
+        let recon = &self.at.plan.reconstructors;
+        self.wire.group.get_or_insert_with(|| ctx.group(recon))
     }
 
     /// Survivor-served value lookup: every reconstructor obtains the value
@@ -1124,6 +1208,8 @@ impl EngineComm<'_> {
         v_loc: &[f64],
     ) -> Option<Vec<(usize, f64)>> {
         let (tag_req, tag_resp) = self.next_tag_pair();
+        let (plan, layout) = (self.at.plan, self.layout);
+        let (me, my_range) = (plan.me, &plan.my_range);
         let am_reconstructor = !blocks.is_empty();
         let mut needed: Vec<usize> = Vec::new();
         if am_reconstructor {
@@ -1133,39 +1219,36 @@ impl EngineComm<'_> {
                     needed.extend(
                         cols.iter()
                             .map(|&c| c as usize)
-                            .filter(|c| self.if_indices.binary_search(c).is_err()),
+                            .filter(|c| plan.if_indices.binary_search(c).is_err()),
                     );
                 }
             }
             needed.sort_unstable();
             needed.dedup();
-            let mut per_slot: Vec<Vec<u64>> = vec![Vec::new(); self.members.len()];
+            let mut per_slot: Vec<Vec<u64>> = vec![Vec::new(); layout.members.len()];
             for &c in &needed {
-                per_slot[self.part.owner_of(c)].push(c as u64);
+                per_slot[layout.part.owner_of(c)].push(c as u64);
             }
             for (slot, req) in per_slot.into_iter().enumerate() {
-                let owner = self.members[slot];
-                if owner == self.me {
+                let owner = layout.members[slot];
+                if owner == me {
                     continue;
                 }
                 // c ∉ If ⇒ its owner is a survivor.
-                debug_assert!(req.is_empty() || self.failed.binary_search(&owner).is_err());
-                if self.failed.binary_search(&owner).is_err() {
+                debug_assert!(req.is_empty() || plan.failed.binary_search(&owner).is_err());
+                if plan.failed.binary_search(&owner).is_err() {
                     ctx.send(owner, tag_req, Payload::u64s(req), CommPhase::Recovery);
                 }
             }
         }
-        if self.am_survivor {
-            for &rho in self.reconstructors {
-                if rho == self.me {
-                    continue;
-                }
+        if !plan.am_failed {
+            for &rho in plan.reconstructors.iter().filter(|&&rho| rho != me) {
                 let req = ctx
                     .recv_phase(rho, tag_req, CommPhase::Recovery)
                     .into_u64s();
                 let resp: Vec<(u64, f64)> = req
                     .into_iter()
-                    .map(|g| (g, v_loc[g as usize - self.my_range.start]))
+                    .map(|g| (g, v_loc[g as usize - my_range.start]))
                     .collect();
                 ctx.send(rho, tag_resp, Payload::pairs(resp), CommPhase::Recovery);
             }
@@ -1176,20 +1259,17 @@ impl EngineComm<'_> {
         // Sorted (col, value) lookup of every surviving value needed —
         // seeded with this node's own block where it is a survivor
         // (an adopter reads its own values locally).
-        let mut lookup: Vec<(usize, f64)> = if self.am_survivor {
+        let mut lookup: Vec<(usize, f64)> = if plan.am_failed {
+            Vec::new()
+        } else {
             needed
                 .iter()
                 .copied()
-                .filter(|&c| self.my_range.contains(&c))
-                .map(|c| (c, v_loc[c - self.my_range.start]))
+                .filter(|c| my_range.contains(c))
+                .map(|c| (c, v_loc[c - my_range.start]))
                 .collect()
-        } else {
-            Vec::new()
         };
-        for &s in self.survivors {
-            if s == self.me {
-                continue;
-            }
+        for &s in plan.survivors.iter().filter(|&&s| s != me) {
             for (g, v) in ctx
                 .recv_phase(s, tag_resp, CommPhase::Recovery)
                 .into_pairs()
@@ -1226,7 +1306,8 @@ impl EngineComm<'_> {
             .collect();
         let parts = self.group(ctx).allgatherv_f64(ctx, concat);
         let v_if: Vec<f64> = parts.into_iter().flatten().collect();
-        debug_assert_eq!(v_if.len(), self.if_indices.len());
+        let if_indices = &self.at.plan.if_indices;
+        debug_assert_eq!(v_if.len(), if_indices.len());
         for blk in blocks.iter_mut() {
             let blen = blk.range.len();
             let mut out = vec![0.0; blen];
@@ -1241,7 +1322,7 @@ impl EngineComm<'_> {
                 let mut s_out = 0.0;
                 for (c, v) in cols.iter().zip(vals) {
                     let c = *c as usize;
-                    match self.if_indices.binary_search(&c) {
+                    match if_indices.binary_search(&c) {
                         Ok(pos) => s_if += v * v_if[pos],
                         Err(_) => {
                             let pos = lookup
@@ -1275,16 +1356,61 @@ impl EngineComm<'_> {
         rows: &[usize],
         rhs: Vec<f64>,
     ) -> Vec<f64> {
-        let rcfg = self.rcfg;
-        let if_indices = self.if_indices;
-        // Split the lazy-group borrow from the fields the solver reads.
-        let group = {
-            let recon = self.reconstructors;
-            self.group.get_or_insert_with(|| ctx.group(recon))
-        };
+        let (rcfg, if_indices) = (&self.at.env.res.recovery, &self.at.plan.if_indices);
+        let group = self.group(ctx);
         let (y, iters) = solve_failed_rows(ctx, group, rcfg, rows, if_indices, m, statics, rhs);
-        self.inner_iterations += iters;
+        self.wire.inner_iterations += iters;
         y
+    }
+
+    /// Stage 3, the x reconstruction (Alg. 2 lines 7–8): reconstructors
+    /// gather the surviving x values their failed rows couple to, form
+    /// `w = b_If − r_If − A_{If,I\If} x_{I\If}`, and solve
+    /// `A_{If,If} x_If = w` cooperatively over the group.
+    fn solve_x(
+        &mut self,
+        ctx: &mut NodeCtx,
+        kernel: &dyn ResilientKernel,
+        blocks: &mut [ReconBlock],
+    ) {
+        let env = self.at.env;
+        let if_indices = &self.at.plan.if_indices;
+        let a: &Csr = env.statics.matrix();
+        let &KernelShape { r_slot, x_slot, .. } = kernel.shape();
+        let lookup = self.gather_outside(ctx, a, blocks, &kernel.vecs()[x_slot]);
+        if blocks.is_empty() {
+            return;
+        }
+        let lookup = lookup.expect("reconstructors obtain the x lookup");
+        let mut rows: Vec<usize> = Vec::new();
+        let mut rhs: Vec<f64> = Vec::new();
+        for blk in blocks.iter() {
+            let mut flops = 0usize;
+            for (i, gr) in blk.range.clone().enumerate() {
+                let (cols, vals) = a.row(gr);
+                let mut s = 0.0;
+                for (c, v) in cols.iter().zip(vals) {
+                    let c = *c as usize;
+                    if if_indices.binary_search(&c).is_err() {
+                        let pos = lookup
+                            .binary_search_by_key(&c, |e| e.0)
+                            .expect("gathered every surviving coupled x");
+                        s += v * lookup[pos].1;
+                    }
+                }
+                flops += 2 * cols.len();
+                rhs.push(env.b[gr] - blk.vecs[r_slot][i] - s);
+            }
+            ctx.clock_mut().advance_flops(flops + 2 * blk.range.len());
+            rows.extend(blk.range.clone());
+        }
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
+        let x_new = self.solve_if_system(ctx, a, Some(env.statics), &rows, rhs);
+        let mut off = 0usize;
+        for blk in blocks {
+            blk.vecs[x_slot] = x_new[off..off + blk.range.len()].to_vec();
+            off += blk.range.len();
+        }
     }
 }
 
@@ -1402,13 +1528,13 @@ fn solve_failed_rows(
 /// lets an *adopter* reconstruct a block it never owned.
 pub(crate) fn m_block_forward(
     ctx: &mut NodeCtx,
-    shared: &EngineShared<'_>,
+    env: &EngineEnv<'_>,
     range: &Range<usize>,
     z: &[f64],
 ) -> Vec<f64> {
     let blen = range.len();
-    let statics = shared.statics;
-    match shared.precond {
+    let statics = env.statics;
+    match env.precond {
         PrecondConfig::None => z.to_vec(),
         PrecondConfig::Jacobi => {
             let d = statics.block(range).diag.diag();
@@ -1435,13 +1561,13 @@ pub(crate) fn m_block_forward(
 /// `q = M⁻¹ s` per block).
 pub(crate) fn m_block_inverse(
     ctx: &mut NodeCtx,
-    shared: &EngineShared<'_>,
+    env: &EngineEnv<'_>,
     range: &Range<usize>,
     s: &[f64],
 ) -> Vec<f64> {
     let blen = range.len();
-    let statics = shared.statics;
-    match shared.precond {
+    let statics = env.statics;
+    match env.precond {
         PrecondConfig::None => s.to_vec(),
         PrecondConfig::Jacobi => {
             let d = statics.block(range).diag.diag();
@@ -1489,5 +1615,70 @@ pub(crate) fn splice_slots(
         }
         debug_assert!(out.iter().all(|x| !x.is_nan()), "shrink splice left a gap");
         *v = out;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{CrConfig, SolverKind};
+    use crate::driver::{run, Problem};
+    use parcomm::{CostModel, FailureEvent, FailureScript};
+    use sparsemat::gen::poisson2d;
+
+    /// The last overlap boundary (the one `FailureScript::validate` still
+    /// admits) aborts an attempt that has run all three stages: the first
+    /// attempt ends in the flavor's third stage label, uncommitted, and the
+    /// second one covers the enlarged failed set.
+    #[test]
+    fn failure_at_the_last_overlap_boundary_restarts_the_attempt() {
+        let problem = Problem::with_ones_solution(poisson2d(14, 14));
+        let last = RECOVERY_SUBSTEPS - 1;
+        let script = || {
+            FailureScript::new(vec![
+                FailureEvent {
+                    when: FailAt::Iteration(6),
+                    ranks: vec![2],
+                },
+                FailureEvent {
+                    when: FailAt::RecoverySubstep {
+                        after_iteration: 6,
+                        substep: last,
+                    },
+                    ranks: vec![4],
+                },
+            ])
+        };
+        let cr = CrConfig::default().with_interval(5).with_copies(2);
+        for (protection, third_stage) in [
+            (Protection::Esr, "xsolve"),
+            (Protection::Checkpoint(cr), "idle"),
+        ] {
+            let mut cfg = SolverConfig::resilient(2);
+            cfg.resilience = cfg.resilience.map(|res| res.with_protection(protection));
+            let res = run(
+                SolverKind::Pcg,
+                &problem,
+                7,
+                &cfg,
+                CostModel::default(),
+                script(),
+            )
+            .expect("supported configuration");
+            assert!(res.converged, "{third_stage}");
+            assert_eq!(res.ranks_recovered, 2, "{third_stage}");
+            let segments = &res.recovery_timelines[0].segments;
+            let first: Vec<&str> = segments
+                .iter()
+                .filter(|s| s.attempt == 1)
+                .map(|s| s.label)
+                .collect();
+            assert_eq!(first.last(), Some(&third_stage));
+            assert_eq!(first.len(), RECOVERY_SUBSTEPS as usize);
+            assert!(segments
+                .iter()
+                .any(|s| s.attempt == 2 && s.label == "commit"));
+            assert!(segments.iter().all(|s| s.attempt <= 2));
+        }
     }
 }

@@ -64,6 +64,6 @@ pub use config::{
 pub use driver::{
     run, run_bicgstab, run_jacobi, run_pcg, run_pipecg, ExperimentResult, PhaseBreakdown, Problem,
 };
-pub use engine::{RecoveryEngine, RecoveryReport, RecoveryTimeline, SubstepTiming};
+pub use engine::{RecoveryReport, RecoveryTimeline, SubstepTiming};
 pub use node::{node_program, NodeOutcome};
 pub use statics::{StaticCounts, StaticData};

@@ -93,20 +93,6 @@ impl LocalMatrix {
     pub fn spmv_flops(&self) -> usize {
         self.diag.spmv_flops() + self.offdiag.spmv_flops()
     }
-
-    /// `offdiag · ghosts` with ghost columns belonging to `excluded`
-    /// (sorted global indices) zeroed — computes `A_{Iᵢ, I\If} x_{I\If}`
-    /// during reconstruction, where `If`-columns must not contribute.
-    pub fn offdiag_mul_excluding(&self, ghosts: &[f64], excluded: &[usize], y: &mut [f64]) {
-        debug_assert_eq!(ghosts.len(), self.ghost_cols.len());
-        let mut masked = ghosts.to_vec();
-        for (pos, g) in self.ghost_cols.iter().enumerate() {
-            if excluded.binary_search(g).is_ok() {
-                masked[pos] = 0.0;
-            }
-        }
-        self.offdiag.spmv(&masked, y);
-    }
 }
 
 #[cfg(test)]
@@ -143,33 +129,6 @@ mod tests {
             for (i, r) in lm.range.clone().enumerate() {
                 assert!((y[i] - y_seq[r]).abs() < 1e-14);
             }
-        }
-    }
-
-    #[test]
-    fn excluding_failed_columns() {
-        let a = poisson2d(4, 4);
-        let part = BlockPartition::new(16, 4);
-        let lm = LocalMatrix::build(&a, &part, 1);
-        let x = [1.0; 16];
-        let ghosts: Vec<f64> = lm.ghost_cols.iter().map(|&g| x[g]).collect();
-        // Exclude node 2's range from the ghost contribution.
-        let excluded: Vec<usize> = part.range(2).collect();
-        let mut y = vec![0.0; 4];
-        lm.offdiag_mul_excluding(&ghosts, &excluded, &mut y);
-        // Compare against a manual computation.
-        for (i, r) in lm.range.clone().enumerate() {
-            let (cols, vals) = a.row(r);
-            let expect: f64 = cols
-                .iter()
-                .zip(vals)
-                .filter(|&(&c, _)| {
-                    let c = c as usize;
-                    !lm.range.contains(&c) && !excluded.contains(&c)
-                })
-                .map(|(_, v)| v)
-                .sum();
-            assert!((y[i] - expect).abs() < 1e-14);
         }
     }
 

@@ -30,7 +30,7 @@ use sparsemat::Csr;
 
 use crate::config::SolverKind;
 use crate::engine::{
-    self, ChannelRead, EngineComm, EngineShared, KernelShape, Layout, ReconBlock, ResilientKernel,
+    self, ChannelRead, EngineComm, EngineEnv, KernelShape, Layout, ReconBlock, ResilientKernel,
 };
 use crate::node::{Recurrence, Resume};
 use crate::retention::Gen;
@@ -109,7 +109,7 @@ impl ResilientKernel for PcgState {
     fn rebuild_local(
         &mut self,
         ctx: &mut NodeCtx,
-        shared: &EngineShared<'_>,
+        env: &EngineEnv<'_>,
         blk: &mut ReconBlock,
         mut copies: Vec<Option<Vec<f64>>>,
     ) {
@@ -117,7 +117,7 @@ impl ResilientKernel for PcgState {
         let blen = blk.range.len();
         // z(j) = p(j) − β(j-1) p(j-1)  [Alg. 2 line 4].
         let mut z = vec![0.0; blen];
-        if shared.has_prev {
+        if env.has_prev {
             let p_prev = copies[1]
                 .take()
                 .expect("complete when has_prev (the engine panics on a gap)");
@@ -133,7 +133,7 @@ impl ResilientKernel for PcgState {
         // adopter rebuild a block it never owned). P-given defers r to the
         // distributed stage.
         if self.explicit_p.is_none() {
-            blk.vecs[R] = engine::m_block_forward(ctx, shared, &blk.range, &z);
+            blk.vecs[R] = engine::m_block_forward(ctx, env, &blk.range, &z);
         }
         blk.vecs[P] = p_cur;
         blk.vecs[Z] = z;
@@ -142,7 +142,7 @@ impl ResilientKernel for PcgState {
     fn rebuild_distributed(
         &mut self,
         ctx: &mut NodeCtx,
-        _shared: &EngineShared<'_>,
+        _env: &EngineEnv<'_>,
         comm: &mut EngineComm<'_>,
         blocks: &mut [ReconBlock],
     ) {
@@ -166,7 +166,7 @@ impl ResilientKernel for PcgState {
                 let mut s = 0.0;
                 for (c, v) in cols.iter().zip(vals) {
                     let c = *c as usize;
-                    if comm.if_indices.binary_search(&c).is_err() {
+                    if comm.at.plan.if_indices.binary_search(&c).is_err() {
                         let pos = lookup
                             .binary_search_by_key(&c, |e| e.0)
                             .expect("gathered every surviving coupled r");

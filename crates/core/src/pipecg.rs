@@ -36,7 +36,7 @@ use sparsemat::vecops::{axpy, dot, xpay};
 
 use crate::config::SolverKind;
 use crate::engine::{
-    self, ChannelRead, EngineComm, EngineShared, KernelShape, Layout, ReconBlock, ResilientKernel,
+    self, ChannelRead, EngineComm, EngineEnv, KernelShape, Layout, ReconBlock, ResilientKernel,
 };
 use crate::node::Recurrence;
 use crate::retention::Gen;
@@ -151,16 +151,16 @@ impl ResilientKernel for PipeState {
     fn rebuild_local(
         &mut self,
         ctx: &mut NodeCtx,
-        shared: &EngineShared<'_>,
+        env: &EngineEnv<'_>,
         blk: &mut ReconBlock,
         mut copies: Vec<Option<Vec<f64>>>,
     ) {
         // A replacement lost the flag with everything else; whether a
         // direction exists is part of the failure notification.
-        self.s[HAS_DIR] = f64::from(shared.has_prev);
+        self.s[HAS_DIR] = f64::from(env.has_prev);
         let u_new = copies[0].take().expect("u(j) copies are mandatory");
         // r_If = M_{If,If} u_If — local because M is block-diagonal.
-        blk.vecs[R] = engine::m_block_forward(ctx, shared, &blk.range, &u_new);
+        blk.vecs[R] = engine::m_block_forward(ctx, env, &blk.range, &u_new);
         if let Some(p_new) = copies[1].take() {
             blk.vecs[P] = p_new;
         } else {
@@ -178,21 +178,21 @@ impl ResilientKernel for PipeState {
     fn rebuild_distributed(
         &mut self,
         ctx: &mut NodeCtx,
-        shared: &EngineShared<'_>,
+        env: &EngineEnv<'_>,
         comm: &mut EngineComm<'_>,
         blocks: &mut [ReconBlock],
     ) {
         // w_If = (A u)_If: survivor ghost values + group all-gather of the
         // reconstructed u blocks.
-        comm.apply_matrix(ctx, shared.a, blocks, U, W, &self.v[U]);
-        if shared.has_prev {
+        comm.apply_matrix(ctx, env.statics.matrix(), blocks, U, W, &self.v[U]);
+        if env.has_prev {
             // s_If = (A p)_If, then q_If = M⁻¹_{b,b} s_If per block (local,
             // static data), then z_If = (A q)_If.
-            comm.apply_matrix(ctx, shared.a, blocks, P, S, &self.v[P]);
+            comm.apply_matrix(ctx, env.statics.matrix(), blocks, P, S, &self.v[P]);
             for blk in blocks.iter_mut() {
-                blk.vecs[Q] = engine::m_block_inverse(ctx, shared, &blk.range, &blk.vecs[S]);
+                blk.vecs[Q] = engine::m_block_inverse(ctx, env, &blk.range, &blk.vecs[S]);
             }
-            comm.apply_matrix(ctx, shared.a, blocks, Q, Z, &self.v[Q]);
+            comm.apply_matrix(ctx, env.statics.matrix(), blocks, Q, Z, &self.v[Q]);
         }
     }
 }

@@ -23,15 +23,10 @@ use crate::statics::StaticData;
 #[allow(clippy::large_enum_variant)]
 pub enum NodePrecond {
     /// Identity (plain CG).
-    None {
-        /// Owned block length.
-        n_local: usize,
-    },
-    /// `M = diag(A)`: the owned diagonal entries.
+    None,
+    /// `M = diag(A)`.
     Jacobi {
-        /// Owned diagonal of `A`.
-        diag: Vec<f64>,
-        /// Element-wise inverse of `diag`.
+        /// Element-wise inverse of the owned diagonal of `A`.
         inv_diag: Vec<f64>,
     },
     /// The paper's setup: `M` = the node's diagonal block of `A`, solved
@@ -67,9 +62,7 @@ impl NodePrecond {
         lm: &LocalMatrix,
     ) -> Result<Self, PrecondError> {
         match cfg {
-            PrecondConfig::None => Ok(NodePrecond::None {
-                n_local: lm.n_local(),
-            }),
+            PrecondConfig::None => Ok(NodePrecond::None),
             PrecondConfig::Jacobi => {
                 let diag = lm.diag.diag();
                 let mut inv_diag = Vec::with_capacity(diag.len());
@@ -79,7 +72,7 @@ impl NodePrecond {
                     }
                     inv_diag.push(1.0 / d);
                 }
-                Ok(NodePrecond::Jacobi { diag, inv_diag })
+                Ok(NodePrecond::Jacobi { inv_diag })
             }
             PrecondConfig::BlockJacobiExact => {
                 let factor = statics.factor(&lm.range)?;
@@ -114,8 +107,8 @@ impl NodePrecond {
     /// with off-node coupling) — all nodes must call together.
     pub fn apply(&mut self, ctx: &mut NodeCtx, r_loc: &[f64], z_loc: &mut [f64]) {
         match self {
-            NodePrecond::None { .. } => z_loc.copy_from_slice(r_loc),
-            NodePrecond::Jacobi { inv_diag, .. } => {
+            NodePrecond::None => z_loc.copy_from_slice(r_loc),
+            NodePrecond::Jacobi { inv_diag } => {
                 for ((z, r), d) in z_loc.iter_mut().zip(r_loc).zip(inv_diag.iter()) {
                     *z = r * d;
                 }
@@ -139,43 +132,11 @@ impl NodePrecond {
         }
     }
 
-    /// Apply the *forward* operator `r_If = M_{If,·} z` restricted to the
-    /// owned (failed) block — the M-given reconstruction step (companion
-    /// paper Alg. 3; local because M is block-diagonal for these variants).
-    /// Not available for `ExplicitP` (which uses the Alg. 2 P-given path).
-    pub fn m_forward_local(&self, lm: &LocalMatrix, z_loc: &[f64], r_loc: &mut [f64]) {
-        match self {
-            NodePrecond::None { .. } => r_loc.copy_from_slice(z_loc),
-            NodePrecond::Jacobi { diag, .. } => {
-                for ((r, z), d) in r_loc.iter_mut().zip(z_loc).zip(diag.iter()) {
-                    *r = z * d;
-                }
-            }
-            NodePrecond::BlockJacobiExact { .. } => {
-                // M's block is exactly the diagonal block of A.
-                lm.diag.spmv(z_loc, r_loc);
-            }
-            NodePrecond::ExplicitP { .. } => {
-                unreachable!("ExplicitP uses the P-given reconstruction path")
-            }
-        }
-    }
-
     /// The explicit `P` matrix (P-given recovery needs its rows).
     pub fn p_matrix(&self) -> Option<&Arc<Csr>> {
         match self {
             NodePrecond::ExplicitP { p_full, .. } => Some(p_full),
             _ => None,
-        }
-    }
-
-    /// Flops of one apply (for sizing expectations in tests).
-    pub fn flops_per_apply(&self) -> usize {
-        match self {
-            NodePrecond::None { .. } => 0,
-            NodePrecond::Jacobi { inv_diag, .. } => inv_diag.len(),
-            NodePrecond::BlockJacobiExact { factor } => factor.solve_flops(),
-            NodePrecond::ExplicitP { p_local, .. } => p_local.spmv_flops(),
         }
     }
 }

@@ -138,31 +138,6 @@ impl Retention {
         }
     }
 
-    /// Deposit into an explicit generation (recovery-time redundancy
-    /// restoration re-scatters `p(j-1)` into `Prev`).
-    pub fn store_gen(&mut self, generation: Gen, peer: usize, naturals: &[f64], extras: &[f64]) {
-        match generation {
-            Gen::Cur => self.store(peer, naturals, extras),
-            Gen::Prev => {
-                self.check_deposit(peer, naturals, extras);
-                for (&p, &v) in self.nat_pos[peer].iter().zip(naturals) {
-                    self.prev[p] = v;
-                }
-                for (&p, &v) in self.ext_pos[peer].iter().zip(extras) {
-                    self.prev[p] = v;
-                }
-            }
-        }
-    }
-
-    /// Mark a generation valid after recovery restoration.
-    pub fn set_valid(&mut self, generation: Gen) {
-        match generation {
-            Gen::Cur => self.cur_valid = true,
-            Gen::Prev => self.prev_valid = true,
-        }
-    }
-
     /// Is the generation complete?
     pub fn is_valid(&self, generation: Gen) -> bool {
         match generation {
@@ -447,7 +422,7 @@ mod tests {
         assert!(ret.collect_range(Gen::Cur, 0, 30).is_empty());
     }
 
-    // These three are the release-profile regression for the former
+    // These two are the release-profile regression for the former
     // `debug_assert_eq!` guards: `cargo test --release` runs them with
     // debug assertions off, so they only pass because the length checks
     // are hard asserts (a zip-truncation would otherwise pass silently).
@@ -467,26 +442,6 @@ mod tests {
         let mut ret = Retention::build(&plan, &ghosts);
         ret.rotate();
         ret.store(2, &[120.0], &[]); // peer 2 owes 1 extra
-    }
-
-    #[test]
-    #[should_panic(expected = "naturals length mismatch")]
-    fn store_gen_prev_checks_lengths_too() {
-        let (plan, ghosts) = mini_plan();
-        let mut ret = Retention::build(&plan, &ghosts);
-        // The Prev branch used to have *no* length guard at all.
-        ret.store_gen(Gen::Prev, 0, &[7.0], &[9.0]);
-    }
-
-    #[test]
-    fn store_gen_prev_restores_without_rotation() {
-        let (plan, ghosts) = mini_plan();
-        let mut ret = Retention::build(&plan, &ghosts);
-        ret.store_gen(Gen::Prev, 0, &[7.0, 8.0], &[9.0]);
-        ret.store_gen(Gen::Prev, 2, &[1.0], &[2.0]);
-        ret.set_valid(Gen::Prev);
-        assert_eq!(ret.collect_range(Gen::Prev, 0, 2), vec![(0, 7.0), (1, 8.0)]);
-        assert!(!ret.is_valid(Gen::Cur));
     }
 
     // ---- CheckpointStore ring placement --------------------------------

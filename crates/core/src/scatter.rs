@@ -266,17 +266,6 @@ impl ScatterPlan {
         self.refresh_pack_lists();
     }
 
-    /// True if any peer receives traffic from us in SpMV.
-    pub fn sends_anything(&self) -> bool {
-        self.send_natural.iter().any(|s| !s.is_empty())
-            || self.send_extra.iter().any(|s| !s.is_empty())
-    }
-
-    /// Total extra elements per iteration (the overhead term of Sec. 4.2).
-    pub fn extra_elems(&self) -> usize {
-        self.send_extra.iter().map(Vec::len).sum()
-    }
-
     /// Exchange ghost values of `v_loc` and deposit received copies into
     /// the retention store (if given): the fused SpMV-scatter +
     /// redundancy distribution of one PCG iteration.

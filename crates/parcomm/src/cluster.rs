@@ -450,21 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_pairs_exchanges() {
-        let out = Cluster::run(ClusterConfig::new(3), |ctx| {
-            let sends: Vec<Vec<(u64, f64)>> = (0..3)
-                .map(|d| vec![(d as u64, ctx.rank() as f64)])
-                .collect();
-            ctx.alltoallv_pairs(sends, CommPhase::Recovery)
-        });
-        for (me, recvd) in out.iter().enumerate() {
-            for (src, v) in recvd.iter().enumerate() {
-                assert_eq!(v, &vec![(me as u64, src as f64)]);
-            }
-        }
-    }
-
-    #[test]
     fn barrier_syncs_vclocks() {
         let out = Cluster::run(ClusterConfig::new(4), |ctx| {
             // Rank 2 does expensive local work before the barrier.
@@ -512,14 +497,12 @@ mod tests {
     }
 
     #[test]
-    fn group_alltoallv_pairs() {
+    fn group_alltoallv_u64() {
         let out = Cluster::run(ClusterConfig::new(4), |ctx| {
             if ctx.rank() >= 1 && ctx.rank() <= 3 {
                 let mut g = ctx.group(&[1, 2, 3]);
-                let sends: Vec<Vec<(u64, f64)>> = (0..3)
-                    .map(|i| vec![(i as u64, ctx.rank() as f64)])
-                    .collect();
-                Some(g.alltoallv_pairs(ctx, sends, CommPhase::Recovery))
+                let sends: Vec<Vec<u64>> = (0..3).map(|i| vec![i, ctx.rank() as u64]).collect();
+                Some(g.alltoallv_u64(ctx, sends, CommPhase::Recovery))
             } else {
                 None
             }
@@ -530,7 +513,7 @@ mod tests {
                 let my_index = rank - 1;
                 for (j, v) in recvd.iter().enumerate() {
                     let src_rank = j + 1;
-                    assert_eq!(v, &vec![(my_index as u64, src_rank as f64)]);
+                    assert_eq!(v, &vec![my_index as u64, src_rank as u64]);
                 }
             }
         }

@@ -98,15 +98,6 @@ impl PayloadElem for u64 {
     }
 }
 
-impl PayloadElem for (u64, f64) {
-    fn wrap(v: Vec<(u64, f64)>) -> Payload {
-        Payload::pairs(v)
-    }
-    fn unwrap(p: Payload) -> Vec<(u64, f64)> {
-        p.into_pairs()
-    }
-}
-
 /// Personalized all-to-all of per-participant buffers under one tag: post
 /// all sends first (sends never block — no deadlock), then receive in
 /// ascending participant order; the own slot is passed through untouched.
@@ -1019,27 +1010,13 @@ impl NodeCtx {
     /// plan setup, where symmetric knowledge is simplest and N ≤ a few
     /// hundred.
     pub fn alltoallv_u64(&mut self, sends: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-        self.alltoallv(sends, CommPhase::Setup)
-    }
-
-    /// Personalized all-to-all of `(index, value)` pair lists, charged to
-    /// `phase` (recovery gathers use this).
-    pub fn alltoallv_pairs(
-        &mut self,
-        sends: Vec<Vec<(u64, f64)>>,
-        phase: CommPhase,
-    ) -> Vec<Vec<(u64, f64)>> {
-        self.alltoallv(sends, phase)
-    }
-
-    fn alltoallv<T: PayloadElem>(&mut self, sends: Vec<Vec<T>>, phase: CommPhase) -> Vec<Vec<T>> {
         assert_eq!(sends.len(), self.size, "alltoallv needs one list per rank");
         let seq = self.next_seq();
         let tag = Tag::coll(op::ALLTOALL, seq);
         self.audit_world_coll(seq, op::ALLTOALL, None, None);
         let rank = self.rank;
         self.trace_open("alltoall", seq);
-        let out = alltoallv_generic(self, rank, None, tag, phase, sends);
+        let out = alltoallv_generic(self, rank, None, tag, CommPhase::Setup, sends);
         self.trace_close();
         out
     }

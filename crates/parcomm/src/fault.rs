@@ -62,10 +62,16 @@ pub enum FailAt {
     RecoverySubstep {
         /// The iteration whose boundary started the interrupted recovery.
         after_iteration: u64,
-        /// The recovery substep about to begin when the failure hits.
+        /// The recovery substep about to begin when the failure hits
+        /// (`< RECOVERY_SUBSTEPS`).
         substep: u32,
     },
 }
+
+/// Overlap boundaries of one recovery attempt: the restart protocol polls
+/// [`FailAt::RecoverySubstep`] for `substep` in `0..RECOVERY_SUBSTEPS` and
+/// nowhere else.
+pub const RECOVERY_SUBSTEPS: u32 = 4;
 
 /// One failure event: the boundary and the ranks that fail there.
 #[derive(Clone, Debug)]
@@ -188,6 +194,15 @@ impl FailureScript {
                 e.ranks.len(),
                 "duplicate rank in failure event"
             );
+            // A boundary the recovery never polls would be silently inert.
+            if let FailAt::RecoverySubstep { substep, .. } = e.when {
+                assert!(
+                    substep < RECOVERY_SUBSTEPS,
+                    "failure event at {:?} can never fire: a recovery polls \
+                     substeps 0..{RECOVERY_SUBSTEPS} only",
+                    e.when
+                );
+            }
         }
     }
 
@@ -344,6 +359,20 @@ mod tests {
             vec![3]
         );
         assert_eq!(s.total_failed_ranks(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "substep: 4 } can never fire: a recovery polls substeps 0..4 only")]
+    fn overlapping_failure_past_the_last_boundary_is_rejected() {
+        // No recovery polls this boundary: accepted, the experiment would
+        // run failure-free while believing it had injected a failure.
+        FailureScript::new(vec![FailureEvent {
+            when: FailAt::RecoverySubstep {
+                after_iteration: 5,
+                substep: RECOVERY_SUBSTEPS,
+            },
+            ranks: vec![3],
+        }]);
     }
 
     #[test]

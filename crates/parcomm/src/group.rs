@@ -14,8 +14,8 @@
 #[cfg(feature = "audit")]
 use crate::audit;
 use crate::comm::{
-    alltoallv_generic, gatherv_generic, split_by_counts, tree_bcast_generic, NodeCtx, PayloadElem,
-    ReduceOp, Timeline,
+    alltoallv_generic, gatherv_generic, split_by_counts, tree_bcast_generic, NodeCtx, ReduceOp,
+    Timeline,
 };
 use crate::payload::Payload;
 use crate::request::AllreduceRequest;
@@ -199,17 +199,6 @@ impl Group {
         AllreduceRequest::new(acc, start, engine.now(ctx.clock()), phase)
     }
 
-    /// Personalized all-to-all of pair lists among members;
-    /// `sends[i]` goes to group index `i`.
-    pub fn alltoallv_pairs(
-        &mut self,
-        ctx: &mut NodeCtx,
-        sends: Vec<Vec<(u64, f64)>>,
-        phase: CommPhase,
-    ) -> Vec<Vec<(u64, f64)>> {
-        self.alltoallv(ctx, sends, phase)
-    }
-
     /// Personalized all-to-all of `u64` index lists among members;
     /// `sends[i]` goes to group index `i`. Used to (re)build scatter plans
     /// over a shrunken communicator.
@@ -219,15 +208,6 @@ impl Group {
         sends: Vec<Vec<u64>>,
         phase: CommPhase,
     ) -> Vec<Vec<u64>> {
-        self.alltoallv(ctx, sends, phase)
-    }
-
-    fn alltoallv<T: PayloadElem>(
-        &mut self,
-        ctx: &mut NodeCtx,
-        sends: Vec<Vec<T>>,
-        phase: CommPhase,
-    ) -> Vec<Vec<T>> {
         assert_eq!(sends.len(), self.size());
         let seq = self.next_seq();
         let tag = Tag::group(self.gid, op::ALLTOALL, seq);

@@ -68,7 +68,7 @@ pub mod vclock;
 
 pub use cluster::{Cluster, ClusterConfig, SparePool};
 pub use comm::{NodeCtx, ReduceOp};
-pub use fault::{FailAt, FailureEvent, FailureScript, FaultOracle};
+pub use fault::{FailAt, FailureEvent, FailureScript, FaultOracle, RECOVERY_SUBSTEPS};
 pub use group::Group;
 pub use payload::Payload;
 pub use request::{AllreduceRequest, RecvRequest, SendRequest};

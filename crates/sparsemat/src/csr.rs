@@ -275,7 +275,7 @@ impl Csr {
     /// Reference scalar SpMV: the naive per-element gather loop every
     /// optimized kernel is pinned against, bit for bit (see the
     /// accumulation-order contract in the module docs). Kept for the
-    /// proptest oracle and the kernel microbench baseline.
+    /// proptest oracle.
     #[doc(hidden)]
     pub fn spmv_reference(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_cols);

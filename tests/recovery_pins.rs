@@ -1,0 +1,255 @@
+//! The recovery matrix, pinned bitwise against committed values.
+//!
+//! `determinism.rs` compares a run with a second run and
+//! `iteration_pinning.rs` pins counts and a few trajectories; neither
+//! notices a refactor of the restart protocol that moves a recovery's
+//! virtual time, a substep boundary or the order of restarted attempts the
+//! same way in every run. Here every cell of
+//!
+//! {ESR, C/R} × {PCG, PipeCG, BiCGSTAB} × {Replace, Spares(1), Shrink}
+//!            × {ψ = 1, ψ = 2, overlap at substep 0/1/2/3, ψ = 2 + overlap}
+//!            × {(iteration 0, rank 0), (iteration 6, rank N−1)}
+//!
+//! on `poisson2d(14, 13)`, N = 7, φ = 3 (C/R: interval 4, 3 copies) is
+//! folded into one FNV-1a value per protection × solver: iterations, the
+//! bits of every virtual time, `x`, the per-phase message / element /
+//! send / wait / hidden totals of the cluster and of every node, and every
+//! segment of every node's recovery timelines. Under `--features trace`
+//! the Chrome-trace JSON of every solve is folded in as well, so the pins
+//! differ there.
+//!
+//! A change that moves a value on purpose re-pins: the failure message
+//! prints the cell and its new value in the form the table below takes.
+
+use esr_core::{
+    run, CrConfig, ExperimentResult, Problem, Protection, RecoveryPolicy, SolverConfig,
+    SolverKind as Solver,
+};
+use parcomm::{CommPhase, CommStats, CostModel, FailAt, FailureEvent, FailureScript};
+use sparsemat::gen::poisson2d;
+
+const NODES: usize = 7;
+const PHI: usize = 3;
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Prot {
+    Esr,
+    Cr,
+}
+
+#[cfg(not(feature = "trace"))]
+const PINS: [(Prot, Solver, u64); 6] = [
+    (Prot::Esr, Solver::Pcg, 0xceb2778879944963),
+    (Prot::Esr, Solver::PipeCg, 0x499f57cfc5091708),
+    (Prot::Esr, Solver::BiCgStab, 0xab5329c2e70d4105),
+    (Prot::Cr, Solver::Pcg, 0x098a03a222a75373),
+    (Prot::Cr, Solver::PipeCg, 0x0634404ba7670168),
+    (Prot::Cr, Solver::BiCgStab, 0x09839885dbaedb1a),
+];
+
+#[cfg(feature = "trace")]
+const PINS: [(Prot, Solver, u64); 6] = [
+    (Prot::Esr, Solver::Pcg, 0x860a76d2877ab578),
+    (Prot::Esr, Solver::PipeCg, 0xf8722500e1a8114b),
+    (Prot::Esr, Solver::BiCgStab, 0x4539c432c560b420),
+    (Prot::Cr, Solver::Pcg, 0xaa23061215d77d8e),
+    (Prot::Cr, Solver::PipeCg, 0xae0cf233484339a5),
+    (Prot::Cr, Solver::BiCgStab, 0xd3fe23f8f256dc7b),
+];
+
+#[derive(Clone, Copy, Debug)]
+enum Failure {
+    /// `psi` contiguous ranks die at the iteration boundary.
+    Simultaneous(usize),
+    /// One rank dies; a second dies at restart substep `s` of its recovery.
+    Overlapping(u32),
+    /// Two ranks die; a third dies at substep 2 of their recovery.
+    PairThenOverlap,
+}
+
+const FAILURES: [Failure; 7] = [
+    Failure::Simultaneous(1),
+    Failure::Simultaneous(2),
+    Failure::Overlapping(0),
+    Failure::Overlapping(1),
+    Failure::Overlapping(2),
+    Failure::Overlapping(3),
+    Failure::PairThenOverlap,
+];
+
+fn script(mode: Failure, at: u64, first: usize) -> (FailureScript, usize) {
+    let during = |substep: u32, rank: usize| FailureEvent {
+        when: FailAt::RecoverySubstep {
+            after_iteration: at,
+            substep,
+        },
+        ranks: vec![rank % NODES],
+    };
+    let initial = |psi: usize| FailureEvent {
+        when: FailAt::Iteration(at),
+        ranks: (0..psi).map(|i| (first + i) % NODES).collect(),
+    };
+    match mode {
+        Failure::Simultaneous(psi) => (FailureScript::new(vec![initial(psi)]), psi),
+        Failure::Overlapping(s) => (
+            FailureScript::new(vec![initial(1), during(s, first + 2)]),
+            2,
+        ),
+        Failure::PairThenOverlap => (
+            FailureScript::new(vec![initial(2), during(2, first + 3)]),
+            3,
+        ),
+    }
+}
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn stats(&mut self, stats: &CommStats) {
+        for phase in CommPhase::ALL {
+            self.u64(stats.msgs(phase));
+            self.u64(stats.elems(phase));
+            self.f64(stats.send_vtime(phase));
+            self.f64(stats.wait_vtime(phase));
+            self.f64(stats.hidden_vtime(phase));
+        }
+        self.u64(stats.allreduces());
+        self.u64(stats.allreduce_rounds());
+        self.u64(stats.extra_latency_msgs());
+    }
+
+    fn result(&mut self, res: &ExperimentResult) {
+        self.u64(res.iterations as u64);
+        self.u64(res.recoveries as u64);
+        self.u64(res.ranks_recovered as u64);
+        for v in [
+            res.vtime,
+            res.vtime_recovery,
+            res.vtime_setup,
+            res.solver_residual,
+            res.true_residual,
+        ] {
+            self.f64(v);
+        }
+        for &xi in &res.x {
+            self.f64(xi);
+        }
+        self.stats(&res.stats);
+        for o in &res.per_node {
+            self.u64(o.rank as u64);
+            self.u64(u64::from(o.retired));
+            self.u64(o.iterations as u64);
+            for v in [o.vtime_total, o.vtime_recovery, o.vtime_setup] {
+                self.f64(v);
+            }
+            self.stats(&o.stats);
+            for tl in &o.recovery_timelines {
+                self.u64(tl.iteration);
+                self.bytes(tl.flavor.as_bytes());
+                for seg in &tl.segments {
+                    self.u64(seg.attempt as u64);
+                    self.bytes(seg.label.as_bytes());
+                    self.f64(seg.vtime);
+                }
+            }
+        }
+        #[cfg(feature = "trace")]
+        self.bytes(res.trace.chrome_trace_json().as_bytes());
+    }
+}
+
+fn fingerprint(prot: Prot, solver: Solver) -> u64 {
+    let problem = Problem::with_ones_solution(poisson2d(14, 13));
+    let mut h = Fnv::new();
+    for policy in [
+        RecoveryPolicy::Replace,
+        RecoveryPolicy::Spares(1),
+        RecoveryPolicy::Shrink,
+    ] {
+        let mut cfg = SolverConfig::resilient_with_policy(PHI, policy);
+        if prot == Prot::Cr {
+            cfg.resilience = cfg.resilience.map(|res| {
+                res.with_protection(Protection::Checkpoint(
+                    CrConfig::default().with_interval(4).with_copies(PHI),
+                ))
+            });
+        }
+        for mode in FAILURES {
+            for (at, first) in [(0, 0), (6, NODES - 1)] {
+                let (sc, lost) = script(mode, at, first);
+                let res = run(solver, &problem, NODES, &cfg, CostModel::default(), sc)
+                    .expect("every engine-backed cell is a supported configuration");
+                let label =
+                    format!("{prot:?} × {solver:?} × {policy:?} × {mode:?} @ ({at}, {first})");
+                assert!(res.converged, "{label}: did not converge");
+                assert_eq!(res.recoveries, 1, "{label}");
+                assert_eq!(res.ranks_recovered, lost, "{label}");
+                h.result(&res);
+            }
+        }
+    }
+    h.0
+}
+
+fn check(prot: Prot, solver: Solver) {
+    let pinned = PINS
+        .iter()
+        .find(|(p, s, _)| *p == prot && *s == solver)
+        .expect("every protection × solver cell has a pin")
+        .2;
+    let got = fingerprint(prot, solver);
+    assert!(
+        got == pinned,
+        "recovery fingerprint moved (pinned {pinned:#018x}); if intended, re-pin with\n    \
+         (Prot::{prot:?}, Solver::{solver:?}, {got:#018x}),"
+    );
+}
+
+#[test]
+fn esr_pcg_recoveries_are_pinned_bitwise() {
+    check(Prot::Esr, Solver::Pcg);
+}
+
+#[test]
+fn esr_pipecg_recoveries_are_pinned_bitwise() {
+    check(Prot::Esr, Solver::PipeCg);
+}
+
+#[test]
+fn esr_bicgstab_recoveries_are_pinned_bitwise() {
+    check(Prot::Esr, Solver::BiCgStab);
+}
+
+#[test]
+fn cr_pcg_recoveries_are_pinned_bitwise() {
+    check(Prot::Cr, Solver::Pcg);
+}
+
+#[test]
+fn cr_pipecg_recoveries_are_pinned_bitwise() {
+    check(Prot::Cr, Solver::PipeCg);
+}
+
+#[test]
+fn cr_bicgstab_recoveries_are_pinned_bitwise() {
+    check(Prot::Cr, Solver::BiCgStab);
+}

@@ -48,7 +48,7 @@ fn recovery_policy_reaches_through_umbrella_paths() {
 #[test]
 fn engine_and_config_error_types_reach_through_umbrella_paths() {
     // The resilience engine's public surface after the solver-agnostic
-    // refactor: the report/engine types and the typed configuration
+    // refactor: the report types and the typed configuration
     // errors are re-exported (the old per-solver `recovery`/
     // `pipe_recovery` modules are gone).
     let report = esr_suite::core::RecoveryReport {
@@ -62,7 +62,6 @@ fn engine_and_config_error_types_reach_through_umbrella_paths() {
     let via_member: esr_core::RecoveryReport = report;
     assert_eq!(via_member.total_failed, 2);
     assert!(via_member.timeline.segments.is_empty());
-    let _engine_marker: Option<esr_suite::core::RecoveryEngine> = None;
 
     // ConfigError is a std::error::Error with the constraint in Display.
     let err = esr_suite::core::ConfigError::PhiTooLarge { phi: 9, nodes: 4 };
