@@ -6,11 +6,16 @@
 //! across survivors, and complete message drain across the restart substeps.
 //! Every shipped protocol bug (the PR 2 FIFO non-overtaking violation, the
 //! mismatched-reduction hangs) was found by accident. This module makes the
-//! contract machine-checked:
+//! contract machine-checked. The auditor is one consumer of the node's
+//! event stream ([`crate::observe`]; [`AuditState::observe`] reads the
+//! `Matched` and `Coll` events), plus the one thing an observer cannot do
+//! from the receiving side — the stamp on the wire:
 //!
-//! * every send is stamped ([`MsgStamp`]) with a per-`(dest, tag)` sequence
-//!   number and the sender's current recovery-attempt window;
-//! * every receive and collective is recorded into a per-node [`NodeLog`];
+//! * every delivered message is stamped ([`MsgStamp`]) with a
+//!   per-`(dest, tag)` sequence number and the sender's current
+//!   recovery-attempt window;
+//! * every matched receive is recorded into a per-node [`NodeLog`] with the
+//!   receiver's window, and every collective is recorded with its window;
 //! * [`check_teardown`] runs after all node threads have joined (so every
 //!   send has landed — the checks are deterministic) and enforces
 //!   **message-drain**, **non-overtaking**, **collective agreement**, and
@@ -31,6 +36,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::comm::ReduceOp;
+use crate::group::fnv1a;
+use crate::observe::Event;
 use crate::payload::Message;
 use crate::tag::Tag;
 
@@ -81,6 +88,10 @@ pub struct CollEvent {
     pub members_hash: u64,
     /// Number of participants the caller believes the communicator has.
     pub n_members: usize,
+    /// The caller's recovery-attempt window at the call. The resident
+    /// all-reduce rounds deliver no message a receive could check, so the
+    /// call itself carries the window.
+    pub window: Option<u32>,
 }
 
 /// Placeholder member-set hash for world-communicator collectives.
@@ -128,20 +139,36 @@ impl AuditState {
         }
     }
 
-    /// Record a matched receive.
-    pub(crate) fn record_recv(&mut self, m: &Message) {
-        self.log.recvs.push(RecvRec {
-            src: m.src,
-            tag: m.tag,
-            seq: m.stamp.seq,
-            msg_window: m.stamp.window,
-            window: self.window,
-        });
-    }
-
-    /// Record a collective call.
-    pub(crate) fn record_coll(&mut self, ev: CollEvent) {
-        self.log.colls.push(ev);
+    /// The auditor's reading of the event stream (see [`crate::observe`]):
+    /// every matched receive and every collective call, in program order.
+    /// A group's record is scoped by its id, so the checker compares
+    /// schedules member-against-member, never across groups.
+    pub(crate) fn observe(&mut self, ev: &Event<'_>) {
+        match *ev {
+            Event::Matched(m) => self.log.recvs.push(RecvRec {
+                src: m.src,
+                tag: m.tag,
+                seq: m.stamp.seq,
+                msg_window: m.stamp.window,
+                window: self.window,
+            }),
+            Event::Coll {
+                scope,
+                kind,
+                rop,
+                len,
+            } => self.log.colls.push(CollEvent {
+                scope: scope.id,
+                seq: scope.seq,
+                kind,
+                rop,
+                len,
+                members_hash: scope.members.map_or(WORLD_HASH, |m| fnv1a(m) as u64),
+                n_members: scope.n,
+                window: self.window,
+            }),
+            _ => {}
+        }
     }
 
     pub(crate) fn into_log(self) -> NodeLog {
@@ -265,6 +292,18 @@ pub(crate) fn check_teardown(
             None => "world".to_string(),
         };
         let (rank0, ev0) = parts[0];
+        // Tag-window disjointness, for collectives: all participants of one
+        // instance must have called from the same recovery-attempt window.
+        if let Some((rank, ev)) = parts[1..].iter().find(|(_, c)| c.window != ev0.window) {
+            violations.push(format!(
+                "[tag-window] {scope_name} collective seq {seq} ({}): rank {rank0} joined \
+                 from {} but rank {rank} joined from {} — recovery-attempt tag windows \
+                 must be disjoint",
+                describe_coll(ev0),
+                window_name(ev0.window),
+                window_name(ev.window),
+            ));
+        }
         if let Some((rank, ev)) = parts[1..].iter().find(|(_, c)| {
             c.kind != ev0.kind
                 || c.rop != ev0.rop
@@ -332,6 +371,7 @@ mod tests {
             len,
             members_hash: WORLD_HASH,
             n_members: n,
+            window: None,
         }
     }
 

@@ -17,26 +17,9 @@ use std::thread;
 
 use crate::comm::NodeCtx;
 use crate::fault::{FailureScript, FaultOracle};
+use crate::observe::NodeLogs;
 use crate::sched::Scheduler;
 use crate::vclock::{CostModel, VClock};
-
-/// What a node thread hands back at teardown: the program's result (or its
-/// panic payload) and — under `--features audit` / `trace` — the node's
-/// protocol log and event trace.
-struct NodeFinish<T> {
-    result: thread::Result<T>,
-    #[cfg(feature = "audit")]
-    log: Option<crate::audit::NodeLog>,
-    #[cfg(feature = "trace")]
-    trace: Option<crate::trace::NodeTrace>,
-}
-
-/// What `run_inner` hands back next to the per-node results: the gathered
-/// per-rank trace logs under `--features trace`, nothing otherwise.
-#[cfg(feature = "trace")]
-type TraceVec = Vec<crate::trace::NodeTrace>;
-#[cfg(not(feature = "trace"))]
-type TraceVec = ();
 
 /// Cluster-wide configuration.
 #[derive(Clone, Debug)]
@@ -157,11 +140,14 @@ impl Cluster {
         T: Send,
         F: Fn(&mut NodeCtx) -> T + Sync,
     {
-        let (values, nodes) = Self::run_inner(config, program);
+        let (values, logs) = Self::run_inner(config, program);
+        let nodes = logs.into_iter().map(|l| l.trace).collect();
         (values, crate::trace::ClusterTrace { nodes })
     }
 
-    fn run_inner<T, F>(config: ClusterConfig, program: F) -> (Vec<T>, TraceVec)
+    /// Per-node results in rank order and, next to them, what each node's
+    /// diagnostic observers recorded (nothing in a default build).
+    fn run_inner<T, F>(config: ClusterConfig, program: F) -> (Vec<T>, Vec<NodeLogs>)
     where
         T: Send,
         F: Fn(&mut NodeCtx) -> T + Sync,
@@ -199,10 +185,6 @@ impl Cluster {
                                 VClock::new(cost),
                                 spares,
                             );
-                            #[cfg(feature = "audit")]
-                            ctx.install_audit();
-                            #[cfg(feature = "trace")]
-                            ctx.install_trace();
                             // The baton wait sits inside catch_unwind: a
                             // peer abort or a deadlock report surfaces as
                             // a panic out of the scheduler park.
@@ -218,13 +200,7 @@ impl Cluster {
                                 Ok(_) => sched.finish(rank),
                                 Err(_) => sched.abort(rank),
                             }
-                            NodeFinish {
-                                result,
-                                #[cfg(feature = "audit")]
-                                log: ctx.take_audit_log(),
-                                #[cfg(feature = "trace")]
-                                trace: ctx.take_trace(),
-                            }
+                            (result, ctx.into_logs())
                         })
                         .expect("failed to spawn node thread"),
                 );
@@ -235,19 +211,16 @@ impl Cluster {
             sched.start(handles.iter().map(|h| h.thread().clone()).collect());
 
             // Join all nodes first — teardown checks must see every log.
-            let finishes: Vec<NodeFinish<T>> = handles
+            let finishes = handles
                 .into_iter()
-                .map(|h| h.join().expect("node thread died outside the program"))
-                .collect();
+                .map(|h| h.join().expect("node thread died outside the program"));
 
             let mut values = Vec::with_capacity(n);
+            let mut logs = Vec::with_capacity(n);
             let mut panics: Vec<(usize, String)> = Vec::new();
-            #[cfg(feature = "audit")]
-            let mut logs: Vec<crate::audit::NodeLog> = Vec::with_capacity(n);
-            #[cfg(feature = "trace")]
-            let mut traces: TraceVec = Vec::with_capacity(n);
-            for (rank, fin) in finishes.into_iter().enumerate() {
-                match fin.result {
+            for (rank, (result, log)) in finishes.enumerate() {
+                logs.push(log);
+                match result {
                     Ok(v) => values.push(v),
                     Err(e) => {
                         let msg = e
@@ -259,10 +232,6 @@ impl Cluster {
                         panics.push((rank, msg));
                     }
                 }
-                #[cfg(feature = "audit")]
-                logs.push(fin.log.unwrap_or_default());
-                #[cfg(feature = "trace")]
-                traces.push(fin.trace.unwrap_or_default());
             }
             #[cfg(any(debug_assertions, feature = "audit"))]
             let clean = panics.is_empty();
@@ -285,7 +254,9 @@ impl Cluster {
 
             #[cfg(feature = "audit")]
             {
-                let violations = crate::audit::check_teardown(&logs, &leaks, clean);
+                let audit_logs = logs.iter_mut().map(|l| std::mem::take(&mut l.audit));
+                let audit_logs: Vec<_> = audit_logs.collect();
+                let violations = crate::audit::check_teardown(&audit_logs, &leaks, clean);
                 if !violations.is_empty() {
                     let mut report =
                         format!("parcomm audit: {} protocol violation(s):", violations.len());
@@ -317,10 +288,7 @@ impl Cluster {
             if let Some((rank, msg)) = root_cause {
                 panic!("node {rank} panicked: {msg}");
             }
-            #[cfg(feature = "trace")]
-            return (values, traces);
-            #[cfg(not(feature = "trace"))]
-            (values, ())
+            (values, logs)
         })
     }
 }

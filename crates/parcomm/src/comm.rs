@@ -14,19 +14,24 @@
 //! The recursive-doubling rounds are **scheduler-resident**: participants
 //! meet once in [`crate::sched`], the last arriver computes the reduced
 //! buffer and every round's message stamps for everyone, and each rank then
-//! books its own rounds here — the same `record_send` / `stamp_send` /
-//! `absorb_arrival` / trace calls, in the same order, that exchanging the
-//! messages would have made. Every virtual time, statistic and trace event
-//! is what the message exchange produces; only the physical messages and
-//! their host-thread hand-offs are gone.
+//! books its own rounds here — the same `book_send` / `book_recv` steps, in
+//! the same order, that exchanging the messages would have made. Every
+//! virtual time, statistic and trace event is what the message exchange
+//! produces; only the physical messages and their host-thread hand-offs are
+//! gone.
+//!
+//! Every collective is written once, over a [`Scope`] — the world or a
+//! [`Group`] — as a `*_on` method of [`NodeCtx`]; the public methods here
+//! and on `Group` name their span and phase and call it. Everything that
+//! watches the traffic (statistics, auditor, tracer) does so through the
+//! one event [`NodeCtx::emit`] hands to [`crate::observe`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-#[cfg(feature = "audit")]
-use crate::audit;
 use crate::fault::{FailAt, FaultOracle};
 use crate::group::Group;
+use crate::observe::{split_elems, Event, NodeLogs, Observers};
 use crate::payload::{Message, Payload};
 use crate::request::{AllreduceRequest, RecvRequest, SendRequest};
 use crate::sched::{Deposit, RdShape, Scheduler};
@@ -98,124 +103,47 @@ impl PayloadElem for u64 {
     }
 }
 
-/// Personalized all-to-all of per-participant buffers under one tag: post
-/// all sends first (sends never block — no deadlock), then receive in
-/// ascending participant order; the own slot is passed through untouched.
-/// One implementation for the world (`members: None`) and group
-/// communicators and for every element type that fits in a payload — the
-/// loop used to live in four near-identical copies.
-pub(crate) fn alltoallv_generic<T: PayloadElem>(
-    ctx: &mut NodeCtx,
-    my_index: usize,
-    members: Option<&[usize]>,
-    tag: Tag,
-    phase: CommPhase,
-    mut sends: Vec<Vec<T>>,
-) -> Vec<Vec<T>> {
-    let n = sends.len();
-    let rank_of = |i: usize| members.map_or(i, |m| m[i]);
-    let mut own = Some(std::mem::take(&mut sends[my_index]));
-    for i in 0..n {
-        if i != my_index {
-            // Most pairs of an all-to-all exchange nothing: an empty list
-            // travels as `Empty`, not as a heap-allocated empty buffer.
-            let data = std::mem::take(&mut sends[i]);
-            let payload = if data.is_empty() {
-                Payload::Empty
-            } else {
-                T::wrap(data)
-            };
-            ctx.send_tag(rank_of(i), tag, payload, phase);
-        }
-    }
-    let mut out: Vec<Vec<T>> = Vec::with_capacity(n);
-    for i in 0..n {
-        if i == my_index {
-            out.push(own.take().expect("own slot filled once"));
-        } else {
-            out.push(T::unwrap(ctx.recv_tag(rank_of(i), tag, phase).payload));
-        }
-    }
-    out
+/// The communicator one collective call runs on: who takes part, as whom,
+/// and which call of the communicator's SPMD-aligned sequence this is. The
+/// world has identity ranks and [`Tag::coll`] tags; a [`Group`] maps
+/// participant indices to its members and scopes its tags by its id.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Scope<'a> {
+    /// Participant index → global rank (`None` ⇒ identity: the world).
+    pub members: Option<&'a [usize]>,
+    /// This node's participant index in `0..n`.
+    pub my_index: usize,
+    pub n: usize,
+    /// The group id (`None`: the world).
+    pub id: Option<u32>,
+    /// The communicator's collective sequence number of this call.
+    pub seq: u64,
 }
 
-/// Gather per-participant buffers on participant index `root`, in index
-/// order (`members`: as in [`alltoallv_generic`]); the others return `None`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gatherv_generic<T: PayloadElem>(
-    ctx: &mut NodeCtx,
-    my_index: usize,
-    n: usize,
-    members: Option<&[usize]>,
-    root: usize,
-    tag: Tag,
-    phase: CommPhase,
-    x: Vec<T>,
-) -> Option<Vec<Vec<T>>> {
-    let rank_of = |i: usize| members.map_or(i, |m| m[i]);
-    if my_index != root {
-        ctx.send_tag(rank_of(root), tag, T::wrap(x), phase);
-        return None;
+impl Scope<'_> {
+    fn rank_of(&self, i: usize) -> usize {
+        self.members.map_or(i, |m| m[i])
     }
-    let mut own = Some(x);
-    let mut gathered = Vec::with_capacity(n);
-    for i in 0..n {
-        gathered.push(if i == root {
-            own.take().expect("own slot filled once")
-        } else {
-            T::unwrap(ctx.recv_tag(rank_of(i), tag, phase).payload)
-        });
+
+    fn tag(&self, kind: u8) -> Tag {
+        match self.id {
+            None => Tag::coll(kind, self.seq),
+            Some(gid) => Tag::group(gid, kind, self.seq as u32),
+        }
     }
-    Some(gathered)
 }
 
-/// Broadcast from participant index `root` over a binomial tree of `n`
-/// participants (`members`: as in [`alltoallv_generic`]). The per-child
-/// `data.clone()` is an `Arc` bump, not a buffer copy.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tree_bcast_generic(
-    ctx: &mut NodeCtx,
-    my_index: usize,
-    n: usize,
-    members: Option<&[usize]>,
-    root: usize,
-    tag: Tag,
-    phase: CommPhase,
-    payload: Payload,
-) -> Payload {
-    if n == 1 {
-        return payload;
-    }
-    // Tree positions are indices rotated so the root sits at 0.
-    let rank_of = |v: usize| members.map_or((v + root) % n, |m| m[(v + root) % n]);
-    let vrank = (my_index + n - root) % n;
-    // Find the highest power of two ≤ n.
-    let mut top = 1usize;
-    while top << 1 < n {
-        top <<= 1;
-    }
-    let data: Payload = if vrank == 0 {
-        payload
-    } else {
-        // Receive from parent: clear lowest set bit of vrank.
-        ctx.recv_tag(rank_of(vrank & (vrank - 1)), tag, phase)
-            .payload
+/// Ragged per-participant buffers as the two payloads that broadcast them:
+/// the counts and the flattened data (both empty off the root).
+pub(crate) fn flatten_ragged<T: PayloadElem>(vecs: Option<Vec<Vec<T>>>) -> (Payload, Payload) {
+    let Some(vs) = vecs else {
+        return (Payload::Empty, Payload::Empty);
     };
-    // Forward to children (bits below our lowest set bit), farthest
-    // subtree first so it starts as early as possible.
-    let lowbit = if vrank == 0 {
-        top << 1
-    } else {
-        vrank & vrank.wrapping_neg()
-    };
-    let mut mask = top;
-    while mask > 0 {
-        if mask < lowbit && vrank | mask < n {
-            ctx.send_tag(rank_of(vrank | mask), tag, data.clone(), phase);
-        }
-        mask >>= 1;
-    }
-    data
+    let counts = vs.iter().map(|v| v.len() as u64).collect();
+    (
+        Payload::u64s(counts),
+        T::wrap(vs.into_iter().flatten().collect()),
+    )
 }
 
 /// Split a flattened buffer back into per-rank pieces of the given lengths.
@@ -262,14 +190,11 @@ pub struct NodeCtx {
     sched: Arc<Scheduler>,
     oracle: FaultOracle,
     clock: VClock,
-    stats: CommStats,
+    /// Everything that watches this node's communication.
+    obs: Observers,
     coll_seq: u64,
     group_counters: HashMap<Vec<usize>, u32>,
     spares: usize,
-    #[cfg(feature = "audit")]
-    audit: Option<Box<audit::AuditState>>,
-    #[cfg(feature = "trace")]
-    trace: Option<Box<crate::trace::TraceState>>,
 }
 
 impl NodeCtx {
@@ -287,233 +212,58 @@ impl NodeCtx {
             sched,
             oracle,
             clock,
-            stats: CommStats::new(),
+            obs: Observers::new(rank),
             coll_seq: 0,
             group_counters: HashMap::new(),
             spares,
-            #[cfg(feature = "audit")]
-            audit: None,
-            #[cfg(feature = "trace")]
-            trace: None,
         }
     }
 
-    /// Attach the virtual-time tracer. Called by `Cluster::run` before the
-    /// program starts; strictly observational (never touches the clock).
-    #[cfg(feature = "trace")]
-    pub(crate) fn install_trace(&mut self) {
-        self.trace = Some(Box::new(crate::trace::TraceState::new(self.rank)));
+    /// Surrender what the diagnostic observers recorded (at teardown).
+    pub(crate) fn into_logs(self) -> NodeLogs {
+        self.obs.into_logs()
     }
 
-    /// Surrender this node's trace log (called at teardown).
-    #[cfg(feature = "trace")]
-    pub(crate) fn take_trace(&mut self) -> Option<crate::trace::NodeTrace> {
-        self.trace.take().map(|t| t.into_log())
-    }
-
-    /// Attach the protocol auditor (this node's event log). Called by
-    /// `Cluster::run` before the program.
-    #[cfg(feature = "audit")]
-    pub(crate) fn install_audit(&mut self) {
-        self.audit = Some(Box::new(audit::AuditState::new(self.rank)));
-    }
-
-    /// Surrender this node's audit event log (called at teardown).
-    #[cfg(feature = "audit")]
-    pub(crate) fn take_audit_log(&mut self) -> Option<audit::NodeLog> {
-        self.audit.take().map(|a| a.into_log())
-    }
-
-    /// Record a matched receive into the audit log (no-op without the
-    /// `audit` feature — keeps call sites feature-agnostic).
-    #[cfg(feature = "audit")]
-    fn audit_recv(&mut self, m: &Message) {
-        if let Some(a) = &mut self.audit {
-            a.record_recv(m);
-        }
-    }
-
-    #[cfg(not(feature = "audit"))]
-    #[inline(always)]
-    fn audit_recv(&mut self, _m: &Message) {}
-
-    /// Record a collective call into the audit log.
-    #[cfg(feature = "audit")]
-    pub(crate) fn audit_coll(&mut self, ev: audit::CollEvent) {
-        if let Some(a) = &mut self.audit {
-            a.record_coll(ev);
-        }
-    }
-
-    /// Record a world-communicator collective call (no-op without `audit`).
-    /// `len` is the contributed length where the protocol requires
-    /// agreement — `None` for ragged collectives and for participants that
-    /// do not know it up front (bcast leaves); the checker compares lengths
-    /// among declared values only.
-    fn audit_world_coll(&mut self, seq: u64, kind: u8, rop: Option<ReduceOp>, len: Option<usize>) {
-        #[cfg(not(feature = "audit"))]
-        let _ = (seq, kind, rop, len);
-        #[cfg(feature = "audit")]
-        self.audit_coll(audit::CollEvent {
-            scope: None,
-            seq,
-            kind,
-            rop,
-            len,
-            members_hash: audit::WORLD_HASH,
-            n_members: self.size,
-        });
+    /// Show the observers what happened at virtual time `t`: the one way
+    /// statistics, auditor and tracer learn of anything.
+    #[inline]
+    pub(crate) fn emit(&mut self, t: f64, ev: Event<'_>) {
+        self.obs.emit(t, ev);
     }
 
     /// Declare entry into recovery-attempt tag window `id` (a no-op without
     /// the `audit` feature). The engine calls this at the top of each
     /// recovery attempt; receives issued until the matching
     /// [`NodeCtx::audit_exit_window`] must only match messages sent inside
-    /// the same window. Entering a new window while one is open closes the
-    /// old one (an aborted attempt), including its residue check.
+    /// the same window, and collectives must be joined from it. Entering a
+    /// new window while one is open closes the old one (an aborted
+    /// attempt), including its residue check.
     pub fn audit_enter_window(&mut self, id: u32) {
-        #[cfg(feature = "audit")]
-        if let Some(a) = &mut self.audit {
-            if let Some(prev) = a.window.replace(id) {
-                self.sched.scan_window_residue(self.rank, prev);
-            }
-        }
-        #[cfg(not(feature = "audit"))]
-        let _ = id;
+        self.obs.window(&self.sched, self.rank, Some(id));
     }
 
     /// Close the current recovery-attempt tag window (no-op without the
     /// `audit` feature): checks that no message stamped with the closing
     /// window remains unconsumed in this node's queue.
     pub fn audit_exit_window(&mut self) {
-        #[cfg(feature = "audit")]
-        if let Some(a) = &mut self.audit {
-            if let Some(prev) = a.window.take() {
-                self.sched.scan_window_residue(self.rank, prev);
-            }
-        }
+        self.obs.window(&self.sched, self.rank, None);
     }
 
-    /// Open a named trace span stamped with the current virtual clock (a
-    /// no-op without the `trace` feature — keeps call sites
-    /// feature-agnostic). Spans nest; close the innermost one with
-    /// [`NodeCtx::trace_close`]. Strictly observational.
+    /// Open a named trace span stamped with the current virtual clock
+    /// (recorded under the `trace` feature only). Spans nest; close the
+    /// innermost one with [`NodeCtx::trace_close`]. Strictly observational.
     pub fn trace_open(&mut self, name: &'static str, arg: u64) {
-        #[cfg(feature = "trace")]
-        {
-            let t = self.clock.now();
-            if let Some(tr) = &mut self.trace {
-                tr.record(t, crate::trace::TraceEventKind::Open { name, arg });
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = (name, arg);
+        self.emit(self.clock.now(), Event::Open { name, arg });
     }
 
-    /// Close the innermost open trace span (no-op without `trace`).
+    /// Close the innermost open trace span.
     pub fn trace_close(&mut self) {
-        #[cfg(feature = "trace")]
-        {
-            let t = self.clock.now();
-            if let Some(tr) = &mut self.trace {
-                tr.record(t, crate::trace::TraceEventKind::Close);
-            }
-        }
+        self.emit(self.clock.now(), Event::Close);
     }
 
-    /// Record a zero-duration trace marker (no-op without `trace`).
+    /// Record a zero-duration trace marker.
     pub fn trace_instant(&mut self, name: &'static str, arg: u64) {
-        #[cfg(feature = "trace")]
-        {
-            let t = self.clock.now();
-            if let Some(tr) = &mut self.trace {
-                tr.record(t, crate::trace::TraceEventKind::Instant { name, arg });
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = (name, arg);
-    }
-
-    /// Record a send event with its per-`(dst, tag)` sequence number
-    /// (no-op without `trace`, like the span markers above).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn trace_send_event(
-        &mut self,
-        phase: CommPhase,
-        dst: usize,
-        tag: Tag,
-        elems: usize,
-        t: f64,
-        dt: f64,
-        engine: bool,
-    ) {
-        #[cfg(not(feature = "trace"))]
-        let _ = (phase, dst, tag, elems, t, dt, engine);
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &mut self.trace {
-            let seq = tr.next_send_seq(dst, tag);
-            tr.record(
-                t,
-                crate::trace::TraceEventKind::Send {
-                    phase,
-                    dst,
-                    tag,
-                    elems,
-                    seq,
-                    dt,
-                    engine,
-                },
-            );
-        }
-    }
-
-    /// Record a receive event with its per-`(src, tag)` sequence number.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn trace_recv_event(
-        &mut self,
-        phase: CommPhase,
-        src: usize,
-        tag: Tag,
-        elems: usize,
-        t: f64,
-        stall: f64,
-        engine: bool,
-    ) {
-        #[cfg(not(feature = "trace"))]
-        let _ = (phase, src, tag, elems, t, stall, engine);
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &mut self.trace {
-            let seq = tr.next_recv_seq(src, tag);
-            tr.record(
-                t,
-                crate::trace::TraceEventKind::Recv {
-                    phase,
-                    src,
-                    tag,
-                    elems,
-                    seq,
-                    stall,
-                    engine,
-                },
-            );
-        }
-    }
-
-    /// Record the exposed/hidden split charged by a non-blocking `wait`.
-    pub(crate) fn trace_wait_event(&mut self, phase: CommPhase, t: f64, exposed: f64, hidden: f64) {
-        #[cfg(not(feature = "trace"))]
-        let _ = (phase, t, exposed, hidden);
-        #[cfg(feature = "trace")]
-        if let Some(tr) = &mut self.trace {
-            tr.record(
-                t,
-                crate::trace::TraceEventKind::Wait {
-                    phase,
-                    exposed,
-                    hidden,
-                },
-            );
-        }
+        self.emit(self.clock.now(), Event::Instant { name, arg });
     }
 
     /// Test double: reintroduce the PR 2 `swap_remove` FIFO defect in this
@@ -545,43 +295,61 @@ impl NodeCtx {
 
     pub(crate) fn send_tag(&mut self, dest: usize, tag: Tag, payload: Payload, phase: CommPhase) {
         debug_assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
-        let arrival = self.book_send(&mut Timeline::Node, dest, tag, payload.elems(), phase);
+        let split = [(phase, payload.elems())];
+        let arrival = self.book_send(&mut Timeline::Node, dest, tag, &split);
         self.raw_send(dest, tag, payload, arrival);
     }
 
-    /// Book one outgoing message of `elems` elements on `tl` — statistics,
-    /// clock, trace — and return its arrival stamp. Everything a send does
-    /// except deliver: the blocking and non-blocking sends deliver next,
-    /// a resident collective's rounds have nothing to deliver.
+    /// Book one outgoing message on `tl` — clock, then the one `Send` event
+    /// — and return its arrival stamp. Everything a send does except
+    /// deliver: the blocking and non-blocking sends deliver next, a
+    /// resident collective's rounds have nothing to deliver. `split` is the
+    /// message's per-phase element accounting (see [`Event::Send`]).
     fn book_send(
         &mut self,
         tl: &mut Timeline,
-        dest: usize,
+        dst: usize,
         tag: Tag,
-        elems: usize,
-        phase: CommPhase,
+        split: &[(CommPhase, usize)],
     ) -> f64 {
-        self.stats.record_send(phase, elems);
-        match tl {
+        let elems = split_elems(split);
+        // The transfer time of the one physical message is charged to the
+        // first phase that actually contributes elements — a link carrying
+        // only redundancy must book its time under Redundancy, not under
+        // an empty leading Spmv slot.
+        let owner = split.iter().find(|&&(_, n)| n > 0);
+        let phase = owner.map_or(split[0].0, |&(p, _)| p);
+        let (t0, dt, arrival) = match tl {
             Timeline::Node => {
                 let t0 = self.clock.now();
                 let arrival = self.clock.stamp_send(elems);
-                self.stats.record_send_vtime(phase, arrival - t0);
-                self.trace_send_event(phase, dest, tag, elems, t0, arrival - t0, false);
-                arrival
+                (t0, arrival - t0, arrival)
             }
             Timeline::Engine(now) => {
-                let cost = self.clock.model().msg_cost(elems);
-                self.trace_send_event(phase, dest, tag, elems, *now, cost, true);
+                let (t0, cost) = (*now, self.clock.model().msg_cost(elems));
                 *now += cost;
-                *now
+                (t0, cost, *now)
             }
-        }
+        };
+        let engine = matches!(tl, Timeline::Engine(_));
+        self.emit(
+            t0,
+            Event::Send {
+                phase,
+                dst,
+                tag,
+                split,
+                dt,
+                engine,
+            },
+        );
+        arrival
     }
 
     /// Book the receipt of a message stamped `arrival` on `tl`: a blocking
     /// receive stalls the node clock until the stamp; the engine timeline
-    /// just moves up to it (any exposed cost is charged later, at `wait`).
+    /// just moves up to it (any exposed cost is charged later, at `wait`)
+    /// and stamps its event there.
     fn book_recv(
         &mut self,
         tl: &mut Timeline,
@@ -591,20 +359,29 @@ impl NodeCtx {
         arrival: f64,
         phase: CommPhase,
     ) {
-        match tl {
+        let (t, stall, engine) = match tl {
             Timeline::Node => {
                 let t0 = self.clock.now();
-                let stall = self.clock.absorb_arrival(arrival);
-                self.stats.record_wait_vtime(phase, stall);
-                self.trace_recv_event(phase, src, tag, elems, t0, stall, false);
+                (t0, self.clock.absorb_arrival(arrival), false)
             }
             Timeline::Engine(now) => {
                 if arrival > *now {
                     *now = arrival;
                 }
-                self.trace_recv_event(phase, src, tag, elems, *now, 0.0, true);
+                (*now, 0.0, true)
             }
-        }
+        };
+        self.emit(
+            t,
+            Event::Recv {
+                phase,
+                src,
+                tag,
+                elems,
+                stall,
+                engine,
+            },
+        );
     }
 
     /// Deliver a message with an explicit arrival stamp, touching neither
@@ -613,12 +390,8 @@ impl NodeCtx {
     /// `isend` (which stamps with its own detached timeline).
     pub(crate) fn raw_send(&mut self, dest: usize, tag: Tag, payload: Payload, arrival_vtime: f64) {
         debug_assert_ne!(dest, self.rank, "self-send is a protocol bug");
-        #[allow(unused_mut)]
         let mut msg = Message::new(self.rank, tag, payload, arrival_vtime);
-        #[cfg(feature = "audit")]
-        if let Some(a) = &mut self.audit {
-            msg.stamp = a.stamp_send(dest, tag);
-        }
+        self.obs.stamp(dest, &mut msg);
         self.sched.send(dest, msg);
     }
 
@@ -626,7 +399,7 @@ impl NodeCtx {
     /// effects: non-blocking requests account on their own timeline.
     pub(crate) fn raw_recv_blocking(&mut self, src: Option<usize>, tag: Tag) -> Message {
         let m = self.sched.recv(self.rank, src, tag, self.clock.now());
-        self.audit_recv(&m);
+        self.emit(self.clock.now(), Event::Matched(&m));
         m
     }
 
@@ -650,47 +423,13 @@ impl NodeCtx {
         split: &[(CommPhase, usize)],
     ) {
         debug_assert_eq!(
-            split.iter().map(|&(_, n)| n).sum::<usize>(),
+            split_elems(split),
             payload.elems(),
-            "phase split must cover the payload"
+            "split covers the payload"
         );
-        let mut first = true;
-        for &(phase, elems) in split {
-            if first {
-                self.stats.record_send(phase, elems);
-                first = false;
-            } else {
-                // Count elements without double-counting the message.
-                let msgs_before = self.stats.msgs(phase);
-                self.stats.record_send(phase, elems);
-                // record_send bumped the message counter; compensate so
-                // message counts reflect physical messages.
-                debug_assert_eq!(self.stats.msgs(phase), msgs_before + 1);
-                self.stats.uncount_msg(phase);
-            }
-        }
-        let elems = payload.elems();
-        let t0 = self.clock.now();
-        let arrival_vtime = self.clock.stamp_send(elems);
-        // The transfer time of the one physical message is charged to the
-        // first phase that actually contributes elements — a link carrying
-        // only redundancy must book its time under Redundancy, not under
-        // an empty leading Spmv slot.
-        let owner = split
-            .iter()
-            .find(|&&(_, n)| n > 0)
-            .map_or(split[0].0, |&(p, _)| p);
-        self.stats.record_send_vtime(owner, arrival_vtime - t0);
-        self.trace_send_event(
-            owner,
-            dest,
-            Tag::user(tag),
-            elems,
-            t0,
-            arrival_vtime - t0,
-            false,
-        );
-        self.raw_send(dest, Tag::user(tag), payload, arrival_vtime);
+        let tag = Tag::user(tag);
+        let arrival = self.book_send(&mut Timeline::Node, dest, tag, split);
+        self.raw_send(dest, tag, payload, arrival);
     }
 
     /// Blocking receive of a user-tagged message from `src` (stall time
@@ -748,7 +487,7 @@ impl NodeCtx {
         debug_assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
         let elems = payload.elems();
         let mut engine = Timeline::Engine(self.clock.now());
-        let done_at = self.book_send(&mut engine, dest, Tag::user(tag), elems, phase);
+        let done_at = self.book_send(&mut engine, dest, Tag::user(tag), &[(phase, elems)]);
         self.raw_send(dest, Tag::user(tag), payload, done_at);
         SendRequest::new(done_at, self.clock.model().msg_cost(elems), phase)
     }
@@ -777,80 +516,277 @@ impl NodeCtx {
     /// All nodes must issue the operation at the same SPMD point (it shares
     /// the collective sequence space with the blocking collectives).
     pub fn iallreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> AllreduceRequest {
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::ALLREDUCE, seq);
-        self.audit_world_coll(seq, op::ALLREDUCE, Some(opr), Some(x.len()));
-        self.trace_open("iallreduce", seq);
+        let world = self.world();
+        self.iallreduce_on(&world, "iallreduce", opr, x, CommPhase::Reduction)
+    }
+
+    // ------------------------------------------------------------------
+    // Collectives: one body each, over a scope
+    // ------------------------------------------------------------------
+
+    /// The world communicator as the scope of its next collective call
+    /// (consumes a sequence number).
+    fn world(&mut self) -> Scope<'static> {
+        self.coll_seq += 1;
+        Scope {
+            members: None,
+            my_index: self.rank,
+            n: self.size,
+            id: None,
+            seq: self.coll_seq - 1,
+        }
+    }
+
+    /// The prologue of every collective: show the call to the observers,
+    /// open its span (`name`, sequence number) and return the tag its
+    /// messages travel under.
+    fn coll_begin(
+        &mut self,
+        scope: &Scope<'_>,
+        name: &'static str,
+        kind: u8,
+        rop: Option<ReduceOp>,
+        len: Option<usize>,
+    ) -> Tag {
+        let call = Event::Coll {
+            scope,
+            kind,
+            rop,
+            len,
+        };
+        self.emit(self.clock.now(), call);
+        self.trace_open(name, scope.seq);
+        scope.tag(kind)
+    }
+
+    /// Barrier on `s`: a zero-length recursive-doubling all-reduce, so
+    /// every participant transitively absorbs every other one's clock.
+    pub(crate) fn barrier_on(&mut self, s: &Scope<'_>, name: &'static str, phase: CommPhase) {
+        let tag = self.coll_begin(s, name, op::BARRIER, None, Some(0));
+        let (tl, x) = (&mut Timeline::Node, Vec::new());
+        self.rd_rounds(tl, s, tag, ReduceOp::Sum, x, phase);
+        self.trace_close();
+    }
+
+    /// Element-wise all-reduce on `s`, booked on `tl` (all participants
+    /// pass equal lengths; the result is bitwise identical on each).
+    pub(crate) fn allreduce_on(
+        &mut self,
+        tl: &mut Timeline,
+        s: &Scope<'_>,
+        name: &'static str,
+        opr: ReduceOp,
+        x: Vec<f64>,
+        phase: CommPhase,
+    ) -> Vec<f64> {
+        let tag = self.coll_begin(s, name, op::ALLREDUCE, Some(opr), Some(x.len()));
+        let (acc, rounds) = self.rd_rounds(tl, s, tag, opr, x, phase);
+        self.trace_close();
+        self.emit(self.clock.now(), Event::Allreduce { rounds });
+        acc
+    }
+
+    /// Non-blocking all-reduce on `s`: the same schedule on a detached
+    /// engine timeline that starts now.
+    pub(crate) fn iallreduce_on(
+        &mut self,
+        s: &Scope<'_>,
+        name: &'static str,
+        opr: ReduceOp,
+        x: Vec<f64>,
+        phase: CommPhase,
+    ) -> AllreduceRequest {
         let start = self.clock.now();
         let mut engine = Timeline::Engine(start);
-        let (rank, size) = (self.rank, self.size);
-        let (acc, rounds) = self.rd_rounds(
-            &mut engine,
-            rank,
-            size,
-            None,
+        let acc = self.allreduce_on(&mut engine, s, name, opr, x, phase);
+        AllreduceRequest::new(acc, start, engine.now(&self.clock), phase)
+    }
+
+    /// Deterministic recursive-doubling all-reduce over the participants of
+    /// `s` (schedule: [`RdShape`]), booked on `tl`. Returns the reduced
+    /// buffer — **bitwise identical on every participant** — and the number
+    /// of communication rounds this participant took part in.
+    ///
+    /// The rendezvous in [`Scheduler::allreduce`] yields the result and the
+    /// arrival stamp of every message of the schedule; this node then books
+    /// exactly its own rounds, in schedule order. Within one call every
+    /// ordered pair of participants exchanges at most one message, so a
+    /// single tag covers all rounds.
+    fn rd_rounds(
+        &mut self,
+        tl: &mut Timeline,
+        s: &Scope<'_>,
+        tag: Tag,
+        opr: ReduceOp,
+        x: Vec<f64>,
+        phase: CommPhase,
+    ) -> (Vec<f64>, usize) {
+        if s.n == 1 {
+            return (x, 0);
+        }
+        let elems = x.len();
+        let deposit = Deposit {
             tag,
+            index: s.my_index,
+            n: s.n,
+            members: s.members,
             opr,
+            entry: tl.now(&self.clock),
             x,
-            CommPhase::Reduction,
-        );
+            msg_cost: self.clock.model().msg_cost(elems),
+        };
+        let out = self.sched.allreduce(self.rank, deposit, self.clock.now());
+
+        let mine = RdShape::new(s.n).rounds_of(s.my_index);
+        for (k, round) in mine.iter().enumerate() {
+            let peer = s.rank_of(round.peer);
+            self.trace_open("round", k as u64);
+            if round.sends {
+                let sent = self.book_send(tl, peer, tag, &[(phase, elems)]);
+                debug_assert_eq!(sent.to_bits(), out.stamps[round.row][s.my_index].to_bits());
+            }
+            if round.recvs {
+                let arrival = out.stamps[round.row][round.peer];
+                self.book_recv(tl, peer, tag, elems, arrival, phase);
+            }
+            self.trace_close();
+        }
+        // Whoever finishes last takes the shared buffer; the others copy.
+        let result = Arc::try_unwrap(out).map_or_else(|o| o.result.clone(), |o| o.result);
+        (result, mine.len())
+    }
+
+    /// Personalized all-to-all of per-participant buffers on `s`: post all
+    /// sends first (sends never block — no deadlock), then receive in
+    /// ascending participant order; the own slot is passed through
+    /// untouched.
+    pub(crate) fn alltoallv_on<T: PayloadElem>(
+        &mut self,
+        s: &Scope<'_>,
+        name: &'static str,
+        mut sends: Vec<Vec<T>>,
+        phase: CommPhase,
+    ) -> Vec<Vec<T>> {
+        assert_eq!(sends.len(), s.n, "alltoallv needs one list per participant");
+        let tag = self.coll_begin(s, name, op::ALLTOALL, None, None);
+        let mut own = Some(std::mem::take(&mut sends[s.my_index]));
+        for i in (0..s.n).filter(|&i| i != s.my_index) {
+            // Most pairs of an all-to-all exchange nothing: an empty list
+            // travels as `Empty`, not as a heap-allocated empty buffer.
+            let data = std::mem::take(&mut sends[i]);
+            let payload = if data.is_empty() {
+                Payload::Empty
+            } else {
+                T::wrap(data)
+            };
+            self.send_tag(s.rank_of(i), tag, payload, phase);
+        }
+        let recvd = (0..s.n).map(|i| {
+            if i == s.my_index {
+                own.take().expect("own slot filled once")
+            } else {
+                T::unwrap(self.recv_tag(s.rank_of(i), tag, phase).payload)
+            }
+        });
+        let out = recvd.collect();
         self.trace_close();
-        self.stats.record_allreduce(rounds);
-        AllreduceRequest::new(acc, start, engine.now(&self.clock), CommPhase::Reduction)
+        out
+    }
+
+    /// Gather per-participant buffers on participant index `root` of `s`,
+    /// in index order; the others return `None`. **The span stays open**:
+    /// the caller closes it (a group all-gather runs its broadcasts inside
+    /// the gather's span — the committed traces pin that).
+    pub(crate) fn gatherv_on<T: PayloadElem>(
+        &mut self,
+        s: &Scope<'_>,
+        name: &'static str,
+        root: usize,
+        x: Vec<T>,
+        phase: CommPhase,
+    ) -> Option<Vec<Vec<T>>> {
+        let tag = self.coll_begin(s, name, op::GATHER, None, None);
+        if s.my_index != root {
+            self.send_tag(s.rank_of(root), tag, T::wrap(x), phase);
+            return None;
+        }
+        let mut own = Some(x);
+        let gathered = (0..s.n).map(|i| {
+            if i == root {
+                own.take().expect("own slot filled once")
+            } else {
+                T::unwrap(self.recv_tag(s.rank_of(i), tag, phase).payload)
+            }
+        });
+        Some(gathered.collect())
+    }
+
+    /// Broadcast from participant index `root` of `s` over a binomial tree.
+    /// The per-child `data.clone()` is an `Arc` bump, not a buffer copy.
+    pub(crate) fn bcast_on(
+        &mut self,
+        s: &Scope<'_>,
+        name: &'static str,
+        root: usize,
+        payload: Payload,
+        phase: CommPhase,
+    ) -> Payload {
+        // A group of one returns before it opens a span or shows the call
+        // to anyone (one participant has nobody to disagree with); a world
+        // of one goes through the motions. The committed traces pin both.
+        if s.n == 1 && s.id.is_some() {
+            return payload;
+        }
+        let tag = self.coll_begin(s, name, op::BCAST, None, None);
+        let n = s.n;
+        // Tree positions are indices rotated so the root sits at 0.
+        let rank_of = |v: usize| s.rank_of((v + root) % n);
+        let vrank = (s.my_index + n - root) % n;
+        // Find the highest power of two ≤ n.
+        let mut top = 1usize;
+        while top << 1 < n {
+            top <<= 1;
+        }
+        let data: Payload = if vrank == 0 {
+            payload
+        } else {
+            // Receive from parent: clear lowest set bit of vrank.
+            self.recv_tag(rank_of(vrank & (vrank - 1)), tag, phase)
+                .payload
+        };
+        // Forward to children (bits below our lowest set bit), farthest
+        // subtree first so it starts as early as possible.
+        let lowbit = if vrank == 0 {
+            top << 1
+        } else {
+            vrank & vrank.wrapping_neg()
+        };
+        let mut mask = top;
+        while mask > 0 {
+            if mask < lowbit && vrank | mask < n {
+                self.send_tag(rank_of(vrank | mask), tag, data.clone(), phase);
+            }
+            mask >>= 1;
+        }
+        self.trace_close();
+        data
     }
 
     // ------------------------------------------------------------------
-    // Collectives
+    // The world communicator
     // ------------------------------------------------------------------
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.coll_seq;
-        self.coll_seq += 1;
-        s
-    }
-
-    /// Synchronize all nodes (and their virtual clocks). Implemented as a
-    /// zero-length recursive-doubling all-reduce, so every node transitively
-    /// absorbs every other node's clock in ⌈log₂N⌉(+2) rounds.
+    /// Synchronize all nodes (and their virtual clocks) in ⌈log₂N⌉(+2)
+    /// rounds.
     pub fn barrier(&mut self) {
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::BARRIER, seq);
-        self.audit_world_coll(seq, op::BARRIER, None, Some(0));
-        self.trace_open("barrier", seq);
-        let (rank, size) = (self.rank, self.size);
-        let (tl, x) = (&mut Timeline::Node, Vec::new());
-        self.rd_rounds(
-            tl,
-            rank,
-            size,
-            None,
-            tag,
-            ReduceOp::Sum,
-            x,
-            CommPhase::Reduction,
-        );
-        self.trace_close();
+        let world = self.world();
+        self.barrier_on(&world, "barrier", CommPhase::Reduction);
     }
 
     /// Broadcast `payload` from `root`; every node returns the payload.
     pub fn bcast(&mut self, root: usize, payload: Payload) -> Payload {
-        let seq = self.next_seq();
-        self.audit_world_coll(seq, op::BCAST, None, None);
-        self.trace_open("bcast", seq);
-        let tag = Tag::coll(op::BCAST, seq);
-        let (rank, size) = (self.rank, self.size);
-        let out = tree_bcast_generic(
-            self,
-            rank,
-            size,
-            None,
-            root,
-            tag,
-            CommPhase::Reduction,
-            payload,
-        );
-        self.trace_close();
-        out
+        let world = self.world();
+        self.bcast_on(&world, "bcast", root, payload, CommPhase::Reduction)
     }
 
     /// All-reduce a scalar.
@@ -876,78 +812,8 @@ impl NodeCtx {
     /// bottleneck. The pairing and combination order are fixed functions
     /// of (rank, size), so the result is deterministic.
     pub fn allreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::ALLREDUCE, seq);
-        self.audit_world_coll(seq, op::ALLREDUCE, Some(opr), Some(x.len()));
-        self.trace_open("allreduce", seq);
-        let (rank, size) = (self.rank, self.size);
-        let tl = &mut Timeline::Node;
-        let (acc, rounds) = self.rd_rounds(tl, rank, size, None, tag, opr, x, CommPhase::Reduction);
-        self.trace_close();
-        self.stats.record_allreduce(rounds);
-        acc
-    }
-
-    /// Deterministic recursive-doubling all-reduce over `n` participants
-    /// (schedule: [`RdShape`]), booked on `tl`.
-    ///
-    /// `my_index` is this node's participant index; `members` maps
-    /// participant indices to global ranks (`None` ⇒ identity, i.e. the
-    /// world communicator). Returns the reduced buffer — **bitwise
-    /// identical on every participant** — and the number of communication
-    /// rounds this participant took part in.
-    ///
-    /// The rendezvous in [`Scheduler::allreduce`] yields the result and the
-    /// arrival stamp of every message of the schedule; this node then books
-    /// exactly its own rounds, in schedule order. Within one call every
-    /// ordered pair of participants exchanges at most one message, so a
-    /// single tag covers all rounds.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rd_rounds(
-        &mut self,
-        tl: &mut Timeline,
-        my_index: usize,
-        n: usize,
-        members: Option<&[usize]>,
-        tag: Tag,
-        opr: ReduceOp,
-        x: Vec<f64>,
-        phase: CommPhase,
-    ) -> (Vec<f64>, usize) {
-        if n == 1 {
-            return (x, 0);
-        }
-        let elems = x.len();
-        let deposit = Deposit {
-            tag,
-            index: my_index,
-            n,
-            members,
-            opr,
-            entry: tl.now(&self.clock),
-            x,
-            msg_cost: self.clock.model().msg_cost(elems),
-        };
-        let out = self.sched.allreduce(self.rank, deposit, self.clock.now());
-
-        let rank_of = |i: usize| members.map_or(i, |m| m[i]);
-        let mine = RdShape::new(n).rounds_of(my_index);
-        for (k, round) in mine.iter().enumerate() {
-            let peer = rank_of(round.peer);
-            self.trace_open("round", k as u64);
-            if round.sends {
-                let sent = self.book_send(tl, peer, tag, elems, phase);
-                debug_assert_eq!(sent.to_bits(), out.stamps[round.row][my_index].to_bits());
-            }
-            if round.recvs {
-                let arrival = out.stamps[round.row][round.peer];
-                self.book_recv(tl, peer, tag, elems, arrival, phase);
-            }
-            self.trace_close();
-        }
-        // Whoever finishes last takes the shared buffer; the others copy.
-        let result = Arc::try_unwrap(out).map_or_else(|o| o.result.clone(), |o| o.result);
-        (result, mine.len())
+        let (world, tl) = (self.world(), &mut Timeline::Node);
+        self.allreduce_on(tl, &world, "allreduce", opr, x, CommPhase::Reduction)
     }
 
     /// Gather variable-length `f64` buffers on `root` (rank order).
@@ -957,12 +823,8 @@ impl NodeCtx {
     }
 
     fn gatherv<T: PayloadElem>(&mut self, root: usize, x: Vec<T>) -> Option<Vec<Vec<T>>> {
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::GATHER, seq);
-        self.audit_world_coll(seq, op::GATHER, None, None);
-        self.trace_open("gather", seq);
-        let (rank, size) = (self.rank, self.size);
-        let out = gatherv_generic(self, rank, size, None, root, tag, CommPhase::Other, x);
+        let world = self.world();
+        let out = self.gatherv_on(&world, "gather", root, x, CommPhase::Other);
         self.trace_close();
         out
     }
@@ -987,20 +849,9 @@ impl NodeCtx {
         root: usize,
         vecs: Option<Vec<Vec<T>>>,
     ) -> Vec<Vec<T>> {
-        let counts = self.bcast(
-            root,
-            match &vecs {
-                Some(vs) => Payload::u64s(vs.iter().map(|v| v.len() as u64).collect()),
-                None => Payload::Empty,
-            },
-        );
-        let flat = self.bcast(
-            root,
-            match vecs {
-                Some(vs) => T::wrap(vs.into_iter().flatten().collect()),
-                None => Payload::Empty,
-            },
-        );
+        let (counts, flat) = flatten_ragged(vecs);
+        let counts = self.bcast(root, counts);
+        let flat = self.bcast(root, flat);
         split_by_counts(T::unwrap(flat), &counts.into_u64s())
     }
 
@@ -1010,15 +861,8 @@ impl NodeCtx {
     /// plan setup, where symmetric knowledge is simplest and N ≤ a few
     /// hundred.
     pub fn alltoallv_u64(&mut self, sends: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-        assert_eq!(sends.len(), self.size, "alltoallv needs one list per rank");
-        let seq = self.next_seq();
-        let tag = Tag::coll(op::ALLTOALL, seq);
-        self.audit_world_coll(seq, op::ALLTOALL, None, None);
-        let rank = self.rank;
-        self.trace_open("alltoall", seq);
-        let out = alltoallv_generic(self, rank, None, tag, CommPhase::Setup, sends);
-        self.trace_close();
-        out
+        let world = self.world();
+        self.alltoallv_on(&world, "alltoall", sends, CommPhase::Setup)
     }
 
     // ------------------------------------------------------------------
@@ -1074,23 +918,22 @@ impl NodeCtx {
 
     /// Communication statistics of this node.
     pub fn stats(&self) -> &CommStats {
-        &self.stats
+        &self.obs.stats
     }
 
     /// Mutable statistics (e.g. recording extra-latency events).
     pub fn stats_mut(&mut self) -> &mut CommStats {
-        &mut self.stats
+        &mut self.obs.stats
     }
 
     /// Reset clock and statistics (between timed experiment sections);
     /// collective sequence numbers are preserved (they must stay aligned).
     pub fn reset_metrics(&mut self) {
-        #[cfg(feature = "trace")]
-        if let Some(tr) = self.trace.as_mut() {
-            tr.clock_reset(self.clock.now());
-        }
+        // The tracer folds the elapsed epoch into its time base before the
+        // clock rewinds; the marker is stamped on the new epoch.
+        self.emit(self.clock.now(), Event::ClockReset);
         self.clock.reset();
-        self.stats.reset();
+        self.obs.stats.reset();
         self.trace_instant("reset_metrics", 0);
     }
 }

@@ -6,21 +6,16 @@
 //! A [`Group`] gives them a private collective context, like an MPI
 //! sub-communicator obtained from `MPI_Comm_split`.
 //!
-//! Group all-reduces and barriers run the same scheduler-resident
-//! recursive-doubling rounds as the world communicator (see
-//! [`crate::comm`]), over group indices instead of global ranks —
-//! recovery's inner solves get the ⌈log₂ψ⌉-round cost too.
+//! A group collective is the same code as the world's: every method here
+//! hands its [`Scope`] (members, own index, group id, next sequence number)
+//! to the one body of that collective in [`crate::comm`], with its own span
+//! name and phase. Group all-reduces and barriers therefore run the same
+//! scheduler-resident recursive-doubling rounds, over group indices instead
+//! of global ranks — recovery's inner solves get the ⌈log₂ψ⌉-round cost too.
 
-#[cfg(feature = "audit")]
-use crate::audit;
-use crate::comm::{
-    alltoallv_generic, gatherv_generic, split_by_counts, tree_bcast_generic, NodeCtx, ReduceOp,
-    Timeline,
-};
-use crate::payload::Payload;
+use crate::comm::{flatten_ragged, split_by_counts, NodeCtx, ReduceOp, Scope, Timeline};
 use crate::request::AllreduceRequest;
 use crate::stats::CommPhase;
-use crate::tag::{op, Tag};
 
 /// A sub-communicator over a subset of cluster ranks.
 ///
@@ -69,51 +64,22 @@ impl Group {
         &self.members
     }
 
-    fn next_seq(&mut self) -> u32 {
-        let s = self.seq;
+    /// This group as the scope of its next collective call (consumes a
+    /// sequence number).
+    fn scope(&mut self) -> Scope<'_> {
         self.seq += 1;
-        s
-    }
-
-    /// Build the audit record for a group collective: scoped by `gid` so the
-    /// checker compares schedules member-against-member, never across groups.
-    #[cfg(feature = "audit")]
-    fn coll_event(
-        &self,
-        seq: u32,
-        kind: u8,
-        rop: Option<ReduceOp>,
-        len: Option<usize>,
-    ) -> audit::CollEvent {
-        audit::CollEvent {
-            scope: Some(self.gid),
-            seq: seq as u64,
-            kind,
-            rop,
-            len,
-            members_hash: fnv1a(&self.members) as u64,
-            n_members: self.size(),
+        Scope {
+            members: Some(&self.members),
+            my_index: self.my_index,
+            n: self.members.len(),
+            id: Some(self.gid),
+            seq: u64::from(self.seq - 1),
         }
     }
 
     /// Group barrier (zero-length recursive-doubling all-reduce).
     pub fn barrier(&mut self, ctx: &mut NodeCtx) {
-        let seq = self.next_seq();
-        let tag = Tag::group(self.gid, op::BARRIER, seq);
-        #[cfg(feature = "audit")]
-        ctx.audit_coll(self.coll_event(seq, op::BARRIER, None, Some(0)));
-        ctx.trace_open("group_barrier", seq as u64);
-        ctx.rd_rounds(
-            &mut Timeline::Node,
-            self.my_index,
-            self.members.len(),
-            Some(&self.members),
-            tag,
-            ReduceOp::Sum,
-            Vec::new(),
-            CommPhase::Recovery,
-        );
-        ctx.trace_close();
+        ctx.barrier_on(&self.scope(), "group_barrier", CommPhase::Recovery);
     }
 
     /// Group all-reduce of a scalar sum.
@@ -144,24 +110,8 @@ impl Group {
         x: Vec<f64>,
         phase: CommPhase,
     ) -> Vec<f64> {
-        let seq = self.next_seq();
-        let tag = Tag::group(self.gid, op::ALLREDUCE, seq);
-        #[cfg(feature = "audit")]
-        ctx.audit_coll(self.coll_event(seq, op::ALLREDUCE, Some(opr), Some(x.len())));
-        ctx.trace_open("group_allreduce", seq as u64);
-        let (acc, rounds) = ctx.rd_rounds(
-            &mut Timeline::Node,
-            self.my_index,
-            self.members.len(),
-            Some(&self.members),
-            tag,
-            opr,
-            x,
-            phase,
-        );
-        ctx.trace_close();
-        ctx.stats_mut().record_allreduce(rounds);
-        acc
+        let tl = &mut Timeline::Node;
+        ctx.allreduce_on(tl, &self.scope(), "group_allreduce", opr, x, phase)
     }
 
     /// Non-blocking group element-wise all-reduce: the same detached-engine
@@ -177,26 +127,7 @@ impl Group {
         x: Vec<f64>,
         phase: CommPhase,
     ) -> AllreduceRequest {
-        let seq = self.next_seq();
-        let tag = Tag::group(self.gid, op::ALLREDUCE, seq);
-        #[cfg(feature = "audit")]
-        ctx.audit_coll(self.coll_event(seq, op::ALLREDUCE, Some(opr), Some(x.len())));
-        ctx.trace_open("group_iallreduce", seq as u64);
-        let start = ctx.clock().now();
-        let mut engine = Timeline::Engine(start);
-        let (acc, rounds) = ctx.rd_rounds(
-            &mut engine,
-            self.my_index,
-            self.members.len(),
-            Some(&self.members),
-            tag,
-            opr,
-            x,
-            phase,
-        );
-        ctx.trace_close();
-        ctx.stats_mut().record_allreduce(rounds);
-        AllreduceRequest::new(acc, start, engine.now(ctx.clock()), phase)
+        ctx.iallreduce_on(&self.scope(), "group_iallreduce", opr, x, phase)
     }
 
     /// Personalized all-to-all of `u64` index lists among members;
@@ -208,68 +139,26 @@ impl Group {
         sends: Vec<Vec<u64>>,
         phase: CommPhase,
     ) -> Vec<Vec<u64>> {
-        assert_eq!(sends.len(), self.size());
-        let seq = self.next_seq();
-        let tag = Tag::group(self.gid, op::ALLTOALL, seq);
-        #[cfg(feature = "audit")]
-        ctx.audit_coll(self.coll_event(seq, op::ALLTOALL, None, None));
-        ctx.trace_open("group_alltoall", seq as u64);
-        let out = alltoallv_generic(ctx, self.my_index, Some(&self.members), tag, phase, sends);
-        ctx.trace_close();
-        out
+        ctx.alltoallv_on(&self.scope(), "group_alltoall", sends, phase)
     }
 
-    /// All-gather variable-length `f64` buffers within the group.
+    /// All-gather variable-length `f64` buffers within the group: gather on
+    /// group index 0, then broadcast counts and data — both inside the
+    /// gather's span, unlike the world all-gather (pinned by the traces).
     pub fn allgatherv_f64(&mut self, ctx: &mut NodeCtx, x: Vec<f64>) -> Vec<Vec<f64>> {
-        let seq = self.next_seq();
-        let tag = Tag::group(self.gid, op::GATHER, seq);
-        #[cfg(feature = "audit")]
-        ctx.audit_coll(self.coll_event(seq, op::GATHER, None, None));
-        ctx.trace_open("group_gather", seq as u64);
-        // Gather on group index 0.
-        let (me, n, members) = (self.my_index, self.size(), Some(&self.members[..]));
-        let gathered = gatherv_generic(ctx, me, n, members, 0, tag, CommPhase::Recovery, x);
-        // Broadcast counts, then data.
-        let seq_counts = self.next_seq();
-        let counts = self.tree_bcast(
-            ctx,
-            match &gathered {
-                Some(vs) => Payload::u64s(vs.iter().map(|v| v.len() as u64).collect()),
-                None => Payload::Empty,
-            },
-            seq_counts,
-        );
-        let seq_flat = self.next_seq();
-        let flat = self.tree_bcast(
-            ctx,
-            match gathered {
-                Some(vs) => Payload::f64s(vs.into_iter().flatten().collect()),
-                None => Payload::Empty,
-            },
-            seq_flat,
-        );
+        let phase = CommPhase::Recovery;
+        let gathered = ctx.gatherv_on(&self.scope(), "group_gather", 0, x, phase);
+        let (counts, flat) = flatten_ragged(gathered);
+        let counts = ctx.bcast_on(&self.scope(), "group_bcast", 0, counts, phase);
+        let flat = ctx.bcast_on(&self.scope(), "group_bcast", 0, flat, phase);
         ctx.trace_close();
         split_by_counts(flat.into_f64s(), &counts.into_u64s())
     }
-
-    /// Binomial-tree broadcast over group indices, from index 0.
-    fn tree_bcast(&self, ctx: &mut NodeCtx, payload: Payload, seq: u32) -> Payload {
-        #[cfg(feature = "audit")]
-        ctx.audit_coll(self.coll_event(seq, op::BCAST, None, None));
-        let n = self.size();
-        if n == 1 {
-            return payload;
-        }
-        let tag = Tag::group(self.gid, op::BCAST, seq);
-        let (me, members, phase) = (self.my_index, Some(&self.members[..]), CommPhase::Recovery);
-        ctx.trace_open("group_bcast", seq as u64);
-        let data = tree_bcast_generic(ctx, me, n, members, 0, tag, phase, payload);
-        ctx.trace_close();
-        data
-    }
 }
 
-fn fnv1a(members: &[usize]) -> u32 {
+/// FNV-1a over the member ranks: group ids and the auditor's member-set
+/// hash both derive from it.
+pub(crate) fn fnv1a(members: &[usize]) -> u32 {
     let mut h: u32 = 0x811C_9DC5;
     for &m in members {
         for b in (m as u64).to_le_bytes() {

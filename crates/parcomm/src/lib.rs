@@ -39,6 +39,12 @@
 //!   element, `γ` per flop), so that 128-node experiments produce meaningful
 //!   timing *shapes* even on a 2-core host.
 //!
+//! Everything that watches the traffic — [`CommStats`] in every build, the
+//! protocol auditor under `--features audit`, the virtual-time tracer under
+//! `--features trace` — reads one typed event, emitted once per boundary
+//! (the crate-private `observe` module), so the communication code in
+//! `comm`, `group` and `request` is the same text in every build.
+//!
 //! Failures are *simulated* exactly as in the paper (Sec. 6): a failed
 //! node's dynamic data is poisoned (NaN) and the node keeps its scheduler
 //! slot, continuing in the *replacement node* role (the lifecycle state
@@ -55,6 +61,7 @@ pub mod cluster;
 pub mod comm;
 pub mod fault;
 pub mod group;
+pub(crate) mod observe;
 pub mod payload;
 #[cfg(test)]
 mod rd_oracle;

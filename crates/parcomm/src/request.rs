@@ -32,6 +32,7 @@
 //! request and possibly its buffer) and panics.
 
 use crate::comm::NodeCtx;
+use crate::observe::Event;
 use crate::payload::Payload;
 use crate::stats::CommPhase;
 use crate::tag::Tag;
@@ -46,11 +47,16 @@ fn charge_wait(ctx: &mut NodeCtx, phase: CommPhase, start: f64, done_at: f64) {
     if exposed > 0.0 {
         ctx.clock_mut().advance(exposed);
     }
-    ctx.stats_mut().record_wait_vtime(phase, exposed);
     let duration = (done_at - start).max(0.0);
     let hidden = (duration - exposed).max(0.0);
-    ctx.stats_mut().record_hidden_vtime(phase, hidden);
-    ctx.trace_wait_event(phase, t0, exposed, hidden);
+    ctx.emit(
+        t0,
+        Event::Wait {
+            phase,
+            exposed,
+            hidden,
+        },
+    );
 }
 
 fn guard_unwaited(what: &str, completed: bool) {
@@ -142,8 +148,17 @@ impl RecvRequest {
     pub fn wait(mut self, ctx: &mut NodeCtx) -> Payload {
         self.completed = true;
         let m = ctx.raw_recv_blocking(Some(self.src), self.tag);
-        let (elems, t) = (m.payload.elems(), ctx.clock().now());
-        ctx.trace_recv_event(self.phase, self.src, self.tag, elems, t, 0.0, true);
+        ctx.emit(
+            ctx.clock().now(),
+            Event::Recv {
+                phase: self.phase,
+                src: self.src,
+                tag: self.tag,
+                elems: m.payload.elems(),
+                stall: 0.0,
+                engine: true,
+            },
+        );
         charge_wait(
             ctx,
             self.phase,

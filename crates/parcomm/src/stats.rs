@@ -7,6 +7,8 @@
 //! Sec. 4.2 analysis compare measured redundancy traffic against the
 //! theoretical bounds.
 
+use crate::observe::{split_elems, Event};
+
 /// Which algorithm phase a message belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommPhase {
@@ -201,12 +203,61 @@ impl CommStats {
         Self::default()
     }
 
+    /// The statistics' reading of the event stream (see [`crate::observe`]):
+    /// messages and elements per send, transfer time of blocking sends,
+    /// stalls of blocking receives, the exposed/hidden split of every
+    /// `wait`, rounds per all-reduce. Engine-timeline sends and receives
+    /// carry no node-clock time; theirs surfaces at the `Wait`. Inlined
+    /// into `emit`, where the variant is known: an event the statistics do
+    /// not read costs a default build nothing.
+    #[inline]
+    pub(crate) fn observe(&mut self, ev: &Event<'_>) {
+        match *ev {
+            Event::Send {
+                phase,
+                split,
+                dt,
+                engine,
+                ..
+            } => {
+                self.record_split_send(split);
+                if !engine {
+                    self.record_send_vtime(phase, dt);
+                }
+            }
+            Event::Recv {
+                phase,
+                stall,
+                engine: false,
+                ..
+            } => self.record_wait_vtime(phase, stall),
+            Event::Wait {
+                phase,
+                exposed,
+                hidden,
+            } => {
+                self.record_wait_vtime(phase, exposed);
+                self.record_hidden_vtime(phase, hidden);
+            }
+            Event::Allreduce { rounds } => self.record_allreduce(rounds),
+            _ => {}
+        }
+    }
+
     /// Record a sent message of `elems` vector elements in `phase`.
     pub fn record_send(&mut self, phase: CommPhase, elems: usize) {
-        let i = phase_index(phase);
-        self.msgs[i] += 1;
-        self.elems[i] += elems as u64;
-        self.msg_size_hist.record(elems as f64);
+        self.record_split_send(&[(phase, elems)]);
+    }
+
+    /// Record one physical message whose elements belong to several phases:
+    /// the message counts under the first phase of `split`, each phase
+    /// books its own elements, and the size histogram gets the one total.
+    fn record_split_send(&mut self, split: &[(CommPhase, usize)]) {
+        self.msgs[phase_index(split[0].0)] += 1;
+        for &(phase, elems) in split {
+            self.elems[phase_index(phase)] += elems as u64;
+        }
+        self.msg_size_hist.record(split_elems(split) as f64);
     }
 
     /// Record that a redundancy message needed its own link (extra λ).
@@ -239,14 +290,6 @@ impl CommStats {
     pub fn record_hidden_vtime(&mut self, phase: CommPhase, dt: f64) {
         debug_assert!(dt >= 0.0);
         self.hidden_vtime[phase_index(phase)] += dt;
-    }
-
-    /// Remove one message (not its elements) from `phase` — used when a
-    /// logically separate payload piggybacks on an existing message.
-    pub fn uncount_msg(&mut self, phase: CommPhase) {
-        let i = phase_index(phase);
-        debug_assert!(self.msgs[i] > 0);
-        self.msgs[i] -= 1;
     }
 
     /// Messages sent in `phase`.
@@ -380,6 +423,44 @@ mod tests {
         assert_eq!(s.elems(CommPhase::Redundancy), 7);
         assert_eq!(s.total_msgs(), 3);
         assert_eq!(s.total_elems(), 157);
+    }
+
+    #[test]
+    fn split_send_is_one_message_with_per_phase_elements() {
+        fn send(split: &[(CommPhase, usize)], phase: CommPhase) -> Event<'_> {
+            Event::Send {
+                phase,
+                dst: 1,
+                tag: crate::tag::Tag::user(0),
+                split,
+                dt: 0.5,
+                engine: false,
+            }
+        }
+        // A ghost-exchange message carrying natural and redundancy
+        // elements, one carrying redundancy only (its leading slot is
+        // empty), and a plain send.
+        let mut s = CommStats::new();
+        let both = [(CommPhase::Spmv, 100), (CommPhase::Redundancy, 28)];
+        s.observe(&send(&both, CommPhase::Spmv));
+        let extra = [(CommPhase::Spmv, 0), (CommPhase::Redundancy, 7)];
+        s.observe(&send(&extra, CommPhase::Redundancy));
+        s.observe(&send(&[(CommPhase::Reduction, 1)], CommPhase::Reduction));
+        // Messages count under the first phase of their split…
+        assert_eq!(s.msgs(CommPhase::Spmv), 2);
+        assert_eq!(s.msgs(CommPhase::Redundancy), 0);
+        assert_eq!(s.msgs(CommPhase::Reduction), 1);
+        // …elements under their own phase…
+        assert_eq!(s.elems(CommPhase::Spmv), 100);
+        assert_eq!(s.elems(CommPhase::Redundancy), 35);
+        assert_eq!(s.elems(CommPhase::Reduction), 1);
+        // …transfer time under the first phase that contributes elements…
+        assert_eq!(s.send_vtime(CommPhase::Spmv), 0.5);
+        assert_eq!(s.send_vtime(CommPhase::Redundancy), 0.5);
+        // …and the size histogram holds one sample per physical message:
+        // its total size, not one sample per phase slice.
+        assert_eq!(s.msg_size_hist().count(), s.total_msgs());
+        assert_eq!(s.msg_size_hist().quantile(1.0), 256.0); // 128 ∈ [128, 256)
     }
 
     #[test]

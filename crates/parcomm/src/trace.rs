@@ -7,6 +7,11 @@
 //! times to the untraced build (the same discipline as the `audit`
 //! feature, pinned by the `report` bench).
 //!
+//! The recorder is one consumer of the node's event stream
+//! ([`crate::observe`]): [`TraceState::observe`] keeps every span, marker,
+//! send, receive and wait it is shown, so the trace and [`crate::CommStats`]
+//! are two readings of the same events in the same order.
+//!
 //! Each node records a flat list of [`TraceEvent`]s stamped with the
 //! virtual clock: `Open`/`Close` span markers (solver iterations, recovery
 //! attempts and their substeps, collectives and their recursive-doubling
@@ -27,6 +32,7 @@
 
 use std::collections::HashMap;
 
+use crate::observe::{split_elems, Event};
 use crate::stats::CommPhase;
 use crate::tag::Tag;
 
@@ -147,36 +153,70 @@ impl TraceState {
         }
     }
 
-    pub(crate) fn record(&mut self, t: f64, kind: TraceEventKind) {
-        self.events.push(TraceEvent {
-            t: self.base + t,
-            kind,
-        });
-    }
-
-    /// The node clock is about to rewind to zero from `now`: absorb the
-    /// elapsed epoch into the base offset.
-    pub(crate) fn clock_reset(&mut self, now: f64) {
-        self.base += now;
-    }
-
-    /// Sequence number of the next message sent to `(dst, tag)`. The
-    /// queue is FIFO per `(src, tag)`, so the k-th message consumed by
-    /// the receiver is the k-th sent — the counters pair sends and
-    /// receives without touching the wire format.
-    pub(crate) fn next_send_seq(&mut self, dst: usize, tag: Tag) -> u64 {
-        let c = self.send_seq.entry((dst, tag)).or_insert(0);
-        let s = *c;
-        *c += 1;
-        s
-    }
-
-    /// Sequence number of the next message consumed from `(src, tag)`.
-    pub(crate) fn next_recv_seq(&mut self, src: usize, tag: Tag) -> u64 {
-        let c = self.recv_seq.entry((src, tag)).or_insert(0);
-        let s = *c;
-        *c += 1;
-        s
+    /// The tracer's reading of the event stream (see [`crate::observe`]):
+    /// spans, markers, and every send, receive and wait, stamped `t` on a
+    /// time line that stays monotone across clock resets. The queue is FIFO
+    /// per `(src, tag)`, so the k-th message consumed by the receiver is
+    /// the k-th sent: numbering both sides per `(peer, tag)` here pairs
+    /// sends and receives without touching the wire format. (A resident
+    /// collective's rounds are numbered too, though no message is
+    /// delivered — this is not the auditor's stamp counter.)
+    pub(crate) fn observe(&mut self, t: f64, ev: &Event<'_>) {
+        let kind = match *ev {
+            Event::Open { name, arg } => TraceEventKind::Open { name, arg },
+            Event::Close => TraceEventKind::Close,
+            Event::Instant { name, arg } => TraceEventKind::Instant { name, arg },
+            Event::Send {
+                phase,
+                dst,
+                tag,
+                split,
+                dt,
+                engine,
+            } => TraceEventKind::Send {
+                phase,
+                dst,
+                tag,
+                elems: split_elems(split),
+                seq: next_seq(&mut self.send_seq, dst, tag),
+                dt,
+                engine,
+            },
+            Event::Recv {
+                phase,
+                src,
+                tag,
+                elems,
+                stall,
+                engine,
+            } => TraceEventKind::Recv {
+                phase,
+                src,
+                tag,
+                elems,
+                seq: next_seq(&mut self.recv_seq, src, tag),
+                stall,
+                engine,
+            },
+            Event::Wait {
+                phase,
+                exposed,
+                hidden,
+            } => TraceEventKind::Wait {
+                phase,
+                exposed,
+                hidden,
+            },
+            // The node clock is about to rewind to zero from `t`: absorb
+            // the elapsed epoch into the base offset.
+            Event::ClockReset => {
+                self.base += t;
+                return;
+            }
+            Event::Matched(_) | Event::Coll { .. } | Event::Allreduce { .. } => return,
+        };
+        let t = self.base + t;
+        self.events.push(TraceEvent { t, kind });
     }
 
     pub(crate) fn into_log(self) -> NodeTrace {
@@ -185,6 +225,13 @@ impl TraceState {
             events: self.events,
         }
     }
+}
+
+/// Next sequence number of the `(peer, tag)` stream in `seqs`.
+fn next_seq(seqs: &mut HashMap<(usize, Tag), u64>, peer: usize, tag: Tag) -> u64 {
+    let c = seqs.entry((peer, tag)).or_insert(0);
+    *c += 1;
+    *c - 1
 }
 
 /// One node's completed event log.
@@ -1302,11 +1349,11 @@ mod tests {
     #[test]
     fn seq_counters_pair_per_peer_and_tag() {
         let mut st = TraceState::new(0);
-        assert_eq!(st.next_send_seq(1, Tag::user(1)), 0);
-        assert_eq!(st.next_send_seq(1, Tag::user(1)), 1);
-        assert_eq!(st.next_send_seq(2, Tag::user(1)), 0);
-        assert_eq!(st.next_send_seq(1, Tag::user(2)), 0);
-        assert_eq!(st.next_recv_seq(1, Tag::user(1)), 0);
-        assert_eq!(st.next_recv_seq(1, Tag::user(1)), 1);
+        assert_eq!(next_seq(&mut st.send_seq, 1, Tag::user(1)), 0);
+        assert_eq!(next_seq(&mut st.send_seq, 1, Tag::user(1)), 1);
+        assert_eq!(next_seq(&mut st.send_seq, 2, Tag::user(1)), 0);
+        assert_eq!(next_seq(&mut st.send_seq, 1, Tag::user(2)), 0);
+        assert_eq!(next_seq(&mut st.recv_seq, 1, Tag::user(1)), 0);
+        assert_eq!(next_seq(&mut st.recv_seq, 1, Tag::user(1)), 1);
     }
 }

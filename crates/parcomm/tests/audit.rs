@@ -216,6 +216,44 @@ fn checkpoint_fetch_across_windows_is_flagged() {
     assert!(msg.contains("recovery window 4"), "{msg}");
 }
 
+#[test]
+fn collective_across_attempt_windows_is_caught() {
+    // All-reduce rounds are scheduler-resident: no message is delivered,
+    // so no receive can compare stamps. The call itself carries the
+    // caller's window, and one instance joined from two attempts — on the
+    // world or on a group — is the same cross-attempt match.
+    let msg = expect_panic(|ctx| {
+        ctx.audit_enter_window(1 + ctx.rank() as u32);
+        let sum = ctx.allreduce_sum(1.0);
+        ctx.audit_exit_window();
+        sum
+    });
+    assert!(msg.contains("[tag-window]"), "{msg}");
+    assert!(
+        msg.contains("world collective seq 0 (allreduce(Sum)"),
+        "{msg}"
+    );
+    assert!(
+        msg.contains("rank 0 joined from recovery window 1"),
+        "{msg}"
+    );
+    assert!(
+        msg.contains("rank 1 joined from recovery window 2"),
+        "{msg}"
+    );
+
+    let msg = expect_panic(|ctx| {
+        let mut g = ctx.group(&[0, 1]);
+        ctx.audit_enter_window(1 + ctx.rank() as u32);
+        let sum = g.allreduce_sum(ctx, 1.0);
+        ctx.audit_exit_window();
+        sum
+    });
+    assert!(msg.contains("[tag-window] group"), "{msg}");
+    assert!(msg.contains("recovery window 1"), "{msg}");
+    assert!(msg.contains("recovery window 2"), "{msg}");
+}
+
 // ---- (5) deadlock detection -----------------------------------------------
 
 #[test]

@@ -4,10 +4,12 @@
 
 use proptest::prelude::*;
 
-use esr_core::{run_pcg, Problem, SolverConfig};
+use esr_core::{
+    run_bicgstab, run_pcg, run_pipecg, ConfigError, ExperimentResult, Problem, SolverConfig,
+};
 use parcomm::{CostModel, FailureScript};
 use sparsemat::gen::banded_spd;
-use sparsemat::{BlockPartition, Coo};
+use sparsemat::{BlockPartition, Coo, Csr};
 
 /// Random natural-send pattern: for each peer, a random subset of the
 /// owned offsets.
@@ -113,8 +115,9 @@ proptest! {
         prop_assert!(err < 1e-5, "err = {err}");
     }
 
-    /// Sequential PCG and the distributed solver agree on random SPD
-    /// systems for any node count that divides evenly or not.
+    /// Each sequential `krylov` solver and its distributed counterpart agree
+    /// — same iteration count, same solution — on random SPD systems for
+    /// any node count that divides evenly or not.
     #[test]
     fn distributed_matches_sequential(
         seed in 0u64..1000,
@@ -123,29 +126,49 @@ proptest! {
     ) {
         let a = banded_spd(n, 4, 0.8, seed);
         let problem = Problem::with_random_rhs(a.clone(), seed ^ 0xABCD);
-        let res = run_pcg(
-            &problem,
-            nodes,
-            &SolverConfig::reference(),
-            CostModel::default(),
-            FailureScript::none(),
-        ).unwrap();
-        prop_assert!(res.converged);
-        // Oracle: sequential PCG with node-aligned block Jacobi.
+        // Oracle: the sequential solver with node-aligned block Jacobi.
         let part = BlockPartition::new(n, nodes);
         let bj = precond::BlockJacobi::from_partition(
             &a,
             &part,
             precond::BlockSolver::ExactLdl,
         ).unwrap();
-        let seq = krylov::pcg(&a, &problem.b, &vec![0.0; n], &bj, 1e-8, 10_000);
-        prop_assert!(seq.converged());
-        let scale = seq.x.iter().map(|v| v.abs()).fold(1e-30, f64::max);
-        let max_diff = res.x.iter().zip(&seq.x)
-            .map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-        prop_assert!(max_diff / scale < 1e-5, "diff {max_diff}");
+        let pairs: [(&str, Distributed, Sequential); 3] = [
+            ("pcg", run_pcg, krylov::pcg),
+            ("pipecg", run_pipecg, krylov::pipecg),
+            ("bicgstab", run_bicgstab, krylov::bicgstab),
+        ];
+        for (name, distributed, sequential) in pairs {
+            let res = distributed(
+                &problem,
+                nodes,
+                &SolverConfig::reference(),
+                CostModel::default(),
+                FailureScript::none(),
+            ).unwrap();
+            prop_assert!(res.converged, "{name}");
+            let seq = sequential(&a, &problem.b, &vec![0.0; n], &bj, 1e-8, 10_000);
+            prop_assert!(seq.converged(), "{name}");
+            prop_assert_eq!(res.iterations, seq.iterations, "{} iterations", name);
+            let scale = seq.x.iter().map(|v| v.abs()).fold(1e-30, f64::max);
+            let max_diff = res.x.iter().zip(&seq.x)
+                .map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+            prop_assert!(max_diff / scale < 1e-5, "{name}: diff {max_diff}");
+        }
     }
 }
+
+/// A distributed solver entry point and the sequential reference it is
+/// compared against (`run_*` and `krylov::*` each share one signature).
+type Distributed = fn(
+    &Problem,
+    usize,
+    &SolverConfig,
+    CostModel,
+    FailureScript,
+) -> Result<ExperimentResult, ConfigError>;
+type Sequential =
+    fn(&Csr, &[f64], &[f64], &dyn precond::Preconditioner, f64, usize) -> krylov::SolveReport;
 
 /// Deterministic cross-checks (not random, but spanning the stack).
 #[test]

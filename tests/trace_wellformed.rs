@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use esr_suite::core::{run_pcg, Problem, SolverConfig};
+use esr_suite::core::{run_pcg, run_pipecg, Problem, SolverConfig};
 use esr_suite::parcomm::{
     Cluster, ClusterConfig, CommPhase, CostModel, FailureScript, Payload, TraceEventKind,
 };
@@ -254,4 +254,77 @@ fn chrome_export_of_a_failure_solve_validates() {
     let n = esr_suite::parcomm::trace::validate_chrome_trace(&json)
         .expect("chrome trace JSON must parse and carry the required fields");
     assert!(n > 0);
+}
+
+#[test]
+fn statistics_and_trace_are_two_readings_of_one_stream() {
+    // `CommStats` and the tracer consume the same events in the same order,
+    // so replaying a rank's trace from its last `reset_metrics` marker must
+    // reproduce that rank's statistics exactly — counts, and every
+    // per-phase virtual-time accumulator bit for bit. Blocking PCG covers
+    // sends and stalls (with split ghost-exchange messages, φ = 2), the
+    // pipelined solver the engine timeline and the exposed/hidden waits.
+    let problem = Problem::with_ones_solution(poisson2d(12, 12));
+    for run in [run_pcg, run_pipecg] {
+        let script = FailureScript::simultaneous(5, 1, 2, 4);
+        let cfg = SolverConfig::resilient(2);
+        let r = run(&problem, 4, &cfg, CostModel::default(), script).unwrap();
+        assert!(r.converged);
+        assert_eq!(r.ranks_recovered, 2);
+        for nt in &r.trace.nodes {
+            let stats = &r.per_node[nt.rank].stats;
+            let reset = TraceEventKind::Instant {
+                name: "reset_metrics",
+                arg: 0,
+            };
+            let start = nt.events.iter().rposition(|e| e.kind == reset);
+            let start = start.expect("reset marker");
+            let (mut msgs, mut elems) = (0u64, 0u64);
+            let mut send = [0.0f64; CommPhase::ALL.len()];
+            let (mut wait, mut hidden) = (send, send);
+            for ev in &nt.events[start..] {
+                match ev.kind {
+                    TraceEventKind::Send {
+                        phase,
+                        elems: e,
+                        dt,
+                        engine,
+                        ..
+                    } => {
+                        msgs += 1;
+                        elems += e as u64;
+                        if !engine {
+                            send[phase.index()] += dt;
+                        }
+                    }
+                    TraceEventKind::Recv {
+                        phase,
+                        stall,
+                        engine: false,
+                        ..
+                    } => wait[phase.index()] += stall,
+                    TraceEventKind::Wait {
+                        phase,
+                        exposed,
+                        hidden: h,
+                    } => {
+                        wait[phase.index()] += exposed;
+                        hidden[phase.index()] += h;
+                    }
+                    _ => {}
+                }
+            }
+            assert!(msgs > 0, "rank {}: no sends after the reset", nt.rank);
+            assert_eq!(msgs, stats.total_msgs(), "rank {}", nt.rank);
+            assert_eq!(msgs, stats.msg_size_hist().count(), "rank {}", nt.rank);
+            assert_eq!(elems, stats.total_elems(), "rank {}", nt.rank);
+            for p in CommPhase::ALL {
+                let i = p.index();
+                let at = format!("rank {}, phase {}", nt.rank, p.name());
+                assert_eq!(send[i].to_bits(), stats.send_vtime(p).to_bits(), "{at}");
+                assert_eq!(wait[i].to_bits(), stats.wait_vtime(p).to_bits(), "{at}");
+                assert_eq!(hidden[i].to_bits(), stats.hidden_vtime(p).to_bits(), "{at}");
+            }
+        }
+    }
 }
