@@ -32,7 +32,7 @@
 //!   resilient PCG with one injected failure across cluster sizes
 //!   N ∈ {16, 64, 128, 256, 1024}. Reports virtual time and host
 //!   wall-clock per size, and asserts the N = 1024 solve finishes within
-//!   its wall-clock budget (30 s) — the capability the scheduler refactor
+//!   its wall-clock budget (20 s) — the capability the scheduler refactor
 //!   bought; the old thread-per-node runtime could not run N = 1024 at
 //!   all (1024 free-running OS threads on a 2-core host).
 //! * **`BENCH_trace.json` + `ESR_pcg_n16_failure.trace.json`** (only with
@@ -534,8 +534,10 @@ fn policy_matrix_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
 
 /// Wall-clock budget for the N = 1024 cell of the scaling sweep. The
 /// acceptance bar of the event-driven-runtime refactor: a 1024-node
-/// resilient PCG solve with one injected failure, on a laptop-class host.
-const SCALE_WALL_BUDGET_S: f64 = 30.0;
+/// resilient PCG solve with one injected failure, on a laptop-class host
+/// (≈ 7 s on a 2-core one since the communication plan is per neighbour;
+/// 10.4 s before).
+const SCALE_WALL_BUDGET_S: f64 = 20.0;
 
 fn scale_nodes() -> Vec<usize> {
     match std::env::var("ESR_SCALE_REPORT_NODES") {

@@ -18,6 +18,7 @@ use sparsemat::{analysis::send_sets, BlockPartition, Csr};
 
 use crate::config::BackupStrategy;
 use crate::redundancy::{compute_extra_sends, targets_for};
+use crate::scatter::PeerLists;
 
 /// Predicted redundancy overhead for one matrix/partition/φ combination.
 #[derive(Clone, Debug)]
@@ -65,9 +66,10 @@ pub fn predict_overhead(
     for i in 0..nodes {
         // Natural sends of node i as local offsets.
         let start = part.range(i).start;
-        let send_natural: Vec<Vec<usize>> = sets[i]
+        let send_natural: PeerLists = sets[i]
             .iter()
             .map(|sk| sk.iter().map(|&g| g - start).collect())
+            .enumerate()
             .collect();
         let extras = compute_extra_sends(i, nodes, phi, strategy, part.len_of(i), &send_natural);
         let targets = targets_for(strategy, i, nodes, phi);

@@ -23,6 +23,7 @@
 //! more redundancy, never less. We reproduce the paper's formula exactly.
 
 use crate::config::BackupStrategy;
+use crate::scatter::PeerLists;
 
 /// The backup targets `d_i1 … d_iφ` of node `i` (paper Eqn. 5).
 ///
@@ -62,8 +63,9 @@ pub fn targets_for(strategy: &BackupStrategy, i: usize, nodes: usize, phi: usize
     }
 }
 
-/// Compute the extra send sets (one per peer, as local offsets) for node
-/// `rank`, given its natural send lists `S_ik` (local offsets per peer).
+/// Compute the extra send sets (local offsets, per backup target that
+/// gets any) for node `rank`, given its natural send lists `S_ik` (local
+/// offsets per peer with natural traffic).
 ///
 /// For [`BackupStrategy::Minimal`] this is Eqn. (6); for
 /// [`BackupStrategy::FullBlock`] the whole block goes to every backup
@@ -75,17 +77,13 @@ pub fn compute_extra_sends(
     phi: usize,
     strategy: &BackupStrategy,
     my_len: usize,
-    send_natural: &[Vec<usize>],
-) -> Vec<Vec<usize>> {
-    assert_eq!(send_natural.len(), nodes);
+    send_natural: &PeerLists,
+) -> PeerLists {
     let targets = targets_for(strategy, rank, nodes, phi);
 
     // mᵢ(s): to how many distinct peers each owned element travels.
     let mut m = vec![0u32; my_len];
-    for (k, sends) in send_natural.iter().enumerate() {
-        if k == rank {
-            continue;
-        }
+    for (_, sends) in send_natural.iter().filter(|&(k, _)| k != rank) {
         for &off in sends {
             m[off] += 1;
         }
@@ -113,10 +111,10 @@ pub fn compute_extra_sends(
         }
     }
 
-    let mut extra: Vec<Vec<usize>> = vec![Vec::new(); nodes];
+    let mut extra = Vec::with_capacity(targets.len());
     for (k1, (&d, bits)) in targets.iter().zip(&in_target).enumerate() {
         let k = k1 + 1; // Eqn. 6 numbers rounds from 1
-        let list = &mut extra[d];
+        let mut list = Vec::new();
         for s in 0..my_len {
             let include = match strategy {
                 BackupStrategy::Minimal | BackupStrategy::MinimalConsecutive => {
@@ -128,8 +126,10 @@ pub fn compute_extra_sends(
                 list.push(s);
             }
         }
+        extra.push((d, list));
     }
-    extra
+    // The targets are distinct, so sorting the φ lists by slot loses nothing.
+    extra.into_iter().collect()
 }
 
 /// Verify the coverage invariant: with the given natural sends and extras,
@@ -141,8 +141,8 @@ pub fn check_coverage(
     nodes: usize,
     phi: usize,
     my_len: usize,
-    send_natural: &[Vec<usize>],
-    send_extra: &[Vec<usize>],
+    send_natural: &PeerLists,
+    send_extra: &PeerLists,
 ) -> Option<usize> {
     for s in 0..my_len {
         let mut holders = std::collections::BTreeSet::new();
@@ -164,6 +164,10 @@ pub fn check_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn total(lists: &PeerLists) -> usize {
+        lists.iter().map(|(_, l)| l.len()).sum()
+    }
 
     #[test]
     fn targets_alternate_around_ring() {
@@ -196,7 +200,7 @@ mod tests {
         // to (i+1) mod N, and only those.
         let nodes = 4;
         // Node 1 owns offsets 0..4; offsets 1, 2 travel naturally.
-        let send_natural = vec![vec![1], vec![], vec![2], vec![]];
+        let send_natural = vec![vec![1], vec![], vec![2], vec![]].into();
         let extra = compute_extra_sends(1, nodes, 1, &BackupStrategy::Minimal, 4, &send_natural);
         // d_11 = 2. Elements never sent anywhere: {0, 3}. Element 1 goes
         // to node 0 (m=1>0 ⟹ m-g=1 > φ-k=0 ⟹ excluded). Element 2
@@ -216,7 +220,8 @@ mod tests {
             vec![1],    // to node 2
             vec![],     // to node 3
             vec![5],    // to node 4
-        ];
+        ]
+        .into();
         for phi in 1..5 {
             let extra = compute_extra_sends(
                 0,
@@ -250,7 +255,8 @@ mod tests {
             vec![],
             vec![],
             all.clone(),
-        ];
+        ]
+        .into();
         for phi in 1..=3 {
             let extra = compute_extra_sends(
                 0,
@@ -260,8 +266,7 @@ mod tests {
                 my_len,
                 &send_natural,
             );
-            let total: usize = extra.iter().map(Vec::len).sum();
-            assert_eq!(total, 0, "φ={phi} should be free");
+            assert_eq!(total(&extra), 0, "φ={phi} should be free");
         }
         // φ=4 needs exactly one more copy of each element (to d_04 = 4).
         let extra =
@@ -270,8 +275,7 @@ mod tests {
             check_coverage(0, nodes, 4, my_len, &send_natural, &extra),
             None
         );
-        let total: usize = extra.iter().map(Vec::len).sum();
-        assert_eq!(total, my_len, "exactly one extra copy per element");
+        assert_eq!(total(&extra), my_len, "exactly one extra copy per element");
         assert_eq!(extra[4].len(), my_len);
     }
 
@@ -291,7 +295,8 @@ mod tests {
             all.clone(), // not a target
             vec![],
             vec![], // d_02 (k=2)
-        ];
+        ]
+        .into();
         let extra =
             compute_extra_sends(0, nodes, 3, &BackupStrategy::Minimal, my_len, &send_natural);
         // m = 3 ≥ φ = 3, yet round 2 (target 5) gets a copy:
@@ -308,7 +313,7 @@ mod tests {
     fn full_block_strategy_sends_everything() {
         let nodes = 4;
         let my_len = 5;
-        let send_natural = vec![vec![], vec![0], vec![], vec![]];
+        let send_natural = vec![vec![], vec![0], vec![], vec![]].into();
         let extra = compute_extra_sends(
             0,
             nodes,
@@ -327,32 +332,31 @@ mod tests {
     fn minimal_is_no_larger_than_full_block() {
         let nodes = 7;
         let my_len = 10;
-        let send_natural: Vec<Vec<usize>> = (0..nodes)
-            .map(|k| (0..my_len).filter(|s| (s + k) % 3 == 0 && k != 0).collect())
+        let send_natural: PeerLists = (0..nodes)
+            .map(|k| {
+                (
+                    k,
+                    (0..my_len).filter(|s| (s + k) % 3 == 0 && k != 0).collect(),
+                )
+            })
             .collect();
         for phi in 1..nodes {
-            let min_total: usize = compute_extra_sends(
+            let min_total = total(&compute_extra_sends(
                 0,
                 nodes,
                 phi,
                 &BackupStrategy::Minimal,
                 my_len,
                 &send_natural,
-            )
-            .iter()
-            .map(Vec::len)
-            .sum();
-            let full_total: usize = compute_extra_sends(
+            ));
+            let full_total = total(&compute_extra_sends(
                 0,
                 nodes,
                 phi,
                 &BackupStrategy::FullBlock,
                 my_len,
                 &send_natural,
-            )
-            .iter()
-            .map(Vec::len)
-            .sum();
+            ));
             assert!(min_total <= full_total, "φ={phi}");
             assert_eq!(
                 check_coverage(
@@ -399,9 +403,12 @@ mod tests {
         // Sec. 4.2 penalty).
         let nodes = 8;
         let my_len = 4;
-        let mut send_natural = vec![Vec::new(); nodes];
-        send_natural[2] = vec![0, 1]; // −1 neighbour
-        send_natural[4] = vec![2, 3]; // +1 neighbour
+        let send_natural: PeerLists = [
+            (2, vec![0, 1]), // −1 neighbour
+            (4, vec![2, 3]), // +1 neighbour
+        ]
+        .into_iter()
+        .collect();
         let alt = compute_extra_sends(3, nodes, 2, &BackupStrategy::Minimal, my_len, &send_natural);
         let con = compute_extra_sends(
             3,
@@ -411,7 +418,7 @@ mod tests {
             my_len,
             &send_natural,
         );
-        let silent_extras = |extra: &[Vec<usize>]| -> usize {
+        let silent_extras = |extra: &PeerLists| -> usize {
             (0..nodes)
                 .filter(|&d| send_natural[d].is_empty())
                 .map(|d| extra[d].len())
@@ -437,7 +444,7 @@ mod tests {
     fn coverage_holds_for_consecutive_strategy() {
         let nodes = 6;
         let my_len = 5;
-        let send_natural = vec![vec![], vec![0, 2], vec![], vec![1], vec![], vec![4]];
+        let send_natural = vec![vec![], vec![0, 2], vec![], vec![1], vec![], vec![4]].into();
         for phi in 1..nodes {
             let extra = compute_extra_sends(
                 0,

@@ -7,7 +7,9 @@
 //! of each element of p(j) after computing A·p(j)". The store holds two
 //! generations — `cur` for `p(j)`, `prev` for `p(j-1)` — rotated at every
 //! SpMV, and answers the recovery-time query *"give me every retained
-//! element owned by the failed nodes"*.
+//! element owned by the failed nodes"*. Its per-peer bookkeeping is one
+//! entry per receive link of the [`ScatterPlan`] — O(degree), like the
+//! plan itself.
 //!
 //! **[`CheckpointStore`]** (checkpoint/rollback): the periodic-checkpoint
 //! counterpart. Every deposit round each node replicates its packed
@@ -39,6 +41,15 @@ pub enum Gen {
     Prev,
 }
 
+/// Where one peer's deposit lands: positions into `Retention::idx` of its
+/// natural values and of its extras, each in message order.
+#[derive(Clone, Debug)]
+struct RetLink {
+    slot: usize,
+    nat_pos: Vec<usize>,
+    ext_pos: Vec<usize>,
+}
+
 /// Two-generation store of received search-direction elements.
 #[derive(Clone, Debug)]
 pub struct Retention {
@@ -47,11 +58,8 @@ pub struct Retention {
     idx: Vec<usize>,
     cur: Vec<f64>,
     prev: Vec<f64>,
-    /// Per peer: positions into `idx` of that peer's natural values, in
-    /// message order.
-    nat_pos: Vec<Vec<usize>>,
-    /// Per peer: positions into `idx` of that peer's extra values.
-    ext_pos: Vec<Vec<usize>>,
+    /// One entry per receive link of the plan, ascending by peer slot.
+    links: Vec<RetLink>,
     cur_valid: bool,
     prev_valid: bool,
 }
@@ -61,36 +69,31 @@ impl Retention {
     /// column list of the local matrix.
     pub fn build(plan: &ScatterPlan, ghost_cols: &[usize]) -> Self {
         let mut idx: Vec<usize> = ghost_cols.to_vec();
-        for ext in &plan.recv_extra {
+        for (_, ext) in plan.recv_extra.iter() {
             idx.extend_from_slice(ext);
         }
         idx.sort_unstable();
         idx.dedup();
 
         let lookup = |g: usize| -> usize { idx.binary_search(&g).expect("retained index") };
-        let mut nat_pos = Vec::with_capacity(plan.nodes);
-        let mut ext_pos = Vec::with_capacity(plan.nodes);
-        for k in 0..plan.nodes {
-            nat_pos.push(
-                plan.recv_ghost_range[k]
-                    .clone()
-                    .map(|p| lookup(ghost_cols[p]))
-                    .collect::<Vec<_>>(),
-            );
-            ext_pos.push(
-                plan.recv_extra[k]
-                    .iter()
-                    .map(|&g| lookup(g))
-                    .collect::<Vec<_>>(),
-            );
-        }
+        let links = plan.recv_links.iter().map(|link| RetLink {
+            slot: link.slot,
+            nat_pos: ghost_cols[link.ghost.clone()]
+                .iter()
+                .map(|&g| lookup(g))
+                .collect(),
+            ext_pos: plan.recv_extra[link.slot]
+                .iter()
+                .map(|&g| lookup(g))
+                .collect(),
+        });
+        let links = links.collect();
         let n = idx.len();
         Retention {
             idx,
             cur: vec![f64::NAN; n],
             prev: vec![f64::NAN; n],
-            nat_pos,
-            ext_pos,
+            links,
             cur_valid: false,
             prev_valid: false,
         }
@@ -108,32 +111,35 @@ impl Retention {
         self.cur_valid = true;
     }
 
-    /// Check that a deposit covers the peer's slots exactly. A hard assert
-    /// in *all* build profiles: with a `debug_assert` only, a short
-    /// `naturals`/`extras` slice in a release build silently truncates via
-    /// `zip`, leaving stale or NaN retained copies that corrupt a later
-    /// reconstruction — the worst possible failure mode for a resilience
-    /// library (the corruption only surfaces when a node actually dies).
-    fn check_deposit(&self, peer: usize, naturals: &[f64], extras: &[f64]) {
+    /// Deposit values received from `peer` into the current generation.
+    ///
+    /// The deposit must cover the peer's slots exactly (a peer without a
+    /// receive link owes nothing). A hard assert in *all* build profiles:
+    /// with a `debug_assert` only, a short `naturals`/`extras` slice in a
+    /// release build silently truncates via `zip`, leaving stale or NaN
+    /// retained copies that corrupt a later reconstruction — the worst
+    /// possible failure mode for a resilience library (the corruption only
+    /// surfaces when a node actually dies).
+    pub fn store(&mut self, peer: usize, naturals: &[f64], extras: &[f64]) {
+        let found = self.links.binary_search_by_key(&peer, |l| l.slot);
+        let (nat_pos, ext_pos): (&[usize], &[usize]) = match found {
+            Ok(at) => (&self.links[at].nat_pos, &self.links[at].ext_pos),
+            Err(_) => (&[], &[]),
+        };
         assert_eq!(
             naturals.len(),
-            self.nat_pos[peer].len(),
+            nat_pos.len(),
             "retention deposit from peer {peer}: naturals length mismatch"
         );
         assert_eq!(
             extras.len(),
-            self.ext_pos[peer].len(),
+            ext_pos.len(),
             "retention deposit from peer {peer}: extras length mismatch"
         );
-    }
-
-    /// Deposit values received from `peer` into the current generation.
-    pub fn store(&mut self, peer: usize, naturals: &[f64], extras: &[f64]) {
-        self.check_deposit(peer, naturals, extras);
-        for (&p, &v) in self.nat_pos[peer].iter().zip(naturals) {
+        for (&p, &v) in nat_pos.iter().zip(naturals) {
             self.cur[p] = v;
         }
-        for (&p, &v) in self.ext_pos[peer].iter().zip(extras) {
+        for (&p, &v) in ext_pos.iter().zip(extras) {
             self.cur[p] = v;
         }
     }
@@ -348,12 +354,12 @@ mod tests {
             my_slot: 1,
             my_start: 10,
             my_len: 10,
-            send_natural: vec![vec![], vec![], vec![]],
-            send_extra: vec![vec![], vec![], vec![]],
-            recv_ghost_range: vec![0..2, 0..0, 2..3],
-            recv_extra: vec![vec![2], vec![], vec![21]],
-            gather: Vec::new(),
-            bufs: Vec::new(),
+            send_natural: vec![vec![], vec![], vec![]].into(),
+            send_extra: vec![vec![], vec![], vec![]].into(),
+            recv_ghost_range: vec![(0, 0..2), (2, 2..3)],
+            recv_extra: vec![vec![2], vec![], vec![21]].into(),
+            send_links: Vec::new(),
+            recv_links: Vec::new(),
         };
         plan.refresh_pack_lists();
         (plan, vec![0, 1, 20])
@@ -420,6 +426,62 @@ mod tests {
         ret.finish_generation();
         ret.poison();
         assert!(ret.collect_range(Gen::Cur, 0, 30).is_empty());
+    }
+
+    #[test]
+    fn plan_and_retention_are_o_degree() {
+        // Block-tridiagonal pattern: 64 strips of two grid lines each, so
+        // natural traffic goes to the two ring neighbours; φ = 3 adds the
+        // backup target i + 2 (Eqn. 5: +1, −1, +2).
+        use crate::config::SolverConfig;
+        use crate::engine::Layout;
+        use crate::statics::StaticData;
+        use parcomm::{Cluster, ClusterConfig};
+
+        let (nodes, phi) = (64, 3);
+        let statics = StaticData::new(Arc::new(sparsemat::gen::poisson2d(8, 2 * nodes)));
+        let layouts = Cluster::run(ClusterConfig::new(nodes), |ctx| {
+            let layout = Layout::build_full(ctx, &statics, &SolverConfig::resilient(phi), 1);
+            (layout.plan, layout.channels)
+        });
+        for (i, (plan, channels)) in layouts.iter().enumerate() {
+            let ret = &channels[0];
+            if (2..nodes - 2).contains(&i) {
+                let natural: Vec<usize> = plan.send_natural.slots().collect();
+                assert_eq!(natural, vec![i - 1, i + 1], "rank {i}");
+                let ghosts: Vec<usize> = plan.recv_ghost_range.iter().map(|(k, _)| *k).collect();
+                assert_eq!(ghosts, vec![i - 1, i + 1], "rank {i}");
+                let senders: Vec<usize> = plan.send_links.iter().map(|l| l.slot).collect();
+                assert_eq!(senders, vec![i - 1, i + 1, i + 2], "rank {i}");
+                let receivers: Vec<usize> = plan.recv_links.iter().map(|l| l.slot).collect();
+                assert_eq!(receivers, vec![i - 2, i - 1, i + 1], "rank {i}");
+            }
+            // One stored entry per distinct peer with traffic — and so no
+            // per-peer collection of the plan or the store has one entry per
+            // node; `members` is the only thing that does.
+            let send_peers = plan.send_natural.slots().chain(plan.send_extra.slots());
+            let send_peers: std::collections::BTreeSet<usize> = send_peers.collect();
+            assert_eq!(plan.send_links.len(), send_peers.len(), "rank {i}");
+            let recv_peers = plan.recv_ghost_range.iter().map(|(k, _)| *k);
+            let recv_peers: std::collections::BTreeSet<usize> =
+                recv_peers.chain(plan.recv_extra.slots()).collect();
+            assert_eq!(plan.recv_links.len(), recv_peers.len(), "rank {i}");
+            assert_eq!(ret.links.len(), recv_peers.len(), "rank {i}");
+            let per_peer = [
+                plan.send_natural.len(),
+                plan.send_extra.len(),
+                plan.recv_ghost_range.len(),
+                plan.recv_extra.len(),
+                plan.send_links.len(),
+                plan.recv_links.len(),
+                ret.links.len(),
+            ];
+            assert!(
+                per_peer.iter().all(|&n| n <= 2 + phi),
+                "rank {i}: {per_peer:?}"
+            );
+            assert_eq!(plan.members.len(), nodes);
+        }
     }
 
     // These two are the release-profile regression for the former

@@ -9,10 +9,18 @@
 //! `Rᶜᵢₖ` (Eqn. 6) to the same messages, so that — whenever natural traffic
 //! to the backup target exists — **no additional message latency** is paid
 //! (paper Sec. 4.2).
+//!
+//! **The plan is per neighbour.** The paper's cost argument counts
+//! neighbour links, and so does everything here: the per-peer lists are
+//! sparse ([`PeerLists`] — only peers with traffic are stored) and the
+//! exchange hot paths walk two link vectors ([`SendLink`], [`RecvLink`])
+//! of length *degree*, never `0..nodes`. A node of a banded matrix holds
+//! a handful of entries whatever the cluster size; only
+//! [`ScatterPlan::members`] has one entry per node.
 
 use parcomm::{CommPhase, NodeCtx, Payload};
 use sparsemat::BlockPartition;
-use std::ops::Range;
+use std::ops::{Index, Range};
 use std::sync::Arc;
 
 use crate::localmat::LocalMatrix;
@@ -42,6 +50,102 @@ pub struct PipeBackups<'a> {
     pub ret_p: &'a mut Retention,
 }
 
+/// Index lists for the peers a node has traffic with: `(slot, list)`
+/// entries ascending by slot, empty lists not stored. Reads like the dense
+/// `Vec<Vec<usize>>` it replaces — `lists[k]` is peer `k`'s list, empty
+/// when there is none — at O(degree) memory.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PeerLists(Vec<(usize, Vec<usize>)>);
+
+impl PeerLists {
+    /// Peer `slot`'s list (empty when nothing is stored for it).
+    pub fn get(&self, slot: usize) -> &[usize] {
+        let found = self.0.binary_search_by_key(&slot, |&(k, _)| k);
+        found.map_or(&[], |at| &self.0[at].1)
+    }
+
+    /// The peers with a non-empty list, ascending.
+    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().map(|&(k, _)| k)
+    }
+
+    /// The stored `(slot, list)` entries, ascending by slot.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
+        self.0.iter().map(|(k, list)| (*k, list.as_slice()))
+    }
+
+    /// Number of peers with a non-empty list.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when no peer has a list.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl Index<usize> for PeerLists {
+    type Output = [usize];
+
+    fn index(&self, slot: usize) -> &[usize] {
+        self.get(slot)
+    }
+}
+
+/// From `(slot, list)` pairs in any order (slots distinct); empty lists
+/// are dropped.
+impl FromIterator<(usize, Vec<usize>)> for PeerLists {
+    fn from_iter<I: IntoIterator<Item = (usize, Vec<usize>)>>(lists: I) -> Self {
+        let mut stored: Vec<_> = lists.into_iter().filter(|(_, l)| !l.is_empty()).collect();
+        stored.sort_unstable_by_key(|&(k, _)| k);
+        debug_assert!(stored.windows(2).all(|w| w[0].0 < w[1].0), "duplicate slot");
+        PeerLists(stored)
+    }
+}
+
+/// From the dense form: `dense[k]` is peer `k`'s list.
+impl From<Vec<Vec<usize>>> for PeerLists {
+    fn from(dense: Vec<Vec<usize>>) -> Self {
+        dense.into_iter().enumerate().collect()
+    }
+}
+
+/// The distinct slots among `peers`, ascending, `me` excluded.
+fn linked_peers(peers: impl Iterator<Item = usize>, me: usize) -> Vec<usize> {
+    let mut slots: Vec<usize> = peers.filter(|&k| k != me).collect();
+    slots.sort_unstable();
+    slots.dedup();
+    slots
+}
+
+/// One outgoing neighbour link of the exchange: what is packed for `slot`
+/// and the buffer it is packed into.
+#[derive(Clone, Debug)]
+pub(crate) struct SendLink {
+    pub slot: usize,
+    /// How many leading entries of `gather` are natural SpMV traffic.
+    pub n_nat: usize,
+    /// The pack list `send_natural[slot] ++ send_extra[slot]` as compact
+    /// local offsets — the single gather walked by the exchange hot paths.
+    pub gather: Vec<u32>,
+    /// The reusable send buffer. In steady state the receiver has dropped
+    /// the previous message before our next exchange (iterations are
+    /// separated by blocking collectives), so `Arc::get_mut` succeeds and
+    /// packing reuses the allocation; a miss is counted via
+    /// [`sparsemat::hotpath`] and falls back to a fresh buffer.
+    pub buf: Arc<Vec<f64>>,
+}
+
+/// One incoming neighbour link: where `slot`'s natural values land in the
+/// ghost buffer and how many redundancy extras follow them.
+#[derive(Clone, Debug)]
+pub(crate) struct RecvLink {
+    pub slot: usize,
+    pub ghost: Range<usize>,
+    pub n_ext: usize,
+}
+
 /// The per-node communication plan.
 ///
 /// Peers are addressed by **slot** — the index of their block in the
@@ -61,30 +165,27 @@ pub struct ScatterPlan {
     pub my_start: usize,
     /// Owned range length.
     pub my_len: usize,
-    /// Per peer slot `k`: local offsets sent naturally during SpMV (`S_ik`).
-    pub send_natural: Vec<Vec<usize>>,
-    /// Per peer slot `k`: local offsets sent only for redundancy (`Rᶜᵢₖ`);
-    /// filled in by [`crate::redundancy`].
-    pub send_extra: Vec<Vec<usize>>,
-    /// Per peer slot `k`: the positions in the ghost buffer filled by `k`'s
+    /// Per peer slot `k` with natural traffic: local offsets sent during
+    /// SpMV (`S_ik`).
+    pub send_natural: PeerLists,
+    /// Per peer slot `k` with redundancy traffic: local offsets sent only
+    /// for redundancy (`Rᶜᵢₖ`); filled in by [`crate::redundancy`].
+    pub send_extra: PeerLists,
+    /// `(slot, range)` ascending, per peer this node has ghosts of: the
+    /// (non-empty) positions in the ghost buffer filled by that peer's
     /// natural values (contiguous, because ghost columns are sorted and
     /// ownership ranges are contiguous).
-    pub recv_ghost_range: Vec<Range<usize>>,
-    /// Per peer slot `k`: global indices of redundancy extras received
-    /// from `k`.
-    pub recv_extra: Vec<Vec<usize>>,
-    /// Per peer slot `k`: the precomputed pack list
-    /// `send_natural[k] ++ send_extra[k]` as compact local offsets — the
-    /// single gather walked by the exchange hot paths. Kept in sync by
+    pub recv_ghost_range: Vec<(usize, Range<usize>)>,
+    /// Per peer slot `k` sending redundancy extras here: their global
+    /// indices.
+    pub recv_extra: PeerLists,
+    /// The outgoing links, ascending by slot: one per peer in
+    /// `send_natural ∪ send_extra`. Kept in sync by
     /// [`ScatterPlan::refresh_pack_lists`].
-    pub(crate) gather: Vec<Vec<u32>>,
-    /// Per peer slot `k`: the reusable send buffer. In steady state the
-    /// receiver has dropped the previous message before our next exchange
-    /// (iterations are separated by blocking collectives), so
-    /// `Arc::get_mut` succeeds and packing reuses the allocation; a miss
-    /// is counted via [`sparsemat::hotpath`] and falls back to a fresh
-    /// buffer.
-    pub(crate) bufs: Vec<Arc<Vec<f64>>>,
+    pub(crate) send_links: Vec<SendLink>,
+    /// The incoming links, ascending by slot: one per peer in
+    /// `recv_ghost_range ∪ recv_extra`. Kept in sync likewise.
+    pub(crate) recv_links: Vec<RecvLink>,
 }
 
 impl ScatterPlan {
@@ -96,8 +197,8 @@ impl ScatterPlan {
         // Catch a mismatched LocalMatrix/partition pairing here, at the
         // misuse site, not as garbled ghost exchanges several calls later.
         debug_assert_eq!(lm.range, part.range(rank), "lm built for another rank");
-        let requests = Self::ghost_requests(lm, part, nodes);
-        let incoming = ctx.alltoallv_u64(requests.0);
+        let requests = Self::ghost_requests(lm, part);
+        let incoming = ctx.alltoallv_sparse_u64(requests.0);
         Self::assemble((0..nodes).collect(), rank, lm, requests.1, incoming)
     }
 
@@ -116,21 +217,21 @@ impl ScatterPlan {
         let my_slot = group.index();
         debug_assert_eq!(members[my_slot], ctx.rank());
         debug_assert_eq!(lm.range, part.range(my_slot), "lm built for another slot");
-        let requests = Self::ghost_requests(lm, part, members.len());
-        let incoming = group.alltoallv_u64(ctx, requests.0, CommPhase::Recovery);
+        let requests = Self::ghost_requests(lm, part);
+        let incoming = group.alltoallv_sparse_u64(ctx, requests.0, CommPhase::Recovery);
         Self::assemble(members, my_slot, lm, requests.1, incoming)
     }
 
     /// Group own ghost needs by owning slot: contiguous segments of the
-    /// sorted ghost column list. Returns (per-slot requests, ghost ranges).
+    /// sorted ghost column list. Returns (requests, ghost ranges), both
+    /// `(slot, …)` ascending.
     #[allow(clippy::type_complexity)]
     fn ghost_requests(
         lm: &LocalMatrix,
         part: &BlockPartition,
-        nodes: usize,
-    ) -> (Vec<Vec<u64>>, Vec<Range<usize>>) {
-        let mut requests: Vec<Vec<u64>> = vec![Vec::new(); nodes];
-        let mut recv_ghost_range: Vec<Range<usize>> = vec![0..0; nodes];
+    ) -> (Vec<(usize, Vec<u64>)>, Vec<(usize, Range<usize>)>) {
+        let mut requests = Vec::new();
+        let mut recv_ghost_range = Vec::new();
         let gc = &lm.ghost_cols;
         let mut pos = 0usize;
         while pos < gc.len() {
@@ -140,8 +241,8 @@ impl ScatterPlan {
             while end < gc.len() && gc[end] < end_of_owner {
                 end += 1;
             }
-            recv_ghost_range[owner] = pos..end;
-            requests[owner].extend(gc[pos..end].iter().map(|&g| g as u64));
+            recv_ghost_range.push((owner, pos..end));
+            requests.push((owner, gc[pos..end].iter().map(|&g| g as u64).collect()));
             pos = end;
         }
         (requests, recv_ghost_range)
@@ -149,75 +250,97 @@ impl ScatterPlan {
 
     /// Owners learn who needs what (the send lists `S_ik`) from the
     /// all-to-all result and finish the plan.
+    ///
+    /// # Panics
+    /// Panics when a peer requests an index this node does not own — in
+    /// every build: a wrapped offset would send a wrong value silently.
     fn assemble(
         members: Vec<usize>,
         my_slot: usize,
         lm: &LocalMatrix,
-        recv_ghost_range: Vec<Range<usize>>,
-        incoming: Vec<Vec<u64>>,
+        recv_ghost_range: Vec<(usize, Range<usize>)>,
+        incoming: Vec<(usize, Vec<u64>)>,
     ) -> Self {
-        let nodes = members.len();
         let my_start = lm.range.start;
-        let mut send_natural: Vec<Vec<usize>> = Vec::with_capacity(nodes);
-        for (k, req) in incoming.into_iter().enumerate() {
-            if k == my_slot {
-                send_natural.push(Vec::new());
-                continue;
-            }
-            send_natural.push(
-                req.into_iter()
-                    .map(|g| {
-                        let g = g as usize;
-                        debug_assert!(lm.range.contains(&g), "request outside owned range");
-                        g - my_start
-                    })
-                    .collect(),
+        let offset = |k: usize, g: u64| {
+            let g = g as usize;
+            assert!(
+                lm.range.contains(&g),
+                "slot {k} requested index {g} outside the owned range {:?}",
+                lm.range
             );
-        }
+            g - my_start
+        };
+        let requested = incoming.into_iter().filter(|&(k, _)| k != my_slot);
+        let send_natural = requested
+            .map(|(k, req)| (k, req.into_iter().map(|g| offset(k, g)).collect()))
+            .collect();
 
         let mut plan = ScatterPlan {
-            nodes,
+            nodes: members.len(),
             members,
             my_slot,
             my_start,
             my_len: lm.range.len(),
             send_natural,
-            send_extra: vec![Vec::new(); nodes],
+            send_extra: PeerLists::default(),
             recv_ghost_range,
-            recv_extra: vec![Vec::new(); nodes],
-            gather: Vec::new(),
-            bufs: Vec::new(),
+            recv_extra: PeerLists::default(),
+            send_links: Vec::new(),
+            recv_links: Vec::new(),
         };
         plan.refresh_pack_lists();
         plan
     }
 
-    /// Rebuild the per-peer pack lists and pre-size the reusable send
-    /// buffers from `send_natural`/`send_extra`. Must be called after
-    /// mutating `send_extra` directly (the redundancy setup does this via
+    /// Rebuild the neighbour links — pack lists, pre-sized reusable send
+    /// buffers, receive layout — as the merge of `send_natural`/`send_extra`
+    /// and of `recv_ghost_range`/`recv_extra`. Must be called after
+    /// mutating those directly (the redundancy setup does this via
     /// [`ScatterPlan::announce_extras`]).
+    ///
+    /// # Panics
+    /// Panics when a send offset lies outside the owned block, in every
+    /// build.
     pub fn refresh_pack_lists(&mut self) {
-        self.gather = self
-            .send_natural
-            .iter()
-            .zip(&self.send_extra)
-            .map(|(nat, ext)| {
-                nat.iter()
-                    .chain(ext)
-                    .map(|&o| {
-                        debug_assert!(o < self.my_len, "send offset outside owned range");
-                        o as u32
-                    })
-                    .collect()
-            })
-            .collect();
-        // Worst-case payload is the pipelined one: m[nat] ++ u[g] ++ p[g].
-        self.bufs = self
-            .gather
-            .iter()
-            .zip(&self.send_natural)
-            .map(|(g, nat)| Arc::new(Vec::with_capacity(nat.len() + 2 * g.len())))
-            .collect();
+        let pack = |o: usize| {
+            assert!(o < self.my_len, "send offset {o} outside the owned block");
+            u32::try_from(o).expect("block offsets fit the pack lists' u32")
+        };
+        let send_peers = self.send_natural.slots().chain(self.send_extra.slots());
+        let send_links = linked_peers(send_peers, self.my_slot)
+            .into_iter()
+            .map(|slot| {
+                let (nat, ext) = (&self.send_natural[slot], &self.send_extra[slot]);
+                let gather: Vec<u32> = nat.iter().chain(ext).map(|&o| pack(o)).collect();
+                SendLink {
+                    slot,
+                    n_nat: nat.len(),
+                    // Worst-case payload is the pipelined one: m[nat] ++ u[g] ++ p[g].
+                    buf: Arc::new(Vec::with_capacity(nat.len() + 2 * gather.len())),
+                    gather,
+                }
+            });
+        self.send_links = send_links.collect();
+
+        let ghost_peers = self.recv_ghost_range.iter().map(|(k, _)| *k);
+        let recv_peers = ghost_peers.chain(self.recv_extra.slots());
+        let recv_links = linked_peers(recv_peers, self.my_slot)
+            .into_iter()
+            .map(|slot| RecvLink {
+                slot,
+                ghost: self.ghost_range(slot),
+                n_ext: self.recv_extra[slot].len(),
+            });
+        self.recv_links = recv_links.collect();
+    }
+
+    /// The positions in the ghost buffer filled by peer `slot`'s natural
+    /// values (empty when this node has no ghosts of it).
+    pub fn ghost_range(&self, slot: usize) -> Range<usize> {
+        let ranges = &self.recv_ghost_range;
+        let found = ranges.binary_search_by_key(&slot, |(k, _)| *k);
+        found.map_or(0..0, |at| ranges[at].1.clone())
     }
 
     /// Clear-and-borrow a peer's send buffer for packing, falling back to
@@ -238,28 +361,29 @@ impl ScatterPlan {
     /// the full cluster.
     pub fn announce_extras(&mut self, ctx: &mut NodeCtx) {
         let sends = self.extra_announcements();
-        let incoming = ctx.alltoallv_u64(sends);
+        let incoming = ctx.alltoallv_sparse_u64(sends);
         self.record_extras(incoming);
     }
 
     /// [`ScatterPlan::announce_extras`] over a shrunken communicator.
     pub fn announce_extras_on(&mut self, ctx: &mut NodeCtx, group: &mut parcomm::Group) {
         let sends = self.extra_announcements();
-        let incoming = group.alltoallv_u64(ctx, sends, CommPhase::Recovery);
+        let incoming = group.alltoallv_sparse_u64(ctx, sends, CommPhase::Recovery);
         self.record_extras(incoming);
     }
 
-    fn extra_announcements(&self) -> Vec<Vec<u64>> {
+    fn extra_announcements(&self) -> Vec<(usize, Vec<u64>)> {
+        let global = |offs: &[usize]| offs.iter().map(|&o| (self.my_start + o) as u64).collect();
         self.send_extra
             .iter()
-            .map(|offs| offs.iter().map(|&o| (self.my_start + o) as u64).collect())
+            .map(|(k, offs)| (k, global(offs)))
             .collect()
     }
 
-    fn record_extras(&mut self, incoming: Vec<Vec<u64>>) {
+    fn record_extras(&mut self, incoming: Vec<(usize, Vec<u64>)>) {
         self.recv_extra = incoming
             .into_iter()
-            .map(|v| v.into_iter().map(|g| g as usize).collect())
+            .map(|(k, v)| (k, v.into_iter().map(|g| g as usize).collect()))
             .collect();
         // `send_extra` was just filled by the caller: fold it into the
         // pack lists and re-size the send buffers.
@@ -282,49 +406,34 @@ impl ScatterPlan {
     ) {
         debug_assert_eq!(v_loc.len(), self.my_len);
         // Post all sends first (asynchronous channels: no deadlock).
-        for k in 0..self.nodes {
-            if k == self.my_slot {
-                continue;
-            }
-            let n_nat = self.send_natural[k].len();
-            let gather = &self.gather[k];
-            if gather.is_empty() {
-                continue;
-            }
-            let buf = Self::writable(&mut self.bufs[k]);
-            buf.extend(gather.iter().map(|&o| v_loc[o as usize]));
+        for link in &mut self.send_links {
+            let n_nat = link.n_nat;
+            let buf = Self::writable(&mut link.buf);
+            buf.extend(link.gather.iter().map(|&o| v_loc[o as usize]));
             if n_nat == 0 {
                 // This link exists only for redundancy: the extra-latency
                 // case of the paper's Sec. 4.2 analysis.
                 ctx.stats_mut().record_extra_latency();
             }
             ctx.send_with_phases(
-                self.members[k],
+                self.members[link.slot],
                 TAG_SPMV,
-                Payload::f64s_shared(self.bufs[k].clone()),
+                Payload::f64s_shared(link.buf.clone()),
                 &[
                     (CommPhase::Spmv, n_nat),
-                    (CommPhase::Redundancy, gather.len() - n_nat),
+                    (CommPhase::Redundancy, link.gather.len() - n_nat),
                 ],
             );
         }
         // Receive in deterministic peer order.
-        for k in 0..self.nodes {
-            if k == self.my_slot {
-                continue;
-            }
-            let ghost_range = self.recv_ghost_range[k].clone();
-            let n_ext = self.recv_extra[k].len();
-            if ghost_range.is_empty() && n_ext == 0 {
-                continue;
-            }
-            let msg = ctx.recv_phase(self.members[k], TAG_SPMV, CommPhase::Spmv);
+        for link in &self.recv_links {
+            let msg = ctx.recv_phase(self.members[link.slot], TAG_SPMV, CommPhase::Spmv);
             let data = msg.as_f64s();
-            debug_assert_eq!(data.len(), ghost_range.len() + n_ext);
-            let (nat_vals, ext_vals) = data.split_at(ghost_range.len());
-            ghosts[ghost_range].copy_from_slice(nat_vals);
+            debug_assert_eq!(data.len(), link.ghost.len() + link.n_ext);
+            let (nat_vals, ext_vals) = data.split_at(link.ghost.len());
+            ghosts[link.ghost.clone()].copy_from_slice(nat_vals);
             if let Some(ret) = retention.as_deref_mut() {
-                ret.store(k, nat_vals, ext_vals);
+                ret.store(link.slot, nat_vals, ext_vals);
             }
         }
     }
@@ -348,18 +457,17 @@ impl ScatterPlan {
         debug_assert_eq!(m_loc.len(), self.my_len);
         let has_p = backups.as_ref().is_some_and(|b| b.p_loc.is_some());
         // Post all sends first (asynchronous channels: no deadlock).
-        for k in 0..self.nodes {
-            if k == self.my_slot {
-                continue;
-            }
-            let nat = &self.send_natural[k];
-            let gather = &self.gather[k];
-            if gather.is_empty() {
-                continue;
-            }
+        for link in &mut self.send_links {
+            let SendLink {
+                slot,
+                n_nat,
+                gather,
+                buf,
+            } = link;
+            let nat = &gather[..*n_nat];
             let per_vec = gather.len();
-            let buf = Self::writable(&mut self.bufs[k]);
-            buf.extend(nat.iter().map(|&o| m_loc[o]));
+            let buf = Self::writable(buf);
+            buf.extend(nat.iter().map(|&o| m_loc[o as usize]));
             let mut backup_elems = 0;
             if let Some(b) = &backups {
                 buf.extend(gather.iter().map(|&o| b.u_loc[o as usize]));
@@ -375,9 +483,9 @@ impl ScatterPlan {
                 ctx.stats_mut().record_extra_latency();
             }
             ctx.send_with_phases(
-                self.members[k],
+                self.members[*slot],
                 TAG_SPMV,
-                Payload::f64s_shared(self.bufs[k].clone()),
+                Payload::f64s_shared(link.buf.clone()),
                 &[
                     (CommPhase::Spmv, nat.len()),
                     (CommPhase::Redundancy, backup_elems),
@@ -385,17 +493,9 @@ impl ScatterPlan {
             );
         }
         // Receive in deterministic peer order.
-        for k in 0..self.nodes {
-            if k == self.my_slot {
-                continue;
-            }
-            let ghost_range = self.recv_ghost_range[k].clone();
-            let n_nat = ghost_range.len();
-            let n_ext = self.recv_extra[k].len();
-            if n_nat == 0 && n_ext == 0 {
-                continue;
-            }
-            let per_vec = n_nat + n_ext;
+        for link in &self.recv_links {
+            let (k, n_nat) = (link.slot, link.ghost.len());
+            let per_vec = n_nat + link.n_ext;
             let msg = ctx.recv_phase(self.members[k], TAG_SPMV, CommPhase::Spmv);
             let data = msg.as_f64s();
             let expect = n_nat
@@ -405,7 +505,7 @@ impl ScatterPlan {
                     0
                 };
             debug_assert_eq!(data.len(), expect);
-            ghosts[ghost_range].copy_from_slice(&data[..n_nat]);
+            ghosts[link.ghost.clone()].copy_from_slice(&data[..n_nat]);
             if let Some(b) = backups.as_mut() {
                 let u_part = &data[n_nat..n_nat + per_vec];
                 b.ret_u.store(k, &u_part[..n_nat], &u_part[n_nat..]);
@@ -452,12 +552,49 @@ mod tests {
                     .collect();
                 let expected: Vec<usize> = {
                     let (_, lm_k) = &plans[k];
-                    let r = plan_k.recv_ghost_range[i].clone();
-                    lm_k.ghost_cols[r].to_vec()
+                    lm_k.ghost_cols[plan_k.ghost_range(i)].to_vec()
                 };
                 assert_eq!(sent, expected, "i={i} k={k}");
             }
         }
+    }
+
+    #[test]
+    fn peer_lists_read_like_the_dense_form() {
+        let lists: PeerLists = vec![vec![], vec![4, 2], vec![], vec![7]].into();
+        assert_eq!(lists.len(), 2, "empty lists are not stored");
+        assert_eq!(lists[1], [4, 2]);
+        assert!(lists[0].is_empty() && lists[2].is_empty() && lists[9].is_empty());
+        assert_eq!(lists.slots().collect::<Vec<_>>(), vec![1, 3]);
+        // Entries collect in any order and come out ascending.
+        let same: PeerLists = [(3, vec![7]), (0, vec![]), (1, vec![4, 2])]
+            .into_iter()
+            .collect();
+        assert_eq!(same, lists);
+    }
+
+    // The next two are the release-profile regression for the former
+    // `debug_assert!` guards of plan assembly: `cargo test --release` runs
+    // them with debug assertions off, where a bad request used to wrap
+    // (`g - my_start`) or truncate (`as u32`) into a silently wrong send.
+    #[test]
+    #[should_panic(expected = "slot 0 requested index 3 outside the owned range 12..24")]
+    fn request_outside_the_owned_range_is_rejected_in_every_profile() {
+        let a = poisson2d(6, 6);
+        let part = BlockPartition::new(36, 3);
+        let lm = LocalMatrix::build(&a, &part, 1);
+        let (_, ghost_ranges) = ScatterPlan::ghost_requests(&lm, &part);
+        let incoming = vec![(0, vec![12, 3]), (2, vec![23])];
+        ScatterPlan::assemble(vec![0, 1, 2], 1, &lm, ghost_ranges, incoming);
+    }
+
+    #[test]
+    #[should_panic(expected = "send offset 12 outside the owned block")]
+    fn send_offset_outside_the_block_is_rejected_in_every_profile() {
+        let a = Arc::new(poisson2d(6, 6));
+        let (mut plan, _) = build_plans(a, 3).swap_remove(1);
+        plan.send_extra = [(0, vec![12])].into_iter().collect();
+        plan.refresh_pack_lists();
     }
 
     #[test]

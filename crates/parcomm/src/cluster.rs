@@ -403,6 +403,38 @@ mod tests {
         }
     }
 
+    // The sparse all-to-all validates its destinations with a hard assert
+    // (`cargo test --release` runs these with debug assertions off): a
+    // repeated or out-of-range index must not be booked, let alone delivered.
+    #[test]
+    #[should_panic(expected = "alltoallv destinations must be ascending indices below 3")]
+    fn sparse_alltoall_rejects_unsorted_destinations() {
+        Cluster::run(ClusterConfig::new(3), |ctx| {
+            ctx.alltoallv_sparse_u64(vec![(2, vec![1]), (1, vec![2])])
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "alltoallv destinations must be ascending indices below 3")]
+    fn sparse_alltoall_rejects_out_of_range_destinations() {
+        Cluster::run(ClusterConfig::new(3), |ctx| {
+            ctx.alltoallv_sparse_u64(vec![(3, vec![1])])
+        });
+    }
+
+    #[test]
+    fn sparse_alltoall_leaves_out_the_silent_pairs() {
+        // A ring: every rank sends to its successor only.
+        let out = Cluster::run(ClusterConfig::new(4), |ctx| {
+            let me = ctx.rank();
+            ctx.alltoallv_sparse_u64(vec![((me + 1) % 4, vec![me as u64])])
+        });
+        for (me, recvd) in out.iter().enumerate() {
+            let pred = (me + 3) % 4;
+            assert_eq!(recvd, &vec![(pred, vec![pred as u64])]);
+        }
+    }
+
     #[test]
     fn alltoallv_u64_exchanges() {
         let out = Cluster::run(ClusterConfig::new(3), |ctx| {

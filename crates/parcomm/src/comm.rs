@@ -15,7 +15,9 @@
 //! meet once in [`crate::sched`], the last arriver computes the reduced
 //! buffer and every round's message stamps for everyone, and each rank then
 //! books its own rounds here — the same `book_send` / `book_recv` steps, in
-//! the same order, that exchanging the messages would have made. Every
+//! the same order, that exchanging the messages would have made. The
+//! personalized all-to-all is resident the same way, through the same
+//! rendezvous: its sends are booked before it, its receives after. Every
 //! virtual time, statistic and trace event is what the message exchange
 //! produces; only the physical messages and their host-thread hand-offs are
 //! gone.
@@ -34,7 +36,7 @@ use crate::group::Group;
 use crate::observe::{split_elems, Event, NodeLogs, Observers};
 use crate::payload::{Message, Payload};
 use crate::request::{AllreduceRequest, RecvRequest, SendRequest};
-use crate::sched::{Deposit, RdShape, Scheduler};
+use crate::sched::{Deposit, Outcome, Part, RdShape, Scheduler};
 use crate::stats::{CommPhase, CommStats};
 use crate::tag::{op, Tag};
 use crate::vclock::VClock;
@@ -607,7 +609,7 @@ impl NodeCtx {
     /// buffer — **bitwise identical on every participant** — and the number
     /// of communication rounds this participant took part in.
     ///
-    /// The rendezvous in [`Scheduler::allreduce`] yields the result and the
+    /// The rendezvous in [`Scheduler::collective`] yields the result and the
     /// arrival stamp of every message of the schedule; this node then books
     /// exactly its own rounds, in schedule order. Within one call every
     /// ordered pair of participants exchanges at most one message, so a
@@ -625,17 +627,13 @@ impl NodeCtx {
             return (x, 0);
         }
         let elems = x.len();
-        let deposit = Deposit {
-            tag,
-            index: s.my_index,
-            n: s.n,
-            members: s.members,
+        let part = Part::Reduce {
             opr,
             entry: tl.now(&self.clock),
             x,
             msg_cost: self.clock.model().msg_cost(elems),
         };
-        let out = self.sched.allreduce(self.rank, deposit, self.clock.now());
+        let (out, _) = self.rendezvous(s, tag, part);
 
         let mine = RdShape::new(s.n).rounds_of(s.my_index);
         for (k, round) in mine.iter().enumerate() {
@@ -656,40 +654,101 @@ impl NodeCtx {
         (result, mine.len())
     }
 
-    /// Personalized all-to-all of per-participant buffers on `s`: post all
-    /// sends first (sends never block — no deadlock), then receive in
-    /// ascending participant order; the own slot is passed through
-    /// untouched.
+    /// Meet the other participants of `s` in the scheduler under `tag`.
+    fn rendezvous(&mut self, s: &Scope<'_>, tag: Tag, part: Part) -> Outcome {
+        let deposit = Deposit {
+            tag,
+            index: s.my_index,
+            n: s.n,
+            members: s.members,
+            part,
+        };
+        self.sched.collective(self.rank, deposit, self.clock.now())
+    }
+
+    /// Personalized all-to-all on `s`, sparse on both sides: `sends` holds
+    /// `(destination index, list)` ascending, the result `(source index,
+    /// list)` ascending with the empty lists left out; an entry for the own
+    /// index is passed through untouched.
+    ///
+    /// Every ordered pair of participants still exchanges one message in
+    /// virtual time — booked here, never built. This node books its `n − 1`
+    /// sends on its own clock in ascending participant order (empty ones
+    /// included), meets the others once in [`Scheduler::collective`] with
+    /// the stamps and the non-empty payloads, and then books its `n − 1`
+    /// receives in ascending order from the shared stamp rows: the events,
+    /// clocks and statistics of posting all sends and then receiving in
+    /// participant order. The order is part of the result — a send's stamp
+    /// is the clock after every earlier send, a receive's stall depends on
+    /// the receives before it — so it is pinned.
+    ///
+    /// # Panics
+    /// Panics when the destinations are not strictly ascending indices
+    /// below `s.n`.
     pub(crate) fn alltoallv_on<T: PayloadElem>(
         &mut self,
         s: &Scope<'_>,
         name: &'static str,
-        mut sends: Vec<Vec<T>>,
+        sends: Vec<(usize, Vec<T>)>,
         phase: CommPhase,
-    ) -> Vec<Vec<T>> {
-        assert_eq!(sends.len(), s.n, "alltoallv needs one list per participant");
+    ) -> Vec<(usize, Vec<T>)> {
+        let ascending = sends.windows(2).all(|w| w[0].0 < w[1].0);
+        assert!(
+            ascending && sends.last().is_none_or(|&(i, _)| i < s.n),
+            "alltoallv destinations must be ascending indices below {}",
+            s.n
+        );
         let tag = self.coll_begin(s, name, op::ALLTOALL, None, None);
-        let mut own = Some(std::mem::take(&mut sends[s.my_index]));
-        for i in (0..s.n).filter(|&i| i != s.my_index) {
-            // Most pairs of an all-to-all exchange nothing: an empty list
-            // travels as `Empty`, not as a heap-allocated empty buffer.
-            let data = std::mem::take(&mut sends[i]);
-            let payload = if data.is_empty() {
-                Payload::Empty
-            } else {
-                T::wrap(data)
-            };
-            self.send_tag(s.rank_of(i), tag, payload, phase);
-        }
-        let recvd = (0..s.n).map(|i| {
-            if i == s.my_index {
-                own.take().expect("own slot filled once")
-            } else {
-                T::unwrap(self.recv_tag(s.rank_of(i), tag, phase).payload)
+        let (tl, me) = (&mut Timeline::Node, s.my_index);
+        let mut own = None;
+        let mut stamps = vec![0.0; s.n];
+        // An empty list is a pair that exchanges nothing: booked, not sent.
+        let mut lists = sends.into_iter().filter(|(_, l)| !l.is_empty()).peekable();
+        let mut sends = Vec::new();
+        for i in 0..s.n {
+            let data = lists.next_if(|&(dst, _)| dst == i).map(|(_, data)| data);
+            if i == me {
+                own = data;
+                continue;
             }
-        });
-        let out = recvd.collect();
+            let elems = data.as_ref().map_or(0, Vec::len);
+            stamps[i] = self.book_send(tl, s.rank_of(i), tag, &[(phase, elems)]);
+            sends.extend(data.map(|data| (i, T::wrap(data))));
+        }
+        let part = Part::Exchange { stamps, sends };
+        let (shared, recvd) = self.rendezvous(s, tag, part);
+
+        let mut out = Vec::with_capacity(recvd.len() + 1);
+        let mut recvd = recvd.into_iter().peekable();
+        for i in 0..s.n {
+            if i == me {
+                out.extend(own.take().map(|data| (me, data)));
+                continue;
+            }
+            let payload = recvd.next_if(|&(src, _)| src == i).map(|(_, p)| p);
+            let elems = payload.as_ref().map_or(0, Payload::elems);
+            self.book_recv(tl, s.rank_of(i), tag, elems, shared.stamps[i][me], phase);
+            out.extend(payload.map(|p| (i, T::unwrap(p))));
+        }
         self.trace_close();
+        out
+    }
+
+    /// The dense face of [`NodeCtx::alltoallv_on`]: one list per
+    /// participant in, one list per participant out.
+    pub(crate) fn alltoallv_dense_on(
+        &mut self,
+        s: &Scope<'_>,
+        name: &'static str,
+        sends: Vec<Vec<u64>>,
+        phase: CommPhase,
+    ) -> Vec<Vec<u64>> {
+        assert_eq!(sends.len(), s.n, "alltoallv needs one list per participant");
+        let mut out = vec![Vec::new(); s.n];
+        let sends = sends.into_iter().enumerate().collect();
+        for (src, list) in self.alltoallv_on(s, name, sends, phase) {
+            out[src] = list;
+        }
         out
     }
 
@@ -857,10 +916,24 @@ impl NodeCtx {
 
     /// Personalized all-to-all of index lists: `sends[k]` goes to rank `k`;
     /// returns the lists received from every rank (own slot passed through).
-    /// Every pair exchanges a message (possibly empty) — used for one-time
-    /// plan setup, where symmetric knowledge is simplest and N ≤ a few
-    /// hundred.
+    /// Every pair exchanges a message (possibly empty) in virtual time —
+    /// used for one-time plan setup, where symmetric knowledge is simplest.
     pub fn alltoallv_u64(&mut self, sends: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
+        let world = self.world();
+        self.alltoallv_dense_on(&world, "alltoall", sends, CommPhase::Setup)
+    }
+
+    /// [`NodeCtx::alltoallv_u64`] for callers that talk to few ranks:
+    /// `(destination rank, list)` ascending in, `(source rank, list)`
+    /// ascending out, empty lists left out. The same collective — same
+    /// messages, same virtual time — without the O(N) arguments.
+    ///
+    /// # Panics
+    /// Panics when the destinations are not strictly ascending ranks.
+    pub fn alltoallv_sparse_u64(
+        &mut self,
+        sends: Vec<(usize, Vec<u64>)>,
+    ) -> Vec<(usize, Vec<u64>)> {
         let world = self.world();
         self.alltoallv_on(&world, "alltoall", sends, CommPhase::Setup)
     }

@@ -139,6 +139,19 @@ impl Group {
         sends: Vec<Vec<u64>>,
         phase: CommPhase,
     ) -> Vec<Vec<u64>> {
+        ctx.alltoallv_dense_on(&self.scope(), "group_alltoall", sends, phase)
+    }
+
+    /// [`Group::alltoallv_u64`] for callers that talk to few members:
+    /// `(destination index, list)` ascending in, `(source index, list)`
+    /// ascending out, empty lists left out — the same collective without
+    /// the O(size) arguments.
+    pub fn alltoallv_sparse_u64(
+        &mut self,
+        ctx: &mut NodeCtx,
+        sends: Vec<(usize, Vec<u64>)>,
+        phase: CommPhase,
+    ) -> Vec<(usize, Vec<u64>)> {
         ctx.alltoallv_on(&self.scope(), "group_alltoall", sends, phase)
     }
 

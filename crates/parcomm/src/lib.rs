@@ -20,10 +20,11 @@
 //!   `(source, tag)` matching,
 //! * deterministic collectives ([`NodeCtx::allreduce_sum`],
 //!   [`NodeCtx::allgatherv_f64`], [`NodeCtx::alltoallv_u64`], …):
-//!   recursive doubling for all-reduce and barrier — one rendezvous in the
-//!   scheduler per call, booked round by round as the message exchange it
-//!   stands for — and binomial trees of point-to-point messages for
-//!   broadcast/gather,
+//!   recursive doubling for all-reduce and barrier and a personalized
+//!   all-to-all (dense, or sparse on both sides:
+//!   [`NodeCtx::alltoallv_sparse_u64`]) — one rendezvous in the scheduler
+//!   per call, booked message by message as the exchange it stands for —
+//!   and binomial trees of point-to-point messages for broadcast/gather,
 //! * non-blocking operations ([`NodeCtx::isend`], [`NodeCtx::irecv`],
 //!   [`NodeCtx::iallreduce_vec`]) with request handles ([`request`]) and an
 //!   **overlap-aware clock**: compute issued between start and wait hides

@@ -7,7 +7,7 @@
 //! setup, and sparse `(global index, value)` pairs during reconstruction.
 //!
 //! Buffer variants are **`Arc`-backed**: cloning a `Payload` (as the
-//! broadcast/alltoall fan-out does once per child) bumps a reference count
+//! broadcast fan-out does once per child) bumps a reference count
 //! instead of deep-copying the vector. The virtual clock still charges the
 //! full `λ + s·µ` per physical message — zero-copy is a host-memory
 //! optimization, not a change to the simulated cost model.

@@ -1,15 +1,17 @@
 //! Test oracle for the scheduler-resident collectives: the message-passing
-//! recursive-doubling all-reduce they replaced, kept verbatim over an
-//! in-memory transport, with the blocking and the engine accounting the
-//! node context used to apply per message.
+//! recursive-doubling all-reduce and the point-to-point personalized
+//! all-to-all they replaced, kept verbatim over an in-memory transport,
+//! with the blocking and the engine accounting the node context used to
+//! apply per message.
 //!
-//! The property test runs the oracle on free-running threads (its result
+//! The property tests run the oracle on free-running threads (its result
 //! cannot depend on their timing: stamps are fixed by the sender, matching
 //! is per source) and the resident path on a real [`Cluster`], from the
-//! same skewed entry clocks, and demands bitwise equality of everything a
-//! participant can observe: the reduced buffer, its final clock (or the
-//! engine's completion time), and its whole [`CommStats`] — rounds,
-//! messages, elements, send/wait virtual time, and both histograms.
+//! same skewed entry clocks, and demand bitwise equality of everything a
+//! participant can observe: the reduced buffer or the received lists, its
+//! final clock (or the engine's completion time), and its whole
+//! [`CommStats`] — rounds, messages, elements, send/wait virtual time, and
+//! both histograms.
 
 use std::sync::{Condvar, Mutex};
 
@@ -96,6 +98,31 @@ fn rd_allreduce<P: RdPort>(
 fn combined(opr: ReduceOp, mut lower: Vec<f64>, higher: &[f64]) -> Vec<f64> {
     opr.combine(&mut lower, higher);
     lower
+}
+
+/// The point-to-point all-to-all the resident one replaced: post all sends
+/// in ascending participant order (empty lists included — every pair
+/// exchanges a message), then receive in ascending order; the own slot is
+/// passed through untouched.
+fn p2p_alltoall<P: RdPort>(
+    port: &mut P,
+    my_index: usize,
+    members: &[usize],
+    mut sends: Vec<Vec<f64>>,
+) -> Vec<Vec<f64>> {
+    let n = members.len();
+    let mut own = Some(std::mem::take(&mut sends[my_index]));
+    for i in (0..n).filter(|&i| i != my_index) {
+        port.port_send(members[i], std::mem::take(&mut sends[i]));
+    }
+    let recvd = (0..n).map(|i| {
+        if i == my_index {
+            own.take().expect("own slot filled once")
+        } else {
+            port.port_recv(members[i])
+        }
+    });
+    recvd.collect()
 }
 
 /// A message in flight: source rank, buffer, arrival stamp.
@@ -270,8 +297,152 @@ fn resident(case: &Case) -> Vec<Observed> {
         .collect()
 }
 
+/// One all-to-all: who takes part and, per participant index, what it
+/// sends to every index (index values small enough to be exact as `f64`,
+/// which is what the oracle's transport carries) and its entry-clock skew.
+struct ExchangeCase {
+    members: Vec<usize>,
+    cluster: usize,
+    phase: CommPhase,
+    sends: Vec<Vec<Vec<u64>>>,
+    skew: Vec<f64>,
+}
+
+/// Received lists as one comparable row: per source, length then entries.
+fn list_bits(lists: impl IntoIterator<Item = Vec<u64>>) -> Vec<u64> {
+    let framed = lists.into_iter();
+    framed
+        .flat_map(|l| std::iter::once(l.len() as u64).chain(l))
+        .collect()
+}
+
+fn oracle_exchange(case: &ExchangeCase) -> Vec<Observed> {
+    let net = MemTransport::new(case.cluster);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..case.members.len())
+            .map(|i| {
+                let net = &net;
+                s.spawn(move || {
+                    let mut clock = VClock::new(CostModel::default());
+                    clock.advance(case.skew[i]);
+                    let mut port = OraclePort {
+                        net,
+                        rank: case.members[i],
+                        phase: case.phase,
+                        engine: None,
+                        clock,
+                        stats: CommStats::new(),
+                    };
+                    let as_f64 = |l: &Vec<u64>| l.iter().map(|&v| v as f64).collect();
+                    let sends = case.sends[i].iter().map(as_f64).collect();
+                    let recvd = p2p_alltoall(&mut port, i, &case.members, sends);
+                    let as_u64 = |l: Vec<f64>| l.into_iter().map(|v| v as u64).collect();
+                    Observed {
+                        result_bits: list_bits(recvd.into_iter().map(as_u64)),
+                        clock_bits: port.clock.now().to_bits(),
+                        done_bits: port.clock.now().to_bits(),
+                        stats: port.stats,
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// The resident all-to-all through its dense face (`sparse: false`) or
+/// its sparse one, whose result is widened back for the comparison.
+fn resident_exchange(case: &ExchangeCase, sparse: bool) -> Vec<Observed> {
+    let n = case.members.len();
+    let world = n == case.cluster;
+    let out = Cluster::run(ClusterConfig::new(case.cluster), |ctx| {
+        let i = case.members.iter().position(|&r| r == ctx.rank())?;
+        ctx.clock_mut().advance(case.skew[i]);
+        let dense = case.sends[i].clone();
+        let mut group = (!world).then(|| ctx.group(&case.members));
+        let recvd = if sparse {
+            let sends = dense.into_iter().enumerate();
+            let sends = sends.filter(|(_, l)| !l.is_empty()).collect();
+            let got = match &mut group {
+                Some(g) => g.alltoallv_sparse_u64(ctx, sends, case.phase),
+                None => ctx.alltoallv_sparse_u64(sends),
+            };
+            let mut lists = vec![Vec::new(); n];
+            for (src, l) in got {
+                assert!(!l.is_empty() && lists[src].is_empty(), "sparse result");
+                lists[src] = l;
+            }
+            lists
+        } else {
+            match &mut group {
+                Some(g) => g.alltoallv_u64(ctx, dense, case.phase),
+                None => ctx.alltoallv_u64(dense),
+            }
+        };
+        Some((recvd, ctx.vtime(), ctx.stats().clone()))
+    });
+    out.into_iter()
+        .flatten()
+        .map(|(recvd, clock, stats)| Observed {
+            result_bits: list_bits(recvd),
+            clock_bits: clock.to_bits(),
+            done_bits: clock.to_bits(),
+            stats,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn resident_alltoall_matches_the_point_to_point_oracle(seed in any::<u64>()) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for n in 1usize..=12 {
+            for variant in 0usize..4 {
+                let (grouped, sparse) = (variant % 2 == 1, variant / 2 == 1);
+                // A strict sub-group: skip every rank ≡ 1 (mod 3).
+                let members: Vec<usize> = if grouped {
+                    (0..).filter(|r| r % 3 != 1).take(n).collect()
+                } else {
+                    (0..n).collect()
+                };
+                // Ragged and mostly empty: three pairs in four exchange
+                // nothing, every third participant sends nothing at all,
+                // and the own slot is sometimes filled (passed through).
+                let sends = (0..n).map(|i| {
+                    let silent = i % 3 == 2 && next() % 2 == 0;
+                    (0..n).map(|_| {
+                        let len = if silent || next() % 4 != 0 { 0 } else { 1 + next() % 5 };
+                        (0..len).map(|_| next() % 100_000).collect()
+                    }).collect()
+                }).collect();
+                let case = ExchangeCase {
+                    cluster: members[n - 1] + 1 + usize::from(grouped),
+                    members,
+                    // The world all-to-all is plan setup; a group's rebuilds
+                    // the plan inside the recovery window.
+                    phase: if grouped { CommPhase::Recovery } else { CommPhase::Setup },
+                    sends,
+                    skew: (0..n)
+                        .map(|_| if next() % 4 == 0 { 0.0 } else { (next() % 64_000) as f64 * 1e-9 })
+                        .collect(),
+                };
+                let (want, got) = (oracle_exchange(&case), resident_exchange(&case, sparse));
+                prop_assert_eq!(want.len(), got.len());
+                for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                    prop_assert_eq!(w, g, "n={} grouped={} sparse={} index {}", n, grouped, sparse, i);
+                }
+            }
+        }
+    }
 
     // ~80 000 thread spawns: far too slow under Miri's interpreter, which
     // runs the scheduler through the small cluster unit tests instead.

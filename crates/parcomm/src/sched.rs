@@ -30,13 +30,22 @@
 //! * **Wake on match only.** A send marks a blocked matching receiver
 //!   runnable (at the virtual time it parked at) but does not preempt the
 //!   sender; the receiver runs when dispatch order reaches it.
-//! * **One rendezvous per collective.** An all-reduce or barrier
-//!   participant deposits `(entry clock, contribution)` and parks once.
-//!   The last arriver runs the whole recursive-doubling schedule for
-//!   everyone ([`run_rounds`]), marks the others runnable at their parked
-//!   virtual time, and keeps the baton — a completing collective never
-//!   preempts. Each rank then books only its own rounds, from the send
-//!   stamps in the shared [`CollOutcome`].
+//! * **One rendezvous per collective.** Every resident collective — an
+//!   all-reduce, a barrier, a personalized all-to-all — goes through the
+//!   same [`Scheduler::collective`]: a participant deposits its [`Part`]
+//!   in the one map of open collectives and parks once, the participant
+//!   count (and a reduction's operator and length) are compared there in
+//!   every build, and the last arriver finishes the collective for
+//!   everyone, leaves each parked participant its outcome, marks it
+//!   runnable at its parked virtual time, and keeps the baton — a
+//!   completing collective never preempts. An all-reduce deposits
+//!   `(entry clock, contribution)`, the last arriver runs the whole
+//!   recursive-doubling schedule ([`run_rounds`]) and each rank then books
+//!   its own rounds from the shared stamps. An all-to-all books its sends
+//!   *before* the rendezvous (their stamps depend on the sender's clock
+//!   alone), deposits the stamps with its non-empty payloads, and books
+//!   its receives afterwards from the shared stamp rows. No [`Message`] is
+//!   built for either.
 //! * **Direct hand-off.** The next node is chosen under the lock, the lock
 //!   is released, and only then is exactly that thread unparked. The woken
 //!   thread reads its own atomic flag and takes no lock to resume.
@@ -55,7 +64,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
 
 use crate::comm::ReduceOp;
-use crate::payload::Message;
+use crate::payload::{Message, Payload};
 use crate::tag::Tag;
 
 /// What a blocked node is waiting for.
@@ -64,7 +73,7 @@ pub(crate) enum BlockedOn {
     /// A message (`src: None` ⇒ from any source).
     Recv { src: Option<usize>, tag: Tag },
     /// The remaining participants of the collective open under `tag`.
-    Allreduce { tag: Tag },
+    Collective { tag: Tag },
 }
 
 /// The node lifecycle, as the scheduler sees it. (Failed-and-replaced
@@ -179,32 +188,66 @@ pub(crate) struct Deposit<'a> {
     pub n: usize,
     /// Participant index → global rank (`None` ⇒ identity: the world).
     pub members: Option<&'a [usize]>,
-    pub opr: ReduceOp,
-    /// The clock the participant's first round starts from.
-    pub entry: f64,
-    pub x: Vec<f64>,
-    /// `λ + len·µ`: what each of the schedule's messages costs.
-    pub msg_cost: f64,
+    pub part: Part,
 }
 
-/// A finished collective, shared by its participants.
+/// The kind-specific half of a [`Deposit`].
+pub(crate) enum Part {
+    /// An all-reduce or barrier contribution.
+    Reduce {
+        opr: ReduceOp,
+        /// The clock the participant's first round starts from.
+        entry: f64,
+        x: Vec<f64>,
+        /// `λ + len·µ`: what each of the schedule's messages costs.
+        msg_cost: f64,
+    },
+    /// A personalized all-to-all contribution, its sends already booked.
+    Exchange {
+        /// Arrival stamp of the send to each participant index (own: 0).
+        stamps: Vec<f64>,
+        /// The non-empty payloads, by ascending destination index.
+        sends: Vec<(usize, Payload)>,
+    },
+}
+
+impl Part {
+    /// What every participant must agree on besides the participant count:
+    /// a reduction's operator and length. An all-to-all is ragged — its
+    /// kind is already part of the tag.
+    fn shape(&self) -> Option<(ReduceOp, usize)> {
+        match self {
+            Part::Reduce { opr, x, .. } => Some((*opr, x.len())),
+            Part::Exchange { .. } => None,
+        }
+    }
+}
+
+/// A finished collective, as far as its participants share it.
 pub(crate) struct CollOutcome {
-    /// The reduced buffer, bitwise identical for every participant.
+    /// The reduced buffer, bitwise identical for every participant (empty
+    /// for an all-to-all).
     pub result: Vec<f64>,
-    /// `stamps[row][i]`: the arrival stamp of the message participant `i`
-    /// sent in round `row` of the schedule (0 where it sent none).
+    /// All-reduce: `stamps[row][i]` is the arrival stamp of the message
+    /// participant `i` sent in round `row` of the schedule (0 where it sent
+    /// none). All-to-all: `stamps[src][dst]` is the arrival stamp of the
+    /// message `src` booked for `dst`.
     pub stamps: Vec<Vec<f64>>,
 }
+
+/// What one participant takes home: the shared outcome and the payloads
+/// addressed to it, by ascending source index (all-to-all only).
+pub(crate) type Outcome = (Arc<CollOutcome>, Vec<(usize, Payload)>);
 
 /// A collective between its first and its last arrival.
 struct CollSlot {
     n: usize,
-    opr: ReduceOp,
-    len: usize,
+    /// The first arriver's [`Part::shape`].
+    shape: Option<(ReduceOp, usize)>,
     /// Rank of the first arriver (whom a mismatching peer is named against).
     first: usize,
     members: Option<Vec<usize>>,
-    deposits: Vec<Option<(f64, Vec<f64>)>>,
+    deposits: Vec<Option<Part>>,
     arrived: usize,
 }
 
@@ -215,6 +258,45 @@ impl CollSlot {
             .filter(|&i| self.deposits[i].is_none())
             .map(|i| self.members.as_ref().map_or(i, |m| m[i]))
             .collect()
+    }
+
+    /// All participants have arrived: the shared outcome and, per
+    /// participant index, the payloads addressed to it (walking the sources
+    /// in ascending order sorts each list by source).
+    fn finish(self) -> (CollOutcome, Vec<Vec<(usize, Payload)>>) {
+        let mut reduce = None;
+        let mut entries = Vec::new();
+        let mut stamps = Vec::new();
+        // A reduction hands nobody a payload: no lists then.
+        let lists = if self.shape.is_none() { self.n } else { 0 };
+        let mut recvd: Vec<Vec<_>> = (0..lists).map(|_| Vec::new()).collect();
+        for (src, part) in self.deposits.into_iter().flatten().enumerate() {
+            match part {
+                Part::Reduce {
+                    opr,
+                    entry,
+                    x,
+                    msg_cost,
+                } => {
+                    reduce = Some((opr, msg_cost));
+                    entries.push((entry, x));
+                }
+                Part::Exchange { stamps: row, sends } => {
+                    stamps.push(row);
+                    for (dst, payload) in sends {
+                        recvd[dst].push((src, payload));
+                    }
+                }
+            }
+        }
+        let shared = match reduce {
+            Some((opr, msg_cost)) => run_rounds(RdShape::new(self.n), opr, msg_cost, entries),
+            None => CollOutcome {
+                result: Vec::new(),
+                stamps,
+            },
+        };
+        (shared, recvd)
     }
 }
 
@@ -302,10 +384,12 @@ struct SchedInner {
     /// Per-rank unexpected-message queue, in delivery order. One queue per
     /// receiver: per-source deques cost 30 % more resident memory at
     /// N = 512 and bought no wall time. Sized up front, by the harness
-    /// thread, for the largest burst a collective produces (an all-to-all
-    /// parks N − 1 messages; untouched capacity is never resident):
-    /// growing and shrinking per burst from the node threads fragmented
-    /// their malloc arenas, +25 MB peak RSS over 25 runs at N = 512.
+    /// thread, for the largest burst a collective still produces (a gather
+    /// parks N − 1 messages at its root; a ghost exchange a node's degree;
+    /// the resident collectives none — and untouched capacity is never
+    /// resident): growing and shrinking per burst from the node threads
+    /// fragmented their malloc arenas, +25 MB peak RSS over 25 runs at
+    /// N = 512.
     queues: Vec<VecDeque<Message>>,
     /// Runnable nodes keyed by `(vtime bits, rank)`. Virtual times are
     /// non-negative, so their bit patterns order like the values; ties
@@ -315,7 +399,7 @@ struct SchedInner {
     colls: HashMap<Tag, CollSlot>,
     /// Per rank: the outcome of the collective it is parked in, left by the
     /// last arriver for pick-up.
-    outcomes: Vec<Option<Arc<CollOutcome>>>,
+    outcomes: Vec<Option<Outcome>>,
     /// First rank whose program panicked; set before waking everyone so
     /// woken peers can name the culprit.
     abort: Option<usize>,
@@ -363,7 +447,7 @@ impl Scheduler {
                 queues: (0..n).map(|_| VecDeque::with_capacity(n)).collect(),
                 runnable: (0..n).map(|r| Reverse((0, r))).collect(),
                 colls: HashMap::new(),
-                outcomes: vec![None; n],
+                outcomes: (0..n).map(|_| None).collect(),
                 abort: None,
                 deadlock: None,
                 #[cfg(feature = "audit")]
@@ -453,58 +537,65 @@ impl Scheduler {
 
     /// Join the collective open under `d.tag` and return its outcome once
     /// all `d.n` participants have arrived. Everyone but the last arriver
-    /// parks here (at `vtime`); the last arriver runs the schedule, leaves
-    /// each of them the outcome, and returns without giving up the baton.
+    /// parks here (at `vtime`); the last arriver finishes the collective,
+    /// leaves each of them its outcome, and returns without giving up the
+    /// baton.
     ///
     /// # Panics
-    /// `[collective-mismatch]` when this participant's operator, length or
-    /// participant count disagrees with the first arriver's.
-    pub(crate) fn allreduce(&self, rank: usize, d: Deposit<'_>, vtime: f64) -> Arc<CollOutcome> {
+    /// `[collective-mismatch]` when this participant's participant count —
+    /// or, for a reduction, operator or length — disagrees with the first
+    /// arriver's.
+    pub(crate) fn collective(&self, rank: usize, d: Deposit<'_>, vtime: f64) -> Outcome {
+        let (tag, n, shape) = (d.tag, d.n, d.part.shape());
         let mut g = self.lock();
         let inner = &mut *g;
-        let slot = inner.colls.entry(d.tag).or_insert_with(|| CollSlot {
-            n: d.n,
-            opr: d.opr,
-            len: d.x.len(),
+        let slot = inner.colls.entry(tag).or_insert_with(|| CollSlot {
+            n,
+            shape,
             first: rank,
             members: d.members.map(<[usize]>::to_vec),
-            deposits: vec![None; d.n],
+            deposits: (0..n).map(|_| None).collect(),
             arrived: 0,
         });
-        if (slot.n, slot.opr, slot.len) != (d.n, d.opr, d.x.len()) {
+        if (slot.n, slot.shape) != (n, shape) {
+            let issued = |shape: Option<(ReduceOp, usize)>, n: usize| match shape {
+                Some((opr, len)) => format!("{opr:?} len {len} on {n} members"),
+                None => format!("an all-to-all on {n} members"),
+            };
             let report = format!(
-                "[collective-mismatch] tag {}: rank {} issued {:?} len {} on {} members \
-                 but rank {rank} issued {:?} len {} on {} members",
-                d.tag.describe(),
+                "[collective-mismatch] tag {}: rank {} issued {} but rank {rank} issued {}",
+                tag.describe(),
                 slot.first,
-                slot.opr,
-                slot.len,
-                slot.n,
-                d.opr,
-                d.x.len(),
-                d.n,
+                issued(slot.shape, slot.n),
+                issued(shape, n),
             );
             // Panicking under the lock would poison it and hang teardown.
             drop(g);
             panic!("{report}");
         }
-        slot.deposits[d.index] = Some((d.entry, d.x));
+        slot.deposits[d.index] = Some(d.part);
         slot.arrived += 1;
         if slot.arrived < slot.n {
-            self.park(g, rank, BlockedOn::Allreduce { tag: d.tag }, vtime);
+            self.park(g, rank, BlockedOn::Collective { tag }, vtime);
             let out = self.lock().outcomes[rank].take();
             return out.expect("woken by the last arriver");
         }
-        let slot = inner.colls.remove(&d.tag).expect("slot just used");
-        let deposits = slot.deposits.into_iter().flatten().collect();
-        let out = Arc::new(run_rounds(RdShape::new(d.n), d.opr, d.msg_cost, deposits));
-        for peer in (0..d.n).map(|i| d.members.map_or(i, |m| m[i])) {
-            if let NodeState::Blocked { vtime, .. } = inner.state[peer] {
-                inner.outcomes[peer] = Some(out.clone());
+        let slot = inner.colls.remove(&tag).expect("slot just used");
+        let (shared, recvd) = slot.finish();
+        let shared = Arc::new(shared);
+        let mut recvd = recvd.into_iter();
+        let mut mine = Vec::new();
+        for i in 0..n {
+            let got = recvd.next().unwrap_or_default();
+            let peer = d.members.map_or(i, |m| m[i]);
+            if i == d.index {
+                mine = got;
+            } else if let NodeState::Blocked { vtime, .. } = inner.state[peer] {
+                inner.outcomes[peer] = Some((shared.clone(), got));
                 inner.make_runnable(peer, vtime);
             }
         }
-        out
+        (shared, mine)
     }
 
     /// `rank`'s program returned cleanly; hand the baton on.
@@ -670,10 +761,11 @@ fn deadlock_report(state: &[NodeState], colls: &HashMap<Tag, CollSlot>) -> Strin
         Some(BlockedOn::Recv { src: None, tag }) => {
             format!("rank {r} blocked in recv_any(tag {})", tag.describe())
         }
-        Some(BlockedOn::Allreduce { tag }) => {
+        Some(BlockedOn::Collective { tag }) => {
             let slot = &colls[&tag];
             format!(
-                "rank {r} blocked in allreduce(tag {}): {} of {} arrived, missing ranks {:?}",
+                "rank {r} blocked in {}(tag {}): {} of {} arrived, missing ranks {:?}",
+                slot.shape.map_or("alltoall", |_| "allreduce"),
                 tag.describe(),
                 slot.arrived,
                 slot.n,
@@ -691,7 +783,7 @@ fn deadlock_report(state: &[NodeState], colls: &HashMap<Tag, CollSlot>) -> Strin
         let cur = *chain.last().expect("chain non-empty");
         let waits_for = match blocked_on(cur).expect("chain members are blocked") {
             BlockedOn::Recv { src, .. } => src,
-            BlockedOn::Allreduce { tag } => colls[&tag].missing().first().copied(),
+            BlockedOn::Collective { tag } => colls[&tag].missing().first().copied(),
         };
         let join = |ranks: &[usize], sep: &str| {
             let described: Vec<String> = ranks.iter().map(|&r| describe(r)).collect();
@@ -880,6 +972,45 @@ mod tests {
     }
 
     #[test]
+    fn participant_count_mismatch_panics_outside_the_lock() {
+        // A world or group all-to-all cannot disagree on its size through
+        // the public API (the tag scopes the communicator), so plant the
+        // first arriver's slot and arrive with another count.
+        let s = Scheduler::new(3);
+        let tag = Tag::coll(crate::tag::op::ALLTOALL, 0);
+        let exchange = |n: usize| Part::Exchange {
+            stamps: vec![0.0; n],
+            sends: Vec::new(),
+        };
+        let slot = CollSlot {
+            n: 2,
+            shape: None,
+            first: 0,
+            members: None,
+            deposits: vec![Some(exchange(2)), None],
+            arrived: 1,
+        };
+        s.lock().colls.insert(tag, slot);
+        let late = Deposit {
+            tag,
+            index: 1,
+            n: 3,
+            members: None,
+            part: exchange(3),
+        };
+        let join = std::panic::AssertUnwindSafe(|| s.collective(1, late, 0.0));
+        let err = std::panic::catch_unwind(join).err().expect("refused");
+        assert_eq!(
+            err.downcast_ref::<String>().expect("a formatted report"),
+            "[collective-mismatch] tag coll(alltoall, seq 0): rank 0 issued an all-to-all \
+             on 2 members but rank 1 issued an all-to-all on 3 members"
+        );
+        // Raised with the lock released: the scheduler is not poisoned and
+        // the open collective is as the first arriver left it.
+        assert_eq!(s.lock().colls[&tag].arrived, 1);
+    }
+
+    #[test]
     fn report_names_cycles() {
         let state = vec![
             blocked(Some(1), Tag::user(1)),
@@ -918,35 +1049,49 @@ mod tests {
     fn report_names_missing_collective_participants() {
         // Group members {1, 4, 6}: 1 and 6 arrived, 4 waits on a receive
         // from terminated rank 0 — the walk follows the missing rank.
-        let tag = Tag::coll(crate::tag::op::ALLREDUCE, 3);
-        let in_coll = NodeState::Blocked {
-            on: BlockedOn::Allreduce { tag },
-            vtime: 0.0,
+        // Both kinds of resident collective park in the same slot map.
+        let part = |kind: u8| match kind {
+            crate::tag::op::ALLTOALL => Part::Exchange {
+                stamps: vec![0.0; 3],
+                sends: Vec::new(),
+            },
+            _ => Part::Reduce {
+                opr: ReduceOp::Sum,
+                entry: 0.0,
+                x: vec![1.0],
+                msg_cost: 1.0,
+            },
         };
-        let mut state = vec![NodeState::Done; 7];
-        state[1] = in_coll.clone();
-        state[6] = in_coll;
-        state[4] = blocked(Some(0), Tag::user(2));
-        let slot = CollSlot {
-            n: 3,
-            opr: ReduceOp::Sum,
-            len: 1,
-            first: 6,
-            members: Some(vec![1, 4, 6]),
-            deposits: vec![Some((0.0, vec![1.0])), None, Some((0.0, vec![1.0]))],
-            arrived: 2,
-        };
-        let r = deadlock_report(&state, &HashMap::from([(tag, slot)]));
-        assert!(
-            r.contains(
-                "rank 1 blocked in allreduce(tag coll(allreduce, seq 3)): \
+        use crate::tag::op::{ALLREDUCE, ALLTOALL};
+        for (kind, name) in [(ALLREDUCE, "allreduce"), (ALLTOALL, "alltoall")] {
+            let part = || part(kind);
+            let tag = Tag::coll(kind, 3);
+            let in_coll = NodeState::Blocked {
+                on: BlockedOn::Collective { tag },
+                vtime: 0.0,
+            };
+            let mut state = vec![NodeState::Done; 7];
+            state[1] = in_coll.clone();
+            state[6] = in_coll;
+            state[4] = blocked(Some(0), Tag::user(2));
+            let slot = CollSlot {
+                n: 3,
+                shape: part().shape(),
+                first: 6,
+                members: Some(vec![1, 4, 6]),
+                deposits: vec![Some(part()), None, Some(part())],
+                arrived: 2,
+            };
+            let r = deadlock_report(&state, &HashMap::from([(tag, slot)]));
+            let parked = format!(
+                "rank 1 blocked in {name}(tag coll({name}, seq 3)): \
                  2 of 3 arrived, missing ranks [4]"
-            ),
-            "{r}"
-        );
-        assert!(
-            r.ends_with("-> rank 4 blocked in recv(src 0, tag user(2)) -> rank 0 (terminated)"),
-            "{r}"
-        );
+            );
+            assert!(r.contains(&parked), "{r}");
+            assert!(
+                r.ends_with("-> rank 4 blocked in recv(src 0, tag user(2)) -> rank 0 (terminated)"),
+                "{r}"
+            );
+        }
     }
 }

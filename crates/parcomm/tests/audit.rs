@@ -254,6 +254,42 @@ fn collective_across_attempt_windows_is_caught() {
     assert!(msg.contains("recovery window 2"), "{msg}");
 }
 
+#[test]
+fn alltoall_across_attempt_windows_is_caught() {
+    // The all-to-all is scheduler-resident too: its N − 1 messages per rank
+    // are booked, never delivered, so there is no stamp for a receive to
+    // compare — the `Coll` record's window is the only guard a plan rebuilt
+    // from two recovery attempts has.
+    let msg = expect_panic(|ctx| {
+        ctx.audit_enter_window(1 + ctx.rank() as u32);
+        let got = ctx.alltoallv_u64(vec![vec![7], vec![8]]);
+        ctx.audit_exit_window();
+        got
+    });
+    assert!(msg.contains("[tag-window]"), "{msg}");
+    assert!(msg.contains("world collective seq 0 (alltoall"), "{msg}");
+    assert!(
+        msg.contains("rank 0 joined from recovery window 1"),
+        "{msg}"
+    );
+    assert!(
+        msg.contains("rank 1 joined from recovery window 2"),
+        "{msg}"
+    );
+
+    let msg = expect_panic(|ctx| {
+        let mut g = ctx.group(&[0, 1]);
+        ctx.audit_enter_window(1 + ctx.rank() as u32);
+        let sends = vec![(1 - ctx.rank(), vec![7])];
+        let got = g.alltoallv_sparse_u64(ctx, sends, CommPhase::Recovery);
+        ctx.audit_exit_window();
+        got
+    });
+    assert!(msg.contains("[tag-window] group"), "{msg}");
+    assert!(msg.contains("recovery window 1"), "{msg}");
+    assert!(msg.contains("recovery window 2"), "{msg}");
+}
+
 // ---- (5) deadlock detection -----------------------------------------------
 
 #[test]

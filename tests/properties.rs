@@ -51,6 +51,7 @@ proptest! {
                     .collect()
             })
             .collect();
+        let send_natural = send_natural.into();
         let extras = esr_core::redundancy::compute_extra_sends(
             0,
             nodes,
