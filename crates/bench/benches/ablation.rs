@@ -7,14 +7,20 @@
 //! 3. bandwidth-reducing RCM reordering before partitioning — the paper's
 //!    "future work" direction for scattered patterns (Sec. 8).
 
-use esr_bench::{banner, run_failure_case, write_csv, BenchConfig, FailLocation};
-use esr_core::{analysis, run_pcg, BackupStrategy, Problem, SolverConfig};
+//!
+//! The reference runs and the paper-configuration runs (Eqn. 6 placement,
+//! exact inner solver) are cells of the evaluation grid; the variants are
+//! solved beside them through the same runner.
+
+use esr_bench::{banner, write_csv, FailLocation, Run, Suite};
+use esr_core::{analysis, BackupStrategy, Problem, SolverConfig};
 use parcomm::FailureScript;
 use sparsemat::gen::suite::PaperMatrix;
 use sparsemat::BlockPartition;
 
 fn main() {
-    let cfgb = BenchConfig::from_env();
+    let mut suite = Suite::from_env();
+    let cfgb = suite.cfg.clone();
     banner("Ablations — placement strategy / inner solver / RCM", &cfgb);
     let mut csv = Vec::new();
 
@@ -25,27 +31,19 @@ fn main() {
         "ID", "eqn5+6 (paper)", "consecutive", "full-block"
     );
     for &id in &cfgb.matrices {
-        let problem = cfgb.problem(id);
-        let t0 = run_pcg(
-            &problem,
-            cfgb.nodes,
-            &SolverConfig::reference(),
-            cfgb.cost,
-            FailureScript::none(),
-        )
-        .unwrap();
-        let mut ovh = Vec::new();
+        let problem = suite.problem(id);
+        let t0 = suite.cell(id, Run::Reference).vtime;
+        let paper = suite.cell(id, Run::Undisturbed { phi: 3 });
+        let mut ovh = vec![100.0 * (paper.vtime / t0 - 1.0)];
         for strategy in [
-            BackupStrategy::Minimal,
             BackupStrategy::MinimalConsecutive,
             BackupStrategy::FullBlock,
         ] {
             let mut cfg = SolverConfig::resilient(3);
             cfg.resilience.as_mut().unwrap().strategy = strategy;
-            let res =
-                run_pcg(&problem, cfgb.nodes, &cfg, cfgb.cost, FailureScript::none()).unwrap();
+            let res = suite.solve(&problem, &cfg, FailureScript::none());
             assert!(res.converged);
-            ovh.push(100.0 * (res.vtime / t0.vtime - 1.0));
+            ovh.push(100.0 * (res.vtime / t0 - 1.0));
         }
         println!(
             "{:<4} {:>15.1}% {:>15.1}% {:>15.1}%",
@@ -64,35 +62,20 @@ fn main() {
     println!("\n[2] reconstruction inner solver (3 failures at center, rec time % of t0):");
     println!("{:<4} {:>14} {:>14}", "ID", "exact LDLᵀ", "ILU(0)+PCG");
     for &id in &cfgb.matrices {
-        let problem = cfgb.problem(id);
-        let reference = run_pcg(
-            &problem,
-            cfgb.nodes,
-            &SolverConfig::reference(),
-            cfgb.cost,
-            FailureScript::none(),
-        )
-        .unwrap();
-        let mut recs = Vec::new();
-        for exact in [true, false] {
-            let mut cfg = SolverConfig::resilient(3);
-            cfg.resilience
-                .as_mut()
-                .unwrap()
-                .recovery
-                .exact_block_precond = exact;
-            let res = run_failure_case(
-                &cfgb,
-                &problem,
-                &cfg,
-                3,
-                FailLocation::Center,
-                0.5,
-                reference.iterations,
-            );
-            assert!(res.converged);
-            recs.push(100.0 * res.vtime_recovery / reference.vtime);
-        }
+        let problem = suite.problem(id);
+        let t0 = suite.cell(id, Run::Reference).vtime;
+        let (phi, loc, progress) = (3, FailLocation::Center, 0.5);
+        let exact = suite.cell(id, Run::Failure { phi, loc, progress });
+        let mut ilu = SolverConfig::resilient(phi);
+        ilu.resilience
+            .as_mut()
+            .unwrap()
+            .recovery
+            .exact_block_precond = false;
+        let script = suite.failures(id, phi, loc, progress);
+        let res = suite.solve(&problem, &ilu, script);
+        assert!(res.converged);
+        let recs = [exact.vtime_recovery, res.vtime_recovery].map(|rec| 100.0 * rec / t0);
         println!(
             "{:<4} {:>13.2}% {:>13.2}%",
             format!("{id:?}"),
@@ -118,22 +101,8 @@ fn main() {
     );
     for (label, mat) in [("natural", a), ("rcm", a_rcm)] {
         let problem = Problem::with_random_rhs(mat, 77);
-        let t0 = run_pcg(
-            &problem,
-            cfgb.nodes,
-            &SolverConfig::reference(),
-            cfgb.cost,
-            FailureScript::none(),
-        )
-        .unwrap();
-        let res = run_pcg(
-            &problem,
-            cfgb.nodes,
-            &SolverConfig::resilient(3),
-            cfgb.cost,
-            FailureScript::none(),
-        )
-        .unwrap();
+        let t0 = suite.solve(&problem, &SolverConfig::reference(), FailureScript::none());
+        let res = suite.solve(&problem, &SolverConfig::resilient(3), FailureScript::none());
         assert!(res.converged);
         let ovh = 100.0 * (res.vtime / t0.vtime - 1.0);
         println!(

@@ -8,13 +8,14 @@
 //!   redundancy is free;
 //! * cross-check: elements measured on the wire == predicted per iteration.
 
-use esr_bench::{banner, write_csv, BenchConfig};
-use esr_core::{analysis, run_pcg, BackupStrategy, SolverConfig};
+use esr_bench::{banner, write_csv, Suite};
+use esr_core::{analysis, BackupStrategy, SolverConfig};
 use parcomm::{CommPhase, FailureScript};
 use sparsemat::BlockPartition;
 
 fn main() {
-    let cfgb = BenchConfig::from_env();
+    let mut suite = Suite::from_env();
+    let cfgb = suite.cfg.clone();
     banner("Analysis — redundancy traffic vs. Sec. 4.2 bounds", &cfgb);
     println!(
         "{:<4} {:>3} | {:>11} {:>11} {:>11} | {:>12} {:>8} | {:>10} {:>9}",
@@ -31,7 +32,7 @@ fn main() {
 
     let mut csv = Vec::new();
     for &id in &cfgb.matrices {
-        let problem = cfgb.problem(id);
+        let problem = suite.problem(id);
         let a = &problem.a;
         let part = BlockPartition::new(a.n_rows(), cfgb.nodes);
         let pattern = sparsemat::analysis::analyze(a, &part);
@@ -41,8 +42,7 @@ fn main() {
             // Measure actual wire traffic in a short resilient run.
             let mut cfg = SolverConfig::resilient(phi);
             cfg.max_iter = 10_000;
-            let res =
-                run_pcg(&problem, cfgb.nodes, &cfg, cfgb.cost, FailureScript::none()).unwrap();
+            let res = suite.solve(&problem, &cfg, FailureScript::none());
             assert!(res.converged);
             let measured_per_iter =
                 res.stats.elems(CommPhase::Redundancy) as f64 / res.iterations as f64;

@@ -11,8 +11,8 @@
 //! neighbour checkpointing on the same ring partners as ESR's Eqn. (5)
 //! (the strongest practical C/R variant).
 
-use esr_bench::{banner, write_csv, BenchConfig, FailLocation};
-use esr_core::{run_pcg, CrConfig, Protection, SolverConfig};
+use esr_bench::{banner, write_csv, FailLocation, Run, Suite};
+use esr_core::{CrConfig, Protection, SolverConfig};
 use parcomm::FailureScript;
 
 /// The ESR solver configuration with its protection swapped to periodic
@@ -27,8 +27,8 @@ fn cr_solver(psi: usize, cr: &CrConfig) -> SolverConfig {
 }
 
 fn main() {
-    let cfgb = BenchConfig::from_env();
-    banner("Baseline — ESR vs. diskless checkpoint/restart", &cfgb);
+    let mut suite = Suite::from_env();
+    banner("Baseline — ESR vs. diskless checkpoint/restart", &suite.cfg);
 
     println!(
         "{:<4} | {:>11} {:>11} | {:>11} {:>11} {:>11} | {:>11} {:>11}",
@@ -42,54 +42,25 @@ fn main() {
         "CR20 redo"
     );
     let mut csv = Vec::new();
-    for &id in &cfgb.matrices {
-        let problem = cfgb.problem(id);
-        let reference = run_pcg(
-            &problem,
-            cfgb.nodes,
-            &SolverConfig::reference(),
-            cfgb.cost,
-            FailureScript::none(),
-        )
-        .unwrap();
-        let t0 = reference.vtime;
-        let psi = 3usize;
-        let fail_at = ((reference.iterations / 2) as u64).max(1);
-        let script = FailureScript::simultaneous(
-            fail_at,
-            FailLocation::Center.first_rank(cfgb.nodes),
-            psi,
-            cfgb.nodes,
-        );
-        let solver = SolverConfig::resilient(psi);
+    for id in suite.cfg.matrices.clone() {
+        let problem = suite.problem(id);
+        let t0 = suite.cell(id, Run::Reference).vtime;
+        let (psi, loc, progress) = (3usize, FailLocation::Center, 0.5);
 
-        // ESR.
-        let esr_u = run_pcg(
-            &problem,
-            cfgb.nodes,
-            &solver,
-            cfgb.cost,
-            FailureScript::none(),
-        )
-        .unwrap();
-        let esr_f = run_pcg(&problem, cfgb.nodes, &solver, cfgb.cost, script.clone()).unwrap();
-        assert!(esr_u.converged && esr_f.converged);
+        // ESR: the paper-configuration cells of the grid (φ = ψ).
+        let phi = psi;
+        let esr_u = suite.cell(id, Run::Undisturbed { phi });
+        let esr_f = suite.cell(id, Run::Failure { phi, loc, progress });
 
         // C/R with two checkpoint intervals; copies = ψ for equal
         // fault-tolerance level. Same entry point as ESR — the protection
         // flavor is a field of the solver configuration.
         let cr5 = cr_solver(psi, &CrConfig::default().with_interval(5).with_copies(psi));
         let cr20 = cr_solver(psi, &CrConfig::default().with_interval(20).with_copies(psi));
-        let cr5_u = run_pcg(&problem, cfgb.nodes, &cr5, cfgb.cost, FailureScript::none()).unwrap();
-        let cr20_u = run_pcg(
-            &problem,
-            cfgb.nodes,
-            &cr20,
-            cfgb.cost,
-            FailureScript::none(),
-        )
-        .unwrap();
-        let cr20_f = run_pcg(&problem, cfgb.nodes, &cr20, cfgb.cost, script).unwrap();
+        let cr5_u = suite.solve(&problem, &cr5, FailureScript::none());
+        let cr20_u = suite.solve(&problem, &cr20, FailureScript::none());
+        let script = suite.failures(id, psi, loc, progress);
+        let cr20_f = suite.solve(&problem, &cr20, script);
         assert!(cr5_u.converged && cr20_u.converged && cr20_f.converged);
         assert_eq!(cr20_f.recoveries, 1, "the rollback must have fired");
 

@@ -3,15 +3,6 @@
 //! the paper's favourable wide-band case, where the reconstruction is
 //! nearly free and the overhead comes from the redundant-copy traffic.
 
-use esr_bench::figures::figure;
-use esr_bench::FailLocation;
-use sparsemat::gen::suite::PaperMatrix;
-
 fn main() {
-    figure(
-        "fig1",
-        "Figure 1 — M5' (Emilia_923 analog), failures at center ranks",
-        PaperMatrix::M5,
-        FailLocation::Center,
-    );
+    esr_bench::views::figure(&mut esr_bench::Suite::from_env(), 1);
 }

@@ -4,15 +4,6 @@
 //! *faster* than the failure-free run when the reconstruction slightly
 //! reduces the remaining iteration count.
 
-use esr_bench::figures::figure;
-use esr_bench::FailLocation;
-use sparsemat::gen::suite::PaperMatrix;
-
 fn main() {
-    figure(
-        "fig2",
-        "Figure 2 — M1' (parabolic_fem analog), failures at start ranks",
-        PaperMatrix::M1,
-        FailLocation::Start,
-    );
+    esr_bench::views::figure(&mut esr_bench::Suite::from_env(), 2);
 }

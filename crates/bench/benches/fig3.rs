@@ -4,15 +4,6 @@
 //! undisturbed overhead with the number of copies held, yet the smallest
 //! relative overheads overall (~2.5% for three failures, ~10% for eight).
 
-use esr_bench::figures::figure;
-use esr_bench::FailLocation;
-use sparsemat::gen::suite::PaperMatrix;
-
 fn main() {
-    figure(
-        "fig3",
-        "Figure 3 — M8' (audikw_1 analog), failures at center ranks",
-        PaperMatrix::M8,
-        FailLocation::Center,
-    );
+    esr_bench::views::figure(&mut esr_bench::Suite::from_env(), 3);
 }

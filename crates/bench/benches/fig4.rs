@@ -3,60 +3,6 @@
 //! the iteration at which failures strike has little influence on the
 //! total runtime (the reconstruction cost is progress-independent).
 
-use esr_bench::{banner, run_failure_case, write_csv, BenchConfig, FailLocation};
-use esr_core::{run_pcg, SolverConfig};
-use parcomm::FailureScript;
-use sparsemat::gen::suite::PaperMatrix;
-
 fn main() {
-    let cfgb = BenchConfig::from_env();
-    banner(
-        "Figure 4 — M5', three failures at center, vs. injection progress",
-        &cfgb,
-    );
-    let problem = cfgb.problem(PaperMatrix::M5);
-    let reference = run_pcg(
-        &problem,
-        cfgb.nodes,
-        &SolverConfig::reference(),
-        cfgb.cost,
-        FailureScript::none(),
-    )
-    .unwrap();
-    assert!(reference.converged);
-    println!(
-        "reference t0 = {:.3} ms ({} iterations)\n",
-        reference.vtime * 1e3,
-        reference.iterations
-    );
-    println!(
-        "{:>9} | {:>12} | {:>14} | {:>10}",
-        "progress", "time [ms]", "rec time [ms]", "iters"
-    );
-    let solver = SolverConfig::resilient(3);
-    let mut csv = Vec::new();
-    for &pr in &cfgb.progress {
-        let res = run_failure_case(
-            &cfgb,
-            &problem,
-            &solver,
-            3,
-            FailLocation::Center,
-            pr,
-            reference.iterations,
-        );
-        assert!(res.converged);
-        println!(
-            "{:>8.0}% | {:>12.3} | {:>14.4} | {:>10}",
-            pr * 100.0,
-            res.vtime * 1e3,
-            res.vtime_recovery * 1e3,
-            res.iterations
-        );
-        csv.push(format!(
-            "{pr},{:.6},{:.6},{}",
-            res.vtime, res.vtime_recovery, res.iterations
-        ));
-    }
-    write_csv("fig4.csv", "progress,time_s,recovery_s,iterations", &csv);
+    esr_bench::views::figure(&mut esr_bench::Suite::from_env(), 4);
 }

@@ -53,7 +53,7 @@
 
 use std::time::Instant;
 
-use esr_bench::{write_json, BenchConfig};
+use esr_bench::{env_list, write_json, BenchConfig};
 use esr_core::{
     run, run_pcg, run_pipecg, ExperimentResult, RecoveryPolicy, SolverConfig, SolverKind,
 };
@@ -99,13 +99,7 @@ const INSTR_OFF_PCG: &[(usize, usize, f64)] = &[
 ];
 
 fn report_nodes() -> Vec<usize> {
-    match std::env::var("ESR_REPORT_NODES") {
-        Ok(s) if !s.trim().is_empty() => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("bad ESR_REPORT_NODES"))
-            .collect(),
-        _ => vec![4, 8, 13, 16, 32, 64],
-    }
+    env_list("ESR_REPORT_NODES", "a node count").unwrap_or_else(|| vec![4, 8, 13, 16, 32, 64])
 }
 
 fn json_f(x: f64) -> String {
@@ -540,13 +534,8 @@ fn policy_matrix_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
 const SCALE_WALL_BUDGET_S: f64 = 20.0;
 
 fn scale_nodes() -> Vec<usize> {
-    match std::env::var("ESR_SCALE_REPORT_NODES") {
-        Ok(s) if !s.trim().is_empty() => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("bad ESR_SCALE_REPORT_NODES"))
-            .collect(),
-        _ => vec![16, 64, 128, 256, 1024],
-    }
+    env_list("ESR_SCALE_REPORT_NODES", "a node count")
+        .unwrap_or_else(|| vec![16, 64, 128, 256, 1024])
 }
 
 /// The scaling sweep (`BENCH_scale.json`): fixed work — the same M1

@@ -4,52 +4,6 @@
 //! SuiteSparse matrices, so the scale factor and pattern classes are
 //! explicit for every other experiment.
 
-use esr_bench::{banner, write_csv, BenchConfig};
-use sparsemat::gen::suite::spec;
-use sparsemat::order::mean_row_bandwidth;
-
 fn main() {
-    let cfgb = BenchConfig::from_env();
-    banner("Table 1 — SPD test matrices (synthetic analogs)", &cfgb);
-
-    println!(
-        "{:<4} {:<15} {:<20} {:>9} {:>10} | {:>9} {:>11} {:>9} | pattern",
-        "ID", "stands for", "problem type", "paper n", "paper nnz", "n", "nnz", "nnz/row"
-    );
-    let mut rows = Vec::new();
-    for &id in &cfgb.matrices {
-        let s = spec(id);
-        let a = sparsemat::gen::generate(id, cfgb.scale);
-        let per_row = a.nnz() as f64 / a.n_rows() as f64;
-        println!(
-            "{:<4} {:<15} {:<20} {:>9} {:>10} | {:>9} {:>11} {:>9.1} | {} (mean row bw {:.0})",
-            format!("{:?}", id),
-            s.paper_name,
-            s.problem_type,
-            s.paper_n,
-            s.paper_nnz,
-            a.n_rows(),
-            a.nnz(),
-            per_row,
-            s.pattern,
-            mean_row_bandwidth(&a),
-        );
-        rows.push(format!(
-            "{:?},{},{},{},{},{},{},{:.2},{}",
-            id,
-            s.paper_name,
-            s.problem_type,
-            s.paper_n,
-            s.paper_nnz,
-            a.n_rows(),
-            a.nnz(),
-            per_row,
-            s.pattern
-        ));
-    }
-    write_csv(
-        "table1.csv",
-        "id,paper_name,problem_type,paper_n,paper_nnz,n,nnz,nnz_per_row,pattern",
-        &rows,
-    );
+    esr_bench::views::table1(&mut esr_bench::Suite::from_env());
 }

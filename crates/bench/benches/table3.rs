@@ -5,60 +5,6 @@
 //! reduction — reconstruction with inner tolerance 10⁻¹⁴ does not degrade
 //! the solver's accuracy.
 
-use esr_bench::{banner, run_failure_case, write_csv, BenchConfig, FailLocation};
-use esr_core::{run_pcg, SolverConfig};
-use parcomm::FailureScript;
-
 fn main() {
-    let cfgb = BenchConfig::from_env();
-    banner("Table 3 — relative residual deviation (Eqn. 7)", &cfgb);
-    println!("{:<4} {:>14} {:>14}", "ID", "max ∆ESR", "∆PCG");
-
-    let mut csv = Vec::new();
-    for &id in &cfgb.matrices {
-        let problem = cfgb.problem(id);
-        let reference = run_pcg(
-            &problem,
-            cfgb.nodes,
-            &SolverConfig::reference(),
-            cfgb.cost,
-            FailureScript::none(),
-        )
-        .unwrap();
-        assert!(reference.converged);
-        let delta_pcg = reference.residual_deviation;
-
-        // Largest-magnitude deviation over all failure experiments.
-        let mut max_esr = 0.0f64;
-        for phi in [1usize, 3, 8] {
-            let solver = SolverConfig::resilient(phi);
-            for loc in [FailLocation::Start, FailLocation::Center] {
-                for &pr in &cfgb.progress {
-                    let res = run_failure_case(
-                        &cfgb,
-                        &problem,
-                        &solver,
-                        phi,
-                        loc,
-                        pr,
-                        reference.iterations,
-                    );
-                    assert!(res.converged);
-                    if res.residual_deviation.abs() >= max_esr.abs() {
-                        max_esr = res.residual_deviation;
-                    }
-                }
-            }
-        }
-        println!(
-            "{:<4} {:>14.2e} {:>14.2e}",
-            format!("{id:?}"),
-            max_esr,
-            delta_pcg
-        );
-        csv.push(format!("{id:?},{max_esr:e},{delta_pcg:e}"));
-    }
-    write_csv("table3.csv", "id,max_delta_esr,delta_pcg", &csv);
-    println!("\n(the paper reports deviations of 1e-8 .. 1e-3; both solvers'");
-    println!(" deviations must stay comparable and tiny vs. the 1e8 reduction)");
+    esr_bench::views::table3(&mut esr_bench::Suite::from_env());
 }

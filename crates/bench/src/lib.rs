@@ -1,6 +1,10 @@
 //! Shared infrastructure for the benchmark harnesses that regenerate the
 //! paper's tables and figures (see EXPERIMENTS.md for the mapping).
 //!
+//! The paper's evaluation is one grid of solves ([`suite`]); its tables and
+//! figures are [`views`] that only format cells, and every harness main
+//! asks one [`Suite`] for the cells it shows.
+//!
 //! Configuration via environment variables:
 //!
 //! | variable | default | meaning |
@@ -8,18 +12,22 @@
 //! | `ESR_SCALE` | `0.01` | problem size as a fraction of the paper's (1.0 ≈ paper) |
 //! | `ESR_NODES` | `128` | simulated cluster size N (the paper's 128) |
 //! | `ESR_MATRICES` | all | comma list, e.g. `M1,M5,M8` |
-//! | `ESR_PROGRESS` | `0.2,0.5,0.8` | failure-injection progress points |
-//! | `ESR_REPS` | `1` | repetitions (virtual time is deterministic) |
+//! | `ESR_PROGRESS` | `0.2,0.5,0.8` | failure-injection progress points, each inside (0, 1) |
 //!
-//! The virtual BSP clock (λ–µ–γ model, paper Sec. 4.2) is deterministic,
-//! so a single repetition yields exact numbers; variation across the
-//! progress points reproduces the spread the paper aggregates over.
+//! A variable that is set to something that does not parse is an error
+//! naming the variable and the offending text, never a silent default. The
+//! virtual BSP clock (λ–µ–γ model, paper Sec. 4.2) is deterministic, so one
+//! solve per cell yields exact numbers; variation across the progress
+//! points reproduces the spread the paper aggregates over.
 
-pub mod figures;
+pub mod suite;
+pub mod views;
 
-use esr_core::{run_pcg, ExperimentResult, Problem, SolverConfig};
-use parcomm::{CostModel, FailureScript};
-use sparsemat::gen::suite::{self, PaperMatrix};
+pub use suite::{Run, Suite, Summary};
+
+use esr_core::Problem;
+use parcomm::CostModel;
+use sparsemat::gen::suite::{self as matrices, PaperMatrix};
 
 /// Benchmark configuration resolved from the environment.
 #[derive(Clone, Debug)]
@@ -28,71 +36,99 @@ pub struct BenchConfig {
     pub nodes: usize,
     pub matrices: Vec<PaperMatrix>,
     pub progress: Vec<f64>,
-    pub reps: usize,
     pub cost: CostModel,
 }
 
 impl BenchConfig {
     /// Read the configuration from `ESR_*` environment variables.
+    ///
+    /// # Panics
+    /// Panics, naming the variable and the offending text, when one is set
+    /// to something that does not parse.
     pub fn from_env() -> Self {
-        let scale = env_f64("ESR_SCALE", 0.01);
+        Self::parse(|key| std::env::var(key).ok()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Resolve the configuration from `var`, the lookup of one variable's
+    /// text: the defaults, each overridden by a variable that is set and
+    /// not blank.
+    pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let set = |key: &str| var(key).filter(|t| !t.trim().is_empty());
         // The event-driven scheduler runs one node at a time on parked OS
         // threads, so the paper's full cluster size is the cheap default —
         // N no longer multiplies host-thread contention, only stack count.
-        let nodes = env_usize("ESR_NODES", 128);
-        let matrices = match std::env::var("ESR_MATRICES") {
-            Ok(s) if !s.trim().is_empty() => s
-                .split(',')
-                .map(|t| match t.trim().to_uppercase().as_str() {
-                    "M1" => PaperMatrix::M1,
-                    "M2" => PaperMatrix::M2,
-                    "M3" => PaperMatrix::M3,
-                    "M4" => PaperMatrix::M4,
-                    "M5" => PaperMatrix::M5,
-                    "M6" => PaperMatrix::M6,
-                    "M7" => PaperMatrix::M7,
-                    "M8" => PaperMatrix::M8,
-                    other => panic!("unknown matrix id {other:?}"),
-                })
-                .collect(),
-            _ => suite::all_ids().to_vec(),
-        };
-        let progress = match std::env::var("ESR_PROGRESS") {
-            Ok(s) if !s.trim().is_empty() => s
-                .split(',')
-                .map(|t| t.trim().parse::<f64>().expect("bad ESR_PROGRESS"))
-                .collect(),
-            _ => vec![0.2, 0.5, 0.8],
-        };
-        BenchConfig {
-            scale,
-            nodes,
-            matrices,
-            progress,
-            reps: env_usize("ESR_REPS", 1),
+        let mut cfg = BenchConfig {
+            scale: 0.01,
+            nodes: 128,
+            matrices: matrices::all_ids().to_vec(),
+            progress: vec![0.2, 0.5, 0.8],
             cost: CostModel::default(),
+        };
+        if let Some(t) = set("ESR_SCALE") {
+            let positive = |p: &str| p.parse().ok().filter(|&s: &f64| s > 0.0 && s.is_finite());
+            cfg.scale = parse_part("ESR_SCALE", &t, &t, "a positive number", &positive)?;
         }
+        if let Some(t) = set("ESR_NODES") {
+            cfg.nodes = parse_part("ESR_NODES", &t, &t, "a node count", &|p| p.parse().ok())?;
+        }
+        if let Some(t) = set("ESR_MATRICES") {
+            let named = |id: &PaperMatrix, p: &str| format!("{id:?}").eq_ignore_ascii_case(p);
+            let matrix = |p: &str| matrices::all_ids().into_iter().find(|id| named(id, p));
+            cfg.matrices = parse_list("ESR_MATRICES", &t, "one of M1..M8", matrix)?;
+        }
+        if let Some(t) = set("ESR_PROGRESS") {
+            // At 0 or 1 the scheduled failure fires before the first
+            // iteration or never.
+            let fraction = |p: &str| p.parse().ok().filter(|&f: &f64| 0.0 < f && f < 1.0);
+            let what = "a fraction strictly between 0 and 1";
+            cfg.progress = parse_list("ESR_PROGRESS", &t, what, fraction)?;
+        }
+        Ok(cfg)
     }
 
     /// Generate the analog of `id` at the configured scale, with its RHS.
     pub fn problem(&self, id: PaperMatrix) -> Problem {
-        let a = suite::generate(id, self.scale);
+        let a = matrices::generate(id, self.scale);
         Problem::with_random_rhs(a, 0xBE7C_0000 + id as u64)
     }
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// One value, `part` of the `text` that variable `key` is set to, as `item`
+/// reads it; a value `item` rejects is an error that names the variable,
+/// its text and the part, and says `what` was expected.
+fn parse_part<T>(
+    key: &str,
+    text: &str,
+    part: &str,
+    what: &str,
+    item: &impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let part = part.trim();
+    item(part).ok_or_else(|| format!("{key}={text:?}: {part:?} is not {what}"))
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// The values of the comma list `text` that variable `key` is set to.
+fn parse_list<T>(
+    key: &str,
+    text: &str,
+    what: &str,
+    item: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    let parts = text.split(',');
+    parts
+        .map(|p| parse_part(key, text, p, what, &item))
+        .collect()
+}
+
+/// A harness's own comma list of numbers (`report`'s node counts), read
+/// from environment variable `key`; `None` when it is unset or blank.
+///
+/// # Panics
+/// Panics, naming the variable, its text and the offending part, on a
+/// value that does not parse.
+pub fn env_list<T: std::str::FromStr>(key: &str, what: &str) -> Option<Vec<T>> {
+    let text = std::env::var(key).ok().filter(|t| !t.trim().is_empty())?;
+    Some(parse_list(key, &text, what, |p| p.parse().ok()).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Failure locations of the paper's setup (Sec. 7.1): contiguous ranks
@@ -127,22 +163,6 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     let mean = xs.iter().sum::<f64>() / xs.len() as f64;
     let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
     (mean, var.sqrt())
-}
-
-/// One failure experiment: `psi` simultaneous failures at `loc`, injected
-/// at fraction `progress` of `ref_iters`.
-pub fn run_failure_case(
-    cfgb: &BenchConfig,
-    problem: &Problem,
-    solver: &SolverConfig,
-    psi: usize,
-    loc: FailLocation,
-    progress: f64,
-    ref_iters: usize,
-) -> ExperimentResult {
-    let at = ((ref_iters as f64 * progress) as u64).max(1);
-    let script = FailureScript::simultaneous(at, loc.first_rank(cfgb.nodes), psi, cfgb.nodes);
-    run_pcg(problem, cfgb.nodes, solver, cfgb.cost, script).expect("valid bench configuration")
 }
 
 /// Results directory: `ESR_RESULTS_DIR` if set, else the workspace's
@@ -208,11 +228,47 @@ mod tests {
         assert_eq!(FailLocation::Center.first_rank(16), 8);
     }
 
+    /// The configuration when `key` is the only variable set.
+    fn with(key: &'static str, text: &'static str) -> Result<BenchConfig, String> {
+        BenchConfig::parse(|k| (k == key).then(|| text.to_string()))
+    }
+
     #[test]
-    fn default_config_parses() {
-        let c = BenchConfig::from_env();
-        assert!(c.scale > 0.0);
-        assert!(c.nodes >= 2);
-        assert!(!c.matrices.is_empty());
+    fn unset_and_blank_variables_take_the_defaults() {
+        for c in [BenchConfig::parse(|_| None), with("ESR_NODES", "  ")] {
+            let c = c.unwrap();
+            assert_eq!((c.scale, c.nodes), (0.01, 128));
+            assert_eq!(c.matrices, matrices::all_ids());
+            assert_eq!(c.progress, [0.2, 0.5, 0.8]);
+        }
+    }
+
+    #[test]
+    fn set_variables_parse() {
+        assert_eq!(with("ESR_SCALE", " 0.5 ").unwrap().scale, 0.5);
+        assert_eq!(with("ESR_NODES", "16").unwrap().nodes, 16);
+        let m = with("ESR_MATRICES", "m5, M3,M5").unwrap().matrices;
+        assert_eq!(m, [PaperMatrix::M5, PaperMatrix::M3, PaperMatrix::M5]);
+        assert_eq!(
+            with("ESR_PROGRESS", "0.5,0.9").unwrap().progress,
+            [0.5, 0.9]
+        );
+    }
+
+    #[test]
+    fn a_bad_value_names_the_variable_and_the_text() {
+        for (key, text, part) in [
+            ("ESR_SCALE", "1,0", "1,0"),
+            ("ESR_SCALE", "-1", "-1"),
+            ("ESR_NODES", "12x", "12x"),
+            ("ESR_MATRICES", "M1,M9", "M9"),
+            ("ESR_PROGRESS", "0.2,fast", "fast"),
+            ("ESR_PROGRESS", "0.5,1.0", "1.0"),
+            ("ESR_PROGRESS", "0", "0"),
+        ] {
+            let err = with(key, text).unwrap_err();
+            let shown = [key.to_string(), format!("{text:?}"), format!("{part:?}")];
+            assert!(shown.iter().all(|s| err.contains(s)), "{err}");
+        }
     }
 }

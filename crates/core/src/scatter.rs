@@ -34,7 +34,7 @@ pub const TAG_SPMV: u32 = 10;
 /// The pipelined solver scatters `m(j) = M⁻¹ w(j)` for its SpMV, but its
 /// ESR reconstruction needs copies of **u(j)** and **p(j-1)** (every other
 /// recurrence vector follows from those two via `s = Ap`, `q = M⁻¹s`,
-/// `z = Aq` — see `crate::pipe_recovery`). So the backup traffic carries
+/// `z = Aq` — see `crate::pipecg`). So the backup traffic carries
 /// values of `u` and `p` at the same covering index sets (natural ∪ extra)
 /// the blocking solver uses for `p`, appended to the `m`-ghost messages:
 /// still one message and one λ per link.

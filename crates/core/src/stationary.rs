@@ -10,8 +10,11 @@
 //! The distributed method implemented here is the Jacobi iteration (the
 //! only classical stationary method whose sweep is embarrassingly parallel
 //! under a block-row distribution; Gauss–Seidel/SOR become block-hybrid
-//! methods in distributed memory and are provided sequentially in
-//! `krylov::stationary`).
+//! methods in distributed memory). Its sequential reference is
+//! `krylov::stationary::jacobi_iter`: the iterate after `k` sweeps is the
+//! reference's, and the residual this loop tests is the one its sweep
+//! computed — that of the iterate *before* the update — so it stops exactly
+//! one sweep after the reference does (`tests/distributed.rs`).
 
 use std::collections::HashSet;
 

@@ -10,11 +10,10 @@
 //! * [`pipecg()`](pipecg::pipecg) — pipelined (communication-hiding) PCG in the
 //!   Ghysels–Vanroose recurrence form, the numerical reference for the
 //!   resilient communication-hiding solver (Levonyak et al., arXiv:1912.09230);
-//! * [`spcg()`](spcg::spcg) — split-preconditioned CG (`M = L Lᵀ`), one of the variants
-//!   the ESR literature distinguishes (Pachajoa et al. 2018, Alg. 5);
 //! * [`bicgstab()`](bicgstab::bicgstab) — preconditioned BiCGSTAB (the paper's Sec. 1 lists it
 //!   among the methods the ESR extension applies to);
-//! * [`stationary`] — Jacobi, Gauss–Seidel, SOR, SSOR iterations.
+//! * [`jacobi_iter()`](stationary::jacobi_iter) — the stationary Jacobi iteration, the
+//!   reference for `esr_core::run_jacobi`.
 
 // Indexed loops over several parallel arrays are the clearest form for
 // the numeric kernels in this crate; iterator-zip pyramids obscure the math.
@@ -24,12 +23,10 @@ pub mod bicgstab;
 pub mod cg;
 pub mod pipecg;
 pub mod report;
-pub mod spcg;
 pub mod stationary;
 
 pub use bicgstab::bicgstab;
 pub use cg::{cg, pcg};
 pub use pipecg::pipecg;
 pub use report::{SolveReport, StopReason};
-pub use spcg::spcg;
-pub use stationary::{gauss_seidel, jacobi_iter, sor, ssor_iter, StationaryReport};
+pub use stationary::jacobi_iter;

@@ -1,17 +1,16 @@
-//! Stationary iterative methods: Jacobi, Gauss–Seidel, SOR, SSOR.
+//! The stationary Jacobi iteration.
 //!
-//! Chen's original ESR paper covers these methods (the iterate `x` itself is
-//! the communicated vector), and the paper's Sec. 1 lists them among the
-//! algorithms its multi-failure extension applies to. The sequential
-//! versions here are references for the ESR-protected distributed Jacobi
-//! iteration in `esr-core`.
+//! Chen's original ESR paper covers the stationary methods (the iterate `x`
+//! itself is the communicated vector), and the paper's Sec. 1 lists them
+//! among the algorithms its multi-failure extension applies to. The
+//! sequential Jacobi iteration here is the reference the ESR-protected
+//! distributed one in `esr-core` is compared against sweep for sweep
+//! (`tests/distributed.rs`); Gauss–Seidel, SOR and SSOR, which have no
+//! distributed counterpart, are not provided.
 
 use crate::report::{SolveReport, StopReason};
 use sparsemat::vecops::norm2;
 use sparsemat::Csr;
-
-/// Alias: stationary solvers produce the same report type.
-pub type StationaryReport = SolveReport;
 
 fn true_residual(a: &Csr, x: &[f64], b: &[f64], r: &mut [f64]) -> f64 {
     a.spmv(x, r);
@@ -21,72 +20,24 @@ fn true_residual(a: &Csr, x: &[f64], b: &[f64], r: &mut [f64]) -> f64 {
     norm2(r)
 }
 
-fn run_sweeps(
-    a: &Csr,
-    b: &[f64],
-    x0: &[f64],
-    rel_tol: f64,
-    max_iter: usize,
-    mut sweep: impl FnMut(&Csr, &[f64], &mut Vec<f64>),
-) -> SolveReport {
+/// Jacobi iteration: `x ← x + D⁻¹ (b - A x)`, stopped when the true
+/// residual of the new iterate has dropped by `rel_tol`.
+pub fn jacobi_iter(a: &Csr, b: &[f64], x0: &[f64], rel_tol: f64, max_iter: usize) -> SolveReport {
     let n = a.n_rows();
+    let diag = a.diag();
     let mut x = x0.to_vec();
+    let mut xnew = vec![0.0; n];
     let mut r = vec![0.0; n];
     let r0_norm = true_residual(a, &x, b, &mut r);
     let target = rel_tol * r0_norm;
     let mut history = vec![r0_norm];
-    if r0_norm <= f64::MIN_POSITIVE {
-        return SolveReport {
-            x,
-            iterations: 0,
-            residual_norm: r0_norm,
-            initial_residual_norm: r0_norm,
-            stop: StopReason::Converged,
-            history,
-        };
-    }
-    for j in 0..max_iter {
-        sweep(a, b, &mut x);
-        let rnorm = true_residual(a, &x, b, &mut r);
-        history.push(rnorm);
-        if !rnorm.is_finite() {
-            return SolveReport {
-                x,
-                iterations: j + 1,
-                residual_norm: rnorm,
-                initial_residual_norm: r0_norm,
-                stop: StopReason::Breakdown,
-                history,
-            };
-        }
-        if rnorm <= target {
-            return SolveReport {
-                x,
-                iterations: j + 1,
-                residual_norm: rnorm,
-                initial_residual_norm: r0_norm,
-                stop: StopReason::Converged,
-                history,
-            };
-        }
-    }
-    let residual_norm = *history.last().unwrap();
-    SolveReport {
-        x,
-        iterations: max_iter,
-        residual_norm,
-        initial_residual_norm: r0_norm,
-        stop: StopReason::MaxIterations,
-        history,
-    }
-}
-
-/// Jacobi iteration: `x ← x + D⁻¹ (b - A x)`.
-pub fn jacobi_iter(a: &Csr, b: &[f64], x0: &[f64], rel_tol: f64, max_iter: usize) -> SolveReport {
-    let diag = a.diag();
-    let mut xnew = vec![0.0; a.n_rows()];
-    run_sweeps(a, b, x0, rel_tol, max_iter, move |a, b, x| {
-        for i in 0..a.n_rows() {
+    let mut stop = match r0_norm <= f64::MIN_POSITIVE {
+        true => StopReason::Converged,
+        false => StopReason::MaxIterations,
+    };
+    let mut iterations = 0;
+    while stop == StopReason::MaxIterations && iterations < max_iter {
+        for i in 0..n {
             let (cols, vals) = a.row(i);
             let mut s = b[i];
             for (c, v) in cols.iter().zip(vals) {
@@ -97,72 +48,23 @@ pub fn jacobi_iter(a: &Csr, b: &[f64], x0: &[f64], rel_tol: f64, max_iter: usize
             xnew[i] = s / diag[i];
         }
         x.copy_from_slice(&xnew);
-    })
-}
-
-/// SOR iteration with relaxation `omega` (`omega = 1` is Gauss–Seidel).
-pub fn sor(
-    a: &Csr,
-    b: &[f64],
-    x0: &[f64],
-    omega: f64,
-    rel_tol: f64,
-    max_iter: usize,
-) -> SolveReport {
-    assert!(omega > 0.0 && omega < 2.0, "omega must be in (0,2)");
-    let diag = a.diag();
-    run_sweeps(a, b, x0, rel_tol, max_iter, move |a, b, x| {
-        for i in 0..a.n_rows() {
-            let (cols, vals) = a.row(i);
-            let mut s = b[i];
-            for (c, v) in cols.iter().zip(vals) {
-                if *c as usize != i {
-                    s -= v * x[*c as usize];
-                }
-            }
-            x[i] = (1.0 - omega) * x[i] + omega * s / diag[i];
+        iterations += 1;
+        let rnorm = true_residual(a, &x, b, &mut r);
+        history.push(rnorm);
+        if !rnorm.is_finite() {
+            stop = StopReason::Breakdown;
+        } else if rnorm <= target {
+            stop = StopReason::Converged;
         }
-    })
-}
-
-/// Gauss–Seidel iteration (SOR with `omega = 1`).
-pub fn gauss_seidel(a: &Csr, b: &[f64], x0: &[f64], rel_tol: f64, max_iter: usize) -> SolveReport {
-    sor(a, b, x0, 1.0, rel_tol, max_iter)
-}
-
-/// SSOR iteration: a forward then a backward SOR sweep per iteration.
-pub fn ssor_iter(
-    a: &Csr,
-    b: &[f64],
-    x0: &[f64],
-    omega: f64,
-    rel_tol: f64,
-    max_iter: usize,
-) -> SolveReport {
-    assert!(omega > 0.0 && omega < 2.0, "omega must be in (0,2)");
-    let diag = a.diag();
-    run_sweeps(a, b, x0, rel_tol, max_iter, move |a, b, x| {
-        for i in 0..a.n_rows() {
-            let (cols, vals) = a.row(i);
-            let mut s = b[i];
-            for (c, v) in cols.iter().zip(vals) {
-                if *c as usize != i {
-                    s -= v * x[*c as usize];
-                }
-            }
-            x[i] = (1.0 - omega) * x[i] + omega * s / diag[i];
-        }
-        for i in (0..a.n_rows()).rev() {
-            let (cols, vals) = a.row(i);
-            let mut s = b[i];
-            for (c, v) in cols.iter().zip(vals) {
-                if *c as usize != i {
-                    s -= v * x[*c as usize];
-                }
-            }
-            x[i] = (1.0 - omega) * x[i] + omega * s / diag[i];
-        }
-    })
+    }
+    SolveReport {
+        x,
+        iterations,
+        residual_norm: *history.last().unwrap(),
+        initial_residual_norm: r0_norm,
+        stop,
+        history,
+    }
 }
 
 #[cfg(test)]
@@ -170,55 +72,27 @@ mod tests {
     use super::*;
     use sparsemat::gen::{poisson2d, rhs_for_ones};
 
-    fn check(rep: &SolveReport, tol: f64) {
-        assert!(rep.converged(), "stop={:?}", rep.stop);
-        for xi in &rep.x {
-            assert!((xi - 1.0).abs() < tol, "{xi}");
-        }
-    }
-
     #[test]
     fn jacobi_converges_on_dd_system() {
         let a = poisson2d(6, 6);
         let b = rhs_for_ones(&a);
         let rep = jacobi_iter(&a, &b, &vec![0.0; 36], 1e-8, 10_000);
-        check(&rep, 1e-5);
-    }
-
-    #[test]
-    fn gauss_seidel_beats_jacobi() {
-        let a = poisson2d(6, 6);
-        let b = rhs_for_ones(&a);
-        let j = jacobi_iter(&a, &b, &vec![0.0; 36], 1e-8, 10_000);
-        let gs = gauss_seidel(&a, &b, &vec![0.0; 36], 1e-8, 10_000);
-        assert!(gs.converged() && j.converged());
-        assert!(gs.iterations < j.iterations);
-    }
-
-    #[test]
-    fn sor_with_good_omega_beats_gs() {
-        let a = poisson2d(10, 10);
-        let b = rhs_for_ones(&a);
-        let gs = gauss_seidel(&a, &b, &vec![0.0; 100], 1e-8, 20_000);
-        // ω_opt ≈ 2/(1+sin(π/(n+1))) ≈ 1.56 for a 10×10 grid.
-        let s = sor(&a, &b, &vec![0.0; 100], 1.56, 1e-8, 20_000);
-        assert!(s.converged());
-        assert!(s.iterations < gs.iterations);
-    }
-
-    #[test]
-    fn ssor_converges() {
-        let a = poisson2d(6, 6);
-        let b = rhs_for_ones(&a);
-        let rep = ssor_iter(&a, &b, &vec![0.0; 36], 1.2, 1e-8, 10_000);
-        check(&rep, 1e-5);
+        assert!(rep.converged(), "stop={:?}", rep.stop);
+        for xi in &rep.x {
+            assert!((xi - 1.0).abs() < 1e-5, "{xi}");
+        }
     }
 
     #[test]
     fn history_tracks_sweeps() {
         let a = poisson2d(4, 4);
         let b = rhs_for_ones(&a);
-        let rep = gauss_seidel(&a, &b, &[0.0; 16], 1e-6, 1000);
+        let rep = jacobi_iter(&a, &b, &[0.0; 16], 1e-6, 1000);
+        assert!(rep.converged());
         assert_eq!(rep.history.len(), rep.iterations + 1);
+        let capped = jacobi_iter(&a, &b, &[0.0; 16], 1e-6, 3);
+        assert_eq!(capped.stop, StopReason::MaxIterations);
+        assert_eq!((capped.iterations, capped.history.len()), (3, 4));
+        assert_eq!(capped.history[..], rep.history[..4]);
     }
 }

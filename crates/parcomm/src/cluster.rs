@@ -436,15 +436,16 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_u64_exchanges() {
+    fn alltoallv_exchanges() {
         let out = Cluster::run(ClusterConfig::new(3), |ctx| {
-            // Send [my_rank, dest] to each dest.
-            let sends: Vec<Vec<u64>> = (0..3).map(|d| vec![ctx.rank() as u64, d as u64]).collect();
-            ctx.alltoallv_u64(sends)
+            // Send [my_rank, dest] to each dest, the own slot included.
+            let sends = (0..3).map(|d| (d, vec![ctx.rank() as u64, d as u64]));
+            ctx.alltoallv_sparse_u64(sends.collect())
         });
         for (me, recvd) in out.iter().enumerate() {
-            for (src, v) in recvd.iter().enumerate() {
-                assert_eq!(v, &vec![src as u64, me as u64]);
+            assert_eq!(recvd.len(), 3);
+            for (k, (src, v)) in recvd.iter().enumerate() {
+                assert_eq!((*src, v), (k, &vec![k as u64, me as u64]));
             }
         }
     }
@@ -497,23 +498,25 @@ mod tests {
     }
 
     #[test]
-    fn group_alltoallv_u64() {
+    fn group_alltoallv() {
         let out = Cluster::run(ClusterConfig::new(4), |ctx| {
             if ctx.rank() >= 1 && ctx.rank() <= 3 {
                 let mut g = ctx.group(&[1, 2, 3]);
-                let sends: Vec<Vec<u64>> = (0..3).map(|i| vec![i, ctx.rank() as u64]).collect();
-                Some(g.alltoallv_u64(ctx, sends, CommPhase::Recovery))
+                let sends = (0..3).map(|i| (i, vec![i as u64, ctx.rank() as u64]));
+                Some(g.alltoallv_sparse_u64(ctx, sends.collect(), CommPhase::Recovery))
             } else {
                 None
             }
         });
-        // Member with group index i receives (i, src_rank) from each member.
+        // Member with group index i receives (i, src_rank) from each member,
+        // keyed by the member's group index.
         for (rank, res) in out.iter().enumerate() {
             if let Some(recvd) = res {
                 let my_index = rank - 1;
-                for (j, v) in recvd.iter().enumerate() {
+                assert_eq!(recvd.len(), 3);
+                for (j, (src, v)) in recvd.iter().enumerate() {
                     let src_rank = j + 1;
-                    assert_eq!(v, &vec![my_index as u64, src_rank as u64]);
+                    assert_eq!((*src, v), (j, &vec![my_index as u64, src_rank as u64]));
                 }
             }
         }

@@ -734,24 +734,6 @@ impl NodeCtx {
         out
     }
 
-    /// The dense face of [`NodeCtx::alltoallv_on`]: one list per
-    /// participant in, one list per participant out.
-    pub(crate) fn alltoallv_dense_on(
-        &mut self,
-        s: &Scope<'_>,
-        name: &'static str,
-        sends: Vec<Vec<u64>>,
-        phase: CommPhase,
-    ) -> Vec<Vec<u64>> {
-        assert_eq!(sends.len(), s.n, "alltoallv needs one list per participant");
-        let mut out = vec![Vec::new(); s.n];
-        let sends = sends.into_iter().enumerate().collect();
-        for (src, list) in self.alltoallv_on(s, name, sends, phase) {
-            out[src] = list;
-        }
-        out
-    }
-
     /// Gather per-participant buffers on participant index `root` of `s`,
     /// in index order; the others return `None`. **The span stays open**:
     /// the caller closes it (a group all-gather runs its broadcasts inside
@@ -914,19 +896,12 @@ impl NodeCtx {
         split_by_counts(T::unwrap(flat), &counts.into_u64s())
     }
 
-    /// Personalized all-to-all of index lists: `sends[k]` goes to rank `k`;
-    /// returns the lists received from every rank (own slot passed through).
-    /// Every pair exchanges a message (possibly empty) in virtual time —
-    /// used for one-time plan setup, where symmetric knowledge is simplest.
-    pub fn alltoallv_u64(&mut self, sends: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-        let world = self.world();
-        self.alltoallv_dense_on(&world, "alltoall", sends, CommPhase::Setup)
-    }
-
-    /// [`NodeCtx::alltoallv_u64`] for callers that talk to few ranks:
-    /// `(destination rank, list)` ascending in, `(source rank, list)`
-    /// ascending out, empty lists left out. The same collective — same
-    /// messages, same virtual time — without the O(N) arguments.
+    /// Personalized all-to-all of index lists: `(destination rank, list)`
+    /// ascending in, `(source rank, list)` ascending out (own slot passed
+    /// through), empty lists left out on both sides. Every pair exchanges
+    /// a message (possibly empty) in virtual time — used for one-time plan
+    /// setup, where symmetric knowledge is simplest — but the arguments
+    /// are O(neighbours), not O(N).
     ///
     /// # Panics
     /// Panics when the destinations are not strictly ascending ranks.

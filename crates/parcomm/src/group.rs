@@ -130,22 +130,10 @@ impl Group {
         ctx.iallreduce_on(&self.scope(), "group_iallreduce", opr, x, phase)
     }
 
-    /// Personalized all-to-all of `u64` index lists among members;
-    /// `sends[i]` goes to group index `i`. Used to (re)build scatter plans
-    /// over a shrunken communicator.
-    pub fn alltoallv_u64(
-        &mut self,
-        ctx: &mut NodeCtx,
-        sends: Vec<Vec<u64>>,
-        phase: CommPhase,
-    ) -> Vec<Vec<u64>> {
-        ctx.alltoallv_dense_on(&self.scope(), "group_alltoall", sends, phase)
-    }
-
-    /// [`Group::alltoallv_u64`] for callers that talk to few members:
+    /// Personalized all-to-all of `u64` index lists among members:
     /// `(destination index, list)` ascending in, `(source index, list)`
-    /// ascending out, empty lists left out — the same collective without
-    /// the O(size) arguments.
+    /// ascending out, empty lists left out. Used to (re)build scatter plans
+    /// over a shrunken communicator.
     pub fn alltoallv_sparse_u64(
         &mut self,
         ctx: &mut NodeCtx,

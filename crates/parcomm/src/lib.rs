@@ -19,10 +19,9 @@
 //! * point-to-point [`NodeCtx::send`] / [`NodeCtx::recv`] with
 //!   `(source, tag)` matching,
 //! * deterministic collectives ([`NodeCtx::allreduce_sum`],
-//!   [`NodeCtx::allgatherv_f64`], [`NodeCtx::alltoallv_u64`], …):
+//!   [`NodeCtx::allgatherv_f64`], [`NodeCtx::alltoallv_sparse_u64`], …):
 //!   recursive doubling for all-reduce and barrier and a personalized
-//!   all-to-all (dense, or sparse on both sides:
-//!   [`NodeCtx::alltoallv_sparse_u64`]) — one rendezvous in the scheduler
+//!   all-to-all, sparse on both sides — one rendezvous in the scheduler
 //!   per call, booked message by message as the exchange it stands for —
 //!   and binomial trees of point-to-point messages for broadcast/gather,
 //! * non-blocking operations ([`NodeCtx::isend`], [`NodeCtx::irecv`],

@@ -350,35 +350,29 @@ fn oracle_exchange(case: &ExchangeCase) -> Vec<Observed> {
     })
 }
 
-/// The resident all-to-all through its dense face (`sparse: false`) or
-/// its sparse one, whose result is widened back for the comparison.
-fn resident_exchange(case: &ExchangeCase, sparse: bool) -> Vec<Observed> {
+/// The resident all-to-all, its result widened to one list per source for
+/// the comparison. With `list_empties` every destination is named, the
+/// ones that get nothing with an empty list; otherwise those are left out.
+fn resident_exchange(case: &ExchangeCase, list_empties: bool) -> Vec<Observed> {
     let n = case.members.len();
     let world = n == case.cluster;
     let out = Cluster::run(ClusterConfig::new(case.cluster), |ctx| {
         let i = case.members.iter().position(|&r| r == ctx.rank())?;
         ctx.clock_mut().advance(case.skew[i]);
-        let dense = case.sends[i].clone();
+        let sends = case.sends[i].clone().into_iter().enumerate();
+        let sends = sends
+            .filter(|(_, l)| list_empties || !l.is_empty())
+            .collect();
         let mut group = (!world).then(|| ctx.group(&case.members));
-        let recvd = if sparse {
-            let sends = dense.into_iter().enumerate();
-            let sends = sends.filter(|(_, l)| !l.is_empty()).collect();
-            let got = match &mut group {
-                Some(g) => g.alltoallv_sparse_u64(ctx, sends, case.phase),
-                None => ctx.alltoallv_sparse_u64(sends),
-            };
-            let mut lists = vec![Vec::new(); n];
-            for (src, l) in got {
-                assert!(!l.is_empty() && lists[src].is_empty(), "sparse result");
-                lists[src] = l;
-            }
-            lists
-        } else {
-            match &mut group {
-                Some(g) => g.alltoallv_u64(ctx, dense, case.phase),
-                None => ctx.alltoallv_u64(dense),
-            }
+        let got = match &mut group {
+            Some(g) => g.alltoallv_sparse_u64(ctx, sends, case.phase),
+            None => ctx.alltoallv_sparse_u64(sends),
         };
+        let mut recvd = vec![Vec::new(); n];
+        for (src, l) in got {
+            assert!(!l.is_empty() && recvd[src].is_empty(), "sparse result");
+            recvd[src] = l;
+        }
         Some((recvd, ctx.vtime(), ctx.stats().clone()))
     });
     out.into_iter()
@@ -407,7 +401,7 @@ proptest! {
         };
         for n in 1usize..=12 {
             for variant in 0usize..4 {
-                let (grouped, sparse) = (variant % 2 == 1, variant / 2 == 1);
+                let (grouped, list_empties) = (variant % 2 == 1, variant / 2 == 1);
                 // A strict sub-group: skip every rank ≡ 1 (mod 3).
                 let members: Vec<usize> = if grouped {
                     (0..).filter(|r| r % 3 != 1).take(n).collect()
@@ -435,10 +429,10 @@ proptest! {
                         .map(|_| if next() % 4 == 0 { 0.0 } else { (next() % 64_000) as f64 * 1e-9 })
                         .collect(),
                 };
-                let (want, got) = (oracle_exchange(&case), resident_exchange(&case, sparse));
+                let (want, got) = (oracle_exchange(&case), resident_exchange(&case, list_empties));
                 prop_assert_eq!(want.len(), got.len());
                 for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                    prop_assert_eq!(w, g, "n={} grouped={} sparse={} index {}", n, grouped, sparse, i);
+                    prop_assert_eq!(w, g, "n={} grouped={} list_empties={} index {}", n, grouped, list_empties, i);
                 }
             }
         }

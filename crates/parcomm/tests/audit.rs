@@ -262,7 +262,7 @@ fn alltoall_across_attempt_windows_is_caught() {
     // from two recovery attempts has.
     let msg = expect_panic(|ctx| {
         ctx.audit_enter_window(1 + ctx.rank() as u32);
-        let got = ctx.alltoallv_u64(vec![vec![7], vec![8]]);
+        let got = ctx.alltoallv_sparse_u64(vec![(0, vec![7]), (1, vec![8])]);
         ctx.audit_exit_window();
         got
     });

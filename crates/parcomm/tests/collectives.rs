@@ -80,14 +80,13 @@ proptest! {
         // from every i: the matrix of messages is transposed.
         let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
             let me = ctx.rank() as u64;
-            let sends: Vec<Vec<u64>> = (0..ctx.size())
-                .map(|k| vec![seed % 97, me * 100 + k as u64])
-                .collect();
-            ctx.alltoallv_u64(sends)
+            let sends = (0..ctx.size()).map(|k| (k, vec![seed % 97, me * 100 + k as u64]));
+            ctx.alltoallv_sparse_u64(sends.collect())
         });
         for (k, received) in out.iter().enumerate() {
-            for (i, msg) in received.iter().enumerate() {
-                prop_assert_eq!(msg[1], (i * 100 + k) as u64);
+            prop_assert_eq!(received.len(), nodes);
+            for (i, (src, msg)) in received.iter().enumerate() {
+                prop_assert_eq!((*src, msg[1]), (i, (i * 100 + k) as u64));
             }
         }
     }

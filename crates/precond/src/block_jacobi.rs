@@ -3,14 +3,13 @@
 //! The paper's outer-solver preconditioner (Sec. 6): block-diagonal with
 //! blocks matching the node partition, *"solving the preconditioner blocks
 //! exactly"*. Exact solves use [`SparseLdl`]; the approximate alternative
-//! ([`Ilu0`], [`Ic0`]) is what the paper uses inside the reconstruction.
+//! ([`Ilu0`]) is what the paper uses inside the reconstruction.
 //!
 //! Block boundaries need not match the node partition — misaligned blocks
 //! couple across nodes, which exercises the fully general P-given
 //! reconstruction path (paper Alg. 2 lines 5–6) and is one of the ablation
 //! configurations.
 
-use crate::ic::Ic0;
 use crate::ilu::Ilu0;
 use crate::ldl::{LdlWorkspace, SparseLdl};
 use crate::traits::{PrecondError, Preconditioner};
@@ -23,14 +22,11 @@ pub enum BlockSolver {
     ExactLdl,
     /// Zero-fill incomplete LU (the paper's reconstruction configuration).
     Ilu0,
-    /// Zero-fill incomplete Cholesky.
-    Ic0,
 }
 
 enum Factor {
     Ldl(SparseLdl),
     Ilu(Ilu0),
-    Ic(Ic0),
 }
 
 impl Factor {
@@ -38,10 +34,6 @@ impl Factor {
         match self {
             Factor::Ldl(f) => f.solve_in_place(x),
             Factor::Ilu(f) => f.solve_in_place(x),
-            Factor::Ic(f) => {
-                f.solve_lower(x);
-                f.solve_upper(x);
-            }
         }
     }
 
@@ -49,7 +41,6 @@ impl Factor {
         match self {
             Factor::Ldl(f) => f.solve_flops(),
             Factor::Ilu(f) => f.solve_flops(),
-            Factor::Ic(f) => f.solve_flops(),
         }
     }
 }
@@ -108,7 +99,6 @@ impl BlockJacobi {
             factors.push(match solver {
                 BlockSolver::ExactLdl => Factor::Ldl(SparseLdl::factor_with(&block, &mut ws)?),
                 BlockSolver::Ilu0 => Factor::Ilu(Ilu0::new(&block)?),
-                BlockSolver::Ic0 => Factor::Ic(Ic0::new(&block)?),
             });
         }
         Ok(BlockJacobi {
@@ -177,7 +167,6 @@ impl Preconditioner for BlockJacobi {
         match self.solver {
             BlockSolver::ExactLdl => "block-jacobi(ldl)",
             BlockSolver::Ilu0 => "block-jacobi(ilu0)",
-            BlockSolver::Ic0 => "block-jacobi(ic0)",
         }
     }
 }
@@ -219,7 +208,7 @@ mod tests {
     fn block_solvers_all_reduce_residual() {
         let a = poisson2d(8, 8);
         let b = rhs_for_ones(&a);
-        for solver in [BlockSolver::ExactLdl, BlockSolver::Ilu0, BlockSolver::Ic0] {
+        for solver in [BlockSolver::ExactLdl, BlockSolver::Ilu0] {
             let p = BlockJacobi::with_blocks(&a, 4, solver).unwrap();
             let mut z = vec![0.0; 64];
             p.apply(&b, &mut z);

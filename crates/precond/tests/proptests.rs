@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use precond::{
-    BlockJacobi, BlockSolver, Ic0, Ilu0, Jacobi, LdlWorkspace, Preconditioner, SparseLdl, Ssor,
-};
+use precond::{BlockJacobi, BlockSolver, Ilu0, Jacobi, LdlWorkspace, Preconditioner, SparseLdl};
 use sparsemat::gen::banded_spd;
 use sparsemat::vecops::{dot, norm2};
 use sparsemat::{Coo, Csr, Rng};
@@ -108,27 +106,14 @@ proptest! {
         }
     }
 
-    /// Incomplete factorizations never *worsen* the residual of a single
-    /// preconditioned step (they approximate A⁻¹).
+    /// The incomplete factorization never *worsens* the residual of a
+    /// single preconditioned step (it approximates A⁻¹).
     #[test]
-    fn incomplete_factorizations_contract(seed in any::<u64>(), n in 8usize..60) {
+    fn incomplete_factorization_contracts(seed in any::<u64>(), n in 8usize..60) {
         let a = banded_spd(n, 3, 0.6, seed);
         let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
-        for (name, z) in [
-            ("ilu0", Ilu0::new(&a).unwrap().solve(&b)),
-            ("ic0", {
-                let f = Ic0::new(&a).unwrap();
-                let mut x = b.clone();
-                f.solve_lower(&mut x);
-                f.solve_upper(&mut x);
-                x
-            }),
-        ] {
-            prop_assert!(
-                residual(&a, &z, &b) < 1.0,
-                "{name} failed to contract"
-            );
-        }
+        let z = Ilu0::new(&a).unwrap().solve(&b);
+        prop_assert!(residual(&a, &z, &b) < 1.0, "ilu0 failed to contract");
     }
 
     /// Every preconditioner application is a symmetric positive definite
@@ -139,10 +124,9 @@ proptest! {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin()).collect();
         let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).cos()).collect();
         let jacobi = Jacobi::new(&a).unwrap();
-        let ssor = Ssor::new(&a, 1.1).unwrap();
         let bj = BlockJacobi::with_blocks(&a, 3.min(n), BlockSolver::ExactLdl).unwrap();
         let ldl = SparseLdl::new(&a).unwrap();
-        let precs: [&dyn Preconditioner; 4] = [&jacobi, &ssor, &bj, &ldl];
+        let precs: [&dyn Preconditioner; 3] = [&jacobi, &bj, &ldl];
         for m in precs {
             let mut mx = vec![0.0; n];
             let mut my = vec![0.0; n];

@@ -4,10 +4,14 @@
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
 use esr_core::{
-    run_bicgstab, run_pcg, run_pipecg, ConfigError, ExperimentResult, Problem, SolverConfig,
+    run_bicgstab, run_pcg, run_pipecg, ConfigError, ExperimentResult, PrecondConfig, Problem,
+    SolverConfig,
 };
 use parcomm::{CostModel, FailureScript};
+use precond::Preconditioner;
 use sparsemat::gen::banded_spd;
 use sparsemat::{BlockPartition, Coo, Csr};
 
@@ -118,7 +122,8 @@ proptest! {
 
     /// Each sequential `krylov` solver and its distributed counterpart agree
     /// — same iteration count, same solution — on random SPD systems for
-    /// any node count that divides evenly or not.
+    /// any node count that divides evenly or not, with the preconditioner
+    /// as node-aligned blocks and as an explicit matrix `P`.
     #[test]
     fn distributed_matches_sequential(
         seed in 0u64..1000,
@@ -134,21 +139,38 @@ proptest! {
             &part,
             precond::BlockSolver::ExactLdl,
         ).unwrap();
-        let pairs: [(&str, Distributed, Sequential); 3] = [
-            ("pcg", run_pcg, krylov::pcg),
-            ("pipecg", run_pipecg, krylov::pipecg),
-            ("bicgstab", run_bicgstab, krylov::bicgstab),
+        // The P-given variant (paper Alg. 2 lines 5-6): a block Jacobi as an
+        // explicit matrix whose blocks are misaligned with the partition,
+        // so applying P couples across node boundaries. Its sequential
+        // reference is the same matrix behind `ExplicitPrec`.
+        let coupled = precond::BlockJacobi::with_blocks(
+            &a,
+            nodes + 1,
+            precond::BlockSolver::ExactLdl,
+        ).unwrap();
+        let p = Arc::new(coupled.to_explicit_inverse(&a));
+        let explicit = precond::ExplicitPrec::new(p.as_ref().clone()).unwrap();
+        let block_cfg = SolverConfig::reference();
+        let explicit_cfg = SolverConfig {
+            precond: PrecondConfig::ExplicitP(p),
+            ..SolverConfig::reference()
+        };
+        let cases: [(&str, Distributed, Sequential, &SolverConfig, &dyn Preconditioner); 4] = [
+            ("pcg", run_pcg, krylov::pcg, &block_cfg, &bj),
+            ("pipecg", run_pipecg, krylov::pipecg, &block_cfg, &bj),
+            ("bicgstab", run_bicgstab, krylov::bicgstab, &block_cfg, &bj),
+            ("pcg/explicit-P", run_pcg, krylov::pcg, &explicit_cfg, &explicit),
         ];
-        for (name, distributed, sequential) in pairs {
+        for (name, distributed, sequential, cfg, prec) in cases {
             let res = distributed(
                 &problem,
                 nodes,
-                &SolverConfig::reference(),
+                cfg,
                 CostModel::default(),
                 FailureScript::none(),
             ).unwrap();
             prop_assert!(res.converged, "{name}");
-            let seq = sequential(&a, &problem.b, &vec![0.0; n], &bj, 1e-8, 10_000);
+            let seq = sequential(&a, &problem.b, &vec![0.0; n], prec, 1e-8, 10_000);
             prop_assert!(seq.converged(), "{name}");
             prop_assert_eq!(res.iterations, seq.iterations, "{} iterations", name);
             let scale = seq.x.iter().map(|v| v.abs()).fold(1e-30, f64::max);
@@ -168,8 +190,7 @@ type Distributed = fn(
     CostModel,
     FailureScript,
 ) -> Result<ExperimentResult, ConfigError>;
-type Sequential =
-    fn(&Csr, &[f64], &[f64], &dyn precond::Preconditioner, f64, usize) -> krylov::SolveReport;
+type Sequential = fn(&Csr, &[f64], &[f64], &dyn Preconditioner, f64, usize) -> krylov::SolveReport;
 
 /// Deterministic cross-checks (not random, but spanning the stack).
 #[test]

@@ -10,8 +10,7 @@
 use esr_suite::core::{Problem, SolverConfig};
 use esr_suite::parcomm::{CostModel, FailureScript};
 use esr_suite::precond::{
-    BlockJacobi, BlockSolver, ExplicitPrec, Ic0, Identity, Ilu0, Jacobi, Preconditioner, SparseLdl,
-    Ssor,
+    BlockJacobi, BlockSolver, ExplicitPrec, Identity, Ilu0, Jacobi, Preconditioner, SparseLdl,
 };
 use esr_suite::sparsemat::{gen, BlockPartition};
 
@@ -169,8 +168,6 @@ fn every_precond_variant_constructs_through_public_paths() {
         ),
         ("ldl", Box::new(SparseLdl::new(&a).unwrap())),
         ("ilu0", Box::new(Ilu0::new(&a).unwrap())),
-        ("ic0", Box::new(Ic0::new(&a).unwrap())),
-        ("ssor", Box::new(Ssor::new(&a, 1.2).unwrap())),
         ("explicit", Box::new(ExplicitPrec::jacobi_of(&a).unwrap())),
     ];
 
