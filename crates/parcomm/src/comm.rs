@@ -635,8 +635,8 @@ impl NodeCtx {
         };
         let (out, _) = self.rendezvous(s, tag, part);
 
-        let mine = RdShape::new(s.n).rounds_of(s.my_index);
-        for (k, round) in mine.iter().enumerate() {
+        let mut rounds = 0;
+        for (k, round) in RdShape::new(s.n).rounds_of(s.my_index).enumerate() {
             let peer = s.rank_of(round.peer);
             self.trace_open("round", k as u64);
             if round.sends {
@@ -648,10 +648,11 @@ impl NodeCtx {
                 self.book_recv(tl, peer, tag, elems, arrival, phase);
             }
             self.trace_close();
+            rounds += 1;
         }
         // Whoever finishes last takes the shared buffer; the others copy.
         let result = Arc::try_unwrap(out).map_or_else(|o| o.result.clone(), |o| o.result);
-        (result, mine.len())
+        (result, rounds)
     }
 
     /// Meet the other participants of `s` in the scheduler under `tag`.

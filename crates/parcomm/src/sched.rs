@@ -144,8 +144,9 @@ impl RdShape {
         2 * usize::from(self.rem > 0) + self.pof2.trailing_zeros() as usize
     }
 
-    /// The rounds participant `i` takes part in, in schedule order.
-    pub(crate) fn rounds_of(&self, i: usize) -> Vec<Round> {
+    /// The rounds participant `i` takes part in, in schedule order (at most
+    /// `2 + log₂ n` of them; nothing is allocated).
+    pub(crate) fn rounds_of(self, i: usize) -> impl Iterator<Item = Round> {
         let round = |row, peer, sends, recvs| Round {
             row,
             peer,
@@ -154,19 +155,14 @@ impl RdShape {
         };
         let folds = i < 2 * self.rem;
         let even = i.is_multiple_of(2);
-        let mut mine = Vec::new();
-        if folds {
-            mine.push(round(0, i ^ 1, even, !even));
-        }
-        if let Some(d) = self.doubling_index(i) {
-            let first = usize::from(self.rem > 0);
-            let doubling = 0..self.pof2.trailing_zeros() as usize;
-            mine.extend(doubling.map(|k| round(first + k, self.orig(d ^ (1 << k)), true, true)));
-        }
-        if folds {
-            mine.push(round(self.rounds() - 1, i ^ 1, !even, even));
-        }
-        mine
+        let first = usize::from(self.rem > 0);
+        let doubling = self.doubling_index(i).into_iter().flat_map(move |d| {
+            (0..self.pof2.trailing_zeros() as usize)
+                .map(move |k| round(first + k, self.orig(d ^ (1 << k)), true, true))
+        });
+        let fold_in = folds.then(|| round(0, i ^ 1, even, !even));
+        let fold_out = folds.then(|| round(self.rounds() - 1, i ^ 1, !even, even));
+        fold_in.into_iter().chain(doubling).chain(fold_out)
     }
 }
 
@@ -941,7 +937,7 @@ mod tests {
         }
         // n = 13: five pairs fold, indices 10.. go straight to doubling.
         let s = RdShape::new(13);
-        let rows = |i: usize| -> Vec<usize> { s.rounds_of(i).iter().map(|r| r.row).collect() };
+        let rows = |i: usize| -> Vec<usize> { s.rounds_of(i).map(|r| r.row).collect() };
         assert_eq!(rows(4), vec![0, 4]); // even: fold-in, sit out, fold-out
         assert_eq!(rows(5), vec![0, 1, 2, 3, 4]);
         assert_eq!(rows(12), vec![1, 2, 3]);
@@ -951,10 +947,10 @@ mod tests {
             sends: true,
             recvs: false,
         };
-        assert_eq!(s.rounds_of(4)[0], fold_in);
+        assert_eq!(s.rounds_of(4).next(), Some(fold_in));
         // Doubling index 2 (participant 5) meets index 3 (participant 7).
-        assert_eq!(s.rounds_of(5)[1].peer, 7);
-        assert_eq!(s.rounds_of(7)[1].peer, 5);
+        assert_eq!(s.rounds_of(5).nth(1).unwrap().peer, 7);
+        assert_eq!(s.rounds_of(7).nth(1).unwrap().peer, 5);
     }
 
     #[test]

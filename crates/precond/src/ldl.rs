@@ -26,18 +26,105 @@
 //! * **indexed** — one `u32` row per entry, swept over zipped column
 //!   slices (scattered patterns: the circuit and unstructured-mesh classes).
 //!
-//! **Accumulation-order contract** (DESIGN.md, "The kernel layer"): the
-//! forward sweep applies the updates of each `x[i]` in ascending column
-//! order; the backward sweep forms each `x[j]` in one accumulator over the
-//! column's rows in ascending order. Both encodings do exactly that, so
-//! [`SparseLdl::solve_in_place`] is *bitwise identical* to the textbook
-//! loops of [`SparseLdl::solve_reference`] — the encodings re-shape memory
-//! traffic, never floating-point association — and `l_nnz`, the flop
-//! charges and every virtual time are those of the indexed factor.
+//! **Accumulation-order contract** (DESIGN.md, "The kernel layer"), per
+//! sweep:
+//!
+//! * *forward* (`L y = b`): the updates of each `x[i]` are applied in
+//!   ascending column order;
+//! * *backward* (`Lᵀ x = z`): a column of fewer than `LANE_MIN` stored entries
+//!   reduces `x[j]` through one accumulator over its rows in ascending order.
+//!   A longer column forms **four position-lanes, combined pairwise**: the
+//!   entry at position `q` of the column (rows ascending) adds `L(i,j)·x[i]`
+//!   to lane `q mod 4`, each lane left to right from `+0.0`, and `x[j]` is
+//!   reduced once by `(s0 + s1) + (s2 + s3)`. One chain per column made the
+//!   whole sweep a single serial chain of subtractions (column `j` starts
+//!   from the `x[j+1]` column `j + 1` has just finished); four lanes run it
+//!   at a quarter of the add latency.
+//!
+//! The rule reads the factor's pattern and nothing else, so both encodings
+//! implement exactly it — in the runs encoding a run is a head up to the next
+//! multiple of four *column* positions, aligned chunks of four, and a tail —
+//! and [`SparseLdl::solve_in_place`] is *bitwise identical* to
+//! [`SparseLdl::solve_reference`], the scalar statement of these orders. The
+//! encodings re-shape memory traffic, never floating-point association;
+//! `l_nnz`, the flop charges and every virtual time are those of the indexed
+//! factor.
 
 use crate::traits::{PrecondError, Preconditioner};
 use sparsemat::csr::Runs;
 use sparsemat::Csr;
+
+/// Stored entries from which the backward sweep sums a column of L in four
+/// position-lanes (module docs); a shorter column keeps the single ascending
+/// chain, which the lanes' set-up, call and final reduction do not beat.
+/// Measured like [`sparsemat::csr::SEG_MIN_AVG_RUN`], by
+/// `tests::run_length_crossover_sweep` (DESIGN.md, "The kernel layer"): from
+/// here the lanes lose by no more than ≈ 4 % in either encoding at runs of 12
+/// rows or more, and win from 128 entries. Long columns made of 4–7-row runs
+/// are slower in the runs encoding than they were as a chain; no suite factor
+/// has them.
+const LANE_MIN: usize = 48;
+
+/// The `MIN` of [`SparseLdl::sweeps`] that sums every column in the single
+/// ascending chain — the sweep as it was, for the accuracy test and the
+/// measurement; the length test is compiled out.
+const CHAIN: usize = usize::MAX;
+
+/// The four lane sums of one column over its `u32` rows: the entry at
+/// position `q` adds `L(i,j)·x[i]` to lane `q mod 4`, left to right.
+///
+/// Both lane kernels stay out of line: inlined into the sweeps they cost the
+/// short-column loops beside them 15–40 % (measured on the suite factors
+/// M1′–M4′, which have no column that long).
+#[inline(never)]
+fn lanes_indexed(rows: &[u32], l: &[f64], x: &[f64]) -> [f64; 4] {
+    let mut s = [0.0f64; 4];
+    let mut rr = rows.chunks_exact(4);
+    let mut ll = l.chunks_exact(4);
+    for (r4, l4) in (&mut rr).zip(&mut ll) {
+        for k in 0..4 {
+            s[k] += l4[k] * x[r4[k] as usize];
+        }
+    }
+    for ((sk, &i), lv) in s.iter_mut().zip(rr.remainder()).zip(ll.remainder()) {
+        *sk += lv * x[i as usize];
+    }
+    s
+}
+
+/// The same four sums over a column kept as runs: positions count through
+/// the column, not the run, so each run is a head up to the next multiple
+/// of four, aligned chunks of four (one 4-wide multiply-add each) and a tail.
+#[inline(never)]
+fn lanes_runs(runs: impl Iterator<Item = (usize, usize)>, l: &[f64], x: &[f64]) -> [f64; 4] {
+    let mut s = [0.0f64; 4];
+    let mut q = 0usize;
+    for (i0, len) in runs {
+        let (l, xs) = (&l[q..q + len], &x[i0..i0 + len]);
+        let head = (q.wrapping_neg() % 4).min(len);
+        for t in 0..head {
+            s[(q + t) % 4] += l[t] * xs[t];
+        }
+        let mut ll = l[head..].chunks_exact(4);
+        let mut xx = xs[head..].chunks_exact(4);
+        for (l4, x4) in (&mut ll).zip(&mut xx) {
+            for k in 0..4 {
+                s[k] += l4[k] * x4[k];
+            }
+        }
+        for ((sk, lv), xv) in s.iter_mut().zip(ll.remainder()).zip(xx.remainder()) {
+            *sk += lv * xv;
+        }
+        q += len;
+    }
+    s
+}
+
+/// The lanes' one reduction, pairwise.
+#[inline(always)]
+fn reduce(s: [f64; 4]) -> f64 {
+    (s[0] + s[1]) + (s[2] + s[3])
+}
 
 /// Reusable scratch for [`SparseLdl`] factorizations.
 ///
@@ -229,6 +316,14 @@ impl SparseLdl {
     /// In-place variant of [`SparseLdl::solve`]. Bitwise identical to
     /// [`SparseLdl::solve_reference`] in both encodings (module docs).
     pub fn solve_in_place(&self, x: &mut [f64]) {
+        self.sweeps::<LANE_MIN>(x);
+    }
+
+    /// The three sweeps, the backward one in lanes from `MIN` entries per
+    /// column: [`LANE_MIN`] as shipped; the tests also ask for [`CHAIN`] and
+    /// for `0` (every column in lanes).
+    #[inline(always)]
+    fn sweeps<const MIN: usize>(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         let col = |j: usize| self.lp[j]..self.lp[j + 1];
         match &self.rows {
@@ -243,8 +338,13 @@ impl SparseLdl {
                     *xi /= di;
                 }
                 for j in (0..self.n).rev() {
+                    let (rows, l) = (&li[col(j)], &self.lx[col(j)]);
+                    if MIN != CHAIN && rows.len() >= MIN {
+                        x[j] -= reduce(lanes_indexed(rows, l, x));
+                        continue;
+                    }
                     let mut xj = x[j];
-                    for (&i, l) in li[col(j)].iter().zip(&self.lx[col(j)]) {
+                    for (&i, l) in rows.iter().zip(l) {
                         xj -= l * x[i as usize];
                     }
                     x[j] = xj;
@@ -265,6 +365,10 @@ impl SparseLdl {
                     *xi /= di;
                 }
                 for j in (0..self.n).rev() {
+                    if MIN != CHAIN && col(j).len() >= MIN {
+                        x[j] -= reduce(lanes_runs(runs.of(j), &self.lx[col(j)], x));
+                        continue;
+                    }
                     let mut xj = x[j];
                     let mut p = self.lp[j];
                     for (i0, len) in runs.of(j) {
@@ -291,9 +395,8 @@ impl SparseLdl {
         }
     }
 
-    /// Reference solve: the textbook per-entry indexed loops (forward
-    /// column scatter, diagonal scale, backward column gather into one
-    /// accumulator) that [`SparseLdl::solve_in_place`] is pinned against,
+    /// Reference solve: the scalar, per-entry statement of the sweeps' orders
+    /// (module docs) that [`SparseLdl::solve_in_place`] is pinned against,
     /// bit for bit, in both encodings. Kept for the proptest oracle.
     #[doc(hidden)]
     pub fn solve_reference(&self, x: &mut [f64]) {
@@ -309,11 +412,18 @@ impl SparseLdl {
             x[j] /= self.d[j];
         }
         for j in (0..self.n).rev() {
-            let mut xj = x[j];
-            for p in self.lp[j]..self.lp[j + 1] {
-                xj -= self.lx[p] * x[li[p] as usize];
+            let col = self.lp[j]..self.lp[j + 1];
+            if col.len() < LANE_MIN {
+                for p in col {
+                    x[j] -= self.lx[p] * x[li[p] as usize];
+                }
+            } else {
+                let mut s = [0.0f64; 4];
+                for (q, p) in col.enumerate() {
+                    s[q % 4] += self.lx[p] * x[li[p] as usize];
+                }
+                x[j] -= (s[0] + s[1]) + (s[2] + s[3]);
             }
-            x[j] = xj;
         }
     }
 
@@ -443,7 +553,7 @@ mod tests {
     }
 
     /// The same factor in the other encoding (`segmented` forces the choice
-    /// `factor_with` makes from the pattern) — measurement tests only.
+    /// `factor_with` makes from the pattern).
     fn reencoded(f: &SparseLdl, segmented: bool) -> SparseLdl {
         let li = f.row_indices();
         let rows = if segmented {
@@ -454,63 +564,145 @@ mod tests {
         SparseLdl { rows, ..f.clone() }
     }
 
-    /// Best-of-`reps` nanoseconds per factor entry of one `solve_in_place`.
-    fn ns_per_entry(f: &SparseLdl, reps: usize) -> f64 {
+    /// Best-of-`reps` nanoseconds per factor entry of one `solve` of `f`.
+    fn ns_per_entry(f: &SparseLdl, reps: usize, solve: fn(&SparseLdl, &mut [f64])) -> f64 {
         let b: Vec<f64> = (0..f.n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut x = b.clone();
         let mut best = f64::INFINITY;
         for _ in 0..reps {
             x.copy_from_slice(&b);
             let t = std::time::Instant::now();
-            f.solve_in_place(std::hint::black_box(&mut x));
+            solve(f, std::hint::black_box(&mut x));
             best = best.min(t.elapsed().as_secs_f64());
         }
         best * 1e9 / f.l_nnz().max(1) as f64
     }
 
-    /// Where the segmented kernel overtakes the indexed one (DESIGN.md, "The
-    /// kernel layer"): synthetic unit-lower factors whose columns are runs
-    /// of exactly `run` rows separated by one-row holes, ~48 entries per
-    /// column, solved in both encodings. Run with
+    /// A synthetic unit-lower factor of `n` columns in both encodings
+    /// (indexed, runs): column `j` holds `col_len` entries from row `j + 1`
+    /// on, in runs of exactly `run` rows separated by one-row holes.
+    fn synthetic(n: usize, run: usize, col_len: usize) -> (SparseLdl, SparseLdl) {
+        let (mut lp, mut li, mut lx) = (vec![0usize], Vec::new(), Vec::new());
+        for j in 0..n {
+            let rows = (j + 1..n).filter(|i| (i - j - 1) % (run + 1) < run);
+            for i in rows.take(col_len) {
+                li.push(i as u32);
+                lx.push(0.01 * ((i * 31 + j * 17) % 13) as f64 - 0.06);
+            }
+            lp.push(li.len());
+        }
+        let indexed = SparseLdl {
+            n,
+            lp,
+            rows: Rows::Indexed(li),
+            lx,
+            d: vec![1.0; n],
+        };
+        let segmented = reencoded(&indexed, true);
+        (indexed, segmented)
+    }
+
+    /// The threshold is exactly [`LANE_MIN`] and the two encodings count lane
+    /// positions alike: factors whose columns all hold `LANE_MIN − 1 … + 5`
+    /// entries, in runs of 1 to 48 rows, solve to the same bits indexed, as
+    /// runs and by the reference; one entry short of the threshold that is
+    /// still the single ascending chain.
+    #[test]
+    fn encodings_agree_bitwise_around_lane_min() {
+        let n = 400;
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let solved = |f: &dyn Fn(&mut [f64])| {
+            let mut x = b.clone();
+            f(&mut x);
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        for col_len in LANE_MIN - 1..=LANE_MIN + 5 {
+            for run in [1usize, 2, 3, 5, 7, 48] {
+                let (indexed, segmented) = synthetic(n, run, col_len);
+                let reference = solved(&|x| indexed.solve_reference(x));
+                assert_eq!(solved(&|x| indexed.solve_in_place(x)), reference);
+                assert_eq!(solved(&|x| segmented.solve_in_place(x)), reference);
+                let chain = solved(&|x| indexed.sweeps::<CHAIN>(x));
+                assert_eq!(chain == reference, col_len < LANE_MIN, "{col_len} {run}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The lane sum is no less accurate than the chain it replaced: on
+        /// SPD bands wide enough for the lanes, its distance from the dense
+        /// Cholesky solution is at most twice the single ascending chain's
+        /// (`sweeps::<CHAIN>`, the sweep as it was). Both sit at the
+        /// oracle's own rounding, a few ulps of the solution.
+        #[test]
+        fn lane_sum_is_as_accurate_as_the_ascending_chain(
+            seed in proptest::prelude::any::<u64>(),
+            n in 80usize..140,
+            extra in 0usize..16,
+        ) {
+            let a = sparsemat::gen::banded_spd(n, LANE_MIN + extra, 1.0, seed);
+            let f = SparseLdl::new(&a).unwrap();
+            let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.61).sin()).collect();
+            let oracle = a.to_dense().cholesky().unwrap().solve(&b);
+            let distance = |x: &[f64]| {
+                let d: Vec<f64> = x.iter().zip(&oracle).map(|(u, v)| u - v).collect();
+                norm2(&d)
+            };
+            let (mut lanes, mut chain) = (b.clone(), b.clone());
+            f.solve_in_place(&mut lanes);
+            f.sweeps::<CHAIN>(&mut chain);
+            proptest::prop_assert!(lanes != chain, "band too narrow for the lanes");
+            proptest::prop_assert!(
+                distance(&lanes) <= 2.0 * distance(&chain),
+                "lanes {:e} chain {:e}", distance(&lanes), distance(&chain)
+            );
+        }
+    }
+
+    /// The two measurements behind the kernel's two constants (DESIGN.md,
+    /// "The kernel layer"), on [`synthetic`] factors, ns per factor entry.
+    /// First where the runs encoding overtakes the indexed one, at 48
+    /// entries per column as shipped; then, per column length and encoding,
+    /// the single ascending chain against the four lanes — [`LANE_MIN`] is
+    /// read off this axis. Run with
     /// `cargo test --release -p precond --lib -- --ignored --nocapture crossover`.
     #[test]
     #[ignore = "measurement, not a check"]
     fn run_length_crossover_sweep() {
-        let n = 4000usize;
         println!("avg_run  indexed_ns/entry  segmented_ns/entry");
         for run in [1usize, 2, 3, 4, 6, 8, 12, 24, 48] {
-            let (mut lp, mut li, mut lx) = (vec![0usize], Vec::new(), Vec::new());
-            for j in 0..n {
-                let rows = (j + 1..n).filter(|i| (i - j - 1) % (run + 1) < run);
-                for i in rows.take(48) {
-                    li.push(i as u32);
-                    lx.push(0.01 * ((i * 31 + j * 17) % 13) as f64 - 0.06);
-                }
-                lp.push(li.len());
-            }
-            let indexed = SparseLdl {
-                n,
-                lp,
-                rows: Rows::Indexed(li),
-                lx,
-                d: vec![1.0; n],
-            };
-            let segmented = reencoded(&indexed, true);
+            let (indexed, segmented) = synthetic(4000, run, 48);
             let Rows::Runs(runs) = &segmented.rows else {
                 unreachable!()
             };
             println!(
                 "{:7.2}  {:16.3}  {:18.3}",
                 indexed.l_nnz() as f64 / runs.count() as f64,
-                ns_per_entry(&indexed, 200),
-                ns_per_entry(&segmented, 200),
+                ns_per_entry(&indexed, 200, SparseLdl::solve_in_place),
+                ns_per_entry(&segmented, 200, SparseLdl::solve_in_place),
             );
+        }
+        println!("run  col_len  indexed chain/lanes  segmented chain/lanes");
+        for run in [4usize, 12, 48] {
+            for col_len in [4usize, 8, 16, 24, 32, 40, 48, 64, 128] {
+                let (indexed, segmented) = synthetic(4000, run, col_len);
+                println!(
+                    "{run:3}  {col_len:7}  {:13.3}/{:.3}  {:15.3}/{:.3}",
+                    ns_per_entry(&indexed, 200, SparseLdl::sweeps::<CHAIN>),
+                    ns_per_entry(&indexed, 200, SparseLdl::sweeps::<0>),
+                    ns_per_entry(&segmented, 200, SparseLdl::sweeps::<CHAIN>),
+                    ns_per_entry(&segmented, 200, SparseLdl::sweeps::<0>),
+                );
+            }
         }
     }
 
     /// Average run length of the block factors of every suite matrix in the
     /// benchmark's configurations, and the solve's cost in both encodings
-    /// (EXPERIMENTS.md, PR 16). Run like the sweep, filter `run_length_table`.
+    /// (DESIGN.md, "The kernel layer"; CI prints it in the `test` job's
+    /// summary). Run like the sweep, filter `run_length_table`.
     #[test]
     #[ignore = "measurement, not a check"]
     fn run_length_table() {
@@ -535,8 +727,9 @@ mod tests {
                 l_nnz += f.l_nnz();
                 runs += r.count();
                 segmented += f.uses_segments() as usize;
-                t_idx += ns_per_entry(&reencoded(&f, false), 20) * f.l_nnz() as f64;
-                t_seg += ns_per_entry(&seg, 20) * f.l_nnz() as f64;
+                let indexed = reencoded(&f, false);
+                t_idx += ns_per_entry(&indexed, 20, SparseLdl::solve_in_place) * f.l_nnz() as f64;
+                t_seg += ns_per_entry(&seg, 20, SparseLdl::solve_in_place) * f.l_nnz() as f64;
             }
             println!(
                 "{id:?} {scale} {nodes}  {l_nnz}  {:.1}  {segmented}/{nodes}  {:.2}  {:.2}",

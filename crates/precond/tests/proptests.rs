@@ -33,6 +33,18 @@ fn spd_with_pattern(n: usize, pairs: impl IntoIterator<Item = (usize, usize)>, s
     coo.to_csr()
 }
 
+/// SPD matrix coupling every pair of `members` (ascending) and nothing else:
+/// a clique eliminates without fill outside itself, so column `j` of the
+/// factor holds exactly the members above `j` — columns of every length from
+/// `members.len() - 1` down to 0, with the run structure of `members`.
+fn clique_spd(n: usize, members: &[usize], seed: u64) -> Csr {
+    let pairs = members
+        .iter()
+        .enumerate()
+        .flat_map(|(k, &i)| members[..k].iter().map(move |&j| (i, j)));
+    spd_with_pattern(n, pairs, seed)
+}
+
 /// Entry count of the strictly-lower factor by dense symbolic elimination —
 /// the reference both encodings of [`SparseLdl`] must report.
 fn symbolic_l_nnz(a: &Csr) -> usize {
@@ -156,6 +168,44 @@ proptest! {
         assert_solve_matches_reference(&a, segmented)?;
         // Sparse bands: holes inside the envelope, partly closed by fill.
         assert_solve_matches_reference(&banded_spd(n, bw, 0.5, seed), None)?;
+        // Wide bands: columns of 45..=52 entries, either side of the length
+        // from which the backward sweep sums a column in four lanes.
+        assert_solve_matches_reference(&banded_spd(n + 40, bw + 44, 1.0, seed), Some(true))?;
+        assert_solve_matches_reference(&banded_spd(n + 40, bw + 44, 0.5, seed), None)?;
+    }
+
+    /// Every column length around the lane threshold, in both encodings. A
+    /// dense block's factor has one column of each length `m - 1, …, 0`, each
+    /// a single run (runs encoding); the same block on every other index is
+    /// columns made only of length-1 runs (indexed encoding). `m ≥ 56` covers
+    /// the threshold − 1 … + 5 for any threshold up to 50.
+    #[test]
+    fn ldl_solve_is_bitwise_reference_at_every_column_length(seed in any::<u64>(), m in 56usize..72) {
+        let dense: Vec<usize> = (0..m).collect();
+        assert_solve_matches_reference(&clique_spd(m + 3, &dense, seed), Some(true))?;
+        let alternate: Vec<usize> = (0..m).map(|k| 2 * k).collect();
+        assert_solve_matches_reference(&clique_spd(2 * m, &alternate, seed), Some(false))?;
+    }
+
+    /// Runs at every alignment: the coupled indices are intervals of random
+    /// length separated by random gaps, and column `j` keeps the members above
+    /// `j`, so from one column to the next every run starts one position
+    /// earlier — each run is met at every position mod 4, with every length
+    /// mod 4, in columns on both sides of the lane threshold. Intervals of
+    /// 4..=11 rows give the runs encoding, of 1..=3 rows the indexed one.
+    #[test]
+    fn ldl_solve_is_bitwise_reference_at_every_run_alignment(seed in any::<u64>(), count in 60usize..90) {
+        let mut rng = Rng::new(seed);
+        for (lengths, segmented) in [(4..12, true), (1..4, false)] {
+            let mut members = Vec::new();
+            let mut next = rng.below(3);
+            while members.len() < count {
+                let len = lengths.start + rng.below(lengths.end - lengths.start);
+                members.extend(next..next + len);
+                next += len + 1 + rng.below(3);
+            }
+            assert_solve_matches_reference(&clique_spd(next, &members, seed), Some(segmented))?;
+        }
     }
 
     /// Long runs with runs of length 1 between them: a band, one dense row
@@ -169,17 +219,20 @@ proptest! {
         border in 5usize..9,
         tail in 0usize..4,
     ) {
-        // The last `tail` rows are decoupled: their columns of L are empty.
-        let (mid, m) = (n / 2, n - tail);
-        let pattern = |bw: usize| {
+        let holes = |n: usize, bw: usize| {
+            // The last `tail` rows are decoupled: their columns of L are empty.
+            let (mid, m) = (n / 2, n - tail);
             let band = (0..m).flat_map(move |i| (i + 1..(i + bw + 1).min(m)).map(move |j| (i, j)));
             let row = (0..mid).map(move |j| (mid, j));
             let edge = (m - border..m).flat_map(move |i| (0..m - border).map(move |j| (i, j)));
-            band.chain(row).chain(edge)
+            spd_with_pattern(n, band.chain(row).chain(edge), seed)
         };
-        assert_solve_matches_reference(&spd_with_pattern(n, pattern(bw), seed), Some(true))?;
+        assert_solve_matches_reference(&holes(n, bw), Some(true))?;
         // A thin band under the same row and border sits near the threshold.
-        assert_solve_matches_reference(&spd_with_pattern(n, pattern(bw - 8), seed), None)?;
+        assert_solve_matches_reference(&holes(n, bw - 8), None)?;
+        // A wide one makes columns of up to `bw + 31 + border` = 46..=54 rows
+        // in three runs: lanes that carry over from one run into the next.
+        assert_solve_matches_reference(&holes(n + 30, bw + 30), Some(true))?;
     }
 
     /// Scattered couplings keep the indexed encoding; `n = 1` and the
@@ -205,20 +258,24 @@ proptest! {
         bw in 2usize..8,
         blocks in 1usize..5,
     ) {
-        let a = banded_spd(n, bw, 0.9, seed);
-        let bj = BlockJacobi::with_blocks(&a, blocks, BlockSolver::ExactLdl).unwrap();
-        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).cos()).collect();
-        let mut z = vec![0.0; n];
-        bj.apply(&r, &mut z);
-        let part = sparsemat::BlockPartition::new(n, blocks);
-        let mut z_ref = r.clone();
-        for k in 0..blocks {
-            let rows: Vec<usize> = part.range(k).collect();
-            let f = SparseLdl::new(&a.extract(&rows, &rows)).unwrap();
-            f.solve_reference(&mut z_ref[part.range(k)]);
-        }
-        for (u, v) in z.iter().zip(&z_ref) {
-            prop_assert_eq!(u.to_bits(), v.to_bits());
+        // Then wide: blocks of 70+ rows under a band of 46..=51 rows, columns
+        // on both sides of the length the backward sweep sums in lanes from.
+        for (n, bw) in [(n, bw), (n + 70 * blocks, bw + 44)] {
+            let a = banded_spd(n, bw, 0.9, seed);
+            let bj = BlockJacobi::with_blocks(&a, blocks, BlockSolver::ExactLdl).unwrap();
+            let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).cos()).collect();
+            let mut z = vec![0.0; n];
+            bj.apply(&r, &mut z);
+            let part = sparsemat::BlockPartition::new(n, blocks);
+            let mut z_ref = r.clone();
+            for k in 0..blocks {
+                let rows: Vec<usize> = part.range(k).collect();
+                let f = SparseLdl::new(&a.extract(&rows, &rows)).unwrap();
+                f.solve_reference(&mut z_ref[part.range(k)]);
+            }
+            for (u, v) in z.iter().zip(&z_ref) {
+                prop_assert_eq!(u.to_bits(), v.to_bits());
+            }
         }
     }
 

@@ -464,10 +464,14 @@ impl Csr {
     }
 }
 
-/// Indexed row dot, 4-wide unrolled through a **single** accumulator chain
-/// (multiple accumulators would change the summation order and break the
-/// bitwise contract; the unroll only amortizes loop control and lets the
-/// four gathers issue together).
+/// Indexed row dot, 4-wide unrolled through a **single** accumulator chain:
+/// the unroll only amortizes loop control and lets the four gathers issue
+/// together. Several accumulators would change the summation order — a
+/// re-pin of every trajectory — and buy nothing here: a four-lane `row_dot`
+/// prototype read `paper_m5_n128` 1.65 against 1.60 s, because out-of-order
+/// execution already overlaps the chains of adjacent rows (DESIGN.md, "The
+/// kernel layer"; the LDLᵀ backward sweep, whose columns chain into each
+/// other, is where lanes pay).
 #[inline(always)]
 fn dot_indexed(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     let mut acc = 0.0;

@@ -248,6 +248,57 @@ fn checkpoint_restart_trajectories_are_pinned_bitwise() {
 }
 
 #[test]
+fn thick_block_trajectories_are_pinned_bitwise() {
+    // The pins above run on blocks whose LDLᵀ factors have columns of at
+    // most 16 stored entries, all summed by the backward sweep's single
+    // ascending chain. Here the blocks are 416 rows of a 52-wide band: the
+    // factor's columns hold 52 entries and are summed in four position-lanes
+    // (precond::ldl, `LANE_MIN`), in the failure-free solve and inside the
+    // reconstruction. Captured when the lanes landed (PR 24); CHANGES.md has
+    // the single-chain values they replaced.
+    let problem = Problem::with_ones_solution(poisson2d(52, 32));
+    let script = || FailureScript::simultaneous(6, 1, 2, 4);
+
+    let r = run_pcg(
+        &problem,
+        4,
+        &SolverConfig::reference(),
+        CostModel::default(),
+        FailureScript::none(),
+    )
+    .unwrap();
+    assert!(r.converged);
+    assert_eq!(r.iterations, 28);
+    assert_eq!(r.solver_residual.to_bits(), 0x3e72_69e8_00e6_96ba);
+
+    let r = run_pcg(
+        &problem,
+        4,
+        &SolverConfig::resilient(2),
+        CostModel::default(),
+        script(),
+    )
+    .unwrap();
+    assert!(r.converged);
+    assert_eq!(r.ranks_recovered, 2);
+    assert_eq!(r.iterations, 28);
+    assert_eq!(r.solver_residual.to_bits(), 0x3e72_69e8_00e8_181d);
+
+    let r = run_pipecg(
+        &problem,
+        4,
+        &SolverConfig::resilient(2),
+        CostModel::default(),
+        script(),
+    )
+    .unwrap();
+    assert!(r.converged);
+    assert_eq!(r.ranks_recovered, 2);
+    assert_eq!(r.iterations, 28);
+    assert_eq!(r.solver_residual.to_bits(), 0x3e72_69e7_fb52_11e6);
+}
+
+#[test]
 fn resilient_pcg_iteration_count_matches_reference() {
     // ESR's whole point (paper Sec. 5): reconstruction is *exact*, so a
     // failure run performs the same mathematical iterations as the
