@@ -97,7 +97,7 @@ const TAG_STRIDE: u32 = 32;
 const TAG_BASE: u32 = 1 << 16;
 const OFF_SCALARS: u32 = 0;
 const OFF_COPIES: u32 = 1; // one offset per channel read, up to OFF_DYNAMIC
-const OFF_DYNAMIC: u32 = 10; // request/response pairs allocated per gather
+const OFF_DYNAMIC: u32 = 10; // one offset per gather, up to TAG_STRIDE
 
 pub(crate) fn tag(seq: u32, off: u32) -> u32 {
     debug_assert!(off < TAG_STRIDE);
@@ -656,6 +656,12 @@ impl EventPlan {
         self.lost.iter().filter(|l| l.reconstructor == self.me)
     }
 
+    /// The rows reconstructor `rho` rebuilds, ascending.
+    fn rows_of(&self, rho: usize) -> impl Iterator<Item = usize> + '_ {
+        let blocks = self.lost.iter().filter(move |l| l.reconstructor == rho);
+        blocks.flat_map(|l| l.range.clone())
+    }
+
     /// This node's slot among [`EventPlan::new_members`] (it did not
     /// retire).
     pub fn new_slot(&self) -> usize {
@@ -969,8 +975,8 @@ struct Reconstruction {
 /// The per-attempt state behind [`EngineComm`].
 #[derive(Default)]
 struct Wire {
-    /// Request/response tag pairs handed out so far.
-    tag_pairs: u32,
+    /// Gather tags handed out so far.
+    gathers: u32,
     /// The reconstructor sub-communicator, created on first use and shared
     /// by every group operation of the attempt — `rebuild` and `xsolve`
     /// alike: a group's id derives from a per-member-set creation counter,
@@ -1169,6 +1175,35 @@ fn assemble_range(
     Some(vals)
 }
 
+/// The columns of `m`'s `rows` that fall in `own` — what the owner of `own`
+/// serves their reconstructor — sorted and unique. A row's columns are
+/// sorted, so its slice is two binary searches.
+fn served_cols(m: &Csr, rows: impl Iterator<Item = usize>, own: &Range<usize>) -> Vec<usize> {
+    let mut cols = Vec::new();
+    for gr in rows {
+        let (row, _) = m.row(gr);
+        let lo = row.partition_point(|&c| (c as usize) < own.start);
+        let hi = row.partition_point(|&c| (c as usize) < own.end);
+        cols.extend(row[lo..hi].iter().map(|&c| c as usize));
+    }
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
+/// The columns of `m`'s `rows` outside `If` — what their reconstructor
+/// needs from the survivors — sorted and unique.
+fn needed_cols(m: &Csr, rows: impl Iterator<Item = usize>, if_indices: &[usize]) -> Vec<usize> {
+    let mut cols = Vec::new();
+    for gr in rows {
+        let outside = m.row(gr).0.iter().map(|&c| c as usize);
+        cols.extend(outside.filter(|c| if_indices.binary_search(c).is_err()));
+    }
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
 /// The engine's distributed-rebuild toolkit, handed to
 /// [`ResilientKernel::rebuild_distributed`]. Every helper is collective
 /// over the active members (survivors serve, reconstructors compute), so
@@ -1183,11 +1218,11 @@ pub(crate) struct EngineComm<'a> {
 }
 
 impl EngineComm<'_> {
-    fn next_tag_pair(&mut self) -> (u32, u32) {
-        let req = OFF_DYNAMIC + 2 * self.wire.tag_pairs;
-        self.wire.tag_pairs += 1;
-        assert!(req + 2 <= TAG_STRIDE, "tag window exhausted");
-        (tag(self.at.seq, req), tag(self.at.seq, req + 1))
+    fn next_tag(&mut self) -> u32 {
+        let off = OFF_DYNAMIC + self.wire.gathers;
+        self.wire.gathers += 1;
+        assert!(off < TAG_STRIDE, "tag window exhausted");
+        tag(self.at.seq, off)
     }
 
     fn group(&mut self, ctx: &mut NodeCtx) -> &mut Group {
@@ -1200,6 +1235,12 @@ impl EngineComm<'_> {
     /// active node) at each column of `m`'s rows within its blocks that
     /// falls outside `If`. Returns the sorted `(column, value)` lookup on
     /// reconstructors, `None` on pure survivors. Collective.
+    ///
+    /// Pushed over the static pattern: `m`, the plan and the partition are
+    /// the same on every node, so each survivor derives what each other
+    /// reconstructor needs from its block and sends exactly that, and each
+    /// reconstructor receives from exactly the owners of its needed
+    /// columns, ascending. No request, no empty message.
     pub fn gather_outside(
         &mut self,
         ctx: &mut NodeCtx,
@@ -1207,77 +1248,37 @@ impl EngineComm<'_> {
         blocks: &[ReconBlock],
         v_loc: &[f64],
     ) -> Option<Vec<(usize, f64)>> {
-        let (tag_req, tag_resp) = self.next_tag_pair();
-        let (plan, layout) = (self.at.plan, self.layout);
+        let tag = self.next_tag();
+        let (plan, part) = (self.at.plan, &self.layout.part);
         let (me, my_range) = (plan.me, &plan.my_range);
-        let am_reconstructor = !blocks.is_empty();
-        let mut needed: Vec<usize> = Vec::new();
-        if am_reconstructor {
-            for blk in blocks {
-                for gr in blk.range.clone() {
-                    let (cols, _) = m.row(gr);
-                    needed.extend(
-                        cols.iter()
-                            .map(|&c| c as usize)
-                            .filter(|c| plan.if_indices.binary_search(c).is_err()),
-                    );
-                }
-            }
-            needed.sort_unstable();
-            needed.dedup();
-            let mut per_slot: Vec<Vec<u64>> = vec![Vec::new(); layout.members.len()];
-            for &c in &needed {
-                per_slot[layout.part.owner_of(c)].push(c as u64);
-            }
-            for (slot, req) in per_slot.into_iter().enumerate() {
-                let owner = layout.members[slot];
-                if owner == me {
-                    continue;
-                }
-                // c ∉ If ⇒ its owner is a survivor.
-                debug_assert!(req.is_empty() || plan.failed.binary_search(&owner).is_err());
-                if plan.failed.binary_search(&owner).is_err() {
-                    ctx.send(owner, tag_req, Payload::u64s(req), CommPhase::Recovery);
-                }
-            }
-        }
         if !plan.am_failed {
             for &rho in plan.reconstructors.iter().filter(|&&rho| rho != me) {
-                let req = ctx
-                    .recv_phase(rho, tag_req, CommPhase::Recovery)
-                    .into_u64s();
-                let resp: Vec<(u64, f64)> = req
-                    .into_iter()
-                    .map(|g| (g, v_loc[g as usize - my_range.start]))
-                    .collect();
-                ctx.send(rho, tag_resp, Payload::pairs(resp), CommPhase::Recovery);
+                let cols = served_cols(m, plan.rows_of(rho), my_range);
+                if !cols.is_empty() {
+                    let value = |c: usize| (c as u64, v_loc[c - my_range.start]);
+                    let pairs = cols.into_iter().map(value).collect();
+                    ctx.send(rho, tag, Payload::pairs(pairs), CommPhase::Recovery);
+                }
             }
         }
-        if !am_reconstructor {
+        if blocks.is_empty() {
             return None;
         }
-        // Sorted (col, value) lookup of every surviving value needed —
-        // seeded with this node's own block where it is a survivor
-        // (an adopter reads its own values locally).
-        let mut lookup: Vec<(usize, f64)> = if plan.am_failed {
-            Vec::new()
-        } else {
-            needed
-                .iter()
-                .copied()
-                .filter(|c| my_range.contains(c))
-                .map(|c| (c, v_loc[c - my_range.start]))
-                .collect()
-        };
-        for &s in plan.survivors.iter().filter(|&&s| s != me) {
-            for (g, v) in ctx
-                .recv_phase(s, tag_resp, CommPhase::Recovery)
-                .into_pairs()
-            {
-                lookup.push((g as usize, v));
+        let needed = needed_cols(m, plan.rows_of(me), &plan.if_indices);
+        // Ascending columns on a contiguous partition: one run per owner,
+        // owners ascending — so the lookup comes out sorted. An adopter
+        // reads its own block locally.
+        let mut lookup = Vec::with_capacity(needed.len());
+        for run in needed.chunk_by(|&a, &b| part.owner_of(a) == part.owner_of(b)) {
+            let owner = self.layout.members[part.owner_of(run[0])];
+            if owner == me {
+                lookup.extend(run.iter().map(|&c| (c, v_loc[c - my_range.start])));
+            } else {
+                let pairs = ctx.recv_phase(owner, tag, CommPhase::Recovery).into_pairs();
+                debug_assert!(pairs.iter().map(|e| e.0 as usize).eq(run.iter().copied()));
+                lookup.extend(pairs.into_iter().map(|(g, v)| (g as usize, v)));
             }
         }
-        lookup.sort_unstable_by_key(|e| e.0);
         Some(lookup)
     }
 
@@ -1680,5 +1681,64 @@ mod tests {
                 .any(|s| s.attempt == 2 && s.label == "commit"));
             assert!(segments.iter().all(|s| s.attempt <= 2));
         }
+    }
+
+    /// The push gather is correct only if what a survivor serves a
+    /// reconstructor (`served_cols` over the survivor's block) and what the
+    /// reconstructor expects from it (`needed_cols`, restricted to that
+    /// block) agree owner by owner. Returns how many values the survivors
+    /// push for one event: reconstructors rebuilding `[1]`, `[3, 4]`, `[7]`
+    /// of eight blocks.
+    fn pushed_values(m: &Csr, part: &BlockPartition) -> usize {
+        let groups: [&[usize]; 3] = [&[1], &[3, 4], &[7]];
+        let rows = |g: &[usize]| g.iter().flat_map(|&f| part.range(f)).collect::<Vec<_>>();
+        let if_indices: Vec<usize> = groups.iter().flat_map(|g| rows(g)).collect();
+        let survivors: Vec<usize> = (0..part.nodes())
+            .filter(|s| !groups.iter().any(|g| g.contains(s)))
+            .collect();
+        let mut pushed = 0;
+        for g in groups {
+            let needed = needed_cols(m, rows(g).into_iter(), &if_indices);
+            let mut served_all = Vec::new();
+            for &s in &survivors {
+                let served = served_cols(m, rows(g).into_iter(), &part.range(s));
+                let expected: Vec<usize> = needed
+                    .iter()
+                    .copied()
+                    .filter(|&c| part.owner_of(c) == s)
+                    .collect();
+                assert_eq!(served, expected, "reconstructor of {g:?}, owner {s}");
+                served_all.extend(served);
+            }
+            assert_eq!(
+                served_all, needed,
+                "every needed column has a survivor owner"
+            );
+            pushed += needed.len();
+        }
+        pushed
+    }
+
+    #[test]
+    fn survivor_and_reconstructor_derive_the_same_gather() {
+        use precond::{BlockJacobi, BlockSolver};
+        use sparsemat::gen::{mesh_laplacian_2d, MeshOrdering};
+        let a = mesh_laplacian_2d(12, 12, MeshOrdering::Random, 3);
+        let part = BlockPartition::new(a.n_rows(), 8);
+        let explicit_p = |blocks: &BlockPartition| {
+            BlockJacobi::from_partition(&a, blocks, BlockSolver::ExactLdl)
+                .expect("SPD blocks")
+                .to_explicit_inverse(&a)
+        };
+        // A scattered pattern couples a lost block to far-away owners.
+        assert!(pushed_values(&a, &part) > 0);
+        // P over three blocks: dense, misaligned with the eight-block
+        // partition, a pattern unlike A's.
+        let misaligned = explicit_p(&BlockPartition::new(a.n_rows(), 3));
+        assert_ne!(misaligned.nnz(), a.nnz());
+        assert!(pushed_values(&misaligned, &part) > 0);
+        // P block-diagonal on the partition: every coupled column is in
+        // If, so nobody sends anything.
+        assert_eq!(pushed_values(&explicit_p(&part), &part), 0);
     }
 }
