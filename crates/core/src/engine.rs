@@ -40,8 +40,8 @@
 //!
 //! The rollback flavor is [`crate::checkpoint::Rollback`]. Both end a
 //! shrinking event in [`rebuild_layout_after_shrink`]: [`LocalMatrix`],
-//! [`ScatterPlan`] and redundancy targets over the shrunken communicator,
-//! preconditioner and retention channels.
+//! [`ScatterPlan`] and redundancy targets for the shrunken layout (derived
+//! from static data), preconditioner and retention channels.
 //!
 //! The **kernel** (one per solver — `pcg`, `pipecg`, `bicgstab`) *owns* the
 //! solver state — vectors in a slot-indexed array shared with
@@ -908,9 +908,10 @@ fn restart_protocol<F: Flavor>(
 /// `at.plan`: [`LocalMatrix`], preconditioner, the survivors' [`Group`],
 /// the scatter plan (with re-derived redundancy extras under ESR
 /// protection; checkpoint protection deposits replicas instead), retention
-/// channels, the ghost buffer, and the kernel's scratch vectors. Collective
-/// over the new members; the caller has already installed the solver state
-/// over the new ranges (ESR: `splice`; rollback: `unpack`).
+/// channels, the ghost buffer, and the kernel's scratch vectors. Sends no
+/// message: the plan is derived from static data. The caller has already
+/// installed the solver state over the new ranges (ESR: `splice`;
+/// rollback: `unpack`).
 pub(crate) fn rebuild_layout_after_shrink(
     ctx: &mut NodeCtx,
     at: &Attempt<'_>,
@@ -920,26 +921,25 @@ pub(crate) fn rebuild_layout_after_shrink(
     let (env, plan) = (at.env, at.plan);
     let me = plan.me;
     let my_new_slot = plan.new_slot();
-    let lm = env.statics.block(&plan.new_part.range(my_new_slot));
-    // Coarse cost of re-extracting the adopted static rows.
-    ctx.clock_mut()
-        .advance_flops(lm.diag.nnz() + lm.offdiag.nnz());
-    let prec = NodePrecond::setup(ctx, env.precond, &plan.new_part, env.statics, &lm)
-        .unwrap_or_else(|e| panic!("rank {me}: preconditioner rebuild after shrink: {e}"));
-    let mut group = ctx.group(&plan.new_members);
-    let mut scatter = ScatterPlan::build_on(ctx, &mut group, &lm, &plan.new_part);
-    let k = plan.new_members.len();
-    let phi_eff = env.res.phi.min(k.saturating_sub(1));
+    let new_range = plan.new_part.range(my_new_slot);
+    // A survivor whose block did not change keeps its rows and
+    // preconditioner; a replacement node lost them with its memory.
+    if plan.am_failed || new_range != layout.lm.range {
+        let lm = env.statics.block(&new_range);
+        // Coarse cost of re-extracting the adopted static rows.
+        ctx.clock_mut()
+            .advance_flops(lm.diag.nnz() + lm.offdiag.nnz());
+        layout.prec = NodePrecond::setup(ctx, env.precond, &plan.new_part, env.statics, &lm)
+            .unwrap_or_else(|e| panic!("rank {me}: preconditioner rebuild after shrink: {e}"));
+        layout.lm = lm;
+    }
+    let lm = layout.lm.clone();
+    let members = plan.new_members.clone();
+    let mut scatter = ScatterPlan::derive(env.statics, &lm, &plan.new_part, members, my_new_slot);
+    // φ′ = min(φ, N′ − 1): the shrunken ring may be too small for φ copies.
+    let phi_eff = env.res.phi.min(plan.new_members.len() - 1);
     if env.res.is_esr() && phi_eff >= 1 {
-        scatter.send_extra = redundancy::compute_extra_sends(
-            my_new_slot,
-            k,
-            phi_eff,
-            &env.res.strategy,
-            lm.n_local(),
-            &scatter.send_natural,
-        );
-        scatter.announce_extras_on(ctx, &mut group);
+        scatter.derive_extras(env.statics, &plan.new_part, phi_eff, &env.res.strategy);
     }
     let channels = (0..layout.channels.len())
         .map(|_| Retention::build(&scatter, &lm.ghost_cols))
@@ -953,13 +953,11 @@ pub(crate) fn rebuild_layout_after_shrink(
 
     layout.part = plan.new_part.clone();
     layout.ghosts = vec![0.0; lm.ghost_cols.len()];
-    layout.lm = lm;
     layout.plan = scatter;
     layout.channels = channels;
-    layout.prec = prec;
     layout.members = plan.new_members.clone();
     layout.my_slot = my_new_slot;
-    layout.group = Some(group);
+    layout.group = Some(ctx.group(&plan.new_members));
 }
 
 /// The ESR flavor — exact state reconstruction (paper Alg. 2) — and what

@@ -10,6 +10,12 @@
 //! to the backup target exists — **no additional message latency** is paid
 //! (paper Sec. 4.2).
 //!
+//! Every list that setup exchanges is a function of the static pattern and
+//! the partition, so a node holding [`StaticData`] can also derive the
+//! whole plan alone ([`ScatterPlan::derive`],
+//! [`ScatterPlan::derive_extras`]): recovery re-plans a shrunken cluster
+//! that way, without a message.
+//!
 //! **The plan is per neighbour.** The paper's cost argument counts
 //! neighbour links, and so does everything here: the per-peer lists are
 //! sparse ([`PeerLists`] — only peers with traffic are stored) and the
@@ -23,8 +29,11 @@ use sparsemat::BlockPartition;
 use std::ops::{Index, Range};
 use std::sync::Arc;
 
+use crate::config::BackupStrategy;
 use crate::localmat::LocalMatrix;
+use crate::redundancy::{compute_extra_sends, targets_for};
 use crate::retention::Retention;
+use crate::statics::StaticData;
 
 /// User message tag for SpMV ghost exchange (with appended redundancy).
 pub const TAG_SPMV: u32 = 10;
@@ -109,6 +118,25 @@ impl From<Vec<Vec<usize>>> for PeerLists {
     fn from(dense: Vec<Vec<usize>>) -> Self {
         dense.into_iter().enumerate().collect()
     }
+}
+
+/// What every other slot of `part` requests from `owner`'s block, derived
+/// from static data: `(slot, global columns)` — the ghost columns of the
+/// slot's block that `owner` owns, ascending by slot, empty ones left out.
+fn requests_to<'a>(
+    statics: &'a StaticData,
+    part: &'a BlockPartition,
+    owner: usize,
+) -> impl Iterator<Item = (usize, Vec<usize>)> + 'a {
+    let own = part.range(owner);
+    (0..part.nodes())
+        .filter(move |&q| q != owner)
+        .filter_map(move |q| {
+            let gc = &statics.block(&part.range(q)).ghost_cols;
+            let lo = gc.partition_point(|&g| g < own.start);
+            let hi = gc.partition_point(|&g| g < own.end);
+            (lo < hi).then(|| (q, gc[lo..hi].to_vec()))
+        })
 }
 
 /// The distinct slots among `peers`, ascending, `me` excluded.
@@ -202,24 +230,25 @@ impl ScatterPlan {
         Self::assemble((0..nodes).collect(), rank, lm, requests.1, incoming)
     }
 
-    /// Build the plan collectively over a shrunken communicator: only
-    /// `group` members participate, and partition block `k` belongs to
-    /// `group.members()[k]`. Traffic is charged to [`CommPhase::Recovery`]
-    /// (plans are rebuilt inside the recovery window).
-    pub fn build_on(
-        ctx: &mut NodeCtx,
-        group: &mut parcomm::Group,
+    /// The natural-traffic plan [`ScatterPlan::build`] would agree on for
+    /// `my_slot` of `part` (block `k` owned by `members[k]`), derived from
+    /// static data without a message: slot `q`'s request is the part of
+    /// `q`'s ghost columns inside this node's range. `lm` is this node's
+    /// block of `statics`' matrix.
+    pub(crate) fn derive(
+        statics: &StaticData,
         lm: &LocalMatrix,
         part: &BlockPartition,
+        members: Vec<usize>,
+        my_slot: usize,
     ) -> Self {
-        let members = group.members().to_vec();
         debug_assert_eq!(members.len(), part.nodes());
-        let my_slot = group.index();
-        debug_assert_eq!(members[my_slot], ctx.rank());
         debug_assert_eq!(lm.range, part.range(my_slot), "lm built for another slot");
-        let requests = Self::ghost_requests(lm, part);
-        let incoming = group.alltoallv_sparse_u64(ctx, requests.0, CommPhase::Recovery);
-        Self::assemble(members, my_slot, lm, requests.1, incoming)
+        let (_, recv_ghost_range) = Self::ghost_requests(lm, part);
+        let incoming = requests_to(statics, part, my_slot)
+            .map(|(q, cols)| (q, cols.into_iter().map(|g| g as u64).collect()))
+            .collect();
+        Self::assemble(members, my_slot, lm, recv_ghost_range, incoming)
     }
 
     /// Group own ghost needs by owning slot: contiguous segments of the
@@ -365,10 +394,36 @@ impl ScatterPlan {
         self.record_extras(incoming);
     }
 
-    /// [`ScatterPlan::announce_extras`] over a shrunken communicator.
-    pub fn announce_extras_on(&mut self, ctx: &mut NodeCtx, group: &mut parcomm::Group) {
-        let sends = self.extra_announcements();
-        let incoming = group.alltoallv_sparse_u64(ctx, sends, CommPhase::Recovery);
+    /// The redundancy extras of a [`ScatterPlan::derive`]d plan at
+    /// `phi ≥ 1`, without a message: this node's `send_extra` (Eqn. 6 over
+    /// its natural lists) and its `recv_extra` — for every slot `j` whose
+    /// backup targets include this node, `j`'s natural lists are derived
+    /// the same way and `j`'s Eqn. 6 list for this node is kept.
+    pub(crate) fn derive_extras(
+        &mut self,
+        statics: &StaticData,
+        part: &BlockPartition,
+        phi: usize,
+        strategy: &BackupStrategy,
+    ) {
+        let (me, k) = (self.my_slot, part.nodes());
+        let extras_of = |j: usize, natural: &PeerLists| {
+            compute_extra_sends(j, k, phi, strategy, part.len_of(j), natural)
+        };
+        self.send_extra = extras_of(me, &self.send_natural);
+        let backed_up =
+            (0..k).filter(|&j| j != me && targets_for(strategy, j, k, phi).contains(&me));
+        let incoming = backed_up
+            .map(|j| {
+                let start = part.range(j).start;
+                let offsets = |cols: Vec<usize>| cols.into_iter().map(|g| g - start).collect();
+                let natural = requests_to(statics, part, j)
+                    .map(|(q, cols)| (q, offsets(cols)))
+                    .collect();
+                let extras = extras_of(j, &natural);
+                (j, extras[me].iter().map(|&o| (start + o) as u64).collect())
+            })
+            .collect();
         self.record_extras(incoming);
     }
 
@@ -595,6 +650,101 @@ mod tests {
         let (mut plan, _) = build_plans(a, 3).swap_remove(1);
         plan.send_extra = [(0, vec![12])].into_iter().collect();
         plan.refresh_pack_lists();
+    }
+
+    /// The oracle of [`derived_plans_equal_the_collective_ones`]: per rank of
+    /// a cluster cut by `part`, the world `build`, then per `(φ, strategy)`
+    /// Eqn. 6 and `announce_extras` on a copy of it.
+    fn collective_plans(
+        a: Arc<Csr>,
+        part: BlockPartition,
+        settings: Vec<(usize, BackupStrategy)>,
+    ) -> Vec<(ScatterPlan, Vec<ScatterPlan>)> {
+        Cluster::run(ClusterConfig::new(part.nodes()), move |ctx| {
+            let (rank, k) = (ctx.rank(), ctx.size());
+            let lm = LocalMatrix::build(&a, &part, rank);
+            let plan = ScatterPlan::build(ctx, &lm, &part);
+            let with_extras = settings.iter().map(|(phi, strategy)| {
+                let mut p = plan.clone();
+                p.send_extra =
+                    compute_extra_sends(rank, k, *phi, strategy, lm.n_local(), &p.send_natural);
+                p.announce_extras(ctx);
+                p
+            });
+            let with_extras = with_extras.collect();
+            (plan, with_extras)
+        })
+    }
+
+    /// Keep the entries on and below the diagonal: a structurally
+    /// nonsymmetric pattern, where who requests from a block and whom it
+    /// requests from differ.
+    fn lower_part(a: &Csr) -> Csr {
+        let mut lower = sparsemat::Coo::new(a.n_rows(), a.n_rows());
+        for r in 0..a.n_rows() {
+            let (cols, vals) = a.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c as usize <= r {
+                    lower.push(r, c as usize, v);
+                }
+            }
+        }
+        lower.to_csr()
+    }
+
+    #[test]
+    fn derived_plans_equal_the_collective_ones() {
+        use sparsemat::gen::{banded_spd, circuit_like, mesh_laplacian_2d, MeshOrdering};
+        let patterns = [
+            poisson2d(6, 9),
+            mesh_laplacian_2d(8, 8, MeshOrdering::Random, 3),
+            banded_spd(60, 5, 0.6, 4),
+            lower_part(&circuit_like(64, 3, 0.2, 5)),
+        ];
+        let strategies = [
+            BackupStrategy::Minimal,
+            BackupStrategy::MinimalConsecutive,
+            BackupStrategy::FullBlock,
+        ];
+        for a in patterns {
+            let a = Arc::new(a);
+            let n = a.n_rows();
+            let statics = StaticData::new(a.clone());
+            for k in 3..=9 {
+                // As a shrink leaves it: k + 3 blocks, the second, a middle
+                // and the last merged into their predecessors.
+                let mut starts = BlockPartition::new(n, k + 3).starts().to_vec();
+                for at in [k + 2, (k + 3) / 2, 1] {
+                    starts.remove(at);
+                }
+                let settings: Vec<_> = (1..=3.min(k - 1))
+                    .flat_map(|phi| strategies.iter().map(move |s| (phi, s.clone())))
+                    .collect();
+                for part in [
+                    BlockPartition::new(n, k),
+                    BlockPartition::from_starts(starts),
+                ] {
+                    let members: Vec<usize> = (0..k).map(|s| 2 * s + 1).collect();
+                    let collective = collective_plans(a.clone(), part.clone(), settings.clone());
+                    for (slot, (natural, extras)) in collective.iter().enumerate() {
+                        let lm = statics.block(&part.range(slot));
+                        let derived =
+                            ScatterPlan::derive(&statics, &lm, &part, members.clone(), slot);
+                        let at = format!("n = {n}, part {:?}, slot {slot}", part.starts());
+                        assert_eq!(derived.members, members, "{at}");
+                        assert_eq!(derived.send_natural, natural.send_natural, "{at}");
+                        assert_eq!(derived.recv_ghost_range, natural.recv_ghost_range, "{at}");
+                        for ((phi, strategy), want) in settings.iter().zip(extras) {
+                            let mut got = derived.clone();
+                            got.derive_extras(&statics, &part, *phi, strategy);
+                            let at = format!("{at}, φ = {phi}, {strategy:?}");
+                            assert_eq!(got.send_extra, want.send_extra, "{at}");
+                            assert_eq!(got.recv_extra, want.recv_extra, "{at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

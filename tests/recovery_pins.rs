@@ -54,22 +54,22 @@ const NUMERICS: [(Prot, Solver, u64); 6] = [
 
 #[cfg(not(feature = "trace"))]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x7e09b488f4e4b9be),
-    (Prot::Esr, Solver::PipeCg, 0x1d0cf928218d8b65),
-    (Prot::Esr, Solver::BiCgStab, 0x4301a95a637bdccb),
-    (Prot::Cr, Solver::Pcg, 0x6c3010b1d75be39f),
-    (Prot::Cr, Solver::PipeCg, 0xa5d7a8d7119cfe2d),
-    (Prot::Cr, Solver::BiCgStab, 0x0b3b02d954f79da4),
+    (Prot::Esr, Solver::Pcg, 0x1bd209d15f2cb22b),
+    (Prot::Esr, Solver::PipeCg, 0xffd103b04fbe8fe4),
+    (Prot::Esr, Solver::BiCgStab, 0xf2e2fc25d31c0884),
+    (Prot::Cr, Solver::Pcg, 0x84f8ed2a9a4b1eae),
+    (Prot::Cr, Solver::PipeCg, 0xdde9a259d6dc3d56),
+    (Prot::Cr, Solver::BiCgStab, 0x529b36b2508f1572),
 ];
 
 #[cfg(feature = "trace")]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x3f5789b744a4d9cc),
-    (Prot::Esr, Solver::PipeCg, 0xeb7d67387af019b8),
-    (Prot::Esr, Solver::BiCgStab, 0x3cac0c50202dfa7d),
-    (Prot::Cr, Solver::Pcg, 0xc1d9bfc36b741408),
-    (Prot::Cr, Solver::PipeCg, 0x9cbc25c1f93f8056),
-    (Prot::Cr, Solver::BiCgStab, 0x891cebd80f0761f9),
+    (Prot::Esr, Solver::Pcg, 0xc43d1d4101a75888),
+    (Prot::Esr, Solver::PipeCg, 0x7aac99953b381766),
+    (Prot::Esr, Solver::BiCgStab, 0x65adfc7a62fe277c),
+    (Prot::Cr, Solver::Pcg, 0xfeef2dc8eaa7871b),
+    (Prot::Cr, Solver::PipeCg, 0xe36dbbb02e971540),
+    (Prot::Cr, Solver::BiCgStab, 0x87eba0aeb62b7dda),
 ];
 
 #[derive(Clone, Copy, Debug)]
