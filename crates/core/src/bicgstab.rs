@@ -22,7 +22,7 @@
 //!   (block-diagonal `M`), which is what lets an *adopter* rebuild a
 //!   block it never owned;
 //! * `v_If = A_{If,·} p̂` — survivors serve `p̂` outside `If`; the
-//!   `If`-columns come from the reconstructor group's all-gather;
+//!   reconstructors push each other the `If`-columns their rows read;
 //! * `r_If = s_If + α v_If` — from the recurrence `s = r − α v`
 //!   (`α` is a replicated scalar, re-sent by a survivor);
 //! * `x_If` — from `r = b − A x`, via the engine's shared cooperative

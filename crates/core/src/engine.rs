@@ -567,6 +567,9 @@ pub(crate) struct EventPlan {
     pub lost: Vec<LostBlock>,
     /// The distinct reconstructors, ascending.
     pub reconstructors: Vec<usize>,
+    /// Per reconstructor, in the same order: the offsets of its rows in
+    /// `If`. The slices tile `0..|If|` in ascending order.
+    pub if_slices: Vec<Range<usize>>,
     /// Sorted global rows of all failed blocks (`If`).
     pub if_indices: Vec<usize>,
 }
@@ -583,26 +586,30 @@ pub(crate) struct LostBlock {
 }
 
 impl EventPlan {
-    /// Plan the event for sorted `failed` ranks (all active members) under
-    /// a budget of `avail` replacements.
-    fn new(layout: &Layout, me: usize, failed: &[usize], avail: usize) -> Self {
+    /// Plan the event for sorted `failed` ranks (all active members, whose
+    /// blocks `part` holds in `members` order) under a budget of `avail`
+    /// replacements.
+    fn new(
+        members: &[usize],
+        part: &BlockPartition,
+        me: usize,
+        failed: &[usize],
+        avail: usize,
+    ) -> Self {
         let granted = avail.min(failed.len());
         let old_range = |r: usize| {
-            let slot = layout
-                .members
-                .binary_search(&r)
-                .expect("failed rank is an active member");
-            layout.part.range(slot)
+            let slot = members.binary_search(&r).expect("an active member");
+            part.range(slot)
         };
         let without = |gone: &[usize]| -> Vec<usize> {
             let stays = |r: &usize| gone.binary_search(r).is_err();
-            layout.members.iter().copied().filter(stays).collect()
+            members.iter().copied().filter(stays).collect()
         };
         let new_members = without(&failed[granted..]);
         let mut new_starts = Vec::with_capacity(new_members.len() + 1);
         new_starts.push(0);
         new_starts.extend(new_members.iter().skip(1).map(|&m| old_range(m).start));
-        new_starts.push(layout.part.n());
+        new_starts.push(part.n());
         let new_part = BlockPartition::from_starts(new_starts);
         let lost: Vec<LostBlock> = failed
             .iter()
@@ -624,12 +631,22 @@ impl EventPlan {
         let mut reconstructors: Vec<usize> = lost.iter().map(|l| l.reconstructor).collect();
         reconstructors.sort_unstable();
         reconstructors.dedup();
+        // `lost` is in row order, so each reconstructor's blocks are one run.
+        let mut end = 0;
+        let runs = lost.chunk_by(|a, b| a.reconstructor == b.reconstructor);
+        let if_slices = runs
+            .map(|run| {
+                let start = end;
+                end += run.iter().map(|l| l.range.len()).sum::<usize>();
+                start..end
+            })
+            .collect();
         let if_indices: Vec<usize> = lost.iter().flat_map(|l| l.range.clone()).collect();
         debug_assert!(if_indices.windows(2).all(|w| w[0] < w[1]));
         EventPlan {
             me,
             am_failed: failed.binary_search(&me).is_ok(),
-            my_range: layout.lm.range.clone(),
+            my_range: old_range(me),
             failed: failed.to_vec(),
             granted,
             survivors: without(failed),
@@ -637,6 +654,7 @@ impl EventPlan {
             new_part,
             lost,
             reconstructors,
+            if_slices,
             if_indices,
         }
     }
@@ -660,6 +678,29 @@ impl EventPlan {
     fn rows_of(&self, rho: usize) -> impl Iterator<Item = usize> + '_ {
         let blocks = self.lost.iter().filter(move |l| l.reconstructor == rho);
         blocks.flat_map(|l| l.range.clone())
+    }
+
+    /// What this reconstructor exchanges of an `If` vector for its rows of
+    /// `m` to read every coupled entry, derived from static data alone.
+    /// What it sends a member comes from *that member's* rows, so both ends
+    /// of every message derive the same list.
+    fn if_exchange(&self, m: &Csr, tag: u32) -> IfExchange {
+        // The sorted positions inside `slice` that `rho`'s rows read.
+        let reads = |rho: usize, slice: &Range<usize>| {
+            let cols = self.rows_of(rho).flat_map(|gr| m.row(gr).0);
+            let pos = cols.filter_map(|&c| self.if_indices.binary_search(&(c as usize)).ok());
+            let mut pos: Vec<usize> = pos.filter(|p| slice.contains(p)).collect();
+            pos.sort_unstable();
+            pos.dedup();
+            pos
+        };
+        let slices = self.reconstructors.iter().zip(&self.if_slices);
+        let mut mine = slices.clone().filter(|&(&rho, _)| rho == self.me);
+        let own = mine.next().expect("a reconstructor").1.clone();
+        let peers = slices.filter(|&(&q, _)| q != self.me);
+        let peers = peers.map(|(&q, slice)| (q, reads(q, &own), reads(self.me, slice)));
+        let peers = peers.collect();
+        IfExchange { tag, own, peers }
     }
 
     /// This node's slot among [`EventPlan::new_members`] (it did not
@@ -829,7 +870,7 @@ fn restart_protocol<F: Flavor>(
             "all {} active nodes failed — nothing left to recover from",
             layout.members.len()
         );
-        let plan = EventPlan::new(layout, me, &failed, avail);
+        let plan = EventPlan::new(&layout.members, &layout.part, me, &failed, avail);
         ctx.trace_instant("grant", plan.granted as u64);
         if plan.retired().binary_search(&me).is_ok() {
             // No replacement for this node: it is gone. Its subdomain is
@@ -973,12 +1014,17 @@ struct Reconstruction {
 /// The per-attempt state behind [`EngineComm`].
 #[derive(Default)]
 struct Wire {
-    /// Gather tags handed out so far.
+    /// Gather tags handed out so far, upwards from `OFF_DYNAMIC`.
     gathers: u32,
-    /// The reconstructor sub-communicator, created on first use and shared
-    /// by every group operation of the attempt — `rebuild` and `xsolve`
-    /// alike: a group's id derives from a per-member-set creation counter,
-    /// so creating one per stage would move every group tag.
+    /// [`IfExchange`] tags handed out so far, downwards from the top of the
+    /// window. Only reconstructors take them, so they must not come from
+    /// the gather counter, which survivors advance in step.
+    pushes: u32,
+    /// The reconstructor sub-communicator the inner solves reduce over,
+    /// created on first use and shared by every solve of the attempt — a
+    /// P-given PCG solves in `rebuild` too: a group's id derives from a
+    /// per-member-set creation counter, so creating one per solve would
+    /// move every group tag.
     group: Option<Group>,
     /// Inner-solver iterations accumulated by [`EngineComm::solve_if_system`].
     inner_iterations: usize,
@@ -1202,6 +1248,43 @@ fn needed_cols(m: &Csr, rows: impl Iterator<Item = usize>, if_indices: &[usize])
     cols
 }
 
+/// One reconstructor's exchange of an `If` vector with the others
+/// ([`EventPlan::if_exchange`]): in place of a group all-gather, only the
+/// entries some member's rows read travel, each pair at most once.
+struct IfExchange {
+    /// The tag every exchange of this vector travels under; FIFO
+    /// `(src, tag)` order keeps successive exchanges apart.
+    tag: u32,
+    /// This node's `If` slice.
+    own: Range<usize>,
+    /// Per other member, ascending: `(member, sends, receives)` — the
+    /// sorted positions of `own` that the member's rows read, and the
+    /// sorted positions of the member's slice that this node's rows read.
+    peers: Vec<(usize, Vec<usize>, Vec<usize>)>,
+}
+
+impl IfExchange {
+    /// Send each coupled member its entries of `mine` (this node's slice),
+    /// copy `mine` into `full` and receive every coupled member's run in
+    /// ascending order: `full` (indexed by `If` position) then holds the
+    /// all-gathered value at every position this node's rows read.
+    fn run(&self, ctx: &mut NodeCtx, mine: &[f64], full: &mut [f64]) {
+        for (q, sends, _) in self.peers.iter().filter(|p| !p.1.is_empty()) {
+            let vals = sends.iter().map(|&p| mine[p - self.own.start]).collect();
+            ctx.send(*q, self.tag, Payload::f64s(vals), CommPhase::Recovery);
+        }
+        full[self.own.clone()].copy_from_slice(mine);
+        for (q, _, recvs) in self.peers.iter().filter(|p| !p.2.is_empty()) {
+            let vals = ctx.recv_phase(*q, self.tag, CommPhase::Recovery);
+            let vals = vals.into_f64s();
+            assert_eq!(vals.len(), recvs.len(), "run from rank {q}");
+            for (&p, v) in recvs.iter().zip(vals) {
+                full[p] = v;
+            }
+        }
+    }
+}
+
 /// The engine's distributed-rebuild toolkit, handed to
 /// [`ResilientKernel::rebuild_distributed`]. Every helper is collective
 /// over the active members (survivors serve, reconstructors compute), so
@@ -1219,13 +1302,17 @@ impl EngineComm<'_> {
     fn next_tag(&mut self) -> u32 {
         let off = OFF_DYNAMIC + self.wire.gathers;
         self.wire.gathers += 1;
-        assert!(off < TAG_STRIDE, "tag window exhausted");
+        assert!(off < TAG_STRIDE - self.wire.pushes, "tag window full");
         tag(self.at.seq, off)
     }
 
-    fn group(&mut self, ctx: &mut NodeCtx) -> &mut Group {
-        let recon = &self.at.plan.reconstructors;
-        self.wire.group.get_or_insert_with(|| ctx.group(recon))
+    /// The exchange of an `If` vector over `m`'s pattern, under a fresh tag
+    /// from the top of the window. Reconstructors only.
+    fn if_exchange(&mut self, m: &Csr) -> IfExchange {
+        self.wire.pushes += 1;
+        let off = TAG_STRIDE - self.wire.pushes;
+        assert!(off >= OFF_DYNAMIC + self.wire.gathers, "tag window full");
+        self.at.plan.if_exchange(m, tag(self.at.seq, off))
     }
 
     /// Survivor-served value lookup: every reconstructor obtains the value
@@ -1282,9 +1369,9 @@ impl EngineComm<'_> {
 
     /// `blocks[*].vecs[out_slot] = (m · v)` restricted to each block's
     /// rows, for a distributed vector `v` whose reconstructed `If`-part
-    /// lives in `vecs[v_slot]` of the reconstructors' blocks (group
-    /// all-gather, concatenating to the sorted `If` layout) and whose
-    /// surviving part is `v_loc` (survivor ghost gather). Collective.
+    /// lives in `vecs[v_slot]` of the reconstructors' blocks (pushed among
+    /// them over the static pattern, [`IfExchange`]) and whose surviving
+    /// part is `v_loc` (survivor ghost gather). Collective.
     pub fn apply_matrix(
         &mut self,
         ctx: &mut NodeCtx,
@@ -1299,14 +1386,13 @@ impl EngineComm<'_> {
             return;
         }
         let lookup = lookup.expect("reconstructors obtain the lookup");
-        let concat: Vec<f64> = blocks
+        let mine: Vec<f64> = blocks
             .iter()
             .flat_map(|b| b.vecs[v_slot].iter().copied())
             .collect();
-        let parts = self.group(ctx).allgatherv_f64(ctx, concat);
-        let v_if: Vec<f64> = parts.into_iter().flatten().collect();
         let if_indices = &self.at.plan.if_indices;
-        debug_assert_eq!(v_if.len(), if_indices.len());
+        let mut v_if = vec![0.0; if_indices.len()];
+        self.if_exchange(m).run(ctx, &mine, &mut v_if);
         for blk in blocks.iter_mut() {
             let blen = blk.range.len();
             let mut out = vec![0.0; blen];
@@ -1342,22 +1428,23 @@ impl EngineComm<'_> {
     /// Cooperatively solve `M_{If,If} y = rhs` over the reconstructor
     /// group with an inner distributed PCG (paper Sec. 6: "a PCG solver
     /// assembled with global operations", block-Jacobi preconditioner with
-    /// blocks matching each member's reconstructed rows). `rows` is this
-    /// member's sorted row set; the concatenation of the members' rows in
-    /// ascending rank order equals `If` — guaranteed by the
-    /// nearest-preceding-survivor adoption rule. `statics` is the store
-    /// when `m` is the system matrix (`None` for `P`). Reconstructors only.
+    /// blocks matching each member's reconstructed rows). Its operator is a
+    /// sub-matrix SpMV over `p` pushed over the static pattern
+    /// ([`IfExchange`]); its reductions are group all-reduces. `rhs` and the
+    /// result run over this member's rows ([`EventPlan::if_slices`]).
+    /// `statics` is the store when `m` is the system matrix (`None` for
+    /// `P`). Reconstructors only.
     pub fn solve_if_system(
         &mut self,
         ctx: &mut NodeCtx,
         m: &Csr,
         statics: Option<&StaticData>,
-        rows: &[usize],
         rhs: Vec<f64>,
     ) -> Vec<f64> {
-        let (rcfg, if_indices) = (&self.at.env.res.recovery, &self.at.plan.if_indices);
-        let group = self.group(ctx);
-        let (y, iters) = solve_failed_rows(ctx, group, rcfg, rows, if_indices, m, statics, rhs);
+        let (rcfg, plan) = (&self.at.env.res.recovery, self.at.plan);
+        let ex = self.if_exchange(m);
+        let group = (self.wire.group).get_or_insert_with(|| ctx.group(&plan.reconstructors));
+        let (y, iters) = solve_failed_rows(ctx, group, &ex, rcfg, plan, m, statics, rhs);
         self.wire.inner_iterations += iters;
         y
     }
@@ -1381,7 +1468,6 @@ impl EngineComm<'_> {
             return;
         }
         let lookup = lookup.expect("reconstructors obtain the x lookup");
-        let mut rows: Vec<usize> = Vec::new();
         let mut rhs: Vec<f64> = Vec::new();
         for blk in blocks.iter() {
             let mut flops = 0usize;
@@ -1401,10 +1487,8 @@ impl EngineComm<'_> {
                 rhs.push(env.b[gr] - blk.vecs[r_slot][i] - s);
             }
             ctx.clock_mut().advance_flops(flops + 2 * blk.range.len());
-            rows.extend(blk.range.clone());
         }
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
-        let x_new = self.solve_if_system(ctx, a, Some(env.statics), &rows, rhs);
+        let x_new = self.solve_if_system(ctx, a, Some(env.statics), rhs);
         let mut off = 0usize;
         for blk in blocks {
             blk.vecs[x_slot] = x_new[off..off + blk.range.len()].to_vec();
@@ -1418,16 +1502,17 @@ impl EngineComm<'_> {
 fn solve_failed_rows(
     ctx: &mut NodeCtx,
     group: &mut Group,
+    ex: &IfExchange,
     rcfg: &RecoveryConfig,
-    rows: &[usize],
-    if_indices: &[usize],
+    plan: &EventPlan,
     m: &Csr,
     statics: Option<&StaticData>,
     rhs: Vec<f64>,
 ) -> (Vec<f64>, usize) {
     let rank = ctx.rank();
     // This member's rows of M_{If,If} (columns renumbered into If).
-    let sub = m.extract(rows, if_indices);
+    let rows: Vec<usize> = plan.rows_of(plan.me).collect();
+    let sub = m.extract(&rows, &plan.if_indices);
     // Own diagonal block of M_{If,If} for preconditioning, and its exact
     // factor: shared static data when the rows are one contiguous range of
     // `A` (Replace and Spares always; a Shrink adopter of adjacent blocks),
@@ -1439,7 +1524,7 @@ fn solve_failed_rows(
             (st, rows[0]..rows[0] + rows.len())
         }
         _ => {
-            own = StaticData::new(Arc::new(m.extract(rows, rows)));
+            own = StaticData::new(Arc::new(m.extract(&rows, &rows)));
             (&own, 0..rows.len())
         }
     };
@@ -1486,17 +1571,12 @@ fn solve_failed_rows(
     }
     let target_sq = rcfg.inner_rel_tol * rcfg.inner_rel_tol * rn0_sq;
     let mut u = vec![0.0; nloc];
-    let mut p_full = Vec::with_capacity(if_indices.len());
+    // The If-vector `sub` multiplies: exact at every position it reads.
+    let mut p_full = vec![0.0; plan.if_indices.len()];
     let mut iters = 0usize;
     for _ in 0..rcfg.inner_max_iter {
         iters += 1;
-        // Assemble the full If-vector (group index order == ascending
-        // reconstructor ranks == the layout of `if_indices`).
-        p_full.clear();
-        for part in group.allgatherv_f64(ctx, p.clone()) {
-            p_full.extend_from_slice(&part);
-        }
-        debug_assert_eq!(p_full.len(), if_indices.len());
+        ex.run(ctx, &p, &mut p_full);
         sub.spmv(&p_full, &mut u);
         ctx.clock_mut().advance_flops(sub.spmv_flops());
         let pap = group.allreduce_sum(ctx, dot(&p, &u));
@@ -1738,5 +1818,110 @@ mod tests {
         // P block-diagonal on the partition: every coupled column is in
         // If, so nobody sends anything.
         assert_eq!(pushed_values(&explicit_p(&part), &part), 0);
+    }
+
+    /// The pushed `If` exchange replaces a group all-gather, so every
+    /// reconstructor must end up with the all-gathered value at every
+    /// position its rows of `m` read, each member sending at most one
+    /// message per coupled peer. Runs the exchange on a cluster of eight
+    /// nodes, for each pattern and failure event below.
+    #[test]
+    fn pushed_if_exchange_matches_the_all_gather() {
+        use parcomm::{Cluster, ClusterConfig};
+        use sparsemat::gen::{banded_spd, circuit_like, mesh_laplacian_2d, MeshOrdering};
+        use sparsemat::Coo;
+        // Structurally nonsymmetric: what q needs from this node follows
+        // from q's rows, not from this node's.
+        let circuit = circuit_like(160, 6, 0.1, 5);
+        let mut lower = Coo::new(160, 160);
+        for r in 0..160 {
+            let (cols, vals) = circuit.row(r);
+            for (&c, &v) in cols.iter().zip(vals).filter(|(&c, _)| c as usize <= r) {
+                lower.push(r, c as usize, v);
+            }
+        }
+        let patterns = [
+            poisson2d(12, 12),
+            mesh_laplacian_2d(12, 12, MeshOrdering::Random, 3),
+            banded_spd(160, 30, 0.3, 9),
+            lower.to_csr(),
+        ];
+        // (failed, replacement budget): ψ = 2–4 replaced in place —
+        // adjacent, non-adjacent, wrapped; one replaced and two adopted;
+        // Shrink with two separated runs (two adopters), with a block
+        // before and after its adopter, and with three adopters.
+        let events: [(&[usize], usize); 8] = [
+            (&[3, 4], usize::MAX),
+            (&[1, 4, 6], usize::MAX),
+            (&[0, 6, 7], usize::MAX),
+            (&[0, 2, 3, 5], usize::MAX),
+            (&[2, 3, 6], 1),
+            (&[2, 3, 6], 0),
+            (&[0, 2, 5], 0),
+            (&[0, 3, 7], 0),
+        ];
+        let members: Vec<usize> = (0..8).collect();
+        let value = |row: usize| 0.5 + row as f64;
+        for (k, m) in patterns.iter().enumerate() {
+            let part = BlockPartition::new(m.n_rows(), members.len());
+            let mut pushed = 0;
+            for &(failed, avail) in &events {
+                let plan_of = |me| EventPlan::new(&members, &part, me, failed, avail);
+                let out = Cluster::run(ClusterConfig::new(members.len()), |ctx| {
+                    let plan = plan_of(ctx.rank());
+                    if plan.reconstructors.binary_search(&plan.me).is_err() {
+                        return None;
+                    }
+                    let ex = plan.if_exchange(m, tag(0, TAG_STRIDE - 1));
+                    let mine: Vec<f64> = plan.rows_of(plan.me).map(value).collect();
+                    let mut full = vec![f64::NAN; plan.if_indices.len()];
+                    ex.run(ctx, &mine, &mut full);
+                    let peers = ex.peers.iter().filter(|p| !p.1.is_empty()).count();
+                    Some((full, peers, ctx.stats().msgs(CommPhase::Recovery)))
+                });
+                let (mut sent, mut coupled) = (0, 0);
+                for (rho, got) in out.into_iter().enumerate() {
+                    let Some((full, peers, msgs)) = got else {
+                        continue;
+                    };
+                    let plan = plan_of(rho);
+                    assert_eq!(msgs, peers as u64, "pattern {k}, {failed:?}: one per peer");
+                    sent += peers;
+                    for gr in plan.rows_of(rho) {
+                        for &c in m.row(gr).0 {
+                            let Ok(p) = plan.if_indices.binary_search(&(c as usize)) else {
+                                continue;
+                            };
+                            let (got, want) = (full[p].to_bits(), value(c as usize).to_bits());
+                            assert_eq!(got, want, "pattern {k}, {failed:?}, rank {rho}, col {c}");
+                        }
+                    }
+                    let slices = plan.reconstructors.iter().zip(&plan.if_slices);
+                    let (_, own) = slices.clone().find(|&(&q, _)| q == rho).unwrap();
+                    assert!(plan.if_indices[own.clone()]
+                        .iter()
+                        .copied()
+                        .eq(plan.rows_of(rho)));
+                    coupled += (slices.filter(|&(&q, _)| q != rho))
+                        .filter(|&(_, slice)| reads_any(m, &plan, rho, slice))
+                        .count();
+                }
+                assert_eq!(
+                    sent, coupled,
+                    "pattern {k}, {failed:?}: messages = coupled pairs"
+                );
+                pushed += sent;
+            }
+            assert!(pushed > 0, "pattern {k} couples some reconstructors");
+        }
+    }
+
+    /// Whether `rho`'s rows of `m` read any `If` position in `slice`.
+    fn reads_any(m: &Csr, plan: &EventPlan, rho: usize, slice: &Range<usize>) -> bool {
+        plan.rows_of(rho).any(|gr| {
+            let pos = m.row(gr).0.iter();
+            let mut pos = pos.filter_map(|&c| plan.if_indices.binary_search(&(c as usize)).ok());
+            pos.any(|p| slice.contains(&p))
+        })
     }
 }

@@ -157,7 +157,6 @@ impl ResilientKernel for PcgState {
             return;
         }
         let lookup = lookup.expect("reconstructors obtain the r lookup");
-        let mut rows: Vec<usize> = Vec::new();
         let mut rhs: Vec<f64> = Vec::new();
         for blk in blocks.iter() {
             let mut flops = 0usize;
@@ -177,9 +176,8 @@ impl ResilientKernel for PcgState {
                 rhs.push(blk.vecs[Z][i] - s);
             }
             ctx.clock_mut().advance_flops(flops + blk.range.len());
-            rows.extend(blk.range.clone());
         }
-        let r_new = comm.solve_if_system(ctx, &p_full, None, &rows, rhs);
+        let r_new = comm.solve_if_system(ctx, &p_full, None, rhs);
         let mut off = 0usize;
         for blk in blocks.iter_mut() {
             blk.vecs[R] = r_new[off..off + blk.range.len()].to_vec();

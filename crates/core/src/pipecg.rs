@@ -182,8 +182,8 @@ impl ResilientKernel for PipeState {
         comm: &mut EngineComm<'_>,
         blocks: &mut [ReconBlock],
     ) {
-        // w_If = (A u)_If: survivor ghost values + group all-gather of the
-        // reconstructed u blocks.
+        // w_If = (A u)_If: survivor ghost values + the reconstructed u
+        // entries the reconstructors push each other.
         comm.apply_matrix(ctx, env.statics.matrix(), blocks, U, W, &self.v[U]);
         if env.has_prev {
             // s_If = (A p)_If, then q_If = M⁻¹_{b,b} s_If per block (local,

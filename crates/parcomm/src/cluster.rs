@@ -484,16 +484,13 @@ mod tests {
             if ctx.rank() % 2 == 1 {
                 let mut g = ctx.group(&[1, 3]);
                 let s = g.allreduce_sum(ctx, ctx.rank() as f64);
-                let gathered = g.allgatherv_f64(ctx, vec![ctx.rank() as f64]);
-                Some((s, gathered))
+                Some((s, g.allreduce_max(ctx, ctx.rank() as f64)))
             } else {
                 None
             }
         });
         for r in [1usize, 3] {
-            let (s, gathered) = out[r].clone().unwrap();
-            assert_eq!(s, 4.0);
-            assert_eq!(gathered, vec![vec![1.0], vec![3.0]]);
+            assert_eq!(out[r], Some((4.0, 3.0)));
         }
     }
 

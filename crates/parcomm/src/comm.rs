@@ -137,7 +137,7 @@ impl Scope<'_> {
 
 /// Ragged per-participant buffers as the two payloads that broadcast them:
 /// the counts and the flattened data (both empty off the root).
-pub(crate) fn flatten_ragged<T: PayloadElem>(vecs: Option<Vec<Vec<T>>>) -> (Payload, Payload) {
+fn flatten_ragged<T: PayloadElem>(vecs: Option<Vec<Vec<T>>>) -> (Payload, Payload) {
     let Some(vs) = vecs else {
         return (Payload::Empty, Payload::Empty);
     };
@@ -149,7 +149,7 @@ pub(crate) fn flatten_ragged<T: PayloadElem>(vecs: Option<Vec<Vec<T>>>) -> (Payl
 }
 
 /// Split a flattened buffer back into per-rank pieces of the given lengths.
-pub(crate) fn split_by_counts<T>(flat: Vec<T>, counts: &[u64]) -> Vec<Vec<T>> {
+fn split_by_counts<T>(flat: Vec<T>, counts: &[u64]) -> Vec<Vec<T>> {
     debug_assert_eq!(flat.len() as u64, counts.iter().sum::<u64>());
     let mut it = flat.into_iter();
     counts
@@ -736,9 +736,7 @@ impl NodeCtx {
     }
 
     /// Gather per-participant buffers on participant index `root` of `s`,
-    /// in index order; the others return `None`. **The span stays open**:
-    /// the caller closes it (a group all-gather runs its broadcasts inside
-    /// the gather's span — the committed traces pin that).
+    /// in index order; the others return `None`.
     pub(crate) fn gatherv_on<T: PayloadElem>(
         &mut self,
         s: &Scope<'_>,
@@ -748,19 +746,22 @@ impl NodeCtx {
         phase: CommPhase,
     ) -> Option<Vec<Vec<T>>> {
         let tag = self.coll_begin(s, name, op::GATHER, None, None);
-        if s.my_index != root {
+        let gathered = if s.my_index != root {
             self.send_tag(s.rank_of(root), tag, T::wrap(x), phase);
-            return None;
-        }
-        let mut own = Some(x);
-        let gathered = (0..s.n).map(|i| {
-            if i == root {
-                own.take().expect("own slot filled once")
-            } else {
-                T::unwrap(self.recv_tag(s.rank_of(i), tag, phase).payload)
-            }
-        });
-        Some(gathered.collect())
+            None
+        } else {
+            let mut own = Some(x);
+            let gathered = (0..s.n).map(|i| {
+                if i == root {
+                    own.take().expect("own slot filled once")
+                } else {
+                    T::unwrap(self.recv_tag(s.rank_of(i), tag, phase).payload)
+                }
+            });
+            Some(gathered.collect())
+        };
+        self.trace_close();
+        gathered
     }
 
     /// Broadcast from participant index `root` of `s` over a binomial tree.
@@ -773,12 +774,6 @@ impl NodeCtx {
         payload: Payload,
         phase: CommPhase,
     ) -> Payload {
-        // A group of one returns before it opens a span or shows the call
-        // to anyone (one participant has nobody to disagree with); a world
-        // of one goes through the motions. The committed traces pin both.
-        if s.n == 1 && s.id.is_some() {
-            return payload;
-        }
         let tag = self.coll_begin(s, name, op::BCAST, None, None);
         let n = s.n;
         // Tree positions are indices rotated so the root sits at 0.
@@ -866,9 +861,7 @@ impl NodeCtx {
 
     fn gatherv<T: PayloadElem>(&mut self, root: usize, x: Vec<T>) -> Option<Vec<Vec<T>>> {
         let world = self.world();
-        let out = self.gatherv_on(&world, "gather", root, x, CommPhase::Other);
-        self.trace_close();
-        out
+        self.gatherv_on(&world, "gather", root, x, CommPhase::Other)
     }
 
     /// All-gather variable-length `f64` buffers; result indexed by rank.

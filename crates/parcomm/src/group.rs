@@ -13,7 +13,7 @@
 //! scheduler-resident recursive-doubling rounds, over group indices instead
 //! of global ranks — recovery's inner solves get the ⌈log₂ψ⌉-round cost too.
 
-use crate::comm::{flatten_ragged, split_by_counts, NodeCtx, ReduceOp, Scope, Timeline};
+use crate::comm::{NodeCtx, ReduceOp, Scope, Timeline};
 use crate::request::AllreduceRequest;
 use crate::stats::CommPhase;
 
@@ -141,19 +141,6 @@ impl Group {
         phase: CommPhase,
     ) -> Vec<(usize, Vec<u64>)> {
         ctx.alltoallv_on(&self.scope(), "group_alltoall", sends, phase)
-    }
-
-    /// All-gather variable-length `f64` buffers within the group: gather on
-    /// group index 0, then broadcast counts and data — both inside the
-    /// gather's span, unlike the world all-gather (pinned by the traces).
-    pub fn allgatherv_f64(&mut self, ctx: &mut NodeCtx, x: Vec<f64>) -> Vec<Vec<f64>> {
-        let phase = CommPhase::Recovery;
-        let gathered = ctx.gatherv_on(&self.scope(), "group_gather", 0, x, phase);
-        let (counts, flat) = flatten_ragged(gathered);
-        let counts = ctx.bcast_on(&self.scope(), "group_bcast", 0, counts, phase);
-        let flat = ctx.bcast_on(&self.scope(), "group_bcast", 0, flat, phase);
-        ctx.trace_close();
-        split_by_counts(flat.into_f64s(), &counts.into_u64s())
     }
 }
 

@@ -54,9 +54,9 @@ const NUMERICS: [(Prot, Solver, u64); 6] = [
 
 #[cfg(not(feature = "trace"))]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x1bd209d15f2cb22b),
-    (Prot::Esr, Solver::PipeCg, 0xffd103b04fbe8fe4),
-    (Prot::Esr, Solver::BiCgStab, 0xf2e2fc25d31c0884),
+    (Prot::Esr, Solver::Pcg, 0x94b0f5ccc48bfcde),
+    (Prot::Esr, Solver::PipeCg, 0xe50906f24ce16cc2),
+    (Prot::Esr, Solver::BiCgStab, 0x62e1805273b8036d),
     (Prot::Cr, Solver::Pcg, 0x84f8ed2a9a4b1eae),
     (Prot::Cr, Solver::PipeCg, 0xdde9a259d6dc3d56),
     (Prot::Cr, Solver::BiCgStab, 0x529b36b2508f1572),
@@ -64,9 +64,9 @@ const COST: [(Prot, Solver, u64); 6] = [
 
 #[cfg(feature = "trace")]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0xc43d1d4101a75888),
-    (Prot::Esr, Solver::PipeCg, 0x7aac99953b381766),
-    (Prot::Esr, Solver::BiCgStab, 0x65adfc7a62fe277c),
+    (Prot::Esr, Solver::Pcg, 0x5b4189b855d84071),
+    (Prot::Esr, Solver::PipeCg, 0x1bad98cdaab39582),
+    (Prot::Esr, Solver::BiCgStab, 0x6d81db46b8dae6a5),
     (Prot::Cr, Solver::Pcg, 0xfeef2dc8eaa7871b),
     (Prot::Cr, Solver::PipeCg, 0xe36dbbb02e971540),
     (Prot::Cr, Solver::BiCgStab, 0x87eba0aeb62b7dda),
