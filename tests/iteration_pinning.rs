@@ -117,6 +117,11 @@ fn bicgstab_reference_iteration_counts_are_pinned() {
 // same iteration counts, same final residual to the last ulp. A drift
 // here means the engine's reconstruction math deviated from paper
 // Alg. 2 — re-pin only with a numerical justification in the same commit.
+//
+// `solver_residual` is the recursive residual, which never reads `x`. The
+// `true_residual` pins read the reconstructed `x`: where two adjacent
+// blocks are lost together, the x reconstruction's inner solve runs over a
+// coupled `A_{If,If}` on two reconstructors.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -135,6 +140,7 @@ fn replace_recovery_trajectories_are_pinned_bitwise() {
     assert!(r.converged);
     assert_eq!(r.iterations, 20);
     assert_eq!(r.solver_residual, 3.559_024_370_291_282e-8);
+    assert_eq!(r.true_residual.to_bits(), 0x3e63_1b7c_5f1b_e32e);
 
     let r = run_pipecg(
         &problem,
@@ -147,6 +153,7 @@ fn replace_recovery_trajectories_are_pinned_bitwise() {
     assert!(r.converged);
     assert_eq!(r.iterations, 20);
     assert_eq!(r.solver_residual, 3.559_024_337_481_355e-8);
+    assert_eq!(r.true_residual.to_bits(), 0x3e63_1b7b_f0f6_d43a);
 
     let r = run_bicgstab(
         &problem,
@@ -159,6 +166,7 @@ fn replace_recovery_trajectories_are_pinned_bitwise() {
     assert!(r.converged);
     assert_eq!(r.iterations, 13);
     assert_eq!(r.solver_residual, 5.429_056_169_617_638e-8);
+    assert_eq!(r.true_residual.to_bits(), 0x3e6d_25a3_553a_3c51);
 }
 
 #[test]
@@ -283,6 +291,7 @@ fn thick_block_trajectories_are_pinned_bitwise() {
     assert_eq!(r.ranks_recovered, 2);
     assert_eq!(r.iterations, 28);
     assert_eq!(r.solver_residual.to_bits(), 0x3e72_69e8_00e8_181d);
+    assert_eq!(r.true_residual.to_bits(), 0x3e72_69e7_fe23_9847);
 
     let r = run_pipecg(
         &problem,
@@ -296,6 +305,7 @@ fn thick_block_trajectories_are_pinned_bitwise() {
     assert_eq!(r.ranks_recovered, 2);
     assert_eq!(r.iterations, 28);
     assert_eq!(r.solver_residual.to_bits(), 0x3e72_69e7_fb52_11e6);
+    assert_eq!(r.true_residual.to_bits(), 0x3e72_69e8_5ae7_f682);
 }
 
 #[test]
