@@ -1429,9 +1429,11 @@ impl EngineComm<'_> {
     /// group with an inner distributed PCG (paper Sec. 6: "a PCG solver
     /// assembled with global operations", block-Jacobi preconditioner with
     /// blocks matching each member's reconstructed rows). Its operator is a
-    /// sub-matrix SpMV over `p` pushed over the static pattern
-    /// ([`IfExchange`]); its reductions are group all-reduces. `rhs` and the
-    /// result run over this member's rows ([`EventPlan::if_slices`]).
+    /// sub-matrix SpMV over `z` pushed over the static pattern
+    /// ([`IfExchange`]); its recurrence is single-reduction PCG, one group
+    /// all-reduce per iteration. A group of one with the exact block factor
+    /// applies it once instead. `rhs` and the result run over this member's
+    /// rows ([`EventPlan::if_slices`]).
     /// `statics` is the store when `m` is the system matrix (`None` for
     /// `P`). Reconstructors only.
     pub fn solve_if_system(
@@ -1556,49 +1558,59 @@ fn solve_failed_rows(
     ctx.clock_mut().advance_flops(20 * block.nnz().max(1));
 
     let nloc = rhs.len();
+    let mut z = vec![0.0; nloc];
+    apply_prec(&prec, &rhs, &mut z);
+    // A lone member's exact factor is A_{If,If}⁻¹: one solve, no loop.
+    if group.size() == 1 && rcfg.exact_block_precond {
+        return (z, 0);
+    }
+    // Chronopoulos–Gear PCG: w = A z every iteration, s = A p carried as
+    // s = w + βs, and [‖r‖², rᵀz, zᵀw] in one group all-reduce.
     let mut x = vec![0.0; nloc];
     let mut r = rhs;
-    let mut z = vec![0.0; nloc];
-    apply_prec(&prec, &r, &mut z);
-    let mut p = z.clone();
-    // Fused: ‖r‖² and rᵀz in one group all-reduce (same 2-reductions-per-
-    // iteration scheme as the outer PCG).
-    let init = group.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(&r, &r), dot(&r, &z)]);
-    let rn0_sq = init[0];
-    let mut rz = init[1];
-    if rn0_sq <= f64::MIN_POSITIVE {
+    let mut w = vec![0.0; nloc];
+    // The If-vector `sub` multiplies: exact at every position it reads.
+    let mut z_full = vec![0.0; plan.if_indices.len()];
+    let mut step = |ctx: &mut NodeCtx, r: &[f64], z: &mut [f64], w: &mut [f64]| {
+        apply_prec(&prec, r, z);
+        ex.run(ctx, z, &mut z_full);
+        sub.spmv(&z_full, w);
+        ctx.clock_mut().advance_flops(sub.spmv_flops());
+        group.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(r, r), dot(r, z), dot(z, w)])
+    };
+    let mut red = step(ctx, &r, &mut z, &mut w);
+    if red[0] <= f64::MIN_POSITIVE {
         return (x, 0);
     }
-    let target_sq = rcfg.inner_rel_tol * rcfg.inner_rel_tol * rn0_sq;
-    let mut u = vec![0.0; nloc];
-    // The If-vector `sub` multiplies: exact at every position it reads.
-    let mut p_full = vec![0.0; plan.if_indices.len()];
+    let target_sq = rcfg.inner_rel_tol * rcfg.inner_rel_tol * red[0];
+    let (mut p, mut s) = (z.clone(), w.clone());
+    let (mut gamma, mut pap) = (red[1], red[2]);
     let mut iters = 0usize;
-    for _ in 0..rcfg.inner_max_iter {
+    loop {
+        if !(pap > 0.0 && pap.is_finite()) || iters == rcfg.inner_max_iter {
+            let cause = if iters == rcfg.inner_max_iter {
+                format!("inner_max_iter = {iters} reached")
+            } else {
+                format!("breakdown, pᵀAp = {pap}")
+            };
+            panic!("rank {rank}: inner reconstruction solver stopped unconverged: {cause}");
+        }
+        let alpha = gamma / pap;
         iters += 1;
-        ex.run(ctx, &p, &mut p_full);
-        sub.spmv(&p_full, &mut u);
-        ctx.clock_mut().advance_flops(sub.spmv_flops());
-        let pap = group.allreduce_sum(ctx, dot(&p, &u));
-        if pap <= 0.0 || !pap.is_finite() {
-            panic!("rank {rank}: inner reconstruction solver broke down (pᵀAp = {pap})");
-        }
-        let alpha = rz / pap;
         axpy(alpha, &p, &mut x);
-        axpy(-alpha, &u, &mut r);
+        axpy(-alpha, &s, &mut r);
         ctx.clock_mut().advance_flops(4 * nloc);
-        apply_prec(&prec, &r, &mut z);
-        let rr_rz = group.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(&r, &r), dot(&r, &z)]);
-        if rr_rz[0] <= target_sq {
-            break;
+        red = step(ctx, &r, &mut z, &mut w);
+        if red[0] <= target_sq {
+            return (x, iters);
         }
-        let rz_next = rr_rz[1];
-        let beta = rz_next / rz;
-        rz = rz_next;
+        let beta = red[1] / gamma;
+        gamma = red[1];
+        pap = red[2] - beta * gamma / alpha;
         xpay(&z, beta, &mut p);
-        ctx.clock_mut().advance_flops(2 * nloc);
+        xpay(&w, beta, &mut s);
+        ctx.clock_mut().advance_flops(4 * nloc);
     }
-    (x, iters)
 }
 
 /// `r_b = M_{b,b} z_b` for one failed block from static data alone — the
@@ -1914,6 +1926,90 @@ mod tests {
             }
             assert!(pushed > 0, "pattern {k} couples some reconstructors");
         }
+    }
+
+    /// The x solve's reductions: a multi-member group books one group
+    /// all-reduce before its inner loop and one per inner iteration; a lone
+    /// member with the exact factor books none and does not iterate, and a
+    /// lone member with ILU(0) iterates. Every solve returns the solution of
+    /// `A_{If,If} y = rhs`. Runs the solve alone on a cluster of eight nodes.
+    #[test]
+    fn inner_solve_books_one_group_allreduce_per_iteration() {
+        use parcomm::{Cluster, ClusterConfig};
+        let m = poisson2d(12, 12);
+        let members: Vec<usize> = (0..8).collect();
+        let part = BlockPartition::new(m.n_rows(), members.len());
+        let rhs_at = |row: usize| 1.0 + (row % 7) as f64;
+        // (failed, replacement budget, exact block factor): coupled ψ = 2
+        // and ψ = 3, uncoupled ψ = 3, a lone replacement, a lone adopter of
+        // two blocks, and the lone replacement under ILU(0).
+        let events: [(&[usize], usize, bool); 6] = [
+            (&[3, 4], usize::MAX, true),
+            (&[2, 3, 4], usize::MAX, true),
+            (&[1, 4, 6], usize::MAX, true),
+            (&[5], usize::MAX, true),
+            (&[3, 4], 0, true),
+            (&[5], usize::MAX, false),
+        ];
+        for (failed, avail, exact) in events {
+            let rcfg = RecoveryConfig {
+                exact_block_precond: exact,
+                ..RecoveryConfig::default()
+            };
+            let plan_of = |me| EventPlan::new(&members, &part, me, failed, avail);
+            let out = Cluster::run(ClusterConfig::new(members.len()), |ctx| {
+                let plan = plan_of(ctx.rank());
+                if plan.reconstructors.binary_search(&plan.me).is_err() {
+                    return None;
+                }
+                let ex = plan.if_exchange(&m, tag(0, TAG_STRIDE - 1));
+                let mut group = ctx.group(&plan.reconstructors);
+                let rhs = plan.rows_of(plan.me).map(rhs_at).collect();
+                let before = ctx.stats().allreduces();
+                let (y, iters) =
+                    solve_failed_rows(ctx, &mut group, &ex, &rcfg, &plan, &m, None, rhs);
+                Some((y, iters, ctx.stats().allreduces() - before))
+            });
+            let plan = plan_of(0);
+            let lone = plan.reconstructors.len() == 1;
+            let mut y = Vec::new();
+            for (y_rho, iters, booked) in out.into_iter().flatten() {
+                let replaced = avail.min(failed.len());
+                let case = format!("{failed:?}, {replaced} replaced, exact {exact}");
+                if lone && exact {
+                    assert_eq!((iters, booked), (0, 0), "{case}");
+                } else {
+                    assert!(iters > 0, "{case}");
+                    assert_eq!(booked, iters as u64 + 1, "{case}");
+                }
+                y.extend(y_rho);
+            }
+            let sub = m.extract(&plan.if_indices, &plan.if_indices);
+            let mut ay = vec![0.0; y.len()];
+            sub.spmv(&y, &mut ay);
+            for (&gr, ay) in plan.if_indices.iter().zip(ay) {
+                assert!((ay - rhs_at(gr)).abs() < 1e-10, "{failed:?}, row {gr}");
+            }
+        }
+    }
+
+    /// An inner solve that exhausts `inner_max_iter` stops the run instead
+    /// of handing back an `x_If` that is not the solution.
+    #[test]
+    #[should_panic(expected = "inner_max_iter = 1 reached")]
+    fn inner_solve_out_of_iterations_panics() {
+        let problem = Problem::with_ones_solution(poisson2d(14, 14));
+        let mut cfg = SolverConfig::resilient(2);
+        cfg.resilience.as_mut().unwrap().recovery.inner_max_iter = 1;
+        let script = FailureScript::simultaneous(6, 2, 2, 7);
+        let _ = run(
+            SolverKind::Pcg,
+            &problem,
+            7,
+            &cfg,
+            CostModel::default(),
+            script,
+        );
     }
 
     /// Whether `rho`'s rows of `m` read any `If` position in `slice`.

@@ -2,7 +2,7 @@
 //! scenario of the paper's evaluation (Sec. 7.1) plus the corner cases the
 //! algorithm must handle.
 
-use esr_core::{run_pcg, BackupStrategy, PrecondConfig, Problem, SolverConfig};
+use esr_core::{run, run_pcg, BackupStrategy, PrecondConfig, Problem, SolverConfig, SolverKind};
 use parcomm::{CostModel, FailAt, FailureEvent, FailureScript};
 use precond::{BlockJacobi, BlockSolver};
 use sparsemat::gen::{self, poisson2d, poisson3d};
@@ -222,19 +222,39 @@ fn checkpoint_restart_baseline_survives_failures() {
 #[test]
 fn ilu_inner_solver_matches_paper_setup() {
     // The paper's PETSc implementation uses ILU for the reconstruction
-    // blocks instead of an exact factorization.
-    let a = poisson2d(14, 14);
-    let problem = Problem::with_ones_solution(a);
+    // blocks instead of an exact factorization. Adjacent lost blocks share
+    // rows of A on both matrices (28-row blocks, band 14 and 12), so the
+    // inner solve on A_{If,If} is coupled and must iterate under every
+    // solver.
     let mut cfg = SolverConfig::resilient(3);
     cfg.resilience
         .as_mut()
         .unwrap()
         .recovery
         .exact_block_precond = false;
-    let script = FailureScript::simultaneous(6, 2, 3, 7);
-    let res = run_pcg(&problem, 7, &cfg, cost(), script).unwrap();
-    assert!(res.converged);
-    assert!(max_err_ones(&res) < 1e-6);
+    for (name, a) in [
+        ("poisson2d", poisson2d(14, 14)),
+        ("banded_spd", gen::banded_spd(196, 12, 0.5, 3)),
+    ] {
+        let problem = Problem::with_ones_solution(a);
+        for solver in [SolverKind::Pcg, SolverKind::PipeCg, SolverKind::BiCgStab] {
+            for psi in [2, 3] {
+                let label = format!("{name}, {solver:?}, ψ = {psi}");
+                let script = FailureScript::simultaneous(6, 2, psi, 7);
+                let res = run(solver, &problem, 7, &cfg, cost(), script).unwrap();
+                assert!(res.converged, "{label}");
+                assert_eq!(res.ranks_recovered, psi, "{label}");
+                let err = max_err_ones(&res);
+                assert!(err < 1e-6, "{label}: err={err}");
+                // A replacement books the x solve's group all-reduces on top
+                // of a survivor's: one before the inner loop and one per
+                // inner iteration.
+                let allreduces = |rank: usize| res.per_node[rank].stats.allreduces();
+                let inner_iterations = allreduces(2) - allreduces(0) - 1;
+                assert!(inner_iterations > 0, "{label}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -45,8 +45,8 @@ enum Prot {
 
 const NUMERICS: [(Prot, Solver, u64); 6] = [
     (Prot::Esr, Solver::Pcg, 0x5ce36f87e1d5e707),
-    (Prot::Esr, Solver::PipeCg, 0x302b4a6b25e087ba),
-    (Prot::Esr, Solver::BiCgStab, 0x47f409f2927affbc),
+    (Prot::Esr, Solver::PipeCg, 0x018d4d654faeaec0),
+    (Prot::Esr, Solver::BiCgStab, 0x2d1943a23955f8b0),
     (Prot::Cr, Solver::Pcg, 0xa2f59596f38e69d1),
     (Prot::Cr, Solver::PipeCg, 0x98ec1579af590768),
     (Prot::Cr, Solver::BiCgStab, 0x98d419073af0e287),
@@ -54,9 +54,9 @@ const NUMERICS: [(Prot, Solver, u64); 6] = [
 
 #[cfg(not(feature = "trace"))]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x94b0f5ccc48bfcde),
-    (Prot::Esr, Solver::PipeCg, 0xe50906f24ce16cc2),
-    (Prot::Esr, Solver::BiCgStab, 0x62e1805273b8036d),
+    (Prot::Esr, Solver::Pcg, 0xb3700f3acb2010b7),
+    (Prot::Esr, Solver::PipeCg, 0x4283c4b4fbbda1da),
+    (Prot::Esr, Solver::BiCgStab, 0xa5e8187fb0b55dde),
     (Prot::Cr, Solver::Pcg, 0x84f8ed2a9a4b1eae),
     (Prot::Cr, Solver::PipeCg, 0xdde9a259d6dc3d56),
     (Prot::Cr, Solver::BiCgStab, 0x529b36b2508f1572),
@@ -64,9 +64,9 @@ const COST: [(Prot, Solver, u64); 6] = [
 
 #[cfg(feature = "trace")]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x5b4189b855d84071),
-    (Prot::Esr, Solver::PipeCg, 0x1bad98cdaab39582),
-    (Prot::Esr, Solver::BiCgStab, 0x6d81db46b8dae6a5),
+    (Prot::Esr, Solver::Pcg, 0xb7fd591ef1d4219f),
+    (Prot::Esr, Solver::PipeCg, 0x63d3549fe96c53e1),
+    (Prot::Esr, Solver::BiCgStab, 0x65d4859d6fac795f),
     (Prot::Cr, Solver::Pcg, 0xfeef2dc8eaa7871b),
     (Prot::Cr, Solver::PipeCg, 0xe36dbbb02e971540),
     (Prot::Cr, Solver::BiCgStab, 0x87eba0aeb62b7dda),
