@@ -65,11 +65,14 @@ pub struct RecoveryConfig {
     /// The paper uses `1e-14` ("we can set the tolerance for the local
     /// system to a very small value").
     pub inner_rel_tol: f64,
-    /// Iteration cap for the inner solver.
+    /// Iteration cap for the inner solver. An inner solve that reaches it
+    /// without meeting `inner_rel_tol` panics rather than return an inexact
+    /// `x_If`.
     pub inner_max_iter: usize,
     /// Solve `A_{If,If}` with the exact per-block LDLᵀ as the inner
     /// preconditioner (`true`, default) or zero-fill ILU as in the paper's
-    /// PETSc implementation (`false`).
+    /// PETSc implementation (`false`). A lone reconstructor's block is all
+    /// of `A_{If,If}`, so with the exact factor it solves directly.
     ///
     /// Redundancy restoration after recovery needs no configuration: the
     /// interrupted iteration restarts with a fresh scatter of the

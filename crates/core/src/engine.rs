@@ -1565,7 +1565,8 @@ fn solve_failed_rows(
         return (z, 0);
     }
     // Chronopoulos–Gear PCG: w = A z every iteration, s = A p carried as
-    // s = w + βs, and [‖r‖², rᵀz, zᵀw] in one group all-reduce.
+    // s = w + βs, and [‖r‖², rᵀz, zᵀw] in one group all-reduce; pᵀAp
+    // follows as zᵀw − β·rᵀz/α.
     let mut x = vec![0.0; nloc];
     let mut r = rhs;
     let mut w = vec![0.0; nloc];
