@@ -139,8 +139,8 @@ impl ResilientKernel for BicgstabState {
         let phat = copies[0].take().expect("p̂(j) copies are mandatory");
         let shat = copies[1].take().expect("ŝ(j) copies are mandatory");
         // p_b = M_{b,b} p̂_b ; s_b = M_{b,b} ŝ_b (block-diagonal M).
-        blk.vecs[P] = engine::m_block_forward(ctx, env, &blk.range, &phat);
-        blk.vecs[S] = engine::m_block_forward(ctx, env, &blk.range, &shat);
+        blk.vecs[P] = engine::m_block(ctx, env, &blk.range, &phat, false);
+        blk.vecs[S] = engine::m_block(ctx, env, &blk.range, &shat, false);
         blk.vecs[PHAT] = phat;
         blk.vecs[SHAT] = shat;
     }

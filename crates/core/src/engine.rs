@@ -306,9 +306,7 @@ pub struct RecoveryReport {
     /// overlapping failures occurred).
     pub total_failed: usize,
     /// Ranks that left the cluster (no replacement; subdomains adopted).
-    /// `> 0` means the layout shrank — including the preconditioner, whose
-    /// blocks merged; solvers whose recurrences carry `M`-dependent
-    /// auxiliary vectors must re-derive them (see `pipecg`).
+    /// `> 0` means the layout shrank; the preconditioner did not change.
     pub retired_ranks: usize,
     /// Reconstruction attempts (> 1 iff overlapping failures).
     pub attempts: usize,
@@ -344,6 +342,9 @@ pub(crate) struct EngineEnv<'a> {
     pub res: &'a ResilienceConfig,
     /// Preconditioner configuration (per-block reconstruction + rebuild).
     pub precond: &'a PrecondConfig,
+    /// The partition the cluster set up on. Its blocks are the blocks of
+    /// `M` for the whole solve, whatever the layout now is.
+    pub setup: &'a BlockPartition,
     /// The iteration whose boundary detected the failure.
     pub iteration: u64,
     /// `false` at iteration 0 (no previous search direction exists yet).
@@ -946,11 +947,13 @@ fn restart_protocol<F: Flavor>(
 }
 
 /// Rebuild every piece of distributed state on the shrunken layout of
-/// `at.plan`: [`LocalMatrix`], preconditioner, the survivors' [`Group`],
-/// the scatter plan (with re-derived redundancy extras under ESR
-/// protection; checkpoint protection deposits replicas instead), retention
-/// channels, the ghost buffer, and the kernel's scratch vectors. Sends no
-/// message: the plan is derived from static data. The caller has already
+/// `at.plan`: [`LocalMatrix`], this node's cut of the (unchanged)
+/// preconditioner, the survivors' [`Group`], the scatter plan (with
+/// re-derived redundancy extras under ESR protection; checkpoint
+/// protection deposits replicas instead), retention channels, the ghost
+/// buffer, and the kernel's scratch vectors. Sends no message and cannot
+/// fail: the plan is derived from static data, and the preconditioner's
+/// blocks are the ones setup factored. The caller has already
 /// installed the solver state over the new ranges (ESR: `splice`;
 /// rollback: `unpack`).
 pub(crate) fn rebuild_layout_after_shrink(
@@ -960,7 +963,6 @@ pub(crate) fn rebuild_layout_after_shrink(
     kernel: &mut dyn ResilientKernel,
 ) {
     let (env, plan) = (at.env, at.plan);
-    let me = plan.me;
     let my_new_slot = plan.new_slot();
     let new_range = plan.new_part.range(my_new_slot);
     // A survivor whose block did not change keeps its rows and
@@ -970,8 +972,7 @@ pub(crate) fn rebuild_layout_after_shrink(
         // Coarse cost of re-extracting the adopted static rows.
         ctx.clock_mut()
             .advance_flops(lm.diag.nnz() + lm.offdiag.nnz());
-        layout.prec = NodePrecond::setup(ctx, env.precond, &plan.new_part, env.statics, &lm)
-            .unwrap_or_else(|e| panic!("rank {me}: preconditioner rebuild after shrink: {e}"));
+        layout.prec.widen(ctx, env.setup, &lm, plan.am_failed);
         layout.lm = lm;
     }
     let lm = layout.lm.clone();
@@ -1614,75 +1615,53 @@ fn solve_failed_rows(
     }
 }
 
-/// `r_b = M_{b,b} z_b` for one failed block from static data alone — the
-/// M-given reconstruction step (companion paper Alg. 3), local because the
-/// block-diagonal preconditioners align with the block boundaries. What
-/// lets an *adopter* reconstruct a block it never owned.
-pub(crate) fn m_block_forward(
+/// `M_{b,b} v_b`, or with `inverse` `M_{b,b}⁻¹ v_b`, for one failed block
+/// from static data alone — the M-given reconstruction step (companion
+/// paper Alg. 3) and its inverse (pipelined PCG rebuilds `q = M⁻¹ s` per
+/// block), local because the block-diagonal preconditioners align with the
+/// block boundaries. What lets an *adopter* reconstruct a block it never
+/// owned. A block that was itself an adopter's widened range covers
+/// several setup blocks, and the `M` applied to it was theirs.
+pub(crate) fn m_block(
     ctx: &mut NodeCtx,
     env: &EngineEnv<'_>,
     range: &Range<usize>,
-    z: &[f64],
+    v: &[f64],
+    inverse: bool,
 ) -> Vec<f64> {
-    let blen = range.len();
     let statics = env.statics;
+    let mut out = v.to_vec();
     match env.precond {
-        PrecondConfig::None => z.to_vec(),
+        PrecondConfig::None => {}
         PrecondConfig::Jacobi => {
             let d = statics.block(range).diag.diag();
-            ctx.clock_mut().advance_flops(blen);
-            z.iter().zip(&d).map(|(z, d)| z * d).collect()
+            ctx.clock_mut().advance_flops(range.len());
+            for (o, d) in out.iter_mut().zip(&d) {
+                *o = if inverse { *o / d } else { *o * d };
+            }
         }
         PrecondConfig::BlockJacobiExact => {
-            let block = statics.block(range);
-            let mut r = vec![0.0; blen];
-            block.diag.spmv(z, &mut r);
-            ctx.clock_mut().advance_flops(block.diag.spmv_flops());
-            r
+            for piece in env.setup.blocks_of(range).map(|k| env.setup.range(k)) {
+                let rows = piece.start - range.start..piece.end - range.start;
+                if inverse {
+                    let factor = statics
+                        .factor(&piece)
+                        .unwrap_or_else(|e| panic!("reconstruction block {piece:?} not SPD: {e}"));
+                    ctx.clock_mut().advance_flops(20 * factor.l_nnz().max(1));
+                    factor.solve_in_place(&mut out[rows]);
+                    ctx.clock_mut().advance_flops(factor.solve_flops());
+                } else {
+                    let block = statics.block(&piece);
+                    block.diag.spmv(&v[rows.clone()], &mut out[rows]);
+                    ctx.clock_mut().advance_flops(block.diag.spmv_flops());
+                }
+            }
         }
-        PrecondConfig::ExplicitP(_) => {
-            // Guarded by config validation; the P-given path reconstructs r
-            // through the kernel's distributed stage instead.
-            unreachable!("ExplicitP has no local M-forward block operator")
-        }
+        // Guarded by config validation; the P-given path reconstructs r
+        // through the kernel's distributed stage instead.
+        PrecondConfig::ExplicitP(_) => unreachable!("ExplicitP has no local block operator"),
     }
-}
-
-/// `q_b = M_{b,b}⁻¹ s_b` for one failed block from static data alone — the
-/// inverse companion of [`m_block_forward`] (pipelined PCG rebuilds
-/// `q = M⁻¹ s` per block).
-pub(crate) fn m_block_inverse(
-    ctx: &mut NodeCtx,
-    env: &EngineEnv<'_>,
-    range: &Range<usize>,
-    s: &[f64],
-) -> Vec<f64> {
-    let blen = range.len();
-    let statics = env.statics;
-    match env.precond {
-        PrecondConfig::None => s.to_vec(),
-        PrecondConfig::Jacobi => {
-            let d = statics.block(range).diag.diag();
-            ctx.clock_mut().advance_flops(blen);
-            s.iter().zip(&d).map(|(s, d)| s / d).collect()
-        }
-        PrecondConfig::BlockJacobiExact => {
-            let factor = statics.factor(range).unwrap_or_else(|e| {
-                panic!(
-                    "reconstruction block [{}, {}) not SPD: {e}",
-                    range.start, range.end
-                )
-            });
-            ctx.clock_mut().advance_flops(20 * factor.l_nnz().max(1));
-            let mut q = s.to_vec();
-            factor.solve_in_place(&mut q);
-            ctx.clock_mut().advance_flops(factor.solve_flops());
-            q
-        }
-        PrecondConfig::ExplicitP(_) => {
-            unreachable!("ExplicitP has no local M-inverse block operator")
-        }
-    }
+    out
 }
 
 /// Rebuild every vector of `vecs` (slot = index) over `new_range` from the

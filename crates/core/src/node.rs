@@ -17,7 +17,7 @@
 //! A solver is a [`Recurrence`]: its owned state (which is also its
 //! [`ResilientKernel`]) and its iteration, split at its own failure
 //! boundary. `vtime_recovery` is the window from the drained boundary to
-//! the end of [`Recurrence::after_shrink`]; what [`Recurrence::resume`]
+//! the end of [`engine::recover`]; what [`Recurrence::resume`]
 //! re-establishes (PCG's `rᵀz`, BiCGSTAB's `ŝ` ghosts) is charged to the
 //! solve, not to the recovery — the accounting every pinned
 //! `vtime_recovery` was measured under.
@@ -27,6 +27,7 @@
 //! iterate, not the engine's gather → rebuild → inner solve.
 
 use parcomm::{CommStats, FailAt, NodeCtx};
+use sparsemat::BlockPartition;
 
 use crate::config::{SolverConfig, SolverKind};
 use crate::driver::Problem;
@@ -110,12 +111,6 @@ pub(crate) trait Recurrence: ResilientKernel + Sized {
     /// recovery starts (its pre-failure values are discarded).
     fn drain(&mut self, ctx: &mut NodeCtx) {
         let _ = ctx;
-    }
-    /// Re-derive state the rebuilt (merged-block) preconditioner
-    /// invalidated. Runs after any recovery that shrank the layout, inside
-    /// the `vtime_recovery` window.
-    fn after_shrink(&mut self, ctx: &mut NodeCtx, layout: &mut Layout) {
-        let _ = (ctx, layout);
     }
     /// After an ESR reconstruction (never after a rollback, which always
     /// restarts from the agreed epoch's loop top): re-establish what the
@@ -224,6 +219,10 @@ fn solve_node<K: Recurrence>(
                     b,
                     res,
                     precond: &cfg.precond,
+                    // `Layout::build_full`'s partition, re-derived here
+                    // rather than held through the solve: it is N + 1
+                    // words on every node, and only a recovery reads it.
+                    setup: &BlockPartition::new(problem.n(), ctx.size()),
                     iteration: j,
                     has_prev: kernel.has_prev(j),
                 };
@@ -242,9 +241,6 @@ fn solve_node<K: Recurrence>(
                     }
                     EngineOutcome::Recovered(report) => report,
                 };
-                if report.retired_ranks > 0 {
-                    kernel.after_shrink(ctx, &mut layout);
-                }
                 book.vtime_recovery += ctx.vtime() - t0;
                 book.recoveries += 1;
                 book.ranks_recovered += report.total_failed;

@@ -133,7 +133,7 @@ impl ResilientKernel for PcgState {
         // adopter rebuild a block it never owned). P-given defers r to the
         // distributed stage.
         if self.explicit_p.is_none() {
-            blk.vecs[R] = engine::m_block_forward(ctx, env, &blk.range, &z);
+            blk.vecs[R] = engine::m_block(ctx, env, &blk.range, &z, false);
         }
         blk.vecs[P] = p_cur;
         blk.vecs[Z] = z;

@@ -89,9 +89,8 @@ pub(crate) struct PipeState {
     /// q(j-1) = M⁻¹ s, z(j-1) = A q, m(j), n(j)]`.
     v: [Vec<f64>; 10],
     /// `[γ(j-1) = r(j-1)ᵀu(j-1), α(j-1), has_dir]`. `has_dir` (0.0/1.0) is
-    /// true once a search direction `p(j-1)` exists; cleared when a shrink
-    /// re-bootstraps the pipeline, so the recurrences restart through the
-    /// β = 0 branch exactly like iteration 0.
+    /// true once a search direction `p(j-1)` exists; while it is false the
+    /// recurrences take the β = 0 branch of iteration 0.
     s: [f64; 3],
     /// The iteration's single fused reduction, in flight from
     /// `begin_iteration` to the wait in `finish_iteration`.
@@ -160,7 +159,7 @@ impl ResilientKernel for PipeState {
         self.s[HAS_DIR] = f64::from(env.has_prev);
         let u_new = copies[0].take().expect("u(j) copies are mandatory");
         // r_If = M_{If,If} u_If — local because M is block-diagonal.
-        blk.vecs[R] = engine::m_block_forward(ctx, env, &blk.range, &u_new);
+        blk.vecs[R] = engine::m_block(ctx, env, &blk.range, &u_new, false);
         if let Some(p_new) = copies[1].take() {
             blk.vecs[P] = p_new;
         } else {
@@ -190,7 +189,7 @@ impl ResilientKernel for PipeState {
             // static data), then z_If = (A q)_If.
             comm.apply_matrix(ctx, env.statics.matrix(), blocks, P, S, &self.v[P]);
             for blk in blocks.iter_mut() {
-                blk.vecs[Q] = engine::m_block_inverse(ctx, env, &blk.range, &blk.vecs[S]);
+                blk.vecs[Q] = engine::m_block(ctx, env, &blk.range, &blk.vecs[S], true);
             }
             comm.apply_matrix(ctx, env.statics.matrix(), blocks, Q, Z, &self.v[Q]);
         }
@@ -267,19 +266,6 @@ impl Recurrence for PipeState {
         // state: the restart recomputes them from the reconstructed one.
         let red = self.red.take().expect("reduction issued this iteration");
         let _ = red.wait(ctx);
-    }
-
-    fn after_shrink(&mut self, ctx: &mut NodeCtx, layout: &mut Layout) {
-        // The preconditioner was rebuilt with merged blocks — but the
-        // pipelined recurrences never recompute u = M⁻¹r or q = M⁻¹s;
-        // continuing would mix old-M and new-M data in the incremental
-        // updates and the implicit operator stops being SPD (pᵀAp can go
-        // negative). Re-bootstrap the pipeline from the exactly
-        // reconstructed (x, r) and restart the recurrence through the
-        // β = 0 branch — a preconditioner-restarted CG, which is what a
-        // shrink already is.
-        self.bootstrap(ctx, layout);
-        self.s[HAS_DIR] = 0.0;
     }
 
     fn finish_iteration(

@@ -7,14 +7,14 @@
 //! which it gets a dedicated scatter plan over `P`'s pattern.
 
 use parcomm::NodeCtx;
-use precond::{PrecondError, SparseLdl};
+use precond::{PrecondError, Preconditioner};
 use sparsemat::{BlockPartition, Csr};
 use std::sync::Arc;
 
 use crate::config::PrecondConfig;
 use crate::localmat::LocalMatrix;
 use crate::scatter::ScatterPlan;
-use crate::statics::StaticData;
+use crate::statics::{BlockFactors, StaticData};
 
 /// A node's share of the preconditioner.
 ///
@@ -29,12 +29,15 @@ pub enum NodePrecond {
         /// Element-wise inverse of the owned diagonal of `A`.
         inv_diag: Vec<f64>,
     },
-    /// The paper's setup: `M` = the node's diagonal block of `A`, solved
-    /// exactly by sparse LDLᵀ. The block itself is `LocalMatrix::diag`.
+    /// The paper's setup: `M` = block-Jacobi over the diagonal blocks of
+    /// `A` on the setup partition, each solved exactly by sparse LDLᵀ. `M`
+    /// stays that for the whole solve: after a Shrink a node applies the
+    /// setup blocks its widened rows cover, one by one.
     BlockJacobiExact {
-        /// Exact LDLᵀ factorization of the node's diagonal block (shared
-        /// static data).
-        factor: Arc<SparseLdl>,
+        /// The factor of every setup block.
+        m: BlockFactors,
+        /// The setup blocks this node's rows cover, in row order.
+        blocks: std::ops::Range<usize>,
     },
     /// Explicit `P = M⁻¹` as a distributed sparse matrix: apply is a
     /// distributed SpMV over `P`'s own communication plan.
@@ -75,11 +78,15 @@ impl NodePrecond {
                 Ok(NodePrecond::Jacobi { inv_diag })
             }
             PrecondConfig::BlockJacobiExact => {
-                let factor = statics.factor(&lm.range)?;
+                let m = statics.block_jacobi(part)?;
+                let k = ctx.rank();
                 // Charge the factorization to the virtual clock (a coarse
                 // 20 flops per factor nonzero), whoever computed it.
-                ctx.clock_mut().advance_flops(20 * factor.l_nnz().max(1));
-                Ok(NodePrecond::BlockJacobiExact { factor })
+                ctx.clock_mut().advance_flops(20 * m[k].l_nnz().max(1));
+                Ok(NodePrecond::BlockJacobiExact {
+                    m,
+                    blocks: k..k + 1,
+                })
             }
             PrecondConfig::ExplicitP(p) => {
                 if p.n_rows() != part.n() || p.n_cols() != part.n() {
@@ -103,6 +110,30 @@ impl NodePrecond {
         }
     }
 
+    /// Re-cut this node's share for its widened block `lm` after a Shrink,
+    /// from what setup derived — it cannot fail, and `M` stays the
+    /// preconditioner of the setup partition `part`. Charges `20·l_nnz`
+    /// for each block of `part` the node takes on, or, if it lost its
+    /// memory (a spare: `all`), for every block it covers.
+    pub fn widen(&mut self, ctx: &mut NodeCtx, part: &BlockPartition, lm: &LocalMatrix, all: bool) {
+        match self {
+            NodePrecond::Jacobi { inv_diag } => {
+                // Every diagonal entry passed setup's check on its owner.
+                *inv_diag = lm.diag.diag().iter().map(|d| 1.0 / d).collect();
+            }
+            NodePrecond::BlockJacobiExact { m, blocks } => {
+                let covered = part.blocks_of(&lm.range);
+                let new = covered.clone().filter(|k| all || !blocks.contains(k));
+                let flops = new.map(|k| 20 * m[k].l_nnz().max(1)).sum();
+                ctx.clock_mut().advance_flops(flops);
+                *blocks = covered;
+            }
+            // Nothing to re-cut, or (P-given) rejected for every policy
+            // that shrinks.
+            NodePrecond::None | NodePrecond::ExplicitP { .. } => {}
+        }
+    }
+
     /// Apply `z ← M⁻¹ r` on the owned block. May communicate (explicit P
     /// with off-node coupling) — all nodes must call together.
     pub fn apply(&mut self, ctx: &mut NodeCtx, r_loc: &[f64], z_loc: &mut [f64]) {
@@ -114,10 +145,16 @@ impl NodePrecond {
                 }
                 ctx.clock_mut().advance_flops(r_loc.len());
             }
-            NodePrecond::BlockJacobiExact { factor } => {
+            NodePrecond::BlockJacobiExact { m, blocks } => {
                 z_loc.copy_from_slice(r_loc);
-                factor.solve_in_place(z_loc);
-                ctx.clock_mut().advance_flops(factor.solve_flops());
+                let (mut rest, mut flops) = (z_loc, 0);
+                for factor in &m[blocks.clone()] {
+                    let (piece, tail) = rest.split_at_mut(factor.dim());
+                    factor.solve_in_place(piece);
+                    flops += factor.solve_flops();
+                    rest = tail;
+                }
+                ctx.clock_mut().advance_flops(flops);
             }
             NodePrecond::ExplicitP {
                 p_local,

@@ -15,8 +15,8 @@
 //! they had done the work themselves, so sharing moves host time only.
 //!
 //! There is no eviction. An entry is made the first time a range is asked
-//! for (`N` per cluster size, plus the merged ranges a Shrink produces) and
-//! released with the last `Problem` clone.
+//! for (`N` per cluster size, plus a Shrink's widened ranges and the x
+//! solve's failed-row unions) and released with the last `Problem` clone.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use precond::{PrecondError, SparseLdl};
-use sparsemat::Csr;
+use sparsemat::{BlockPartition, Csr};
 
 use crate::localmat::LocalMatrix;
 
@@ -37,6 +37,10 @@ pub struct StaticCounts {
     pub factors_built: usize,
 }
 
+/// The exact LDLᵀ factor of each block of a partition, in block order: the
+/// block-Jacobi preconditioner over it (shared static data).
+pub type BlockFactors = Arc<[Arc<SparseLdl>]>;
+
 struct Entry {
     lm: Arc<LocalMatrix>,
     factor: OnceLock<Result<Arc<SparseLdl>, PrecondError>>,
@@ -46,6 +50,8 @@ struct Entry {
 pub struct StaticData {
     a: Arc<Csr>,
     entries: Mutex<HashMap<Range<usize>, Arc<Entry>>>,
+    /// [`Self::block_jacobi`], per partition (keyed by its block starts).
+    setups: Mutex<HashMap<Vec<usize>, BlockFactors>>,
     blocks_built: AtomicUsize,
     factors_built: AtomicUsize,
 }
@@ -56,6 +62,7 @@ impl StaticData {
         StaticData {
             a,
             entries: Mutex::new(HashMap::new()),
+            setups: Mutex::new(HashMap::new()),
             blocks_built: AtomicUsize::new(0),
             factors_built: AtomicUsize::new(0),
         }
@@ -103,6 +110,22 @@ impl StaticData {
             .clone()
     }
 
+    /// The block-Jacobi preconditioner of `part` (the partition a cluster
+    /// sets up on): the [`Self::factor`] of each of its blocks, in block
+    /// order, or the first error. Assembled once per partition. A node that
+    /// holds it holds the factor of every block it may adopt later, so
+    /// taking one on cannot fail.
+    pub fn block_jacobi(&self, part: &BlockPartition) -> Result<BlockFactors, PrecondError> {
+        let mut setups = self.setups.lock().expect("a factorization panicked");
+        if let Some(m) = setups.get(part.starts()) {
+            return Ok(m.clone());
+        }
+        let factors = (0..part.nodes()).map(|k| self.factor(&part.range(k)));
+        let m: BlockFactors = factors.collect::<Result<_, _>>()?;
+        setups.insert(part.starts().to_vec(), m.clone());
+        Ok(m)
+    }
+
     /// What has been derived so far (statistics; not synchronized with
     /// solves running on other threads).
     pub fn counts(&self) -> StaticCounts {
@@ -117,7 +140,6 @@ impl StaticData {
 mod tests {
     use super::*;
     use sparsemat::gen::poisson2d;
-    use sparsemat::BlockPartition;
 
     #[test]
     fn a_range_is_extracted_and_factored_once() {
@@ -142,6 +164,12 @@ mod tests {
                 factors_built: 2
             }
         );
+        // The partition's preconditioner is those same factors, assembled
+        // once.
+        let m = store.block_jacobi(&part).unwrap();
+        assert!(Arc::ptr_eq(&m[1], &f1));
+        assert!(Arc::ptr_eq(&m, &store.block_jacobi(&part).unwrap()));
+        assert_eq!(store.counts().factors_built, 4);
     }
 
     #[test]
@@ -154,6 +182,7 @@ mod tests {
         let store = StaticData::new(Arc::new(neg.to_csr()));
         assert!(store.factor(&(0..4)).is_err());
         assert!(store.factor(&(0..4)).is_err());
+        assert!(store.block_jacobi(&BlockPartition::new(4, 1)).is_err());
         assert_eq!(store.counts().factors_built, 1);
     }
 }

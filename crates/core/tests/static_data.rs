@@ -5,7 +5,8 @@
 //! * **counting** — which solves extract a block of `A` or factor one, read
 //!   off the store's counters: the first solve at a cluster size builds one
 //!   of each per node, and nothing after it does except a Shrink, whose
-//!   merged ranges are new;
+//!   widened rows are new (its preconditioner is not: the setup blocks'
+//!   factors serve it) and, under ESR, so is the x solve's failed-row block;
 //! * **bitwise** — a cell solved on a fresh `Problem` and the same cell
 //!   solved on a `Problem` other cells have already filled agree to the
 //!   bit in everything the result reports, virtual times included: the
@@ -106,11 +107,13 @@ fn only_the_first_solve_and_new_shrink_ranges_derive_static_data() {
         }
     }
 
-    // Shrink: rank 1 adopts ranks 2–4. Its widened range is new, and under
-    // ESR so is the union of the three failed blocks it preconditions the
-    // x solve with; every other range is one of the seven.
+    // Shrink: rank 1 adopts ranks 2–4. It extracts its widened range and
+    // factors nothing new — its preconditioner is the setup blocks it now
+    // covers, factored at setup. Under ESR the union of the three failed
+    // blocks, which preconditions the x solve, is new too, extracted and
+    // factored. Every other range is one of the seven.
     for solver in SOLVERS {
-        for (checkpoint, new_ranges) in [(false, 2), (true, 1)] {
+        for (checkpoint, built) in [(false, (2, 1)), (true, (1, 0))] {
             // A clone shares the store; a fresh one per cell keeps the
             // cells independent of each other's merged ranges.
             let cell = m3_problem();
@@ -121,7 +124,7 @@ fn only_the_first_solve_and_new_shrink_ranges_derive_static_data() {
                 assert_eq!(res.retired_nodes(), 3);
             };
             let label = format!("{solver:?}, checkpoint = {checkpoint}");
-            assert_eq!(built_by(&cell, shrink), (new_ranges, new_ranges), "{label}");
+            assert_eq!(built_by(&cell, shrink), built, "{label}");
             assert_eq!(built_by(&cell, shrink), (0, 0), "{label}, repeated");
         }
     }
@@ -129,7 +132,7 @@ fn only_the_first_solve_and_new_shrink_ranges_derive_static_data() {
     // Shrink with ranks 0 and 2 failing: rank 1 adopts a block on each side
     // of its own, so its rows of the x solve are not one range of `A` and
     // their block is extracted and factored for that solve only. The store
-    // gains the widened range alone.
+    // gains the widened range's rows alone, and no factor.
     let cell = m3_problem();
     solve(&cell, SolverKind::Pcg, &reference, none());
     let cfg = config(RecoveryPolicy::Shrink, false);
@@ -139,7 +142,7 @@ fn only_the_first_solve_and_new_shrink_ranges_derive_static_data() {
         assert_eq!((res.ranks_recovered, res.retired_nodes()), (2, 2));
         res
     };
-    assert_eq!(built_by(&cell, || drop(both_sides())), (1, 1));
+    assert_eq!(built_by(&cell, || drop(both_sides())), (1, 0));
     assert_bitwise_equal(&both_sides(), &both_sides(), "adopter of blocks 0 and 2");
 }
 

@@ -108,6 +108,18 @@ impl BlockPartition {
         i - self.starts[self.owner_of(i)]
     }
 
+    /// The blocks whose union is `rows` — a non-empty range that starts and
+    /// ends on block boundaries, such as a block of a partition cut at a
+    /// subset of these starts (a shrunken layout's).
+    pub fn blocks_of(&self, rows: &Range<usize>) -> Range<usize> {
+        let (first, last) = (self.owner_of(rows.start), self.owner_of(rows.end - 1));
+        debug_assert_eq!(
+            (self.starts[first], self.starts[last + 1]),
+            (rows.start, rows.end)
+        );
+        first..last + 1
+    }
+
     /// Union of ranges of several ranks, as a sorted global index list
     /// (the failed set `If = I_{f1} ∪ … ∪ I_{fψ}` of paper Sec. 4.1).
     pub fn union_of(&self, ranks: &[usize]) -> Vec<usize> {
@@ -185,6 +197,15 @@ mod tests {
         }
         assert_eq!(p.union_of(&[2, 0]), (0..7).chain(9..20).collect::<Vec<_>>());
         assert_eq!(p.starts(), &[0, 7, 9, 20]);
+    }
+
+    #[test]
+    fn blocks_of_a_coarser_block() {
+        let p = BlockPartition::new(10, 4); // 0..3, 3..6, 6..8, 8..10
+        let coarse = BlockPartition::from_starts(vec![0, 3, 10]);
+        assert_eq!(p.blocks_of(&coarse.range(0)), 0..1);
+        assert_eq!(p.blocks_of(&coarse.range(1)), 1..4);
+        assert_eq!(p.blocks_of(&(0..10)), 0..4);
     }
 
     #[test]

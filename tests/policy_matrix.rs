@@ -26,7 +26,7 @@ use esr_core::{
     SolverKind as Solver,
 };
 use parcomm::{CostModel, FailAt, FailureEvent, FailureScript};
-use sparsemat::gen::poisson2d;
+use sparsemat::gen::{banded_spd, poisson2d};
 
 const SOLVERS: [Solver; 3] = [Solver::Pcg, Solver::PipeCg, Solver::BiCgStab];
 
@@ -81,6 +81,23 @@ enum Prot {
     Cr,
 }
 
+/// φ = 2 under `policy`; C/R deposits every 4 iterations, 2 replicas per
+/// block.
+fn config(prot: Prot, policy: RecoveryPolicy) -> SolverConfig {
+    let mut cfg = SolverConfig::resilient_with_policy(2, policy);
+    if matches!(prot, Prot::Cr) {
+        let res = cfg.resilience.take().unwrap();
+        cfg.resilience = Some(res.with_protection(Protection::Checkpoint(
+            CrConfig::default().with_interval(4).with_copies(2),
+        )));
+    }
+    cfg
+}
+
+fn max_err_ones(res: &ExperimentResult) -> f64 {
+    res.x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0, f64::max)
+}
+
 fn run_cell(
     solver: Solver,
     policy: RecoveryPolicy,
@@ -106,20 +123,14 @@ fn run_cell_prot(
 ) -> ExperimentResult {
     let a = poisson2d(grid.0, grid.1);
     let problem = Problem::with_ones_solution(a);
-    let mut cfg = SolverConfig::resilient_with_policy(2, policy);
-    if matches!(prot, Prot::Cr) {
-        let res = cfg.resilience.take().unwrap();
-        cfg.resilience = Some(res.with_protection(Protection::Checkpoint(
-            CrConfig::default().with_interval(4).with_copies(2),
-        )));
-    }
+    let cfg = config(prot, policy);
     let cost = CostModel::default();
     let sc = script(mode, at, first, nodes);
     let res = run(solver, &problem, nodes, &cfg, cost, sc)
         .expect("every engine-backed cell is a supported configuration");
     let label = format!("{prot:?} × {solver:?} × {policy:?} × {mode:?} (N={nodes})");
     assert!(res.converged, "{label}: did not converge");
-    let err = res.x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0, f64::max);
+    let err = max_err_ones(&res);
     assert!(err < 1e-6, "{label}: reconstruction not exact, err={err}");
     assert_eq!(res.recoveries, 1, "{label}");
     assert_eq!(res.ranks_recovered, failed_count(mode), "{label}");
@@ -304,8 +315,8 @@ fn shrink_after_shrink_for_every_solver() {
     // Failure → shrink → another failure on the already-shrunken cluster:
     // the second event runs on a non-uniform partition over a group
     // communicator, with re-derived redundancy targets — for all three
-    // engine-backed solvers (the pipelined solver additionally
-    // re-bootstraps its recurrences after each shrink).
+    // engine-backed solvers, whose preconditioner stays the setup
+    // partition's through both shrinks.
     for solver in SOLVERS {
         let a = poisson2d(14, 14);
         let problem = Problem::with_ones_solution(a);
@@ -318,6 +329,62 @@ fn shrink_after_shrink_for_every_solver() {
         assert!(err < 1e-6, "{solver:?}: err={err}");
         assert_eq!(res.recoveries, 2, "{solver:?}");
         assert_eq!(res.retired_nodes(), 2, "{solver:?}");
+    }
+}
+
+#[test]
+fn a_former_adopter_fails_for_every_solver() {
+    // Under Shrink rank 3 adopts rank 4's block at iteration 3, then fails
+    // itself at iteration 9: rank 2 rebuilds a block that covers two setup
+    // blocks, and the `M` it multiplies and solves that block with must be
+    // theirs, the one rank 3 applied. (Spares(1) spends its spare on rank
+    // 4 and adopts rank 3's own block.)
+    let problem = Problem::with_ones_solution(poisson2d(14, 14));
+    for prot in [Prot::Esr, Prot::Cr] {
+        for (policy, retired) in [(RecoveryPolicy::Shrink, 2), (RecoveryPolicy::Spares(1), 1)] {
+            for solver in SOLVERS {
+                let sc = FailureScript::at_iterations(7, &[(3, 4), (9, 3)]);
+                let cfg = config(prot, policy);
+                let res = run(solver, &problem, 7, &cfg, CostModel::default(), sc).unwrap();
+                let label = format!("{prot:?} × {solver:?} × {policy:?}");
+                assert!(res.converged, "{label}");
+                let err = max_err_ones(&res);
+                assert!(err < 1e-6, "{label}: err={err}");
+                assert_eq!(res.recoveries, 2, "{label}");
+                assert_eq!(res.retired_nodes(), retired, "{label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn spares_and_shrink_follow_replace_for_every_solver() {
+    // `M` is the setup partition's block-Jacobi preconditioner under every
+    // policy, so when ranks 3–4 fail, a Spares(1) or Shrink cell runs the
+    // Replace cell's trajectory: the same iterations, and `x` up to the
+    // reduction order of the shrunken group.
+    for a in [poisson2d(14, 14), banded_spd(196, 12, 0.5, 3)] {
+        let problem = Problem::with_ones_solution(a);
+        for prot in [Prot::Esr, Prot::Cr] {
+            for solver in SOLVERS {
+                let solve = |policy| {
+                    let sc = FailureScript::simultaneous(6, 3, 2, 7);
+                    let cfg = config(prot, policy);
+                    run(solver, &problem, 7, &cfg, CostModel::default(), sc).unwrap()
+                };
+                let replace = solve(RecoveryPolicy::Replace);
+                for policy in [RecoveryPolicy::Spares(1), RecoveryPolicy::Shrink] {
+                    let res = solve(policy);
+                    let label = format!("{prot:?} × {solver:?} × {policy:?}");
+                    assert!(res.converged && res.retired_nodes() > 0, "{label}");
+                    assert_eq!(res.iterations, replace.iterations, "{label}");
+                    let dx = (res.x.iter().zip(&replace.x))
+                        .map(|(a, b)| (a - b).abs())
+                        .fold(0.0, f64::max);
+                    assert!(dx <= 1e-12, "{label}: max |x − x_replace| = {dx:e}");
+                }
+            }
+        }
     }
 }
 

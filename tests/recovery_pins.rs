@@ -44,32 +44,32 @@ enum Prot {
 }
 
 const NUMERICS: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x5ce36f87e1d5e707),
-    (Prot::Esr, Solver::PipeCg, 0x018d4d654faeaec0),
-    (Prot::Esr, Solver::BiCgStab, 0x2d1943a23955f8b0),
-    (Prot::Cr, Solver::Pcg, 0xa2f59596f38e69d1),
-    (Prot::Cr, Solver::PipeCg, 0x98ec1579af590768),
-    (Prot::Cr, Solver::BiCgStab, 0x98d419073af0e287),
+    (Prot::Esr, Solver::Pcg, 0x89fa3f7390b1d50f),
+    (Prot::Esr, Solver::PipeCg, 0xd6f736b0e0d25da6),
+    (Prot::Esr, Solver::BiCgStab, 0xf09515d3ea6ea8d0),
+    (Prot::Cr, Solver::Pcg, 0xea06ca7be71b848e),
+    (Prot::Cr, Solver::PipeCg, 0x60c81c372c31c5a3),
+    (Prot::Cr, Solver::BiCgStab, 0xac30aee397bd92f3),
 ];
 
 #[cfg(not(feature = "trace"))]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0xb3700f3acb2010b7),
-    (Prot::Esr, Solver::PipeCg, 0x4283c4b4fbbda1da),
-    (Prot::Esr, Solver::BiCgStab, 0xa5e8187fb0b55dde),
-    (Prot::Cr, Solver::Pcg, 0x84f8ed2a9a4b1eae),
-    (Prot::Cr, Solver::PipeCg, 0xdde9a259d6dc3d56),
-    (Prot::Cr, Solver::BiCgStab, 0x529b36b2508f1572),
+    (Prot::Esr, Solver::Pcg, 0x22505d01fffd9182),
+    (Prot::Esr, Solver::PipeCg, 0xf35b2e617f77c773),
+    (Prot::Esr, Solver::BiCgStab, 0x1b3de6beeb79e7ed),
+    (Prot::Cr, Solver::Pcg, 0x6bc544403a8d1353),
+    (Prot::Cr, Solver::PipeCg, 0x7e8e686d4826bad0),
+    (Prot::Cr, Solver::BiCgStab, 0x5feb4aeec5f35c6c),
 ];
 
 #[cfg(feature = "trace")]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0xb7fd591ef1d4219f),
-    (Prot::Esr, Solver::PipeCg, 0x63d3549fe96c53e1),
-    (Prot::Esr, Solver::BiCgStab, 0x65d4859d6fac795f),
-    (Prot::Cr, Solver::Pcg, 0xfeef2dc8eaa7871b),
-    (Prot::Cr, Solver::PipeCg, 0xe36dbbb02e971540),
-    (Prot::Cr, Solver::BiCgStab, 0x87eba0aeb62b7dda),
+    (Prot::Esr, Solver::Pcg, 0x7ebeb20e83196bf4),
+    (Prot::Esr, Solver::PipeCg, 0x7e67c387572a8ee5),
+    (Prot::Esr, Solver::BiCgStab, 0x8749b89d2af2da1c),
+    (Prot::Cr, Solver::Pcg, 0xadf60f277174c751),
+    (Prot::Cr, Solver::PipeCg, 0x746f775f556d520d),
+    (Prot::Cr, Solver::BiCgStab, 0x252d710348c39bae),
 ];
 
 #[derive(Clone, Copy, Debug)]
