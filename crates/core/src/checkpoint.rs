@@ -63,8 +63,9 @@ struct Fetched {
 }
 
 /// The checkpoint-rollback flavor of the restart protocol: push each failed
-/// block's newest surviving replica to its reconstructor (`fetch`), agree
-/// on the rollback epoch over the post-event members (`epoch`), hold one
+/// block's newest surviving replica to its owner after the event
+/// ([`crate::engine::LostBlock::owner`], `fetch`), agree on the rollback
+/// epoch over the post-event members (`epoch`), hold one
 /// more overlap boundary (`idle`), then commit — everyone restores the
 /// epoch's pack, survivors from their own copy, replacements from the
 /// fetched data, adopters from both — and the node program rewinds its
@@ -92,8 +93,8 @@ impl<'a> Rollback<'a> {
     /// Stage 1. Deterministic on every node: the serving holder is the
     /// first *surviving* holder on the block's ring; FIFO (src, tag) order
     /// over the sorted failed set disambiguates multiple blocks pushed to
-    /// one adopter. A reconstructor that is itself a surviving holder
-    /// reads its replica locally.
+    /// one adopter. An owner that is itself a surviving holder reads its
+    /// replica locally. Nothing is rebuilt, so nothing is handed over.
     fn fetch(&mut self, ctx: &mut NodeCtx, at: &Attempt<'_>, layout: &Layout) {
         let (plan, store) = (at.plan, &*self.store);
         let me = plan.me;
@@ -112,20 +113,20 @@ impl<'a> Rollback<'a> {
                 })
         };
         for lost in &plan.lost {
-            if me == server_of(lost.rank) && me != lost.reconstructor {
+            if me == server_of(lost.rank) && me != lost.owner {
                 let ck = store
                     .replica_of(lost.rank)
                     .unwrap_or_else(|| panic!("rank {me}: no held replica of rank {}", lost.rank));
                 ctx.send(
-                    lost.reconstructor,
+                    lost.owner,
                     tag(at.seq, OFF_FETCH),
                     Payload::f64s_shared(ck.data.clone()),
                     CommPhase::Recovery,
                 );
             }
         }
-        self.fetched = plan
-            .mine()
+        self.fetched = (plan.lost.iter())
+            .filter(|lost| lost.owner == me)
             .map(|lost| {
                 let (f, server) = (lost.rank, server_of(lost.rank));
                 let data = if server == me {

@@ -19,9 +19,9 @@
 //! * the recovery **policy** ([`crate::config::RecoveryPolicy`]) as one
 //!   [`EventPlan`] per attempt: in-place replacement (the paper's
 //!   unbounded model), spare-pool grants to the lowest-ranked failed
-//!   nodes, and survivor **adoption** of uncovered subdomains with the
-//!   nearest-preceding-survivor rule, which keeps ownership contiguous and
-//!   makes the post-shrink layout a generalized
+//!   nodes, and survivor **adoption** of uncovered subdomains, each run
+//!   split between the members on either side of it, which keeps
+//!   ownership contiguous and makes the post-shrink layout a generalized
 //!   [`BlockPartition::from_starts`] partition;
 //! * the retire exit, the node failure itself ([`poison`], ghosts,
 //!   [`Flavor::lose`]), the spare claim, the [`RecoveryReport`] and its
@@ -558,10 +558,12 @@ pub(crate) struct EventPlan {
     pub survivors: Vec<usize>,
     /// The members after the event: everyone but the retired.
     pub new_members: Vec<usize>,
-    /// Their partition. Boundaries are the old block starts of the
-    /// remaining members (the first pulled to row 0), which *is* the
-    /// nearest-preceding-survivor adoption rule; with no retirements it
-    /// reproduces the old partition exactly.
+    /// Their partition. A run of `k` retired blocks between two members
+    /// is split between them: the preceding one owns the first ⌈k/2⌉, the
+    /// following one the rest. A run before the first member or after the
+    /// last is not split. Boundaries stay old block starts (the first
+    /// pulled to row 0); with no retirements it reproduces the old
+    /// partition exactly.
     pub new_part: BlockPartition,
     /// Per failed rank, in `failed` order: its old rows and who rebuilds
     /// them. The reconstructors' row sets concatenate to sorted `If`.
@@ -582,8 +584,12 @@ pub(crate) struct LostBlock {
     /// Its owned rows before the event.
     pub range: Range<usize>,
     /// Who rebuilds them: the rank itself when replaced in place, else the
-    /// adopting survivor.
+    /// nearest preceding new member (the first one for a leading run), so
+    /// one member rebuilds a whole run with one exact solve.
     pub reconstructor: usize,
+    /// Who holds them after the event, in `new_part`. A reconstructor
+    /// hands a block it does not own over to its owner at commit.
+    pub owner: usize,
 }
 
 impl EventPlan {
@@ -606,10 +612,17 @@ impl EventPlan {
             let stays = |r: &usize| gone.binary_search(r).is_err();
             members.iter().copied().filter(stays).collect()
         };
-        let new_members = without(&failed[granted..]);
+        let retired = &failed[granted..];
+        let new_members = without(retired);
         let mut new_starts = Vec::with_capacity(new_members.len() + 1);
         new_starts.push(0);
-        new_starts.extend(new_members.iter().skip(1).map(|&m| old_range(m).start));
+        new_starts.extend(new_members.iter().skip(1).map(|&m| {
+            // Take the second half of the run of retired members before `m`.
+            let slot = members.binary_search(&m).expect("an active member");
+            let is_retired = |r: &&usize| retired.binary_search(r).is_ok();
+            let run = members[..slot].iter().rev().take_while(is_retired).count();
+            part.range(slot - run / 2).start
+        }));
         new_starts.push(part.n());
         let new_part = BlockPartition::from_starts(new_starts);
         let lost: Vec<LostBlock> = failed
@@ -620,12 +633,14 @@ impl EventPlan {
                 let reconstructor = if i < granted {
                     rank
                 } else {
-                    new_members[new_part.owner_of(range.start)]
+                    new_members[new_members.partition_point(|&m| m < rank).saturating_sub(1)]
                 };
+                let owner = new_members[new_part.owner_of(range.start)];
                 LostBlock {
                     rank,
                     range,
                     reconstructor,
+                    owner,
                 }
             })
             .collect();
@@ -1072,8 +1087,32 @@ impl Flavor for Reconstruction {
         layout: &mut Layout,
         kernel: &mut dyn ResilientKernel,
     ) -> (usize, Option<u64>) {
-        let plan = at.plan;
+        let (plan, me) = (at.plan, at.plan.me);
         let shrunk = !plan.retired().is_empty();
+        // Hand each rebuilt block this node does not own to its owner, one
+        // message of every block vector back to back. The tag is the
+        // scalars': those go to replaced ranks, a hand-over to a survivor.
+        let handover = tag(at.seq, OFF_SCALARS);
+        let mut blocks = Vec::with_capacity(self.blocks.len());
+        for (lost, blk) in plan.mine().zip(std::mem::take(&mut self.blocks)) {
+            if lost.owner == me {
+                blocks.push(blk);
+            } else {
+                let data = Payload::f64s(blk.vecs.concat());
+                ctx.send(lost.owner, handover, data, CommPhase::Recovery);
+            }
+        }
+        let handed = plan
+            .lost
+            .iter()
+            .filter(|l| l.owner == me && l.reconstructor != me);
+        for lost in handed {
+            let data = ctx.recv_phase(lost.reconstructor, handover, CommPhase::Recovery);
+            let data = data.into_f64s();
+            let vecs = data.chunks(lost.range.len()).map(<[f64]>::to_vec).collect();
+            let range = lost.range.clone();
+            blocks.push(ReconBlock { range, vecs });
+        }
         // Install the rebuilt blocks: a replacement node over its own old
         // range, and on a shrink every member over its adopted (possibly
         // wider) range next to its surviving values. Ghosts and retention
@@ -1081,7 +1120,7 @@ impl Flavor for Reconstruction {
         if shrunk || plan.am_failed {
             let new_range = plan.new_part.range(plan.new_slot());
             let own = (!plan.am_failed).then_some(&plan.my_range);
-            kernel.splice(&new_range, own, &self.blocks, at.env.b);
+            kernel.splice(&new_range, own, &blocks, at.env.b);
         }
         if shrunk {
             rebuild_layout_after_shrink(ctx, at, layout, kernel);
@@ -1750,6 +1789,63 @@ mod tests {
                 .iter()
                 .any(|s| s.attempt == 2 && s.label == "commit"));
             assert!(segments.iter().all(|s| s.attempt <= 2));
+        }
+    }
+
+    /// A Shrink splits each interior run of retired blocks between the two
+    /// members around it, the preceding one taking the larger half; a run
+    /// at either end goes whole to its one neighbour. The preceding member
+    /// still rebuilds the whole run. Checked on the setup partition of
+    /// eight nodes: who rebuilds and who owns each lost block, and that on
+    /// these events no member holds more than 1 + ⌈ψ/2⌉ setup blocks.
+    #[test]
+    fn a_shrink_splits_each_interior_run_between_its_neighbours() {
+        let members: Vec<usize> = (0..8).collect();
+        let part = BlockPartition::new(61, members.len());
+        // (failed, replacement budget, per failed rank: reconstructor, owner).
+        type Event = (&'static [usize], usize, &'static [(usize, usize)]);
+        let events: [Event; 8] = [
+            (&[3], 0, &[(2, 2)]),
+            (&[3, 4], 0, &[(2, 2), (2, 5)]),
+            (&[2, 3, 4], 0, &[(1, 1), (1, 1), (1, 5)]),
+            (&[0], 0, &[(1, 1)]),
+            (&[0, 1, 7], 0, &[(2, 2), (2, 2), (6, 6)]),
+            (&[1, 2, 5], 0, &[(0, 0), (0, 3), (4, 4)]),
+            (&[3, 4, 5], 1, &[(3, 3), (3, 3), (3, 6)]),
+            (&[3, 4], usize::MAX, &[(3, 3), (4, 4)]),
+        ];
+        for (failed, avail, want) in events {
+            let plan = EventPlan::new(&members, &part, 0, failed, avail);
+            let got: Vec<_> = plan
+                .lost
+                .iter()
+                .map(|l| (l.reconstructor, l.owner))
+                .collect();
+            assert_eq!(got, want, "{failed:?}, budget {avail}");
+            for l in &plan.lost {
+                let slot = plan.new_members.binary_search(&l.owner).unwrap();
+                let held = plan.new_part.range(slot);
+                assert!(held.start <= l.range.start && l.range.end <= held.end);
+                // The replaced rank itself, else the nearest preceding new
+                // member, or the first for a leading run.
+                let before = plan.new_members.iter().rev().find(|&&m| m < l.rank);
+                let rule = match plan.replaced().contains(&l.rank) {
+                    true => l.rank,
+                    false => *before.unwrap_or(&plan.new_members[0]),
+                };
+                assert_eq!(l.reconstructor, rule, "{failed:?}, rank {}", l.rank);
+            }
+            let cap = 1 + failed.len().div_ceil(2);
+            for slot in 0..plan.new_members.len() {
+                let held = part.blocks_of(&plan.new_part.range(slot));
+                assert!(
+                    held.len() <= cap,
+                    "{failed:?}: member {slot} holds {held:?}"
+                );
+                if plan.retired().is_empty() {
+                    assert_eq!(held, slot..slot + 1, "no retirement, no change");
+                }
+            }
         }
     }
 

@@ -107,13 +107,14 @@ fn only_the_first_solve_and_new_shrink_ranges_derive_static_data() {
         }
     }
 
-    // Shrink: rank 1 adopts ranks 2–4. It extracts its widened range and
-    // factors nothing new — its preconditioner is the setup blocks it now
-    // covers, factored at setup. Under ESR the union of the three failed
-    // blocks, which preconditions the x solve, is new too, extracted and
+    // Shrink: rank 1 adopts ranks 2–3 and rank 5 adopts rank 4. Each
+    // extracts its widened range and factors nothing new — its
+    // preconditioner is the setup blocks it now covers, factored at setup.
+    // Under ESR rank 1 still rebuilds all three failed blocks, and their
+    // union, which preconditions the x solve, is new too, extracted and
     // factored. Every other range is one of the seven.
     for solver in SOLVERS {
-        for (checkpoint, built) in [(false, (2, 1)), (true, (1, 0))] {
+        for (checkpoint, built) in [(false, (3, 1)), (true, (2, 0))] {
             // A clone shares the store; a fresh one per cell keeps the
             // cells independent of each other's merged ranges.
             let cell = m3_problem();

@@ -81,14 +81,14 @@ enum Prot {
     Cr,
 }
 
-/// φ = 2 under `policy`; C/R deposits every 4 iterations, 2 replicas per
-/// block.
-fn config(prot: Prot, policy: RecoveryPolicy) -> SolverConfig {
-    let mut cfg = SolverConfig::resilient_with_policy(2, policy);
+/// `phi` under `policy`; C/R deposits every 4 iterations, `phi` replicas
+/// per block.
+fn config(prot: Prot, policy: RecoveryPolicy, phi: usize) -> SolverConfig {
+    let mut cfg = SolverConfig::resilient_with_policy(phi, policy);
     if matches!(prot, Prot::Cr) {
         let res = cfg.resilience.take().unwrap();
         cfg.resilience = Some(res.with_protection(Protection::Checkpoint(
-            CrConfig::default().with_interval(4).with_copies(2),
+            CrConfig::default().with_interval(4).with_copies(phi),
         )));
     }
     cfg
@@ -123,7 +123,7 @@ fn run_cell_prot(
 ) -> ExperimentResult {
     let a = poisson2d(grid.0, grid.1);
     let problem = Problem::with_ones_solution(a);
-    let cfg = config(prot, policy);
+    let cfg = config(prot, policy, 2);
     let cost = CostModel::default();
     let sc = script(mode, at, first, nodes);
     let res = run(solver, &problem, nodes, &cfg, cost, sc)
@@ -344,7 +344,7 @@ fn a_former_adopter_fails_for_every_solver() {
         for (policy, retired) in [(RecoveryPolicy::Shrink, 2), (RecoveryPolicy::Spares(1), 1)] {
             for solver in SOLVERS {
                 let sc = FailureScript::at_iterations(7, &[(3, 4), (9, 3)]);
-                let cfg = config(prot, policy);
+                let cfg = config(prot, policy, 2);
                 let res = run(solver, &problem, 7, &cfg, CostModel::default(), sc).unwrap();
                 let label = format!("{prot:?} × {solver:?} × {policy:?}");
                 assert!(res.converged, "{label}");
@@ -358,24 +358,65 @@ fn a_former_adopter_fails_for_every_solver() {
 }
 
 #[test]
+fn a_split_run_recovers_for_every_solver() {
+    // Under Shrink ranks 3–4 fail: rank 2 rebuilds both blocks, keeps
+    // block 3 and hands block 4 over to rank 5. (a) Rank 5 fails at
+    // substep 2 of that recovery, before the hand-over: the restart covers
+    // ranks 3–5 and rank 6 takes block 5. (b) Rank 5 fails at iteration 9,
+    // after taking block 4: rank 2 rebuilds a block widened on the left,
+    // with the two setup blocks of `M` rank 5 applied.
+    let problem = Problem::with_ones_solution(poisson2d(14, 14));
+    let overlap = FailureScript::new(vec![
+        FailureEvent {
+            when: FailAt::Iteration(6),
+            ranks: vec![3, 4],
+        },
+        FailureEvent {
+            when: FailAt::RecoverySubstep {
+                after_iteration: 6,
+                substep: 2,
+            },
+            ranks: vec![5],
+        },
+    ]);
+    let later = FailureScript::at_iterations(7, &[(3, 3), (3, 4), (9, 5)]);
+    for prot in [Prot::Esr, Prot::Cr] {
+        for (case, phi, sc, recoveries) in [("a", 3, &overlap, 1), ("b", 2, &later, 2)] {
+            for solver in SOLVERS {
+                let cfg = config(prot, RecoveryPolicy::Shrink, phi);
+                let res = run(solver, &problem, 7, &cfg, CostModel::default(), sc.clone()).unwrap();
+                let label = format!("({case}) {prot:?} × {solver:?}");
+                assert!(res.converged, "{label}");
+                let err = max_err_ones(&res);
+                assert!(err < 1e-6, "{label}: err={err}");
+                assert_eq!(res.recoveries, recoveries, "{label}");
+                assert_eq!(res.retired_nodes(), 3, "{label}");
+            }
+        }
+    }
+}
+
+#[test]
 fn spares_and_shrink_follow_replace_for_every_solver() {
     // `M` is the setup partition's block-Jacobi preconditioner under every
-    // policy, so when ranks 3–4 fail, a Spares(1) or Shrink cell runs the
-    // Replace cell's trajectory: the same iterations, and `x` up to the
-    // reduction order of the shrunken group.
+    // policy, so when ranks 3–4 (φ = 2) or 2–4 (φ = 3) fail, a Spares(1)
+    // or Shrink cell runs the Replace cell's trajectory: the same
+    // iterations, and `x` up to the reduction order of the shrunken group.
+    // A Shrink splits the run between the members around it.
+    let events = [(3, 2), (2, 3)];
     for a in [poisson2d(14, 14), banded_spd(196, 12, 0.5, 3)] {
         let problem = Problem::with_ones_solution(a);
         for prot in [Prot::Esr, Prot::Cr] {
-            for solver in SOLVERS {
+            for ((first, psi), solver) in events.into_iter().flat_map(|e| SOLVERS.map(|s| (e, s))) {
                 let solve = |policy| {
-                    let sc = FailureScript::simultaneous(6, 3, 2, 7);
-                    let cfg = config(prot, policy);
+                    let sc = FailureScript::simultaneous(6, first, psi, 7);
+                    let cfg = config(prot, policy, psi);
                     run(solver, &problem, 7, &cfg, CostModel::default(), sc).unwrap()
                 };
                 let replace = solve(RecoveryPolicy::Replace);
                 for policy in [RecoveryPolicy::Spares(1), RecoveryPolicy::Shrink] {
                     let res = solve(policy);
-                    let label = format!("{prot:?} × {solver:?} × {policy:?}");
+                    let label = format!("{prot:?} × {solver:?} × {policy:?}, ψ = {psi}");
                     assert!(res.converged && res.retired_nodes() > 0, "{label}");
                     assert_eq!(res.iterations, replace.iterations, "{label}");
                     let dx = (res.x.iter().zip(&replace.x))
