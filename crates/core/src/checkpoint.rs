@@ -47,34 +47,35 @@ use parcomm::{CommPhase, NodeCtx, Payload};
 
 pub use crate::config::CrConfig;
 use crate::engine::{
-    rebuild_layout_after_shrink, tag, unpack, Attempt, Flavor, Layout, ResilientKernel,
+    cut, rebuild_layout_after_shrink, tag, unpack, Attempt, Flavor, Layout, ResilientKernel,
 };
 use crate::retention::{Checkpoint, CheckpointStore};
 
 /// Tag offset of the rollback replica push inside an attempt's window.
 const OFF_FETCH: u32 = 1;
 
-/// One fetched replica at its reconstructor.
+/// One fetched pack at a holder after the event.
 struct Fetched {
-    /// Global rows of the failed rank's old owned block.
+    /// The pack's global rows: a piece of a failed rank's or a survivor's
+    /// old owned block.
     range: Range<usize>,
-    /// The packed state of that block at the rollback epoch.
+    /// The packed state of those rows at the rollback epoch.
     data: Vec<f64>,
 }
 
-/// The checkpoint-rollback flavor of the restart protocol: push each failed
-/// block's newest surviving replica to its owner after the event
-/// ([`crate::engine::LostBlock::owner`], `fetch`), agree on the rollback
-/// epoch over the post-event members (`epoch`), hold one
-/// more overlap boundary (`idle`), then commit — everyone restores the
-/// epoch's pack, survivors from their own copy, replacements from the
-/// fetched data, adopters from both — and the node program rewinds its
+/// The checkpoint-rollback flavor of the restart protocol: push each row
+/// that changes holder — a failed block's from its newest surviving
+/// replica, a survivor's from its own pack — to its holder after the event
+/// (`fetch`), agree on the rollback epoch over the post-event members
+/// (`epoch`), hold one more overlap boundary (`idle`), then commit —
+/// everyone restores the epoch's pack over its new range from its own copy
+/// and the fetched data — and the node program rewinds its
 /// iteration counter to [`crate::engine::RecoveryReport::rollback_to`].
 pub(crate) struct Rollback<'a> {
     /// The node's deposit store.
     store: &'a mut CheckpointStore,
-    /// The replicas this attempt fetched: the failed blocks this node
-    /// restores, in ascending row order.
+    /// The packs this attempt fetched: every row of this node's new range
+    /// outside its own old block, in ascending row order.
     fetched: Vec<Fetched>,
     /// The epoch this attempt agreed on.
     epoch: u64,
@@ -90,12 +91,16 @@ impl<'a> Rollback<'a> {
         }
     }
 
-    /// Stage 1. Deterministic on every node: the serving holder is the
-    /// first *surviving* holder on the block's ring; FIFO (src, tag) order
-    /// over the sorted failed set disambiguates multiple blocks pushed to
-    /// one adopter. An owner that is itself a surviving holder reads its
-    /// replica locally. Nothing is rebuilt, so nothing is handed over.
-    fn fetch(&mut self, ctx: &mut NodeCtx, at: &Attempt<'_>, layout: &Layout) {
+    /// Stage 1. Every row that changes holder travels, one slice of its
+    /// epoch pack per piece, from where the pack is — a survivor's own
+    /// copy, else the failed block's serving holder: the first *surviving*
+    /// holder on its ring, deterministic on every node — to its holder
+    /// after the event ([`crate::engine::EventPlan::holders`]). Sent and
+    /// received in row order, so FIFO (src, tag) order tells the pieces of
+    /// one sender apart. A holder that is itself a surviving holder of a
+    /// replica reads it locally; nothing is rebuilt, so nothing is handed
+    /// over at commit.
+    fn fetch(&mut self, ctx: &mut NodeCtx, at: &Attempt<'_>, layout: &Layout, nv: usize) {
         let (plan, store) = (at.plan, &*self.store);
         let me = plan.me;
         let server_of = |f: usize| -> usize {
@@ -112,44 +117,44 @@ impl<'a> Rollback<'a> {
                     )
                 })
         };
-        for lost in &plan.lost {
-            if me == server_of(lost.rank) && me != lost.owner {
-                let ck = store
-                    .replica_of(lost.rank)
-                    .unwrap_or_else(|| panic!("rank {me}: no held replica of rank {}", lost.rank));
-                ctx.send(
-                    lost.owner,
-                    tag(at.seq, OFF_FETCH),
-                    Payload::f64s_shared(ck.data.clone()),
-                    CommPhase::Recovery,
-                );
+        let replica = |f: usize| {
+            let ck = store.replica_of(f);
+            ck.unwrap_or_else(|| panic!("rank {me}: no held replica of rank {f}"))
+        };
+        // Who sends old rank `r`'s rows: itself, or its serving holder.
+        let lost_of = |r: usize| plan.failed.binary_search(&r).ok().map(|i| &plan.lost[i]);
+        let from = |r: usize| lost_of(r).map_or(r, |l| server_of(l.rank));
+        let senders = layout
+            .members
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| from(r) == me);
+        for (slot, &r) in senders {
+            let range = layout.part.range(slot);
+            let ck = lost_of(r).map_or(&store.own, |_| replica(r));
+            for (q, rows) in plan.holders(&range).filter(|&(q, _)| q != me) {
+                let data = slice_pack(&ck.data, &range, &rows, nv);
+                ctx.send(q, tag(at.seq, OFF_FETCH), data, CommPhase::Recovery);
             }
         }
-        self.fetched = (plan.lost.iter())
-            .filter(|lost| lost.owner == me)
-            .map(|lost| {
-                let (f, server) = (lost.rank, server_of(lost.rank));
-                let data = if server == me {
-                    store
-                        .replica_of(f)
-                        .expect("surviving holder keeps the replica")
-                        .data
-                        .as_ref()
-                        .clone()
-                } else {
-                    ctx.recv_phase(server, tag(at.seq, OFF_FETCH), CommPhase::Recovery)
-                        .into_f64s()
-                };
-                assert!(
-                    !data.is_empty(),
-                    "rank {me}: holder {server} had no checkpoint of rank {f}'s block"
-                );
-                Fetched {
-                    range: lost.range.clone(),
-                    data,
-                }
-            })
-            .collect();
+        let new_range = plan.new_part.range(plan.new_slot());
+        let mut fetched = Vec::new();
+        for (r, rows) in cut(&layout.part, &layout.members, &new_range) {
+            let src = from(r);
+            let data = match lost_of(r) {
+                _ if src != me => ctx.recv_phase(src, tag(at.seq, OFF_FETCH), CommPhase::Recovery),
+                Some(l) => slice_pack(&replica(r).data, &l.range, &rows, nv),
+                // Its own rows: the commit reads its own pack.
+                None => continue,
+            };
+            let data = data.into_f64s();
+            assert!(
+                !data.is_empty(),
+                "rank {me}: holder {src} had no checkpoint of rank {r}'s block"
+            );
+            fetched.push(Fetched { range: rows, data });
+        }
+        self.fetched = fetched;
     }
 
     /// Stage 2. Survivors propose their own newest checkpoint's iteration;
@@ -185,10 +190,10 @@ impl Flavor for Rollback<'_> {
         ctx: &mut NodeCtx,
         at: &Attempt<'_>,
         layout: &Layout,
-        _kernel: &mut dyn ResilientKernel,
+        kernel: &mut dyn ResilientKernel,
     ) {
         match substep {
-            1 => self.fetch(ctx, at, layout),
+            1 => self.fetch(ctx, at, layout, kernel.shape().pack_slots.len()),
             2 => self.agree_on_epoch(ctx, at),
             // Nothing left to do but hold the last boundary before the
             // state is committed.
@@ -214,13 +219,15 @@ impl Flavor for Rollback<'_> {
         let ns = kernel.scalars().len();
         let new_nloc = new_range.len();
         let mut merged = vec![f64::NAN; nv * new_nloc + ns];
+        // Each pack gives the rows it shares with the new range.
         let mut put = |range: &Range<usize>, data: &[f64]| {
             let blen = range.len();
             debug_assert_eq!(data.len(), nv * blen + ns);
-            let off = range.start - new_range.start;
+            let rows = range.start.max(new_range.start)..range.end.min(new_range.end);
+            let (src, dst) = (rows.start - range.start, rows.start - new_range.start);
             for v in 0..nv {
-                merged[v * new_nloc + off..v * new_nloc + off + blen]
-                    .copy_from_slice(&data[v * blen..(v + 1) * blen]);
+                merged[v * new_nloc + dst..][..rows.len()]
+                    .copy_from_slice(&data[v * blen + src..][..rows.len()]);
             }
             // The scalar tail is replicated: identical in every pack of
             // the same epoch.
@@ -233,7 +240,7 @@ impl Flavor for Rollback<'_> {
         for blk in &self.fetched {
             put(&blk.range, &blk.data);
         }
-        debug_assert!(
+        assert!(
             merged[..nv * new_nloc].iter().all(|v| !v.is_nan()),
             "merged rollback pack does not cover the new range"
         );
@@ -248,6 +255,26 @@ impl Flavor for Rollback<'_> {
         };
         (0, Some(epoch))
     }
+}
+
+/// The slice over `rows` of a pack over `range`: `nv` vectors, then the
+/// scalars.
+fn slice_pack(
+    pack: &Arc<Vec<f64>>,
+    range: &Range<usize>,
+    rows: &Range<usize>,
+    nv: usize,
+) -> Payload {
+    if rows == range {
+        return Payload::f64s_shared(pack.clone());
+    }
+    let (blen, off) = (range.len(), rows.start - range.start);
+    let mut out = Vec::with_capacity(nv * rows.len() + pack.len() - nv * blen);
+    for v in 0..nv {
+        out.extend_from_slice(&pack[v * blen + off..][..rows.len()]);
+    }
+    out.extend_from_slice(&pack[nv * blen..]);
+    Payload::f64s(out)
 }
 
 #[cfg(test)]

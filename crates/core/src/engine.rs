@@ -19,10 +19,11 @@
 //! * the recovery **policy** ([`crate::config::RecoveryPolicy`]) as one
 //!   [`EventPlan`] per attempt: in-place replacement (the paper's
 //!   unbounded model), spare-pool grants to the lowest-ranked failed
-//!   nodes, and survivor **adoption** of uncovered subdomains, each run
-//!   split between the members on either side of it, which keeps
-//!   ownership contiguous and makes the post-shrink layout a generalized
-//!   [`BlockPartition::from_starts`] partition;
+//!   nodes, and survivor **adoption** of uncovered subdomains: the
+//!   members left hold contiguous runs of the setup blocks, as few per
+//!   member as the count allows (`EventPlan::new_part`), so the
+//!   post-shrink layout is a generalized [`BlockPartition::from_starts`]
+//!   partition;
 //! * the retire exit, the node failure itself ([`poison`], ghosts,
 //!   [`Flavor::lose`]), the spare claim, the [`RecoveryReport`] and its
 //!   [`RecoveryTimeline`].
@@ -36,7 +37,8 @@
 //! * the cooperative inner solve of `A_{If,If} x_If = w` over the
 //!   reconstructor group (Alg. 2 lines 7–8), generalized to reconstructors
 //!   owning several failed blocks at once;
-//! * the splice of reconstructed blocks into the (possibly widened) state.
+//! * the hand-over of rows that change holder, and the splice of the
+//!   reconstructed blocks into the (possibly moved) state.
 //!
 //! The rollback flavor is [`crate::checkpoint::Rollback`]. Both end a
 //! shrinking event in [`rebuild_layout_after_shrink`]: [`LocalMatrix`],
@@ -558,12 +560,12 @@ pub(crate) struct EventPlan {
     pub survivors: Vec<usize>,
     /// The members after the event: everyone but the retired.
     pub new_members: Vec<usize>,
-    /// Their partition. A run of `k` retired blocks between two members
-    /// is split between them: the preceding one owns the first ⌈k/2⌉, the
-    /// following one the rest. A run before the first member or after the
-    /// last is not split. Boundaries stay old block starts (the first
-    /// pulled to row 0); with no retirements it reproduces the old
-    /// partition exactly.
+    /// Their partition, cut at setup block starts. With no retirements it
+    /// is the old partition; otherwise [`place`] picks it: no member holds
+    /// more setup blocks than it must, then as few surviving blocks as
+    /// possible change holder, then as few rebuilt blocks as possible
+    /// leave their reconstructor. A survivor hands each old row it no
+    /// longer holds to the row's new holder; see [`EventPlan::holders`].
     pub new_part: BlockPartition,
     /// Per failed rank, in `failed` order: its old rows and who rebuilds
     /// them. The reconstructors' row sets concatenate to sorted `If`.
@@ -585,20 +587,19 @@ pub(crate) struct LostBlock {
     pub range: Range<usize>,
     /// Who rebuilds them: the rank itself when replaced in place, else the
     /// nearest preceding new member (the first one for a leading run), so
-    /// one member rebuilds a whole run with one exact solve.
+    /// one member rebuilds a whole run with one exact solve. It hands the
+    /// rows it does not hold after the event to their holders at commit.
     pub reconstructor: usize,
-    /// Who holds them after the event, in `new_part`. A reconstructor
-    /// hands a block it does not own over to its owner at commit.
-    pub owner: usize,
 }
 
 impl EventPlan {
     /// Plan the event for sorted `failed` ranks (all active members, whose
-    /// blocks `part` holds in `members` order) under a budget of `avail`
-    /// replacements.
+    /// blocks `part` holds in `members` order; its boundaries are `setup`
+    /// block starts) under a budget of `avail` replacements.
     fn new(
         members: &[usize],
         part: &BlockPartition,
+        setup: &BlockPartition,
         me: usize,
         failed: &[usize],
         avail: usize,
@@ -612,38 +613,41 @@ impl EventPlan {
             let stays = |r: &usize| gone.binary_search(r).is_err();
             members.iter().copied().filter(stays).collect()
         };
-        let retired = &failed[granted..];
-        let new_members = without(retired);
-        let mut new_starts = Vec::with_capacity(new_members.len() + 1);
-        new_starts.push(0);
-        new_starts.extend(new_members.iter().skip(1).map(|&m| {
-            // Take the second half of the run of retired members before `m`.
-            let slot = members.binary_search(&m).expect("an active member");
-            let is_retired = |r: &&usize| retired.binary_search(r).is_ok();
-            let run = members[..slot].iter().rev().take_while(is_retired).count();
-            part.range(slot - run / 2).start
-        }));
-        new_starts.push(part.n());
-        let new_part = BlockPartition::from_starts(new_starts);
+        let new_members = without(&failed[granted..]);
         let lost: Vec<LostBlock> = failed
             .iter()
             .enumerate()
-            .map(|(i, &rank)| {
-                let range = old_range(rank);
-                let reconstructor = if i < granted {
+            .map(|(i, &rank)| LostBlock {
+                rank,
+                range: old_range(rank),
+                reconstructor: if i < granted {
                     rank
                 } else {
                     new_members[new_members.partition_point(|&m| m < rank).saturating_sub(1)]
-                };
-                let owner = new_members[new_part.owner_of(range.start)];
-                LostBlock {
-                    rank,
-                    range,
-                    reconstructor,
-                    owner,
-                }
+                },
             })
             .collect();
+        let new_part = if granted == failed.len() {
+            part.clone()
+        } else {
+            // Per setup block: the new member that holds it if nothing
+            // moves (its survivor or its reconstructor), and the cost of
+            // moving it — a surviving block outweighs every rebuilt one.
+            let slot_of = |r: usize| new_members.binary_search(&r).expect("a new member");
+            let mut stay = vec![(0, 0); setup.nodes()];
+            for (slot, &m) in members.iter().enumerate() {
+                let held = match failed.binary_search(&m) {
+                    Ok(i) => (slot_of(lost[i].reconstructor), 1),
+                    Err(_) => (slot_of(m), setup.nodes() + 1),
+                };
+                stay[setup.blocks_of(&part.range(slot))].fill(held);
+            }
+            let old = new_members
+                .iter()
+                .map(|&m| setup.owner_of(old_range(m).start));
+            let starts = place(&stay, &old.collect::<Vec<_>>(), failed.len());
+            BlockPartition::from_starts(starts.iter().map(|&k| setup.starts()[k]).collect())
+        };
         let mut reconstructors: Vec<usize> = lost.iter().map(|l| l.reconstructor).collect();
         reconstructors.sort_unstable();
         reconstructors.dedup();
@@ -719,6 +723,23 @@ impl EventPlan {
         IfExchange { tag, own, peers }
     }
 
+    /// `rows` cut at the partition after the event, each piece with its
+    /// holder, in row order.
+    pub fn holders(&self, rows: &Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        cut(&self.new_part, &self.new_members, rows)
+    }
+
+    /// Send each piece of `range` (the rows of `vecs`) that another member
+    /// holds after the event to it: one message, every block vector back
+    /// to back.
+    fn hand_over(&self, ctx: &mut NodeCtx, tag: u32, vecs: &[Vec<f64>], range: &Range<usize>) {
+        for (q, rows) in self.holders(range).filter(|&(q, _)| q != self.me) {
+            let at = rows.start - range.start..rows.end - range.start;
+            let data = vecs.iter().flat_map(|v| &v[at.clone()]).copied().collect();
+            ctx.send(q, tag, Payload::f64s(data), CommPhase::Recovery);
+        }
+    }
+
     /// This node's slot among [`EventPlan::new_members`] (it did not
     /// retire).
     pub fn new_slot(&self) -> usize {
@@ -726,6 +747,66 @@ impl EventPlan {
             .binary_search(&self.me)
             .expect("active non-retired rank is a new member")
     }
+}
+
+/// `rows` cut at the blocks of `part`, each piece with its holder in
+/// `members` (`part`'s order), in row order.
+pub(crate) fn cut<'a>(
+    part: &'a BlockPartition,
+    members: &'a [usize],
+    rows: &Range<usize>,
+) -> impl Iterator<Item = (usize, Range<usize>)> + 'a {
+    let Range { start, end } = rows.clone();
+    (part.owner_of(start)..part.nodes()).map_while(move |slot| {
+        let r = part.range(slot);
+        (r.start < end).then(|| (members[slot], r.start.max(start)..r.end.min(end)))
+    })
+}
+
+/// The adoption rule: each new member's first setup block, followed by
+/// the number of blocks. `stay[k]` is the member that holds setup block
+/// `k` if nothing moves and what moving it costs; member `j` held blocks
+/// from `old_starts[j]` on. Minimises the most blocks a member holds, then
+/// the cost, over the assignments that start each member within `psi`
+/// blocks of its old start: for each cap from ⌈blocks/members⌉ up until
+/// one fits, a DP over (member, start) in O(members·ψ·cap²).
+fn place(stay: &[(usize, usize)], old_starts: &[usize], psi: usize) -> Vec<usize> {
+    let (n, m) = (stay.len(), old_starts.len());
+    // The starts member `j` may take; "member" `m` is the end.
+    let window = |j: usize| match j {
+        0 => 0..1,
+        _ if j == m => n..n + 1,
+        _ => old_starts[j].saturating_sub(psi).max(j)..(old_starts[j] + psi + 1).min(n + j + 1 - m),
+    };
+    for cap in n.div_ceil(m)..=n {
+        // best[j][s − window(j).start]: the least cost of members 0..j
+        // holding blocks 0..s, and where member j − 1 starts on it.
+        let mut best: Vec<Vec<Option<(usize, usize)>>> =
+            (0..=m).map(|j| vec![None; window(j).len()]).collect();
+        best[0][0] = Some((0, 0));
+        for j in 0..m {
+            let (from, to) = (window(j), window(j + 1));
+            for (s, c) in from.clone().zip(best[j].clone()) {
+                let Some((c, _)) = c else { continue };
+                for t in to.start.max(s + 1)..to.end.min(s + cap + 1) {
+                    let away = stay[s..t].iter().filter(|&&(h, _)| h != j);
+                    let c = c + away.map(|&(_, w)| w).sum::<usize>();
+                    let slot = &mut best[j + 1][t - to.start];
+                    if slot.is_none_or(|(old, _)| c < old) {
+                        *slot = Some((c, s));
+                    }
+                }
+            }
+        }
+        if best[m][0].is_some() {
+            let mut starts = vec![n; m + 1];
+            for j in (1..=m).rev() {
+                starts[j - 1] = best[j][starts[j] - window(j).start].expect("on the path").1;
+            }
+            return starts;
+        }
+    }
+    unreachable!("the old starts fit under some cap")
 }
 
 /// One attempt as a [`Flavor`] sees it.
@@ -886,7 +967,7 @@ fn restart_protocol<F: Flavor>(
             "all {} active nodes failed — nothing left to recover from",
             layout.members.len()
         );
-        let plan = EventPlan::new(&layout.members, &layout.part, me, &failed, avail);
+        let plan = EventPlan::new(&layout.members, &layout.part, env.setup, me, &failed, avail);
         ctx.trace_instant("grant", plan.granted as u64);
         if plan.retired().binary_search(&me).is_ok() {
             // No replacement for this node: it is gone. Its subdomain is
@@ -1023,6 +1104,8 @@ pub(crate) fn rebuild_layout_after_shrink(
 struct Reconstruction {
     /// The failed blocks this node rebuilds, in ascending row order.
     blocks: Vec<ReconBlock>,
+    /// The rows survivors handed this node at stage 1, in row order.
+    handed: Vec<ReconBlock>,
     /// What [`EngineComm`] carries from `rebuild` into `xsolve`.
     wire: Wire,
 }
@@ -1089,36 +1172,27 @@ impl Flavor for Reconstruction {
     ) -> (usize, Option<u64>) {
         let (plan, me) = (at.plan, at.plan.me);
         let shrunk = !plan.retired().is_empty();
-        // Hand each rebuilt block this node does not own to its owner, one
-        // message of every block vector back to back. The tag is the
-        // scalars': those go to replaced ranks, a hand-over to a survivor.
-        let handover = tag(at.seq, OFF_SCALARS);
-        let mut blocks = Vec::with_capacity(self.blocks.len());
-        for (lost, blk) in plan.mine().zip(std::mem::take(&mut self.blocks)) {
-            if lost.owner == me {
-                blocks.push(blk);
-            } else {
-                let data = Payload::f64s(blk.vecs.concat());
-                ctx.send(lost.owner, handover, data, CommPhase::Recovery);
-            }
-        }
-        let handed = plan
-            .lost
-            .iter()
-            .filter(|l| l.owner == me && l.reconstructor != me);
-        for lost in handed {
-            let data = ctx.recv_phase(lost.reconstructor, handover, CommPhase::Recovery);
-            let data = data.into_f64s();
-            let vecs = data.chunks(lost.range.len()).map(<[f64]>::to_vec).collect();
-            let range = lost.range.clone();
-            blocks.push(ReconBlock { range, vecs });
-        }
         // Install the rebuilt blocks: a replacement node over its own old
-        // range, and on a shrink every member over its adopted (possibly
-        // wider) range next to its surviving values. Ghosts and retention
-        // refill on the restarted iteration's re-scatter.
+        // range, and on a shrink every member over its new range, from its
+        // surviving values, the blocks it rebuilt and what was handed to
+        // it. Ghosts and retention refill on the restarted iteration's
+        // re-scatter.
         if shrunk || plan.am_failed {
             let new_range = plan.new_part.range(plan.new_slot());
+            let handover = tag(at.seq, OFF_SCALARS);
+            // Hand each rebuilt row this node does not hold to its holder;
+            // take the ones rebuilt for it beside those survivors handed it.
+            for blk in &self.blocks {
+                plan.hand_over(ctx, handover, &blk.vecs, &blk.range);
+            }
+            let mut blocks = std::mem::take(&mut self.handed);
+            for lost in plan.lost.iter().filter(|l| l.reconstructor != me) {
+                let rows = lost.range.start.max(new_range.start)..lost.range.end.min(new_range.end);
+                if !rows.is_empty() {
+                    blocks.push(take_over(ctx, lost.reconstructor, handover, rows));
+                }
+            }
+            blocks.append(&mut self.blocks);
             let own = (!plan.am_failed).then_some(&plan.my_range);
             kernel.splice(&new_range, own, &blocks, at.env.b);
         }
@@ -1167,6 +1241,16 @@ impl Reconstruction {
             }
         }
 
+        // ---- surviving rows → their new holders ------------------------
+        // Known at the boundary, so a survivor hands each of its old rows
+        // it does not hold after the event to the holder now, under the
+        // scalars' tag (sent before these). The holder receives them at
+        // the end of this stage, which an aborted attempt also completes.
+        if !plan.am_failed {
+            let vecs = &kernel.vecs()[..kernel.shape().n_block_vecs];
+            plan.hand_over(ctx, tag(seq, OFF_SCALARS), vecs, &plan.my_range);
+        }
+
         // ---- retained copies → reconstructors --------------------------
         // Every survivor sends, per failed block in sorted order and per
         // channel read, its retained pairs in that block's range to the
@@ -1212,7 +1296,22 @@ impl Reconstruction {
             kernel.rebuild_local(ctx, at.env, &mut blk, copies);
             self.blocks.push(blk);
         }
+        let new_range = plan.new_part.range(plan.new_slot());
+        for (src, rows) in cut(&layout.part, &layout.members, &new_range) {
+            if src != me && plan.failed.binary_search(&src).is_err() {
+                self.handed
+                    .push(take_over(ctx, src, tag(seq, OFF_SCALARS), rows));
+            }
+        }
     }
+}
+
+/// Receive the piece `rows` that `from` hands over
+/// ([`EventPlan::hand_over`]).
+fn take_over(ctx: &mut NodeCtx, from: usize, tag: u32, rows: Range<usize>) -> ReconBlock {
+    let data = ctx.recv_phase(from, tag, CommPhase::Recovery).into_f64s();
+    let vecs = data.chunks(rows.len()).map(<[f64]>::to_vec).collect();
+    ReconBlock { range: rows, vecs }
 }
 
 /// Assemble one failed block over `range` from the `(global index, value)`
@@ -1705,9 +1804,9 @@ pub(crate) fn m_block(
 
 /// Rebuild every vector of `vecs` (slot = index) over `new_range` from the
 /// node's old owned values (`own_range` is `None` for a replaced rank,
-/// whose old values are poisoned and whose block is in `blocks`) and its
-/// reconstructed blocks' vectors of the same slot. Every row of
-/// `new_range` is covered exactly once by construction.
+/// whose old values are poisoned) and the blocks' vectors of the same
+/// slot: rebuilt, or handed over. Each source gives the rows it shares
+/// with `new_range`; together they must cover every row.
 pub(crate) fn splice_slots(
     vecs: &mut [Vec<f64>],
     new_range: &Range<usize>,
@@ -1716,14 +1815,15 @@ pub(crate) fn splice_slots(
 ) {
     for (slot, v) in vecs.iter_mut().enumerate() {
         let mut out = vec![f64::NAN; new_range.len()];
-        if let Some(own) = own_range {
-            out[own.start - new_range.start..own.end - new_range.start].copy_from_slice(v);
+        let blocks = blocks.iter().map(|b| (&b.range, &b.vecs[slot][..]));
+        for (range, src) in own_range.map(|own| (own, &v[..])).into_iter().chain(blocks) {
+            let rows = range.start.max(new_range.start)..range.end.min(new_range.end);
+            if !rows.is_empty() {
+                out[rows.start - new_range.start..rows.end - new_range.start]
+                    .copy_from_slice(&src[rows.start - range.start..rows.end - range.start]);
+            }
         }
-        for blk in blocks {
-            out[blk.range.start - new_range.start..blk.range.end - new_range.start]
-                .copy_from_slice(&blk.vecs[slot]);
-        }
-        debug_assert!(out.iter().all(|x| !x.is_nan()), "shrink splice left a gap");
+        assert!(out.iter().all(|x| !x.is_nan()), "shrink splice left a gap");
         *v = out;
     }
 }
@@ -1792,61 +1892,136 @@ mod tests {
         }
     }
 
-    /// A Shrink splits each interior run of retired blocks between the two
-    /// members around it, the preceding one taking the larger half; a run
-    /// at either end goes whole to its one neighbour. The preceding member
-    /// still rebuilds the whole run. Checked on the setup partition of
-    /// eight nodes: who rebuilds and who owns each lost block, and that on
-    /// these events no member holds more than 1 + ⌈ψ/2⌉ setup blocks.
+    /// The new partition in setup blocks: each new member's first one.
+    fn block_starts(plan: &EventPlan, setup: &BlockPartition) -> Vec<usize> {
+        let starts = &plan.new_part.starts()[..plan.new_members.len()];
+        starts.iter().map(|&r| setup.owner_of(r)).collect()
+    }
+
+    /// The reconstructor rule: the replaced rank itself, else the nearest
+    /// preceding new member, or the first for a leading run.
+    fn assert_reconstructors(plan: &EventPlan) {
+        for l in &plan.lost {
+            let before = plan.new_members.iter().rev().find(|&&m| m < l.rank);
+            let rule = match plan.replaced().contains(&l.rank) {
+                true => l.rank,
+                false => *before.unwrap_or(&plan.new_members[0]),
+            };
+            assert_eq!(l.reconstructor, rule, "{:?}, rank {}", plan.failed, l.rank);
+        }
+    }
+
+    /// A Shrink balances the setup blocks over the members left: an
+    /// interior run of one or two goes to its neighbours, the preceding
+    /// one rebuilding it all; a longer run, or one at either end, also
+    /// moves a neighbouring survivor block along. Checked on the setup
+    /// partition of eight nodes: the new partition, the reconstructors,
+    /// and that no member holds more than ⌈N/N′⌉ setup blocks.
     #[test]
     fn a_shrink_splits_each_interior_run_between_its_neighbours() {
         let members: Vec<usize> = (0..8).collect();
         let part = BlockPartition::new(61, members.len());
-        // (failed, replacement budget, per failed rank: reconstructor, owner).
-        type Event = (&'static [usize], usize, &'static [(usize, usize)]);
-        let events: [Event; 8] = [
-            (&[3], 0, &[(2, 2)]),
-            (&[3, 4], 0, &[(2, 2), (2, 5)]),
-            (&[2, 3, 4], 0, &[(1, 1), (1, 1), (1, 5)]),
-            (&[0], 0, &[(1, 1)]),
-            (&[0, 1, 7], 0, &[(2, 2), (2, 2), (6, 6)]),
-            (&[1, 2, 5], 0, &[(0, 0), (0, 3), (4, 4)]),
-            (&[3, 4, 5], 1, &[(3, 3), (3, 3), (3, 6)]),
-            (&[3, 4], usize::MAX, &[(3, 3), (4, 4)]),
+        // (failed, replacement budget, each new member's first setup block).
+        type Event = (&'static [usize], usize, &'static [usize]);
+        let events: [Event; 9] = [
+            (&[3], 0, &[0, 1, 2, 4, 5, 6, 7]),
+            (&[3, 4], 0, &[0, 1, 2, 4, 6, 7]),
+            // Rank 1 rebuilds blocks 2–4 and holds 2–3; rank 0 takes block 1.
+            (&[2, 3, 4], 0, &[0, 2, 4, 6, 7]),
+            (&[0], 0, &[0, 2, 3, 4, 5, 6, 7]),
+            (&[0, 1, 7], 0, &[0, 2, 4, 5, 6]),
+            (&[5, 6, 7], 0, &[0, 1, 2, 4, 6]),
+            (&[1, 2, 5], 0, &[0, 2, 4, 6, 7]),
+            (&[3, 4, 5], 1, &[0, 1, 2, 3, 5, 7]),
+            (&[3, 4], usize::MAX, &[0, 1, 2, 3, 4, 5, 6, 7]),
         ];
         for (failed, avail, want) in events {
-            let plan = EventPlan::new(&members, &part, 0, failed, avail);
-            let got: Vec<_> = plan
-                .lost
-                .iter()
-                .map(|l| (l.reconstructor, l.owner))
-                .collect();
-            assert_eq!(got, want, "{failed:?}, budget {avail}");
-            for l in &plan.lost {
-                let slot = plan.new_members.binary_search(&l.owner).unwrap();
-                let held = plan.new_part.range(slot);
-                assert!(held.start <= l.range.start && l.range.end <= held.end);
-                // The replaced rank itself, else the nearest preceding new
-                // member, or the first for a leading run.
-                let before = plan.new_members.iter().rev().find(|&&m| m < l.rank);
-                let rule = match plan.replaced().contains(&l.rank) {
-                    true => l.rank,
-                    false => *before.unwrap_or(&plan.new_members[0]),
-                };
-                assert_eq!(l.reconstructor, rule, "{failed:?}, rank {}", l.rank);
-            }
-            let cap = 1 + failed.len().div_ceil(2);
+            let plan = EventPlan::new(&members, &part, &part, 0, failed, avail);
+            assert_eq!(
+                block_starts(&plan, &part),
+                want,
+                "{failed:?}, budget {avail}"
+            );
+            assert_reconstructors(&plan);
+            let cap = members.len().div_ceil(plan.new_members.len());
             for slot in 0..plan.new_members.len() {
                 let held = part.blocks_of(&plan.new_part.range(slot));
                 assert!(
                     held.len() <= cap,
                     "{failed:?}: member {slot} holds {held:?}"
                 );
-                if plan.retired().is_empty() {
-                    assert_eq!(held, slot..slot + 1, "no retirement, no change");
+            }
+        }
+    }
+
+    /// [`place`] against brute force: for every failed set of at most four
+    /// of N ≤ 9 nodes (wrapped runs included) and every replacement
+    /// budget, the plan's partition of the setup blocks reaches the least
+    /// (largest holding, surviving blocks moved, rebuilt blocks handed
+    /// over) of all contiguous partitions, its reconstructors follow the
+    /// rule, and with nothing retired the partition is the old one.
+    #[test]
+    fn the_adoption_rule_is_the_lexicographic_optimum() {
+        for n in 2..=9usize {
+            let members: Vec<usize> = (0..n).collect();
+            let part = BlockPartition::new(5 * n + 3, n);
+            for set in 1u32..1 << n {
+                let failed: Vec<usize> = (0..n).filter(|&k| set >> k & 1 == 1).collect();
+                if failed.len() > 4 || failed.len() == n {
+                    continue;
+                }
+                for avail in 0..=failed.len() {
+                    let plan = EventPlan::new(&members, &part, &part, 0, &failed, avail);
+                    assert_reconstructors(&plan);
+                    if plan.retired().is_empty() {
+                        assert_eq!(plan.new_part, part, "{failed:?}");
+                        continue;
+                    }
+                    // Who holds block k if nothing moves, and whether it
+                    // was rebuilt.
+                    let stay = |k: usize| match plan.lost.iter().find(|l| l.rank == k) {
+                        Some(l) => (l.reconstructor, true),
+                        None => (k, false),
+                    };
+                    let cost = |starts: &[usize]| {
+                        let (mut widest, mut moved, mut handed) = (0, 0, 0);
+                        for (j, &m) in plan.new_members.iter().enumerate() {
+                            let end = starts.get(j + 1).copied().unwrap_or(n);
+                            widest = widest.max(end - starts[j]);
+                            for (_, lost) in (starts[j]..end).map(stay).filter(|&(h, _)| h != m) {
+                                *(if lost { &mut handed } else { &mut moved }) += 1;
+                            }
+                        }
+                        (widest, moved, handed)
+                    };
+                    let m = plan.new_members.len();
+                    let best = (0u32..1 << (n - 1))
+                        .filter(|cuts| cuts.count_ones() as usize == m - 1)
+                        .map(|cuts| {
+                            let inner = (1..n).filter(|&k| cuts >> (k - 1) & 1 == 1);
+                            cost(&std::iter::once(0).chain(inner).collect::<Vec<_>>())
+                        })
+                        .min()
+                        .unwrap();
+                    let got = cost(&block_starts(&plan, &part));
+                    assert_eq!(got, best, "N = {n}, {failed:?}, budget {avail}");
+                    assert_eq!(got.0, n.div_ceil(m), "N = {n}, {failed:?}");
                 }
             }
         }
+    }
+
+    /// A splice whose sources leave a row of the new range uncovered
+    /// panics instead of installing NaN.
+    #[test]
+    #[should_panic(expected = "shrink splice left a gap")]
+    fn a_splice_with_an_uncovered_row_panics() {
+        let mut vecs = vec![vec![1.0; 4]];
+        let blk = ReconBlock {
+            range: 6..8,
+            vecs: vec![vec![2.0; 2]],
+        };
+        splice_slots(&mut vecs, &(2..9), Some(&(2..6)), &[blk]);
     }
 
     /// The push gather is correct only if what a survivor serves a
@@ -1954,7 +2129,7 @@ mod tests {
             let part = BlockPartition::new(m.n_rows(), members.len());
             let mut pushed = 0;
             for &(failed, avail) in &events {
-                let plan_of = |me| EventPlan::new(&members, &part, me, failed, avail);
+                let plan_of = |me| EventPlan::new(&members, &part, &part, me, failed, avail);
                 let out = Cluster::run(ClusterConfig::new(members.len()), |ctx| {
                     let plan = plan_of(ctx.rank());
                     if plan.reconstructors.binary_search(&plan.me).is_err() {
@@ -2032,7 +2207,7 @@ mod tests {
                 exact_block_precond: exact,
                 ..RecoveryConfig::default()
             };
-            let plan_of = |me| EventPlan::new(&members, &part, me, failed, avail);
+            let plan_of = |me| EventPlan::new(&members, &part, &part, me, failed, avail);
             let out = Cluster::run(ClusterConfig::new(members.len()), |ctx| {
                 let plan = plan_of(ctx.rank());
                 if plan.reconstructors.binary_search(&plan.me).is_err() {

@@ -110,11 +110,12 @@ impl NodePrecond {
         }
     }
 
-    /// Re-cut this node's share for its widened block `lm` after a Shrink,
-    /// from what setup derived — it cannot fail, and `M` stays the
+    /// Re-cut this node's share for its new block `lm` after a Shrink —
+    /// any run of setup blocks, which need not contain the old one — from
+    /// what setup derived: it cannot fail, and `M` stays the
     /// preconditioner of the setup partition `part`. Charges `20·l_nnz`
-    /// for each block of `part` the node takes on, or, if it lost its
-    /// memory (a spare: `all`), for every block it covers.
+    /// for each block of `part` the node did not hold before, or, if it
+    /// lost its memory (a spare: `all`), for every block it covers.
     pub fn widen(&mut self, ctx: &mut NodeCtx, part: &BlockPartition, lm: &LocalMatrix, all: bool) {
         match self {
             NodePrecond::Jacobi { inv_diag } => {

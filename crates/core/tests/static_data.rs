@@ -107,14 +107,15 @@ fn only_the_first_solve_and_new_shrink_ranges_derive_static_data() {
         }
     }
 
-    // Shrink: rank 1 adopts ranks 2–3 and rank 5 adopts rank 4. Each
-    // extracts its widened range and factors nothing new — its
-    // preconditioner is the setup blocks it now covers, factored at setup.
-    // Under ESR rank 1 still rebuilds all three failed blocks, and their
-    // union, which preconditions the x solve, is new too, extracted and
-    // factored. Every other range is one of the seven.
+    // Shrink: no member may hold more than two of the seven setup blocks,
+    // so rank 0 takes block 1, rank 1 blocks 2–3 and rank 5 blocks 4–5.
+    // Each of the three extracts its new range and factors nothing new —
+    // its preconditioner is the setup blocks it now covers, factored at
+    // setup. Under ESR rank 1 still rebuilds all three failed blocks, and
+    // their union, which preconditions the x solve, is new too, extracted
+    // and factored. Every other range is one of the seven.
     for solver in SOLVERS {
-        for (checkpoint, built) in [(false, (3, 1)), (true, (2, 0))] {
+        for (checkpoint, built) in [(false, (4, 1)), (true, (3, 0))] {
             // A clone shares the store; a fresh one per cell keeps the
             // cells independent of each other's merged ranges.
             let cell = m3_problem();
@@ -130,10 +131,11 @@ fn only_the_first_solve_and_new_shrink_ranges_derive_static_data() {
         }
     }
 
-    // Shrink with ranks 0 and 2 failing: rank 1 adopts a block on each side
-    // of its own, so its rows of the x solve are not one range of `A` and
-    // their block is extracted and factored for that solve only. The store
-    // gains the widened range's rows alone, and no factor.
+    // Shrink with ranks 0 and 2 failing: rank 1 rebuilds a block on each
+    // side of its own, so its rows of the x solve are not one range of `A`
+    // and their block is extracted and factored for that solve only. It
+    // keeps block 0 and hands block 2 to rank 3: the store gains the two
+    // widened ranges' rows alone, and no factor.
     let cell = m3_problem();
     solve(&cell, SolverKind::Pcg, &reference, none());
     let cfg = config(RecoveryPolicy::Shrink, false);
@@ -143,7 +145,7 @@ fn only_the_first_solve_and_new_shrink_ranges_derive_static_data() {
         assert_eq!((res.ranks_recovered, res.retired_nodes()), (2, 2));
         res
     };
-    assert_eq!(built_by(&cell, || drop(both_sides())), (1, 0));
+    assert_eq!(built_by(&cell, || drop(both_sides())), (2, 0));
     assert_bitwise_equal(&both_sides(), &both_sides(), "adopter of blocks 0 and 2");
 }
 

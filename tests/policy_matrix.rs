@@ -365,32 +365,60 @@ fn a_split_run_recovers_for_every_solver() {
     // ranks 3–5 and rank 6 takes block 5. (b) Rank 5 fails at iteration 9,
     // after taking block 4: rank 2 rebuilds a block widened on the left,
     // with the two setup blocks of `M` rank 5 applied.
+    //
+    // When ranks 3–5 fail, no member may hold more than two of the seven
+    // setup blocks: rank 2 rebuilds blocks 3–5, keeps 3–4 and hands block
+    // 5 to rank 6, and it hands its own block 2 to rank 1. (c) Rank 1,
+    // which receives block 2, fails at substep 2 of that recovery: the
+    // restart covers ranks 1 and 3–5. (d) Rank 2, which gave block 2 away,
+    // fails at iteration 9: rank 1 rebuilds blocks 3–4, keeps block 3 and
+    // hands block 4 to rank 6.
     let problem = Problem::with_ones_solution(poisson2d(14, 14));
-    let overlap = FailureScript::new(vec![
-        FailureEvent {
-            when: FailAt::Iteration(6),
-            ranks: vec![3, 4],
-        },
-        FailureEvent {
-            when: FailAt::RecoverySubstep {
-                after_iteration: 6,
-                substep: 2,
+    let overlap = |first: Vec<usize>, then: usize| {
+        FailureScript::new(vec![
+            FailureEvent {
+                when: FailAt::Iteration(6),
+                ranks: first,
             },
-            ranks: vec![5],
-        },
-    ]);
-    let later = FailureScript::at_iterations(7, &[(3, 3), (3, 4), (9, 5)]);
+            FailureEvent {
+                when: FailAt::RecoverySubstep {
+                    after_iteration: 6,
+                    substep: 2,
+                },
+                ranks: vec![then],
+            },
+        ])
+    };
+    // (case, φ, script, recoveries, retired nodes)
+    let cases = [
+        ("a", 3, overlap(vec![3, 4], 5), 1, 3),
+        (
+            "b",
+            2,
+            FailureScript::at_iterations(7, &[(3, 3), (3, 4), (9, 5)]),
+            2,
+            3,
+        ),
+        ("c", 3, overlap(vec![3, 4, 5], 1), 1, 4),
+        (
+            "d",
+            3,
+            FailureScript::at_iterations(7, &[(6, 3), (6, 4), (6, 5), (9, 2)]),
+            2,
+            4,
+        ),
+    ];
     for prot in [Prot::Esr, Prot::Cr] {
-        for (case, phi, sc, recoveries) in [("a", 3, &overlap, 1), ("b", 2, &later, 2)] {
+        for (case, phi, sc, recoveries, retired) in &cases {
             for solver in SOLVERS {
-                let cfg = config(prot, RecoveryPolicy::Shrink, phi);
+                let cfg = config(prot, RecoveryPolicy::Shrink, *phi);
                 let res = run(solver, &problem, 7, &cfg, CostModel::default(), sc.clone()).unwrap();
                 let label = format!("({case}) {prot:?} × {solver:?}");
                 assert!(res.converged, "{label}");
                 let err = max_err_ones(&res);
                 assert!(err < 1e-6, "{label}: err={err}");
-                assert_eq!(res.recoveries, recoveries, "{label}");
-                assert_eq!(res.retired_nodes(), 3, "{label}");
+                assert_eq!(res.recoveries, *recoveries, "{label}");
+                assert_eq!(res.retired_nodes(), *retired, "{label}");
             }
         }
     }

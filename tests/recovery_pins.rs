@@ -44,32 +44,32 @@ enum Prot {
 }
 
 const NUMERICS: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x89fa3f7390b1d50f),
-    (Prot::Esr, Solver::PipeCg, 0xd6f736b0e0d25da6),
-    (Prot::Esr, Solver::BiCgStab, 0xf09515d3ea6ea8d0),
-    (Prot::Cr, Solver::Pcg, 0xea06ca7be71b848e),
-    (Prot::Cr, Solver::PipeCg, 0x60c81c372c31c5a3),
-    (Prot::Cr, Solver::BiCgStab, 0xac30aee397bd92f3),
+    (Prot::Esr, Solver::Pcg, 0xb1fefdc7f094891d),
+    (Prot::Esr, Solver::PipeCg, 0x1fb8511906fefd96),
+    (Prot::Esr, Solver::BiCgStab, 0xa318c3f359787436),
+    (Prot::Cr, Solver::Pcg, 0x1bfe4369a8cf7d43),
+    (Prot::Cr, Solver::PipeCg, 0x7c3c23cdb4aca04e),
+    (Prot::Cr, Solver::BiCgStab, 0xa4ba21bd5cf6f447),
 ];
 
 #[cfg(not(feature = "trace"))]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x22505d01fffd9182),
-    (Prot::Esr, Solver::PipeCg, 0xf35b2e617f77c773),
-    (Prot::Esr, Solver::BiCgStab, 0x1b3de6beeb79e7ed),
-    (Prot::Cr, Solver::Pcg, 0x6bc544403a8d1353),
-    (Prot::Cr, Solver::PipeCg, 0x7e8e686d4826bad0),
-    (Prot::Cr, Solver::BiCgStab, 0x5feb4aeec5f35c6c),
+    (Prot::Esr, Solver::Pcg, 0x467c595d39693ee6),
+    (Prot::Esr, Solver::PipeCg, 0x87dcefe54b9f820f),
+    (Prot::Esr, Solver::BiCgStab, 0x6b1420f639aed807),
+    (Prot::Cr, Solver::Pcg, 0xfbcf331e94712471),
+    (Prot::Cr, Solver::PipeCg, 0x4f2ecb50c5e63542),
+    (Prot::Cr, Solver::BiCgStab, 0xbff36d417e757bea),
 ];
 
 #[cfg(feature = "trace")]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x7ebeb20e83196bf4),
-    (Prot::Esr, Solver::PipeCg, 0x7e67c387572a8ee5),
-    (Prot::Esr, Solver::BiCgStab, 0x8749b89d2af2da1c),
-    (Prot::Cr, Solver::Pcg, 0xadf60f277174c751),
-    (Prot::Cr, Solver::PipeCg, 0x746f775f556d520d),
-    (Prot::Cr, Solver::BiCgStab, 0x252d710348c39bae),
+    (Prot::Esr, Solver::Pcg, 0x9182368b538da165),
+    (Prot::Esr, Solver::PipeCg, 0xe444c1730434b2b1),
+    (Prot::Esr, Solver::BiCgStab, 0xa42006d9543e4759),
+    (Prot::Cr, Solver::Pcg, 0x6dd0e55b8fd940b8),
+    (Prot::Cr, Solver::PipeCg, 0x8cc5130976faa9a4),
+    (Prot::Cr, Solver::BiCgStab, 0xca5e53c55c19aa10),
 ];
 
 #[derive(Clone, Copy, Debug)]
