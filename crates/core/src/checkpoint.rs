@@ -225,9 +225,12 @@ impl Flavor for Rollback<'_> {
             debug_assert_eq!(data.len(), nv * blen + ns);
             let rows = range.start.max(new_range.start)..range.end.min(new_range.end);
             let (src, dst) = (rows.start - range.start, rows.start - new_range.start);
-            for v in 0..nv {
-                merged[v * new_nloc + dst..][..rows.len()]
-                    .copy_from_slice(&data[v * blen + src..][..rows.len()]);
+            // A survivor's new range may not meet its old block at all.
+            if !rows.is_empty() {
+                for v in 0..nv {
+                    merged[v * new_nloc + dst..][..rows.len()]
+                        .copy_from_slice(&data[v * blen + src..][..rows.len()]);
+                }
             }
             // The scalar tail is replicated: identical in every pack of
             // the same epoch.

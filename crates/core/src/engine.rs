@@ -642,10 +642,7 @@ impl EventPlan {
                 };
                 stay[setup.blocks_of(&part.range(slot))].fill(held);
             }
-            let old = new_members
-                .iter()
-                .map(|&m| setup.owner_of(old_range(m).start));
-            let starts = place(&stay, &old.collect::<Vec<_>>(), failed.len());
+            let starts = place(&stay, new_members.len());
             BlockPartition::from_starts(starts.iter().map(|&k| setup.starts()[k]).collect())
         };
         let mut reconstructors: Vec<usize> = lost.iter().map(|l| l.reconstructor).collect();
@@ -765,48 +762,36 @@ pub(crate) fn cut<'a>(
 
 /// The adoption rule: each new member's first setup block, followed by
 /// the number of blocks. `stay[k]` is the member that holds setup block
-/// `k` if nothing moves and what moving it costs; member `j` held blocks
-/// from `old_starts[j]` on. Minimises the most blocks a member holds, then
-/// the cost, over the assignments that start each member within `psi`
-/// blocks of its old start: for each cap from ⌈blocks/members⌉ up until
-/// one fits, a DP over (member, start) in O(members·ψ·cap²).
-fn place(stay: &[(usize, usize)], old_starts: &[usize], psi: usize) -> Vec<usize> {
-    let (n, m) = (stay.len(), old_starts.len());
-    // The starts member `j` may take; "member" `m` is the end.
-    let window = |j: usize| match j {
-        0 => 0..1,
-        _ if j == m => n..n + 1,
-        _ => old_starts[j].saturating_sub(psi).max(j)..(old_starts[j] + psi + 1).min(n + j + 1 - m),
-    };
-    for cap in n.div_ceil(m)..=n {
-        // best[j][s − window(j).start]: the least cost of members 0..j
-        // holding blocks 0..s, and where member j − 1 starts on it.
-        let mut best: Vec<Vec<Option<(usize, usize)>>> =
-            (0..=m).map(|j| vec![None; window(j).len()]).collect();
-        best[0][0] = Some((0, 0));
-        for j in 0..m {
-            let (from, to) = (window(j), window(j + 1));
-            for (s, c) in from.clone().zip(best[j].clone()) {
-                let Some((c, _)) = c else { continue };
-                for t in to.start.max(s + 1)..to.end.min(s + cap + 1) {
-                    let away = stay[s..t].iter().filter(|&&(h, _)| h != j);
-                    let c = c + away.map(|&(_, w)| w).sum::<usize>();
-                    let slot = &mut best[j + 1][t - to.start];
-                    if slot.is_none_or(|(old, _)| c < old) {
-                        *slot = Some((c, s));
-                    }
+/// `k` if nothing moves and what moving it costs. Minimises the most
+/// blocks any of the `m` members holds, ⌈blocks/m⌉, then the cost: a DP
+/// over (member, start), member `j` starting on one of blocks
+/// `j..=j + blocks − m`, in O(m·(blocks − m)·cap²).
+fn place(stay: &[(usize, usize)], m: usize) -> Vec<usize> {
+    let (n, cap) = (stay.len(), stay.len().div_ceil(m));
+    // best[j][s − j]: the least cost of members 0..j holding blocks 0..s,
+    // and where member j − 1 starts on it.
+    let mut best: Vec<Vec<Option<(usize, usize)>>> = vec![vec![None; n - m + 1]; m + 1];
+    best[0][0] = Some((0, 0));
+    for j in 0..m {
+        for s in j..=j + n - m {
+            let Some((c, _)) = best[j][s - j] else {
+                continue;
+            };
+            for t in s + 1..=(s + cap).min(j + 1 + n - m) {
+                let away = stay[s..t].iter().filter(|&&(h, _)| h != j);
+                let c = c + away.map(|&(_, w)| w).sum::<usize>();
+                let slot = &mut best[j + 1][t - j - 1];
+                if slot.is_none_or(|(old, _)| c < old) {
+                    *slot = Some((c, s));
                 }
             }
         }
-        if best[m][0].is_some() {
-            let mut starts = vec![n; m + 1];
-            for j in (1..=m).rev() {
-                starts[j - 1] = best[j][starts[j] - window(j).start].expect("on the path").1;
-            }
-            return starts;
-        }
     }
-    unreachable!("the old starts fit under some cap")
+    let mut starts = vec![n; m + 1];
+    for j in (1..=m).rev() {
+        starts[j - 1] = best[j][starts[j] - j].expect("⌈blocks/members⌉ fits").1;
+    }
+    starts
 }
 
 /// One attempt as a [`Flavor`] sees it.
@@ -1954,58 +1939,92 @@ mod tests {
         }
     }
 
-    /// [`place`] against brute force: for every failed set of at most four
-    /// of N ≤ 9 nodes (wrapped runs included) and every replacement
-    /// budget, the plan's partition of the setup blocks reaches the least
-    /// (largest holding, surviving blocks moved, rebuilt blocks handed
-    /// over) of all contiguous partitions, its reconstructors follow the
-    /// rule, and with nothing retired the partition is the old one.
+    /// Plan `failed` on `members` holding `part` (cut at `setup` block
+    /// starts) and hold it to brute force: its partition of the setup
+    /// blocks reaches the least (largest holding, surviving blocks moved,
+    /// rebuilt blocks handed over) of all contiguous partitions, the
+    /// largest is ⌈blocks/N′⌉, its reconstructors follow the rule, and with
+    /// nothing retired the partition is the old one.
+    fn assert_optimal(
+        members: &[usize],
+        part: &BlockPartition,
+        setup: &BlockPartition,
+        failed: &[usize],
+        avail: usize,
+    ) -> EventPlan {
+        let plan = EventPlan::new(members, part, setup, members[0], failed, avail);
+        assert_reconstructors(&plan);
+        if plan.retired().is_empty() {
+            assert_eq!(plan.new_part, *part, "{failed:?}");
+            return plan;
+        }
+        let n = setup.nodes();
+        // Who holds block k if nothing moves, and whether it was rebuilt.
+        let stay = |k: usize| {
+            let held = members[part.owner_of(setup.starts()[k])];
+            match plan.lost.iter().find(|l| l.rank == held) {
+                Some(l) => (l.reconstructor, true),
+                None => (held, false),
+            }
+        };
+        let cost = |starts: &[usize]| {
+            let (mut widest, mut moved, mut handed) = (0, 0, 0);
+            for (j, &m) in plan.new_members.iter().enumerate() {
+                let end = starts.get(j + 1).copied().unwrap_or(n);
+                widest = widest.max(end - starts[j]);
+                for (_, lost) in (starts[j]..end).map(stay).filter(|&(h, _)| h != m) {
+                    *(if lost { &mut handed } else { &mut moved }) += 1;
+                }
+            }
+            (widest, moved, handed)
+        };
+        let m = plan.new_members.len();
+        let best = (0u32..1 << (n - 1))
+            .filter(|cuts| cuts.count_ones() as usize == m - 1)
+            .map(|cuts| {
+                let inner = (1..n).filter(|&k| cuts >> (k - 1) & 1 == 1);
+                cost(&std::iter::once(0).chain(inner).collect::<Vec<_>>())
+            })
+            .min()
+            .unwrap();
+        let got = cost(&block_starts(&plan, setup));
+        assert_eq!(got, best, "{members:?} of {n}, {failed:?}, budget {avail}");
+        assert_eq!(got.0, n.div_ceil(m), "{members:?} of {n}, {failed:?}");
+        plan
+    }
+
+    /// Every nonempty proper subset of `members` of at most `most`.
+    fn failed_sets(members: &[usize], most: usize) -> impl Iterator<Item = Vec<usize>> + '_ {
+        let sets = (1u32..(1 << members.len()) - 1).map(move |set| {
+            let picked = members
+                .iter()
+                .enumerate()
+                .filter(move |&(k, _)| set >> k & 1 == 1);
+            picked.map(|(_, &r)| r).collect::<Vec<usize>>()
+        });
+        sets.filter(move |f| f.len() <= most)
+    }
+
+    /// [`place`] against brute force: every failed set of at most four of
+    /// N ≤ 9 nodes (wrapped runs included) under every replacement budget,
+    /// and after each event that retires a rank a second Shrink of at most
+    /// two of the members left, on the first event's partition (nine
+    /// blocks, {0, 1, 2, 3} then {4, 5}: three blocks each).
     #[test]
     fn the_adoption_rule_is_the_lexicographic_optimum() {
         for n in 2..=9usize {
             let members: Vec<usize> = (0..n).collect();
-            let part = BlockPartition::new(5 * n + 3, n);
-            for set in 1u32..1 << n {
-                let failed: Vec<usize> = (0..n).filter(|&k| set >> k & 1 == 1).collect();
-                if failed.len() > 4 || failed.len() == n {
-                    continue;
-                }
+            let setup = BlockPartition::new(5 * n + 3, n);
+            for failed in failed_sets(&members, 4) {
                 for avail in 0..=failed.len() {
-                    let plan = EventPlan::new(&members, &part, &part, 0, &failed, avail);
-                    assert_reconstructors(&plan);
-                    if plan.retired().is_empty() {
-                        assert_eq!(plan.new_part, part, "{failed:?}");
+                    let plan = assert_optimal(&members, &setup, &setup, &failed, avail);
+                    if plan.retired().is_empty() || plan.new_members.len() < 2 {
                         continue;
                     }
-                    // Who holds block k if nothing moves, and whether it
-                    // was rebuilt.
-                    let stay = |k: usize| match plan.lost.iter().find(|l| l.rank == k) {
-                        Some(l) => (l.reconstructor, true),
-                        None => (k, false),
-                    };
-                    let cost = |starts: &[usize]| {
-                        let (mut widest, mut moved, mut handed) = (0, 0, 0);
-                        for (j, &m) in plan.new_members.iter().enumerate() {
-                            let end = starts.get(j + 1).copied().unwrap_or(n);
-                            widest = widest.max(end - starts[j]);
-                            for (_, lost) in (starts[j]..end).map(stay).filter(|&(h, _)| h != m) {
-                                *(if lost { &mut handed } else { &mut moved }) += 1;
-                            }
-                        }
-                        (widest, moved, handed)
-                    };
-                    let m = plan.new_members.len();
-                    let best = (0u32..1 << (n - 1))
-                        .filter(|cuts| cuts.count_ones() as usize == m - 1)
-                        .map(|cuts| {
-                            let inner = (1..n).filter(|&k| cuts >> (k - 1) & 1 == 1);
-                            cost(&std::iter::once(0).chain(inner).collect::<Vec<_>>())
-                        })
-                        .min()
-                        .unwrap();
-                    let got = cost(&block_starts(&plan, &part));
-                    assert_eq!(got, best, "N = {n}, {failed:?}, budget {avail}");
-                    assert_eq!(got.0, n.div_ceil(m), "N = {n}, {failed:?}");
+                    let (members, part) = (&plan.new_members, &plan.new_part);
+                    for again in failed_sets(members, 2) {
+                        assert_optimal(members, part, &setup, &again, 0);
+                    }
                 }
             }
         }

@@ -373,6 +373,12 @@ fn a_split_run_recovers_for_every_solver() {
     // restart covers ranks 1 and 3–5. (d) Rank 2, which gave block 2 away,
     // fails at iteration 9: rank 1 rebuilds blocks 3–4, keeps block 3 and
     // hands block 4 to rank 6.
+    //
+    // A run of three at either end moves survivors away from their own
+    // blocks altogether, so their new rows share nothing with their old
+    // ones: (e) ranks 0–2 fail, rank 3 rebuilds them and keeps blocks 0–1,
+    // rank 4 takes blocks 2–3; (f) ranks 4–6 fail, rank 3 rebuilds them
+    // and keeps blocks 5–6, rank 2 takes blocks 3–4.
     let problem = Problem::with_ones_solution(poisson2d(14, 14));
     let overlap = |first: Vec<usize>, then: usize| {
         FailureScript::new(vec![
@@ -406,6 +412,20 @@ fn a_split_run_recovers_for_every_solver() {
             FailureScript::at_iterations(7, &[(6, 3), (6, 4), (6, 5), (9, 2)]),
             2,
             4,
+        ),
+        (
+            "e",
+            3,
+            FailureScript::at_iterations(7, &[(6, 0), (6, 1), (6, 2)]),
+            1,
+            3,
+        ),
+        (
+            "f",
+            3,
+            FailureScript::at_iterations(7, &[(6, 4), (6, 5), (6, 6)]),
+            1,
+            3,
         ),
     ];
     for prot in [Prot::Esr, Prot::Cr] {
