@@ -248,8 +248,6 @@ pub enum SolverKind {
     PipeCg,
     /// Preconditioned BiCGSTAB ([`crate::driver::run_bicgstab`]).
     BiCgStab,
-    /// The stationary Jacobi iteration ([`crate::driver::run_jacobi`]).
-    Jacobi,
 }
 
 impl SolverKind {
@@ -259,7 +257,6 @@ impl SolverKind {
             SolverKind::Pcg => "blocking PCG",
             SolverKind::PipeCg => "pipelined PCG",
             SolverKind::BiCgStab => "BiCGSTAB",
-            SolverKind::Jacobi => "the Jacobi iteration",
         }
     }
 }
@@ -270,15 +267,6 @@ impl SolverKind {
 /// instead of panicking deep inside a node program.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
-    /// The recovery policy is not implemented for this solver.
-    PolicyUnsupported {
-        /// The rejecting solver.
-        solver: SolverKind,
-        /// The requested policy.
-        policy: RecoveryPolicy,
-        /// The constraint that rules the combination out.
-        constraint: &'static str,
-    },
     /// The preconditioner conflicts with the solver or the policy.
     PrecondUnsupported {
         /// The rejecting solver.
@@ -320,15 +308,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::PolicyUnsupported {
-                solver,
-                policy,
-                constraint,
-            } => write!(
-                f,
-                "RecoveryPolicy::{policy:?} is not supported by {}: {constraint}",
-                solver.name()
-            ),
             ConfigError::PrecondUnsupported {
                 solver,
                 precond,
@@ -412,8 +391,6 @@ impl SolverConfig {
     /// runs through the one restart protocol (`crate::engine::recover`)
     /// under either state-protection flavor; what remains unsupported:
     ///
-    /// * the stationary Jacobi solver assumes the full cluster outlives
-    ///   the solve (Replace only) and has no checkpoint pack;
     /// * [`Protection::Checkpoint`] needs `interval ≥ 1` and
     ///   `1 ≤ copies ≤ N − 1` (a replica on every node is the ceiling);
     /// * `ExplicitP` reconstruction (P-given, Alg. 2 lines 5–6) gathers
@@ -455,28 +432,7 @@ impl SolverConfig {
                 nodes,
             });
         }
-        let policy = res.policy;
-        let engine_backed = solver != SolverKind::Jacobi;
-        if policy != RecoveryPolicy::Replace && !engine_backed {
-            return Err(ConfigError::PolicyUnsupported {
-                solver,
-                policy,
-                constraint: "this solver assumes the full cluster outlives the solve; \
-                             only the engine-backed solvers (PCG, pipelined PCG, \
-                             BiCGSTAB) support spare pools and shrinking",
-            });
-        }
         if let Protection::Checkpoint(cr) = &res.protection {
-            if !engine_backed {
-                return Err(ConfigError::CrInvalid {
-                    interval: cr.interval,
-                    copies: cr.copies,
-                    nodes,
-                    constraint: "the stationary Jacobi iteration has no checkpoint \
-                                 pack; checkpoint protection runs on the \
-                                 engine-backed solvers only",
-                });
-            }
             if cr.interval == 0 {
                 return Err(ConfigError::CrInvalid {
                     interval: cr.interval,
@@ -515,7 +471,8 @@ impl SolverConfig {
                 });
             }
         }
-        if matches!(self.precond, PrecondConfig::ExplicitP(_)) && policy != RecoveryPolicy::Replace
+        if matches!(self.precond, PrecondConfig::ExplicitP(_))
+            && res.policy != RecoveryPolicy::Replace
         {
             return Err(ConfigError::PrecondUnsupported {
                 solver,
@@ -604,12 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn cr_rejects_jacobi_and_explicit_p() {
-        let cfg = cr_cfg(CrConfig::default());
-        assert!(matches!(
-            cfg.validate(SolverKind::Jacobi, 4),
-            Err(ConfigError::CrInvalid { .. })
-        ));
+    fn cr_rejects_explicit_p() {
         let mut cfg = cr_cfg(CrConfig::default());
         cfg.precond = PrecondConfig::ExplicitP(Arc::new(Csr::identity(8)));
         assert!(matches!(

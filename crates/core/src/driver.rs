@@ -360,20 +360,6 @@ pub fn run_bicgstab(
     run(SolverKind::BiCgStab, problem, nodes, cfg, cost, script)
 }
 
-/// [`run`] with the distributed Jacobi iteration ([`SolverKind::Jacobi`];
-/// paper Sec. 1 extension; requires a Jacobi-convergent matrix).
-/// Replace-only: the stationary solver assumes the full cluster outlives
-/// the solve.
-pub fn run_jacobi(
-    problem: &Problem,
-    nodes: usize,
-    cfg: &SolverConfig,
-    cost: CostModel,
-    script: FailureScript,
-) -> Result<ExperimentResult, ConfigError> {
-    run(SolverKind::Jacobi, problem, nodes, cfg, cost, script)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,12 +410,7 @@ mod tests {
         // Four rows: eight nodes would leave some without one, and
         // `BlockPartition::new` would panic inside node 0.
         let problem = Problem::with_ones_solution(poisson2d(2, 2));
-        for solver in [
-            SolverKind::Pcg,
-            SolverKind::PipeCg,
-            SolverKind::BiCgStab,
-            SolverKind::Jacobi,
-        ] {
+        for solver in [SolverKind::Pcg, SolverKind::PipeCg, SolverKind::BiCgStab] {
             for nodes in [8, 0] {
                 let err = run(
                     solver,

@@ -23,7 +23,7 @@
 //! | Communication-overhead bounds (Sec. 4.2, Sec. 5) | [`analysis`] |
 //! | Static data on reliable storage, derived once per problem (Sec. 1.1.2) | [`statics`] |
 //! | Experiment orchestration (Secs. 6–7) | [`driver`] |
-//! | ESR beyond PCG: BiCGSTAB, stationary methods (Sec. 1) | [`bicgstab`], [`stationary`] |
+//! | ESR beyond PCG: BiCGSTAB (Sec. 1) | [`bicgstab`] |
 //!
 //! The recovery protocol itself — scalar/copy routing, the four-substep
 //! overlapping-failure restart, spare-pool grants, shrink adoption and the
@@ -33,8 +33,7 @@
 //! Each solver ([`pcg`], [`pipecg`], [`bicgstab`]) contributes only its
 //! owned state, its recurrence split at its failure boundary, and the
 //! maps from retained copies back to full state. [`driver::run`] takes the
-//! solver as a [`SolverKind`]. The stationary Jacobi iteration keeps its
-//! own node program: its reconstruction is a copy, not the engine's.
+//! solver as a [`SolverKind`].
 
 // Indexed loops over several parallel arrays are the clearest form for
 // the numeric kernels in this crate; iterator-zip pyramids obscure the math.
@@ -55,14 +54,13 @@ pub mod redundancy;
 pub mod retention;
 pub mod scatter;
 pub mod statics;
-pub mod stationary;
 
 pub use config::{
     BackupStrategy, ConfigError, CrConfig, PrecondConfig, Protection, RecoveryConfig,
     RecoveryPolicy, ResilienceConfig, SolverConfig, SolverKind,
 };
 pub use driver::{
-    run, run_bicgstab, run_jacobi, run_pcg, run_pipecg, ExperimentResult, PhaseBreakdown, Problem,
+    run, run_bicgstab, run_pcg, run_pipecg, ExperimentResult, PhaseBreakdown, Problem,
 };
 pub use engine::{RecoveryReport, RecoveryTimeline, SubstepTiming};
 pub use node::{node_program, NodeOutcome};

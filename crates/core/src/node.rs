@@ -1,4 +1,4 @@
-//! The one SPMD node program every engine-backed solver runs.
+//! The one SPMD node program every solver runs.
 //!
 //! Retain at the scatter, poll at one boundary, reconstruct, restart the
 //! interrupted iteration: the skeleton the paper states for PCG (Secs.
@@ -21,10 +21,6 @@
 //! re-establishes (PCG's `rᵀz`, BiCGSTAB's `ŝ` ghosts) is charged to the
 //! solve, not to the recovery — the accounting every pinned
 //! `vtime_recovery` was measured under.
-//!
-//! The stationary Jacobi iteration ([`crate::stationary`]) is deliberately
-//! not a `Recurrence`: its reconstruction is a copy of the retained
-//! iterate, not the engine's gather → rebuild → inner solve.
 
 use parcomm::{CommStats, FailAt, NodeCtx};
 use sparsemat::BlockPartition;
@@ -148,7 +144,6 @@ pub fn node_program(
         SolverKind::Pcg => solve_node::<crate::pcg::PcgState>(ctx, problem, cfg),
         SolverKind::PipeCg => solve_node::<crate::pipecg::PipeState>(ctx, problem, cfg),
         SolverKind::BiCgStab => solve_node::<crate::bicgstab::BicgstabState>(ctx, problem, cfg),
-        SolverKind::Jacobi => crate::stationary::esr_jacobi_node(ctx, problem, cfg),
     }
 }
 

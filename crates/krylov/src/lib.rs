@@ -11,9 +11,7 @@
 //!   Ghysels–Vanroose recurrence form, the numerical reference for the
 //!   resilient communication-hiding solver (Levonyak et al., arXiv:1912.09230);
 //! * [`bicgstab()`](bicgstab::bicgstab) — preconditioned BiCGSTAB (the paper's Sec. 1 lists it
-//!   among the methods the ESR extension applies to);
-//! * [`jacobi_iter()`](stationary::jacobi_iter) — the stationary Jacobi iteration, the
-//!   reference for `esr_core::run_jacobi`.
+//!   among the methods the ESR extension applies to).
 
 // Indexed loops over several parallel arrays are the clearest form for
 // the numeric kernels in this crate; iterator-zip pyramids obscure the math.
@@ -23,10 +21,8 @@ pub mod bicgstab;
 pub mod cg;
 pub mod pipecg;
 pub mod report;
-pub mod stationary;
 
 pub use bicgstab::bicgstab;
 pub use cg::{cg, pcg};
 pub use pipecg::pipecg;
 pub use report::{SolveReport, StopReason};
-pub use stationary::jacobi_iter;

@@ -537,3 +537,42 @@ fn covered_spares_match_replace_bitwise_for_every_solver() {
         assert_eq!(b_res.retired_nodes(), 0, "{solver:?}");
     }
 }
+
+#[test]
+fn checkpoint_recovery_matches_its_failure_free_twin_bitwise() {
+    // A rollback restores the deposited state and replays the lost
+    // iterations on the same partition, so under Replace and a covering
+    // spare pool the recovered run *is* the failure-free run: iterations,
+    // residual and every entry of x agree to the bit. (Shrink changes the
+    // partition and with it the reduction order, so it is left out.)
+    let cost = CostModel::default();
+    let events = [
+        (1, FailureScript::simultaneous(13, 2, 1, 6)),
+        (2, FailureScript::simultaneous(9, 1, 2, 6)),
+    ];
+    for a in [poisson2d(14, 14), banded_spd(300, 5, 0.6, 7)] {
+        let problem = Problem::with_ones_solution(a);
+        for solver in SOLVERS {
+            for (phi, failures) in &events {
+                for policy in [RecoveryPolicy::Replace, RecoveryPolicy::Spares(2)] {
+                    let label = format!("{solver:?} × {policy:?} × φ={phi} (n={})", problem.n());
+                    let cfg = config(Prot::Cr, policy, *phi);
+                    let twin = run(solver, &problem, 6, &cfg, cost, FailureScript::none()).unwrap();
+                    let res = run(solver, &problem, 6, &cfg, cost, failures.clone()).unwrap();
+                    assert_eq!(res.recoveries, 1, "{label}: the failure must strike");
+                    assert!(twin.converged, "{label}");
+                    assert_eq!(res.iterations, twin.iterations, "{label}");
+                    assert_eq!(
+                        res.solver_residual.to_bits(),
+                        twin.solver_residual.to_bits(),
+                        "{label}"
+                    );
+                    assert_eq!(res.x.len(), twin.x.len(), "{label}");
+                    for (i, (r, t)) in res.x.iter().zip(&twin.x).enumerate() {
+                        assert_eq!(r.to_bits(), t.to_bits(), "{label}: x[{i}]");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -350,35 +350,6 @@ fn shrink_with_jacobi_and_plain_cg() {
 }
 
 #[test]
-fn solvers_outside_the_engine_reject_non_replace_policies() {
-    // The stationary Jacobi solver assumes the full cluster outlives the
-    // solve: non-Replace policies come back as a typed ConfigError naming
-    // the constraint — a Result, not a panic deep inside a node thread.
-    // (Checkpoint/restart used to be in this club; it is engine-backed now
-    // and supports the whole policy matrix — covered below.)
-    use esr_core::{run_jacobi, ConfigError, SolverKind};
-    let a = poisson2d(8, 8);
-    let problem = Problem::with_ones_solution(a);
-    for policy in [RecoveryPolicy::Spares(2), RecoveryPolicy::Shrink] {
-        let cfg = SolverConfig::resilient_with_policy(1, policy);
-        let err = run_jacobi(&problem, 4, &cfg, cost(), FailureScript::none())
-            .expect_err("Jacobi must reject non-Replace policies");
-        match err {
-            ConfigError::PolicyUnsupported {
-                solver,
-                policy: p,
-                constraint,
-            } => {
-                assert_eq!(solver, SolverKind::Jacobi);
-                assert_eq!(p, policy);
-                assert!(constraint.contains("full cluster"), "{constraint}");
-            }
-            other => panic!("wrong error variant: {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn checkpoint_restart_runs_under_every_policy() {
     // The other half of the engine fold: C/R protection composes with the
     // full recovery-policy axis, not just Replace.
