@@ -71,8 +71,12 @@ pub struct RecoveryConfig {
     pub inner_max_iter: usize,
     /// Solve `A_{If,If}` with the exact per-block LDLᵀ as the inner
     /// preconditioner (`true`, default) or zero-fill ILU as in the paper's
-    /// PETSc implementation (`false`). A lone reconstructor's block is all
-    /// of `A_{If,If}`, so with the exact factor it solves directly.
+    /// PETSc implementation (`false`). With the exact factors, whenever the
+    /// reconstructors' coupling is bipartite (every chain of adjacent lost
+    /// blocks) half of them eliminate their rows exactly and the others
+    /// iterate on the Schur complement, in about half the iterations; a
+    /// reconstructor coupled to no other, such as a lone one, solves
+    /// directly. Under ILU(0) every reconstructor iterates.
     ///
     /// Redundancy restoration after recovery needs no configuration: the
     /// interrupted iteration restarts with a fresh scatter of the

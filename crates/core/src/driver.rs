@@ -110,6 +110,9 @@ pub struct ExperimentResult {
     /// event order (from the canonical surviving node; empty when the run
     /// was failure-free).
     pub recovery_timelines: Vec<RecoveryTimeline>,
+    /// Inner-solver iterations of the x reconstructions: per recovery
+    /// event the most any node ran, summed over the events (0 for C/R).
+    pub inner_iterations: usize,
     /// Per-rank span trace of the whole run (virtual-clock-stamped).
     /// Export with [`parcomm::ClusterTrace::chrome_trace_json`] or analyze
     /// with [`parcomm::ClusterTrace::critical_path`].
@@ -301,6 +304,13 @@ pub fn run(
         .map(|o| o.vtime_recovery)
         .fold(0.0, f64::max);
     let vtime_setup = per_node.iter().map(|o| o.vtime_setup).fold(0.0, f64::max);
+    let most = |k| {
+        per_node
+            .iter()
+            .filter_map(|o| o.inner_iterations.get(k))
+            .max()
+    };
+    let inner_iterations = (0..canon.recoveries).filter_map(most).sum();
 
     Ok(ExperimentResult {
         iterations: canon.iterations,
@@ -316,6 +326,7 @@ pub fn run(
         recoveries: canon.recoveries,
         ranks_recovered: canon.ranks_recovered,
         recovery_timelines: canon.recovery_timelines.clone(),
+        inner_iterations,
         x,
         per_node,
         #[cfg(feature = "trace")]

@@ -521,6 +521,8 @@ pub(crate) struct RecoveryBook {
     pub vtime_recovery: f64,
     /// Per-substep timeline of every completed event.
     pub timelines: Vec<RecoveryTimeline>,
+    /// [`RecoveryReport::inner_iterations`] of every completed event.
+    pub inner_iterations: Vec<usize>,
 }
 
 impl RecoveryBook {
@@ -534,6 +536,7 @@ impl RecoveryBook {
             ranks_recovered: 0,
             vtime_recovery: 0.0,
             timelines: Vec::new(),
+            inner_iterations: Vec::new(),
         }
     }
 }
@@ -718,6 +721,31 @@ impl EventPlan {
         let peers = peers.map(|(&q, slice)| (q, reads(q, &own), reads(self.me, slice)));
         let peers = peers.collect();
         IfExchange { tag, own, peers }
+    }
+
+    /// The inner solve's coupling graph over the reconstructors (indices
+    /// into `reconstructors`): two are adjacent when either one's rows of
+    /// `m` read the other's `If` slice — the non-empty [`IfExchange`] pairs,
+    /// derived from static data, so the same graph on every member.
+    fn coupling(&self, m: &Csr) -> Vec<Vec<usize>> {
+        let mut adj = vec![Vec::new(); self.reconstructors.len()];
+        for (i, slice) in self.if_slices.iter().enumerate() {
+            let cols = self.if_indices[slice.clone()]
+                .iter()
+                .flat_map(|&gr| m.row(gr).0);
+            let pos = cols.filter_map(|&c| self.if_indices.binary_search(&(c as usize)).ok());
+            for j in pos.map(|p| self.if_slices.partition_point(|s| s.end <= p)) {
+                if j != i {
+                    adj[i].push(j);
+                    adj[j].push(i);
+                }
+            }
+        }
+        for a in &mut adj {
+            a.sort_unstable();
+            a.dedup();
+        }
+        adj
     }
 
     /// `rows` cut at the partition after the event, each piece with its
@@ -1104,12 +1132,13 @@ struct Wire {
     /// window. Only reconstructors take them, so they must not come from
     /// the gather counter, which survivors advance in step.
     pushes: u32,
-    /// The reconstructor sub-communicator the inner solves reduce over,
-    /// created on first use and shared by every solve of the attempt — a
-    /// P-given PCG solves in `rebuild` too: a group's id derives from a
-    /// per-member-set creation counter, so creating one per solve would
-    /// move every group tag.
-    group: Option<Group>,
+    /// The sub-communicators the inner solves reduce over (all
+    /// reconstructors, or the blacks of a red-black solve), each created on
+    /// first use and shared by every solve of the attempt — a P-given PCG
+    /// solves in `rebuild` too: a group's id derives from a per-member-set
+    /// creation counter, so creating one per solve would move every group
+    /// tag.
+    groups: Vec<Group>,
     /// Inner-solver iterations accumulated by [`EngineComm::solve_if_system`].
     inner_iterations: usize,
 }
@@ -1407,6 +1436,44 @@ impl IfExchange {
             }
         }
     }
+
+    /// The members this node is coupled to, either way round.
+    fn coupled(&self) -> impl Iterator<Item = &(usize, Vec<usize>, Vec<usize>)> {
+        self.peers
+            .iter()
+            .filter(|p| !p.1.is_empty() || !p.2.is_empty())
+    }
+
+    /// Send every coupled member `head`, then its entries of `mine`; an
+    /// empty `mine` sends the head alone.
+    fn push(&self, ctx: &mut NodeCtx, head: &[f64], mine: &[f64]) {
+        for (q, sends, _) in self.coupled() {
+            let mut vals = head.to_vec();
+            if !mine.is_empty() {
+                vals.extend(sends.iter().map(|&p| mine[p - self.own.start]));
+            }
+            ctx.send(*q, self.tag, Payload::f64s(vals), CommPhase::Recovery);
+        }
+    }
+
+    /// Receive every coupled member's [`IfExchange::push`] with a head of
+    /// `h` values and write its run, if it sent one, into `full`. Returns
+    /// the head, the same from every member; `None` with no coupled member.
+    fn pull(&self, ctx: &mut NodeCtx, h: usize, full: &mut [f64]) -> Option<Vec<f64>> {
+        let mut head = None;
+        for (q, _, recvs) in self.coupled() {
+            let vals = ctx
+                .recv_phase(*q, self.tag, CommPhase::Recovery)
+                .into_f64s();
+            let ok = vals.len() == h || vals.len() == h + recvs.len();
+            assert!(ok, "run of {} from rank {q}", vals.len());
+            for (&p, &v) in recvs.iter().zip(&vals[h..]) {
+                full[p] = v;
+            }
+            head = Some(vals[..h].to_vec());
+        }
+        head
+    }
 }
 
 /// The engine's distributed-rebuild toolkit, handed to
@@ -1554,10 +1621,11 @@ impl EngineComm<'_> {
     /// assembled with global operations", block-Jacobi preconditioner with
     /// blocks matching each member's reconstructed rows). Its operator is a
     /// sub-matrix SpMV over `z` pushed over the static pattern
-    /// ([`IfExchange`]); its recurrence is single-reduction PCG, one group
-    /// all-reduce per iteration. A group of one with the exact block factor
-    /// applies it once instead. `rhs` and the result run over this member's
-    /// rows ([`EventPlan::if_slices`]).
+    /// ([`IfExchange`]); its recurrence is single-reduction PCG. On a
+    /// bipartite coupling of the members and with exact block factors it
+    /// eliminates half of them ([`eliminate_reds`]); otherwise it runs over
+    /// the whole group, one group all-reduce per iteration. `rhs` and the
+    /// result run over this member's rows ([`EventPlan::if_slices`]).
     /// `statics` is the store when `m` is the system matrix (`None` for
     /// `P`). Reconstructors only.
     pub fn solve_if_system(
@@ -1569,8 +1637,8 @@ impl EngineComm<'_> {
     ) -> Vec<f64> {
         let (rcfg, plan) = (&self.at.env.res.recovery, self.at.plan);
         let ex = self.if_exchange(m);
-        let group = (self.wire.group).get_or_insert_with(|| ctx.group(&plan.reconstructors));
-        let (y, iters) = solve_failed_rows(ctx, group, &ex, rcfg, plan, m, statics, rhs);
+        let groups = &mut self.wire.groups;
+        let (y, iters) = solve_failed_rows(ctx, groups, &ex, rcfg, plan, m, statics, rhs);
         self.wire.inner_iterations += iters;
         y
     }
@@ -1627,7 +1695,7 @@ impl EngineComm<'_> {
 #[allow(clippy::too_many_arguments)]
 fn solve_failed_rows(
     ctx: &mut NodeCtx,
-    group: &mut Group,
+    groups: &mut Vec<Group>,
     ex: &IfExchange,
     rcfg: &RecoveryConfig,
     plan: &EventPlan,
@@ -1681,35 +1749,197 @@ fn solve_failed_rows(
     // Coarse factorization cost.
     ctx.clock_mut().advance_flops(20 * block.nnz().max(1));
 
-    let nloc = rhs.len();
-    let mut z = vec![0.0; nloc];
-    apply_prec(&prec, &rhs, &mut z);
-    // A lone member's exact factor is A_{If,If}⁻¹: one solve, no loop.
-    if group.size() == 1 && rcfg.exact_block_precond {
-        return (z, 0);
+    if let BlockPrec::Exact(f) = &prec {
+        if let Some(red) = red_members(&plan.coupling(m)) {
+            return eliminate_reds(ctx, groups, ex, rcfg, plan, &sub, f, &red, rhs);
+        }
     }
-    // Chronopoulos–Gear PCG: w = A z every iteration, s = A p carried as
-    // s = w + βs, and [‖r‖², rᵀz, zᵀw] in one group all-reduce; pᵀAp
-    // follows as zᵀw − β·rᵀz/α.
-    let mut x = vec![0.0; nloc];
-    let mut r = rhs;
-    let mut w = vec![0.0; nloc];
     // The If-vector `sub` multiplies: exact at every position it reads.
     let mut z_full = vec![0.0; plan.if_indices.len()];
-    let mut step = |ctx: &mut NodeCtx, r: &[f64], z: &mut [f64], w: &mut [f64]| {
+    let group = group_over(ctx, groups, &plan.reconstructors);
+    inner_cg(ctx, rcfg, rhs, |ctx, r, z, w, _, _| {
         apply_prec(&prec, r, z);
         ex.run(ctx, z, &mut z_full);
         sub.spmv(&z_full, w);
         ctx.clock_mut().advance_flops(sub.spmv_flops());
         group.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(r, r), dot(r, z), dot(z, w)])
+    })
+}
+
+/// The sub-communicator over `ranks`, created on first use.
+fn group_over<'g>(ctx: &mut NodeCtx, gs: &'g mut Vec<Group>, ranks: &[usize]) -> &'g mut Group {
+    if !gs.iter().any(|g| g.members() == ranks) {
+        gs.push(ctx.group(ranks));
+    }
+    gs.iter_mut()
+        .find(|g| g.members() == ranks)
+        .expect("created")
+}
+
+/// Which reconstructors a red-black inner solve eliminates ("reds"), per
+/// vertex of the coupling graph `adj`: in each connected component the
+/// larger colour class, ties to the class of its lowest member, so an
+/// uncoupled member is red. `None` when a component has an odd cycle.
+fn red_members(adj: &[Vec<usize>]) -> Option<Vec<bool>> {
+    // Breadth-first 2-colouring: `side[v]` is whether v is on its
+    // component root's side.
+    let mut side: Vec<Option<bool>> = vec![None; adj.len()];
+    let mut red = vec![false; adj.len()];
+    for root in 0..adj.len() {
+        if side[root].is_some() {
+            continue;
+        }
+        side[root] = Some(true);
+        let mut comp = vec![root];
+        let mut k = 0;
+        while let Some(&v) = comp.get(k) {
+            k += 1;
+            for &u in &adj[v] {
+                if side[u].is_none() {
+                    side[u] = side[v].map(|c| !c);
+                    comp.push(u);
+                } else if side[u] == side[v] {
+                    return None;
+                }
+            }
+        }
+        let rooted = comp.iter().filter(|&&v| side[v] == Some(true)).count();
+        let reds = Some(2 * rooted >= comp.len());
+        for &v in &comp {
+            red[v] = side[v] == reds;
+        }
+    }
+    Some(red)
+}
+
+/// The inner solve on a bipartite coupling graph (`red` per reconstructor,
+/// [`red_members`]): red-black elimination. No two reds are coupled, so
+/// `A_RR` is block diagonal: the reds are eliminated exactly with their
+/// block factors (`solve`), and the blacks run [`inner_cg`] on the Schur
+/// complement `S = A_BB − A_BR A_RR⁻¹ A_RB`, preconditioned by their own
+/// exact factors. Messages travel along the coupling graph only:
+///
+/// * a red sends `u = A_RR⁻¹ w_R`; the blacks start from `r = w_B − A_BR u`;
+/// * per step a black sends its `z` headed by `[β, α, 1]`, the recurrence's
+///   last coefficients; a red serves `y = −A_RR⁻¹ A_RB z` back and carries
+///   `q = y + βq` (that is `−A_RR⁻¹ A_RB p`) and `x_R += αq`, so `x_R` ends
+///   as `u − A_RR⁻¹ A_RB x_B = A_RR⁻¹ (w_R − A_RB x_B)` with no further solve;
+/// * the blacks' dot products are local with one black, which tests
+///   convergence before a step, and one black-group all-reduce otherwise;
+/// * converged, a black sends the head `[β, α, 0]` alone.
+///
+/// An uncoupled member is red and solves directly. Every member returns the
+/// blacks' iteration count.
+#[allow(clippy::too_many_arguments)]
+fn eliminate_reds(
+    ctx: &mut NodeCtx,
+    groups: &mut Vec<Group>,
+    ex: &IfExchange,
+    rcfg: &RecoveryConfig,
+    plan: &EventPlan,
+    sub: &Csr,
+    factor: &SparseLdl,
+    red: &[bool],
+    rhs: Vec<f64>,
+) -> (Vec<f64>, usize) {
+    let solve = |v: &[f64]| {
+        let mut z = v.to_vec();
+        factor.solve_in_place(&mut z);
+        z
     };
-    let mut red = step(ctx, &r, &mut z, &mut w);
+    let nloc = rhs.len();
+    let rhos = plan.reconstructors.iter().copied();
+    let blacks: Vec<usize> = rhos
+        .zip(red)
+        .filter_map(|(q, &r)| (!r).then_some(q))
+        .collect();
+    let mut full = vec![0.0; plan.if_indices.len()];
+    // `−sub` on the other members' slices (`−A_RB` on a red, `−A_BR` on a
+    // a black), and the values of `full` there.
+    let own = ex.own.clone();
+    let outside: Vec<usize> = (0..own.start).chain(own.end..full.len()).collect();
+    let mut off = sub.extract(&(0..nloc).collect::<Vec<_>>(), &outside);
+    off.vals_mut().iter_mut().for_each(|v| *v = -*v);
+    let others = |full: &[f64]| [&full[..own.start], &full[own.end..]].concat();
+    if blacks.binary_search(&plan.me).is_err() {
+        let mut x = solve(&rhs);
+        ex.push(ctx, &[], &x);
+        let (mut y, mut q, mut iters) = (vec![0.0; nloc], vec![0.0; nloc], 0);
+        while let Some(head) = ex.pull(ctx, 3, &mut full) {
+            // Serve first: carrying `q` and `x` is off the blacks' path.
+            let served = (head[2] != 0.0).then(|| {
+                let mut t = vec![0.0; nloc];
+                off.spmv(&others(&full), &mut t);
+                ctx.clock_mut().advance_flops(off.spmv_flops());
+                let next = solve(&t);
+                ex.push(ctx, &[], &next);
+                next
+            });
+            xpay(&y, head[0], &mut q);
+            axpy(head[1], &q, &mut x);
+            iters += usize::from(head[1] != 0.0);
+            ctx.clock_mut().advance_flops(4 * nloc);
+            match served {
+                Some(next) => y = next,
+                None => break,
+            }
+        }
+        return (x, iters);
+    }
+    let mut group = (blacks.len() > 1).then(|| group_over(ctx, groups, &blacks));
+    ex.pull(ctx, 0, &mut full);
+    let mut r = rhs;
+    off.spmv_add(&others(&full), &mut r);
+    ctx.clock_mut().advance_flops(off.spmv_flops() + nloc);
+    // The coefficients a red has not been sent when the solve ends.
+    let mut unsent = [0.0; 2];
+    let out = inner_cg(ctx, rcfg, r, |ctx, r, z, w, [beta, alpha], target_sq| {
+        let rr = dot(r, r);
+        if group.is_none() && rr <= target_sq {
+            unsent = [beta, alpha];
+            return vec![rr, 0.0, 0.0];
+        }
+        z.copy_from_slice(&solve(r));
+        ex.push(ctx, &[beta, alpha, 1.0], z);
+        ex.pull(ctx, 0, &mut full);
+        full[own.clone()].copy_from_slice(z);
+        sub.spmv(&full, w);
+        ctx.clock_mut().advance_flops(sub.spmv_flops());
+        let dots = vec![rr, dot(r, z), dot(z, w)];
+        match group.as_mut() {
+            Some(g) => g.allreduce_vec(ctx, ReduceOp::Sum, dots),
+            None => dots,
+        }
+    });
+    ex.push(ctx, &[unsent[0], unsent[1], 0.0], &[]);
+    out
+}
+
+/// Single-reduction (Chronopoulos–Gear) PCG from `x = 0` on residual `r`:
+/// `w = A z` every iteration, `s = A p` carried as `s = w + βs`, and
+/// `[‖r‖², rᵀz, zᵀw]` in one reduction; `pᵀAp` follows as `zᵀw − β·rᵀz/α`.
+/// `step(ctx, r, z, w, [β, α], target)` sets `z = M⁻¹ r` and `w = A z` and
+/// returns the three sums over the solve's members. It is passed the last
+/// `β` and `α` (zero before the first) and the exit threshold on `‖r‖²`
+/// (zero before it is known), which it may test before stepping. Stops at
+/// `‖r‖² ≤ tol²·‖r₀‖²`; returns `x` and the iterations.
+fn inner_cg(
+    ctx: &mut NodeCtx,
+    rcfg: &RecoveryConfig,
+    mut r: Vec<f64>,
+    mut step: impl FnMut(&mut NodeCtx, &[f64], &mut [f64], &mut [f64], [f64; 2], f64) -> Vec<f64>,
+) -> (Vec<f64>, usize) {
+    let nloc = r.len();
+    let mut x = vec![0.0; nloc];
+    let mut z = vec![0.0; nloc];
+    let mut w = vec![0.0; nloc];
+    let mut red = step(ctx, &r, &mut z, &mut w, [0.0; 2], 0.0);
     if red[0] <= f64::MIN_POSITIVE {
         return (x, 0);
     }
     let target_sq = rcfg.inner_rel_tol * rcfg.inner_rel_tol * red[0];
     let (mut p, mut s) = (z.clone(), w.clone());
-    let (mut gamma, mut pap) = (red[1], red[2]);
+    let (mut gamma, mut pap, mut beta) = (red[1], red[2], 0.0);
     let mut iters = 0usize;
     loop {
         if !(pap > 0.0 && pap.is_finite()) || iters == rcfg.inner_max_iter {
@@ -1718,6 +1948,7 @@ fn solve_failed_rows(
             } else {
                 format!("breakdown, pᵀAp = {pap}")
             };
+            let rank = ctx.rank();
             panic!("rank {rank}: inner reconstruction solver stopped unconverged: {cause}");
         }
         let alpha = gamma / pap;
@@ -1725,11 +1956,11 @@ fn solve_failed_rows(
         axpy(alpha, &p, &mut x);
         axpy(-alpha, &s, &mut r);
         ctx.clock_mut().advance_flops(4 * nloc);
-        red = step(ctx, &r, &mut z, &mut w);
+        red = step(ctx, &r, &mut z, &mut w, [beta, alpha], target_sq);
         if red[0] <= target_sq {
             return (x, iters);
         }
-        let beta = red[1] / gamma;
+        beta = red[1] / gamma;
         gamma = red[1];
         pap = red[2] - beta * gamma / alpha;
         xpay(&z, beta, &mut p);
@@ -2198,30 +2429,44 @@ mod tests {
         }
     }
 
-    /// The x solve's reductions: a multi-member group books one group
-    /// all-reduce before its inner loop and one per inner iteration; a lone
-    /// member with the exact factor books none and does not iterate, and a
-    /// lone member with ILU(0) iterates. Every solve returns the solution of
-    /// `A_{If,If} y = rhs`. Runs the solve alone on a cluster of eight nodes.
+    /// The x solve's contract on each coupling shape. A bipartite coupling
+    /// (chains at ψ = 2, 3, 5; uncoupled ψ = 3; a lone replacement; a lone
+    /// adopter of two blocks) eliminates its reds: they book no all-reduce,
+    /// the blacks book none with one black and one before the loop plus one
+    /// per iteration with more, and the count is at most ⌈k/2⌉ + 1, k being
+    /// sequential PCG's on `A_{If,If}` with the same exact block Jacobi —
+    /// zero with no edge. A triangle, and ILU(0), run the loop over the
+    /// whole group: one all-reduce before it and one per iteration on every
+    /// member. Every member reports the same count, and every solve returns
+    /// the solution of `A_{If,If} y = rhs`. Runs the solve alone on a
+    /// cluster of eight nodes.
     #[test]
-    fn inner_solve_books_one_group_allreduce_per_iteration() {
+    fn inner_solve_reduces_only_over_the_blacks() {
         use parcomm::{Cluster, ClusterConfig};
-        let m = poisson2d(12, 12);
+        use precond::{BlockJacobi, BlockSolver};
+        use sparsemat::gen::banded_spd;
+        // Eight blocks of poisson2d(12, 12) couple only their neighbours;
+        // a band of 30 over blocks of 20 rows couples k to k + 2 as well.
+        let (chain, band) = (poisson2d(12, 12), banded_spd(160, 30, 0.3, 9));
         let members: Vec<usize> = (0..8).collect();
-        let part = BlockPartition::new(m.n_rows(), members.len());
         let rhs_at = |row: usize| 1.0 + (row % 7) as f64;
-        // (failed, replacement budget, exact block factor): coupled ψ = 2
-        // and ψ = 3, uncoupled ψ = 3, a lone replacement, a lone adopter of
-        // two blocks, and the lone replacement under ILU(0).
-        let events: [(&[usize], usize, bool); 6] = [
-            (&[3, 4], usize::MAX, true),
-            (&[2, 3, 4], usize::MAX, true),
-            (&[1, 4, 6], usize::MAX, true),
-            (&[5], usize::MAX, true),
-            (&[3, 4], 0, true),
-            (&[5], usize::MAX, false),
+        // (matrix, failed, replacement budget, exact block factor, blacks;
+        // `None` for the loop over the whole group).
+        type Event<'a> = (&'a Csr, &'a [usize], usize, bool, Option<usize>);
+        let events: [Event; 10] = [
+            (&chain, &[3, 4], usize::MAX, true, Some(1)),
+            (&chain, &[2, 3, 4], usize::MAX, true, Some(1)),
+            (&chain, &[1, 2, 3, 4, 5], usize::MAX, true, Some(2)),
+            (&chain, &[1, 4, 6], usize::MAX, true, Some(0)),
+            (&chain, &[5], usize::MAX, true, Some(0)),
+            (&chain, &[3, 4], 0, true, Some(0)),
+            (&band, &[2, 3, 4], usize::MAX, true, None),
+            (&band, &[2, 3], usize::MAX, true, Some(1)),
+            (&chain, &[5], usize::MAX, false, None),
+            (&chain, &[2, 3, 4], usize::MAX, false, None),
         ];
-        for (failed, avail, exact) in events {
+        for (m, failed, avail, exact, blacks) in events {
+            let part = BlockPartition::new(m.n_rows(), members.len());
             let rcfg = RecoveryConfig {
                 exact_block_precond: exact,
                 ..RecoveryConfig::default()
@@ -2232,33 +2477,50 @@ mod tests {
                 if plan.reconstructors.binary_search(&plan.me).is_err() {
                     return None;
                 }
-                let ex = plan.if_exchange(&m, tag(0, TAG_STRIDE - 1));
-                let mut group = ctx.group(&plan.reconstructors);
+                let ex = plan.if_exchange(m, tag(0, TAG_STRIDE - 1));
                 let rhs = plan.rows_of(plan.me).map(rhs_at).collect();
                 let before = ctx.stats().allreduces();
                 let (y, iters) =
-                    solve_failed_rows(ctx, &mut group, &ex, &rcfg, &plan, &m, None, rhs);
+                    solve_failed_rows(ctx, &mut Vec::new(), &ex, &rcfg, &plan, m, None, rhs);
                 Some((y, iters, ctx.stats().allreduces() - before))
             });
             let plan = plan_of(0);
-            let lone = plan.reconstructors.len() == 1;
-            let mut y = Vec::new();
-            for (y_rho, iters, booked) in out.into_iter().flatten() {
-                let replaced = avail.min(failed.len());
-                let case = format!("{failed:?}, {replaced} replaced, exact {exact}");
-                if lone && exact {
-                    assert_eq!((iters, booked), (0, 0), "{case}");
-                } else {
-                    assert!(iters > 0, "{case}");
-                    assert_eq!(booked, iters as u64 + 1, "{case}");
-                }
+            let case = format!("{failed:?}, budget {avail}, exact {exact}");
+            let red = red_members(&plan.coupling(m)).filter(|_| exact);
+            let black_count = red.as_ref().map(|r| r.iter().filter(|&&red| !red).count());
+            assert_eq!(black_count, blacks, "{case}: blacks");
+            let sub = m.extract(&plan.if_indices, &plan.if_indices);
+            let rhs: Vec<f64> = plan.if_indices.iter().map(|&gr| rhs_at(gr)).collect();
+            let mut starts: Vec<usize> = plan.if_slices.iter().map(|s| s.start).collect();
+            starts.push(plan.if_indices.len());
+            let slices = BlockPartition::from_starts(starts);
+            let bj = BlockJacobi::from_partition(&sub, &slices, BlockSolver::ExactLdl).unwrap();
+            let zero = vec![0.0; rhs.len()];
+            let k = krylov::pcg(&sub, &rhs, &zero, &bj, rcfg.inner_rel_tol, 1000).iterations;
+            let (mut y, mut counts) = (Vec::new(), Vec::new());
+            for (i, (y_rho, iters, booked)) in out.into_iter().flatten().enumerate() {
+                counts.push(iters);
+                let expected = match (&red, blacks) {
+                    (Some(red), Some(b)) if red[i] || b == 1 => 0,
+                    _ => iters as u64 + 1,
+                };
+                assert_eq!(booked, expected, "{case}, member {i}: all-reduces");
                 y.extend(y_rho);
             }
-            let sub = m.extract(&plan.if_indices, &plan.if_indices);
+            let iters = counts[0];
+            assert!(counts.iter().all(|&c| c == iters), "{case}: {counts:?}");
+            match blacks {
+                Some(0) => assert_eq!(iters, 0, "{case}"),
+                Some(_) => assert!(
+                    iters > 0 && iters <= k.div_ceil(2) + 1,
+                    "{case}: {iters}, k {k}"
+                ),
+                None => assert!(iters > 0, "{case}"),
+            }
             let mut ay = vec![0.0; y.len()];
             sub.spmv(&y, &mut ay);
             for (&gr, ay) in plan.if_indices.iter().zip(ay) {
-                assert!((ay - rhs_at(gr)).abs() < 1e-10, "{failed:?}, row {gr}");
+                assert!((ay - rhs_at(gr)).abs() < 1e-10, "{case}, row {gr}");
             }
         }
     }

@@ -68,6 +68,9 @@ pub struct NodeOutcome {
     /// Per-substep virtual-time timeline of every recovery event this node
     /// completed, in event order (empty on failure-free runs).
     pub recovery_timelines: Vec<RecoveryTimeline>,
+    /// Inner-solver iterations of every recovery event this node completed,
+    /// in event order (0 on a node that reconstructed nothing).
+    pub inner_iterations: Vec<usize>,
 }
 
 /// What the loop does after an ESR reconstruction.
@@ -240,6 +243,7 @@ fn solve_node<K: Recurrence>(
                 book.recoveries += 1;
                 book.ranks_recovered += report.total_failed;
                 book.timelines.push(report.timeline);
+                book.inner_iterations.push(report.inner_iterations);
                 let resume = match report.rollback_to {
                     // Rollback: every rank resumes the checkpointed epoch
                     // with the unpacked loop-top state.
@@ -288,6 +292,7 @@ fn solve_node<K: Recurrence>(
         vtime_setup,
         retired,
         recovery_timelines: book.timelines,
+        inner_iterations: book.inner_iterations,
     }
 }
 

@@ -226,6 +226,15 @@ fn resilient_solve_through_umbrella_paths_only() {
     assert_eq!(result.ranks_recovered, 2);
     let err = result.x.iter().map(|x| (x - 1.0).abs()).fold(0.0, f64::max);
     assert!(err < 1e-6, "reconstruction not exact: {err}");
+    // The two lost blocks are neighbours: their x solve iterates, and the
+    // result's count is the most any node ran in the one event.
+    let per_event: Vec<&[usize]> = (result.per_node.iter())
+        .map(|o| o.inner_iterations.as_slice())
+        .collect();
+    assert!(per_event.iter().all(|e| e.len() == 1), "{per_event:?}");
+    let most = per_event.iter().map(|e| e[0]).max();
+    assert_eq!(Some(result.inner_iterations), most);
+    assert!(result.inner_iterations > 0);
 }
 
 #[test]
