@@ -180,21 +180,25 @@ impl Layout {
         }
     }
 
-    /// The SpMV scatter of `v_loc` into [`Layout::ghosts`]. Under ESR
-    /// protection (the layout carries retention channels) the exchange
-    /// also distributes the redundant copies and retains what it receives
-    /// in `channel`, rotating that channel's generations — on every
-    /// scatter of a new vector and identically on a post-recovery
-    /// re-scatter, which thereby restores lost redundancy.
-    pub fn scatter(&mut self, ctx: &mut NodeCtx, v_loc: &[f64], channel: usize) {
-        match self.channels.get_mut(channel) {
+    /// The SpMV scatter of `v` into [`Layout::ghosts`], to the sorted
+    /// ranks `to` only (`None`: every member). Under ESR protection (the
+    /// layout carries retention channels) the exchange also distributes
+    /// the redundant copies, and a receiver retains them in `channel`,
+    /// rotating that channel's generations. After a reconstruction in
+    /// place, scattering the last vector again to the replaced ranks is
+    /// the repair: it refills what a replacement lost with its memory (its
+    /// ghosts and `channel`'s current generation) as a full scatter would;
+    /// every survivor still holds its own.
+    pub fn scatter(&mut self, ctx: &mut NodeCtx, v: &[f64], channel: usize, to: Option<&[usize]>) {
+        let receives = to.is_none_or(|to| to.binary_search(&ctx.rank()).is_ok());
+        let ghosts = &mut self.ghosts;
+        match self.channels.get_mut(channel).filter(|_| receives) {
             Some(ch) => {
                 ch.rotate();
-                self.plan
-                    .exchange(ctx, v_loc, &mut self.ghosts, Some(&mut *ch));
+                self.plan.exchange_to(ctx, v, ghosts, Some(&mut *ch), to);
                 ch.finish_generation();
             }
-            None => self.plan.exchange(ctx, v_loc, &mut self.ghosts, None),
+            None => self.plan.exchange_to(ctx, v, ghosts, None, to),
         }
     }
 
@@ -310,6 +314,10 @@ pub struct RecoveryReport {
     /// Ranks that left the cluster (no replacement; subdomains adopted).
     /// `> 0` means the layout shrank; the preconditioner did not change.
     pub retired_ranks: usize,
+    /// The ranks replaced in place, ascending — new nodes that lost the
+    /// ghosts and retained copies of the last scatter — when the layout
+    /// is unchanged; `None` when ranks retired and it was rebuilt.
+    pub replaced: Option<Vec<usize>>,
     /// Reconstruction attempts (> 1 iff overlapping failures).
     pub attempts: usize,
     /// Inner-solver iterations of the final attempt's distributed systems.
@@ -1047,6 +1055,7 @@ fn restart_protocol<F: Flavor>(
         return EngineOutcome::Recovered(RecoveryReport {
             total_failed: failed.len(),
             retired_ranks: plan.retired().len(),
+            replaced: plan.retired().is_empty().then(|| plan.replaced().to_vec()),
             attempts,
             inner_iterations,
             rollback_to,
@@ -1189,8 +1198,9 @@ impl Flavor for Reconstruction {
         // Install the rebuilt blocks: a replacement node over its own old
         // range, and on a shrink every member over its new range, from its
         // surviving values, the blocks it rebuilt and what was handed to
-        // it. Ghosts and retention refill on the restarted iteration's
-        // re-scatter.
+        // it. Ghosts and retention refill after the event: by the
+        // solver's repair of its last scatter into the replaced ranks, or
+        // on a shrunken layout by a full scatter (`Recurrence::resume`).
         if shrunk || plan.am_failed {
             let new_range = plan.new_part.range(plan.new_slot());
             let handover = tag(at.seq, OFF_SCALARS);

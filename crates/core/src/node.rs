@@ -113,9 +113,12 @@ pub(crate) trait Recurrence: ResilientKernel + Sized {
     }
     /// After an ESR reconstruction (never after a rollback, which always
     /// restarts from the agreed epoch's loop top): re-establish what the
-    /// engine does not, and say how to continue.
-    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout) -> Resume {
-        let _ = (ctx, layout);
+    /// engine does not, and say how to continue. `to` names the ranks
+    /// replaced in place on an unchanged layout, which a repair
+    /// [`Layout::scatter`] to them refills; `None` after a Shrink, whose
+    /// layout was rebuilt from scratch.
+    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) -> Resume {
+        let _ = (ctx, layout, to);
         Resume::Restart
     }
     /// The rest of iteration `j`. Returns the new `‖r‖²`; on reaching
@@ -251,7 +254,7 @@ fn solve_node<K: Recurrence>(
                         iterations = epoch as usize;
                         Resume::Restart
                     }
-                    None => kernel.resume(ctx, &mut layout),
+                    None => kernel.resume(ctx, &mut layout, report.replaced.as_deref()),
                 };
                 if resume == Resume::Restart {
                     ctx.trace_close(); // iteration

@@ -10,11 +10,13 @@
 //!   instead of dropped (Sec. 2.2);
 //! * at every post-SpMV-scatter boundary the node loop polls the ULFM-style
 //!   oracle; on failure, all nodes enter the shared [`crate::engine`]
-//!   recovery and the interrupted iteration restarts.
+//!   recovery, and the interrupted iteration goes on after repairing
+//!   `p(j)`'s scatter into the replaced ranks (a Shrink restarts it).
 //!
 //! The solver's side of the recovery contract: one retention channel
-//! (`p(j)`, `p(j-1)` as its two generations), one re-sent scalar `β(j-1)`,
-//! and the reconstruction maps of paper Alg. 2 (`z = p(j) − β p(j-1)`;
+//! (`p(j)`, `p(j-1)` as its two generations), one re-sent scalar
+//! `β(j-1)`, and the reconstruction maps of paper Alg. 2
+//! (`z = p(j) − β p(j-1)`;
 //! `r = M z` locally for the M-given preconditioners, or the P-given
 //! gather + distributed solve for `ExplicitP`).
 //!
@@ -214,15 +216,21 @@ impl Recurrence for PcgState {
 
     fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, _j: u64) {
         // SpMV scatter: ghost exchange + redundancy distribution.
-        layout.scatter(ctx, &self.v[P], 0);
+        layout.scatter(ctx, &self.v[P], 0, None);
     }
 
-    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout) -> Resume {
+    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) -> Resume {
         // r(j)ᵀz(j) must be re-established (replacements recompute their
         // share); bitwise identical on survivors' data.
         ctx.clock_mut().advance_flops(2 * self.v[R].len());
         self.s[RZ] = layout.allreduce_sum(ctx, dot(&self.v[R], &self.v[Z]));
-        Resume::Restart
+        // In place, p(j)'s scatter is repaired and the iteration goes on;
+        // a shrunken layout restarts it with a full scatter.
+        if to.is_none() {
+            return Resume::Restart;
+        }
+        layout.scatter(ctx, &self.v[P], 0, to);
+        Resume::Proceed
     }
 
     fn finish_iteration(

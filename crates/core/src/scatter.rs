@@ -457,11 +457,32 @@ impl ScatterPlan {
         ctx: &mut NodeCtx,
         v_loc: &[f64],
         ghosts: &mut [f64],
+        retention: Option<&mut Retention>,
+    ) {
+        self.exchange_to(ctx, v_loc, ghosts, retention, None);
+    }
+
+    /// [`ScatterPlan::exchange`] over the links into the sorted global
+    /// ranks `to` only (`None`: every link): a node sends on its links to
+    /// a rank in `to`, and receives — every link — only if it is in `to`
+    /// itself. What a receiver ends with is what the full exchange gives
+    /// it; no message moves between two nodes outside `to`.
+    pub fn exchange_to(
+        &mut self,
+        ctx: &mut NodeCtx,
+        v_loc: &[f64],
+        ghosts: &mut [f64],
         mut retention: Option<&mut Retention>,
+        to: Option<&[usize]>,
     ) {
         debug_assert_eq!(v_loc.len(), self.my_len);
+        let into = |rank: usize| to.is_none_or(|to| to.binary_search(&rank).is_ok());
         // Post all sends first (asynchronous channels: no deadlock).
-        for link in &mut self.send_links {
+        for link in self
+            .send_links
+            .iter_mut()
+            .filter(|l| into(self.members[l.slot]))
+        {
             let n_nat = link.n_nat;
             let buf = Self::writable(&mut link.buf);
             buf.extend(link.gather.iter().map(|&o| v_loc[o as usize]));
@@ -480,8 +501,9 @@ impl ScatterPlan {
                 ],
             );
         }
+        let receives = into(self.members[self.my_slot]);
         // Receive in deterministic peer order.
-        for link in &self.recv_links {
+        for link in self.recv_links.iter().filter(|_| receives) {
             let msg = ctx.recv_phase(self.members[link.slot], TAG_SPMV, CommPhase::Spmv);
             let data = msg.as_f64s();
             debug_assert_eq!(data.len(), link.ghost.len() + link.n_ext);
@@ -741,6 +763,103 @@ mod tests {
                             assert_eq!(got.send_extra, want.send_extra, "{at}");
                             assert_eq!(got.recv_extra, want.recv_extra, "{at}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_exchange_into_replaced_ranks_refills_them_alone() {
+        use crate::retention::Gen;
+        use sparsemat::gen::{banded_spd, circuit_like, mesh_laplacian_2d, MeshOrdering};
+        let patterns = [
+            poisson2d(6, 9),
+            mesh_laplacian_2d(8, 8, MeshOrdering::Random, 3),
+            banded_spd(60, 5, 0.6, 4),
+            lower_part(&circuit_like(64, 3, 0.2, 5)),
+        ];
+        let nodes = 5;
+        for a in patterns {
+            let a = Arc::new(a);
+            let n = a.n_rows();
+            for phi in 1..=2 {
+                for replaced in [vec![0], vec![2, 3], vec![1, 4]] {
+                    let at = format!("n = {n}, φ = {phi}, replaced {replaced:?}");
+                    let (a, to) = (a.clone(), replaced.clone());
+                    let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
+                        let (rank, k) = (ctx.rank(), ctx.size());
+                        let part = BlockPartition::new(n, k);
+                        let lm = LocalMatrix::build(&a, &part, rank);
+                        let mut plan = ScatterPlan::build(ctx, &lm, &part);
+                        plan.send_extra = compute_extra_sends(
+                            rank,
+                            k,
+                            phi,
+                            &BackupStrategy::Minimal,
+                            lm.n_local(),
+                            &plan.send_natural,
+                        );
+                        plan.announce_extras(ctx);
+                        let wave = |f: f64| -> Vec<f64> {
+                            lm.range.clone().map(|i| (f * i as f64).sin()).collect()
+                        };
+                        let mut ret = Retention::build(&plan, &lm.ghost_cols);
+                        let mut ghosts = vec![0.0; lm.ghost_cols.len()];
+                        let full = |plan: &mut ScatterPlan,
+                                    ctx: &mut NodeCtx,
+                                    v: &[f64],
+                                    ghosts: &mut [f64],
+                                    ret: &mut Retention| {
+                            ret.rotate();
+                            plan.exchange(ctx, v, ghosts, Some(&mut *ret));
+                            ret.finish_generation();
+                        };
+                        // Two full scatters, p(j−1) and p(j); then rank
+                        // failures poison the replaced ranks' copies.
+                        full(&mut plan, ctx, &wave(0.7), &mut ghosts, &mut ret);
+                        full(&mut plan, ctx, &wave(0.3), &mut ghosts, &mut ret);
+                        let bits = |g: &[f64], ret: &Retention| {
+                            let cur = ret.collect_range(Gen::Cur, 0, n);
+                            let cur = cur.into_iter().map(|(i, v)| (i, v.to_bits()));
+                            let g = g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                            (g, cur.collect::<Vec<_>>())
+                        };
+                        let want = bits(&ghosts, &ret);
+                        let mine = to.contains(&rank);
+                        if mine {
+                            parcomm::fault::poison(&mut ghosts);
+                            ret.poison();
+                            ret.rotate();
+                        }
+                        let before = ctx.stats().total_msgs();
+                        let receives = mine.then_some(&mut ret);
+                        plan.exchange_to(ctx, &wave(0.3), &mut ghosts, receives, Some(&to));
+                        if mine {
+                            ret.finish_generation();
+                        }
+                        let sent = ctx.stats().total_msgs() - before;
+                        let links_into = plan.send_links.iter().filter(|l| to.contains(&l.slot));
+                        let links_into = links_into.count() as u64;
+                        let got = bits(&ghosts, &ret);
+                        // A repair message left in a survivor's mailbox
+                        // would be taken by the next full exchange.
+                        let u = wave(1.1);
+                        full(&mut plan, ctx, &u, &mut ghosts, &mut ret);
+                        let next_ok = lm
+                            .ghost_cols
+                            .iter()
+                            .zip(&ghosts)
+                            .all(|(&g, v)| v.to_bits() == (1.1 * g as f64).sin().to_bits());
+                        (want == got, sent == links_into, next_ok)
+                    });
+                    for (rank, (same, sent, next_ok)) in out.into_iter().enumerate() {
+                        assert!(same, "{at}: rank {rank} differs from the full exchange");
+                        assert!(
+                            sent,
+                            "{at}: rank {rank} sent beyond its links into {replaced:?}"
+                        );
+                        assert!(next_ok, "{at}: rank {rank} received a stray repair message");
                     }
                 }
             }

@@ -93,6 +93,43 @@ fn two_separate_failure_events() {
 }
 
 #[test]
+fn back_to_back_failure_events() {
+    // Rank k fails at boundary j and rank k + 1 at j + 1 (φ = 2: the chain
+    // {k, k + 1}, then {k + 1, k + 2}). The second reconstruction reads
+    // the copies of p(j) that the first replacement holds: its `prev`
+    // generation, which the repair of iteration j's scatter refilled.
+    let problem = Problem::with_ones_solution(poisson2d(16, 16));
+    let (nodes, j, k) = (8, 5, 3);
+    for solver in [SolverKind::Pcg, SolverKind::BiCgStab] {
+        for phi in [1, 2] {
+            let event = |at: u64, first: usize| FailureEvent {
+                when: FailAt::Iteration(at),
+                ranks: (first..first + phi).collect(),
+            };
+            let script = FailureScript::new(vec![event(j, k), event(j + 1, k + 1)]);
+            let cfg = SolverConfig::resilient(phi);
+            let twin = run(solver, &problem, nodes, &cfg, cost(), FailureScript::none()).unwrap();
+            let res = run(solver, &problem, nodes, &cfg, cost(), script).unwrap();
+            let at = format!("{solver:?}, φ = {phi}");
+            assert!(res.converged, "{at}");
+            assert_eq!(res.recoveries, 2, "{at}");
+            assert_eq!(res.ranks_recovered, 2 * phi, "{at}");
+            assert!(
+                max_err_ones(&res) < 1e-6,
+                "{at}: err {}",
+                max_err_ones(&res)
+            );
+            assert!(
+                res.iterations.abs_diff(twin.iterations) <= 2,
+                "{at}: {} iterations, the failure-free twin {}",
+                res.iterations,
+                twin.iterations
+            );
+        }
+    }
+}
+
+#[test]
 fn repeated_failure_of_same_rank() {
     let a = poisson2d(16, 16);
     let problem = Problem::with_ones_solution(a);

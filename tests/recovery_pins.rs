@@ -56,9 +56,9 @@ const NUMERICS: [(Prot, Solver, u64); 6] = [
 
 #[cfg(not(feature = "trace"))]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0xeffa29eba0ec0c98),
+    (Prot::Esr, Solver::Pcg, 0xb0dc7734936df32e),
     (Prot::Esr, Solver::PipeCg, 0x2350a2671ab73967),
-    (Prot::Esr, Solver::BiCgStab, 0x6c5d6fffee692cd2),
+    (Prot::Esr, Solver::BiCgStab, 0xfe52c4b0638cf817),
     (Prot::Cr, Solver::Pcg, 0xfbcf331e94712471),
     (Prot::Cr, Solver::PipeCg, 0x4f2ecb50c5e63542),
     (Prot::Cr, Solver::BiCgStab, 0xbff36d417e757bea),
@@ -66,9 +66,9 @@ const COST: [(Prot, Solver, u64); 6] = [
 
 #[cfg(feature = "trace")]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x91dd2c399fc6e2ec),
+    (Prot::Esr, Solver::Pcg, 0x0e9f51875432c067),
     (Prot::Esr, Solver::PipeCg, 0x1143a729eb9b0441),
-    (Prot::Esr, Solver::BiCgStab, 0xd90f93432560c863),
+    (Prot::Esr, Solver::BiCgStab, 0x3b60e93fd4d7febc),
     (Prot::Cr, Solver::Pcg, 0x6dd0e55b8fd940b8),
     (Prot::Cr, Solver::PipeCg, 0x8cc5130976faa9a4),
     (Prot::Cr, Solver::BiCgStab, 0xca5e53c55c19aa10),

@@ -53,6 +53,7 @@ fn engine_and_config_error_types_reach_through_umbrella_paths() {
     let report = esr_suite::core::RecoveryReport {
         total_failed: 2,
         retired_ranks: 1,
+        replaced: None,
         attempts: 1,
         inner_iterations: 40,
         rollback_to: None,
