@@ -1,7 +1,7 @@
 //! The one SPMD node program every solver runs.
 //!
-//! Retain at the scatter, poll at one boundary, reconstruct, restart the
-//! interrupted iteration: the skeleton the paper states for PCG (Secs.
+//! Retain at the scatter, poll at one boundary, reconstruct, go on with
+//! the interrupted iteration: the skeleton the paper states for PCG (Secs.
 //! 2.2–4) and Levonyak et al. (arXiv:1912.09230) carry over unchanged to
 //! pipelined PCG. [`solve_node`] is that skeleton, written once. It owns
 //!
@@ -18,9 +18,9 @@
 //! [`ResilientKernel`]) and its iteration, split at its own failure
 //! boundary. `vtime_recovery` is the window from the drained boundary to
 //! the end of [`engine::recover`]; what [`Recurrence::resume`]
-//! re-establishes (PCG's `rᵀz`, BiCGSTAB's `ŝ` ghosts) is charged to the
-//! solve, not to the recovery — the accounting every pinned
-//! `vtime_recovery` was measured under.
+//! re-establishes (the repair of the last scatter into the replaced
+//! ranks) is charged to the solve, not to the recovery — the accounting
+//! every pinned `vtime_recovery` was measured under.
 
 use parcomm::{CommStats, FailAt, NodeCtx};
 use sparsemat::BlockPartition;

@@ -14,8 +14,8 @@
 //!   `p(j)`'s scatter into the replaced ranks (a Shrink restarts it).
 //!
 //! The solver's side of the recovery contract: one retention channel
-//! (`p(j)`, `p(j-1)` as its two generations), one re-sent scalar
-//! `β(j-1)`, and the reconstruction maps of paper Alg. 2
+//! (`p(j)`, `p(j-1)` as its two generations), two re-sent scalars
+//! (`β(j-1)`, `r(j)ᵀz(j)`), and the reconstruction maps of paper Alg. 2
 //! (`z = p(j) − β p(j-1)`;
 //! `r = M z` locally for the M-given preconditioners, or the P-given
 //! gather + distributed solve for `ExplicitP`).
@@ -55,8 +55,9 @@ static SHAPE: KernelShape = KernelShape {
     // [x | r | z | p | β(j-1), r(j)ᵀz(j)] — the loop-top state a restarted
     // iteration resumes from.
     pack_slots: &[X, R, Z, P],
-    // ESR re-derives r(j)ᵀz(j) with a fresh reduction instead.
-    resent_scalars: &[BETA],
+    // Both ride the recovery gather to the replaced ranks, so the
+    // iteration goes on with the pre-failure r(j)ᵀz(j) on every node.
+    resent_scalars: &[BETA, RZ],
 };
 
 /// Blocking PCG's state over the owned rows.
@@ -220,10 +221,6 @@ impl Recurrence for PcgState {
     }
 
     fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) -> Resume {
-        // r(j)ᵀz(j) must be re-established (replacements recompute their
-        // share); bitwise identical on survivors' data.
-        ctx.clock_mut().advance_flops(2 * self.v[R].len());
-        self.s[RZ] = layout.allreduce_sum(ctx, dot(&self.v[R], &self.v[Z]));
         // In place, p(j)'s scatter is repaired and the iteration goes on;
         // a shrunken layout restarts it with a full scatter.
         if to.is_none() {

@@ -123,7 +123,12 @@ fn bicgstab_reference_iteration_counts_are_pinned() {
 // blocks are lost together, the x reconstruction's inner solve runs over a
 // coupled `A_{If,If}` on two reconstructors, one eliminated exactly and the
 // other iterating on the Schur complement (re-pinned when that elimination
-// replaced the loop over both).
+// replaced the loop over both). Blocking PCG's pins here and in the thick
+// test moved once more, on purpose, when its iteration went on after a
+// reconstruction with the pre-failure rᵀz carried to the replacements,
+// where it had restarted with rᵀz re-reduced from the rebuilt r and z:
+// the relative moves of `true_residual` were 1.8e-8 here and 2.0e-8 on
+// the thick blocks, the counts unchanged.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -141,8 +146,8 @@ fn replace_recovery_trajectories_are_pinned_bitwise() {
     .unwrap();
     assert!(r.converged);
     assert_eq!(r.iterations, 20);
-    assert_eq!(r.solver_residual, 3.559_024_370_291_282e-8);
-    assert_eq!(r.true_residual.to_bits(), 0x3e63_1b7c_5c78_a8b6);
+    assert_eq!(r.solver_residual, 3.559_024_370_317_738e-8);
+    assert_eq!(r.true_residual.to_bits(), 0x3e63_1b7c_6256_7ed5);
 
     let r = run_pipecg(
         &problem,
@@ -292,8 +297,8 @@ fn thick_block_trajectories_are_pinned_bitwise() {
     assert!(r.converged);
     assert_eq!(r.ranks_recovered, 2);
     assert_eq!(r.iterations, 28);
-    assert_eq!(r.solver_residual.to_bits(), 0x3e72_69e8_00e8_181d);
-    assert_eq!(r.true_residual.to_bits(), 0x3e72_69e8_177f_9a53);
+    assert_eq!(r.solver_residual.to_bits(), 0x3e72_69e8_00eb_e1d0);
+    assert_eq!(r.true_residual.to_bits(), 0x3e72_69e8_112c_eaae);
 
     let r = run_pipecg(
         &problem,

@@ -46,7 +46,7 @@ enum Prot {
 }
 
 const NUMERICS: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0xc542257123f60dd2),
+    (Prot::Esr, Solver::Pcg, 0x664b25d08f1ecdd1),
     (Prot::Esr, Solver::PipeCg, 0x5f9709ba334395db),
     (Prot::Esr, Solver::BiCgStab, 0x41794dbfa8877bd5),
     (Prot::Cr, Solver::Pcg, 0x1bfe4369a8cf7d43),
@@ -56,7 +56,7 @@ const NUMERICS: [(Prot, Solver, u64); 6] = [
 
 #[cfg(not(feature = "trace"))]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0xb0dc7734936df32e),
+    (Prot::Esr, Solver::Pcg, 0xeab64a3e44da8e67),
     (Prot::Esr, Solver::PipeCg, 0x2350a2671ab73967),
     (Prot::Esr, Solver::BiCgStab, 0xfe52c4b0638cf817),
     (Prot::Cr, Solver::Pcg, 0xfbcf331e94712471),
@@ -66,7 +66,7 @@ const COST: [(Prot, Solver, u64); 6] = [
 
 #[cfg(feature = "trace")]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0x0e9f51875432c067),
+    (Prot::Esr, Solver::Pcg, 0xd6707a49d596f696),
     (Prot::Esr, Solver::PipeCg, 0x1143a729eb9b0441),
     (Prot::Esr, Solver::BiCgStab, 0x3b60e93fd4d7febc),
     (Prot::Cr, Solver::Pcg, 0x6dd0e55b8fd940b8),
