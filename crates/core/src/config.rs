@@ -299,6 +299,15 @@ pub enum ConfigError {
         /// The constraint that rules the combination out.
         constraint: &'static str,
     },
+    /// ESR protection on a matrix that is not symmetric
+    /// ([`crate::StaticData::is_symmetric`]): its reconstruction factors
+    /// blocks of `A` as LDLᵀ and solves for `x` with CG, so it would
+    /// rebuild a wrong state. Checkpoint protection solves nothing and is
+    /// allowed.
+    EsrNonsymmetric {
+        /// The requested solver.
+        solver: SolverKind,
+    },
     /// The block-row distribution gives every node at least one row:
     /// `1 ≤ N ≤ n` must hold.
     NodesOutOfRange {
@@ -335,6 +344,13 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "CrConfig {{ interval: {interval}, copies: {copies} }} on a cluster \
                  of {nodes} nodes: {constraint}"
+            ),
+            ConfigError::EsrNonsymmetric { solver } => write!(
+                f,
+                "ESR protection for {} on a nonsymmetric A: its reconstruction \
+                 factors blocks of A as LDLᵀ and solves for x with CG; use \
+                 checkpoint protection",
+                solver.name()
             ),
             ConfigError::NodesOutOfRange { nodes, rows } => write!(
                 f,

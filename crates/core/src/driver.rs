@@ -223,7 +223,8 @@ impl ExperimentResult {
 ///
 /// Validates the cluster size against the system (`1 ≤ nodes ≤ n`: every
 /// node owns at least one row) and the solver × policy × preconditioner
-/// combination ([`SolverConfig::validate`]) up front and returns a typed
+/// combination ([`SolverConfig::validate`]) and, under ESR protection, the
+/// symmetry of `A` up front, and returns a typed
 /// [`ConfigError`] naming the violated constraint — unsupported
 /// combinations fail as a `Result`, not as a panic deep in a node thread.
 /// State protection is part of the configuration, not of the entry point:
@@ -249,6 +250,11 @@ pub fn run(
         statics: problem.statics(),
         ..problem.clone()
     };
+    // Checked on every run, so the first one pays it whatever it protects.
+    let symmetric = shared.statics.is_symmetric();
+    if cfg.resilience.as_ref().is_some_and(|r| r.is_esr()) && !symmetric {
+        return Err(ConfigError::EsrNonsymmetric { solver });
+    }
     let cfg = cfg.clone();
     // A Spares policy provisions the cluster's hot-spare pool; the node
     // programs consume it through `NodeCtx::spare_pool`.

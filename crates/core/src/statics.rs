@@ -46,9 +46,16 @@ struct Entry {
     factor: OnceLock<Result<Arc<SparseLdl>, PrecondError>>,
 }
 
+/// The tolerance of [`StaticData::is_symmetric`], relative to the largest
+/// `|a_ij|`. An assembled symmetric matrix differs from its transpose by
+/// rounding in the last bits of its entries (≈ 1e-16 relative); 1e-12
+/// leaves room for that and no more.
+pub const SYMMETRY_RTOL: f64 = 1e-12;
+
 /// The per-row-range static data of one system matrix, filled on demand.
 pub struct StaticData {
     a: Arc<Csr>,
+    symmetric: OnceLock<bool>,
     entries: Mutex<HashMap<Range<usize>, Arc<Entry>>>,
     /// [`Self::block_jacobi`], per partition (keyed by its block starts).
     setups: Mutex<HashMap<Vec<usize>, BlockFactors>>,
@@ -61,6 +68,7 @@ impl StaticData {
     pub fn new(a: Arc<Csr>) -> Self {
         StaticData {
             a,
+            symmetric: OnceLock::new(),
             entries: Mutex::new(HashMap::new()),
             setups: Mutex::new(HashMap::new()),
             blocks_built: AtomicUsize::new(0),
@@ -71,6 +79,16 @@ impl StaticData {
     /// The matrix this store describes.
     pub fn matrix(&self) -> &Arc<Csr> {
         &self.a
+    }
+
+    /// Whether the matrix is symmetric, pattern and values, to
+    /// [`SYMMETRY_RTOL`] — what every ESR reconstruction assumes (its
+    /// block factors are LDLᵀ, its x solve is CG). Checked on first use.
+    pub fn is_symmetric(&self) -> bool {
+        *self.symmetric.get_or_init(|| {
+            let largest = self.a.vals().iter().fold(0.0, |m: f64, v| m.max(v.abs()));
+            self.a.is_symmetric(SYMMETRY_RTOL * largest)
+        })
     }
 
     fn entry(&self, range: &Range<usize>) -> Arc<Entry> {

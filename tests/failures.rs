@@ -257,6 +257,49 @@ fn checkpoint_restart_baseline_survives_failures() {
 }
 
 #[test]
+fn esr_rejects_a_nonsymmetric_matrix_and_cr_recovers_it() {
+    // poisson2d(20, 20) − 0.05 at every (r, r + 1): ESR would rebuild a
+    // wrong state and report convergence (LDLᵀ block factors, CG for x),
+    // so `run` refuses it for every solver; C/R solves nothing and
+    // recovers its failure-free twin's x.
+    use esr_core::{ConfigError, CrConfig, Protection, ResilienceConfig};
+    let a = poisson2d(20, 20);
+    let n = a.n_rows();
+    let mut coo = sparsemat::Coo::new(n, n);
+    for r in 0..n {
+        let (cols, vals) = a.row(r);
+        for (&c, &v) in cols.iter().zip(vals) {
+            coo.push(r, c as usize, v);
+        }
+        if r + 1 < n {
+            coo.push(r, r + 1, -0.05);
+        }
+    }
+    let problem = Problem::with_ones_solution(coo.to_csr());
+    let esr = SolverConfig::resilient(2);
+    let mut cr = SolverConfig::resilient(2);
+    cr.resilience = Some(
+        ResilienceConfig::paper(2).with_protection(Protection::Checkpoint(
+            CrConfig::default().with_interval(4).with_copies(2),
+        )),
+    );
+    let solver = SolverKind::BiCgStab;
+    let twin = run(solver, &problem, 8, &cr, cost(), FailureScript::none()).unwrap();
+    assert!(twin.converged);
+    for psi in [1, 2] {
+        let script = || FailureScript::simultaneous(6, 3, psi, 8);
+        for kind in [SolverKind::Pcg, SolverKind::PipeCg, solver] {
+            let err = run(kind, &problem, 8, &esr, cost(), script()).unwrap_err();
+            assert_eq!(err, ConfigError::EsrNonsymmetric { solver: kind });
+        }
+        let res = run(solver, &problem, 8, &cr, cost(), script()).unwrap();
+        assert!(res.converged && res.recoveries == 1, "ψ = {psi}");
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&res.x), bits(&twin.x), "ψ = {psi}");
+    }
+}
+
+#[test]
 fn ilu_inner_solver_matches_paper_setup() {
     // The paper's PETSc implementation uses ILU for the reconstruction
     // blocks instead of an exact factorization. Adjacent lost blocks share
