@@ -769,6 +769,19 @@ mod tests {
         }
     }
 
+    /// A full scatter of `v` into `ghosts` and a new generation of `ret`.
+    fn scatter_all(
+        plan: &mut ScatterPlan,
+        ctx: &mut NodeCtx,
+        v: &[f64],
+        ghosts: &mut [f64],
+        ret: &mut Retention,
+    ) {
+        ret.rotate();
+        plan.exchange(ctx, v, ghosts, Some(&mut *ret));
+        ret.finish_generation();
+    }
+
     #[test]
     fn an_exchange_into_replaced_ranks_refills_them_alone() {
         use crate::retention::Gen;
@@ -806,19 +819,11 @@ mod tests {
                         };
                         let mut ret = Retention::build(&plan, &lm.ghost_cols);
                         let mut ghosts = vec![0.0; lm.ghost_cols.len()];
-                        let full = |plan: &mut ScatterPlan,
-                                    ctx: &mut NodeCtx,
-                                    v: &[f64],
-                                    ghosts: &mut [f64],
-                                    ret: &mut Retention| {
-                            ret.rotate();
-                            plan.exchange(ctx, v, ghosts, Some(&mut *ret));
-                            ret.finish_generation();
-                        };
                         // Two full scatters, p(j−1) and p(j); then rank
                         // failures poison the replaced ranks' copies.
-                        full(&mut plan, ctx, &wave(0.7), &mut ghosts, &mut ret);
-                        full(&mut plan, ctx, &wave(0.3), &mut ghosts, &mut ret);
+                        for f in [0.7, 0.3] {
+                            scatter_all(&mut plan, ctx, &wave(f), &mut ghosts, &mut ret);
+                        }
                         let bits = |g: &[f64], ret: &Retention| {
                             let cur = ret.collect_range(Gen::Cur, 0, n);
                             let cur = cur.into_iter().map(|(i, v)| (i, v.to_bits()));
@@ -844,8 +849,7 @@ mod tests {
                         let got = bits(&ghosts, &ret);
                         // A repair message left in a survivor's mailbox
                         // would be taken by the next full exchange.
-                        let u = wave(1.1);
-                        full(&mut plan, ctx, &u, &mut ghosts, &mut ret);
+                        scatter_all(&mut plan, ctx, &wave(1.1), &mut ghosts, &mut ret);
                         let next_ok = lm
                             .ghost_cols
                             .iter()
