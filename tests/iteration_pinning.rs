@@ -340,3 +340,40 @@ fn resilient_pcg_iteration_count_matches_reference() {
     assert!(failing.converged);
     assert_eq!(failing.iterations, reference.iterations);
 }
+
+#[test]
+fn p_given_recovery_trajectory_is_pinned_bitwise() {
+    // The P-given reconstruction (paper Alg. 2 lines 5–6) rebuilds `r`
+    // from the survivors' values outside `If` and a distributed solve with
+    // `P_{If,If}`, the way the x reconstruction rebuilds `x` with `A`. `P`
+    // is the explicit inverse of a block Jacobi whose blocks (36 rows) are
+    // misaligned with the partition (24 rows), so `P_{If,I\If}` ≠ 0 and
+    // both halves of that path run.
+    use esr_suite::core::PrecondConfig;
+    use esr_suite::precond::{BlockJacobi, BlockSolver};
+    use std::sync::Arc;
+    let a = poisson2d(12, 12);
+    let bj = BlockJacobi::with_blocks(&a, 4, BlockSolver::ExactLdl).unwrap();
+    let p = bj.to_explicit_inverse(&a);
+    let problem = Problem::with_ones_solution(a);
+    let cfg = SolverConfig {
+        precond: PrecondConfig::ExplicitP(Arc::new(p)),
+        ..SolverConfig::resilient(2)
+    };
+    let r = run_pcg(
+        &problem,
+        6,
+        &cfg,
+        CostModel::default(),
+        FailureScript::simultaneous(5, 2, 2, 6),
+    )
+    .unwrap();
+    assert!(r.converged);
+    assert_eq!(r.ranks_recovered, 2);
+    assert_eq!(r.iterations, 15);
+    assert_eq!(r.inner_iterations, 7);
+    assert_eq!(r.solver_residual.to_bits(), 0x3e53_08e0_7439_bc48);
+    assert_eq!(r.true_residual.to_bits(), 0x3e53_08e0_8a2c_b005);
+    assert_eq!(r.vtime.to_bits(), 0x3f2c_229b_4181_adfd);
+    assert_eq!(r.vtime_recovery.to_bits(), 0x3ef8_2bf9_60b2_2508);
+}
