@@ -155,37 +155,16 @@ impl ResilientKernel for PcgState {
         let Some(p_full) = self.explicit_p.clone() else {
             return;
         };
-        let lookup = comm.gather_outside(ctx, &p_full, blocks, &self.v[R]);
+        let outside = comm.outside_product(ctx, &p_full, blocks, &self.v[R]);
         if blocks.is_empty() {
             return;
         }
-        let lookup = lookup.expect("reconstructors obtain the r lookup");
         let mut rhs: Vec<f64> = Vec::new();
-        for blk in blocks.iter() {
-            let mut flops = 0usize;
-            for (i, gr) in blk.range.clone().enumerate() {
-                let (cols, vals) = p_full.row(gr);
-                let mut s = 0.0;
-                for (c, v) in cols.iter().zip(vals) {
-                    let c = *c as usize;
-                    if comm.at.plan.if_indices.binary_search(&c).is_err() {
-                        let pos = lookup
-                            .binary_search_by_key(&c, |e| e.0)
-                            .expect("gathered every surviving coupled r");
-                        s += v * lookup[pos].1;
-                    }
-                }
-                flops += 2 * cols.len();
-                rhs.push(blk.vecs[Z][i] - s);
-            }
+        for (blk, (s, flops)) in blocks.iter().zip(outside) {
+            rhs.extend(blk.vecs[Z].iter().zip(s).map(|(z, s)| z - s));
             ctx.clock_mut().advance_flops(flops + blk.range.len());
         }
-        let r_new = comm.solve_if_system(ctx, &p_full, None, rhs);
-        let mut off = 0usize;
-        for blk in blocks.iter_mut() {
-            blk.vecs[R] = r_new[off..off + blk.range.len()].to_vec();
-            off += blk.range.len();
-        }
+        comm.solve_if_system(ctx, &p_full, None, rhs, blocks, R);
     }
 }
 
