@@ -386,7 +386,8 @@ impl EngineComm<'_> {
                 v_out.extend(run.iter().map(|&c| v_loc[c - my_range.start]));
             } else {
                 let pairs = ctx.recv_phase(owner, tag, CommPhase::Recovery).into_pairs();
-                debug_assert!(pairs.iter().map(|e| e.0 as usize).eq(run.iter().copied()));
+                let cols = pairs.iter().map(|e| e.0 as usize);
+                assert!(cols.eq(run.iter().copied()), "values from rank {owner}");
                 v_out.extend(pairs.into_iter().map(|(_, v)| v));
             }
         }
