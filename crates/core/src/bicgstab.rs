@@ -233,7 +233,7 @@ impl Recurrence for BicgstabState {
         }
         // p̂ = M⁻¹ p ; first scatter (channel 0).
         layout.prec.apply(ctx, p, phat);
-        layout.scatter(ctx, phat, 0, None);
+        layout.scatter(ctx, phat, &[(0, None)], None);
         layout.lm.spmv(phat, &layout.ghosts, v);
         ctx.clock_mut().advance_flops(layout.lm.spmv_flops());
         let rhat0_v = layout.allreduce_sum(ctx, dot(rhat0, v));
@@ -248,7 +248,7 @@ impl Recurrence for BicgstabState {
         // ŝ = M⁻¹ s ; second scatter (channel 1) — the failure boundary
         // follows with both channels scattered.
         layout.prec.apply(ctx, s, shat);
-        layout.scatter(ctx, shat, 1, None);
+        layout.scatter(ctx, shat, &[(1, None)], None);
     }
 
     fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) -> Resume {
@@ -256,7 +256,7 @@ impl Recurrence for BicgstabState {
         // re-exchanges it in full): their ghosts and ŝ copies; the p̂
         // channel heals at the next iteration's scatter. Then fall through
         // to t = A ŝ.
-        layout.scatter(ctx, &self.v[SHAT], 1, to);
+        layout.scatter(ctx, &self.v[SHAT], &[(1, None)], to);
         Resume::Proceed
     }
 

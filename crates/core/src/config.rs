@@ -78,11 +78,14 @@ pub struct RecoveryConfig {
     /// reconstructor coupled to no other, such as a lone one, solves
     /// directly. Under ILU(0) every reconstructor iterates.
     ///
-    /// Redundancy restoration after recovery needs no configuration: the
-    /// interrupted iteration restarts with a fresh scatter of the
-    /// recovered `p(j)`, which re-establishes every lost redundant copy
-    /// before the next failure boundary can observe the gap (the paper's
-    /// "skip steps that have already been performed" remark).
+    /// Redundancy restoration after recovery needs no configuration.
+    /// After a reconstruction in place, PCG and BiCGSTAB repair their last
+    /// scatter into the replaced ranks and go on with the interrupted
+    /// iteration (the paper's "skip steps that have already been
+    /// performed" remark); a Shrink and pipelined PCG restart it with a
+    /// full scatter. Either way every lost redundant copy is back before
+    /// the next failure boundary can observe the gap. The repair is
+    /// `Layout::scatter`'s, in `engine`.
     pub exact_block_precond: bool,
 }
 

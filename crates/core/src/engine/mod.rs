@@ -196,24 +196,40 @@ impl Layout {
 
     /// The SpMV scatter of `v` into [`Layout::ghosts`], to the sorted
     /// ranks `to` only (`None`: every member). Under ESR protection (the
-    /// layout carries retention channels) the exchange also distributes
-    /// the redundant copies, and a receiver retains them in `channel`,
-    /// rotating that channel's generations. After a reconstruction in
-    /// place, scattering the last vector again to the replaced ranks is
-    /// the repair: it refills what a replacement lost with its memory (its
-    /// ghosts and `channel`'s current generation) as a full scatter would;
-    /// every survivor still holds its own.
-    pub fn scatter(&mut self, ctx: &mut NodeCtx, v: &[f64], channel: usize, to: Option<&[usize]>) {
+    /// layout carries retention channels) the messages also carry the
+    /// `(channel, copy)` pairs of `copies` — `None` is `v` itself — and a
+    /// receiver retains each in its channel, rotating that channel's
+    /// generations ([`ScatterPlan::exchange_to`] has the wire rule).
+    ///
+    /// This is also how redundancy comes back after a recovery. After a
+    /// reconstruction in place, PCG and BiCGSTAB scatter their last vector
+    /// again to the replaced ranks and go on with the interrupted
+    /// iteration: the repair refills what a replacement lost with its
+    /// memory (its ghosts and the channel's current generation) as a full
+    /// scatter would, and every survivor still holds its own. A Shrink and
+    /// pipelined PCG restart the iteration, whose full scatter refills
+    /// every channel.
+    pub fn scatter(
+        &mut self,
+        ctx: &mut NodeCtx,
+        v: &[f64],
+        copies: &[(usize, Option<&[f64]>)],
+        to: Option<&[usize]>,
+    ) {
+        // Without ESR protection the layout has no channels: no copies.
+        let copies = if self.channels.is_empty() {
+            &[]
+        } else {
+            copies
+        };
+        // A node outside `to` receives nothing: its channels keep their
+        // generations.
         let receives = to.is_none_or(|to| to.binary_search(&ctx.rank()).is_ok());
-        let ghosts = &mut self.ghosts;
-        match self.channels.get_mut(channel).filter(|_| receives) {
-            Some(ch) => {
-                ch.rotate();
-                self.plan.exchange_to(ctx, v, ghosts, Some(&mut *ch), to);
-                ch.finish_generation();
-            }
-            None => self.plan.exchange_to(ctx, v, ghosts, None, to),
-        }
+        let retained = copies.iter().map(|&(c, _)| c).filter(|_| receives);
+        retained.clone().for_each(|c| self.channels[c].rotate());
+        let (ghosts, channels) = (&mut self.ghosts, Some(&mut self.channels[..]));
+        self.plan.exchange_to(ctx, v, ghosts, copies, channels, to);
+        retained.for_each(|c| self.channels[c].finish_generation());
     }
 
     /// Element-wise all-reduce over the active members, charged to the

@@ -196,7 +196,7 @@ impl Recurrence for PcgState {
 
     fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, _j: u64) {
         // SpMV scatter: ghost exchange + redundancy distribution.
-        layout.scatter(ctx, &self.v[P], 0, None);
+        layout.scatter(ctx, &self.v[P], &[(0, None)], None);
     }
 
     fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) -> Resume {
@@ -205,7 +205,7 @@ impl Recurrence for PcgState {
         if to.is_none() {
             return Resume::Restart;
         }
-        layout.scatter(ctx, &self.v[P], 0, to);
+        layout.scatter(ctx, &self.v[P], &[(0, None)], to);
         Resume::Proceed
     }
 

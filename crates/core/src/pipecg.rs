@@ -40,7 +40,6 @@ use crate::engine::{
 };
 use crate::node::Recurrence;
 use crate::retention::Gen;
-use crate::scatter::PipeBackups;
 
 // Vector slots: the eight block vectors, then the scratch pair
 // `m(j) = M⁻¹ w(j)`, `n(j) = A m(j)`.
@@ -79,8 +78,8 @@ static SHAPE: KernelShape = KernelShape {
 /// ```
 ///
 /// so redundant copies of **u(j)** and **p(j-1)** (two retention channels,
-/// distributed with the `m`-ghost exchange — see
-/// [`crate::scatter::PipeBackups`]) are enough to reconstruct everything:
+/// carried as copies by the `m`-ghost exchange, [`Layout::scatter`]) are
+/// enough to reconstruct everything:
 /// `r = M u` per block from static data, `x` through the engine's shared
 /// inner solve, and the tail `w, s, q, z` through three distributed
 /// `A`-products in the kernel's distributed stage.
@@ -233,32 +232,11 @@ impl Recurrence for PipeState {
         // m(j) = M⁻¹ w(j) — independent of the reduction result.
         layout.prec.apply(ctx, w, m);
 
-        // Ghost exchange of m(j), under ESR with redundant copies of u(j),
-        // p(j-1) appended. The rotation per scatter expires stale
-        // generations (and the post-recovery restart re-scatters,
-        // restoring lost copies).
-        let backups = match layout.channels.as_mut_slice() {
-            [ret_u, ret_p] => {
-                ret_u.rotate();
-                ret_p.rotate();
-                Some(PipeBackups {
-                    u_loc: u,
-                    p_loc: has_dir.then_some(p.as_slice()),
-                    ret_u,
-                    ret_p,
-                })
-            }
-            _ => None,
-        };
-        layout
-            .plan
-            .exchange_pipelined(ctx, m, &mut layout.ghosts, backups);
-        if let [ret_u, ret_p] = layout.channels.as_mut_slice() {
-            ret_u.finish_generation();
-            if has_dir {
-                ret_p.finish_generation();
-            }
-        }
+        // Ghost exchange of m(j), under ESR with redundant copies of u(j)
+        // and — once a direction exists — p(j-1) on the same messages.
+        let copies = [(0, Some(u.as_slice())), (1, Some(p.as_slice()))];
+        let copies = &copies[..if has_dir { 2 } else { 1 }];
+        layout.scatter(ctx, m, copies, None);
     }
 
     fn drain(&mut self, ctx: &mut NodeCtx) {

@@ -38,27 +38,6 @@ use crate::statics::StaticData;
 /// User message tag for SpMV ghost exchange (with appended redundancy).
 pub const TAG_SPMV: u32 = 10;
 
-/// Redundant-copy payloads appended to a pipelined-PCG ghost exchange.
-///
-/// The pipelined solver scatters `m(j) = M⁻¹ w(j)` for its SpMV, but its
-/// ESR reconstruction needs copies of **u(j)** and **p(j-1)** (every other
-/// recurrence vector follows from those two via `s = Ap`, `q = M⁻¹s`,
-/// `z = Aq` — see `crate::pipecg`). So the backup traffic carries
-/// values of `u` and `p` at the same covering index sets (natural ∪ extra)
-/// the blocking solver uses for `p`, appended to the `m`-ghost messages:
-/// still one message and one λ per link.
-pub struct PipeBackups<'a> {
-    /// The owned block of `u(j)`.
-    pub u_loc: &'a [f64],
-    /// The owned block of `p(j-1)` (`None` at iteration 0, where no search
-    /// direction exists yet).
-    pub p_loc: Option<&'a [f64]>,
-    /// Retention store receiving the `u` copies.
-    pub ret_u: &'a mut Retention,
-    /// Retention store receiving the `p` copies.
-    pub ret_p: &'a mut Retention,
-}
-
 /// Index lists for the peers a node has traffic with: `(slot, list)`
 /// entries ascending by slot, empty lists not stored. Reads like the dense
 /// `Vec<Vec<usize>>` it replaces — `lists[k]` is peer `k`'s list, empty
@@ -155,7 +134,8 @@ pub(crate) struct SendLink {
     /// How many leading entries of `gather` are natural SpMV traffic.
     pub n_nat: usize,
     /// The pack list `send_natural[slot] ++ send_extra[slot]` as compact
-    /// local offsets — the single gather walked by the exchange hot paths.
+    /// local offsets: the exchange packs the operand at its first `n_nat`
+    /// entries and each copy at all of them.
     pub gather: Vec<u32>,
     /// The reusable send buffer. In steady state the receiver has dropped
     /// the previous message before our next exchange (iterations are
@@ -345,7 +325,8 @@ impl ScatterPlan {
                 SendLink {
                     slot,
                     n_nat: nat.len(),
-                    // Worst-case payload is the pipelined one: m[nat] ++ u[g] ++ p[g].
+                    // Room for the operand's naturals and two copies of
+                    // `gather`, the most any solver sends (pipelined PCG).
                     buf: Arc::new(Vec::with_capacity(nat.len() + 2 * gather.len())),
                     gather,
                 }
@@ -449,9 +430,10 @@ impl ScatterPlan {
     /// the retention store (if given): the fused SpMV-scatter +
     /// redundancy distribution of one PCG iteration.
     ///
-    /// `ghosts` must have one slot per ghost column. When `retention` is
-    /// `Some`, both natural ghosts and extras are recorded as redundant
-    /// copies of the sender's block.
+    /// `ghosts` must have one slot per ghost column. The operand is its own
+    /// copy: its extras follow the naturals on every link, and with
+    /// `retention` both are recorded as redundant copies of the sender's
+    /// block.
     pub fn exchange(
         &mut self,
         ctx: &mut NodeCtx,
@@ -459,20 +441,38 @@ impl ScatterPlan {
         ghosts: &mut [f64],
         retention: Option<&mut Retention>,
     ) {
-        self.exchange_to(ctx, v_loc, ghosts, retention, None);
+        let channels = retention.map(std::slice::from_mut);
+        self.exchange_to(ctx, v_loc, ghosts, &[(0, None)], channels, None);
     }
 
-    /// [`ScatterPlan::exchange`] over the links into the sorted global
-    /// ranks `to` only (`None`: every link): a node sends on its links to
-    /// a rank in `to`, and receives — every link — only if it is in `to`
-    /// itself. What a receiver ends with is what the full exchange gives
-    /// it; no message moves between two nodes outside `to`.
+    /// The SpMV scatter of `v_loc` into `ghosts`, carrying redundant
+    /// copies on the same messages — one message and one λ per link
+    /// (paper Sec. 4.2) — and exchanged over the links into the sorted
+    /// global ranks `to` only (`None`: every link).
+    ///
+    /// The wire rule, per link: the operand's natural entries, then per
+    /// `(channel, copy)` of `copies` in order the copy's natural ∪ extra
+    /// entries. A copy of the operand itself (`None`) sends only its
+    /// extras, its naturals being the head. A receiver stores copy `c`'s
+    /// values in `channels[c]` when `channels` is given. So PCG and
+    /// BiCGSTAB scatter their operand as its own copy, and pipelined PCG
+    /// scatters `m(j)` with copies of `u(j)` and `p(j-1)`.
+    ///
+    /// A node sends on its links to a rank in `to`, and receives — every
+    /// link — only if it is in `to` itself. What a receiver ends with is
+    /// what the full exchange gives it; no message moves between two nodes
+    /// outside `to`.
+    ///
+    /// # Panics
+    /// Panics when a message's length is not the plan's, in every build: an
+    /// unannounced entry would otherwise shift every copy behind it.
     pub fn exchange_to(
         &mut self,
         ctx: &mut NodeCtx,
         v_loc: &[f64],
         ghosts: &mut [f64],
-        mut retention: Option<&mut Retention>,
+        copies: &[(usize, Option<&[f64]>)],
+        mut channels: Option<&mut [Retention]>,
         to: Option<&[usize]>,
     ) {
         debug_assert_eq!(v_loc.len(), self.my_len);
@@ -485,110 +485,53 @@ impl ScatterPlan {
         {
             let n_nat = link.n_nat;
             let buf = Self::writable(&mut link.buf);
-            buf.extend(link.gather.iter().map(|&o| v_loc[o as usize]));
+            buf.extend(link.gather[..n_nat].iter().map(|&o| v_loc[o as usize]));
+            for &(_, copy) in copies {
+                let (v, from) = copy.map_or((v_loc, n_nat), |v| (v, 0));
+                buf.extend(link.gather[from..].iter().map(|&o| v[o as usize]));
+            }
             if n_nat == 0 {
                 // This link exists only for redundancy: the extra-latency
                 // case of the paper's Sec. 4.2 analysis.
                 ctx.stats_mut().record_extra_latency();
             }
+            let redundancy = buf.len() - n_nat;
             ctx.send_with_phases(
                 self.members[link.slot],
                 TAG_SPMV,
                 Payload::f64s_shared(link.buf.clone()),
                 &[
                     (CommPhase::Spmv, n_nat),
-                    (CommPhase::Redundancy, link.gather.len() - n_nat),
+                    (CommPhase::Redundancy, redundancy),
                 ],
             );
         }
         let receives = into(self.members[self.my_slot]);
         // Receive in deterministic peer order.
         for link in self.recv_links.iter().filter(|_| receives) {
-            let msg = ctx.recv_phase(self.members[link.slot], TAG_SPMV, CommPhase::Spmv);
+            let from = self.members[link.slot];
+            let msg = ctx.recv_phase(from, TAG_SPMV, CommPhase::Spmv);
             let data = msg.as_f64s();
-            debug_assert_eq!(data.len(), link.ghost.len() + link.n_ext);
-            let (nat_vals, ext_vals) = data.split_at(link.ghost.len());
-            ghosts[link.ghost.clone()].copy_from_slice(nat_vals);
-            if let Some(ret) = retention.as_deref_mut() {
-                ret.store(link.slot, nat_vals, ext_vals);
-            }
-        }
-    }
-
-    /// The pipelined-PCG variant of [`ScatterPlan::exchange`]: scatter the
-    /// SpMV operand `m_loc` (natural ghosts only — `m` itself needs no
-    /// backups) and piggyback redundant copies of `u(j)` and `p(j-1)` on
-    /// the same messages. Per link the payload is
-    /// `m[nat] ++ u[nat ∪ ext] ++ p[nat ∪ ext]`, so the per-iteration
-    /// redundancy cost is `2·(|S_ik| + |Rᶜᵢₖ|)` elements but **zero extra
-    /// messages** wherever natural traffic exists — the same
-    /// latency-avoidance argument as the blocking solver's (Sec. 4.2),
-    /// which is what keeps communication hiding worthwhile.
-    pub fn exchange_pipelined(
-        &mut self,
-        ctx: &mut NodeCtx,
-        m_loc: &[f64],
-        ghosts: &mut [f64],
-        mut backups: Option<PipeBackups<'_>>,
-    ) {
-        debug_assert_eq!(m_loc.len(), self.my_len);
-        let has_p = backups.as_ref().is_some_and(|b| b.p_loc.is_some());
-        // Post all sends first (asynchronous channels: no deadlock).
-        for link in &mut self.send_links {
-            let SendLink {
-                slot,
-                n_nat,
-                gather,
-                buf,
-            } = link;
-            let nat = &gather[..*n_nat];
-            let per_vec = gather.len();
-            let buf = Self::writable(buf);
-            buf.extend(nat.iter().map(|&o| m_loc[o as usize]));
-            let mut backup_elems = 0;
-            if let Some(b) = &backups {
-                buf.extend(gather.iter().map(|&o| b.u_loc[o as usize]));
-                backup_elems += per_vec;
-                if let Some(p_loc) = b.p_loc {
-                    buf.extend(gather.iter().map(|&o| p_loc[o as usize]));
-                    backup_elems += per_vec;
-                }
-            }
-            if nat.is_empty() {
-                // This link exists only for redundancy: the extra-latency
-                // case of the paper's Sec. 4.2 analysis.
-                ctx.stats_mut().record_extra_latency();
-            }
-            ctx.send_with_phases(
-                self.members[*slot],
-                TAG_SPMV,
-                Payload::f64s_shared(link.buf.clone()),
-                &[
-                    (CommPhase::Spmv, nat.len()),
-                    (CommPhase::Redundancy, backup_elems),
-                ],
+            let n_nat = link.ghost.len();
+            let copy_len = |copy: Option<&[f64]>| copy.map_or(0, |_| n_nat) + link.n_ext;
+            let want = n_nat + copies.iter().map(|&(_, c)| copy_len(c)).sum::<usize>();
+            assert!(
+                data.len() == want,
+                "scatter message from slot {} (rank {from}) holds {} values; the plan has {want}",
+                link.slot,
+                data.len()
             );
-        }
-        // Receive in deterministic peer order.
-        for link in &self.recv_links {
-            let (k, n_nat) = (link.slot, link.ghost.len());
-            let per_vec = n_nat + link.n_ext;
-            let msg = ctx.recv_phase(self.members[k], TAG_SPMV, CommPhase::Spmv);
-            let data = msg.as_f64s();
-            let expect = n_nat
-                + if backups.is_some() {
-                    per_vec * if has_p { 2 } else { 1 }
-                } else {
-                    0
+            let (nat_vals, mut rest) = data.split_at(n_nat);
+            ghosts[link.ghost.clone()].copy_from_slice(nat_vals);
+            for &(channel, copy) in copies {
+                let (vals, tail) = rest.split_at(copy_len(copy));
+                rest = tail;
+                let (nat, ext) = match copy {
+                    Some(_) => vals.split_at(n_nat),
+                    None => (nat_vals, vals),
                 };
-            debug_assert_eq!(data.len(), expect);
-            ghosts[link.ghost.clone()].copy_from_slice(&data[..n_nat]);
-            if let Some(b) = backups.as_mut() {
-                let u_part = &data[n_nat..n_nat + per_vec];
-                b.ret_u.store(k, &u_part[..n_nat], &u_part[n_nat..]);
-                if has_p {
-                    let p_part = &data[n_nat + per_vec..];
-                    b.ret_p.store(k, &p_part[..n_nat], &p_part[n_nat..]);
+                if let Some(channels) = channels.as_deref_mut() {
+                    channels[channel].store(link.slot, nat, ext);
                 }
             }
         }
@@ -598,6 +541,7 @@ impl ScatterPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retention::Gen;
     use parcomm::{Cluster, ClusterConfig};
     use sparsemat::gen::poisson2d;
     use sparsemat::Csr;
@@ -674,6 +618,29 @@ mod tests {
         plan.refresh_pack_lists();
     }
 
+    // Without retention nothing else reads a message's tail, so only the
+    // length check stands between an unannounced entry and a silently
+    // accepted message in a release build.
+    #[test]
+    #[should_panic(
+        expected = "scatter message from slot 1 (rank 1) holds 7 values; the plan has 6"
+    )]
+    fn a_message_longer_than_the_plan_is_rejected_in_every_profile() {
+        let a = Arc::new(poisson2d(6, 6));
+        Cluster::run(ClusterConfig::new(3), move |ctx| {
+            let part = BlockPartition::new(36, ctx.size());
+            let lm = LocalMatrix::build(&a, &part, ctx.rank());
+            let mut plan = ScatterPlan::build(ctx, &lm, &part);
+            if ctx.rank() == 1 {
+                // An extra for slot 0 that was never announced to it.
+                plan.send_extra = [(0, vec![0])].into_iter().collect();
+                plan.refresh_pack_lists();
+            }
+            let mut ghosts = vec![0.0; lm.ghost_cols.len()];
+            plan.exchange(ctx, &vec![1.0; lm.n_local()], &mut ghosts, None);
+        });
+    }
+
     /// The oracle of [`derived_plans_equal_the_collective_ones`]: per rank of
     /// a cluster cut by `part`, the world `build`, then per `(φ, strategy)`
     /// Eqn. 6 and `announce_extras` on a copy of it.
@@ -714,21 +681,26 @@ mod tests {
         lower.to_csr()
     }
 
-    #[test]
-    fn derived_plans_equal_the_collective_ones() {
+    /// The exchange tests' patterns: a grid, a randomly ordered mesh, a
+    /// band and a structurally nonsymmetric circuit.
+    fn patterns() -> [Csr; 4] {
         use sparsemat::gen::{banded_spd, circuit_like, mesh_laplacian_2d, MeshOrdering};
-        let patterns = [
+        [
             poisson2d(6, 9),
             mesh_laplacian_2d(8, 8, MeshOrdering::Random, 3),
             banded_spd(60, 5, 0.6, 4),
             lower_part(&circuit_like(64, 3, 0.2, 5)),
-        ];
+        ]
+    }
+
+    #[test]
+    fn derived_plans_equal_the_collective_ones() {
         let strategies = [
             BackupStrategy::Minimal,
             BackupStrategy::MinimalConsecutive,
             BackupStrategy::FullBlock,
         ];
-        for a in patterns {
+        for a in patterns() {
             let a = Arc::new(a);
             let n = a.n_rows();
             let statics = StaticData::new(a.clone());
@@ -769,6 +741,20 @@ mod tests {
         }
     }
 
+    /// This rank's collective plan on `nodes` equal blocks of `a`, with the
+    /// Eqn. 6 extras at `phi` announced, and its local rows.
+    fn plan_with_extras(ctx: &mut NodeCtx, a: &Csr, phi: usize) -> (ScatterPlan, LocalMatrix) {
+        let (rank, k) = (ctx.rank(), ctx.size());
+        let part = BlockPartition::new(a.n_rows(), k);
+        let lm = LocalMatrix::build(a, &part, rank);
+        let mut plan = ScatterPlan::build(ctx, &lm, &part);
+        let strategy = &BackupStrategy::Minimal;
+        plan.send_extra =
+            compute_extra_sends(rank, k, phi, strategy, lm.n_local(), &plan.send_natural);
+        plan.announce_extras(ctx);
+        (plan, lm)
+    }
+
     /// A full scatter of `v` into `ghosts` and a new generation of `ret`.
     fn scatter_all(
         plan: &mut ScatterPlan,
@@ -782,18 +768,59 @@ mod tests {
         ret.finish_generation();
     }
 
+    /// The ghosts and `ret`'s current generation, as bits.
+    fn bits(ghosts: &[f64], ret: &Retention) -> (Vec<u64>, Vec<(u64, u64)>) {
+        let cur = ret.collect_range(Gen::Cur, 0, usize::MAX);
+        let cur = cur.into_iter().map(|(i, v)| (i, v.to_bits()));
+        (ghosts.iter().map(|v| v.to_bits()).collect(), cur.collect())
+    }
+
+    #[test]
+    fn piggybacked_copies_equal_separate_scatters() {
+        for a in patterns() {
+            let (n, a) = (a.n_rows(), Arc::new(a));
+            for phi in 1..=2 {
+                let a = a.clone();
+                let out = Cluster::run(ClusterConfig::new(5), move |ctx| {
+                    let (mut plan, lm) = plan_with_extras(ctx, &a, phi);
+                    let wave = |f: f64| -> Vec<f64> {
+                        lm.range.clone().map(|i| (f * i as f64).sin()).collect()
+                    };
+                    let (m, u, p) = (wave(0.7), wave(0.3), wave(1.1));
+                    let fresh = Retention::build(&plan, &lm.ghost_cols);
+                    let (mut separate, mut together) =
+                        ([fresh.clone(), fresh.clone()], [fresh.clone(), fresh]);
+                    let mut ghosts = vec![0.0; lm.ghost_cols.len()];
+                    // Separately: m plain, then u and p each with retention.
+                    for (v, ret) in [&u, &p].into_iter().zip(&mut separate) {
+                        scatter_all(&mut plan, ctx, v, &mut ghosts, ret);
+                    }
+                    plan.exchange(ctx, &m, &mut ghosts, None);
+                    let want = separate.map(|ret| bits(&ghosts, &ret));
+                    // Together: m carrying copies of u and p.
+                    parcomm::fault::poison(&mut ghosts);
+                    together.iter_mut().for_each(Retention::rotate);
+                    let before = ctx.stats().total_msgs();
+                    let copies = [(0, Some(u.as_slice())), (1, Some(p.as_slice()))];
+                    plan.exchange_to(ctx, &m, &mut ghosts, &copies, Some(&mut together), None);
+                    let sent = ctx.stats().total_msgs() - before;
+                    together.iter_mut().for_each(Retention::finish_generation);
+                    let got = together.map(|ret| bits(&ghosts, &ret));
+                    (want == got, sent == plan.send_links.len() as u64)
+                });
+                for (rank, (same, one_each)) in out.into_iter().enumerate() {
+                    let at = format!("n = {n}, φ = {phi}, rank {rank}");
+                    assert!(same, "{at}: the copies differ from separate scatters");
+                    assert!(one_each, "{at}: not one message per link");
+                }
+            }
+        }
+    }
+
     #[test]
     fn an_exchange_into_replaced_ranks_refills_them_alone() {
-        use crate::retention::Gen;
-        use sparsemat::gen::{banded_spd, circuit_like, mesh_laplacian_2d, MeshOrdering};
-        let patterns = [
-            poisson2d(6, 9),
-            mesh_laplacian_2d(8, 8, MeshOrdering::Random, 3),
-            banded_spd(60, 5, 0.6, 4),
-            lower_part(&circuit_like(64, 3, 0.2, 5)),
-        ];
         let nodes = 5;
-        for a in patterns {
+        for a in patterns() {
             let a = Arc::new(a);
             let n = a.n_rows();
             for phi in 1..=2 {
@@ -801,19 +828,8 @@ mod tests {
                     let at = format!("n = {n}, φ = {phi}, replaced {replaced:?}");
                     let (a, to) = (a.clone(), replaced.clone());
                     let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
-                        let (rank, k) = (ctx.rank(), ctx.size());
-                        let part = BlockPartition::new(n, k);
-                        let lm = LocalMatrix::build(&a, &part, rank);
-                        let mut plan = ScatterPlan::build(ctx, &lm, &part);
-                        plan.send_extra = compute_extra_sends(
-                            rank,
-                            k,
-                            phi,
-                            &BackupStrategy::Minimal,
-                            lm.n_local(),
-                            &plan.send_natural,
-                        );
-                        plan.announce_extras(ctx);
+                        let rank = ctx.rank();
+                        let (mut plan, lm) = plan_with_extras(ctx, &a, phi);
                         let wave = |f: f64| -> Vec<f64> {
                             lm.range.clone().map(|i| (f * i as f64).sin()).collect()
                         };
@@ -824,12 +840,6 @@ mod tests {
                         for f in [0.7, 0.3] {
                             scatter_all(&mut plan, ctx, &wave(f), &mut ghosts, &mut ret);
                         }
-                        let bits = |g: &[f64], ret: &Retention| {
-                            let cur = ret.collect_range(Gen::Cur, 0, n);
-                            let cur = cur.into_iter().map(|(i, v)| (i, v.to_bits()));
-                            let g = g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                            (g, cur.collect::<Vec<_>>())
-                        };
                         let want = bits(&ghosts, &ret);
                         let mine = to.contains(&rank);
                         if mine {
@@ -838,8 +848,16 @@ mod tests {
                             ret.rotate();
                         }
                         let before = ctx.stats().total_msgs();
-                        let receives = mine.then_some(&mut ret);
-                        plan.exchange_to(ctx, &wave(0.3), &mut ghosts, receives, Some(&to));
+                        let receives = mine.then_some(std::slice::from_mut(&mut ret));
+                        let copies = [(0, None)];
+                        plan.exchange_to(
+                            ctx,
+                            &wave(0.3),
+                            &mut ghosts,
+                            &copies,
+                            receives,
+                            Some(&to),
+                        );
                         if mine {
                             ret.finish_generation();
                         }

@@ -59,9 +59,9 @@ fn steady_state_allocates_nothing() {
     use SolverKind::{BiCgStab, Pcg, PipeCg};
     let ones = |g| Problem::with_ones_solution(poisson2d(g, g));
     // φ = 2 redundancy: every iteration ships natural ghosts *and* the
-    // Eqn. (6) extras through the reused send buffers; the pipelined
-    // exchange packs three vectors (m, u-backups, p-backups) per peer
-    // message through the same buffers.
+    // Eqn. (6) extras through the reused send buffers; pipelined PCG packs
+    // its operand m and the copies of u and p per peer message through
+    // the same buffers, and without protection m alone.
     let cells = [
         (
             "pcg plain",
@@ -71,6 +71,7 @@ fn steady_state_allocates_nothing() {
         ),
         ("pcg esr", Pcg, ones(20), SolverConfig::resilient(2)),
         ("pcg checkpoint", Pcg, ones(16), checkpointed()),
+        ("pipecg plain", PipeCg, ones(16), SolverConfig::reference()),
         ("pipecg esr", PipeCg, ones(18), SolverConfig::resilient(2)),
         ("pipecg checkpoint", PipeCg, ones(16), checkpointed()),
         (
