@@ -426,14 +426,10 @@ impl ScatterPlan {
         self.refresh_pack_lists();
     }
 
-    /// Exchange ghost values of `v_loc` and deposit received copies into
-    /// the retention store (if given): the fused SpMV-scatter +
-    /// redundancy distribution of one PCG iteration.
-    ///
-    /// `ghosts` must have one slot per ghost column. The operand is its own
-    /// copy: its extras follow the naturals on every link, and with
-    /// `retention` both are recorded as redundant copies of the sender's
-    /// block.
+    /// [`ScatterPlan::exchange_to`] over every link with `v_loc` as its
+    /// own copy: ghost values into `ghosts` (one slot per ghost column)
+    /// and, with `retention`, naturals and extras recorded as redundant
+    /// copies of the sender's block.
     pub fn exchange(
         &mut self,
         ctx: &mut NodeCtx,
@@ -465,7 +461,8 @@ impl ScatterPlan {
     ///
     /// # Panics
     /// Panics when a message's length is not the plan's, in every build: an
-    /// unannounced entry would otherwise shift every copy behind it.
+    /// unannounced entry would otherwise be dropped unseen or shift every
+    /// copy behind it.
     pub fn exchange_to(
         &mut self,
         ctx: &mut NodeCtx,
