@@ -104,7 +104,7 @@ impl<'a> Rollback<'a> {
         let (plan, store) = (at.plan, &*self.store);
         let me = plan.me;
         let server_of = |f: usize| -> usize {
-            let holders = store.holders_of(&layout.members, f);
+            let holders = store.holders_of(&layout.plan.members, f);
             holders
                 .iter()
                 .copied()
@@ -125,6 +125,7 @@ impl<'a> Rollback<'a> {
         let lost_of = |r: usize| plan.failed.binary_search(&r).ok().map(|i| &plan.lost[i]);
         let from = |r: usize| lost_of(r).map_or(r, |l| server_of(l.rank));
         let senders = layout
+            .plan
             .members
             .iter()
             .enumerate()
@@ -139,7 +140,7 @@ impl<'a> Rollback<'a> {
         }
         let new_range = plan.new_part.range(plan.new_slot());
         let mut fetched = Vec::new();
-        for (r, rows) in cut(&layout.part, &layout.members, &new_range) {
+        for (r, rows) in cut(&layout.part, &layout.plan.members, &new_range) {
             let src = from(r);
             let data = match lost_of(r) {
                 _ if src != me => ctx.recv_phase(src, tag(at.seq, OFF_FETCH), CommPhase::Recovery),
@@ -250,7 +251,7 @@ impl Flavor for Rollback<'_> {
         unpack(kernel, &merged, new_nloc);
         if !plan.retired().is_empty() {
             rebuild_layout_after_shrink(ctx, at, layout, kernel);
-            self.store.rebuild(&layout.members, layout.my_slot);
+            self.store.rebuild(&layout.plan.members, layout.my_slot);
         }
         self.store.own = Checkpoint {
             iteration: epoch,

@@ -220,7 +220,7 @@ impl Reconstruction {
             self.blocks.push(blk);
         }
         let new_range = plan.new_part.range(plan.new_slot());
-        for (src, rows) in cut(&layout.part, &layout.members, &new_range) {
+        for (src, rows) in cut(&layout.part, &layout.plan.members, &new_range) {
             if src != me && plan.failed.binary_search(&src).is_err() {
                 self.handed
                     .push(take_over(ctx, src, tag(seq, OFF_SCALARS), rows));
@@ -381,7 +381,7 @@ impl EngineComm<'_> {
         // adopter reads its own block locally.
         let mut v_out = Vec::with_capacity(needed.len());
         for run in needed.chunk_by(|&a, &b| part.owner_of(a) == part.owner_of(b)) {
-            let owner = self.layout.members[part.owner_of(run[0])];
+            let owner = self.layout.plan.members[part.owner_of(run[0])];
             if owner == me {
                 v_out.extend(run.iter().map(|&c| v_loc[c - my_range.start]));
             } else {

@@ -124,8 +124,9 @@ pub(crate) fn tag(seq: u32, off: u32) -> u32 {
 /// members are `0..N` and collectives go through the world communicator;
 /// after a shrink they go through the surviving members' [`Group`].
 pub(crate) struct Layout {
-    /// One contiguous block per member, in member order.
-    pub part: BlockPartition,
+    /// One contiguous block per member, in member order (on the full
+    /// cluster the copy [`StaticData`] shares for the cluster size).
+    pub part: Arc<BlockPartition>,
     /// This node's block rows of `A` (shared static data).
     pub lm: Arc<LocalMatrix>,
     /// Ghost-exchange + redundancy plan on the current layout.
@@ -139,9 +140,7 @@ pub(crate) struct Layout {
     /// Ghost values of the most recently scattered vector (one per ghost
     /// column of `lm`).
     pub ghosts: Vec<f64>,
-    /// Sorted global ranks of the active members.
-    pub members: Vec<usize>,
-    /// This node's slot (`members[my_slot] == rank`).
+    /// This node's slot (`plan.members[my_slot] == rank`).
     pub my_slot: usize,
     /// The shrunken communicator (`None` while the full cluster is alive).
     pub group: Option<Group>,
@@ -161,9 +160,10 @@ impl Layout {
         n_channels: usize,
     ) -> Self {
         let rank = ctx.rank();
-        let part = BlockPartition::new(statics.matrix().n_rows(), ctx.size());
+        let (part, members) = statics.cluster(ctx.size());
         let lm = statics.block(&part.range(rank));
         let mut plan = ScatterPlan::build(ctx, &lm, &part);
+        plan.members = members; // the shared list, not a copy per node
         let esr = cfg.resilience.as_ref().filter(|res| res.is_esr());
         if let Some(res) = esr {
             plan.send_extra = redundancy::compute_extra_sends(
@@ -188,7 +188,6 @@ impl Layout {
             plan,
             channels,
             prec,
-            members: (0..ctx.size()).collect(),
             my_slot: rank,
             group: None,
         }
@@ -269,7 +268,7 @@ impl Layout {
     pub fn poll_member_failures(&self, ctx: &NodeCtx, boundary: FailAt) -> Vec<usize> {
         ctx.poll_failures(boundary)
             .into_iter()
-            .filter(|f| self.members.binary_search(f).is_ok())
+            .filter(|f| self.plan.members.binary_search(f).is_ok())
             .collect()
     }
 }
@@ -732,12 +731,13 @@ fn restart_protocol<F: Flavor>(
         ctx.trace_open("attempt", seq as u64);
         let mut seg_t = ctx.vtime();
         ctx.trace_open(labels[0], 0);
+        let members = &layout.plan.members;
         assert!(
-            failed.len() < layout.members.len(),
+            failed.len() < members.len(),
             "all {} active nodes failed — nothing left to recover from",
-            layout.members.len()
+            members.len()
         );
-        let plan = EventPlan::new(&layout.members, &layout.part, env.setup, me, &failed, avail);
+        let plan = EventPlan::new(members, &layout.part, env.setup, me, &failed, avail);
         ctx.trace_instant("grant", plan.granted as u64);
         if plan.retired().binary_search(&me).is_ok() {
             // No replacement for this node: it is gone. Its subdomain is
@@ -843,7 +843,7 @@ pub(crate) fn rebuild_layout_after_shrink(
         layout.lm = lm;
     }
     let lm = layout.lm.clone();
-    let members = plan.new_members.clone();
+    let members = plan.new_members.clone().into();
     let mut scatter = ScatterPlan::derive(env.statics, &lm, &plan.new_part, members, my_new_slot);
     // φ′ = min(φ, N′ − 1): the shrunken ring may be too small for φ copies.
     let phi_eff = env.res.phi.min(plan.new_members.len() - 1);
@@ -860,11 +860,10 @@ pub(crate) fn rebuild_layout_after_shrink(
         }
     }
 
-    layout.part = plan.new_part.clone();
+    layout.part = Arc::new(plan.new_part.clone());
     layout.ghosts = vec![0.0; lm.ghost_cols.len()];
     layout.plan = scatter;
     layout.channels = channels;
-    layout.members = plan.new_members.clone();
     layout.my_slot = my_new_slot;
     layout.group = Some(ctx.group(&plan.new_members));
 }

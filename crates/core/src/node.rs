@@ -23,7 +23,6 @@
 //! every pinned `vtime_recovery` was measured under.
 
 use parcomm::{CommStats, FailAt, NodeCtx};
-use sparsemat::BlockPartition;
 
 use crate::config::{SolverConfig, SolverKind};
 use crate::driver::Problem;
@@ -177,7 +176,7 @@ fn solve_node<K: Recurrence>(
     let cr = cfg.resilience.as_ref().and_then(|res| res.cr());
     let mut book = RecoveryBook::new(
         ctx.spare_pool(),
-        cr.map(|c| CheckpointStore::new(c, &layout.members, layout.my_slot)),
+        cr.map(|c| CheckpointStore::new(c, &layout.plan.members, layout.my_slot)),
     );
     let mut iterations = 0usize;
     let mut residual_sq = r0_sq;
@@ -220,10 +219,8 @@ fn solve_node<K: Recurrence>(
                     b,
                     res,
                     precond: &cfg.precond,
-                    // `Layout::build_full`'s partition, re-derived here
-                    // rather than held through the solve: it is N + 1
-                    // words on every node, and only a recovery reads it.
-                    setup: &BlockPartition::new(problem.n(), ctx.size()),
+                    // `Layout::build_full`'s partition.
+                    setup: &statics.cluster(ctx.size()).0,
                     iteration: j,
                     has_prev: kernel.has_prev(j),
                 };
@@ -395,6 +392,19 @@ mod tests {
         check_kernel_contract::<PcgState>();
         check_kernel_contract::<PipeState>();
         check_kernel_contract::<BicgstabState>();
+    }
+
+    #[test]
+    fn per_node_values_stay_small() {
+        // A value on a node stack is copied through the frames of each of
+        // N threads: 4 KB of inline histograms in each once made the
+        // stacks of N = 512 nodes hold 26 MB.
+        for (name, size) in [
+            ("NodeCtx", std::mem::size_of::<parcomm::NodeCtx>()),
+            ("NodeOutcome", std::mem::size_of::<NodeOutcome>()),
+        ] {
+            assert!(size <= 512, "{name} is {size} B");
+        }
     }
 
     /// A direct `Cluster::run` user (no driver in front) with a

@@ -350,7 +350,7 @@ mod tests {
         // receives extras {2} from peer 0, {21} from peer 2.
         let mut plan = ScatterPlan {
             nodes: 3,
-            members: vec![0, 1, 2],
+            members: [0, 1, 2].into(),
             my_slot: 1,
             my_start: 10,
             my_len: 10,

@@ -166,7 +166,7 @@ pub struct ScatterPlan {
     pub nodes: usize,
     /// Global ranks of the participants, ascending; `members[slot]` is the
     /// rank owning partition block `slot`. Identity on the full cluster.
-    pub members: Vec<usize>,
+    pub members: Arc<[usize]>,
     /// This node's slot (`members[my_slot] == rank`).
     pub my_slot: usize,
     /// Start of the owned range (local offset = global − start).
@@ -219,7 +219,7 @@ impl ScatterPlan {
         statics: &StaticData,
         lm: &LocalMatrix,
         part: &BlockPartition,
-        members: Vec<usize>,
+        members: Arc<[usize]>,
         my_slot: usize,
     ) -> Self {
         debug_assert_eq!(members.len(), part.nodes());
@@ -264,7 +264,7 @@ impl ScatterPlan {
     /// Panics when a peer requests an index this node does not own — in
     /// every build: a wrapped offset would send a wrong value silently.
     fn assemble(
-        members: Vec<usize>,
+        members: Arc<[usize]>,
         my_slot: usize,
         lm: &LocalMatrix,
         recv_ghost_range: Vec<(usize, Range<usize>)>,
@@ -603,7 +603,7 @@ mod tests {
         let lm = LocalMatrix::build(&a, &part, 1);
         let (_, ghost_ranges) = ScatterPlan::ghost_requests(&lm, &part);
         let incoming = vec![(0, vec![12, 3]), (2, vec![23])];
-        ScatterPlan::assemble(vec![0, 1, 2], 1, &lm, ghost_ranges, incoming);
+        ScatterPlan::assemble([0, 1, 2].into(), 1, &lm, ghost_ranges, incoming);
     }
 
     #[test]
@@ -715,7 +715,7 @@ mod tests {
                     BlockPartition::new(n, k),
                     BlockPartition::from_starts(starts),
                 ] {
-                    let members: Vec<usize> = (0..k).map(|s| 2 * s + 1).collect();
+                    let members: Arc<[usize]> = (0..k).map(|s| 2 * s + 1).collect();
                     let collective = collective_plans(a.clone(), part.clone(), settings.clone());
                     for (slot, (natural, extras)) in collective.iter().enumerate() {
                         let lm = statics.block(&part.range(slot));

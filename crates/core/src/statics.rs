@@ -46,6 +46,9 @@ struct Entry {
     factor: OnceLock<Result<Arc<SparseLdl>, PrecondError>>,
 }
 
+/// A full cluster's partition and its member list.
+pub(crate) type FullCluster = (Arc<BlockPartition>, Arc<[usize]>);
+
 /// The tolerance of [`StaticData::is_symmetric`], relative to the largest
 /// `|a_ij|`. An assembled symmetric matrix differs from its transpose by
 /// rounding in the last bits of its entries (≈ 1e-16 relative); 1e-12
@@ -59,6 +62,8 @@ pub struct StaticData {
     entries: Mutex<HashMap<Range<usize>, Arc<Entry>>>,
     /// [`Self::block_jacobi`], per partition (keyed by its block starts).
     setups: Mutex<HashMap<Vec<usize>, BlockFactors>>,
+    /// [`Self::cluster`], per cluster size.
+    clusters: Mutex<HashMap<usize, FullCluster>>,
     blocks_built: AtomicUsize,
     factors_built: AtomicUsize,
 }
@@ -71,6 +76,7 @@ impl StaticData {
             symmetric: OnceLock::new(),
             entries: Mutex::new(HashMap::new()),
             setups: Mutex::new(HashMap::new()),
+            clusters: Mutex::new(HashMap::new()),
             blocks_built: AtomicUsize::new(0),
             factors_built: AtomicUsize::new(0),
         }
@@ -142,6 +148,16 @@ impl StaticData {
         let m: BlockFactors = factors.collect::<Result<_, _>>()?;
         setups.insert(part.starts().to_vec(), m.clone());
         Ok(m)
+    }
+
+    /// The full cluster of `nodes`: its partition and its member list
+    /// (the identity), one copy per cluster size for every node and solve.
+    /// A copy per node would make each node's memory grow with N.
+    pub(crate) fn cluster(&self, nodes: usize) -> FullCluster {
+        let mut clusters = self.clusters.lock().expect("a partition panicked");
+        let part = || Arc::new(BlockPartition::new(self.a.n_rows(), nodes));
+        let new = || (part(), (0..nodes).collect());
+        clusters.entry(nodes).or_insert_with(new).clone()
     }
 
     /// What has been derived so far (statistics; not synchronized with

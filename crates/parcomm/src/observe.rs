@@ -82,13 +82,14 @@ pub(crate) fn split_elems(split: &[(CommPhase, usize)]) -> usize {
 }
 
 /// One node's observers. The statistics are part of every build's results;
-/// the auditor and the tracer are diagnostics a feature compiles in.
+/// the auditor and the tracer are diagnostics a feature compiles in, boxed
+/// like the statistics' histograms to keep the node context small.
 pub(crate) struct Observers {
     pub(crate) stats: CommStats,
     #[cfg(feature = "audit")]
-    audit: crate::audit::AuditState,
+    audit: Box<crate::audit::AuditState>,
     #[cfg(feature = "trace")]
-    trace: crate::trace::TraceState,
+    trace: Box<crate::trace::TraceState>,
 }
 
 /// What a node's diagnostic observers recorded, handed back at teardown.
@@ -106,9 +107,9 @@ impl Observers {
         Observers {
             stats: CommStats::new(),
             #[cfg(feature = "audit")]
-            audit: crate::audit::AuditState::new(rank),
+            audit: Box::new(crate::audit::AuditState::new(rank)),
             #[cfg(feature = "trace")]
-            trace: crate::trace::TraceState::new(rank),
+            trace: Box::new(crate::trace::TraceState::new(rank)),
         }
     }
 

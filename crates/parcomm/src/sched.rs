@@ -379,13 +379,10 @@ struct SchedInner {
     state: Vec<NodeState>,
     /// Per-rank unexpected-message queue, in delivery order. One queue per
     /// receiver: per-source deques cost 30 % more resident memory at
-    /// N = 512 and bought no wall time. Sized up front, by the harness
-    /// thread, for the largest burst a collective still produces (a gather
-    /// parks N − 1 messages at its root; a ghost exchange a node's degree;
-    /// the resident collectives none — and untouched capacity is never
-    /// resident): growing and shrinking per burst from the node threads
-    /// fragmented their malloc arenas, +25 MB peak RSS over 25 runs at
-    /// N = 512.
+    /// N = 512 and bought no wall time. Each starts empty and grows to the
+    /// largest burst its rank receives (a ghost exchange parks the node's
+    /// degree). Never pre-size them for N: a ring buffer's head walks its
+    /// whole capacity under steady traffic, so N² slots would be resident.
     queues: Vec<VecDeque<Message>>,
     /// Runnable nodes keyed by `(vtime bits, rank)`. Virtual times are
     /// non-negative, so their bit patterns order like the values; ties
@@ -440,7 +437,7 @@ impl Scheduler {
         Scheduler {
             inner: Mutex::new(SchedInner {
                 state: vec![NodeState::Runnable; n],
-                queues: (0..n).map(|_| VecDeque::with_capacity(n)).collect(),
+                queues: (0..n).map(|_| VecDeque::new()).collect(),
                 runnable: (0..n).map(|r| Reverse((0, r))).collect(),
                 colls: HashMap::new(),
                 outcomes: (0..n).map(|_| None).collect(),
@@ -912,6 +909,13 @@ mod tests {
         for x in [1.0, 3.0, 2.0] {
             assert_eq!(take(&s, Some(1), 7), Some(Payload::F64(x)));
         }
+    }
+
+    #[test]
+    fn queues_start_without_capacity() {
+        // A queue's capacity follows its own rank's traffic, never N.
+        let s = Scheduler::new(1024);
+        assert!(s.lock().queues.iter().all(|q| q.capacity() == 0));
     }
 
     #[test]
