@@ -45,7 +45,7 @@ use crate::engine::{
     self, splice_slots, ChannelRead, EngineComm, EngineEnv, KernelShape, Layout, ReconBlock,
     ResilientKernel,
 };
-use crate::node::{Recurrence, Resume};
+use crate::node::Recurrence;
 use crate::retention::Gen;
 
 // Vector slots: the seven block vectors, then the static shadow residual
@@ -68,12 +68,14 @@ static SHAPE: KernelShape = KernelShape {
     r_slot: R,
     x_slot: X,
     // Loop-top recurrence state: [x | r | r̂0 | p | v | α, ω, ρ, ρ(j+1)].
-    // Everything else (s, p̂, ŝ, t) is recomputed within the restarted
+    // Everything else (s, p̂, ŝ, t) is recomputed within a rolled-back
     // iteration.
     pack_slots: &[X, R, RHAT0, P, V],
+    pack_scalars: 4,
     // ρ(j) is needed by the *next* iteration's β and would be lost with
-    // the node; ω and ρ(j+1) are recomputed after the ESR mid-iteration
-    // restart.
+    // the node. ω and ρ(j+1) are not re-sent: they stay NaN on a
+    // replacement until `finish_iteration(j)` writes them, before the
+    // next iteration reads them.
     resent_scalars: &[ALPHA, RHO],
 };
 
@@ -251,13 +253,12 @@ impl Recurrence for BicgstabState {
         layout.scatter(ctx, shat, &[(1, None)], None);
     }
 
-    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) -> Resume {
+    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) {
         // Repair the ŝ scatter into the replaced ranks (a shrunken layout
         // re-exchanges it in full): their ghosts and ŝ copies; the p̂
         // channel heals at the next iteration's scatter. Then fall through
         // to t = A ŝ.
         layout.scatter(ctx, &self.v[SHAT], &[(1, None)], to);
-        Resume::Proceed
     }
 
     fn finish_iteration(

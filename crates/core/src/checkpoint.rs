@@ -216,8 +216,7 @@ impl Flavor for Rollback<'_> {
     ) -> (usize, Option<u64>) {
         let (plan, epoch) = (at.plan, self.epoch);
         let new_range = plan.new_part.range(plan.new_slot());
-        let nv = kernel.shape().pack_slots.len();
-        let ns = kernel.scalars().len();
+        let (nv, ns) = (kernel.shape().pack_slots.len(), kernel.shape().pack_scalars);
         let new_nloc = new_range.len();
         let mut merged = vec![f64::NAN; nv * new_nloc + ns];
         // Each pack gives the rows it shares with the new range.

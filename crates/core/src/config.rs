@@ -79,12 +79,11 @@ pub struct RecoveryConfig {
     /// directly. Under ILU(0) every reconstructor iterates.
     ///
     /// Redundancy restoration after recovery needs no configuration.
-    /// After a reconstruction in place, PCG and BiCGSTAB repair their last
-    /// scatter into the replaced ranks and go on with the interrupted
-    /// iteration (the paper's "skip steps that have already been
-    /// performed" remark); a Shrink and pipelined PCG restart it with a
-    /// full scatter. Either way every lost redundant copy is back before
-    /// the next failure boundary can observe the gap. The repair is
+    /// After every reconstruction the solver repairs its last scatter —
+    /// into the replaced ranks, or in full after a Shrink — and goes on
+    /// with the interrupted iteration (the paper's "skip steps that have
+    /// already been performed" remark), so every redundant copy the next
+    /// failure boundary reads is back before it. The repair is
     /// `Layout::scatter`'s, in `engine`.
     pub exact_block_precond: bool,
 }

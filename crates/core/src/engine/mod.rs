@@ -200,14 +200,13 @@ impl Layout {
     /// receiver retains each in its channel, rotating that channel's
     /// generations ([`ScatterPlan::exchange_to`] has the wire rule).
     ///
-    /// This is also how redundancy comes back after a recovery. After a
-    /// reconstruction in place, PCG and BiCGSTAB scatter their last vector
-    /// again to the replaced ranks and go on with the interrupted
-    /// iteration: the repair refills what a replacement lost with its
-    /// memory (its ghosts and the channel's current generation) as a full
-    /// scatter would, and every survivor still holds its own. A Shrink and
-    /// pipelined PCG restart the iteration, whose full scatter refills
-    /// every channel.
+    /// This is also how a recovery is repaired: every solver scatters its
+    /// last vector again and goes on with the interrupted iteration. In
+    /// place the repair goes to the replaced ranks only and refills what a
+    /// replacement lost with its memory (its ghosts and, for each copy
+    /// passed, the channel's current generation) as a full scatter would;
+    /// every survivor still holds its own. After a Shrink the layout is
+    /// new, and the repair is the full scatter (`to = None`).
     pub fn scatter(
         &mut self,
         ctx: &mut NodeCtx,
@@ -432,10 +431,14 @@ pub(crate) struct KernelShape {
     pub x_slot: usize,
     /// The checkpoint pack's vector slots **in wire order** — deposit
     /// sizes feed virtual time and the redundancy-traffic counters. The
-    /// pack is these vectors concatenated, then every scalar.
+    /// pack is these vectors concatenated, then the packed scalars.
     pub pack_slots: &'static [usize],
+    /// Scalars `0..pack_scalars` are loop-top state and go into the pack;
+    /// a later one is a value of the interrupted iteration (pipelined
+    /// PCG's drained reduction), which a rollback recomputes.
+    pub pack_scalars: usize,
     /// The replicated scalars a replacement node must be re-sent (the rest
-    /// are recomputed by the restarted iteration).
+    /// are written by the continued iteration before they are read).
     pub resent_scalars: &'static [usize],
 }
 
@@ -511,9 +514,11 @@ pub(crate) fn poison(kernel: &mut dyn ResilientKernel) {
 }
 
 /// Pack the loop-top state a rolled-back iteration resumes from: the
-/// [`KernelShape::pack_slots`] vectors concatenated, then the scalars.
+/// [`KernelShape::pack_slots`] vectors concatenated, then the
+/// [`KernelShape::pack_scalars`].
 pub(crate) fn pack(kernel: &dyn ResilientKernel) -> Vec<f64> {
-    let (vecs, slots, scalars) = (kernel.vecs(), kernel.shape().pack_slots, kernel.scalars());
+    let (vecs, shape) = (kernel.vecs(), kernel.shape());
+    let (slots, scalars) = (shape.pack_slots, &kernel.scalars()[..shape.pack_scalars]);
     let mut data = Vec::with_capacity(slots.len() * vecs[slots[0]].len() + scalars.len());
     for &slot in slots {
         data.extend_from_slice(&vecs[slot]);
@@ -525,18 +530,17 @@ pub(crate) fn pack(kernel: &dyn ResilientKernel) -> Vec<f64> {
 /// Restore the state over a block of `nloc` rows from a [`pack`] (after a
 /// shrink: merged across the adopted blocks, so `nloc` may exceed the
 /// packing block's length). Every vector that is not packed restarts
-/// zeroed at the new length — the restarted iteration recomputes it.
+/// zeroed at the new length — the restarted iteration recomputes it — and
+/// a scalar past [`KernelShape::pack_scalars`] is left as it is.
 pub(crate) fn unpack(kernel: &mut dyn ResilientKernel, data: &[f64], nloc: usize) {
-    let slots = kernel.shape().pack_slots;
+    let (slots, n_scalars) = (kernel.shape().pack_slots, kernel.shape().pack_scalars);
     for (slot, v) in kernel.vecs_mut().iter_mut().enumerate() {
         *v = match slots.iter().position(|&s| s == slot) {
             Some(i) => data[i * nloc..(i + 1) * nloc].to_vec(),
             None => vec![0.0; nloc],
         };
     }
-    kernel
-        .scalars_mut()
-        .copy_from_slice(&data[slots.len() * nloc..]);
+    kernel.scalars_mut()[..n_scalars].copy_from_slice(&data[slots.len() * nloc..]);
 }
 
 /// The per-solve recovery bookkeeping: what the engine threads through

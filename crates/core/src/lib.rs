@@ -12,7 +12,7 @@
 //! | Paper | Module |
 //! |---|---|
 //! | Alg. 1 (PCG), block-row distribution (Sec. 1.1.2) | [`pcg`], [`localmat`] |
-//! | The one SPMD node program: setup, failure boundary, restart (Secs. 1.1.1, 2.2) | [`node`] |
+//! | The one SPMD node program: setup, failure boundary, proceed after recovery (Secs. 1.1.1, 2.2) | [`node`] |
 //! | SpMV generalized scatter (Sec. 6) | [`scatter`] |
 //! | Eqns. (2)–(6): `S_ik`, `mᵢ(s)`, `d_ik`, `Rᶜᵢₖ` (Secs. 3–4) | [`redundancy`] |
 //! | Retention of `p(j)`, `p(j-1)` copies (Sec. 2.2) | [`retention`] |
@@ -29,7 +29,8 @@
 //! overlapping-failure restart, spare-pool grants, shrink adoption and the
 //! post-shrink layout rebuild — lives once, in [`engine`], and so does the
 //! solve around it, in [`node`]: one generic loop owns setup, the
-//! checkpoint deposit, the failure boundary and the restart control flow.
+//! checkpoint deposit, the failure boundary and the control flow after a
+//! recovery.
 //! Each solver ([`pcg`], [`pipecg`], [`bicgstab`]) contributes only its
 //! owned state, its recurrence split at its failure boundary, and the
 //! maps from retained copies back to full state. [`driver::run`] takes the

@@ -11,16 +11,18 @@
 //!   periodic checkpoint deposit at the loop top;
 //! * the ULFM failure boundary (paper Sec. 1.1.1) with its once-per-
 //!   iteration high-water mark, the call into [`engine::recover`], and the
-//!   retired / rolled-back / restart / proceed control flow after it;
+//!   control flow after it: retire, roll back to the epoch's loop top, or
+//!   [`Recurrence::resume`] and go on with the iteration;
 //! * the `"iteration"` trace span and the [`NodeOutcome`].
 //!
 //! A solver is a [`Recurrence`]: its owned state (which is also its
 //! [`ResilientKernel`]) and its iteration, split at its own failure
 //! boundary. `vtime_recovery` is the window from the drained boundary to
 //! the end of [`engine::recover`]; what [`Recurrence::resume`]
-//! re-establishes (the repair of the last scatter into the replaced
-//! ranks) is charged to the solve, not to the recovery — the accounting
-//! every pinned `vtime_recovery` was measured under.
+//! re-establishes (the repair of the last scatter, and pipelined PCG's
+//! `m = M⁻¹w` on a replacement) is charged to the solve, not to the
+//! recovery — the accounting every pinned `vtime_recovery` was measured
+//! under.
 
 use parcomm::{CommStats, FailAt, NodeCtx};
 
@@ -72,17 +74,6 @@ pub struct NodeOutcome {
     pub inner_iterations: Vec<usize>,
 }
 
-/// What the loop does after an ESR reconstruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Resume {
-    /// Restart the interrupted iteration from the loop top (its re-scatter
-    /// refills ghosts and restores the lost redundant copies).
-    Restart,
-    /// The hook re-established what the boundary needs; fall through to
-    /// the rest of the iteration.
-    Proceed,
-}
-
 /// A solver as the node loop sees it: owned state plus the iteration,
 /// split where the solver polls for failures.
 pub(crate) trait Recurrence: ResilientKernel + Sized {
@@ -106,20 +97,17 @@ pub(crate) trait Recurrence: ResilientKernel + Sized {
     /// failure boundary.
     fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, j: u64);
     /// Complete communication still in flight at the boundary before a
-    /// recovery starts (its pre-failure values are discarded).
+    /// recovery starts.
     fn drain(&mut self, ctx: &mut NodeCtx) {
         let _ = ctx;
     }
-    /// After an ESR reconstruction (never after a rollback, which always
-    /// restarts from the agreed epoch's loop top): re-establish what the
-    /// engine does not, and say how to continue. `to` names the ranks
-    /// replaced in place on an unchanged layout, which a repair
-    /// [`Layout::scatter`] to them refills; `None` after a Shrink, whose
-    /// layout was rebuilt from scratch.
-    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) -> Resume {
-        let _ = (ctx, layout, to);
-        Resume::Restart
-    }
+    /// After an ESR reconstruction (never after a rollback, which restarts
+    /// from the agreed epoch's loop top): re-establish what the engine does
+    /// not — at least the last scatter before the boundary, repaired with
+    /// [`Layout::scatter`] to `to` — so that the rest of iteration `j`
+    /// follows. `to` names the ranks replaced in place on an unchanged
+    /// layout; `None` after a Shrink, whose layout is new on every link.
+    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>);
     /// The rest of iteration `j`. Returns the new `‖r‖²`; on reaching
     /// `target_sq` the recurrence stops where its convergence test sits.
     fn finish_iteration(
@@ -244,19 +232,14 @@ fn solve_node<K: Recurrence>(
                 book.ranks_recovered += report.total_failed;
                 book.timelines.push(report.timeline);
                 book.inner_iterations.push(report.inner_iterations);
-                let resume = match report.rollback_to {
-                    // Rollback: every rank resumes the checkpointed epoch
-                    // with the unpacked loop-top state.
-                    Some(epoch) => {
-                        iterations = epoch as usize;
-                        Resume::Restart
-                    }
-                    None => kernel.resume(ctx, &mut layout, report.replaced.as_deref()),
-                };
-                if resume == Resume::Restart {
+                // Rollback: every rank restarts the checkpointed epoch with
+                // the unpacked loop-top state.
+                if let Some(epoch) = report.rollback_to {
+                    iterations = epoch as usize;
                     ctx.trace_close(); // iteration
                     continue;
                 }
+                kernel.resume(ctx, &mut layout, report.replaced.as_deref());
             }
         }
 
@@ -352,7 +335,11 @@ mod tests {
             let scalars_before = k.scalars().to_vec();
 
             let data = engine::pack(&k);
-            assert_eq!(data.len(), shape.pack_slots.len() * nloc + n_scalars);
+            assert!(shape.pack_scalars <= n_scalars);
+            assert_eq!(
+                data.len(),
+                shape.pack_slots.len() * nloc + shape.pack_scalars
+            );
 
             // A node failure destroys every block vector and every scalar;
             // what lies beyond the block slots is static data or scratch.
@@ -383,7 +370,8 @@ mod tests {
                     assert_eq!(v, &vec![0.0; nloc], "slot {slot} not re-zeroed");
                 }
             }
-            assert_eq!(k.scalars(), &scalars_before[..]);
+            let packed = ..shape.pack_scalars;
+            assert_eq!(k.scalars()[packed], scalars_before[packed]);
         });
     }
 

@@ -11,7 +11,8 @@
 //! * at every post-SpMV-scatter boundary the node loop polls the ULFM-style
 //!   oracle; on failure, all nodes enter the shared [`crate::engine`]
 //!   recovery, and the interrupted iteration goes on after repairing
-//!   `p(j)`'s scatter into the replaced ranks (a Shrink restarts it).
+//!   `p(j)`'s scatter (into the replaced ranks, or in full after a
+//!   Shrink).
 //!
 //! The solver's side of the recovery contract: one retention channel
 //! (`p(j)`, `p(j-1)` as its two generations), two re-sent scalars
@@ -34,7 +35,7 @@ use crate::config::SolverKind;
 use crate::engine::{
     self, ChannelRead, EngineComm, EngineEnv, KernelShape, Layout, ReconBlock, ResilientKernel,
 };
-use crate::node::{Recurrence, Resume};
+use crate::node::Recurrence;
 use crate::retention::Gen;
 
 // Vector slots: the four block vectors; slot 4 is the SpMV result
@@ -52,9 +53,10 @@ static SHAPE: KernelShape = KernelShape {
     n_block_vecs: 4,
     r_slot: R,
     x_slot: X,
-    // [x | r | z | p | β(j-1), r(j)ᵀz(j)] — the loop-top state a restarted
+    // [x | r | z | p | β(j-1), r(j)ᵀz(j)] — the loop-top state a rolled-back
     // iteration resumes from.
     pack_slots: &[X, R, Z, P],
+    pack_scalars: 2,
     // Both ride the recovery gather to the replaced ranks, so the
     // iteration goes on with the pre-failure r(j)ᵀz(j) on every node.
     resent_scalars: &[BETA, RZ],
@@ -199,14 +201,10 @@ impl Recurrence for PcgState {
         layout.scatter(ctx, &self.v[P], &[(0, None)], None);
     }
 
-    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) -> Resume {
-        // In place, p(j)'s scatter is repaired and the iteration goes on;
-        // a shrunken layout restarts it with a full scatter.
-        if to.is_none() {
-            return Resume::Restart;
-        }
+    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) {
+        // Repair p(j)'s scatter — after a Shrink the same full scatter
+        // `begin_iteration` runs — and go on to u = A p(j).
         layout.scatter(ctx, &self.v[P], &[(0, None)], to);
-        Resume::Proceed
     }
 
     fn finish_iteration(

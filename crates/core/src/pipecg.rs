@@ -17,11 +17,12 @@
 //!   the whole pipelined state is reconstructible through the invariants
 //!   `r = Mu, w = Au, s = Ap, q = M⁻¹s, z = Aq` (see [`PipeState`]);
 //! * the ULFM boundary is polled at the same post-exchange point; a
-//!   failure first drains the in-flight reduction (its values are from the
-//!   pre-failure state and are simply discarded), then reconstructs
-//!   through the shared [`crate::engine`] and restarts the interrupted
-//!   iteration — which re-scatters `m(j)` (restoring redundancy) and
-//!   re-reduces from the reconstructed state.
+//!   failure first drains the in-flight reduction and holds its values
+//!   (reduced over the pre-failure state, they are the failure-free
+//!   twin's), then reconstructs through the shared [`crate::engine`] and
+//!   goes on with the interrupted iteration: a replacement (after a Shrink
+//!   every member) recomputes `m(j)`, the ghost exchange of `m(j)` is
+//!   repaired, and the held values stand in for the wait.
 //!
 //! Requires a block-diagonal (M-given) preconditioner — `None`, `Jacobi`,
 //! or `BlockJacobiExact`. The P-given `ExplicitP` variant applies `P` with
@@ -52,20 +53,22 @@ const S: usize = 5;
 const Q: usize = 6;
 const Z: usize = 7;
 
-// Scalar slots.
+// Scalar slots; `RED..RED + 3` hold the drained reduction.
 const GAMMA: usize = 0;
 const ALPHA: usize = 1;
 const HAS_DIR: usize = 2;
+const RED: usize = 3;
 
 static SHAPE: KernelShape = KernelShape {
     n_block_vecs: 8,
     r_slot: R,
     x_slot: X,
-    // The full 8-vector recurrence state plus every scalar; `has_dir`
-    // travels so the restarted loop top takes the same β branch it
-    // originally did.
+    // The full 8-vector recurrence state plus the loop-top scalars;
+    // `has_dir` travels so a rolled-back loop top takes the same β branch
+    // it originally did. The held reduction is re-issued there instead.
     pack_slots: &[X, R, U, W, P, S, Q, Z],
-    resent_scalars: &[GAMMA, ALPHA],
+    pack_scalars: RED,
+    resent_scalars: &[GAMMA, ALPHA, RED, RED + 1, RED + 2],
 };
 
 /// Pipelined PCG's state over the owned rows.
@@ -87,12 +90,15 @@ pub(crate) struct PipeState {
     /// `[u(j) = M⁻¹r(j), p(j-1), r(j), x(j), w(j) = A u(j), s(j-1) = A p,
     /// q(j-1) = M⁻¹ s, z(j-1) = A q, m(j), n(j)]`.
     v: [Vec<f64>; 10],
-    /// `[γ(j-1) = r(j-1)ᵀu(j-1), α(j-1), has_dir]`. `has_dir` (0.0/1.0) is
-    /// true once a search direction `p(j-1)` exists; while it is false the
-    /// recurrences take the β = 0 branch of iteration 0.
-    s: [f64; 3],
+    /// `[γ(j-1) = r(j-1)ᵀu(j-1), α(j-1), has_dir, γ(j), δ(j), ‖r(j)‖²]`.
+    /// `has_dir` (0.0/1.0) is true once a search direction `p(j-1)` exists;
+    /// while it is false the recurrences take the β = 0 branch of
+    /// iteration 0. The last three are the fused reduction's values, held
+    /// from `drain` across a recovery.
+    s: [f64; 6],
     /// The iteration's single fused reduction, in flight from
-    /// `begin_iteration` to the wait in `finish_iteration`.
+    /// `begin_iteration` to the wait in `finish_iteration`; `None` there
+    /// after a recovery drained it.
     red: Option<AllreduceRequest>,
 }
 
@@ -205,7 +211,7 @@ impl Recurrence for PipeState {
         let nloc = layout.lm.n_local();
         let mut state = PipeState {
             v: std::array::from_fn(|_| vec![0.0; nloc]),
-            s: [0.0; 3],
+            s: [0.0; 6],
             red: None,
         };
         state.v[R].copy_from_slice(&b[layout.lm.range.clone()]);
@@ -240,10 +246,24 @@ impl Recurrence for PipeState {
     }
 
     fn drain(&mut self, ctx: &mut NodeCtx) {
-        // The overlapped reduction's values stem from the pre-failure
-        // state: the restart recomputes them from the reconstructed one.
+        // Reduced over the pre-failure state, (γ, δ, ‖r‖²) are the
+        // failure-free twin's values: held, the iteration goes on with them
+        // (a replacement is re-sent them).
         let red = self.red.take().expect("reduction issued this iteration");
-        let _ = red.wait(ctx);
+        self.s[RED..].copy_from_slice(&red.wait(ctx));
+    }
+
+    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) {
+        // m(j) = M⁻¹ w(j) is not reconstructed: a replacement recomputes
+        // it, and after a Shrink every member on its new layout.
+        let [.., w, _, _, _, m, _] = &mut self.v;
+        if to.is_none_or(|to| to.binary_search(&ctx.rank()).is_ok()) {
+            layout.prec.apply(ctx, w, m);
+        }
+        // Repair m(j)'s ghosts, without the copies: recovery reads only the
+        // current generation, and the next scatter refills it before the
+        // next boundary.
+        layout.scatter(ctx, m, &[], to);
     }
 
     fn finish_iteration(
@@ -254,15 +274,18 @@ impl Recurrence for PipeState {
         target_sq: f64,
     ) -> f64 {
         let [u, p, r, x, w, s, q, z, m, n] = &mut self.v;
-        let [gamma_prev, alpha_prev, has_dir] = &mut self.s;
+        let [gamma_prev, alpha_prev, has_dir, held @ ..] = &mut self.s;
         let nloc = r.len();
 
         // n(j) = A m(j) — the SpMV the reduction hides behind.
         layout.lm.spmv(m, &layout.ghosts, n);
         ctx.clock_mut().advance_flops(layout.lm.spmv_flops());
 
-        let red = self.red.take().expect("reduction issued this iteration");
-        let red = red.wait(ctx);
+        // After a recovery the drained values stand in for the wait.
+        let red = match self.red.take() {
+            Some(red) => red.wait(ctx),
+            None => held.to_vec(),
+        };
         let (gamma, delta) = (red[0], red[1]);
         if red[2] <= target_sq {
             return red[2];

@@ -5,10 +5,12 @@
 //! The pipelined solver issues one non-blocking all-reduce per iteration
 //! and hides its flight time behind the preconditioner application, ghost
 //! exchange, and SpMV. The ULFM boundary sits inside that overlap window:
-//! on a failure the in-flight reduction is drained and discarded, the
-//! state of the failed nodes is reconstructed from the redundant copies of
-//! `u(j)` and `p(j-1)` (everything else follows from `s = Ap`, `q = M⁻¹s`,
-//! `z = Aq`), and the interrupted iteration restarts.
+//! on a failure the in-flight reduction is drained and its values held
+//! (reduced over the pre-failure state, they are the failure-free run's),
+//! the state of the failed nodes is reconstructed from the redundant
+//! copies of `u(j)` and `p(j-1)` (everything else follows from `s = Ap`,
+//! `q = M⁻¹s`, `z = Aq`), and the interrupted iteration goes on with the
+//! held values: the run takes a failure-free twin's iteration count.
 //!
 //! ```sh
 //! cargo run --release --example pipelined_pcg
@@ -39,19 +41,22 @@ fn main() {
     )
     .unwrap();
 
+    let cfg = SolverConfig::resilient(2);
+    let twin = run_pipecg(
+        &problem,
+        nodes,
+        &cfg,
+        CostModel::default(),
+        FailureScript::none(),
+    )
+    .unwrap();
+
     // Ranks 5 and 6 fail at iteration 20 — detected at the post-exchange
     // boundary, i.e. while the iteration's reduction is still in flight.
     let script = FailureScript::simultaneous(20, 5, 2, nodes);
     println!("\ninjected: ranks 5 and 6 at iteration 20 (mid-overlap boundary)");
 
-    let res = run_pipecg(
-        &problem,
-        nodes,
-        &SolverConfig::resilient(2),
-        CostModel::default(),
-        script,
-    )
-    .unwrap();
+    let res = run_pipecg(&problem, nodes, &cfg, CostModel::default(), script).unwrap();
 
     let err = res.x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0, f64::max);
     let exposed = |r: &esr_core::ExperimentResult| r.exposed_vtime_per_iter(CommPhase::Reduction);
@@ -59,8 +64,8 @@ fn main() {
 
     println!("\nconverged        : {}", res.converged);
     println!(
-        "iterations       : {} (blocking reference: {})",
-        res.iterations, blocking.iterations
+        "iterations       : {} (failure-free: {}, blocking reference: {})",
+        res.iterations, twin.iterations, blocking.iterations
     );
     println!("recovery events  : {}", res.recoveries);
     println!("ranks recovered  : {}", res.ranks_recovered);
@@ -80,6 +85,7 @@ fn main() {
     );
 
     assert!(res.converged && res.ranks_recovered == 2 && err < 1e-6);
+    assert_eq!(res.iterations, twin.iterations);
     assert!(exposed(&res) < exposed(&blocking));
     println!("\nok: the failure hit mid-overlap and the pipeline recovered exactly");
 }

@@ -47,7 +47,7 @@ enum Prot {
 
 const NUMERICS: [(Prot, Solver, u64); 6] = [
     (Prot::Esr, Solver::Pcg, 0x664b25d08f1ecdd1),
-    (Prot::Esr, Solver::PipeCg, 0x5f9709ba334395db),
+    (Prot::Esr, Solver::PipeCg, 0x64f6497fdb391e7d),
     (Prot::Esr, Solver::BiCgStab, 0x41794dbfa8877bd5),
     (Prot::Cr, Solver::Pcg, 0x1bfe4369a8cf7d43),
     (Prot::Cr, Solver::PipeCg, 0x7c3c23cdb4aca04e),
@@ -57,7 +57,7 @@ const NUMERICS: [(Prot, Solver, u64); 6] = [
 #[cfg(not(feature = "trace"))]
 const COST: [(Prot, Solver, u64); 6] = [
     (Prot::Esr, Solver::Pcg, 0xeab64a3e44da8e67),
-    (Prot::Esr, Solver::PipeCg, 0x2350a2671ab73967),
+    (Prot::Esr, Solver::PipeCg, 0x73ce1fa64f18ee95),
     (Prot::Esr, Solver::BiCgStab, 0xfe52c4b0638cf817),
     (Prot::Cr, Solver::Pcg, 0xfbcf331e94712471),
     (Prot::Cr, Solver::PipeCg, 0x4f2ecb50c5e63542),
@@ -66,8 +66,8 @@ const COST: [(Prot, Solver, u64); 6] = [
 
 #[cfg(feature = "trace")]
 const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0xd6707a49d596f696),
-    (Prot::Esr, Solver::PipeCg, 0x1143a729eb9b0441),
+    (Prot::Esr, Solver::Pcg, 0xde3748f57eb081ce),
+    (Prot::Esr, Solver::PipeCg, 0x565254e9583499ad),
     (Prot::Esr, Solver::BiCgStab, 0x3b60e93fd4d7febc),
     (Prot::Cr, Solver::Pcg, 0x6dd0e55b8fd940b8),
     (Prot::Cr, Solver::PipeCg, 0x8cc5130976faa9a4),

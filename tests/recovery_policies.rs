@@ -8,7 +8,7 @@
 //! covered from a finite spare pool, or adopted by survivors on a
 //! shrunken cluster.
 
-use esr_core::{run_pcg, ExperimentResult, Problem, RecoveryPolicy, SolverConfig};
+use esr_core::{run, run_pcg, ExperimentResult, Problem, RecoveryPolicy, SolverConfig, SolverKind};
 use parcomm::{CostModel, FailAt, FailureEvent, FailureScript};
 use sparsemat::gen::poisson2d;
 
@@ -184,6 +184,35 @@ fn phi_equals_n_minus_one_boundary() {
             // The lone survivor (rank 0) owns every row afterwards.
             let survivor = res.per_node.iter().find(|o| !o.retired).unwrap();
             assert_eq!(survivor.x_loc.len(), 14 * 14);
+        }
+    }
+}
+
+#[test]
+fn esr_recoveries_proceed_with_the_interrupted_iteration() {
+    // An ESR reconstruction rebuilds the lost state exactly, so every
+    // solver goes on with the interrupted iteration, in place and after a
+    // Shrink: it takes its failure-free twin's iteration count, and a rank
+    // that stays a member takes part in exactly the twin's all-reduces
+    // (restarting the iteration would re-issue the reduction it was in).
+    let nodes = 16;
+    let problem = Problem::with_ones_solution(poisson2d(64, 64));
+    for solver in [SolverKind::Pcg, SolverKind::PipeCg, SolverKind::BiCgStab] {
+        for policy in [RecoveryPolicy::Replace, RecoveryPolicy::Shrink] {
+            let cfg = SolverConfig::resilient_with_policy(2, policy);
+            let solve = |script| run(solver, &problem, nodes, &cfg, cost(), script).unwrap();
+            let twin = solve(FailureScript::none());
+            let res = solve(FailureScript::simultaneous(20, 5, 2, nodes));
+            let cell = format!("{solver:?} {policy:?}");
+            assert!(res.converged && res.recoveries == 1, "{cell}");
+            assert_eq!(res.iterations, twin.iterations, "{cell}");
+            for r in (0..nodes).filter(|r| !(5..7).contains(r)) {
+                assert_eq!(
+                    res.per_node[r].stats.allreduces(),
+                    twin.per_node[r].stats.allreduces(),
+                    "{cell}: rank {r}"
+                );
+            }
         }
     }
 }

@@ -19,7 +19,9 @@
 
 use std::collections::HashMap;
 
-use esr_suite::core::{run_pcg, run_pipecg, Problem, SolverConfig};
+use esr_suite::core::{
+    run, run_pcg, run_pipecg, Problem, RecoveryPolicy, SolverConfig, SolverKind,
+};
 use esr_suite::parcomm::{
     Cluster, ClusterConfig, CommPhase, CostModel, FailureScript, Payload, TraceEventKind,
 };
@@ -245,6 +247,39 @@ fn chain_critical_path_equals_total_exposed_vtime() {
     assert!(cp.total > 0.0);
     assert_eq!(cp.total.to_bits(), out[0].to_bits(), "sender chain");
     assert_eq!(cp.total.to_bits(), out[1].to_bits(), "receiver chain");
+}
+
+#[test]
+fn each_iteration_opens_one_span_per_rank() {
+    // An ESR recovery goes on with the interrupted iteration, after a
+    // Shrink as in place and in the pipelined solver too: no rank opens a
+    // second `iteration` span for the same index.
+    let problem = Problem::with_ones_solution(poisson2d(12, 12));
+    for (solver, policy) in [
+        (SolverKind::Pcg, RecoveryPolicy::Shrink),
+        (SolverKind::PipeCg, RecoveryPolicy::Replace),
+    ] {
+        let cfg = SolverConfig::resilient_with_policy(1, policy);
+        let script = FailureScript::simultaneous(5, 1, 1, 4);
+        let r = run(solver, &problem, 4, &cfg, CostModel::default(), script).unwrap();
+        assert!(r.converged && r.recoveries == 1, "{solver:?}");
+        for nt in &r.trace.nodes {
+            let mut opened: HashMap<u64, usize> = HashMap::new();
+            for ev in &nt.events {
+                if let TraceEventKind::Open {
+                    name: "iteration",
+                    arg,
+                } = ev.kind
+                {
+                    *opened.entry(arg).or_default() += 1;
+                }
+            }
+            assert!(opened.contains_key(&5), "{solver:?} rank {}", nt.rank);
+            for (j, n) in opened {
+                assert_eq!(n, 1, "{solver:?} rank {}: iteration {j}", nt.rank);
+            }
+        }
+    }
 }
 
 #[test]
