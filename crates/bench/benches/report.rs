@@ -35,8 +35,8 @@
 //!   its wall-clock budget (20 s) — the capability the scheduler refactor
 //!   bought; the old thread-per-node runtime could not run N = 1024 at
 //!   all (1024 free-running OS threads on a 2-core host).
-//! * **`BENCH_trace.json` + `ESR_pcg_n16_failure.trace.json`** (only with
-//!   `--features trace`) — a traced N = 16 single-failure solve: the
+//! * **`BENCH_trace.json` + `ESR_pcg_n16_failure.trace.json`** — a
+//!   traced (`SolverConfig::trace`) N = 16 single-failure solve: the
 //!   Chrome-trace/Perfetto artifact plus an event census and the
 //!   virtual-time critical path attributed by phase/rank/scope.
 //!
@@ -83,14 +83,11 @@ const BASELINE_PCG: &[(usize, usize, f64)] = &[
     (16, 43, 2.9346e-5),
 ];
 
-/// PR 5 reference-PCG timings (M1, default cost model, default scale),
-/// captured before any instrumentation layer existed and still exact
-/// through PR 7. The `audit` and `trace` features must be zero-cost when
-/// compiled **off**: every instrumentation point is behind its
-/// `#[cfg(feature = ...)]` (or reads the clock without advancing it), so a
-/// build with both features off must reproduce these *bitwise* — equality
-/// of `f64::to_bits`, not a tolerance. Virtual times are deterministic, so
-/// any drift is a real hot-path change.
+/// Reference-PCG timings (M1, default cost model, default scale), captured
+/// before any instrumentation layer existed. The auditor and the tracer
+/// only read the clock, never advance it, so every run must reproduce
+/// these *bitwise* — equality of `f64::to_bits`, not a tolerance. Virtual
+/// times are deterministic, so any drift is a real hot-path change.
 const INSTR_OFF_PCG: &[(usize, usize, f64)] = &[
     (4, 25, 1.2476338399999983e-4),
     (8, 31, 5.1020322580645216e-5),
@@ -167,14 +164,11 @@ fn comm_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
     )
 }
 
-/// Whether the instrumentation-off bitwise guard applies: both observation
-/// features must be compiled out and the run must use the baseline
-/// configuration.
+/// Whether the instrumentation-off bitwise guard applies: the run must use
+/// the baseline configuration.
 fn instr_guard_applicable(cfgb: &BenchConfig) -> bool {
     let d = parcomm::CostModel::default();
-    cfg!(not(feature = "audit"))
-        && cfg!(not(feature = "trace"))
-        && cfgb.scale == 0.01
+    cfgb.scale == 0.01
         && cfgb.cost.lambda == d.lambda
         && cfgb.cost.mu == d.mu
         && cfgb.cost.gamma == d.gamma
@@ -208,7 +202,7 @@ fn pcg_report(cfgb: &BenchConfig, nodes: &[usize]) -> (String, Vec<(usize, Exper
                     vt.to_bits(),
                     bvt.to_bits(),
                     "N={n}: vtime/iter {vt:e} != instrumentation-off baseline {bvt:e} — \
-                     the audit/trace features must be zero-cost when compiled out"
+                     the observers must never move the clock"
                 );
                 guarded += 1;
             }
@@ -260,10 +254,8 @@ fn pcg_report(cfgb: &BenchConfig, nodes: &[usize]) -> (String, Vec<(usize, Exper
         println!("instrumentation-off bitwise guard: {guarded} case(s) matched the pinned baselines exactly");
     }
     let json = format!(
-        "{{\n  \"schema\": \"esr-bench/pcg/v1\",\n  \"matrix\": \"M1\",\n  \"scale\": {},\n  \"solver\": \"reference PCG, fused rr+rz reduction (2 allreduces/iter)\",\n  \"instrumentation_zero_cost\": {{\"audit_feature_compiled\": {}, \"trace_feature_compiled\": {}, \"bitwise_guard_cases\": {guarded}}},\n  \"cost_model\": {{\"lambda\": {}, \"mu\": {}, \"gamma\": {}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"esr-bench/pcg/v1\",\n  \"matrix\": \"M1\",\n  \"scale\": {},\n  \"solver\": \"reference PCG, fused rr+rz reduction (2 allreduces/iter)\",\n  \"instrumentation_zero_cost\": {{\"bitwise_guard_cases\": {guarded}}},\n  \"cost_model\": {{\"lambda\": {}, \"mu\": {}, \"gamma\": {}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
         json_f(cfgb.scale),
-        cfg!(feature = "audit"),
-        cfg!(feature = "trace"),
         json_f(cfgb.cost.lambda),
         json_f(cfgb.cost.mu),
         json_f(cfgb.cost.gamma),
@@ -595,15 +587,14 @@ fn scale_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
     )
 }
 
-/// The trace artifact pair (`--features trace` builds only): a resilient
-/// N = 16 PCG solve with one injected failure, exported as (a) a
-/// Perfetto-loadable Chrome-trace JSON (`about://tracing` / ui.perfetto.dev
-/// both open it) and (b) a `BENCH_trace.json` summary with the event
-/// census and the virtual-time critical path attributed by phase, rank,
-/// and enclosing scope. Both are derived from the same validated
+/// The trace artifact pair: a traced resilient N = 16 PCG solve with one
+/// injected failure, exported as (a) a Perfetto-loadable Chrome-trace JSON
+/// (`about://tracing` / ui.perfetto.dev both open it) and (b) a
+/// `BENCH_trace.json` summary with the event census and the virtual-time
+/// critical path attributed by phase, rank, and enclosing scope. Both are
+/// derived from the same validated
 /// [`parcomm::ClusterTrace`], so CI loading this artifact is also a
 /// schema gate.
-#[cfg(feature = "trace")]
 fn trace_report(cfgb: &BenchConfig) -> (String, String) {
     const N: usize = 16;
     let problem = cfgb.problem(PaperMatrix::M1);
@@ -616,21 +607,26 @@ fn trace_report(cfgb: &BenchConfig) -> (String, String) {
     )
     .unwrap();
     let fail_at = (reference.iterations as u64 / 2).max(1);
+    let cfg = SolverConfig {
+        trace: true,
+        ..SolverConfig::resilient(1)
+    };
     let r = run_pcg(
         &problem,
         N,
-        &SolverConfig::resilient(1),
+        &cfg,
         cfgb.cost,
         FailureScript::simultaneous(fail_at, N / 2, 1, N),
     )
     .unwrap();
     assert!(r.converged, "traced N={N} single-failure PCG must converge");
     assert_eq!(r.recoveries, 1, "exactly one recovery event expected");
-    r.trace.validate().expect("trace must be well-formed");
-    let chrome = r.trace.chrome_trace_json();
+    let trace = r.trace.expect("a traced solve returns its trace");
+    trace.validate().expect("trace must be well-formed");
+    let chrome = trace.chrome_trace_json();
     let chrome_events =
         parcomm::trace::validate_chrome_trace(&chrome).expect("chrome trace JSON must validate");
-    let cp = r.trace.critical_path();
+    let cp = trace.critical_path();
     let by_phase = cp
         .by_phase
         .iter()
@@ -650,8 +646,7 @@ fn trace_report(cfgb: &BenchConfig) -> (String, String) {
         .map(|(s, t)| format!(r#"{{"scope": "{s}", "vtime": {}}}"#, json_f(*t)))
         .collect::<Vec<_>>()
         .join(", ");
-    let per_rank_events = r
-        .trace
+    let per_rank_events = trace
         .nodes
         .iter()
         .map(|nt| nt.events.len().to_string())
@@ -659,7 +654,7 @@ fn trace_report(cfgb: &BenchConfig) -> (String, String) {
         .join(", ");
     println!(
         "trace N={N}  events {}  chrome-events {chrome_events}  critical path {:.4e}s (vtime {:.4e}s)  steps {}",
-        r.trace.total_events(),
+        trace.total_events(),
         cp.total,
         r.vtime,
         cp.steps.len()
@@ -668,7 +663,7 @@ fn trace_report(cfgb: &BenchConfig) -> (String, String) {
         "{{\n  \"schema\": \"esr-bench/trace/v1\",\n  \"matrix\": \"M1\",\n  \"scale\": {},\n  \"scenario\": \"resilient PCG (phi=1), N={N}, one failure at rank {} iteration {fail_at}\",\n  \"artifact\": \"ESR_pcg_n16_failure.trace.json\",\n  \"events_total\": {},\n  \"events_per_rank\": [{per_rank_events}],\n  \"chrome_events\": {chrome_events},\n  \"iterations\": {},\n  \"vtime_total\": {},\n  \"critical_path\": {{\"total\": {}, \"steps\": {}, \"by_phase\": {{{by_phase}}}, \"by_rank\": [{by_rank}], \"top_scopes\": [{top_scopes}]}}\n}}\n",
         json_f(cfgb.scale),
         N / 2,
-        r.trace.total_events(),
+        trace.total_events(),
         r.iterations,
         json_f(r.vtime),
         json_f(cp.total),
@@ -693,10 +688,7 @@ fn main() {
         &policy_matrix_report(&cfgb, &nodes),
     );
     write_json("BENCH_scale.json", &scale_report(&cfgb, &scale_nodes()));
-    #[cfg(feature = "trace")]
-    {
-        let (summary, chrome) = trace_report(&cfgb);
-        write_json("BENCH_trace.json", &summary);
-        write_json("ESR_pcg_n16_failure.trace.json", &chrome);
-    }
+    let (summary, chrome) = trace_report(&cfgb);
+    write_json("BENCH_trace.json", &summary);
+    write_json("ESR_pcg_n16_failure.trace.json", &chrome);
 }

@@ -65,6 +65,7 @@ const RHO: usize = 2;
 
 static SHAPE: KernelShape = KernelShape {
     n_block_vecs: 7,
+    static_slots: &[RHAT0],
     r_slot: R,
     x_slot: X,
     // Loop-top recurrence state: [x | r | r̂0 | p | v | α, ω, ρ, ρ(j+1)].

@@ -377,6 +377,10 @@ pub struct SolverConfig {
     pub precond: PrecondConfig,
     /// `None` = plain non-resilient PCG (the paper's reference runs).
     pub resilience: Option<ResilienceConfig>,
+    /// Record the virtual-time trace of the solve into
+    /// [`crate::ExperimentResult::trace`]. Strictly observational: the
+    /// solve's numbers are bitwise the same either way.
+    pub trace: bool,
 }
 
 impl SolverConfig {
@@ -388,6 +392,7 @@ impl SolverConfig {
             max_iter: 100_000,
             precond: PrecondConfig::BlockJacobiExact,
             resilience: None,
+            trace: false,
         }
     }
 

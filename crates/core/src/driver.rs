@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parcomm::{Cluster, ClusterConfig, CommStats, CostModel, FailureScript};
+use parcomm::{Cluster, ClusterConfig, CommStats, CostModel, FailureScript, NodeCtx};
 use sparsemat::vecops::norm2;
 use sparsemat::Csr;
 
@@ -113,11 +113,11 @@ pub struct ExperimentResult {
     /// Inner-solver iterations of the x reconstructions: per recovery
     /// event the most any node ran, summed over the events (0 for C/R).
     pub inner_iterations: usize,
-    /// Per-rank span trace of the whole run (virtual-clock-stamped).
-    /// Export with [`parcomm::ClusterTrace::chrome_trace_json`] or analyze
-    /// with [`parcomm::ClusterTrace::critical_path`].
-    #[cfg(feature = "trace")]
-    pub trace: parcomm::ClusterTrace,
+    /// Per-rank span trace of the whole run (virtual-clock-stamped) when
+    /// [`SolverConfig::trace`] was set. Export with
+    /// [`parcomm::ClusterTrace::chrome_trace_json`] or analyze with
+    /// [`parcomm::ClusterTrace::critical_path`].
+    pub trace: Option<parcomm::ClusterTrace>,
 }
 
 /// Critical-path communication-time breakdown for one [`parcomm::CommPhase`]:
@@ -266,15 +266,15 @@ pub fn run(
         .with_cost(cost)
         .with_script(script)
         .with_spares(spares);
+    let traced = cfg.trace;
+    let program = move |ctx: &mut NodeCtx| node_program(solver, ctx, &shared, &cfg);
     let start = Instant::now();
-    #[cfg(feature = "trace")]
-    let (per_node, trace) = Cluster::run_traced(cluster_cfg, move |ctx| {
-        node_program(solver, ctx, &shared, &cfg)
-    });
-    #[cfg(not(feature = "trace"))]
-    let per_node = Cluster::run(cluster_cfg, move |ctx| {
-        node_program(solver, ctx, &shared, &cfg)
-    });
+    let (per_node, trace) = if traced {
+        let (per_node, trace) = Cluster::run_traced(cluster_cfg, program);
+        (per_node, Some(trace))
+    } else {
+        (Cluster::run(cluster_cfg, program), None)
+    };
     let wall = start.elapsed();
 
     // Assemble the global solution in rank order (retired nodes own no
@@ -335,7 +335,6 @@ pub fn run(
         inner_iterations,
         x,
         per_node,
-        #[cfg(feature = "trace")]
         trace,
     })
 }

@@ -421,8 +421,11 @@ pub(crate) struct KernelShape {
     /// Slots `0..n_block_vecs` are the per-block vectors: lost with a
     /// node, rebuilt per failed block, installed or spliced back. A later
     /// slot that is not packed either carries no state across a recovery —
-    /// scratch, re-zeroed at the new block length.
+    /// scratch, re-zeroed at the new block length — or is static.
     pub n_block_vecs: usize,
+    /// Slots holding static data (on reliable storage, paper Sec. 1.1.2):
+    /// the only vectors a node failure leaves intact.
+    pub static_slots: &'static [usize],
     /// Slot of the residual `r` (the engine reads the reconstructed one
     /// when forming `w = b_If − r_If − A_{If,I\If} x_{I\If}`).
     pub r_slot: usize,
@@ -501,14 +504,18 @@ pub(crate) trait ResilientKernel {
     }
 }
 
-/// The node failure: every per-block vector and every scalar of this node
-/// is destroyed (NaN poison; ghosts, retention channels and the deposit
-/// store are poisoned by the caller). Scratch is overwritten before it is
-/// read, and static data survives on reliable storage (paper Sec. 1.1.2).
+/// The node failure: every vector and every scalar of this node is
+/// destroyed (NaN poison; ghosts, retention channels and the deposit store
+/// are poisoned by the caller), scratch included, so a kernel that read
+/// scratch from before the failure would show it. Only the
+/// [`KernelShape::static_slots`] survive, on reliable storage (paper
+/// Sec. 1.1.2).
 pub(crate) fn poison(kernel: &mut dyn ResilientKernel) {
-    let n = kernel.shape().n_block_vecs;
-    for v in &mut kernel.vecs_mut()[..n] {
-        parcomm::fault::poison(v);
+    let keep = kernel.shape().static_slots;
+    for (slot, v) in kernel.vecs_mut().iter_mut().enumerate() {
+        if !keep.contains(&slot) {
+            parcomm::fault::poison(v);
+        }
     }
     kernel.scalars_mut().fill(f64::NAN);
 }
@@ -730,7 +737,7 @@ fn restart_protocol<F: Flavor>(
         // Declare this attempt's tag window to the protocol auditor: all
         // recovery traffic issued from here until the matching exit belongs
         // to attempt `seq`, and must never match a receive posted under a
-        // different attempt (no-op without the `audit` feature).
+        // different attempt (a no-op where the auditor is off).
         ctx.audit_enter_window(seq);
         ctx.trace_open("attempt", seq as u64);
         let mut seg_t = ctx.vtime();

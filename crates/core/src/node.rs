@@ -318,6 +318,8 @@ mod tests {
                 assert!(!shape.resent_scalars[..i].contains(&s), "scalar {s} twice");
             }
             assert!(shape.n_block_vecs <= n_vecs);
+            let beyond_blocks = shape.n_block_vecs..n_vecs;
+            assert!(shape.static_slots.iter().all(|s| beyond_blocks.contains(s)));
             assert!(shape.r_slot < shape.n_block_vecs && shape.x_slot < shape.n_block_vecs);
             assert_ne!(shape.r_slot, shape.x_slot);
 
@@ -341,14 +343,14 @@ mod tests {
                 shape.pack_slots.len() * nloc + shape.pack_scalars
             );
 
-            // A node failure destroys every block vector and every scalar;
-            // what lies beyond the block slots is static data or scratch.
+            // A node failure destroys every vector, scratch included, and
+            // every scalar; only the static slots survive.
             engine::poison(&mut k);
             for (slot, v) in k.vecs().iter().enumerate() {
-                if slot < shape.n_block_vecs {
-                    assert!(v.iter().all(|x| x.is_nan()), "slot {slot} survived poison");
+                if shape.static_slots.contains(&slot) {
+                    assert_eq!(v, &before[slot], "poison touched static slot {slot}");
                 } else {
-                    assert_eq!(v, &before[slot], "poison touched non-block slot {slot}");
+                    assert!(v.iter().all(|x| x.is_nan()), "slot {slot} survived poison");
                 }
             }
             assert!(k.scalars().iter().all(|s| s.is_nan()));

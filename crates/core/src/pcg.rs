@@ -51,6 +51,7 @@ const RZ: usize = 1;
 
 static SHAPE: KernelShape = KernelShape {
     n_block_vecs: 4,
+    static_slots: &[],
     r_slot: R,
     x_slot: X,
     // [x | r | z | p | β(j-1), r(j)ᵀz(j)] — the loop-top state a rolled-back

@@ -61,6 +61,7 @@ const RED: usize = 3;
 
 static SHAPE: KernelShape = KernelShape {
     n_block_vecs: 8,
+    static_slots: &[],
     r_slot: R,
     x_slot: X,
     // The full 8-vector recurrence state plus the loop-top scalars;

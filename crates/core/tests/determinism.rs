@@ -6,8 +6,8 @@
 //! but **bitwise-identical** everything: solution vectors, virtual times,
 //! communication statistics (including the wait-time histograms, which are
 //! sensitive to the exact interleaving of receives), and recovery
-//! timelines. Under `--features trace` even the serialized span trace must
-//! match byte for byte.
+//! timelines. The solves are traced, and the serialized span trace must
+//! match byte for byte too.
 //!
 //! This is the property the old thread-per-node runtime could only promise
 //! for clock *values* (the clock algebra was scheduling-independent); any
@@ -26,7 +26,10 @@ fn bits(v: f64) -> u64 {
 fn failure_recovery_solve_is_bitwise_reproducible() {
     let a = poisson2d(13, 13);
     let problem = Problem::with_ones_solution(a);
-    let cfg = SolverConfig::resilient(2);
+    let cfg = SolverConfig {
+        trace: true,
+        ..SolverConfig::resilient(2)
+    };
     // Two nodes fail simultaneously mid-solve on a 13-node cluster: the
     // run exercises redundancy traffic, failure detection, group-scoped
     // reconstruction collectives, and the replacement hand-off.
@@ -97,8 +100,11 @@ fn failure_recovery_solve_is_bitwise_reproducible() {
         }
     }
 
-    // Under tracing, the full serialized span trace — every event, in
-    // order, with its virtual timestamp — must be byte-identical.
-    #[cfg(feature = "trace")]
-    assert_eq!(r1.trace.chrome_trace_json(), r2.trace.chrome_trace_json());
+    // The full serialized span trace — every event, in order, with its
+    // virtual timestamp — must be byte-identical.
+    let chrome = |r: &esr_core::ExperimentResult| {
+        let trace = r.trace.as_ref().expect("a traced solve returns its trace");
+        trace.chrome_trace_json()
+    };
+    assert_eq!(chrome(&r1), chrome(&r2));
 }

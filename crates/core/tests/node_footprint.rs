@@ -9,9 +9,9 @@
 //!
 //! `VmHWM` (the peak resident set) is per process, so this test sits alone
 //! in its binary: another test running beside it would move the reading.
-//! A `trace` build is left out: its log holds the setup all-to-all as one
+//! The solves are not traced: a trace log holds the setup all-to-all as one
 //! send and one receive per peer, N − 1 of each on every node.
-#![cfg(all(target_os = "linux", not(feature = "trace")))]
+#![cfg(target_os = "linux")]
 
 use esr_core::{run, Problem, SolverConfig, SolverKind};
 use parcomm::{CostModel, FailureScript};

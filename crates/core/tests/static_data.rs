@@ -11,8 +11,8 @@
 //!   solved on a `Problem` other cells have already filled agree to the
 //!   bit in everything the result reports, virtual times included: the
 //!   flops are charged by whoever *uses* a block, so who computed it is
-//!   invisible. Runs under `--features audit` and `--features trace` like
-//!   every test in the workspace.
+//!   invisible. The bitwise cells are traced, and their Chrome traces must
+//!   agree byte for byte too.
 
 use esr_core::{
     run, CrConfig, ExperimentResult, Problem, Protection, RecoveryPolicy, SolverConfig, SolverKind,
@@ -30,8 +30,10 @@ fn m3_problem() -> Problem {
     Problem::with_random_rhs(suite::generate(PaperMatrix::M3, 2.5e-4), 11)
 }
 
+/// Traced, so every bitwise comparison covers the Chrome trace too.
 fn config(policy: RecoveryPolicy, checkpoint: bool) -> SolverConfig {
     let mut cfg = SolverConfig::resilient_with_policy(3, policy);
+    cfg.trace = true;
     if checkpoint {
         let res = cfg.resilience.take().expect("resilient config");
         cfg.resilience = Some(res.with_protection(Protection::Checkpoint(
@@ -180,12 +182,11 @@ fn assert_bitwise_equal(cold: &ExperimentResult, warm: &ExperimentResult, label:
             );
         }
     }
-    #[cfg(feature = "trace")]
-    assert_eq!(
-        cold.trace.chrome_trace_json(),
-        warm.trace.chrome_trace_json(),
-        "{label}: trace"
-    );
+    let chrome = |r: &ExperimentResult| {
+        let trace = r.trace.as_ref().expect("a traced solve returns its trace");
+        trace.chrome_trace_json()
+    };
+    assert_eq!(chrome(cold), chrome(warm), "{label}: trace");
 }
 
 #[test]
@@ -213,7 +214,10 @@ fn a_warm_problem_solves_every_cell_bitwise_like_a_cold_one() {
 #[test]
 fn a_replaced_matrix_is_not_served_the_old_blocks() {
     let mut problem = m3_problem();
-    let cfg = SolverConfig::reference();
+    let cfg = SolverConfig {
+        trace: true,
+        ..SolverConfig::reference()
+    };
     let none = FailureScript::none;
     solve(&problem, SolverKind::Pcg, &cfg, none());
     let filled = problem.static_counts();

@@ -1,4 +1,5 @@
-//! The communication-protocol auditor (compiled only with `--features audit`).
+//! The communication-protocol auditor. It is on exactly where debug
+//! assertions are on, as `debug_assert!` is, and nothing switches it.
 //!
 //! The ESR correctness argument (Pachajoa et al., ICPP 2019) rests on
 //! protocol invariants the test suite historically never checked: disjoint
@@ -29,9 +30,9 @@
 //! detector.)
 //!
 //! Everything here is diagnostics: the auditor never touches the virtual
-//! clock or the statistics, so enabling the feature cannot change any
-//! simulated timing (the bench harness asserts byte-identical vtime with the
-//! feature off; see `crates/bench/benches/report.rs`).
+//! clock or the statistics, so it cannot change any simulated timing — a
+//! debug and a release run of one solve take the same virtual times
+//! (`recovery_pins` holds the same constants in both profiles).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -41,7 +42,8 @@ use crate::observe::Event;
 use crate::payload::Message;
 use crate::tag::Tag;
 
-/// Audit stamp carried by every [`Message`].
+/// Audit stamp carried by every [`Message`]; filled in only while the
+/// auditor is on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MsgStamp {
     /// Per-`(sender, dest, tag)` send sequence number, starting at 0. The
@@ -129,6 +131,7 @@ impl AuditState {
     }
 
     /// Stamp an outgoing message to `dest` under `tag`.
+    #[inline(never)]
     pub(crate) fn stamp_send(&mut self, dest: usize, tag: Tag) -> MsgStamp {
         let c = self.send_seqs.entry((dest, tag)).or_insert(0);
         let seq = *c;
@@ -143,6 +146,7 @@ impl AuditState {
     /// every matched receive and every collective call, in program order.
     /// A group's record is scoped by its id, so the checker compares
     /// schedules member-against-member, never across groups.
+    #[inline(never)]
     pub(crate) fn observe(&mut self, ev: &Event<'_>) {
         match *ev {
             Event::Matched(m) => self.log.recvs.push(RecvRec {

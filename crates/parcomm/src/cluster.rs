@@ -123,15 +123,14 @@ impl Cluster {
         T: Send,
         F: Fn(&mut NodeCtx) -> T + Sync,
     {
-        Self::run_inner(config, program).0
+        Self::run_inner(config, false, program).0
     }
 
-    /// Like [`Cluster::run`], but also returns the gathered per-rank trace
-    /// logs as a [`crate::trace::ClusterTrace`]. Only meaningful under
-    /// `--features trace`; the tracer observes the virtual clock without
-    /// ever advancing it, so the per-node results are bitwise identical to
-    /// what [`Cluster::run`] returns.
-    #[cfg(feature = "trace")]
+    /// Like [`Cluster::run`], but also records every node's virtual-time
+    /// trace and returns the gathered per-rank logs as a
+    /// [`crate::trace::ClusterTrace`]. The tracer observes the virtual clock
+    /// without ever advancing it, so the per-node results are bitwise
+    /// identical to what [`Cluster::run`] returns.
     pub fn run_traced<T, F>(
         config: ClusterConfig,
         program: F,
@@ -140,14 +139,17 @@ impl Cluster {
         T: Send,
         F: Fn(&mut NodeCtx) -> T + Sync,
     {
-        let (values, logs) = Self::run_inner(config, program);
-        let nodes = logs.into_iter().map(|l| l.trace).collect();
+        let (values, logs) = Self::run_inner(config, true, program);
+        let nodes = logs
+            .into_iter()
+            .map(|l| l.trace.expect("traced node").into_log())
+            .collect();
         (values, crate::trace::ClusterTrace { nodes })
     }
 
     /// Per-node results in rank order and, next to them, what each node's
-    /// diagnostic observers recorded (nothing in a default build).
-    fn run_inner<T, F>(config: ClusterConfig, program: F) -> (Vec<T>, Vec<NodeLogs>)
+    /// diagnostic observers recorded (the tracer's log only when `trace`).
+    fn run_inner<T, F>(config: ClusterConfig, trace: bool, program: F) -> (Vec<T>, Vec<NodeLogs>)
     where
         T: Send,
         F: Fn(&mut NodeCtx) -> T + Sync,
@@ -184,6 +186,7 @@ impl Cluster {
                                 oracle,
                                 VClock::new(cost),
                                 spares,
+                                trace,
                             );
                             // The baton wait sits inside catch_unwind: a
                             // peer abort or a deadlock report surfaces as
@@ -233,7 +236,6 @@ impl Cluster {
                     }
                 }
             }
-            #[cfg(any(debug_assertions, feature = "audit"))]
             let clean = panics.is_empty();
             // If any node panicked, the *root cause* is a real panic, not a
             // secondary "peer aborted" one.
@@ -245,17 +247,17 @@ impl Cluster {
             // Queue-drain inspection: a message still sitting in a queue at
             // teardown is a protocol leak. Only meaningful on clean runs — a
             // panic legitimately strands in-flight traffic.
-            #[cfg(any(debug_assertions, feature = "audit"))]
             let leaks = if clean {
                 sched.drain_residue()
             } else {
                 Vec::new()
             };
 
-            #[cfg(feature = "audit")]
-            {
-                let audit_logs = logs.iter_mut().map(|l| std::mem::take(&mut l.audit));
-                let audit_logs: Vec<_> = audit_logs.collect();
+            // Where the auditor ran, its report names every violation, the
+            // leaks included; elsewhere a leak alone fails the run.
+            let audit = logs.iter_mut().filter_map(|l| l.audit.take());
+            let audit_logs: Vec<_> = audit.map(|a| a.into_log()).collect();
+            if !audit_logs.is_empty() {
                 let violations = crate::audit::check_teardown(&audit_logs, &leaks, clean);
                 if !violations.is_empty() {
                     let mut report =
@@ -269,12 +271,7 @@ impl Cluster {
                     }
                     panic!("{report}");
                 }
-            }
-
-            // Without the auditor, debug builds still refuse to let a leak
-            // pass silently (release keeps the hot path assertion-free).
-            #[cfg(all(debug_assertions, not(feature = "audit")))]
-            if let Some((rank, m)) = leaks.first() {
+            } else if let Some((rank, m)) = leaks.first() {
                 panic!(
                     "queue residue at cluster teardown: rank {rank} holds an \
                      unconsumed message from rank {} (tag {}, {} elems); \
@@ -591,11 +588,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "unconsumed message from rank 0")]
+    fn a_leaked_message_fails_the_run_in_every_profile() {
+        // The auditor's `[message-drain]` report where it runs, the queue
+        // residue panic where it does not: both name the leak.
+        Cluster::run(ClusterConfig::new(2), |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 3, Payload::F64(1.0), CommPhase::Other);
+            }
+        });
+    }
+
+    #[test]
     #[should_panic(expected = "[deadlock] wait-for cycle")]
     fn cross_recv_deadlock_reported_in_every_build() {
         // Rank 0 and rank 1 each wait for the other: the scheduler runs
-        // out of runnable nodes and names the cycle instantly — no audit
-        // feature, no timeout.
+        // out of runnable nodes and names the cycle instantly — in every
+        // profile, with no timeout.
         Cluster::run(ClusterConfig::new(2), |ctx| {
             let peer = 1 - ctx.rank();
             ctx.recv(peer, 1);

@@ -207,6 +207,7 @@ impl NodeCtx {
         oracle: FaultOracle,
         clock: VClock,
         spares: usize,
+        trace: bool,
     ) -> Self {
         NodeCtx {
             rank,
@@ -214,7 +215,7 @@ impl NodeCtx {
             sched,
             oracle,
             clock,
-            obs: Observers::new(rank),
+            obs: Observers::new(rank, trace),
             coll_seq: 0,
             group_counters: HashMap::new(),
             spares,
@@ -233,27 +234,27 @@ impl NodeCtx {
         self.obs.emit(t, ev);
     }
 
-    /// Declare entry into recovery-attempt tag window `id` (a no-op without
-    /// the `audit` feature). The engine calls this at the top of each
-    /// recovery attempt; receives issued until the matching
-    /// [`NodeCtx::audit_exit_window`] must only match messages sent inside
-    /// the same window, and collectives must be joined from it. Entering a
-    /// new window while one is open closes the old one (an aborted
-    /// attempt), including its residue check.
+    /// Declare entry into recovery-attempt tag window `id` (a no-op with
+    /// debug assertions off, where the auditor is off). The engine calls
+    /// this at the top of each recovery attempt; receives issued until the
+    /// matching [`NodeCtx::audit_exit_window`] must only match messages
+    /// sent inside the same window, and collectives must be joined from it.
+    /// Entering a new window while one is open closes the old one (an
+    /// aborted attempt), including its residue check.
     pub fn audit_enter_window(&mut self, id: u32) {
         self.obs.window(&self.sched, self.rank, Some(id));
     }
 
-    /// Close the current recovery-attempt tag window (no-op without the
-    /// `audit` feature): checks that no message stamped with the closing
+    /// Close the current recovery-attempt tag window (a no-op where the
+    /// auditor is off): checks that no message stamped with the closing
     /// window remains unconsumed in this node's queue.
     pub fn audit_exit_window(&mut self) {
         self.obs.window(&self.sched, self.rank, None);
     }
 
     /// Open a named trace span stamped with the current virtual clock
-    /// (recorded under the `trace` feature only). Spans nest; close the
-    /// innermost one with [`NodeCtx::trace_close`]. Strictly observational.
+    /// (recorded in a traced run only). Spans nest; close the innermost
+    /// one with [`NodeCtx::trace_close`]. Strictly observational.
     pub fn trace_open(&mut self, name: &'static str, arg: u64) {
         self.emit(self.clock.now(), Event::Open { name, arg });
     }
@@ -266,14 +267,6 @@ impl NodeCtx {
     /// Record a zero-duration trace marker.
     pub fn trace_instant(&mut self, name: &'static str, arg: u64) {
         self.emit(self.clock.now(), Event::Instant { name, arg });
-    }
-
-    /// Test double: reintroduce the PR 2 `swap_remove` FIFO defect in this
-    /// node's queue, to prove the auditor's non-overtaking check fires.
-    #[doc(hidden)]
-    #[cfg(feature = "audit")]
-    pub fn audit_seed_fifo_bug(&mut self) {
-        self.sched.seed_fifo_bug(self.rank);
     }
 
     /// This node's rank in `0..size`.
@@ -988,5 +981,40 @@ mod tests {
     fn split_by_counts_partitions() {
         let out = split_by_counts(vec![1u64, 2, 3, 4, 5], &[2, 0, 3]);
         assert_eq!(out, vec![vec![1, 2], vec![], vec![3, 4, 5]]);
+    }
+
+    /// The auditor re-finds the defect it was built for: a `swap_remove` in
+    /// the pending-queue match once reordered same-`(src, tag)` messages
+    /// when two were queued. The scheduler's test double re-seeds it on
+    /// rank 1's queue; the teardown report must name the reorder.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn resurrected_swap_remove_fifo_bug_is_caught() {
+        use crate::{Cluster, ClusterConfig, CommPhase, Payload};
+        let err = std::panic::catch_unwind(|| {
+            Cluster::run(ClusterConfig::new(2), |ctx| {
+                if ctx.rank() == 0 {
+                    for v in [1.0, 2.0, 3.0] {
+                        ctx.send(1, 7, Payload::F64(v), CommPhase::Other);
+                    }
+                    ctx.send(1, 9, Payload::F64(9.0), CommPhase::Other);
+                } else {
+                    ctx.sched.seed_fifo_bug(ctx.rank);
+                    // Receiving tag 9 first forces the three tag-7 messages
+                    // through the pending queue, where the seeded
+                    // swap_remove reorders them.
+                    let _ = ctx.recv(0, 9);
+                    for _ in 0..3 {
+                        let _ = ctx.recv(0, 7);
+                    }
+                }
+            })
+        })
+        .expect_err("the auditor must have flagged this run");
+        let msg = err.downcast_ref::<String>().expect("a formatted report");
+        assert!(msg.contains("[non-overtaking]"), "{msg}");
+        assert!(msg.contains("rank 1"), "{msg}");
+        assert!(msg.contains("user(7)"), "{msg}");
+        assert!(msg.contains("send order"), "{msg}");
     }
 }

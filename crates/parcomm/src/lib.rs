@@ -39,11 +39,12 @@
 //!   element, `γ` per flop), so that 128-node experiments produce meaningful
 //!   timing *shapes* even on a 2-core host.
 //!
-//! Everything that watches the traffic — [`CommStats`] in every build, the
-//! protocol auditor under `--features audit`, the virtual-time tracer under
-//! `--features trace` — reads one typed event, emitted once per boundary
-//! (the crate-private `observe` module), so the communication code in
-//! `comm`, `group` and `request` is the same text in every build.
+//! Everything that watches the traffic — [`CommStats`] in every run, the
+//! protocol auditor ([`audit`]) wherever debug assertions are on, the
+//! virtual-time tracer ([`trace`]) in a run started with
+//! [`Cluster::run_traced`] — reads one typed event, emitted once per
+//! boundary (the crate-private `observe` module). There is one build: no
+//! Cargo feature selects an observer.
 //!
 //! Failures are *simulated* exactly as in the paper (Sec. 6): a failed
 //! node's dynamic data is poisoned (NaN) and the node keeps its scheduler
@@ -55,7 +56,6 @@
 // the numeric kernels in this crate; iterator-zip pyramids obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod cluster;
 pub mod comm;
@@ -69,7 +69,6 @@ pub mod request;
 pub(crate) mod sched;
 pub mod stats;
 pub mod tag;
-#[cfg(feature = "trace")]
 pub mod trace;
 pub mod vclock;
 
@@ -81,6 +80,5 @@ pub use payload::Payload;
 pub use request::{AllreduceRequest, RecvRequest, SendRequest};
 pub use stats::{CommPhase, CommStats, LogHist};
 pub use tag::Tag;
-#[cfg(feature = "trace")]
 pub use trace::{ClusterTrace, CriticalPath, NodeTrace, TraceEvent, TraceEventKind};
 pub use vclock::{CostModel, VClock};

@@ -170,14 +170,13 @@ pub struct Message {
     /// Virtual arrival time at the destination under the λ/µ cost model.
     pub arrival_vtime: f64,
     /// Protocol-auditor provenance (send sequence number and recovery
-    /// window); filled in by `NodeCtx::raw_send`.
-    #[cfg(feature = "audit")]
+    /// window); filled in by `NodeCtx::raw_send` while the auditor is on,
+    /// the default otherwise.
     pub stamp: crate::audit::MsgStamp,
 }
 
 impl Message {
-    /// Construct a message (with a default audit stamp, when that feature is
-    /// compiled in — the one constructor keeps call sites feature-agnostic).
+    /// Construct a message with a default audit stamp.
     #[must_use]
     pub fn new(src: usize, tag: crate::tag::Tag, payload: Payload, arrival_vtime: f64) -> Self {
         Message {
@@ -185,7 +184,6 @@ impl Message {
             tag,
             payload,
             arrival_vtime,
-            #[cfg(feature = "audit")]
             stamp: crate::audit::MsgStamp::default(),
         }
     }

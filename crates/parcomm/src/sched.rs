@@ -398,9 +398,9 @@ struct SchedInner {
     abort: Option<usize>,
     /// Deadlock report, built by the dispatch that proved the stall.
     deadlock: Option<String>,
-    /// Test double: ranks whose queue reintroduces the PR 2 `swap_remove`
-    /// FIFO defect, so the auditor's non-overtaking check can be proven.
-    #[cfg(feature = "audit")]
+    /// Test double: ranks whose queue reintroduces the `swap_remove` FIFO
+    /// defect, so the auditor's non-overtaking check can be proven.
+    #[cfg(test)]
     fifo_bug: Vec<bool>,
 }
 
@@ -443,7 +443,7 @@ impl Scheduler {
                 outcomes: (0..n).map(|_| None).collect(),
                 abort: None,
                 deadlock: None,
-                #[cfg(feature = "audit")]
+                #[cfg(test)]
                 fifo_bug: vec![false; n],
             }),
             flags: (0..n).map(|_| AtomicU8::new(PARKED)).collect(),
@@ -616,7 +616,7 @@ impl Scheduler {
     }
 
     /// Test double: reintroduce the `swap_remove` FIFO defect on `rank`.
-    #[cfg(feature = "audit")]
+    #[cfg(test)]
     pub(crate) fn seed_fifo_bug(&self, rank: usize) {
         self.lock().fifo_bug[rank] = true;
     }
@@ -625,7 +625,6 @@ impl Scheduler {
     /// `window`, no message stamped with it may remain undelivered to the
     /// program — such a message could only ever be matched (wrongly) by a
     /// later attempt, or leak. Panics with provenance if one is found.
-    #[cfg(feature = "audit")]
     pub(crate) fn scan_window_residue(&self, rank: usize, window: u32) {
         let g = self.lock();
         let mut q = g.queues[rank].iter();
@@ -647,9 +646,7 @@ impl Scheduler {
 
     /// Hand over everything still queued, as `(receiver, message)`. Called
     /// by the cluster after all node threads have joined; any message here
-    /// was never matched by a receive. The leak check that consumes this
-    /// only exists in debug and audit builds.
-    #[cfg(any(debug_assertions, feature = "audit", test))]
+    /// was never matched by a receive: every run's teardown fails on it.
     pub(crate) fn drain_residue(&self) -> Vec<(usize, Message)> {
         let mut g = self.lock();
         let queues = g.queues.iter_mut().enumerate();
@@ -704,10 +701,10 @@ impl SchedInner {
     fn take_match(&mut self, rank: usize, src: Option<usize>, tag: Tag) -> Option<Message> {
         let q = &mut self.queues[rank];
         let pos = q.iter().position(|m| matches(m, src, tag))?;
-        #[cfg(feature = "audit")]
+        #[cfg(test)]
         if self.fifo_bug[rank] {
-            // Test double: the PR 2 defect. Moving the last queued message
-            // into this slot makes a later receive for the same
+            // Test double: the historical defect. Moving the last queued
+            // message into this slot makes a later receive for the same
             // `(src, tag)` match out of delivery order.
             return q.swap_remove_back(pos);
         }
@@ -898,7 +895,6 @@ mod tests {
         assert!(s.drain_residue().is_empty());
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn fifo_bug_double_reorders_same_key_matches() {
         let s = queued(&[(1, 7, 1.0), (1, 7, 2.0), (1, 7, 3.0), (2, 9, 99.0)]);

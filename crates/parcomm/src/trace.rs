@@ -1,11 +1,12 @@
 //! Virtual-time tracing: per-node span/event logs, Chrome-trace export, and
 //! critical-path analysis.
 //!
-//! Compiled only under `--features trace`. The tracer is **strictly
+//! On in a run started with [`crate::Cluster::run_traced`] (in `esr-core`,
+//! a solve with `SolverConfig::trace`). The tracer is **strictly
 //! observational**: it reads the virtual clock but never advances it, so
-//! every traced run produces bitwise-identical trajectories and virtual
-//! times to the untraced build (the same discipline as the `audit`
-//! feature, pinned by the `report` bench).
+//! a traced run produces bitwise-identical trajectories, virtual times and
+//! statistics to the untraced one (the same discipline as the auditor;
+//! `tests/observers.rs` holds it for every solver).
 //!
 //! The recorder is one consumer of the node's event stream
 //! ([`crate::observe`]): [`TraceState::observe`] keeps every span, marker,
@@ -161,6 +162,7 @@ impl TraceState {
     /// sends and receives without touching the wire format. (A resident
     /// collective's rounds are numbered too, though no message is
     /// delivered — this is not the auditor's stamp counter.)
+    #[inline(never)]
     pub(crate) fn observe(&mut self, t: f64, ev: &Event<'_>) {
         let kind = match *ev {
             Event::Open { name, arg } => TraceEventKind::Open { name, arg },

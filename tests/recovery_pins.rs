@@ -11,23 +11,27 @@
 //!            × {(iteration 0, rank 0), (iteration 6, rank N−1)}
 //!
 //! on `poisson2d(14, 13)`, N = 7, φ = 3 (C/R: interval 4, 3 copies) is
-//! folded into two FNV-1a values per protection × solver:
+//! solved with the tracer on and folded into three FNV-1a values per
+//! protection × solver:
 //!
 //! * *numerics* — iterations, recoveries, ranks recovered and the bits of
 //!   both residuals and of every `x`: what the solve computed;
 //! * *cost* — the bits of every virtual time and the per-phase message /
 //!   element / send / wait / hidden totals of the cluster and of every
 //!   node, and every segment of every node's recovery timelines: what the
-//!   solve cost on the virtual clock. Under `--features trace` the
-//!   Chrome-trace JSON of every solve is folded in as well, so the cost
-//!   pins differ there; the numerics pins do not.
+//!   solve cost on the virtual clock;
+//! * *trace* — the Chrome-trace JSON of every solve: every span, message
+//!   and wait in order with its virtual timestamp.
 //!
-//! A change to the communication protocol that moves only the clock
-//! re-pins cost and leaves numerics alone. A change that moves a value on
-//! purpose re-pins: the failure message prints the cell and its new values
-//! in the form the tables below take, and per cell its iterations, inner
-//! iterations, `vtime` and `vtime_recovery`, so a move can be read (and
-//! diffed against the parent's output) rather than only seen in hex.
+//! The tracer is observational, so the numerics and cost pins are the same
+//! whether a solve is traced or not, in every profile. A change to the
+//! communication protocol that moves only the clock re-pins cost and trace
+//! and leaves numerics alone. A change that moves a value on purpose
+//! re-pins: the failure message prints the cell and its new values in the
+//! form the tables below take, and per cell its iterations, inner
+//! iterations, both residuals, `vtime` and `vtime_recovery`, so a move can
+//! be read (and diffed against the parent's output) rather than only seen
+//! in hex.
 
 use esr_core::{
     run, CrConfig, ExperimentResult, Problem, Protection, RecoveryPolicy, SolverConfig,
@@ -54,7 +58,6 @@ const NUMERICS: [(Prot, Solver, u64); 6] = [
     (Prot::Cr, Solver::BiCgStab, 0xa4ba21bd5cf6f447),
 ];
 
-#[cfg(not(feature = "trace"))]
 const COST: [(Prot, Solver, u64); 6] = [
     (Prot::Esr, Solver::Pcg, 0xeab64a3e44da8e67),
     (Prot::Esr, Solver::PipeCg, 0x73ce1fa64f18ee95),
@@ -64,14 +67,13 @@ const COST: [(Prot, Solver, u64); 6] = [
     (Prot::Cr, Solver::BiCgStab, 0xbff36d417e757bea),
 ];
 
-#[cfg(feature = "trace")]
-const COST: [(Prot, Solver, u64); 6] = [
-    (Prot::Esr, Solver::Pcg, 0xde3748f57eb081ce),
-    (Prot::Esr, Solver::PipeCg, 0x565254e9583499ad),
-    (Prot::Esr, Solver::BiCgStab, 0x3b60e93fd4d7febc),
-    (Prot::Cr, Solver::Pcg, 0x6dd0e55b8fd940b8),
-    (Prot::Cr, Solver::PipeCg, 0x8cc5130976faa9a4),
-    (Prot::Cr, Solver::BiCgStab, 0xca5e53c55c19aa10),
+const TRACE: [(Prot, Solver, u64); 6] = [
+    (Prot::Esr, Solver::Pcg, 0x92477f748feb6800),
+    (Prot::Esr, Solver::PipeCg, 0x5d1e588624d12f2b),
+    (Prot::Esr, Solver::BiCgStab, 0xe7cd7c40830fe706),
+    (Prot::Cr, Solver::Pcg, 0xef6b8cb72de1f112),
+    (Prot::Cr, Solver::PipeCg, 0xad3304c1e0d1fd4b),
+    (Prot::Cr, Solver::BiCgStab, 0x996af951747661ab),
 ];
 
 #[derive(Clone, Copy, Debug)]
@@ -188,16 +190,19 @@ impl Fnv {
                 }
             }
         }
-        #[cfg(feature = "trace")]
-        self.bytes(res.trace.chrome_trace_json().as_bytes());
+    }
+
+    fn trace(&mut self, res: &ExperimentResult) {
+        let trace = res.trace.as_ref().expect("every cell is traced");
+        self.bytes(trace.chrome_trace_json().as_bytes());
     }
 }
 
-/// The (numerics, cost) fingerprints of one protection × solver, and one
-/// readable line per cell for a mismatch to print.
-fn fingerprint(prot: Prot, solver: Solver) -> (u64, u64, Vec<String>) {
+/// The (numerics, cost, trace) fingerprints of one protection × solver, and
+/// one readable line per cell for a mismatch to print.
+fn fingerprint(prot: Prot, solver: Solver) -> ([u64; 3], Vec<String>) {
     let problem = Problem::with_ones_solution(poisson2d(14, 13));
-    let (mut numerics, mut cost) = (Fnv::new(), Fnv::new());
+    let (mut numerics, mut cost, mut trace) = (Fnv::new(), Fnv::new(), Fnv::new());
     let mut cells = Vec::new();
     for policy in [
         RecoveryPolicy::Replace,
@@ -205,6 +210,7 @@ fn fingerprint(prot: Prot, solver: Solver) -> (u64, u64, Vec<String>) {
         RecoveryPolicy::Shrink,
     ] {
         let mut cfg = SolverConfig::resilient_with_policy(PHI, policy);
+        cfg.trace = true;
         if prot == Prot::Cr {
             cfg.resilience = cfg.resilience.map(|res| {
                 res.with_protection(Protection::Checkpoint(
@@ -224,14 +230,21 @@ fn fingerprint(prot: Prot, solver: Solver) -> (u64, u64, Vec<String>) {
                 assert_eq!(res.ranks_recovered, lost, "{label}");
                 numerics.numerics(&res);
                 cost.cost(&res);
+                trace.trace(&res);
                 cells.push(format!(
-                    "{label}: iterations {}, inner iterations {}, vtime {:e}, vtime_recovery {:e}",
-                    res.iterations, res.inner_iterations, res.vtime, res.vtime_recovery
+                    "{label}: iterations {}, inner iterations {}, solver_residual {:e}, \
+                     true_residual {:e}, vtime {:e}, vtime_recovery {:e}",
+                    res.iterations,
+                    res.inner_iterations,
+                    res.solver_residual,
+                    res.true_residual,
+                    res.vtime,
+                    res.vtime_recovery
                 ));
             }
         }
     }
-    (numerics.0, cost.0, cells)
+    ([numerics.0, cost.0, trace.0], cells)
 }
 
 fn check(prot: Prot, solver: Solver) {
@@ -242,10 +255,11 @@ fn check(prot: Prot, solver: Solver) {
             .expect("every protection × solver cell has a pin")
             .2
     };
-    let (numerics, cost, cells) = fingerprint(prot, solver);
+    let ([numerics, cost, trace], cells) = fingerprint(prot, solver);
     let moved: String = [
         ("NUMERICS", pinned(&NUMERICS), numerics),
         ("COST", pinned(&COST), cost),
+        ("TRACE", pinned(&TRACE), trace),
     ]
     .into_iter()
     .filter(|(_, pinned, got)| got != pinned)

@@ -1,4 +1,5 @@
-//! Well-formedness of the virtual-time tracing layer (`--features trace`).
+//! Well-formedness of the virtual-time tracing layer (`SolverConfig::trace`,
+//! `Cluster::run_traced`).
 //!
 //! [`parcomm::ClusterTrace::validate`] is the production gate; these tests
 //! re-derive its invariants independently over a real failure-and-recovery
@@ -15,17 +16,25 @@
 //!   communication vtime *exactly* (bitwise `f64` equality — everything
 //!   is deterministic).
 
-#![cfg(feature = "trace")]
-
 use std::collections::HashMap;
 
 use esr_suite::core::{
-    run, run_pcg, run_pipecg, Problem, RecoveryPolicy, SolverConfig, SolverKind,
+    run, run_pcg, run_pipecg, ExperimentResult, Problem, RecoveryPolicy, SolverConfig, SolverKind,
 };
 use esr_suite::parcomm::{
     Cluster, ClusterConfig, CommPhase, CostModel, FailureScript, Payload, TraceEventKind,
 };
 use esr_suite::sparsemat::gen::poisson2d;
+
+/// `cfg` with the tracer on.
+fn traced(cfg: SolverConfig) -> SolverConfig {
+    SolverConfig { trace: true, ..cfg }
+}
+
+/// The trace a traced solve returned.
+fn trace_of(r: &ExperimentResult) -> &esr_suite::parcomm::ClusterTrace {
+    r.trace.as_ref().expect("a traced solve returns its trace")
+}
 
 /// A traced resilient solve with one mid-run failure: the shared fixture
 /// for the structural checks.
@@ -36,14 +45,14 @@ fn traced_failure_solve() -> esr_suite::parcomm::ClusterTrace {
     let r = run_pcg(
         &problem,
         4,
-        &SolverConfig::resilient(1),
+        &traced(SolverConfig::resilient(1)),
         CostModel::default(),
         script,
     )
     .unwrap();
     assert!(r.converged);
     assert_eq!(r.recoveries, 1);
-    r.trace
+    r.trace.expect("a traced solve returns its trace")
 }
 
 #[test]
@@ -185,22 +194,21 @@ fn serial_critical_path_equals_total_exposed_vtime() {
     let r = run_pcg(
         &problem,
         1,
-        &SolverConfig::reference(),
+        &traced(SolverConfig::reference()),
         CostModel::default(),
         FailureScript::none(),
     )
     .unwrap();
     assert!(r.converged);
-    r.trace
-        .validate()
-        .expect("serial trace must be well-formed");
-    assert_eq!(r.trace.nodes.len(), 1);
-    assert!(!r.trace.nodes[0].events.is_empty());
+    let trace = trace_of(&r);
+    trace.validate().expect("serial trace must be well-formed");
+    assert_eq!(trace.nodes.len(), 1);
+    assert!(!trace.nodes[0].events.is_empty());
     let exposed: f64 = CommPhase::ALL
         .iter()
         .map(|&p| r.per_node[0].stats.exposed_vtime(p))
         .sum();
-    let cp = r.trace.critical_path();
+    let cp = trace.critical_path();
     assert_eq!(
         cp.total.to_bits(),
         exposed.to_bits(),
@@ -259,11 +267,11 @@ fn each_iteration_opens_one_span_per_rank() {
         (SolverKind::Pcg, RecoveryPolicy::Shrink),
         (SolverKind::PipeCg, RecoveryPolicy::Replace),
     ] {
-        let cfg = SolverConfig::resilient_with_policy(1, policy);
+        let cfg = traced(SolverConfig::resilient_with_policy(1, policy));
         let script = FailureScript::simultaneous(5, 1, 1, 4);
         let r = run(solver, &problem, 4, &cfg, CostModel::default(), script).unwrap();
         assert!(r.converged && r.recoveries == 1, "{solver:?}");
-        for nt in &r.trace.nodes {
+        for nt in &trace_of(&r).nodes {
             let mut opened: HashMap<u64, usize> = HashMap::new();
             for ev in &nt.events {
                 if let TraceEventKind::Open {
@@ -302,11 +310,11 @@ fn statistics_and_trace_are_two_readings_of_one_stream() {
     let problem = Problem::with_ones_solution(poisson2d(12, 12));
     for run in [run_pcg, run_pipecg] {
         let script = FailureScript::simultaneous(5, 1, 2, 4);
-        let cfg = SolverConfig::resilient(2);
+        let cfg = traced(SolverConfig::resilient(2));
         let r = run(&problem, 4, &cfg, CostModel::default(), script).unwrap();
         assert!(r.converged);
         assert_eq!(r.ranks_recovered, 2);
-        for nt in &r.trace.nodes {
+        for nt in &trace_of(&r).nodes {
             let stats = &r.per_node[nt.rank].stats;
             let reset = TraceEventKind::Instant {
                 name: "reset_metrics",
