@@ -16,8 +16,8 @@
 //! replicas on ring partners — the same Eqn. (5) alternating-ring
 //! placement ESR uses for redundant copies, so the two flavors are equally
 //! failure-decorrelated (the deposit store lives in
-//! [`crate::retention::CheckpointStore`], next to ESR's [`Retention`]
-//! (crate::retention::Retention) channels). On a failure, [`Rollback`]
+//! [`crate::retention::CheckpointStore`], next to ESR's
+//! [`Retention`](crate::retention::Retention) channels). On a failure, [`Rollback`]
 //! fetches the newest surviving replica of every failed block and **all**
 //! ranks roll back to the checkpointed epoch, re-executing the lost
 //! iterations.
@@ -170,7 +170,7 @@ impl<'a> Rollback<'a> {
             self.store.own.iteration as f64
         };
         let mut g = ctx.group(&at.plan.new_members);
-        let agreed = g.allreduce_vec_phase(ctx, ReduceOp::Min, vec![proposal], CommPhase::Recovery);
+        let agreed = g.allreduce_vec(ctx, ReduceOp::Min, vec![proposal], CommPhase::Recovery);
         self.epoch = agreed[0] as u64;
     }
 }

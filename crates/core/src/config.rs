@@ -204,8 +204,13 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// The paper's configuration for a given `φ` (in-place replacement,
-    /// ESR protection).
+    /// The paper's configuration for a given `φ` — in-place replacement,
+    /// ESR protection, minimal copy placement — with one deviation: the
+    /// inner reconstruction solve is preconditioned with the exact block
+    /// LDLᵀ factors ([`RecoveryConfig::default`]). The paper's PETSc runs
+    /// used ILU(0) there; set `recovery.exact_block_precond = false` for the
+    /// paper's choice. Both solve to the inner tolerance; the exact factors
+    /// take fewer inner iterations.
     pub fn paper(phi: usize) -> Self {
         ResilienceConfig {
             phi,

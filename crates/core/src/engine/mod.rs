@@ -236,7 +236,7 @@ impl Layout {
     pub fn allreduce_vec(&mut self, ctx: &mut NodeCtx, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
         match &mut self.group {
             None => ctx.allreduce_vec(opr, x),
-            Some(g) => g.allreduce_vec_phase(ctx, opr, x, CommPhase::Reduction),
+            Some(g) => g.allreduce_vec(ctx, opr, x, CommPhase::Reduction),
         }
     }
 
@@ -257,7 +257,7 @@ impl Layout {
     ) -> AllreduceRequest {
         match &mut self.group {
             None => ctx.iallreduce_vec(opr, x),
-            Some(g) => g.iallreduce_vec_phase(ctx, opr, x, CommPhase::Reduction),
+            Some(g) => g.iallreduce_vec(ctx, opr, x, CommPhase::Reduction),
         }
     }
 

@@ -144,7 +144,8 @@ impl IfExchange {
     }
 }
 
-/// The cooperative inner solve behind [`EngineComm::solve_if_system`].
+/// The cooperative inner solve behind
+/// [`EngineComm::solve_if_system`](super::esr::EngineComm::solve_if_system).
 #[allow(clippy::too_many_arguments)]
 pub(super) fn solve_failed_rows(
     ctx: &mut NodeCtx,
@@ -200,7 +201,8 @@ pub(super) fn solve_failed_rows(
         ex.run(ctx, z, &mut z_full);
         sub.spmv(&z_full, w);
         ctx.clock_mut().advance_flops(sub.spmv_flops());
-        group.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(r, r), dot(r, z), dot(z, w)])
+        let dots = vec![dot(r, r), dot(r, z), dot(z, w)];
+        group.allreduce_vec(ctx, ReduceOp::Sum, dots, CommPhase::Recovery)
     })
 }
 
@@ -209,9 +211,8 @@ fn group_over<'g>(ctx: &mut NodeCtx, gs: &'g mut Vec<Group>, ranks: &[usize]) ->
     if !gs.iter().any(|g| g.members() == ranks) {
         gs.push(ctx.group(ranks));
     }
-    gs.iter_mut()
-        .find(|g| g.members() == ranks)
-        .expect("created")
+    let i = gs.iter().position(|g| g.members() == ranks);
+    &mut gs[i.expect("created")]
 }
 
 /// Which reconstructors a red-black inner solve eliminates ("reds"), per
@@ -345,7 +346,7 @@ fn eliminate_reds(
         ctx.clock_mut().advance_flops(sub.spmv_flops());
         let dots = vec![rr, dot(r, z), dot(z, w)];
         match group.as_mut() {
-            Some(g) => g.allreduce_vec(ctx, ReduceOp::Sum, dots),
+            Some(g) => g.allreduce_vec(ctx, ReduceOp::Sum, dots, CommPhase::Recovery),
             None => dots,
         }
     });

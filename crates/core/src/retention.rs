@@ -191,7 +191,7 @@ impl Retention {
 }
 
 /// One saved state: the iteration it was packed at and the packed block
-/// (see [`crate::engine::ResilientKernel::pack`] for the layout).
+/// (see [`crate::engine::pack`] for the layout).
 #[derive(Clone, Debug)]
 pub(crate) struct Checkpoint {
     /// The outer iteration the pack describes (a deposit-round boundary).

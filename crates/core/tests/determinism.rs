@@ -11,7 +11,7 @@
 //!
 //! This is the property the old thread-per-node runtime could only promise
 //! for clock *values* (the clock algebra was scheduling-independent); any
-//! observable that depended on host-thread timing — `recv_any` match
+//! observable that depended on host-thread timing — any-source match
 //! order, trace event interleavings — was fair game. Now nothing is.
 
 use esr_core::{run_pcg, Problem, SolverConfig};

@@ -83,8 +83,7 @@ pub struct CollEvent {
     /// Reduction operator, for reductions.
     pub rop: Option<ReduceOp>,
     /// Contributed buffer length where the protocol requires agreement
-    /// (all-reduce); `None` for ragged collectives (gather, all-to-all) and
-    /// for participants that do not know the length up front (bcast leaves).
+    /// (all-reduce, barrier); `None` for the ragged all-to-all.
     pub len: Option<usize>,
     /// Hash of the member set (0 for the world communicator).
     pub members_hash: u64,

@@ -1,32 +1,30 @@
-//! The per-node communicator handle: point-to-point messaging and
-//! deterministic collectives.
+//! The per-node communicator handle: exact-source point-to-point messaging
+//! and the three collectives a solver runs — all-reduce (blocking and
+//! non-blocking), barrier and a sparse personalized all-to-all.
 //!
-//! Collectives have a **structure fixed by (root, size)**, so floating-point
-//! reductions are bitwise reproducible across runs — the reduction order
-//! never depends on message timing. Broadcast and gather use binomial trees
-//! of point-to-point messages; all-reduce and barrier use **recursive
-//! doubling** (⌈log₂N⌉ rounds, no root bottleneck; non-power-of-two sizes
-//! fold the surplus ranks in before and out after the doubling phase,
-//! +2 rounds). This mirrors what MPI implementations provide on a fixed
-//! topology and is essential for the reproducibility of the numerical
-//! experiments.
+//! Collectives have a **structure fixed by the participant count**, so
+//! floating-point reductions are bitwise reproducible across runs — the
+//! reduction order never depends on message timing. All-reduce and barrier
+//! use **recursive doubling** (⌈log₂N⌉ rounds, no root bottleneck;
+//! non-power-of-two sizes fold the surplus ranks in before and out after the
+//! doubling phase, +2 rounds), as MPI implementations do on a fixed
+//! topology.
 //!
-//! The recursive-doubling rounds are **scheduler-resident**: participants
-//! meet once in [`crate::sched`], the last arriver computes the reduced
-//! buffer and every round's message stamps for everyone, and each rank then
-//! books its own rounds here — the same `book_send` / `book_recv` steps, in
-//! the same order, that exchanging the messages would have made. The
-//! personalized all-to-all is resident the same way, through the same
-//! rendezvous: its sends are booked before it, its receives after. Every
-//! virtual time, statistic and trace event is what the message exchange
-//! produces; only the physical messages and their host-thread hand-offs are
-//! gone.
+//! Every collective is **scheduler-resident**: participants meet once in
+//! [`crate::sched`], the last arriver computes what the message exchange
+//! would have produced — an all-reduce's reduced buffer and every round's
+//! message stamps, an all-to-all's payloads and stamp rows — and each rank
+//! then books its own messages here, with the same `book_send` /
+//! `book_recv` steps, in the same order, that exchanging them would have
+//! made. Every virtual time, statistic and trace event is what the message
+//! exchange produces; only the physical messages and their host-thread
+//! hand-offs are absent.
 //!
-//! Every collective is written once, over a [`Scope`] — the world or a
-//! [`Group`] — as a `*_on` method of [`NodeCtx`]; the public methods here
-//! and on `Group` name their span and phase and call it. Everything that
-//! watches the traffic (statistics, auditor, tracer) does so through the
-//! one event [`NodeCtx::emit`] hands to [`crate::observe`].
+//! An all-reduce is written once, over a [`Scope`] — the world or a
+//! [`Group`] — as [`NodeCtx::allreduce_on`]; the public methods here and on
+//! `Group` name its span and phase and call it. Everything that watches the
+//! traffic (statistics, auditor, tracer) does so through the one event
+//! [`NodeCtx::emit`] hands to [`crate::observe`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,7 +33,7 @@ use crate::fault::{FailAt, FaultOracle};
 use crate::group::Group;
 use crate::observe::{split_elems, Event, NodeLogs, Observers};
 use crate::payload::{Message, Payload};
-use crate::request::{AllreduceRequest, RecvRequest, SendRequest};
+use crate::request::AllreduceRequest;
 use crate::sched::{Deposit, Outcome, Part, RdShape, Scheduler};
 use crate::stats::{CommPhase, CommStats};
 use crate::tag::{op, Tag};
@@ -79,32 +77,6 @@ impl ReduceOp {
     }
 }
 
-/// Element types that can travel in a [`Payload`] buffer variant. Lets the
-/// ragged-buffer logic (broadcast counts, then flattened data, then split)
-/// be written once for both `f64` and `u64`.
-pub(crate) trait PayloadElem: Clone {
-    fn wrap(v: Vec<Self>) -> Payload;
-    fn unwrap(p: Payload) -> Vec<Self>;
-}
-
-impl PayloadElem for f64 {
-    fn wrap(v: Vec<f64>) -> Payload {
-        Payload::f64s(v)
-    }
-    fn unwrap(p: Payload) -> Vec<f64> {
-        p.into_f64s()
-    }
-}
-
-impl PayloadElem for u64 {
-    fn wrap(v: Vec<u64>) -> Payload {
-        Payload::u64s(v)
-    }
-    fn unwrap(p: Payload) -> Vec<u64> {
-        p.into_u64s()
-    }
-}
-
 /// The communicator one collective call runs on: who takes part, as whom,
 /// and which call of the communicator's SPMD-aligned sequence this is. The
 /// world has identity ranks and [`Tag::coll`] tags; a [`Group`] maps
@@ -135,32 +107,9 @@ impl Scope<'_> {
     }
 }
 
-/// Ragged per-participant buffers as the two payloads that broadcast them:
-/// the counts and the flattened data (both empty off the root).
-fn flatten_ragged<T: PayloadElem>(vecs: Option<Vec<Vec<T>>>) -> (Payload, Payload) {
-    let Some(vs) = vecs else {
-        return (Payload::Empty, Payload::Empty);
-    };
-    let counts = vs.iter().map(|v| v.len() as u64).collect();
-    (
-        Payload::u64s(counts),
-        T::wrap(vs.into_iter().flatten().collect()),
-    )
-}
-
-/// Split a flattened buffer back into per-rank pieces of the given lengths.
-fn split_by_counts<T>(flat: Vec<T>, counts: &[u64]) -> Vec<Vec<T>> {
-    debug_assert_eq!(flat.len() as u64, counts.iter().sum::<u64>());
-    let mut it = flat.into_iter();
-    counts
-        .iter()
-        .map(|&c| it.by_ref().take(c as usize).collect())
-        .collect()
-}
-
 /// Whose clock a communication step is booked on: the node's own (the
 /// blocking primitives), or a detached engine timeline that started when a
-/// non-blocking operation was issued and leaves the node clock untouched
+/// non-blocking all-reduce was issued and leaves the node clock untouched
 /// until `wait` charges the un-hidden remainder (see [`crate::request`]).
 /// Both run the same algebra — `now += λ + s·µ` per send,
 /// `now = max(now, arrival)` per receive — so a collective's result and
@@ -285,20 +234,40 @@ impl NodeCtx {
 
     /// Send `payload` to `dest` with a user tag, charged to `phase`.
     pub fn send(&mut self, dest: usize, tag: u32, payload: Payload, phase: CommPhase) {
-        self.send_tag(dest, Tag::user(tag), payload, phase);
+        let split = [(phase, payload.elems())];
+        self.send_with_phases(dest, tag, payload, &split);
     }
 
-    pub(crate) fn send_tag(&mut self, dest: usize, tag: Tag, payload: Payload, phase: CommPhase) {
+    /// Send one physical message whose elements belong to several
+    /// accounting phases (e.g. natural SpMV traffic plus appended
+    /// redundancy copies — the paper's latency-avoidance optimization:
+    /// one message, one λ, split bookkeeping). The `split` counts must sum
+    /// to the payload's element count.
+    pub fn send_with_phases(
+        &mut self,
+        dest: usize,
+        tag: u32,
+        payload: Payload,
+        split: &[(CommPhase, usize)],
+    ) {
         debug_assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
-        let split = [(phase, payload.elems())];
-        let arrival = self.book_send(&mut Timeline::Node, dest, tag, &split);
-        self.raw_send(dest, tag, payload, arrival);
+        debug_assert_ne!(dest, self.rank, "self-send is a protocol bug");
+        debug_assert_eq!(
+            split_elems(split),
+            payload.elems(),
+            "split covers the payload"
+        );
+        let tag = Tag::user(tag);
+        let arrival = self.book_send(&mut Timeline::Node, dest, tag, split);
+        let mut msg = Message::new(self.rank, tag, payload, arrival);
+        self.obs.stamp(dest, &mut msg);
+        self.sched.send(dest, msg);
     }
 
     /// Book one outgoing message on `tl` — clock, then the one `Send` event
     /// — and return its arrival stamp. Everything a send does except
-    /// deliver: the blocking and non-blocking sends deliver next, a
-    /// resident collective's rounds have nothing to deliver. `split` is the
+    /// deliver: a point-to-point send delivers next, a resident
+    /// collective's messages have nothing to deliver. `split` is the
     /// message's per-phase element accounting (see [`Event::Send`]).
     fn book_send(
         &mut self,
@@ -379,54 +348,6 @@ impl NodeCtx {
         );
     }
 
-    /// Deliver a message with an explicit arrival stamp, touching neither
-    /// the clock nor the statistics — the primitive beneath both the
-    /// blocking path (which charges the sender first) and the non-blocking
-    /// `isend` (which stamps with its own detached timeline).
-    pub(crate) fn raw_send(&mut self, dest: usize, tag: Tag, payload: Payload, arrival_vtime: f64) {
-        debug_assert_ne!(dest, self.rank, "self-send is a protocol bug");
-        let mut msg = Message::new(self.rank, tag, payload, arrival_vtime);
-        self.obs.stamp(dest, &mut msg);
-        self.sched.send(dest, msg);
-    }
-
-    /// Blocking receive (`src: None` ⇒ any source) with no clock or stats
-    /// effects: non-blocking requests account on their own timeline.
-    pub(crate) fn raw_recv_blocking(&mut self, src: Option<usize>, tag: Tag) -> Message {
-        let m = self.sched.recv(self.rank, src, tag, self.clock.now());
-        self.emit(self.clock.now(), Event::Matched(&m));
-        m
-    }
-
-    /// Arrival stamp of the next `(src, tag)` match already delivered, if
-    /// any — non-blocking and non-consuming, with no clock or stats effects
-    /// (advisory `test` path — matching stays in program order).
-    pub(crate) fn raw_peek_arrival(&self, src: usize, tag: Tag) -> Option<f64> {
-        self.sched.peek_arrival(self.rank, src, tag)
-    }
-
-    /// Send one physical message whose elements belong to several
-    /// accounting phases (e.g. natural SpMV traffic plus appended
-    /// redundancy copies — the paper's latency-avoidance optimization:
-    /// one message, one λ, split bookkeeping). The `split` counts must sum
-    /// to the payload's element count.
-    pub fn send_with_phases(
-        &mut self,
-        dest: usize,
-        tag: u32,
-        payload: Payload,
-        split: &[(CommPhase, usize)],
-    ) {
-        debug_assert_eq!(
-            split_elems(split),
-            payload.elems(),
-            "split covers the payload"
-        );
-        let tag = Tag::user(tag);
-        let arrival = self.book_send(&mut Timeline::Node, dest, tag, split);
-        self.raw_send(dest, tag, payload, arrival);
-    }
-
     /// Blocking receive of a user-tagged message from `src` (stall time
     /// accounted to [`CommPhase::Other`]; use [`NodeCtx::recv_phase`] to
     /// attribute it).
@@ -435,69 +356,47 @@ impl NodeCtx {
     }
 
     /// Blocking receive of a user-tagged message from `src`, with the stall
-    /// time attributed to `phase`.
+    /// time attributed to `phase`. Messages from one source under one tag
+    /// match in the order they were sent.
     pub fn recv_phase(&mut self, src: usize, tag: u32, phase: CommPhase) -> Payload {
-        self.recv_tag(src, Tag::user(tag), phase).payload
-    }
-
-    pub(crate) fn recv_tag(&mut self, src: usize, tag: Tag, phase: CommPhase) -> Message {
-        let m = self.raw_recv_blocking(Some(src), tag);
+        let tag = Tag::user(tag);
+        let m = self.sched.recv(self.rank, src, tag, self.clock.now());
+        self.emit(self.clock.now(), Event::Matched(&m));
         let (elems, arrival) = (m.payload.elems(), m.arrival_vtime);
         self.book_recv(&mut Timeline::Node, src, tag, elems, arrival, phase);
-        m
-    }
-
-    /// Blocking receive of a user-tagged message from any source.
-    pub fn recv_any(&mut self, tag: u32) -> (usize, Payload) {
-        let tag = Tag::user(tag);
-        let m = self.raw_recv_blocking(None, tag);
-        let (elems, arrival) = (m.payload.elems(), m.arrival_vtime);
-        self.book_recv(
-            &mut Timeline::Node,
-            m.src,
-            tag,
-            elems,
-            arrival,
-            CommPhase::Other,
-        );
-        (m.src, m.payload)
+        m.payload
     }
 
     // ------------------------------------------------------------------
-    // Non-blocking point-to-point and collectives
+    // Collectives on the world
     // ------------------------------------------------------------------
 
-    /// Non-blocking send: the message departs immediately (stamped from the
-    /// current clock), but the sender's clock is **not** charged — the
-    /// transfer runs concurrently with whatever the node computes next.
-    /// [`SendRequest::wait`] charges only the part of the transfer not
-    /// hidden behind that compute.
-    pub fn isend(
-        &mut self,
-        dest: usize,
-        tag: u32,
-        payload: Payload,
-        phase: CommPhase,
-    ) -> SendRequest {
-        debug_assert!(dest < self.size, "send to rank {} of {}", dest, self.size);
-        let elems = payload.elems();
-        let mut engine = Timeline::Engine(self.clock.now());
-        let done_at = self.book_send(&mut engine, dest, Tag::user(tag), &[(phase, elems)]);
-        self.raw_send(dest, Tag::user(tag), payload, done_at);
-        SendRequest::new(done_at, self.clock.model().msg_cost(elems), phase)
+    /// Synchronize all nodes (and their virtual clocks): a zero-length
+    /// recursive-doubling all-reduce in ⌈log₂N⌉(+2) rounds, so every node
+    /// transitively absorbs every other one's clock.
+    pub fn barrier(&mut self) {
+        let s = self.world();
+        let tag = self.coll_begin(&s, "barrier", op::BARRIER, None, Some(0));
+        let (tl, x) = (&mut Timeline::Node, Vec::new());
+        self.rd_rounds(tl, &s, tag, ReduceOp::Sum, x, CommPhase::Reduction);
+        self.trace_close();
     }
 
-    /// Non-blocking receive: returns a handle that matches `(src, tag)`.
-    /// Compute performed before [`RecvRequest::wait`] overlaps the message
-    /// flight; `wait` charges only the remaining latency
-    /// (`max(clock, arrival) − clock`). The message is matched at `wait`,
-    /// in program order — interleaving blocking `recv`s on the same
-    /// `(src, tag)` while the request is in flight matches them in the
-    /// order the calls execute, deterministically.
-    pub fn irecv(&mut self, src: usize, tag: u32, phase: CommPhase) -> RecvRequest {
-        let tag = Tag::user(tag);
-        let posted_at = self.clock.now();
-        RecvRequest::new(src, tag, phase, posted_at)
+    /// All-reduce a scalar sum.
+    pub fn allreduce_sum(&mut self, x: f64) -> f64 {
+        self.allreduce_vec(ReduceOp::Sum, vec![x])[0]
+    }
+
+    /// Element-wise all-reduce of an `f64` buffer (all nodes pass equal
+    /// lengths; the result is bitwise identical on every node).
+    ///
+    /// Recursive doubling: ⌈log₂N⌉ rounds (+2 on non-power-of-two sizes),
+    /// every node sends and receives one buffer per round — no root
+    /// bottleneck. The pairing and combination order are fixed functions
+    /// of (rank, size), so the result is deterministic.
+    pub fn allreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
+        let (world, tl) = (self.world(), &mut Timeline::Node);
+        self.allreduce_on(tl, &world, "allreduce", opr, x, CommPhase::Reduction)
     }
 
     /// Non-blocking element-wise all-reduce: same deterministic
@@ -515,8 +414,76 @@ impl NodeCtx {
         self.iallreduce_on(&world, "iallreduce", opr, x, CommPhase::Reduction)
     }
 
+    /// Personalized all-to-all of index lists, sparse on both sides:
+    /// `(destination rank, list)` ascending in, `(source rank, list)`
+    /// ascending out, empty lists left out; an entry for the own rank is
+    /// passed through untouched. Used for one-time plan setup (booked under
+    /// [`CommPhase::Setup`]), where symmetric knowledge is simplest; the
+    /// arguments are O(neighbours), not O(N).
+    ///
+    /// Every ordered pair of nodes still exchanges one message in virtual
+    /// time — booked here, never built. This node books its `N − 1` sends
+    /// on its own clock in ascending rank order (empty ones included),
+    /// meets the others once in [`Scheduler::collective`] with the stamps
+    /// and the non-empty payloads, and then books its `N − 1` receives in
+    /// ascending order from the shared stamp rows: the events, clocks and
+    /// statistics of posting all sends and then receiving in rank order.
+    /// The order is part of the result — a send's stamp is the clock after
+    /// every earlier send, a receive's stall depends on the receives before
+    /// it — so it is pinned.
+    ///
+    /// # Panics
+    /// Panics when the destinations are not strictly ascending ranks below
+    /// the cluster size.
+    pub fn alltoallv_sparse_u64(
+        &mut self,
+        sends: Vec<(usize, Vec<u64>)>,
+    ) -> Vec<(usize, Vec<u64>)> {
+        let s = self.world();
+        let ascending = sends.windows(2).all(|w| w[0].0 < w[1].0);
+        assert!(
+            ascending && sends.last().is_none_or(|&(i, _)| i < s.n),
+            "alltoallv destinations must be ascending indices below {}",
+            s.n
+        );
+        let tag = self.coll_begin(&s, "alltoall", op::ALLTOALL, None, None);
+        let (tl, me, phase) = (&mut Timeline::Node, s.my_index, CommPhase::Setup);
+        let mut own = None;
+        let mut stamps = vec![0.0; s.n];
+        // An empty list is a pair that exchanges nothing: booked, not sent.
+        let mut lists = sends.into_iter().filter(|(_, l)| !l.is_empty()).peekable();
+        let mut sends = Vec::new();
+        for i in 0..s.n {
+            let data = lists.next_if(|&(dst, _)| dst == i).map(|(_, data)| data);
+            if i == me {
+                own = data;
+                continue;
+            }
+            let elems = data.as_ref().map_or(0, Vec::len);
+            stamps[i] = self.book_send(tl, i, tag, &[(phase, elems)]);
+            sends.extend(data.map(|data| (i, Payload::u64s(data))));
+        }
+        let part = Part::Exchange { stamps, sends };
+        let (shared, recvd) = self.rendezvous(&s, tag, part);
+
+        let mut out = Vec::with_capacity(recvd.len() + 1);
+        let mut recvd = recvd.into_iter().peekable();
+        for i in 0..s.n {
+            if i == me {
+                out.extend(own.take().map(|data| (me, data)));
+                continue;
+            }
+            let payload = recvd.next_if(|&(src, _)| src == i).map(|(_, p)| p);
+            let elems = payload.as_ref().map_or(0, Payload::elems);
+            self.book_recv(tl, i, tag, elems, shared.stamps[i][me], phase);
+            out.extend(payload.map(|p| (i, p.into_u64s())));
+        }
+        self.trace_close();
+        out
+    }
+
     // ------------------------------------------------------------------
-    // Collectives: one body each, over a scope
+    // Collective bodies, over a scope
     // ------------------------------------------------------------------
 
     /// The world communicator as the scope of its next collective call
@@ -552,15 +519,6 @@ impl NodeCtx {
         self.emit(self.clock.now(), call);
         self.trace_open(name, scope.seq);
         scope.tag(kind)
-    }
-
-    /// Barrier on `s`: a zero-length recursive-doubling all-reduce, so
-    /// every participant transitively absorbs every other one's clock.
-    pub(crate) fn barrier_on(&mut self, s: &Scope<'_>, name: &'static str, phase: CommPhase) {
-        let tag = self.coll_begin(s, name, op::BARRIER, None, Some(0));
-        let (tl, x) = (&mut Timeline::Node, Vec::new());
-        self.rd_rounds(tl, s, tag, ReduceOp::Sum, x, phase);
-        self.trace_close();
     }
 
     /// Element-wise all-reduce on `s`, booked on `tl` (all participants
@@ -660,246 +618,6 @@ impl NodeCtx {
         self.sched.collective(self.rank, deposit, self.clock.now())
     }
 
-    /// Personalized all-to-all on `s`, sparse on both sides: `sends` holds
-    /// `(destination index, list)` ascending, the result `(source index,
-    /// list)` ascending with the empty lists left out; an entry for the own
-    /// index is passed through untouched.
-    ///
-    /// Every ordered pair of participants still exchanges one message in
-    /// virtual time — booked here, never built. This node books its `n − 1`
-    /// sends on its own clock in ascending participant order (empty ones
-    /// included), meets the others once in [`Scheduler::collective`] with
-    /// the stamps and the non-empty payloads, and then books its `n − 1`
-    /// receives in ascending order from the shared stamp rows: the events,
-    /// clocks and statistics of posting all sends and then receiving in
-    /// participant order. The order is part of the result — a send's stamp
-    /// is the clock after every earlier send, a receive's stall depends on
-    /// the receives before it — so it is pinned.
-    ///
-    /// # Panics
-    /// Panics when the destinations are not strictly ascending indices
-    /// below `s.n`.
-    pub(crate) fn alltoallv_on<T: PayloadElem>(
-        &mut self,
-        s: &Scope<'_>,
-        name: &'static str,
-        sends: Vec<(usize, Vec<T>)>,
-        phase: CommPhase,
-    ) -> Vec<(usize, Vec<T>)> {
-        let ascending = sends.windows(2).all(|w| w[0].0 < w[1].0);
-        assert!(
-            ascending && sends.last().is_none_or(|&(i, _)| i < s.n),
-            "alltoallv destinations must be ascending indices below {}",
-            s.n
-        );
-        let tag = self.coll_begin(s, name, op::ALLTOALL, None, None);
-        let (tl, me) = (&mut Timeline::Node, s.my_index);
-        let mut own = None;
-        let mut stamps = vec![0.0; s.n];
-        // An empty list is a pair that exchanges nothing: booked, not sent.
-        let mut lists = sends.into_iter().filter(|(_, l)| !l.is_empty()).peekable();
-        let mut sends = Vec::new();
-        for i in 0..s.n {
-            let data = lists.next_if(|&(dst, _)| dst == i).map(|(_, data)| data);
-            if i == me {
-                own = data;
-                continue;
-            }
-            let elems = data.as_ref().map_or(0, Vec::len);
-            stamps[i] = self.book_send(tl, s.rank_of(i), tag, &[(phase, elems)]);
-            sends.extend(data.map(|data| (i, T::wrap(data))));
-        }
-        let part = Part::Exchange { stamps, sends };
-        let (shared, recvd) = self.rendezvous(s, tag, part);
-
-        let mut out = Vec::with_capacity(recvd.len() + 1);
-        let mut recvd = recvd.into_iter().peekable();
-        for i in 0..s.n {
-            if i == me {
-                out.extend(own.take().map(|data| (me, data)));
-                continue;
-            }
-            let payload = recvd.next_if(|&(src, _)| src == i).map(|(_, p)| p);
-            let elems = payload.as_ref().map_or(0, Payload::elems);
-            self.book_recv(tl, s.rank_of(i), tag, elems, shared.stamps[i][me], phase);
-            out.extend(payload.map(|p| (i, T::unwrap(p))));
-        }
-        self.trace_close();
-        out
-    }
-
-    /// Gather per-participant buffers on participant index `root` of `s`,
-    /// in index order; the others return `None`.
-    pub(crate) fn gatherv_on<T: PayloadElem>(
-        &mut self,
-        s: &Scope<'_>,
-        name: &'static str,
-        root: usize,
-        x: Vec<T>,
-        phase: CommPhase,
-    ) -> Option<Vec<Vec<T>>> {
-        let tag = self.coll_begin(s, name, op::GATHER, None, None);
-        let gathered = if s.my_index != root {
-            self.send_tag(s.rank_of(root), tag, T::wrap(x), phase);
-            None
-        } else {
-            let mut own = Some(x);
-            let gathered = (0..s.n).map(|i| {
-                if i == root {
-                    own.take().expect("own slot filled once")
-                } else {
-                    T::unwrap(self.recv_tag(s.rank_of(i), tag, phase).payload)
-                }
-            });
-            Some(gathered.collect())
-        };
-        self.trace_close();
-        gathered
-    }
-
-    /// Broadcast from participant index `root` of `s` over a binomial tree.
-    /// The per-child `data.clone()` is an `Arc` bump, not a buffer copy.
-    pub(crate) fn bcast_on(
-        &mut self,
-        s: &Scope<'_>,
-        name: &'static str,
-        root: usize,
-        payload: Payload,
-        phase: CommPhase,
-    ) -> Payload {
-        let tag = self.coll_begin(s, name, op::BCAST, None, None);
-        let n = s.n;
-        // Tree positions are indices rotated so the root sits at 0.
-        let rank_of = |v: usize| s.rank_of((v + root) % n);
-        let vrank = (s.my_index + n - root) % n;
-        // Find the highest power of two ≤ n.
-        let mut top = 1usize;
-        while top << 1 < n {
-            top <<= 1;
-        }
-        let data: Payload = if vrank == 0 {
-            payload
-        } else {
-            // Receive from parent: clear lowest set bit of vrank.
-            self.recv_tag(rank_of(vrank & (vrank - 1)), tag, phase)
-                .payload
-        };
-        // Forward to children (bits below our lowest set bit), farthest
-        // subtree first so it starts as early as possible.
-        let lowbit = if vrank == 0 {
-            top << 1
-        } else {
-            vrank & vrank.wrapping_neg()
-        };
-        let mut mask = top;
-        while mask > 0 {
-            if mask < lowbit && vrank | mask < n {
-                self.send_tag(rank_of(vrank | mask), tag, data.clone(), phase);
-            }
-            mask >>= 1;
-        }
-        self.trace_close();
-        data
-    }
-
-    // ------------------------------------------------------------------
-    // The world communicator
-    // ------------------------------------------------------------------
-
-    /// Synchronize all nodes (and their virtual clocks) in ⌈log₂N⌉(+2)
-    /// rounds.
-    pub fn barrier(&mut self) {
-        let world = self.world();
-        self.barrier_on(&world, "barrier", CommPhase::Reduction);
-    }
-
-    /// Broadcast `payload` from `root`; every node returns the payload.
-    pub fn bcast(&mut self, root: usize, payload: Payload) -> Payload {
-        let world = self.world();
-        self.bcast_on(&world, "bcast", root, payload, CommPhase::Reduction)
-    }
-
-    /// All-reduce a scalar.
-    pub fn allreduce_sum(&mut self, x: f64) -> f64 {
-        self.allreduce_vec(ReduceOp::Sum, vec![x])[0]
-    }
-
-    /// All-reduce max of a scalar.
-    pub fn allreduce_max(&mut self, x: f64) -> f64 {
-        self.allreduce_vec(ReduceOp::Max, vec![x])[0]
-    }
-
-    /// All-reduce min of a scalar.
-    pub fn allreduce_min(&mut self, x: f64) -> f64 {
-        self.allreduce_vec(ReduceOp::Min, vec![x])[0]
-    }
-
-    /// Element-wise all-reduce of an `f64` buffer (all nodes pass equal
-    /// lengths; the result is bitwise identical on every node).
-    ///
-    /// Recursive doubling: ⌈log₂N⌉ rounds (+2 on non-power-of-two sizes),
-    /// every node sends and receives one buffer per round — no root
-    /// bottleneck. The pairing and combination order are fixed functions
-    /// of (rank, size), so the result is deterministic.
-    pub fn allreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
-        let (world, tl) = (self.world(), &mut Timeline::Node);
-        self.allreduce_on(tl, &world, "allreduce", opr, x, CommPhase::Reduction)
-    }
-
-    /// Gather variable-length `f64` buffers on `root` (rank order).
-    /// Non-roots return `None`.
-    pub fn gatherv_f64(&mut self, root: usize, x: Vec<f64>) -> Option<Vec<Vec<f64>>> {
-        self.gatherv(root, x)
-    }
-
-    fn gatherv<T: PayloadElem>(&mut self, root: usize, x: Vec<T>) -> Option<Vec<Vec<T>>> {
-        let world = self.world();
-        self.gatherv_on(&world, "gather", root, x, CommPhase::Other)
-    }
-
-    /// All-gather variable-length `f64` buffers; result indexed by rank.
-    pub fn allgatherv_f64(&mut self, x: Vec<f64>) -> Vec<Vec<f64>> {
-        let gathered = self.gatherv(0, x);
-        self.bcast_ragged(0, gathered)
-    }
-
-    /// All-gather variable-length `u64` buffers; result indexed by rank.
-    pub fn allgatherv_u64(&mut self, x: Vec<u64>) -> Vec<Vec<u64>> {
-        let gathered = self.gatherv(0, x);
-        self.bcast_ragged(0, gathered)
-    }
-
-    /// Broadcast ragged per-rank buffers from `root`: counts first, then the
-    /// flattened data, then split back. One implementation for every element
-    /// type that fits in a payload (the logic used to be triplicated).
-    fn bcast_ragged<T: PayloadElem>(
-        &mut self,
-        root: usize,
-        vecs: Option<Vec<Vec<T>>>,
-    ) -> Vec<Vec<T>> {
-        let (counts, flat) = flatten_ragged(vecs);
-        let counts = self.bcast(root, counts);
-        let flat = self.bcast(root, flat);
-        split_by_counts(T::unwrap(flat), &counts.into_u64s())
-    }
-
-    /// Personalized all-to-all of index lists: `(destination rank, list)`
-    /// ascending in, `(source rank, list)` ascending out (own slot passed
-    /// through), empty lists left out on both sides. Every pair exchanges
-    /// a message (possibly empty) in virtual time — used for one-time plan
-    /// setup, where symmetric knowledge is simplest — but the arguments
-    /// are O(neighbours), not O(N).
-    ///
-    /// # Panics
-    /// Panics when the destinations are not strictly ascending ranks.
-    pub fn alltoallv_sparse_u64(
-        &mut self,
-        sends: Vec<(usize, Vec<u64>)>,
-    ) -> Vec<(usize, Vec<u64>)> {
-        let world = self.world();
-        self.alltoallv_on(&world, "alltoall", sends, CommPhase::Setup)
-    }
-
     // ------------------------------------------------------------------
     // Groups, faults, metrics
     // ------------------------------------------------------------------
@@ -975,14 +693,6 @@ impl NodeCtx {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn split_by_counts_partitions() {
-        let out = split_by_counts(vec![1u64, 2, 3, 4, 5], &[2, 0, 3]);
-        assert_eq!(out, vec![vec![1, 2], vec![], vec![3, 4, 5]]);
-    }
-
     /// The auditor re-finds the defect it was built for: a `swap_remove` in
     /// the pending-queue match once reordered same-`(src, tag)` messages
     /// when two were queued. The scheduler's test double re-seeds it on

@@ -1,17 +1,18 @@
 //! Sub-communicators.
 //!
-//! During recovery from `ψ` simultaneous failures, the `ψ` replacement nodes
-//! cooperate to solve the linear system `A_{If,If} x_If = w` (paper Sec. 4.1:
-//! "additional communication between the ψ replacement nodes is necessary").
-//! A [`Group`] gives them a private collective context, like an MPI
-//! sub-communicator obtained from `MPI_Comm_split`.
+//! Two kinds of code reduce over a subset of the cluster: the replacement
+//! nodes' cooperative inner solve of `A_{If,If} x_If = w` during recovery
+//! (paper Sec. 4.1: "additional communication between the ψ replacement
+//! nodes is necessary"), and a solver that continues on the members left
+//! after a Shrink. A [`Group`] gives them a private collective context, like
+//! an MPI sub-communicator obtained from `MPI_Comm_split`.
 //!
-//! A group collective is the same code as the world's: every method here
-//! hands its [`Scope`] (members, own index, group id, next sequence number)
-//! to the one body of that collective in [`crate::comm`], with its own span
-//! name and phase. Group all-reduces and barriers therefore run the same
-//! scheduler-resident recursive-doubling rounds, over group indices instead
-//! of global ranks — recovery's inner solves get the ⌈log₂ψ⌉-round cost too.
+//! A group all-reduce is the world's code: both methods here hand their
+//! [`Scope`] (members, own index, group id, next sequence number) to the one
+//! all-reduce body in [`crate::comm`], with their own span name and the
+//! caller's phase. They run the same scheduler-resident recursive-doubling
+//! rounds, over group indices instead of global ranks, so an inner solve
+//! over ψ reconstructors pays ⌈log₂ψ⌉ rounds.
 
 use crate::comm::{NodeCtx, ReduceOp, Scope, Timeline};
 use crate::request::AllreduceRequest;
@@ -77,33 +78,12 @@ impl Group {
         }
     }
 
-    /// Group barrier (zero-length recursive-doubling all-reduce).
-    pub fn barrier(&mut self, ctx: &mut NodeCtx) {
-        ctx.barrier_on(&self.scope(), "group_barrier", CommPhase::Recovery);
-    }
-
-    /// Group all-reduce of a scalar sum.
-    pub fn allreduce_sum(&mut self, ctx: &mut NodeCtx, x: f64) -> f64 {
-        self.allreduce_vec(ctx, ReduceOp::Sum, vec![x])[0]
-    }
-
-    /// Group all-reduce max of a scalar.
-    pub fn allreduce_max(&mut self, ctx: &mut NodeCtx, x: f64) -> f64 {
-        self.allreduce_vec(ctx, ReduceOp::Max, vec![x])[0]
-    }
-
     /// Group element-wise all-reduce (recursive doubling over group
-    /// indices; bitwise identical on every member), charged to
-    /// [`CommPhase::Recovery`] — the historical default, since groups were
-    /// born for the replacement nodes' cooperative reconstruction.
-    pub fn allreduce_vec(&mut self, ctx: &mut NodeCtx, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
-        self.allreduce_vec_phase(ctx, opr, x, CommPhase::Recovery)
-    }
-
-    /// Group element-wise all-reduce with the traffic charged to `phase`.
-    /// A shrunken cluster runs its *solver* reductions through a group, so
-    /// those must book under [`CommPhase::Reduction`], not `Recovery`.
-    pub fn allreduce_vec_phase(
+    /// indices; bitwise identical on every member), with the traffic
+    /// charged to `phase`: [`CommPhase::Recovery`] inside a reconstruction,
+    /// [`CommPhase::Reduction`] for a solver's reductions on a shrunken
+    /// cluster.
+    pub fn allreduce_vec(
         &mut self,
         ctx: &mut NodeCtx,
         opr: ReduceOp,
@@ -116,11 +96,11 @@ impl Group {
 
     /// Non-blocking group element-wise all-reduce: the same detached-engine
     /// semantics as [`NodeCtx::iallreduce_vec`], over the group's members.
-    /// The result is bitwise identical to [`Group::allreduce_vec_phase`]
-    /// (the identical recursive-doubling schedule runs, only the time
-    /// accounting differs), so a solver that continues on a shrunken
-    /// communicator keeps both its overlap *and* its determinism.
-    pub fn iallreduce_vec_phase(
+    /// The result is bitwise identical to [`Group::allreduce_vec`] (the
+    /// identical recursive-doubling schedule runs, only the time accounting
+    /// differs), so a solver that continues on a shrunken communicator
+    /// keeps both its overlap *and* its determinism.
+    pub fn iallreduce_vec(
         &mut self,
         ctx: &mut NodeCtx,
         opr: ReduceOp,
@@ -128,19 +108,6 @@ impl Group {
         phase: CommPhase,
     ) -> AllreduceRequest {
         ctx.iallreduce_on(&self.scope(), "group_iallreduce", opr, x, phase)
-    }
-
-    /// Personalized all-to-all of `u64` index lists among members:
-    /// `(destination index, list)` ascending in, `(source index, list)`
-    /// ascending out, empty lists left out. Used to (re)build scatter plans
-    /// over a shrunken communicator.
-    pub fn alltoallv_sparse_u64(
-        &mut self,
-        ctx: &mut NodeCtx,
-        sends: Vec<(usize, Vec<u64>)>,
-        phase: CommPhase,
-    ) -> Vec<(usize, Vec<u64>)> {
-        ctx.alltoallv_on(&self.scope(), "group_alltoall", sends, phase)
     }
 }
 

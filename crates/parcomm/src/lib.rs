@@ -8,30 +8,34 @@
 //! physical nodes. Here, every **node** of the parallel computer has
 //! strictly private state and a message queue; all interaction happens
 //! through explicit message passing and collectives, mirroring the MPI
-//! programming model. Node
-//! programs are written in blocking style (each node owns an OS thread as
-//! its stack), but execution is driven by a deterministic discrete-event
-//! scheduler ([`sched`]): exactly one node runs at a time, blocking
-//! operations park the node, and the next runnable node is dispatched by
-//! minimum `(virtual time, rank)` — so a 1024-node cluster runs on one
-//! core and every run replays the identical schedule. The primitives:
+//! programming model. Node programs are written in blocking style (each
+//! node owns an OS thread as its stack), but execution is driven by a
+//! deterministic discrete-event scheduler ([`sched`]): exactly one node
+//! runs at a time, blocking operations park the node, and the next
+//! runnable node is dispatched by minimum `(virtual time, rank)` — so a
+//! 1024-node cluster runs on one core and every run replays the identical
+//! schedule.
 //!
-//! * point-to-point [`NodeCtx::send`] / [`NodeCtx::recv`] with
-//!   `(source, tag)` matching,
-//! * deterministic collectives ([`NodeCtx::allreduce_sum`],
-//!   [`NodeCtx::allgatherv_f64`], [`NodeCtx::alltoallv_sparse_u64`], …):
-//!   recursive doubling for all-reduce and barrier and a personalized
-//!   all-to-all, sparse on both sides — one rendezvous in the scheduler
-//!   per call, booked message by message as the exchange it stands for —
-//!   and binomial trees of point-to-point messages for broadcast/gather,
-//! * non-blocking operations ([`NodeCtx::isend`], [`NodeCtx::irecv`],
-//!   [`NodeCtx::iallreduce_vec`]) with request handles ([`request`]) and an
-//!   **overlap-aware clock**: compute issued between start and wait hides
-//!   the flight time, and [`CommStats`] splits communication into exposed
-//!   vs hidden virtual time — the substrate of the communication-hiding
-//!   pipelined PCG,
-//! * sub-communicators ([`NodeCtx::group`]) used by replacement nodes during
-//!   cooperative state reconstruction,
+//! The communication surface is what the solvers call, and nothing more:
+//!
+//! * exact-source point-to-point [`NodeCtx::send`] /
+//!   [`NodeCtx::send_with_phases`] and [`NodeCtx::recv`] /
+//!   [`NodeCtx::recv_phase`] with `(source, tag)` matching — the SpMV
+//!   scatter, the redundant copies and the recovery gathers,
+//! * three deterministic collectives on the world: the recursive-doubling
+//!   all-reduce ([`NodeCtx::allreduce_vec`], [`NodeCtx::allreduce_sum`])
+//!   and barrier ([`NodeCtx::barrier`]), and the sparse personalized
+//!   all-to-all of plan setup ([`NodeCtx::alltoallv_sparse_u64`]) — each
+//!   one rendezvous in the scheduler, booked message by message as the
+//!   exchange it stands for,
+//! * the non-blocking all-reduce [`NodeCtx::iallreduce_vec`] with its
+//!   request handle ([`request`]) and an **overlap-aware clock**: compute
+//!   issued between start and wait hides the flight time, and
+//!   [`CommStats`] splits communication into exposed vs hidden virtual
+//!   time — the substrate of the communication-hiding pipelined PCG,
+//! * sub-communicators ([`NodeCtx::group`]) whose all-reduce, blocking or
+//!   not, serves the reconstructors' inner solve and a solver continuing on
+//!   a shrunken cluster,
 //! * a ULFM-like [`fault::FaultOracle`] that detects node failures, notifies
 //!   all surviving nodes consistently, and provisions replacement nodes,
 //! * a **virtual BSP clock** ([`vclock`]) implementing the latency–bandwidth
@@ -77,7 +81,7 @@ pub use comm::{NodeCtx, ReduceOp};
 pub use fault::{FailAt, FailureEvent, FailureScript, FaultOracle, RECOVERY_SUBSTEPS};
 pub use group::Group;
 pub use payload::Payload;
-pub use request::{AllreduceRequest, RecvRequest, SendRequest};
+pub use request::AllreduceRequest;
 pub use stats::{CommPhase, CommStats, LogHist};
 pub use tag::Tag;
 pub use trace::{ClusterTrace, CriticalPath, NodeTrace, TraceEvent, TraceEventKind};

@@ -64,7 +64,7 @@ pub(crate) enum Event<'a> {
     /// A collective call was entered on `scope` (emitted before it runs, so
     /// an interrupted collective still shows what each rank intended).
     /// `len` is the contributed length where the protocol requires
-    /// agreement; `None` for ragged collectives and broadcast.
+    /// agreement; `None` for the ragged all-to-all.
     Coll {
         scope: &'a Scope<'a>,
         kind: u8,

@@ -2,13 +2,13 @@
 //!
 //! MPI messages are untyped byte buffers; we use a small enum instead so the
 //! solver code stays type-safe without a serialization dependency. The
-//! variants cover everything the ESR-PCG algorithms exchange: scalar
-//! reductions, contiguous vector blocks, index lists for communication-plan
-//! setup, and sparse `(global index, value)` pairs during reconstruction.
+//! variants cover everything the ESR-PCG algorithms exchange: scalars,
+//! contiguous vector blocks, index lists for communication-plan setup, and
+//! sparse `(global index, value)` pairs during reconstruction.
 //!
-//! Buffer variants are **`Arc`-backed**: cloning a `Payload` (as the
-//! broadcast fan-out does once per child) bumps a reference count
-//! instead of deep-copying the vector. The virtual clock still charges the
+//! Buffer variants are **`Arc`-backed**: cloning a `Payload`, or sending
+//! the buffer a sender keeps for reuse ([`Payload::f64s_shared`]), bumps a
+//! reference count instead of deep-copying the vector. The virtual clock still charges the
 //! full `λ + s·µ` per physical message — zero-copy is a host-memory
 //! optimization, not a change to the simulated cost model.
 
@@ -17,8 +17,6 @@ use std::sync::Arc;
 /// A message payload.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
-    /// No data (barriers, pure synchronization).
-    Empty,
     /// A single scalar (dot-product partial results, `β`, `α`, …).
     F64(f64),
     /// A contiguous block of floating-point values.
@@ -68,7 +66,6 @@ impl Payload {
     /// index traffic — recovery cost is dominated by values).
     pub fn elems(&self) -> usize {
         match self {
-            Payload::Empty => 0,
             Payload::F64(_) => 1,
             Payload::F64s(v) => v.len(),
             Payload::U64s(v) => v.len(),
@@ -101,7 +98,6 @@ impl Payload {
         match self {
             Payload::F64s(v) => v,
             Payload::F64(x) => std::slice::from_ref(x),
-            Payload::Empty => &[],
             other => panic!("protocol error: expected F64s, got {:?}", other.kind()),
         }
     }
@@ -111,7 +107,6 @@ impl Payload {
         match self {
             Payload::F64s(v) => unwrap_or_clone(v),
             Payload::F64(x) => vec![x],
-            Payload::Empty => Vec::new(),
             other => panic!("protocol error: expected F64s, got {:?}", other.kind()),
         }
     }
@@ -123,7 +118,6 @@ impl Payload {
         match self {
             Payload::F64s(v) => v,
             Payload::F64(x) => Arc::new(vec![x]),
-            Payload::Empty => Arc::new(Vec::new()),
             other => panic!("protocol error: expected F64s, got {:?}", other.kind()),
         }
     }
@@ -132,7 +126,6 @@ impl Payload {
     pub fn into_u64s(self) -> Vec<u64> {
         match self {
             Payload::U64s(v) => unwrap_or_clone(v),
-            Payload::Empty => Vec::new(),
             other => panic!("protocol error: expected U64s, got {:?}", other.kind()),
         }
     }
@@ -141,14 +134,12 @@ impl Payload {
     pub fn into_pairs(self) -> Vec<(u64, f64)> {
         match self {
             Payload::Pairs(v) => unwrap_or_clone(v),
-            Payload::Empty => Vec::new(),
             other => panic!("protocol error: expected Pairs, got {:?}", other.kind()),
         }
     }
 
     fn kind(&self) -> &'static str {
         match self {
-            Payload::Empty => "Empty",
             Payload::F64(_) => "F64",
             Payload::F64s(_) => "F64s",
             Payload::U64s(_) => "U64s",
@@ -170,7 +161,7 @@ pub struct Message {
     /// Virtual arrival time at the destination under the λ/µ cost model.
     pub arrival_vtime: f64,
     /// Protocol-auditor provenance (send sequence number and recovery
-    /// window); filled in by `NodeCtx::raw_send` while the auditor is on,
+    /// window); filled in by `NodeCtx::send_with_phases` while the auditor is on,
     /// the default otherwise.
     pub stamp: crate::audit::MsgStamp,
 }
@@ -195,7 +186,6 @@ mod tests {
 
     #[test]
     fn elems_counts_entries() {
-        assert_eq!(Payload::Empty.elems(), 0);
         assert_eq!(Payload::F64(1.0).elems(), 1);
         assert_eq!(Payload::f64s(vec![1.0; 7]).elems(), 7);
         assert_eq!(Payload::u64s(vec![3; 4]).elems(), 4);
@@ -203,9 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn into_f64s_accepts_scalar_and_empty() {
+    fn into_f64s_accepts_scalar_and_vector() {
         assert_eq!(Payload::F64(2.5).into_f64s(), vec![2.5]);
-        assert!(Payload::Empty.into_f64s().is_empty());
         assert_eq!(Payload::f64s(vec![1.0, 2.0]).into_f64s(), vec![1.0, 2.0]);
     }
 
@@ -219,7 +208,6 @@ mod tests {
     fn into_pairs_roundtrip() {
         let p = vec![(7u64, 1.5), (9u64, -2.0)];
         assert_eq!(Payload::pairs(p.clone()).into_pairs(), p);
-        assert!(Payload::Empty.into_pairs().is_empty());
     }
 
     #[test]

@@ -273,14 +273,14 @@ fn resident(case: &Case) -> Vec<Observed> {
         let mut group = (!world).then(|| ctx.group(&case.members));
         if case.engine[i] {
             let req = match &mut group {
-                Some(g) => g.iallreduce_vec_phase(ctx, opr, x, case.phase),
+                Some(g) => g.iallreduce_vec(ctx, opr, x, case.phase),
                 None => ctx.iallreduce_vec(opr, x),
             };
             let seen = (ctx.vtime(), req.completion_vtime(), ctx.stats().clone());
             Some((req.wait(ctx), seen))
         } else {
             let acc = match &mut group {
-                Some(g) => g.allreduce_vec_phase(ctx, opr, x, case.phase),
+                Some(g) => g.allreduce_vec(ctx, opr, x, case.phase),
                 None => ctx.allreduce_vec(opr, x),
             };
             Some((acc, (ctx.vtime(), ctx.vtime(), ctx.stats().clone())))
@@ -297,13 +297,10 @@ fn resident(case: &Case) -> Vec<Observed> {
         .collect()
 }
 
-/// One all-to-all: who takes part and, per participant index, what it
-/// sends to every index (index values small enough to be exact as `f64`,
-/// which is what the oracle's transport carries) and its entry-clock skew.
+/// One world all-to-all: per rank, what it sends to every rank (index
+/// values small enough to be exact as `f64`, which is what the oracle's
+/// transport carries) and its entry-clock skew.
 struct ExchangeCase {
-    members: Vec<usize>,
-    cluster: usize,
-    phase: CommPhase,
     sends: Vec<Vec<Vec<u64>>>,
     skew: Vec<f64>,
 }
@@ -317,25 +314,29 @@ fn list_bits(lists: impl IntoIterator<Item = Vec<u64>>) -> Vec<u64> {
 }
 
 fn oracle_exchange(case: &ExchangeCase) -> Vec<Observed> {
-    let net = MemTransport::new(case.cluster);
+    let n = case.sends.len();
+    let net = MemTransport::new(n);
+    let members: Vec<usize> = (0..n).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..case.members.len())
+        let handles: Vec<_> = (0..n)
             .map(|i| {
+                let members = &members;
                 let net = &net;
                 s.spawn(move || {
                     let mut clock = VClock::new(CostModel::default());
                     clock.advance(case.skew[i]);
                     let mut port = OraclePort {
                         net,
-                        rank: case.members[i],
-                        phase: case.phase,
+                        rank: i,
+                        // The world all-to-all is plan setup.
+                        phase: CommPhase::Setup,
                         engine: None,
                         clock,
                         stats: CommStats::new(),
                     };
                     let as_f64 = |l: &Vec<u64>| l.iter().map(|&v| v as f64).collect();
                     let sends = case.sends[i].iter().map(as_f64).collect();
-                    let recvd = p2p_alltoall(&mut port, i, &case.members, sends);
+                    let recvd = p2p_alltoall(&mut port, i, members, sends);
                     let as_u64 = |l: Vec<f64>| l.into_iter().map(|v| v as u64).collect();
                     Observed {
                         result_bits: list_bits(recvd.into_iter().map(as_u64)),
@@ -354,29 +355,23 @@ fn oracle_exchange(case: &ExchangeCase) -> Vec<Observed> {
 /// the comparison. With `list_empties` every destination is named, the
 /// ones that get nothing with an empty list; otherwise those are left out.
 fn resident_exchange(case: &ExchangeCase, list_empties: bool) -> Vec<Observed> {
-    let n = case.members.len();
-    let world = n == case.cluster;
-    let out = Cluster::run(ClusterConfig::new(case.cluster), |ctx| {
-        let i = case.members.iter().position(|&r| r == ctx.rank())?;
+    let n = case.sends.len();
+    let out = Cluster::run(ClusterConfig::new(n), |ctx| {
+        let i = ctx.rank();
         ctx.clock_mut().advance(case.skew[i]);
         let sends = case.sends[i].clone().into_iter().enumerate();
         let sends = sends
             .filter(|(_, l)| list_empties || !l.is_empty())
             .collect();
-        let mut group = (!world).then(|| ctx.group(&case.members));
-        let got = match &mut group {
-            Some(g) => g.alltoallv_sparse_u64(ctx, sends, case.phase),
-            None => ctx.alltoallv_sparse_u64(sends),
-        };
+        let got = ctx.alltoallv_sparse_u64(sends);
         let mut recvd = vec![Vec::new(); n];
         for (src, l) in got {
             assert!(!l.is_empty() && recvd[src].is_empty(), "sparse result");
             recvd[src] = l;
         }
-        Some((recvd, ctx.vtime(), ctx.stats().clone()))
+        (recvd, ctx.vtime(), ctx.stats().clone())
     });
     out.into_iter()
-        .flatten()
         .map(|(recvd, clock, stats)| Observed {
             result_bits: list_bits(recvd),
             clock_bits: clock.to_bits(),
@@ -400,14 +395,7 @@ proptest! {
             z ^ (z >> 31)
         };
         for n in 1usize..=12 {
-            for variant in 0usize..4 {
-                let (grouped, list_empties) = (variant % 2 == 1, variant / 2 == 1);
-                // A strict sub-group: skip every rank ≡ 1 (mod 3).
-                let members: Vec<usize> = if grouped {
-                    (0..).filter(|r| r % 3 != 1).take(n).collect()
-                } else {
-                    (0..n).collect()
-                };
+            for list_empties in [false, true] {
                 // Ragged and mostly empty: three pairs in four exchange
                 // nothing, every third participant sends nothing at all,
                 // and the own slot is sometimes filled (passed through).
@@ -419,11 +407,6 @@ proptest! {
                     }).collect()
                 }).collect();
                 let case = ExchangeCase {
-                    cluster: members[n - 1] + 1 + usize::from(grouped),
-                    members,
-                    // The world all-to-all is plan setup; a group's rebuilds
-                    // the plan inside the recovery window.
-                    phase: if grouped { CommPhase::Recovery } else { CommPhase::Setup },
                     sends,
                     skew: (0..n)
                         .map(|_| if next() % 4 == 0 { 0.0 } else { (next() % 64_000) as f64 * 1e-9 })
@@ -432,7 +415,7 @@ proptest! {
                 let (want, got) = (oracle_exchange(&case), resident_exchange(&case, list_empties));
                 prop_assert_eq!(want.len(), got.len());
                 for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                    prop_assert_eq!(w, g, "n={} grouped={} list_empties={} index {}", n, grouped, list_empties, i);
+                    prop_assert_eq!(w, g, "n={} list_empties={} index {}", n, list_empties, i);
                 }
             }
         }

@@ -70,8 +70,8 @@ use crate::tag::Tag;
 /// What a blocked node is waiting for.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum BlockedOn {
-    /// A message (`src: None` ⇒ from any source).
-    Recv { src: Option<usize>, tag: Tag },
+    /// A message from `src` under `tag`.
+    Recv { src: usize, tag: Tag },
     /// The remaining participants of the collective open under `tag`.
     Collective { tag: Tag },
 }
@@ -500,14 +500,15 @@ impl Scheduler {
         g.queues[dest].push_back(msg);
     }
 
-    /// Blocking receive on `rank`'s queue (`src: None` ⇒ any source); `now`
-    /// is the virtual time the node parks at if nothing matches yet.
+    /// Blocking receive of the earliest-delivered `(src, tag)` message in
+    /// `rank`'s queue; `now` is the virtual time the node parks at if
+    /// nothing matches yet.
     ///
     /// # Panics
     /// Panics when the receive can never be matched: the dispatch that
     /// finds no runnable node reports the exact wait-for cycle (or
     /// terminated-rank chain).
-    pub(crate) fn recv(&self, rank: usize, src: Option<usize>, tag: Tag, now: f64) -> Message {
+    pub(crate) fn recv(&self, rank: usize, src: usize, tag: Tag, now: f64) -> Message {
         loop {
             let mut g = self.lock();
             if let Some(m) = g.take_match(rank, src, tag) {
@@ -516,16 +517,6 @@ impl Scheduler {
             // Wake on match only: the re-scan after this park succeeds.
             self.park(g, rank, BlockedOn::Recv { src, tag }, now);
         }
-    }
-
-    /// Arrival stamp of the earliest-delivered `(src, tag)` match in
-    /// `rank`'s queue, if any. Never blocks and never consumes — the
-    /// advisory `RecvRequest::test` path; matching stays in program order.
-    pub(crate) fn peek_arrival(&self, rank: usize, src: usize, tag: Tag) -> Option<f64> {
-        let g = self.lock();
-        let mut q = g.queues[rank].iter();
-        q.find(|m| matches(m, Some(src), tag))
-            .map(|m| m.arrival_vtime)
     }
 
     /// Join the collective open under `d.tag` and return its outcome once
@@ -684,9 +675,9 @@ impl Scheduler {
     }
 }
 
-/// Does `m` satisfy a receive for `(src, tag)` (`src: None` ⇒ any source)?
-fn matches(m: &Message, src: Option<usize>, tag: Tag) -> bool {
-    src.is_none_or(|s| m.src == s) && m.tag == tag
+/// Does `m` satisfy a receive for `(src, tag)`?
+fn matches(m: &Message, src: usize, tag: Tag) -> bool {
+    m.src == src && m.tag == tag
 }
 
 impl SchedInner {
@@ -698,7 +689,7 @@ impl SchedInner {
 
     /// Remove and return the earliest-delivered message in `rank`'s queue
     /// matching `(src, tag)`, preserving the order of the rest.
-    fn take_match(&mut self, rank: usize, src: Option<usize>, tag: Tag) -> Option<Message> {
+    fn take_match(&mut self, rank: usize, src: usize, tag: Tag) -> Option<Message> {
         let q = &mut self.queues[rank];
         let pos = q.iter().position(|m| matches(m, src, tag))?;
         #[cfg(test)]
@@ -735,21 +726,21 @@ impl SchedInner {
 
 /// Spell out why the cluster can make no progress. Reached only when no
 /// node is runnable and at least one is blocked — every live node is
-/// blocked, so the wait-for graph has either a cycle, a chain into a
-/// terminated rank, or an any-source wait that nobody can satisfy. A rank
-/// parked in a collective waits for its missing ranks; the walk follows
-/// the lowest.
+/// blocked, so the wait-for graph has either a cycle or a chain into a
+/// terminated rank. A rank parked in a collective waits for its missing
+/// ranks (there is always one: the last arriver never parks); the walk
+/// follows the lowest.
 fn deadlock_report(state: &[NodeState], colls: &HashMap<Tag, CollSlot>) -> String {
     let blocked_on = |r: usize| match &state[r] {
         NodeState::Blocked { on, .. } => Some(*on),
         _ => None,
     };
     let describe = |r: usize| match blocked_on(r) {
-        Some(BlockedOn::Recv { src: Some(s), tag }) => {
-            format!("rank {r} blocked in recv(src {s}, tag {})", tag.describe())
-        }
-        Some(BlockedOn::Recv { src: None, tag }) => {
-            format!("rank {r} blocked in recv_any(tag {})", tag.describe())
+        Some(BlockedOn::Recv { src, tag }) => {
+            format!(
+                "rank {r} blocked in recv(src {src}, tag {})",
+                tag.describe()
+            )
         }
         Some(BlockedOn::Collective { tag }) => {
             let slot = &colls[&tag];
@@ -764,6 +755,10 @@ fn deadlock_report(state: &[NodeState], colls: &HashMap<Tag, CollSlot>) -> Strin
         }
         None => format!("rank {r} (running)"),
     };
+    let join = |ranks: &[usize]| {
+        let described: Vec<String> = ranks.iter().map(|&r| describe(r)).collect();
+        described.join(" -> ")
+    };
     let start = state
         .iter()
         .position(|s| matches!(s, NodeState::Blocked { .. }))
@@ -771,35 +766,20 @@ fn deadlock_report(state: &[NodeState], colls: &HashMap<Tag, CollSlot>) -> Strin
     let mut chain = vec![start];
     loop {
         let cur = *chain.last().expect("chain non-empty");
-        let waits_for = match blocked_on(cur).expect("chain members are blocked") {
+        let src = match blocked_on(cur).expect("chain members are blocked") {
             BlockedOn::Recv { src, .. } => src,
-            BlockedOn::Collective { tag } => colls[&tag].missing().first().copied(),
-        };
-        let join = |ranks: &[usize], sep: &str| {
-            let described: Vec<String> = ranks.iter().map(|&r| describe(r)).collect();
-            described.join(sep)
-        };
-        let Some(src) = waits_for else {
-            // An any-source wait that no live node can satisfy: report
-            // the whole (fully blocked) cluster.
-            let live: Vec<usize> = (0..state.len())
-                .filter(|&r| !matches!(state[r], NodeState::Done))
-                .collect();
-            return format!(
-                "[deadlock] every live rank is blocked with no messages in flight: {}",
-                join(&live, "; ")
-            );
+            BlockedOn::Collective { tag } => colls[&tag].missing()[0],
         };
         if matches!(state[src], NodeState::Done) {
             return format!(
                 "[deadlock] wait chain ends at a terminated rank: {} -> rank {src} (terminated)",
-                join(&chain, " -> ")
+                join(&chain)
             );
         }
         if let Some(pos) = chain.iter().position(|&r| r == src) {
             return format!(
                 "[deadlock] wait-for cycle, no messages in flight: {} -> rank {src}",
-                join(&chain[pos..], " -> ")
+                join(&chain[pos..])
             );
         }
         chain.push(src);
@@ -811,7 +791,7 @@ mod tests {
     use super::*;
     use crate::payload::Payload;
 
-    fn blocked(src: Option<usize>, tag: Tag) -> NodeState {
+    fn blocked(src: usize, tag: Tag) -> NodeState {
         NodeState::Blocked {
             on: BlockedOn::Recv { src, tag },
             vtime: 0.0,
@@ -831,7 +811,7 @@ mod tests {
         s
     }
 
-    fn take(s: &Scheduler, src: Option<usize>, tag: u32) -> Option<Payload> {
+    fn take(s: &Scheduler, src: usize, tag: u32) -> Option<Payload> {
         let m = s.lock().take_match(0, src, Tag::user(tag));
         m.map(|m| m.payload)
     }
@@ -840,10 +820,10 @@ mod tests {
     fn matches_src_and_tag_and_buffers_the_rest() {
         let s = queued(&[(2, 9, 2.0), (1, 7, 1.0)]);
         // Ask for the later-sent message first: the other stays queued.
-        assert_eq!(take(&s, Some(1), 7), Some(Payload::F64(1.0)));
-        assert_eq!(take(&s, Some(1), 7), None);
-        assert_eq!(take(&s, Some(2), 8), None);
-        assert_eq!(take(&s, Some(2), 9), Some(Payload::F64(2.0)));
+        assert_eq!(take(&s, 1, 7), Some(Payload::F64(1.0)));
+        assert_eq!(take(&s, 1, 7), None);
+        assert_eq!(take(&s, 2, 8), None);
+        assert_eq!(take(&s, 2, 9), Some(Payload::F64(2.0)));
         assert!(s.drain_residue().is_empty());
     }
 
@@ -852,35 +832,12 @@ mod tests {
         // Regression: with ≥3 messages of the same (src, tag) queued,
         // `swap_remove` matched the *third* before the second. Take an
         // unrelated message from behind them first, then demand delivery
-        // order — through the exact-source and the any-source path.
-        for src in [Some(1), None] {
-            let s = queued(&[(1, 7, 1.0), (1, 7, 2.0), (1, 7, 3.0), (2, 9, 99.0)]);
-            assert_eq!(take(&s, Some(2), 9), Some(Payload::F64(99.0)));
-            for x in [1.0, 2.0, 3.0] {
-                assert_eq!(take(&s, src, 7), Some(Payload::F64(x)));
-            }
+        // order.
+        let s = queued(&[(1, 7, 1.0), (1, 7, 2.0), (1, 7, 3.0), (2, 9, 99.0)]);
+        assert_eq!(take(&s, 2, 9), Some(Payload::F64(99.0)));
+        for x in [1.0, 2.0, 3.0] {
+            assert_eq!(take(&s, 1, 7), Some(Payload::F64(x)));
         }
-    }
-
-    #[test]
-    fn any_source_match_reports_the_source() {
-        let s = queued(&[(5, 3, 4.0)]);
-        let m = s.lock().take_match(0, None, Tag::user(3)).unwrap();
-        assert_eq!(m.src, 5);
-    }
-
-    #[test]
-    fn peek_is_nonblocking_and_nonconsuming() {
-        let s = Scheduler::new(1);
-        assert!(s.peek_arrival(0, 1, Tag::user(7)).is_none());
-        s.send(0, Message::new(1, Tag::user(7), Payload::F64(1.0), 3.0));
-        s.send(0, Message::new(1, Tag::user(7), Payload::F64(2.0), 5.0));
-        // Peek sees the earliest-delivered match and does not consume it…
-        assert_eq!(s.peek_arrival(0, 1, Tag::user(7)), Some(3.0));
-        assert_eq!(s.peek_arrival(0, 1, Tag::user(7)), Some(3.0));
-        // …so a receive still matches in delivery order.
-        assert_eq!(take(&s, Some(1), 7), Some(Payload::F64(1.0)));
-        assert_eq!(s.peek_arrival(0, 1, Tag::user(7)), Some(5.0));
     }
 
     #[test]
@@ -899,11 +856,11 @@ mod tests {
     fn fifo_bug_double_reorders_same_key_matches() {
         let s = queued(&[(1, 7, 1.0), (1, 7, 2.0), (1, 7, 3.0), (2, 9, 99.0)]);
         s.seed_fifo_bug(0);
-        assert_eq!(take(&s, Some(2), 9), Some(Payload::F64(99.0)));
+        assert_eq!(take(&s, 2, 9), Some(Payload::F64(99.0)));
         // The defect: matching the earliest entry but removing with
         // swap_remove delivers 1, then *3*, then 2.
         for x in [1.0, 3.0, 2.0] {
-            assert_eq!(take(&s, Some(1), 7), Some(Payload::F64(x)));
+            assert_eq!(take(&s, 1, 7), Some(Payload::F64(x)));
         }
     }
 
@@ -1008,10 +965,7 @@ mod tests {
 
     #[test]
     fn report_names_cycles() {
-        let state = vec![
-            blocked(Some(1), Tag::user(1)),
-            blocked(Some(0), Tag::user(2)),
-        ];
+        let state = vec![blocked(1, Tag::user(1)), blocked(0, Tag::user(2))];
         let r = deadlock_report(&state, &HashMap::new());
         assert!(r.contains("[deadlock] wait-for cycle"), "{r}");
         assert!(
@@ -1027,18 +981,10 @@ mod tests {
 
     #[test]
     fn report_names_terminated_targets() {
-        let state = vec![blocked(Some(1), Tag::user(1)), NodeState::Done];
+        let state = vec![blocked(1, Tag::user(1)), NodeState::Done];
         let r = deadlock_report(&state, &HashMap::new());
         assert!(r.contains("wait chain ends at a terminated rank"), "{r}");
         assert!(r.ends_with("-> rank 1 (terminated)"), "{r}");
-    }
-
-    #[test]
-    fn report_names_starved_any_source_waits() {
-        let state = vec![blocked(None, Tag::user(4)), NodeState::Done];
-        let r = deadlock_report(&state, &HashMap::new());
-        assert!(r.contains("every live rank is blocked"), "{r}");
-        assert!(r.contains("recv_any(tag user(4))"), "{r}");
     }
 
     #[test]
@@ -1069,7 +1015,7 @@ mod tests {
             let mut state = vec![NodeState::Done; 7];
             state[1] = in_coll.clone();
             state[6] = in_coll;
-            state[4] = blocked(Some(0), Tag::user(2));
+            state[4] = blocked(0, Tag::user(2));
             let slot = CollSlot {
                 n: 3,
                 shape: part().shape(),

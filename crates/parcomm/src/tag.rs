@@ -39,7 +39,7 @@ impl Tag {
     }
 
     /// Human-readable decoding for diagnostics ("user(7)",
-    /// "coll(allreduce, seq 3)", "group(gid 0x2a, gather, seq 1)", …).
+    /// "coll(allreduce, seq 3)", "group(gid 0x2a, allreduce, seq 1)", …).
     pub fn describe(&self) -> String {
         match self.0 >> 62 {
             KIND_USER => format!("user({})", self.0 & 0xFFFF_FFFF),
@@ -59,20 +59,14 @@ impl Tag {
     }
 }
 
-/// Collective operation identifiers (for tag scoping only).
+/// Collective operation identifiers (for tag scoping only). Each value is
+/// part of every tag of its kind, and tags are part of the pinned traces,
+/// so the values are fixed; the gaps are retired kinds.
 pub mod op {
     /// Barrier synchronization.
     pub const BARRIER: u8 = 1;
-    /// Broadcast.
-    pub const BCAST: u8 = 2;
-    /// Reduction.
-    pub const REDUCE: u8 = 3;
-    /// Gather / all-gather.
-    pub const GATHER: u8 = 4;
     /// Personalized all-to-all.
     pub const ALLTOALL: u8 = 5;
-    /// Scatter.
-    pub const SCATTER: u8 = 6;
     /// Recursive-doubling all-reduce (one tag covers all of its rounds:
     /// within one call every ordered pair of ranks exchanges at most one
     /// message, so rounds cannot be confused).
@@ -82,11 +76,7 @@ pub mod op {
     pub(crate) fn name(op: u8) -> &'static str {
         match op {
             BARRIER => "barrier",
-            BCAST => "bcast",
-            REDUCE => "reduce",
-            GATHER => "gather",
             ALLTOALL => "alltoall",
-            SCATTER => "scatter",
             ALLREDUCE => "allreduce",
             _ => "unknown",
         }
@@ -110,13 +100,16 @@ mod tests {
 
     #[test]
     fn collective_sequences_distinct() {
-        assert_ne!(Tag::coll(op::BCAST, 1), Tag::coll(op::BCAST, 2));
-        assert_ne!(Tag::coll(op::BCAST, 1), Tag::coll(op::REDUCE, 1));
+        assert_ne!(Tag::coll(op::ALLREDUCE, 1), Tag::coll(op::ALLREDUCE, 2));
+        assert_ne!(Tag::coll(op::ALLREDUCE, 1), Tag::coll(op::BARRIER, 1));
     }
 
     #[test]
     fn group_ids_scope_tags() {
-        assert_ne!(Tag::group(1, op::GATHER, 5), Tag::group(2, op::GATHER, 5));
+        assert_ne!(
+            Tag::group(1, op::ALLREDUCE, 5),
+            Tag::group(2, op::ALLREDUCE, 5)
+        );
     }
 
     #[test]
@@ -127,8 +120,8 @@ mod tests {
             "coll(allreduce, seq 3)"
         );
         assert_eq!(
-            Tag::group(0x2A, op::GATHER, 1).describe(),
-            "group(gid 0x2a, gather, seq 1)"
+            Tag::group(0x2A, op::ALLREDUCE, 1).describe(),
+            "group(gid 0x2a, allreduce, seq 1)"
         );
     }
 }

@@ -77,9 +77,9 @@ pub enum TraceEventKind {
         /// Transfer cost `λ + s·µ`. Charged to the node clock for blocking
         /// sends; flows on the detached timeline when `engine`.
         dt: f64,
-        /// True when issued by the non-blocking engine (isend or a
-        /// detached collective schedule) — the cost is then charged later,
-        /// at the `Wait` event.
+        /// True when booked by a non-blocking all-reduce's detached
+        /// engine timeline — the cost is then charged later, at the `Wait`
+        /// event.
         engine: bool,
     },
     /// A message was consumed on this node.

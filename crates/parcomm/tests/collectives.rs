@@ -32,46 +32,15 @@ proptest! {
     ) {
         let vals = values.clone();
         let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
+            let x = vec![vals[ctx.rank()]];
             (
-                ctx.allreduce_max(vals[ctx.rank()]),
-                ctx.allreduce_min(vals[ctx.rank()]),
+                ctx.allreduce_vec(ReduceOp::Max, x.clone())[0],
+                ctx.allreduce_vec(ReduceOp::Min, x)[0],
             )
         });
         let mx = values[..nodes].iter().copied().fold(f64::MIN, f64::max);
         let mn = values[..nodes].iter().copied().fold(f64::MAX, f64::min);
         prop_assert!(out.iter().all(|&(a, b)| a == mx && b == mn));
-    }
-
-    #[test]
-    fn bcast_from_any_root(nodes in 1usize..9, root_seed in 0usize..9, len in 0usize..12) {
-        let root = root_seed % nodes;
-        let data: Vec<f64> = (0..len).map(|i| i as f64 * 1.5).collect();
-        let expect = data.clone();
-        let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
-            let payload = if ctx.rank() == root {
-                Payload::f64s(data.clone())
-            } else {
-                Payload::Empty
-            };
-            ctx.bcast(root, payload).into_f64s()
-        });
-        prop_assert!(out.iter().all(|v| v == &expect));
-    }
-
-    #[test]
-    fn allgatherv_collects_in_rank_order(nodes in 1usize..8, base in 0usize..5) {
-        let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
-            // Rank r contributes r + base values of value r.
-            let mine = vec![ctx.rank() as f64; ctx.rank() + base];
-            ctx.allgatherv_f64(mine)
-        });
-        for per_node in out {
-            prop_assert_eq!(per_node.len(), nodes);
-            for (r, part) in per_node.iter().enumerate() {
-                prop_assert_eq!(part.len(), r + base);
-                prop_assert!(part.iter().all(|&v| v == r as f64));
-            }
-        }
     }
 
     #[test]
@@ -143,41 +112,22 @@ proptest! {
 }
 
 #[test]
-fn collectives_at_nonpow2_sizes_with_nonzero_roots() {
+fn collectives_at_nonpow2_sizes() {
     // N = 3, 5, 13 exercise the fold-in/fold-out pre/post phases of the
     // recursive-doubling all-reduce (13 also has a multi-level doubling
-    // phase), and the non-zero roots exercise the rotated broadcast trees.
+    // phase).
     for n in [3usize, 5, 13] {
         let out = Cluster::run(ClusterConfig::new(n), move |ctx| {
             let sum = ctx.allreduce_sum((ctx.rank() + 1) as f64);
-            let mx = ctx.allreduce_max(ctx.rank() as f64);
-            let mn = ctx.allreduce_min(ctx.rank() as f64 - 1.0);
-            let root = n - 1;
-            let payload = if ctx.rank() == root {
-                Payload::f64s(vec![2.5, -1.0, 4.0])
-            } else {
-                Payload::Empty
-            };
-            let bc = ctx.bcast(root, payload).into_f64s();
-            let root2 = n / 2;
-            let gathered = ctx.gatherv_f64(root2, vec![ctx.rank() as f64; 2]);
-            (sum, mx, mn, bc, gathered)
+            let mx = ctx.allreduce_vec(ReduceOp::Max, vec![ctx.rank() as f64]);
+            let mn = ctx.allreduce_vec(ReduceOp::Min, vec![ctx.rank() as f64 - 1.0]);
+            (sum, mx[0], mn[0])
         });
         let expect_sum = (n * (n + 1) / 2) as f64;
-        for (rank, (sum, mx, mn, bc, gathered)) in out.into_iter().enumerate() {
+        for (sum, mx, mn) in out {
             assert_eq!(sum, expect_sum, "n={n}");
             assert_eq!(mx, (n - 1) as f64, "n={n}");
             assert_eq!(mn, -1.0, "n={n}");
-            assert_eq!(bc, vec![2.5, -1.0, 4.0], "n={n}");
-            if rank == n / 2 {
-                let g = gathered.expect("root holds the gather");
-                assert_eq!(g.len(), n);
-                for (r, part) in g.iter().enumerate() {
-                    assert_eq!(part, &vec![r as f64; 2], "n={n}");
-                }
-            } else {
-                assert!(gathered.is_none());
-            }
         }
     }
 }
@@ -214,7 +164,7 @@ fn group_allreduce_on_nonpow2_group_is_bitwise_uniform() {
         if members.contains(&ctx.rank()) {
             let mut g = ctx.group(&members);
             let x = 1.0 / (ctx.rank() as f64 + 3.0) * 1e10 + 1e-10;
-            Some(g.allreduce_vec(ctx, ReduceOp::Sum, vec![x, -x]))
+            Some(g.allreduce_vec(ctx, ReduceOp::Sum, vec![x, -x], CommPhase::Recovery))
         } else {
             None
         }
@@ -238,11 +188,8 @@ fn group_allreduce_on_nonpow2_group_is_bitwise_uniform() {
 )]
 fn mismatched_reduce_operators_panic_at_the_rendezvous() {
     Cluster::run(ClusterConfig::new(2), |ctx| {
-        if ctx.rank() == 0 {
-            ctx.allreduce_sum(1.0)
-        } else {
-            ctx.allreduce_max(1.0)
-        }
+        let opr = [ReduceOp::Sum, ReduceOp::Max][ctx.rank()];
+        ctx.allreduce_vec(opr, vec![1.0])
     });
 }
 

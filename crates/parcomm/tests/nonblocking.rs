@@ -1,11 +1,11 @@
-//! Tests for the non-blocking subsystem: determinism of `iallreduce_vec`
+//! Tests for the non-blocking all-reduce: determinism of `iallreduce_vec`
 //! against the blocking collective, overlap-aware clock accounting,
 //! out-of-order completion, and the linear-request drop guard.
 
 use proptest::prelude::*;
 
 use parcomm::comm::ReduceOp;
-use parcomm::{Cluster, ClusterConfig, CommPhase, CostModel, Payload};
+use parcomm::{Cluster, ClusterConfig, CommPhase, CostModel};
 
 /// A cost model with round numbers so the overlap arithmetic is exact.
 fn unit_cost() -> CostModel {
@@ -67,8 +67,8 @@ fn group_iallreduce_bitwise_matches_group_allreduce() {
         let x = 1.0 / (ctx.rank() as f64 + 0.3) * 1e8 + 1e-8;
         let buf = vec![x, -x * 0.7, x * x];
         let mut g = ctx.group(&members[..]);
-        let blocking = g.allreduce_vec_phase(ctx, ReduceOp::Sum, buf.clone(), CommPhase::Reduction);
-        let req = g.iallreduce_vec_phase(ctx, ReduceOp::Sum, buf, CommPhase::Reduction);
+        let blocking = g.allreduce_vec(ctx, ReduceOp::Sum, buf.clone(), CommPhase::Reduction);
+        let req = g.iallreduce_vec(ctx, ReduceOp::Sum, buf, CommPhase::Reduction);
         let nonblocking = req.wait(ctx);
         Some((blocking, nonblocking))
     });
@@ -96,7 +96,7 @@ fn group_iallreduce_overlap_charges_only_exposed_time() {
         }
         let mut g = ctx.group(&[0, 1, 2]);
         let t0 = ctx.vtime();
-        let req = g.iallreduce_vec_phase(
+        let req = g.iallreduce_vec(
             ctx,
             ReduceOp::Sum,
             vec![ctx.rank() as f64],
@@ -176,67 +176,6 @@ fn wait_charges_only_the_remaining_latency() {
 }
 
 #[test]
-fn isend_overlap_accounting() {
-    // λ=1, µ=0.1: a 10-element isend costs 2.0. With 5.0 of compute before
-    // the wait it is fully hidden; the receiver still sees the arrival
-    // stamped from the sender's start time.
-    let out = Cluster::run(ClusterConfig::new(2).with_cost(unit_cost()), |ctx| {
-        if ctx.rank() == 0 {
-            let req = ctx.isend(1, 7, Payload::f64s(vec![0.0; 10]), CommPhase::Spmv);
-            ctx.clock_mut().advance(5.0);
-            assert!(req.test(ctx), "transfer is over in virtual time");
-            req.wait(ctx);
-        } else {
-            ctx.recv_phase(0, 7, CommPhase::Spmv);
-        }
-        (ctx.vtime(), ctx.stats().clone())
-    });
-    // Sender: compute only — the 2.0 transfer is hidden.
-    assert_eq!(out[0].0, 5.0);
-    assert_eq!(out[0].1.hidden_vtime(CommPhase::Spmv), 2.0);
-    assert_eq!(out[0].1.wait_vtime(CommPhase::Spmv), 0.0);
-    // Receiver: stalls until the arrival stamp (2.0).
-    assert_eq!(out[1].0, 2.0);
-    assert_eq!(out[1].1.wait_vtime(CommPhase::Spmv), 2.0);
-}
-
-#[test]
-fn out_of_order_waits_across_in_flight_requests() {
-    // Rank 0 posts three irecvs (two sources, two tags) and one isend, then
-    // completes them in the reverse of posting order. Matching is by
-    // (src, tag), so completion order must not matter.
-    let out = Cluster::run(
-        ClusterConfig::new(3).with_cost(unit_cost()),
-        |ctx| match ctx.rank() {
-            0 => {
-                let r1 = ctx.irecv(1, 10, CommPhase::Other);
-                let r2 = ctx.irecv(2, 10, CommPhase::Other);
-                let r3 = ctx.irecv(1, 11, CommPhase::Other);
-                let s = ctx.isend(1, 12, Payload::F64(0.5), CommPhase::Other);
-                let v3 = r3.wait(ctx).into_f64();
-                let v2 = r2.wait(ctx).into_f64();
-                s.wait(ctx);
-                let v1 = r1.wait(ctx).into_f64();
-                vec![v1, v2, v3]
-            }
-            1 => {
-                // Deliberately send the later-waited message first.
-                ctx.send(0, 10, Payload::F64(1.0), CommPhase::Other);
-                ctx.send(0, 11, Payload::F64(3.0), CommPhase::Other);
-                vec![ctx.recv(2, 12).into_f64(), ctx.recv(0, 12).into_f64()]
-            }
-            _ => {
-                ctx.send(0, 10, Payload::F64(2.0), CommPhase::Other);
-                ctx.send(1, 12, Payload::F64(4.0), CommPhase::Other);
-                Vec::new()
-            }
-        },
-    );
-    assert_eq!(out[0], vec![1.0, 2.0, 3.0]);
-    assert_eq!(out[1], vec![4.0, 0.5]);
-}
-
-#[test]
 fn several_in_flight_iallreduces_complete_in_any_order() {
     // Two overlapped reductions issued back to back; the *second* is
     // waited first. Sequence-numbered tags keep them separate.
@@ -274,11 +213,7 @@ fn test_polls_completion_without_charging() {
 #[should_panic(expected = "dropped without wait")]
 fn dropping_a_request_without_wait_panics() {
     Cluster::run(ClusterConfig::new(2), |ctx| {
-        if ctx.rank() == 0 {
-            let req = ctx.isend(1, 7, Payload::F64(1.0), CommPhase::Other);
-            drop(req); // protocol bug: the request is never completed
-        } else {
-            ctx.recv(0, 7);
-        }
+        let req = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0]);
+        drop(req); // protocol bug: the request is never completed
     });
 }
