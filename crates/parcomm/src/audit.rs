@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn leak_reported_with_provenance() {
-        let mut m = Message::new(2, Tag::user(4), Payload::F64(1.0), 0.0);
+        let mut m = Message::new(2, Tag::user(4), Payload::f64s(vec![1.0]), 0.0);
         m.stamp = MsgStamp {
             seq: 7,
             window: Some(3),
@@ -475,7 +475,7 @@ mod tests {
 
     #[test]
     fn leaks_tolerated_on_panicked_runs() {
-        let m = Message::new(2, Tag::user(4), Payload::F64(1.0), 0.0);
+        let m = Message::new(2, Tag::user(4), Payload::f64s(vec![1.0]), 0.0);
         assert!(check_teardown(&[], &[(5, m)], false).is_empty());
     }
 

@@ -308,8 +308,13 @@ mod tests {
         let out = Cluster::run(ClusterConfig::new(4), |ctx| {
             let next = (ctx.rank() + 1) % ctx.size();
             let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
-            ctx.send(next, 7, Payload::F64(ctx.rank() as f64), CommPhase::Other);
-            ctx.recv(prev, 7).into_f64()
+            ctx.send(
+                next,
+                7,
+                Payload::f64s(vec![ctx.rank() as f64]),
+                CommPhase::Other,
+            );
+            ctx.recv(prev, 7).into_f64s()[0]
         });
         assert_eq!(out, vec![3.0, 0.0, 1.0, 2.0]);
     }
@@ -517,7 +522,7 @@ mod tests {
         // residue panic where it does not: both name the leak.
         Cluster::run(ClusterConfig::new(2), |ctx| {
             if ctx.rank() == 0 {
-                ctx.send(1, 3, Payload::F64(1.0), CommPhase::Other);
+                ctx.send(1, 3, Payload::f64s(vec![1.0]), CommPhase::Other);
             }
         });
     }

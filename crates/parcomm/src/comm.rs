@@ -641,11 +641,6 @@ impl NodeCtx {
         self.oracle.poll(boundary)
     }
 
-    /// The failure oracle handle.
-    pub fn oracle(&self) -> &FaultOracle {
-        &self.oracle
-    }
-
     /// This node's view of the cluster's hot-spare pool (see
     /// [`crate::cluster::SparePool`]): a fresh handle holding the
     /// provisioned total. Claims are SPMD-deterministic bookkeeping, so
@@ -705,9 +700,9 @@ mod tests {
             Cluster::run(ClusterConfig::new(2), |ctx| {
                 if ctx.rank() == 0 {
                     for v in [1.0, 2.0, 3.0] {
-                        ctx.send(1, 7, Payload::F64(v), CommPhase::Other);
+                        ctx.send(1, 7, Payload::f64s(vec![v]), CommPhase::Other);
                     }
-                    ctx.send(1, 9, Payload::F64(9.0), CommPhase::Other);
+                    ctx.send(1, 9, Payload::f64s(vec![9.0]), CommPhase::Other);
                 } else {
                     ctx.sched.seed_fifo_bug(ctx.rank);
                     // Receiving tag 9 first forces the three tag-7 messages

@@ -2,8 +2,8 @@
 //!
 //! MPI messages are untyped byte buffers; we use a small enum instead so the
 //! solver code stays type-safe without a serialization dependency. The
-//! variants cover everything the ESR-PCG algorithms exchange: scalars,
-//! contiguous vector blocks, index lists for communication-plan setup, and
+//! variants cover everything the ESR-PCG algorithms exchange: contiguous
+//! vector blocks, index lists for communication-plan setup, and
 //! sparse `(global index, value)` pairs during reconstruction.
 //!
 //! Buffer variants are **`Arc`-backed**: cloning a `Payload`, or sending
@@ -17,8 +17,6 @@ use std::sync::Arc;
 /// A message payload.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
-    /// A single scalar (dot-product partial results, `β`, `α`, …).
-    F64(f64),
     /// A contiguous block of floating-point values.
     F64s(Arc<Vec<f64>>),
     /// A list of global indices (plan setup, failed-rank announcements).
@@ -66,21 +64,9 @@ impl Payload {
     /// index traffic — recovery cost is dominated by values).
     pub fn elems(&self) -> usize {
         match self {
-            Payload::F64(_) => 1,
             Payload::F64s(v) => v.len(),
             Payload::U64s(v) => v.len(),
             Payload::Pairs(v) => v.len(),
-        }
-    }
-
-    /// Unwrap a scalar payload.
-    ///
-    /// # Panics
-    /// Panics if the payload is not `F64`; a mismatch is a protocol bug.
-    pub fn into_f64(self) -> f64 {
-        match self {
-            Payload::F64(x) => x,
-            other => panic!("protocol error: expected F64, got {:?}", other.kind()),
         }
     }
 
@@ -97,7 +83,6 @@ impl Payload {
     pub fn as_f64s(&self) -> &[f64] {
         match self {
             Payload::F64s(v) => v,
-            Payload::F64(x) => std::slice::from_ref(x),
             other => panic!("protocol error: expected F64s, got {:?}", other.kind()),
         }
     }
@@ -106,7 +91,6 @@ impl Payload {
     pub fn into_f64s(self) -> Vec<f64> {
         match self {
             Payload::F64s(v) => unwrap_or_clone(v),
-            Payload::F64(x) => vec![x],
             other => panic!("protocol error: expected F64s, got {:?}", other.kind()),
         }
     }
@@ -117,7 +101,6 @@ impl Payload {
     pub fn into_f64s_arc(self) -> Arc<Vec<f64>> {
         match self {
             Payload::F64s(v) => v,
-            Payload::F64(x) => Arc::new(vec![x]),
             other => panic!("protocol error: expected F64s, got {:?}", other.kind()),
         }
     }
@@ -140,7 +123,6 @@ impl Payload {
 
     fn kind(&self) -> &'static str {
         match self {
-            Payload::F64(_) => "F64",
             Payload::F64s(_) => "F64s",
             Payload::U64s(_) => "U64s",
             Payload::Pairs(_) => "Pairs",
@@ -186,22 +168,9 @@ mod tests {
 
     #[test]
     fn elems_counts_entries() {
-        assert_eq!(Payload::F64(1.0).elems(), 1);
         assert_eq!(Payload::f64s(vec![1.0; 7]).elems(), 7);
         assert_eq!(Payload::u64s(vec![3; 4]).elems(), 4);
         assert_eq!(Payload::pairs(vec![(0, 1.0); 5]).elems(), 5);
-    }
-
-    #[test]
-    fn into_f64s_accepts_scalar_and_vector() {
-        assert_eq!(Payload::F64(2.5).into_f64s(), vec![2.5]);
-        assert_eq!(Payload::f64s(vec![1.0, 2.0]).into_f64s(), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "protocol error")]
-    fn into_f64_rejects_vectors() {
-        let _ = Payload::f64s(vec![1.0]).into_f64();
     }
 
     #[test]

@@ -58,14 +58,9 @@ impl AllreduceRequest {
         }
     }
 
-    /// True once the reduction is complete in virtual time — a subsequent
-    /// `wait` charges nothing.
-    pub fn test(&self, ctx: &NodeCtx) -> bool {
-        self.done_at <= ctx.clock().now()
-    }
-
     /// The reduction's completion time on the engine timeline.
-    pub fn completion_vtime(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn completion_vtime(&self) -> f64 {
         self.done_at
     }
 
@@ -98,7 +93,7 @@ impl AllreduceRequest {
 impl Drop for AllreduceRequest {
     fn drop(&mut self) {
         if self.result.is_some() && !std::thread::panicking() {
-            panic!("AllreduceRequest dropped without wait — requests are linear; call wait() (or test() until complete, then wait())");
+            panic!("AllreduceRequest dropped without wait — requests are linear; call wait()");
         }
     }
 }

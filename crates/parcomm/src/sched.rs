@@ -799,7 +799,7 @@ mod tests {
     }
 
     fn msg(src: usize, tag: Tag, x: f64) -> Message {
-        Message::new(src, tag, Payload::F64(x), 0.0)
+        Message::new(src, tag, Payload::f64s(vec![x]), 0.0)
     }
 
     /// A scheduler whose rank-0 queue holds `msgs`, in delivery order.
@@ -820,10 +820,10 @@ mod tests {
     fn matches_src_and_tag_and_buffers_the_rest() {
         let s = queued(&[(2, 9, 2.0), (1, 7, 1.0)]);
         // Ask for the later-sent message first: the other stays queued.
-        assert_eq!(take(&s, 1, 7), Some(Payload::F64(1.0)));
+        assert_eq!(take(&s, 1, 7), Some(Payload::f64s(vec![1.0])));
         assert_eq!(take(&s, 1, 7), None);
         assert_eq!(take(&s, 2, 8), None);
-        assert_eq!(take(&s, 2, 9), Some(Payload::F64(2.0)));
+        assert_eq!(take(&s, 2, 9), Some(Payload::f64s(vec![2.0])));
         assert!(s.drain_residue().is_empty());
     }
 
@@ -834,9 +834,9 @@ mod tests {
         // unrelated message from behind them first, then demand delivery
         // order.
         let s = queued(&[(1, 7, 1.0), (1, 7, 2.0), (1, 7, 3.0), (2, 9, 99.0)]);
-        assert_eq!(take(&s, 2, 9), Some(Payload::F64(99.0)));
+        assert_eq!(take(&s, 2, 9), Some(Payload::f64s(vec![99.0])));
         for x in [1.0, 2.0, 3.0] {
-            assert_eq!(take(&s, 1, 7), Some(Payload::F64(x)));
+            assert_eq!(take(&s, 1, 7), Some(Payload::f64s(vec![x])));
         }
     }
 
@@ -856,11 +856,11 @@ mod tests {
     fn fifo_bug_double_reorders_same_key_matches() {
         let s = queued(&[(1, 7, 1.0), (1, 7, 2.0), (1, 7, 3.0), (2, 9, 99.0)]);
         s.seed_fifo_bug(0);
-        assert_eq!(take(&s, 2, 9), Some(Payload::F64(99.0)));
+        assert_eq!(take(&s, 2, 9), Some(Payload::f64s(vec![99.0])));
         // The defect: matching the earliest entry but removing with
         // swap_remove delivers 1, then *3*, then 2.
         for x in [1.0, 3.0, 2.0] {
-            assert_eq!(take(&s, 1, 7), Some(Payload::F64(x)));
+            assert_eq!(take(&s, 1, 7), Some(Payload::f64s(vec![x])));
         }
     }
 

@@ -38,7 +38,7 @@ fn orphaned_message_is_named_with_provenance() {
     let msg = expect_panic(|ctx| {
         if ctx.rank() == 0 {
             // Send that no receive will ever match.
-            ctx.send(1, 3, Payload::F64(1.0), CommPhase::Other);
+            ctx.send(1, 3, Payload::f64s(vec![1.0]), CommPhase::Other);
         }
     });
     assert!(msg.contains("parcomm audit"), "{msg}");
@@ -94,7 +94,7 @@ fn cross_attempt_tag_reuse_is_caught() {
     let msg = expect_panic(|ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(0);
-            ctx.send(1, 5, Payload::F64(1.0), CommPhase::Recovery);
+            ctx.send(1, 5, Payload::f64s(vec![1.0]), CommPhase::Recovery);
             ctx.audit_exit_window();
         } else {
             ctx.audit_enter_window(1);
@@ -117,8 +117,8 @@ fn window_close_with_unconsumed_recovery_message_panics() {
     let msg = expect_panic(|ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(2);
-            ctx.send(1, 4, Payload::F64(1.0), CommPhase::Recovery);
-            ctx.send(1, 8, Payload::F64(2.0), CommPhase::Recovery);
+            ctx.send(1, 4, Payload::f64s(vec![1.0]), CommPhase::Recovery);
+            ctx.send(1, 8, Payload::f64s(vec![2.0]), CommPhase::Recovery);
             ctx.audit_exit_window();
         } else {
             ctx.audit_enter_window(2);
@@ -149,9 +149,14 @@ fn leaked_checkpoint_deposit_is_flagged_at_window_close() {
     let msg = expect_panic(|ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(6);
-            ctx.send(1, DEPOSIT_TAG, Payload::F64(1.0), CommPhase::Redundancy);
+            ctx.send(
+                1,
+                DEPOSIT_TAG,
+                Payload::f64s(vec![1.0]),
+                CommPhase::Redundancy,
+            );
             // Marker so the deposit is provably queued before rank 1 exits.
-            ctx.send(1, 8, Payload::F64(2.0), CommPhase::Redundancy);
+            ctx.send(1, 8, Payload::f64s(vec![2.0]), CommPhase::Redundancy);
             ctx.audit_exit_window();
         } else {
             ctx.audit_enter_window(6);
@@ -176,7 +181,7 @@ fn checkpoint_fetch_across_windows_is_flagged() {
     let msg = expect_panic(|ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(3);
-            ctx.send(1, FETCH_TAG, Payload::F64(1.0), CommPhase::Recovery);
+            ctx.send(1, FETCH_TAG, Payload::f64s(vec![1.0]), CommPhase::Recovery);
             ctx.audit_exit_window();
         } else {
             ctx.audit_enter_window(4);
@@ -279,8 +284,13 @@ fn full_protocol_workout_is_audit_clean() {
     let out = Cluster::run(ClusterConfig::new(4), |ctx| {
         let next = (ctx.rank() + 1) % ctx.size();
         let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
-        ctx.send(next, 11, Payload::F64(ctx.rank() as f64), CommPhase::Other);
-        let from_prev = ctx.recv(prev, 11).into_f64();
+        ctx.send(
+            next,
+            11,
+            Payload::f64s(vec![ctx.rank() as f64]),
+            CommPhase::Other,
+        );
+        let from_prev = ctx.recv(prev, 11).into_f64s()[0];
 
         let total = ctx.allreduce_sum(1.0);
         let req = ctx.iallreduce_vec(ReduceOp::Max, vec![ctx.rank() as f64]);

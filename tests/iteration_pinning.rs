@@ -7,36 +7,37 @@
 //! reduction schedule — if a refactor legitimately changes the counts
 //! (e.g. a different reduction *order* shifting a borderline iteration),
 //! re-pin them consciously in the same commit.
+//!
+//! Every failure run here is a cell of `common::grid`, so it is also held
+//! to its failure-free twin.
 
-use esr_suite::core::{run_bicgstab, run_pcg, run_pipecg, Problem, SolverConfig};
+mod common;
+
+use common::grid::{check, grid, matrix, overlap, Cell, Matrix};
+use esr_suite::core::{
+    run, CrConfig, PrecondConfig, Problem, Protection, RecoveryPolicy, SolverConfig,
+    SolverKind as Solver,
+};
 use esr_suite::parcomm::{CostModel, FailureScript};
 use esr_suite::sparsemat::gen::poisson2d;
 
-fn pcg_iters(nodes: usize, grid: usize) -> usize {
-    let problem = Problem::with_ones_solution(poisson2d(grid, grid));
-    let r = run_pcg(
-        &problem,
-        nodes,
-        &SolverConfig::reference(),
-        CostModel::default(),
-        FailureScript::none(),
-    )
-    .unwrap();
-    assert!(r.converged, "reference PCG must converge");
-    r.iterations
-}
+const P14: Matrix = matrix!(poisson2d(14, 14));
 
-fn pipecg_iters(nodes: usize, grid: usize) -> usize {
+/// Iterations of the reference (non-resilient) `solver` on
+/// `poisson2d(grid, grid)`.
+fn reference_iters(solver: Solver, nodes: usize, grid: usize) -> usize {
     let problem = Problem::with_ones_solution(poisson2d(grid, grid));
-    let r = run_pipecg(
+    let cfg = SolverConfig::reference();
+    let r = run(
+        solver,
         &problem,
         nodes,
-        &SolverConfig::reference(),
+        &cfg,
         CostModel::default(),
         FailureScript::none(),
-    )
-    .unwrap();
-    assert!(r.converged, "reference pipelined PCG must converge");
+    );
+    let r = r.unwrap();
+    assert!(r.converged, "reference {solver:?} must converge");
     r.iterations
 }
 
@@ -45,9 +46,9 @@ fn pcg_reference_iteration_counts_are_pinned() {
     // Each N is its own pin: the block-Jacobi preconditioner blocks follow
     // the partition, so convergence genuinely depends on the cluster size
     // (and the per-rank partial dot products reassociate differently).
-    assert_eq!(pcg_iters(4, 16), 17);
-    assert_eq!(pcg_iters(7, 16), 31);
-    assert_eq!(pcg_iters(8, 16), 22);
+    assert_eq!(reference_iters(Solver::Pcg, 4, 16), 17);
+    assert_eq!(reference_iters(Solver::Pcg, 7, 16), 31);
+    assert_eq!(reference_iters(Solver::Pcg, 8, 16), 22);
 }
 
 #[test]
@@ -56,56 +57,14 @@ fn pipecg_reference_iteration_counts_are_pinned() {
     // method; on these well-conditioned problems they converge in exactly
     // the blocking solver's iteration counts (17/31/22). A drift here means
     // the recurrence restructuring changed the numerics.
-    assert_eq!(pipecg_iters(4, 16), 17);
-    assert_eq!(pipecg_iters(7, 16), 31);
-    assert_eq!(pipecg_iters(8, 16), 22);
-}
-
-#[test]
-fn pipecg_matches_blocking_pcg_converged_solution() {
-    let problem = Problem::with_ones_solution(poisson2d(16, 16));
-    let blocking = run_pcg(
-        &problem,
-        8,
-        &SolverConfig::reference(),
-        CostModel::default(),
-        FailureScript::none(),
-    )
-    .unwrap();
-    let piped = run_pipecg(
-        &problem,
-        8,
-        &SolverConfig::reference(),
-        CostModel::default(),
-        FailureScript::none(),
-    )
-    .unwrap();
-    assert!(blocking.converged && piped.converged);
-    let max_diff = blocking
-        .x
-        .iter()
-        .zip(&piped.x)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
-    assert!(
-        max_diff < 1e-6,
-        "pipelined diverged from blocking: {max_diff}"
-    );
+    assert_eq!(reference_iters(Solver::PipeCg, 4, 16), 17);
+    assert_eq!(reference_iters(Solver::PipeCg, 7, 16), 31);
+    assert_eq!(reference_iters(Solver::PipeCg, 8, 16), 22);
 }
 
 #[test]
 fn bicgstab_reference_iteration_counts_are_pinned() {
-    let problem = Problem::with_ones_solution(poisson2d(12, 12));
-    let r = run_bicgstab(
-        &problem,
-        4,
-        &SolverConfig::reference(),
-        CostModel::default(),
-        FailureScript::none(),
-    )
-    .unwrap();
-    assert!(r.converged, "reference BiCGSTAB must converge");
-    assert_eq!(r.iterations, 10);
+    assert_eq!(reference_iters(Solver::BiCgStab, 4, 12), 10);
 }
 
 // ---------------------------------------------------------------------
@@ -136,44 +95,27 @@ fn bicgstab_reference_iteration_counts_are_pinned() {
 
 #[test]
 fn replace_recovery_trajectories_are_pinned_bitwise() {
-    let problem = Problem::with_ones_solution(poisson2d(14, 14));
-    let script = || FailureScript::simultaneous(6, 2, 2, 7);
+    let pair = |at| FailureScript::simultaneous(at, 2, 2, 7);
 
-    let r = run_pcg(
-        &problem,
-        7,
-        &SolverConfig::resilient(2),
-        CostModel::default(),
-        script(),
-    )
-    .unwrap();
-    assert!(r.converged);
+    let r = check(&Cell::new(P14, 7, 2, pair(6))).res;
     assert_eq!(r.iterations, 20);
     assert_eq!(r.solver_residual, 3.559_024_370_317_738e-8);
     assert_eq!(r.true_residual.to_bits(), 0x3e63_1b7c_6256_7ed5);
 
-    let r = run_pipecg(
-        &problem,
-        7,
-        &SolverConfig::resilient(2),
-        CostModel::default(),
-        script(),
-    )
-    .unwrap();
-    assert!(r.converged);
+    let piped = Cell {
+        solver: Solver::PipeCg,
+        ..Cell::new(P14, 7, 2, pair(6))
+    };
+    let r = check(&piped).res;
     assert_eq!(r.iterations, 20);
     assert_eq!(r.solver_residual, 3.559_024_345_992_539e-8);
     assert_eq!(r.true_residual.to_bits(), 0x3e63_1b7b_ec1b_b91a);
 
-    let r = run_bicgstab(
-        &problem,
-        7,
-        &SolverConfig::resilient(2),
-        CostModel::default(),
-        FailureScript::simultaneous(4, 2, 2, 7),
-    )
-    .unwrap();
-    assert!(r.converged);
+    let bicgstab = Cell {
+        solver: Solver::BiCgStab,
+        ..Cell::new(P14, 7, 2, pair(4))
+    };
+    let r = check(&bicgstab).res;
     assert_eq!(r.iterations, 13);
     assert_eq!(r.solver_residual, 5.429_056_169_617_638e-8);
     assert_eq!(r.true_residual.to_bits(), 0x3e6d_25a3_56a1_b92d);
@@ -184,30 +126,7 @@ fn replace_overlapping_recovery_trajectory_is_pinned_bitwise() {
     // A second failure arriving at restart substep 2 of the first event:
     // the enlarged-set restart must also replay the pre-engine protocol
     // bitwise.
-    use esr_suite::parcomm::{FailAt, FailureEvent};
-    let problem = Problem::with_ones_solution(poisson2d(14, 14));
-    let script = FailureScript::new(vec![
-        FailureEvent {
-            when: FailAt::Iteration(5),
-            ranks: vec![2],
-        },
-        FailureEvent {
-            when: FailAt::RecoverySubstep {
-                after_iteration: 5,
-                substep: 2,
-            },
-            ranks: vec![4],
-        },
-    ]);
-    let r = run_pcg(
-        &problem,
-        7,
-        &SolverConfig::resilient(2),
-        CostModel::default(),
-        script,
-    )
-    .unwrap();
-    assert!(r.converged);
+    let r = check(&Cell::new(P14, 7, 2, overlap(5, vec![2], &[(2, 4)]))).res;
     assert_eq!(r.ranks_recovered, 2);
     assert_eq!(r.iterations, 20);
     assert_eq!(r.solver_residual, 3.559_024_370_293_216e-8);
@@ -221,27 +140,16 @@ fn checkpoint_restart_trajectories_are_pinned_bitwise() {
     // C/R path must reproduce them bitwise: the fused loop-top reductions
     // are element-wise identical to the old separate ones, the pack layout
     // is unchanged, and rollback restores the exact deposited state.
-    use esr_suite::core::{CrConfig, Protection, ResilienceConfig};
-    let problem = Problem::with_ones_solution(poisson2d(14, 14));
-    let cr_cfg = |phi: usize, cr: CrConfig| {
-        let mut cfg = SolverConfig::resilient(phi);
-        cfg.resilience =
-            Some(ResilienceConfig::paper(phi).with_protection(Protection::Checkpoint(cr)));
-        cfg
-    };
+    let cr =
+        |copies| Protection::Checkpoint(CrConfig::default().with_interval(5).with_copies(copies));
 
     // Two simultaneous failures at iteration 6, interval 5: rollback to
     // epoch 5 re-executes one iteration.
-    let cr = CrConfig::default().with_interval(5).with_copies(2);
-    let r = run_pcg(
-        &problem,
-        7,
-        &cr_cfg(2, cr),
-        CostModel::default(),
-        FailureScript::simultaneous(6, 2, 2, 7),
-    )
-    .unwrap();
-    assert!(r.converged);
+    let r = check(&Cell {
+        protection: cr(2),
+        ..Cell::new(P14, 7, 2, FailureScript::simultaneous(6, 2, 2, 7))
+    })
+    .res;
     assert_eq!(r.recoveries, 1);
     assert_eq!(r.iterations, 20);
     assert_eq!(r.solver_residual, 3.559_024_370_317_102e-8);
@@ -249,16 +157,11 @@ fn checkpoint_restart_trajectories_are_pinned_bitwise() {
 
     // Single failure at iteration 13 on 4 nodes, one replica per block:
     // rollback to epoch 10 re-executes three iterations.
-    let cr = CrConfig::default().with_interval(5).with_copies(1);
-    let r = run_pcg(
-        &problem,
-        4,
-        &cr_cfg(1, cr),
-        CostModel::default(),
-        FailureScript::simultaneous(13, 2, 1, 4),
-    )
-    .unwrap();
-    assert!(r.converged);
+    let r = check(&Cell {
+        protection: cr(1),
+        ..Cell::new(P14, 4, 1, FailureScript::simultaneous(13, 2, 1, 4))
+    })
+    .res;
     assert_eq!(r.recoveries, 1);
     assert_eq!(r.iterations, 19);
     assert_eq!(r.solver_residual, 4.851_781_963_741_809e-8);
@@ -274,74 +177,57 @@ fn thick_block_trajectories_are_pinned_bitwise() {
     // (precond::ldl, `LANE_MIN`), in the failure-free solve and inside the
     // reconstruction. Captured when the lanes landed (PR 24); CHANGES.md has
     // the single-chain values they replaced.
+    let thick = matrix!(poisson2d(52, 32));
     let problem = Problem::with_ones_solution(poisson2d(52, 32));
-    let script = || FailureScript::simultaneous(6, 1, 2, 4);
-
-    let r = run_pcg(
+    let cfg = SolverConfig::reference();
+    let r = run(
+        Solver::Pcg,
         &problem,
         4,
-        &SolverConfig::reference(),
+        &cfg,
         CostModel::default(),
         FailureScript::none(),
-    )
-    .unwrap();
+    );
+    let r = r.unwrap();
     assert!(r.converged);
     assert_eq!(r.iterations, 28);
     assert_eq!(r.solver_residual.to_bits(), 0x3e72_69e8_00e6_96ba);
 
-    let r = run_pcg(
-        &problem,
-        4,
-        &SolverConfig::resilient(2),
-        CostModel::default(),
-        script(),
-    )
-    .unwrap();
-    assert!(r.converged);
-    assert_eq!(r.ranks_recovered, 2);
-    assert_eq!(r.iterations, 28);
-    assert_eq!(r.solver_residual.to_bits(), 0x3e72_69e8_00eb_e1d0);
-    assert_eq!(r.true_residual.to_bits(), 0x3e72_69e8_112c_eaae);
-
-    let r = run_pipecg(
-        &problem,
-        4,
-        &SolverConfig::resilient(2),
-        CostModel::default(),
-        script(),
-    )
-    .unwrap();
-    assert!(r.converged);
-    assert_eq!(r.ranks_recovered, 2);
-    assert_eq!(r.iterations, 28);
-    assert_eq!(r.solver_residual.to_bits(), 0x3e72_69e7_f299_7535);
-    assert_eq!(r.true_residual.to_bits(), 0x3e72_69e8_7892_d792);
+    // (solver_residual, true_residual) bits of PCG and pipelined PCG.
+    let pins = [
+        (0x3e72_69e8_00eb_e1d0, 0x3e72_69e8_112c_eaae),
+        (0x3e72_69e7_f299_7535, 0x3e72_69e8_7892_d792),
+    ];
+    let base = Cell::new(thick, 4, 2, FailureScript::none());
+    let pair = FailureScript::simultaneous(6, 1, 2, 4);
+    let solvers = [Solver::Pcg, Solver::PipeCg];
+    for (cell, pin) in grid(&base, &solvers, &[RecoveryPolicy::Replace], &[pair])
+        .iter()
+        .zip(pins)
+    {
+        let r = check(cell).res;
+        assert_eq!(r.ranks_recovered, 2);
+        assert_eq!(r.iterations, 28);
+        assert_eq!(r.solver_residual.to_bits(), pin.0, "{:?}", cell.solver);
+        assert_eq!(r.true_residual.to_bits(), pin.1, "{:?}", cell.solver);
+    }
 }
 
 #[test]
 fn resilient_pcg_iteration_count_matches_reference() {
     // ESR's whole point (paper Sec. 5): reconstruction is *exact*, so a
     // failure run performs the same mathematical iterations as the
-    // reference run plus the restarted one(s).
-    let problem = Problem::with_ones_solution(poisson2d(16, 16));
-    let reference = run_pcg(
-        &problem,
+    // reference run (and as its resilient twin, which the judge checks).
+    let cell = Cell::new(
+        matrix!(poisson2d(16, 16)),
         6,
-        &SolverConfig::reference(),
-        CostModel::default(),
-        FailureScript::none(),
-    )
-    .unwrap();
-    let failing = run_pcg(
-        &problem,
-        6,
-        &SolverConfig::resilient(2),
-        CostModel::default(),
+        2,
         FailureScript::simultaneous(5, 1, 2, 6),
-    )
-    .unwrap();
-    assert!(failing.converged);
-    assert_eq!(failing.iterations, reference.iterations);
+    );
+    assert_eq!(
+        check(&cell).res.iterations,
+        reference_iters(Solver::Pcg, 6, 16)
+    );
 }
 
 #[test]
@@ -352,26 +238,22 @@ fn p_given_recovery_trajectory_is_pinned_bitwise() {
     // is the explicit inverse of a block Jacobi whose blocks (36 rows) are
     // misaligned with the partition (24 rows), so `P_{If,I\If}` ≠ 0 and
     // both halves of that path run.
-    use esr_suite::core::PrecondConfig;
-    use esr_suite::precond::{BlockJacobi, BlockSolver};
-    use std::sync::Arc;
-    let a = poisson2d(12, 12);
-    let bj = BlockJacobi::with_blocks(&a, 4, BlockSolver::ExactLdl).unwrap();
-    let p = bj.to_explicit_inverse(&a);
-    let problem = Problem::with_ones_solution(a);
-    let cfg = SolverConfig {
-        precond: PrecondConfig::ExplicitP(Arc::new(p)),
-        ..SolverConfig::resilient(2)
-    };
-    let r = run_pcg(
-        &problem,
-        6,
-        &cfg,
-        CostModel::default(),
-        FailureScript::simultaneous(5, 2, 2, 6),
-    )
-    .unwrap();
-    assert!(r.converged);
+    let r = check(&Cell {
+        tune: |cfg| {
+            use esr_suite::precond::{BlockJacobi, BlockSolver};
+            use std::sync::Arc;
+            let a = poisson2d(12, 12);
+            let bj = BlockJacobi::with_blocks(&a, 4, BlockSolver::ExactLdl).unwrap();
+            cfg.precond = PrecondConfig::ExplicitP(Arc::new(bj.to_explicit_inverse(&a)));
+        },
+        ..Cell::new(
+            matrix!(poisson2d(12, 12)),
+            6,
+            2,
+            FailureScript::simultaneous(5, 2, 2, 6),
+        )
+    })
+    .res;
     assert_eq!(r.ranks_recovered, 2);
     assert_eq!(r.iterations, 15);
     assert_eq!(r.inner_iterations, 7);

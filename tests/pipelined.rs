@@ -1,57 +1,63 @@
 //! End-to-end tests for the resilient communication-hiding pipelined PCG:
 //! numerical agreement with the blocking solver, recovery from single,
-//! multiple-simultaneous, and overlapping failures, and the latency-hiding
+//! multiple-simultaneous, and overlapping failures — each a cell of
+//! `common::grid` held to its failure-free twin — and the latency-hiding
 //! property on the overlap-aware virtual clock.
 
-use esr_core::{run_pcg, run_pipecg, Problem, SolverConfig};
-use parcomm::{CommPhase, CostModel, FailAt, FailureEvent, FailureScript};
+mod common;
+
+use common::grid::{check, grid, matrix, overlap, Cell, Matrix};
+use esr_core::{
+    run, run_pipecg, ExperimentResult, PrecondConfig, Problem, RecoveryPolicy, SolverConfig,
+    SolverKind as Solver,
+};
+use parcomm::{CommPhase, CostModel, FailureScript};
 use sparsemat::gen::{poisson2d, poisson3d};
 
-fn max_err_ones(res: &esr_core::ExperimentResult) -> f64 {
-    res.x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0, f64::max)
+const P12: Matrix = matrix!(poisson2d(12, 12));
+const P16: Matrix = matrix!(poisson2d(16, 16));
+
+/// A pipelined PCG cell under Replace.
+fn pipecg(matrix: Matrix, nodes: usize, phi: usize, schedule: FailureScript) -> Cell {
+    Cell {
+        solver: Solver::PipeCg,
+        ..Cell::new(matrix, nodes, phi, schedule)
+    }
 }
 
-fn cost() -> CostModel {
-    CostModel::default()
+/// Reference (non-resilient) blocking and pipelined PCG on `nodes`.
+fn reference_pair(problem: &Problem, nodes: usize) -> [ExperimentResult; 2] {
+    let (cfg, none) = (SolverConfig::reference(), FailureScript::none);
+    [Solver::Pcg, Solver::PipeCg]
+        .map(|solver| run(solver, problem, nodes, &cfg, CostModel::default(), none()).unwrap())
 }
 
 #[test]
 fn failure_free_pipecg_matches_blocking_pcg() {
-    let a = poisson2d(16, 16);
-    let problem = Problem::with_ones_solution(a);
-    let blocking = run_pcg(
-        &problem,
-        6,
-        &SolverConfig::reference(),
-        cost(),
-        FailureScript::none(),
-    )
-    .unwrap();
-    let piped = run_pipecg(
-        &problem,
-        6,
-        &SolverConfig::reference(),
-        cost(),
-        FailureScript::none(),
-    )
-    .unwrap();
-    assert!(blocking.converged && piped.converged);
     // Same Krylov method up to rounding: iteration counts nearly agree and
     // both reach the same solution.
-    assert!(
-        blocking.iterations.abs_diff(piped.iterations) <= 2,
-        "blocking {} vs pipelined {}",
-        blocking.iterations,
-        piped.iterations
-    );
-    let max_diff = blocking
-        .x
-        .iter()
-        .zip(&piped.x)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
-    assert!(max_diff < 1e-6, "solutions diverged: {max_diff}");
-    assert!(max_err_ones(&piped) < 1e-6);
+    let problem = Problem::with_ones_solution(poisson2d(16, 16));
+    for nodes in [6, 8] {
+        let [blocking, piped] = reference_pair(&problem, nodes);
+        assert!(blocking.converged && piped.converged, "N = {nodes}");
+        let (ib, ip) = (blocking.iterations, piped.iterations);
+        assert!(
+            ib.abs_diff(ip) <= 2,
+            "N = {nodes}: blocking {ib} vs pipelined {ip}"
+        );
+        let diff = |y: &[f64]| {
+            (piped.x.iter().zip(y))
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max)
+        };
+        let max_diff = diff(&blocking.x);
+        assert!(
+            max_diff < 1e-6,
+            "N = {nodes}: solutions diverged: {max_diff}"
+        );
+        let err = diff(&vec![1.0; problem.n()]);
+        assert!(err < 1e-6, "N = {nodes}: err = {err}");
+    }
 }
 
 #[test]
@@ -60,25 +66,9 @@ fn pipecg_overlap_reduces_exposed_reduction_time() {
     // cost is (largely) hidden behind SpMV + preconditioner work, so the
     // *exposed* reduction-phase time per iteration must come in strictly
     // below blocking PCG's, which pays 2 full reductions per iteration.
-    let a = poisson2d(32, 32);
-    let problem = Problem::with_ones_solution(a);
+    let problem = Problem::with_ones_solution(poisson2d(32, 32));
     for nodes in [8usize, 16] {
-        let blocking = run_pcg(
-            &problem,
-            nodes,
-            &SolverConfig::reference(),
-            cost(),
-            FailureScript::none(),
-        )
-        .unwrap();
-        let piped = run_pipecg(
-            &problem,
-            nodes,
-            &SolverConfig::reference(),
-            cost(),
-            FailureScript::none(),
-        )
-        .unwrap();
+        let [blocking, piped] = reference_pair(&problem, nodes);
         assert!(blocking.converged && piped.converged);
         let eb = blocking.exposed_vtime_per_iter(CommPhase::Reduction);
         let ep = piped.exposed_vtime_per_iter(CommPhase::Reduction);
@@ -94,69 +84,36 @@ fn pipecg_overlap_reduces_exposed_reduction_time() {
 
 #[test]
 fn pipecg_survives_single_failure() {
-    let a = poisson2d(12, 12);
-    let problem = Problem::with_ones_solution(a);
-    let script = FailureScript::simultaneous(5, 1, 1, 4);
-    let res = run_pipecg(&problem, 4, &SolverConfig::resilient(1), cost(), script).unwrap();
-    assert!(res.converged);
-    assert_eq!(res.recoveries, 1);
-    assert_eq!(res.ranks_recovered, 1);
-    assert!(res.vtime_recovery > 0.0);
-    assert!(max_err_ones(&res) < 1e-6, "err={}", max_err_ones(&res));
+    let one = FailureScript::simultaneous(5, 1, 1, 4);
+    assert!(check(&pipecg(P12, 4, 1, one)).res.vtime_recovery > 0.0);
 }
 
 #[test]
 fn pipecg_survives_three_simultaneous_failures() {
-    let a = poisson2d(14, 14);
-    let problem = Problem::with_ones_solution(a);
-    let script = FailureScript::simultaneous(8, 2, 3, 7);
-    let res = run_pipecg(&problem, 7, &SolverConfig::resilient(3), cost(), script).unwrap();
-    assert!(res.converged);
-    assert_eq!(res.recoveries, 1);
-    assert_eq!(res.ranks_recovered, 3);
-    assert!(max_err_ones(&res) < 1e-6, "err={}", max_err_ones(&res));
+    let three = FailureScript::simultaneous(8, 2, 3, 7);
+    check(&pipecg(matrix!(poisson2d(14, 14)), 7, 3, three));
 }
 
 #[test]
 fn pipecg_failure_at_iteration_zero() {
     // Edge case: no p(j-1), s, q, z exist yet; only x, r, u, w are live.
-    let a = poisson2d(12, 12);
-    let problem = Problem::with_ones_solution(a);
-    let script = FailureScript::simultaneous(0, 1, 2, 6);
-    let res = run_pipecg(&problem, 6, &SolverConfig::resilient(2), cost(), script).unwrap();
-    assert!(res.converged);
-    assert!(max_err_ones(&res) < 1e-6);
+    let at_zero = FailureScript::simultaneous(0, 1, 2, 6);
+    check(&pipecg(P12, 6, 2, at_zero));
 }
 
 #[test]
 fn pipecg_overlapping_failure_during_recovery() {
     // A second node fails while the first reconstruction is in progress,
     // at each of the four substep boundaries (restart with enlarged set).
-    let a = poisson2d(16, 16);
-    let problem = Problem::with_ones_solution(a);
-    for substep in 0..4 {
-        let script = FailureScript::new(vec![
-            FailureEvent {
-                when: FailAt::Iteration(6),
-                ranks: vec![2],
-            },
-            FailureEvent {
-                when: FailAt::RecoverySubstep {
-                    after_iteration: 6,
-                    substep,
-                },
-                ranks: vec![3],
-            },
-        ]);
-        let res = run_pipecg(&problem, 8, &SolverConfig::resilient(2), cost(), script).unwrap();
-        assert!(res.converged, "substep={substep}");
-        assert_eq!(res.recoveries, 1, "substep={substep}");
-        assert_eq!(res.ranks_recovered, 2, "substep={substep}");
-        assert!(
-            max_err_ones(&res) < 1e-6,
-            "substep={substep} err={}",
-            max_err_ones(&res)
-        );
+    let overlaps: Vec<_> = (0..4).map(|s| overlap(6, vec![2], &[(s, 3)])).collect();
+    let base = Cell::new(P16, 8, 2, FailureScript::none());
+    for cell in grid(
+        &base,
+        &[Solver::PipeCg],
+        &[RecoveryPolicy::Replace],
+        &overlaps,
+    ) {
+        check(&cell);
     }
 }
 
@@ -164,75 +121,36 @@ fn pipecg_overlapping_failure_during_recovery() {
 fn pipecg_two_separate_failure_events() {
     // Redundancy self-heals after each recovery: a later event is
     // recoverable even with φ=1.
-    let a = poisson2d(16, 16);
-    let problem = Problem::with_ones_solution(a);
-    let script = FailureScript::new(vec![
-        FailureEvent {
-            when: FailAt::Iteration(4),
-            ranks: vec![2],
-        },
-        FailureEvent {
-            when: FailAt::Iteration(11),
-            ranks: vec![5],
-        },
-    ]);
-    let res = run_pipecg(&problem, 8, &SolverConfig::resilient(1), cost(), script).unwrap();
-    assert!(res.converged);
-    assert_eq!(res.recoveries, 2);
-    assert_eq!(res.ranks_recovered, 2);
-    assert!(max_err_ones(&res) < 1e-6);
+    let two = FailureScript::at_iterations(8, &[(4, 2), (11, 5)]);
+    check(&pipecg(P16, 8, 1, two));
 }
 
 #[test]
 fn pipecg_reconstructed_state_matches_failure_free_trajectory() {
-    // ESR is *exact*: with failures the solver converges in (almost) the
-    // same iterations to (almost) the same solution as the clean run —
-    // the same tolerance contract the blocking ESR tests use.
-    let a = poisson3d(8, 8, 8);
-    let problem = Problem::with_random_rhs(a, 42);
-    let clean = run_pipecg(
-        &problem,
-        8,
-        &SolverConfig::resilient(3),
-        cost(),
-        FailureScript::none(),
-    )
-    .unwrap();
-    let script = FailureScript::simultaneous(10, 3, 3, 8);
-    let failed = run_pipecg(&problem, 8, &SolverConfig::resilient(3), cost(), script).unwrap();
-    assert!(clean.converged && failed.converged);
-    assert!(
-        clean.iterations.abs_diff(failed.iterations) <= 2,
-        "clean {} vs failed {}",
-        clean.iterations,
-        failed.iterations
-    );
-    let max_diff = clean
-        .x
-        .iter()
-        .zip(&failed.x)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
-    let scale = clean.x.iter().map(|v| v.abs()).fold(0.0, f64::max);
-    assert!(
-        max_diff / scale < 1e-6,
-        "solutions diverged: {max_diff} (scale {scale})"
-    );
+    // ESR is *exact*: with failures the solver takes its failure-free
+    // twin's iterations to its residual and its x.
+    let random_b = Matrix {
+        name: "poisson3d(8, 8, 8), random b (seed 42)",
+        build: || poisson3d(8, 8, 8),
+        rhs_seed: Some(42),
+    };
+    let three = FailureScript::simultaneous(10, 3, 3, 8);
+    check(&pipecg(random_b, 8, 3, three));
 }
 
 #[test]
 fn pipecg_uneven_partition_with_failures() {
-    let a = poisson2d(13, 11); // n = 143 over 7 nodes
-    let problem = Problem::with_ones_solution(a);
-    let script = FailureScript::simultaneous(5, 0, 2, 7);
-    let res = run_pipecg(&problem, 7, &SolverConfig::resilient(2), cost(), script).unwrap();
-    assert!(res.converged);
-    assert!(max_err_ones(&res) < 1e-6);
+    let uneven = matrix!(poisson2d(13, 11)); // n = 143 over 7 nodes
+    check(&pipecg(
+        uneven,
+        7,
+        2,
+        FailureScript::simultaneous(5, 0, 2, 7),
+    ));
 }
 
 #[test]
 fn pipecg_rejects_explicit_p() {
-    use esr_core::PrecondConfig;
     use precond::{BlockJacobi, BlockSolver};
     use std::sync::Arc;
     let a = poisson2d(8, 8);
@@ -243,8 +161,9 @@ fn pipecg_rejects_explicit_p() {
         precond: PrecondConfig::ExplicitP(Arc::new(p)),
         ..SolverConfig::reference()
     };
+    let none = FailureScript::none;
     let result = std::panic::catch_unwind(|| {
-        run_pipecg(&problem, 4, &cfg, cost(), FailureScript::none()).unwrap()
+        run_pipecg(&problem, 4, &cfg, CostModel::default(), none()).unwrap()
     });
     assert!(result.is_err(), "ExplicitP must be rejected loudly");
 }

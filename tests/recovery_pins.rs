@@ -33,11 +33,11 @@
 //! be read (and diffed against the parent's output) rather than only seen
 //! in hex.
 
-use esr_core::{
-    run, CrConfig, ExperimentResult, Problem, Protection, RecoveryPolicy, SolverConfig,
-    SolverKind as Solver,
-};
-use parcomm::{CommPhase, CommStats, CostModel, FailAt, FailureEvent, FailureScript};
+mod common;
+
+use common::grid::{check, grid, matrix, overlap, Cell};
+use esr_core::{CrConfig, ExperimentResult, Protection, RecoveryPolicy, SolverKind as Solver};
+use parcomm::{CommPhase, CommStats, FailureScript};
 use sparsemat::gen::poisson2d;
 
 const NODES: usize = 7;
@@ -76,49 +76,16 @@ const TRACE: [(Prot, Solver, u64); 6] = [
     (Prot::Cr, Solver::BiCgStab, 0x996af951747661ab),
 ];
 
-#[derive(Clone, Copy, Debug)]
-enum Failure {
-    /// `psi` contiguous ranks die at the iteration boundary.
-    Simultaneous(usize),
-    /// One rank dies; a second dies at restart substep `s` of its recovery.
-    Overlapping(u32),
-    /// Two ranks die; a third dies at substep 2 of their recovery.
-    PairThenOverlap,
-}
-
-const FAILURES: [Failure; 7] = [
-    Failure::Simultaneous(1),
-    Failure::Simultaneous(2),
-    Failure::Overlapping(0),
-    Failure::Overlapping(1),
-    Failure::Overlapping(2),
-    Failure::Overlapping(3),
-    Failure::PairThenOverlap,
-];
-
-fn script(mode: Failure, at: u64, first: usize) -> (FailureScript, usize) {
-    let during = |substep: u32, rank: usize| FailureEvent {
-        when: FailAt::RecoverySubstep {
-            after_iteration: at,
-            substep,
-        },
-        ranks: vec![rank % NODES],
-    };
-    let initial = |psi: usize| FailureEvent {
-        when: FailAt::Iteration(at),
-        ranks: (0..psi).map(|i| (first + i) % NODES).collect(),
-    };
-    match mode {
-        Failure::Simultaneous(psi) => (FailureScript::new(vec![initial(psi)]), psi),
-        Failure::Overlapping(s) => (
-            FailureScript::new(vec![initial(1), during(s, first + 2)]),
-            2,
-        ),
-        Failure::PairThenOverlap => (
-            FailureScript::new(vec![initial(2), during(2, first + 3)]),
-            3,
-        ),
-    }
+/// The failure modes at iteration `at` from rank `first`: ψ = 1, ψ = 2,
+/// one rank and a second at restart substep 0/1/2/3 of its recovery, and
+/// two ranks and a third at substep 2 of theirs.
+fn modes(at: u64, first: usize) -> Vec<FailureScript> {
+    let rank = |i: usize| (first + i) % NODES;
+    let simultaneous = |psi| FailureScript::simultaneous(at, first, psi, NODES);
+    let mut modes = vec![simultaneous(1), simultaneous(2)];
+    modes.extend((0..4).map(|s| overlap(at, vec![first], &[(s, rank(2))])));
+    modes.push(overlap(at, vec![first, rank(1)], &[(2, rank(3))]));
+    modes
 }
 
 /// FNV-1a over 64-bit words.
@@ -199,55 +166,55 @@ impl Fnv {
 }
 
 /// The (numerics, cost, trace) fingerprints of one protection × solver, and
-/// one readable line per cell for a mismatch to print.
+/// one readable line per cell for a mismatch to print. Every cell is also
+/// held to its failure-free twin.
 fn fingerprint(prot: Prot, solver: Solver) -> ([u64; 3], Vec<String>) {
-    let problem = Problem::with_ones_solution(poisson2d(14, 13));
-    let (mut numerics, mut cost, mut trace) = (Fnv::new(), Fnv::new(), Fnv::new());
-    let mut cells = Vec::new();
-    for policy in [
+    let protection = match prot {
+        Prot::Esr => Protection::Esr,
+        Prot::Cr => Protection::Checkpoint(CrConfig::default().with_interval(4).with_copies(PHI)),
+    };
+    let base = Cell {
+        protection,
+        tune: |cfg| cfg.trace = true,
+        ..Cell::new(
+            matrix!(poisson2d(14, 13)),
+            NODES,
+            PHI,
+            FailureScript::none(),
+        )
+    };
+    let policies = [
         RecoveryPolicy::Replace,
         RecoveryPolicy::Spares(1),
         RecoveryPolicy::Shrink,
-    ] {
-        let mut cfg = SolverConfig::resilient_with_policy(PHI, policy);
-        cfg.trace = true;
-        if prot == Prot::Cr {
-            cfg.resilience = cfg.resilience.map(|res| {
-                res.with_protection(Protection::Checkpoint(
-                    CrConfig::default().with_interval(4).with_copies(PHI),
-                ))
-            });
-        }
-        for mode in FAILURES {
-            for (at, first) in [(0, 0), (6, NODES - 1)] {
-                let (sc, lost) = script(mode, at, first);
-                let res = run(solver, &problem, NODES, &cfg, CostModel::default(), sc)
-                    .expect("every engine-backed cell is a supported configuration");
-                let label =
-                    format!("{prot:?} × {solver:?} × {policy:?} × {mode:?} @ ({at}, {first})");
-                assert!(res.converged, "{label}: did not converge");
-                assert_eq!(res.recoveries, 1, "{label}");
-                assert_eq!(res.ranks_recovered, lost, "{label}");
-                numerics.numerics(&res);
-                cost.cost(&res);
-                trace.trace(&res);
-                cells.push(format!(
-                    "{label}: iterations {}, inner iterations {}, solver_residual {:e}, \
-                     true_residual {:e}, vtime {:e}, vtime_recovery {:e}",
-                    res.iterations,
-                    res.inner_iterations,
-                    res.solver_residual,
-                    res.true_residual,
-                    res.vtime,
-                    res.vtime_recovery
-                ));
-            }
-        }
+    ];
+    let [early, late] = [(0, 0), (6, NODES - 1)].map(|(at, first)| modes(at, first));
+    let schedules: Vec<_> = (early.into_iter().zip(late))
+        .flat_map(|(e, l)| [e, l])
+        .collect();
+    let (mut numerics, mut cost, mut trace) = (Fnv::new(), Fnv::new(), Fnv::new());
+    let mut cells = Vec::new();
+    for cell in grid(&base, &[solver], &policies, &schedules) {
+        let res = check(&cell).res;
+        numerics.numerics(&res);
+        cost.cost(&res);
+        trace.trace(&res);
+        cells.push(format!(
+            "{}: iterations {}, inner iterations {}, solver_residual {:e}, \
+             true_residual {:e}, vtime {:e}, vtime_recovery {:e}",
+            cell.label(),
+            res.iterations,
+            res.inner_iterations,
+            res.solver_residual,
+            res.true_residual,
+            res.vtime,
+            res.vtime_recovery
+        ));
     }
     ([numerics.0, cost.0, trace.0], cells)
 }
 
-fn check(prot: Prot, solver: Solver) {
+fn check_pins(prot: Prot, solver: Solver) {
     let pinned = |table: &[(Prot, Solver, u64)]| {
         table
             .iter()
@@ -279,30 +246,30 @@ fn check(prot: Prot, solver: Solver) {
 
 #[test]
 fn esr_pcg_recoveries_are_pinned_bitwise() {
-    check(Prot::Esr, Solver::Pcg);
+    check_pins(Prot::Esr, Solver::Pcg);
 }
 
 #[test]
 fn esr_pipecg_recoveries_are_pinned_bitwise() {
-    check(Prot::Esr, Solver::PipeCg);
+    check_pins(Prot::Esr, Solver::PipeCg);
 }
 
 #[test]
 fn esr_bicgstab_recoveries_are_pinned_bitwise() {
-    check(Prot::Esr, Solver::BiCgStab);
+    check_pins(Prot::Esr, Solver::BiCgStab);
 }
 
 #[test]
 fn cr_pcg_recoveries_are_pinned_bitwise() {
-    check(Prot::Cr, Solver::Pcg);
+    check_pins(Prot::Cr, Solver::Pcg);
 }
 
 #[test]
 fn cr_pipecg_recoveries_are_pinned_bitwise() {
-    check(Prot::Cr, Solver::PipeCg);
+    check_pins(Prot::Cr, Solver::PipeCg);
 }
 
 #[test]
 fn cr_bicgstab_recoveries_are_pinned_bitwise() {
-    check(Prot::Cr, Solver::BiCgStab);
+    check_pins(Prot::Cr, Solver::BiCgStab);
 }

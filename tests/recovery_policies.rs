@@ -1,187 +1,76 @@
-//! The recovery-policy scenario matrix: every [`RecoveryPolicy`] ×
-//! {single, multiple-simultaneous, overlapping} failures, at
-//! non-power-of-two cluster sizes (N = 7, 13) and at the `φ = N−1`
-//! boundary. The pinned invariant everywhere: reconstruction at the
-//! failure iteration is *exact* — the solve converges to the usual
-//! tolerance and the solution error stays below 1e-6 under every policy,
-//! whether the failed subdomains were rebuilt on replacement nodes,
-//! covered from a finite spare pool, or adopted by survivors on a
-//! shrunken cluster.
+//! The recovery-policy axis beyond `policy_matrix`'s grid: a spare pool
+//! large enough to cover every failure (`Spares(8)`), ψ = φ = 3, the
+//! `φ = N−1` boundary, pool exhaustion, and the configurations a policy
+//! rejects. Every failure cell is held to its failure-free twin by the
+//! judge of `common::grid`.
 
-use esr_core::{run, run_pcg, ExperimentResult, Problem, RecoveryPolicy, SolverConfig, SolverKind};
-use parcomm::{CostModel, FailAt, FailureEvent, FailureScript};
+mod common;
+
+use common::grid::{check, grid, matrix, overlap, Cell, Matrix};
+use esr_core::{
+    run_pcg, ConfigError, CrConfig, PrecondConfig, Problem, Protection, RecoveryPolicy,
+    SolverConfig, SolverKind as Solver,
+};
+use parcomm::{CommPhase, CostModel, FailureScript};
 use sparsemat::gen::poisson2d;
 
-fn max_err_ones(res: &ExperimentResult) -> f64 {
-    res.x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0, f64::max)
-}
+const SOLVERS: [Solver; 3] = [Solver::Pcg, Solver::PipeCg, Solver::BiCgStab];
+/// `Spares(8)` covers every scenario here, so it takes the grant path.
+const POLICIES: [RecoveryPolicy; 3] = [
+    RecoveryPolicy::Replace,
+    RecoveryPolicy::Spares(8),
+    RecoveryPolicy::Shrink,
+];
+const P12: Matrix = matrix!(poisson2d(12, 12));
+const P14: Matrix = matrix!(poisson2d(14, 14));
 
-fn cost() -> CostModel {
-    CostModel::default()
-}
-
-/// The three policies under test; `Spares` gets a pool large enough to
-/// cover every scenario of the matrix, so it exercises the grant path
-/// (pool-exhaustion scenarios are separate tests below).
-fn policies() -> Vec<RecoveryPolicy> {
-    vec![
-        RecoveryPolicy::Replace,
-        RecoveryPolicy::Spares(8),
-        RecoveryPolicy::Shrink,
-    ]
-}
-
-/// One solve under `policy`; checks convergence + exactness and returns
-/// the result for policy-specific assertions.
-fn solve(
-    n_grid: (usize, usize),
-    nodes: usize,
-    phi: usize,
-    policy: RecoveryPolicy,
-    script: FailureScript,
-) -> ExperimentResult {
-    let a = poisson2d(n_grid.0, n_grid.1);
-    let problem = Problem::with_ones_solution(a);
-    let cfg = SolverConfig::resilient_with_policy(phi, policy);
-    let res = run_pcg(&problem, nodes, &cfg, cost(), script).unwrap();
-    assert!(res.converged, "{policy:?}: did not converge");
-    assert!(
-        max_err_ones(&res) < 1e-6,
-        "{policy:?}: reconstruction not exact, err={}",
-        max_err_ones(&res)
-    );
-    res
-}
-
-#[test]
-fn single_failure_every_policy_n7() {
-    for policy in policies() {
-        let res = solve(
-            (14, 14),
-            7,
-            2,
-            policy,
-            FailureScript::simultaneous(5, 3, 1, 7),
-        );
-        assert_eq!(res.recoveries, 1, "{policy:?}");
-        assert_eq!(res.ranks_recovered, 1, "{policy:?}");
-        let expect_retired = match policy {
-            RecoveryPolicy::Shrink => 1,
-            _ => 0,
-        };
-        assert_eq!(res.retired_nodes(), expect_retired, "{policy:?}");
+fn judge_all(cells: Vec<Cell>) {
+    for cell in cells {
+        check(&cell);
     }
 }
 
 #[test]
 fn multiple_simultaneous_failures_every_policy_n7() {
-    for policy in policies() {
-        let res = solve(
-            (14, 14),
-            7,
-            3,
-            policy,
-            FailureScript::simultaneous(6, 2, 3, 7),
-        );
-        assert_eq!(res.recoveries, 1, "{policy:?}");
-        assert_eq!(res.ranks_recovered, 3, "{policy:?}");
-        let expect_retired = match policy {
-            RecoveryPolicy::Shrink => 3,
-            _ => 0,
-        };
-        assert_eq!(res.retired_nodes(), expect_retired, "{policy:?}");
-    }
+    let base = Cell::new(P14, 7, 3, FailureScript::none());
+    let three = FailureScript::simultaneous(6, 2, 3, 7);
+    judge_all(grid(&base, &SOLVERS, &POLICIES, &[three]));
 }
 
 #[test]
 fn overlapping_failures_every_policy_n7() {
-    // A second node dies at every recovery substep of the first event
-    // (paper Sec. 4.1: restart with the enlarged failed set) — under
-    // Shrink the restart must also re-derive the adoption plan.
-    for policy in policies() {
-        for substep in 0..4 {
-            let script = FailureScript::new(vec![
-                FailureEvent {
-                    when: FailAt::Iteration(6),
-                    ranks: vec![2],
-                },
-                FailureEvent {
-                    when: FailAt::RecoverySubstep {
-                        after_iteration: 6,
-                        substep,
-                    },
-                    ranks: vec![4],
-                },
-            ]);
-            let res = solve((14, 14), 7, 2, policy, script);
-            assert_eq!(res.recoveries, 1, "{policy:?} substep={substep}");
-            assert_eq!(res.ranks_recovered, 2, "{policy:?} substep={substep}");
-        }
-    }
+    // A second node dies at every recovery substep of the first event,
+    // and the covering pool replaces both (Replace and the undersized
+    // pool and Shrink are `policy_matrix`'s).
+    let base = Cell::new(P14, 7, 2, FailureScript::none());
+    let overlaps: Vec<_> = (0..4).map(|s| overlap(6, vec![2], &[(s, 4)])).collect();
+    let spares = [RecoveryPolicy::Spares(8)];
+    judge_all(grid(&base, &SOLVERS, &spares, &overlaps));
 }
 
 #[test]
 fn scenario_matrix_n13() {
-    // The same three failure modes at N = 13 (fold-in/out collective
-    // sizes, uneven 13-way partition of a 15×15 grid).
-    for policy in policies() {
-        let single = solve(
-            (15, 15),
-            13,
-            2,
-            policy,
-            FailureScript::simultaneous(4, 7, 1, 13),
-        );
-        assert_eq!(single.ranks_recovered, 1, "{policy:?}");
-
-        let multi = solve(
-            (15, 15),
-            13,
-            3,
-            policy,
-            FailureScript::simultaneous(7, 11, 3, 13), // wraps: 11, 12, 0
-        );
-        assert_eq!(multi.ranks_recovered, 3, "{policy:?}");
-
-        let overlapping = solve(
-            (15, 15),
-            13,
-            3,
-            policy,
-            FailureScript::new(vec![
-                FailureEvent {
-                    when: FailAt::Iteration(5),
-                    ranks: vec![6, 7],
-                },
-                FailureEvent {
-                    when: FailAt::RecoverySubstep {
-                        after_iteration: 5,
-                        substep: 2,
-                    },
-                    ranks: vec![9],
-                },
-            ]),
-        );
-        assert_eq!(overlapping.ranks_recovered, 3, "{policy:?}");
-    }
+    // φ = 3 at N = 13 (fold-in/out collective sizes, uneven 13-way
+    // partition of a 15×15 grid): three ranks wrapping around the ring,
+    // and a pair whose recovery a third failure interrupts.
+    let p15 = matrix!(poisson2d(15, 15));
+    let base = Cell::new(p15, 13, 3, FailureScript::none());
+    let schedules = [
+        FailureScript::simultaneous(7, 11, 3, 13), // 11, 12, 0
+        overlap(5, vec![6, 7], &[(2, 9)]),
+    ];
+    judge_all(grid(&base, &SOLVERS, &POLICIES, &schedules));
 }
 
 #[test]
 fn phi_equals_n_minus_one_boundary() {
-    // ψ = φ = N−1: the hardest recoverable event. Under Shrink a single
-    // survivor adopts the entire system and finishes the solve alone.
-    for policy in policies() {
-        let res = solve(
-            (14, 14),
-            7,
-            6,
-            policy,
-            FailureScript::simultaneous(5, 1, 6, 7),
-        );
-        assert_eq!(res.ranks_recovered, 6, "{policy:?}");
-        if policy == RecoveryPolicy::Shrink {
-            assert_eq!(res.retired_nodes(), 6);
-            // The lone survivor (rank 0) owns every row afterwards.
+    // ψ = φ = N−1: the hardest recoverable event. Under Shrink the lone
+    // survivor (rank 0) adopts the entire system and finishes alone.
+    let base = Cell::new(P14, 7, 6, FailureScript::none());
+    let six = FailureScript::simultaneous(5, 1, 6, 7);
+    for cell in grid(&base, &[Solver::Pcg], &POLICIES, &[six]) {
+        let res = check(&cell).res;
+        if cell.policy == RecoveryPolicy::Shrink {
             let survivor = res.per_node.iter().find(|o| !o.retired).unwrap();
             assert_eq!(survivor.x_loc.len(), 14 * 14);
         }
@@ -192,27 +81,22 @@ fn phi_equals_n_minus_one_boundary() {
 fn esr_recoveries_proceed_with_the_interrupted_iteration() {
     // An ESR reconstruction rebuilds the lost state exactly, so every
     // solver goes on with the interrupted iteration, in place and after a
-    // Shrink: it takes its failure-free twin's iteration count, and a rank
-    // that stays a member takes part in exactly the twin's all-reduces
+    // Shrink: beside the twin's iteration count (the judge), a rank that
+    // stays a member takes part in exactly the twin's all-reduces
     // (restarting the iteration would re-issue the reduction it was in).
-    let nodes = 16;
-    let problem = Problem::with_ones_solution(poisson2d(64, 64));
-    for solver in [SolverKind::Pcg, SolverKind::PipeCg, SolverKind::BiCgStab] {
-        for policy in [RecoveryPolicy::Replace, RecoveryPolicy::Shrink] {
-            let cfg = SolverConfig::resilient_with_policy(2, policy);
-            let solve = |script| run(solver, &problem, nodes, &cfg, cost(), script).unwrap();
-            let twin = solve(FailureScript::none());
-            let res = solve(FailureScript::simultaneous(20, 5, 2, nodes));
-            let cell = format!("{solver:?} {policy:?}");
-            assert!(res.converged && res.recoveries == 1, "{cell}");
-            assert_eq!(res.iterations, twin.iterations, "{cell}");
-            for r in (0..nodes).filter(|r| !(5..7).contains(r)) {
-                assert_eq!(
-                    res.per_node[r].stats.allreduces(),
-                    twin.per_node[r].stats.allreduces(),
-                    "{cell}: rank {r}"
-                );
-            }
+    let p64 = matrix!(poisson2d(64, 64));
+    let base = Cell::new(p64, 16, 2, FailureScript::none());
+    let pair = FailureScript::simultaneous(20, 5, 2, 16);
+    let policies = [RecoveryPolicy::Replace, RecoveryPolicy::Shrink];
+    for cell in grid(&base, &SOLVERS, &policies, &[pair]) {
+        let out = check(&cell);
+        for r in (0..16).filter(|r| !(5..7).contains(r)) {
+            assert_eq!(
+                out.res.per_node[r].stats.allreduces(),
+                out.twin.per_node[r].stats.allreduces(),
+                "{}: rank {r}",
+                cell.label()
+            );
         }
     }
 }
@@ -222,38 +106,15 @@ fn replace_iteration_counts_are_policy_default_bitwise() {
     // `Replace` must reproduce the default-policy trajectory bitwise —
     // the pinned counts of tests/iteration_pinning.rs run through the
     // identical code path.
-    let a = poisson2d(14, 14);
-    let problem = Problem::with_ones_solution(a);
-    let script = || FailureScript::simultaneous(6, 2, 2, 7);
-    let default_cfg = SolverConfig::resilient(2);
-    let explicit = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Replace);
-    let r1 = run_pcg(&problem, 7, &default_cfg, cost(), script()).unwrap();
-    let r2 = run_pcg(&problem, 7, &explicit, cost(), script()).unwrap();
+    let replace = Cell::new(P14, 7, 2, FailureScript::simultaneous(6, 2, 2, 7));
+    let default = Cell {
+        tune: |cfg| *cfg = SolverConfig::resilient(2),
+        ..replace.clone()
+    };
+    let (r1, r2) = (check(&default).res, check(&replace).res);
     assert_eq!(r1.iterations, r2.iterations);
     assert_eq!(r1.solver_residual, r2.solver_residual);
     assert_eq!(r1.vtime, r2.vtime);
-}
-
-#[test]
-fn covered_spares_match_replace_trajectory() {
-    // While the pool covers every failure, the spare-pool protocol is the
-    // same reconstruction math as Replace — iteration counts and the
-    // final residual must agree exactly.
-    let a = poisson2d(14, 14);
-    let problem = Problem::with_ones_solution(a);
-    let script = || FailureScript::simultaneous(6, 2, 2, 7);
-    let replace = run_pcg(&problem, 7, &SolverConfig::resilient(2), cost(), script()).unwrap();
-    let spares = run_pcg(
-        &problem,
-        7,
-        &SolverConfig::resilient_with_policy(2, RecoveryPolicy::Spares(4)),
-        cost(),
-        script(),
-    )
-    .unwrap();
-    assert_eq!(replace.iterations, spares.iterations);
-    assert_eq!(replace.solver_residual, spares.solver_residual);
-    assert_eq!(spares.retired_nodes(), 0);
 }
 
 #[test]
@@ -261,159 +122,71 @@ fn spare_pool_exhaustion_falls_back_to_shrink() {
     // Pool of 1, two failure events of 2 ranks each: the first event gets
     // 1 spare (1 replaced, 1 adopted → N shrinks 7→6), the second event
     // finds the pool dry (both adopted → 6→4).
-    let a = poisson2d(14, 14);
-    let problem = Problem::with_ones_solution(a);
-    let script = FailureScript::new(vec![
-        FailureEvent {
-            when: FailAt::Iteration(4),
-            ranks: vec![1, 5],
-        },
-        FailureEvent {
-            when: FailAt::Iteration(12),
-            ranks: vec![2, 6],
-        },
-    ]);
-    let cfg = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Spares(1));
-    let res = run_pcg(&problem, 7, &cfg, cost(), script).unwrap();
-    assert!(res.converged);
-    assert!(max_err_ones(&res) < 1e-6, "err={}", max_err_ones(&res));
-    assert_eq!(res.recoveries, 2);
-    assert_eq!(res.ranks_recovered, 4);
-    assert_eq!(res.retired_nodes(), 3); // 4 failed, 1 spare granted
-                                        // The adopters cover the whole system: assembled x is complete.
+    let script = FailureScript::at_iterations(7, &[(4, 1), (4, 5), (12, 2), (12, 6)]);
+    let cell = Cell {
+        policy: RecoveryPolicy::Spares(1),
+        ..Cell::new(P14, 7, 2, script)
+    };
+    let res = check(&cell).res;
+    assert_eq!(
+        (res.recoveries, res.ranks_recovered, res.retired_nodes()),
+        (2, 4, 3)
+    );
+    // The adopters cover the whole system: assembled x is complete.
     let covered: usize = res.per_node.iter().map(|o| o.x_loc.len()).sum();
     assert_eq!(covered, 14 * 14);
-}
-
-#[test]
-fn shrink_survives_failure_after_shrinking() {
-    // Failure → shrink → another failure on the already-shrunken cluster:
-    // the re-derived redundancy targets of the surviving ring must cover
-    // the second event too.
-    let a = poisson2d(14, 14);
-    let problem = Problem::with_ones_solution(a);
-    let script = FailureScript::new(vec![
-        FailureEvent {
-            when: FailAt::Iteration(3),
-            ranks: vec![4],
-        },
-        FailureEvent {
-            when: FailAt::Iteration(11),
-            ranks: vec![0],
-        },
-    ]);
-    let cfg = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Shrink);
-    let res = run_pcg(&problem, 7, &cfg, cost(), script).unwrap();
-    assert!(res.converged);
-    assert!(max_err_ones(&res) < 1e-6, "err={}", max_err_ones(&res));
-    assert_eq!(res.recoveries, 2);
-    assert_eq!(res.retired_nodes(), 2);
 }
 
 #[test]
 fn shrink_event_naming_retired_rank_is_inert() {
     // The second event names rank 4, which already retired in the first:
     // the hardware is gone, nothing new is lost, the solve just continues.
-    let a = poisson2d(12, 12);
-    let problem = Problem::with_ones_solution(a);
-    let script = FailureScript::new(vec![
-        FailureEvent {
-            when: FailAt::Iteration(3),
-            ranks: vec![4],
-        },
-        FailureEvent {
-            when: FailAt::Iteration(9),
-            ranks: vec![4],
-        },
-    ]);
-    let cfg = SolverConfig::resilient_with_policy(1, RecoveryPolicy::Shrink);
-    let res = run_pcg(&problem, 6, &cfg, cost(), script).unwrap();
-    assert!(res.converged);
-    assert!(max_err_ones(&res) < 1e-6);
-    assert_eq!(res.recoveries, 1); // second event never fires
-    assert_eq!(res.retired_nodes(), 1);
-}
-
-#[test]
-fn shrink_failure_at_iteration_zero() {
-    // No p(j-1) exists yet (z(0) = p(0)); the adopter reconstructs from
-    // p(0) copies alone.
-    let a = poisson2d(12, 12);
-    let problem = Problem::with_ones_solution(a);
-    let cfg = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Shrink);
-    let res = run_pcg(
-        &problem,
-        6,
-        &cfg,
-        cost(),
-        FailureScript::simultaneous(0, 1, 2, 6),
-    )
-    .unwrap();
-    assert!(res.converged);
-    assert!(max_err_ones(&res) < 1e-6);
-    assert_eq!(res.retired_nodes(), 2);
+    let script = FailureScript::at_iterations(6, &[(3, 4), (9, 4)]);
+    let cell = Cell {
+        policy: RecoveryPolicy::Shrink,
+        ..Cell::new(P12, 6, 1, script)
+    };
+    let res = check(&cell).res;
+    assert_eq!((res.recoveries, res.retired_nodes()), (1, 1));
 }
 
 #[test]
 fn shrink_with_jacobi_and_plain_cg() {
     // The M-given adoption path for the other block-diagonal
     // preconditioner configurations.
-    use esr_core::PrecondConfig;
-    for precond in [PrecondConfig::None, PrecondConfig::Jacobi] {
-        let a = poisson2d(12, 12);
-        let problem = Problem::with_ones_solution(a);
-        let mut cfg = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Shrink);
-        cfg.precond = precond.clone();
-        let res = run_pcg(
-            &problem,
-            6,
-            &cfg,
-            cost(),
-            FailureScript::simultaneous(5, 2, 2, 6),
-        )
-        .unwrap();
-        assert!(res.converged, "{precond:?}");
-        assert!(max_err_ones(&res) < 1e-6, "{precond:?}");
-        assert_eq!(res.retired_nodes(), 2, "{precond:?}");
-    }
+    let base = Cell {
+        policy: RecoveryPolicy::Shrink,
+        ..Cell::new(P12, 6, 2, FailureScript::simultaneous(5, 2, 2, 6))
+    };
+    check(&Cell {
+        tune: |cfg| cfg.precond = PrecondConfig::None,
+        ..base.clone()
+    });
+    check(&Cell {
+        tune: |cfg| cfg.precond = PrecondConfig::Jacobi,
+        ..base
+    });
 }
 
 #[test]
 fn checkpoint_restart_runs_under_every_policy() {
-    // The other half of the engine fold: C/R protection composes with the
-    // full recovery-policy axis, not just Replace.
-    use esr_core::{CrConfig, Protection, ResilienceConfig};
-    let a = poisson2d(12, 12);
-    let problem = Problem::with_ones_solution(a);
-    let cr = CrConfig::default().with_interval(4).with_copies(2);
-    for policy in [
+    // C/R protection composes with the full recovery-policy axis.
+    let cr = Protection::Checkpoint(CrConfig::default().with_interval(4).with_copies(2));
+    let base = Cell {
+        protection: cr,
+        ..Cell::new(P12, 6, 2, FailureScript::none())
+    };
+    let pair = FailureScript::simultaneous(5, 2, 2, 6);
+    let policies = [
         RecoveryPolicy::Replace,
         RecoveryPolicy::Spares(2),
         RecoveryPolicy::Shrink,
-    ] {
-        let mut cfg = SolverConfig::resilient(2);
-        cfg.resilience = Some(
-            ResilienceConfig::paper(2)
-                .with_policy(policy)
-                .with_protection(Protection::Checkpoint(cr.clone())),
-        );
-        let script = FailureScript::simultaneous(5, 2, 2, 6);
-        let res = run_pcg(&problem, 6, &cfg, cost(), script).unwrap();
-        assert!(res.converged, "{policy:?}");
-        assert_eq!(res.recoveries, 1, "{policy:?}");
-        assert!(max_err_ones(&res) < 1e-6, "{policy:?}");
-        let expected_retired = if policy == RecoveryPolicy::Shrink {
-            2
-        } else {
-            0
-        };
-        assert_eq!(res.retired_nodes(), expected_retired, "{policy:?}");
-    }
+    ];
+    judge_all(grid(&base, &[Solver::Pcg], &policies, &[pair]));
 }
 
 #[test]
 fn explicit_p_rejects_shrink() {
-    use esr_core::ConfigError;
     use precond::{BlockJacobi, BlockSolver};
     use std::sync::Arc;
     let a = poisson2d(12, 12);
@@ -421,8 +194,9 @@ fn explicit_p_rejects_shrink() {
     let p = bj.to_explicit_inverse(&a);
     let problem = Problem::with_ones_solution(a);
     let mut cfg = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Shrink);
-    cfg.precond = esr_core::PrecondConfig::ExplicitP(Arc::new(p));
-    let err = run_pcg(&problem, 6, &cfg, cost(), FailureScript::none())
+    cfg.precond = PrecondConfig::ExplicitP(Arc::new(p));
+    let (cost, none) = (CostModel::default(), FailureScript::none);
+    let err = run_pcg(&problem, 6, &cfg, cost, none())
         .expect_err("P-given reconstruction needs the full cluster");
     match err {
         ConfigError::PrecondUnsupported { constraint, .. } => {
@@ -434,13 +208,12 @@ fn explicit_p_rejects_shrink() {
 
 #[test]
 fn phi_without_a_survivor_is_rejected() {
-    let a = poisson2d(8, 8);
-    let problem = Problem::with_ones_solution(a);
+    let problem = Problem::with_ones_solution(poisson2d(8, 8));
     let cfg = SolverConfig::resilient(4); // φ = N: no survivor holds copies
-    let err = run_pcg(&problem, 4, &cfg, cost(), FailureScript::none())
-        .expect_err("φ ≥ N must be rejected");
+    let (cost, none) = (CostModel::default(), FailureScript::none);
+    let err = run_pcg(&problem, 4, &cfg, cost, none()).expect_err("φ ≥ N must be rejected");
     assert!(
-        matches!(err, esr_core::ConfigError::PhiTooLarge { phi: 4, nodes: 4 }),
+        matches!(err, ConfigError::PhiTooLarge { phi: 4, nodes: 4 }),
         "{err:?}"
     );
 }
@@ -450,23 +223,16 @@ fn converged_at_x0_metrics_are_finite() {
     // b = 0 converges at x(0) = 0 with zero iterations; every per-iteration
     // metric and the relative residual must return 0.0, not NaN (the bench
     // JSON regression this guards).
-    let a = poisson2d(8, 8);
-    let problem = Problem::new(a, vec![0.0; 64]);
-    let res = run_pcg(
-        &problem,
-        4,
-        &SolverConfig::reference(),
-        cost(),
-        FailureScript::none(),
-    )
-    .unwrap();
+    let problem = Problem::new(poisson2d(8, 8), vec![0.0; 64]);
+    let (cfg, cost, none) = (
+        SolverConfig::reference(),
+        CostModel::default(),
+        FailureScript::none,
+    );
+    let res = run_pcg(&problem, 4, &cfg, cost, none()).unwrap();
     assert!(res.converged);
     assert_eq!(res.iterations, 0);
-    for phase in [
-        parcomm::CommPhase::Reduction,
-        parcomm::CommPhase::Spmv,
-        parcomm::CommPhase::Recovery,
-    ] {
+    for phase in [CommPhase::Reduction, CommPhase::Spmv, CommPhase::Recovery] {
         assert_eq!(res.exposed_vtime_per_iter(phase), 0.0);
         assert_eq!(res.wait_vtime_per_iter(phase), 0.0);
         assert_eq!(res.hidden_vtime_per_iter(phase), 0.0);
