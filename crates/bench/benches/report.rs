@@ -624,8 +624,9 @@ fn trace_report(cfgb: &BenchConfig) -> (String, String) {
     let trace = r.trace.expect("a traced solve returns its trace");
     trace.validate().expect("trace must be well-formed");
     let chrome = trace.chrome_trace_json();
-    let chrome_events =
-        parcomm::trace::validate_chrome_trace(&chrome).expect("chrome trace JSON must validate");
+    // Every exported event carries exactly one `ph` key
+    // (tests/trace_wellformed.rs parses the export and checks the count).
+    let chrome_events = chrome.matches("\"ph\":").count();
     let cp = trace.critical_path();
     let by_phase = cp
         .by_phase

@@ -12,18 +12,18 @@
 //! comparison: **diskless neighbour checkpointing**, selected per run via
 //! [`Protection::Checkpoint`](crate::config::Protection). Every
 //! [`CrConfig::interval`] iterations each node packs its dynamic solver
-//! state ([`crate::engine::pack`]) and deposits [`CrConfig::copies`]
+//! state (`crate::engine::pack`) and deposits [`CrConfig::copies`]
 //! replicas on ring partners — the same Eqn. (5) alternating-ring
 //! placement ESR uses for redundant copies, so the two flavors are equally
 //! failure-decorrelated (the deposit store lives in
-//! [`crate::retention::CheckpointStore`], next to ESR's
-//! [`Retention`](crate::retention::Retention) channels). On a failure, [`Rollback`]
+//! `crate::retention::CheckpointStore`, next to ESR's
+//! [`Retention`](crate::retention::Retention) channels). On a failure, `Rollback`
 //! fetches the newest surviving replica of every failed block and **all**
 //! ranks roll back to the checkpointed epoch, re-executing the lost
 //! iterations.
 //!
 //! Rollback is a *peer* of the ESR reconstruction inside the one restart
-//! protocol ([`crate::engine::recover`]): it runs the same attempt loop —
+//! protocol (`crate::engine::recover`): it runs the same attempt loop —
 //! per-attempt tag windows, the same overlap substep boundaries (a failure
 //! *during* rollback aborts the attempt and restarts with the enlarged
 //! failed set — which the old standalone C/R baseline never handled), the
@@ -83,7 +83,7 @@ pub(crate) struct Rollback<'a> {
 
 impl<'a> Rollback<'a> {
     /// The flavor over this node's deposit store.
-    pub fn new(store: &'a mut CheckpointStore) -> Self {
+    pub(crate) fn new(store: &'a mut CheckpointStore) -> Self {
         Rollback {
             store,
             fetched: Vec::new(),

@@ -68,7 +68,7 @@ pub struct RecoveryConfig {
     /// Iteration cap for the inner solver. An inner solve that reaches it
     /// without meeting `inner_rel_tol` panics rather than return an inexact
     /// `x_If`.
-    pub inner_max_iter: usize,
+    pub(crate) inner_max_iter: usize,
     /// Solve `A_{If,If}` with the exact per-block LDLᵀ as the inner
     /// preconditioner (`true`, default) or zero-fill ILU as in the paper's
     /// PETSc implementation (`false`). With the exact factors, whenever the
@@ -111,7 +111,7 @@ pub enum RecoveryPolicy {
     #[default]
     Replace,
     /// A finite pool of `k` hot spares managed by the cluster
-    /// ([`parcomm::cluster::SparePool`]). Each failed rank consumes one
+    /// ([`parcomm::SparePool`]). Each failed rank consumes one
     /// spare and is replaced in place; once the pool runs dry, the
     /// uncovered failed subdomains are *adopted* by surviving nodes and
     /// the cluster continues shrunken (the [`RecoveryPolicy::Shrink`]
@@ -190,7 +190,7 @@ pub struct ResilienceConfig {
     /// overlapping) node failures tolerated. Must satisfy `φ < N`.
     /// (Only meaningful under [`Protection::Esr`]; the checkpointing
     /// flavor sizes its survivability by [`CrConfig::copies`] instead.)
-    pub phi: usize,
+    pub(crate) phi: usize,
     /// Placement strategy for the copies.
     pub strategy: BackupStrategy,
     /// Reconstruction parameters.
@@ -200,7 +200,7 @@ pub struct ResilienceConfig {
     pub policy: RecoveryPolicy,
     /// How the dynamic state is protected: ESR reconstruction (the
     /// paper's method) or periodic checkpoint/rollback.
-    pub protection: Protection,
+    pub(crate) protection: Protection,
 }
 
 impl ResilienceConfig {
@@ -222,7 +222,7 @@ impl ResilienceConfig {
     }
 
     /// Same, with an explicit recovery policy.
-    pub fn with_policy(mut self, policy: RecoveryPolicy) -> Self {
+    pub(crate) fn with_policy(mut self, policy: RecoveryPolicy) -> Self {
         self.policy = policy;
         self
     }
@@ -274,7 +274,7 @@ impl SolverKind {
 
 /// A solver × policy × preconditioner combination the suite cannot run,
 /// with the violated constraint named. Returned by
-/// [`SolverConfig::validate`] (and therefore by every `run_*` entry point)
+/// `SolverConfig::validate` (and therefore by every `run_*` entry point)
 /// instead of panicking deep inside a node program.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
@@ -307,7 +307,7 @@ pub enum ConfigError {
         constraint: &'static str,
     },
     /// ESR protection on a matrix that is not symmetric
-    /// ([`crate::StaticData::is_symmetric`]): its reconstruction factors
+    /// (`crate::StaticData::is_symmetric`): its reconstruction factors
     /// blocks of `A` as LDLᵀ and solves for `x` with CG, so it would
     /// rebuild a wrong state. Checkpoint protection solves nothing and is
     /// allowed.
@@ -431,7 +431,7 @@ impl SolverConfig {
     ///   serialize `P`'s ghost exchange against its overlapped reduction;
     ///   BiCGSTAB's reconstruction identities assume block-diagonal `M`);
     /// * `φ ≥ N` leaves no survivor to hold copies.
-    pub fn validate(&self, solver: SolverKind, nodes: usize) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self, solver: SolverKind, nodes: usize) -> Result<(), ConfigError> {
         // Solver-inherent preconditioner constraints hold with or without
         // resilience configured.
         if matches!(self.precond, PrecondConfig::ExplicitP(_)) {

@@ -15,7 +15,7 @@ use crate::statics::{StaticCounts, StaticData};
 
 /// A linear system `A x = b` with `A` SPD. Clones share the matrix, the
 /// right-hand side and the static data solves derive from the matrix
-/// ([`crate::statics`]): block rows and their exact factors are computed
+/// (`crate::statics`): block rows and their exact factors are computed
 /// by the first solve that needs them and reused by every later one.
 #[derive(Clone)]
 pub struct Problem {
@@ -129,13 +129,13 @@ pub struct ExperimentResult {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhaseBreakdown {
     /// The communication phase this breakdown describes.
-    pub phase: parcomm::CommPhase,
+    pub(crate) phase: parcomm::CommPhase,
     /// Exposed (critical-path) communication vtime, max over nodes.
-    pub exposed: f64,
+    pub(crate) exposed: f64,
     /// Stalled (wait-only) vtime, max over nodes. A subset of `exposed`.
-    pub wait: f64,
+    pub(crate) wait: f64,
     /// Overlapped (hidden) flight vtime, max over nodes.
-    pub hidden: f64,
+    pub(crate) hidden: f64,
 }
 
 impl ExperimentResult {
@@ -175,7 +175,7 @@ impl ExperimentResult {
     /// The one place benches and tests get per-phase communication time
     /// from — re-deriving these folds from raw [`CommStats`] at call sites
     /// is a bug factory (easy to forget the max-over-nodes step).
-    pub fn phase_breakdown(&self, phase: parcomm::CommPhase) -> PhaseBreakdown {
+    pub(crate) fn phase_breakdown(&self, phase: parcomm::CommPhase) -> PhaseBreakdown {
         let fold = |get: fn(&CommStats, parcomm::CommPhase) -> f64| {
             self.per_node
                 .iter()
@@ -223,7 +223,7 @@ impl ExperimentResult {
 ///
 /// Validates the cluster size against the system (`1 ≤ nodes ≤ n`: every
 /// node owns at least one row) and the solver × policy × preconditioner
-/// combination ([`SolverConfig::validate`]) and, under ESR protection, the
+/// combination (`SolverConfig::validate`) and, under ESR protection, the
 /// symmetry of `A` up front, and returns a typed
 /// [`ConfigError`] naming the violated constraint — unsupported
 /// combinations fail as a `Result`, not as a panic deep in a node thread.

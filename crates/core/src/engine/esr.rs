@@ -352,7 +352,7 @@ impl EngineComm<'_> {
     /// each other reconstructor needs from its block and sends exactly
     /// that, and each reconstructor receives from exactly the owners of its
     /// needed columns, ascending. No request, no empty message.
-    pub fn outside_product(
+    pub(crate) fn outside_product(
         &mut self,
         ctx: &mut NodeCtx,
         m: &Csr,
@@ -413,7 +413,7 @@ impl EngineComm<'_> {
     /// lives in `vecs[v_slot]` of the reconstructors' blocks (pushed among
     /// them over the static pattern, [`IfExchange`]) and whose surviving
     /// part is `v_loc` ([`EngineComm::outside_product`]). Collective.
-    pub fn apply_matrix(
+    pub(crate) fn apply_matrix(
         &mut self,
         ctx: &mut NodeCtx,
         m: &Csr,
@@ -461,7 +461,7 @@ impl EngineComm<'_> {
     /// reconstructed rows), see [`solve_failed_rows`]. `statics` is the
     /// store when `m` is the system matrix (`None` for `P`). Reconstructors
     /// only.
-    pub fn solve_if_system(
+    pub(crate) fn solve_if_system(
         &mut self,
         ctx: &mut NodeCtx,
         m: &Csr,

@@ -126,24 +126,24 @@ pub(crate) fn tag(seq: u32, off: u32) -> u32 {
 pub(crate) struct Layout {
     /// One contiguous block per member, in member order (on the full
     /// cluster the copy [`StaticData`] shares for the cluster size).
-    pub part: Arc<BlockPartition>,
+    pub(crate) part: Arc<BlockPartition>,
     /// This node's block rows of `A` (shared static data).
-    pub lm: Arc<LocalMatrix>,
+    pub(crate) lm: Arc<LocalMatrix>,
     /// Ghost-exchange + redundancy plan on the current layout.
-    pub plan: ScatterPlan,
+    pub(crate) plan: ScatterPlan,
     /// Redundant-copy stores on the current layout — one per vector the
     /// solver scatters copies of (PCG: `p`; pipelined: `u`, `p`;
     /// BiCGSTAB: `p̂`, `ŝ`).
-    pub channels: Vec<Retention>,
+    pub(crate) channels: Vec<Retention>,
     /// Preconditioner state on the current layout.
-    pub prec: NodePrecond,
+    pub(crate) prec: NodePrecond,
     /// Ghost values of the most recently scattered vector (one per ghost
     /// column of `lm`).
-    pub ghosts: Vec<f64>,
+    pub(crate) ghosts: Vec<f64>,
     /// This node's slot (`plan.members[my_slot] == rank`).
-    pub my_slot: usize,
+    pub(crate) my_slot: usize,
     /// The shrunken communicator (`None` while the full cluster is alive).
-    pub group: Option<Group>,
+    pub(crate) group: Option<Group>,
 }
 
 impl Layout {
@@ -153,7 +153,7 @@ impl Layout {
     /// (checkpoint protection pays its deposit traffic instead, and an
     /// unprotected solve retains nothing). Collective — all nodes call
     /// together at setup.
-    pub fn build_full(
+    pub(crate) fn build_full(
         ctx: &mut NodeCtx,
         statics: &StaticData,
         cfg: &SolverConfig,
@@ -207,7 +207,7 @@ impl Layout {
     /// passed, the channel's current generation) as a full scatter would;
     /// every survivor still holds its own. After a Shrink the layout is
     /// new, and the repair is the full scatter (`to = None`).
-    pub fn scatter(
+    pub(crate) fn scatter(
         &mut self,
         ctx: &mut NodeCtx,
         v: &[f64],
@@ -233,7 +233,12 @@ impl Layout {
     /// Element-wise all-reduce over the active members, charged to the
     /// Reduction phase. Bitwise-deterministic either way (same
     /// recursive-doubling schedule over member indices).
-    pub fn allreduce_vec(&mut self, ctx: &mut NodeCtx, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
+    pub(crate) fn allreduce_vec(
+        &mut self,
+        ctx: &mut NodeCtx,
+        opr: ReduceOp,
+        x: Vec<f64>,
+    ) -> Vec<f64> {
         match &mut self.group {
             None => ctx.allreduce_vec(opr, x),
             Some(g) => g.allreduce_vec(ctx, opr, x, CommPhase::Reduction),
@@ -241,7 +246,7 @@ impl Layout {
     }
 
     /// Scalar sum all-reduce over the active members.
-    pub fn allreduce_sum(&mut self, ctx: &mut NodeCtx, x: f64) -> f64 {
+    pub(crate) fn allreduce_sum(&mut self, ctx: &mut NodeCtx, x: f64) -> f64 {
         self.allreduce_vec(ctx, ReduceOp::Sum, vec![x])[0]
     }
 
@@ -249,7 +254,7 @@ impl Layout {
     /// communication-hiding solvers keep their overlap on a shrunken
     /// cluster (the group variant replays the identical schedule, so the
     /// result stays bitwise-deterministic).
-    pub fn iallreduce_vec(
+    pub(crate) fn iallreduce_vec(
         &mut self,
         ctx: &mut NodeCtx,
         opr: ReduceOp,
@@ -264,7 +269,7 @@ impl Layout {
     /// Filter a world failure notification down to the active members:
     /// events naming ranks that already retired in an earlier shrink are
     /// inert — that hardware is gone and has nothing left to lose.
-    pub fn poll_member_failures(&self, ctx: &NodeCtx, boundary: FailAt) -> Vec<usize> {
+    pub(crate) fn poll_member_failures(&self, ctx: &NodeCtx, boundary: FailAt) -> Vec<usize> {
         ctx.poll_failures(boundary)
             .into_iter()
             .filter(|f| self.plan.members.binary_search(f).is_ok())
@@ -373,34 +378,34 @@ pub(crate) enum EngineOutcome {
 pub(crate) struct EngineEnv<'a> {
     /// The system matrix and what is derived from it (static data,
     /// reliable storage).
-    pub statics: &'a StaticData,
+    pub(crate) statics: &'a StaticData,
     /// Full right-hand side (static data; adopters read adopted rows).
-    pub b: &'a [f64],
+    pub(crate) b: &'a [f64],
     /// Resilience configuration (φ, strategy, inner solver, policy).
-    pub res: &'a ResilienceConfig,
+    pub(crate) res: &'a ResilienceConfig,
     /// Preconditioner configuration (per-block reconstruction + rebuild).
-    pub precond: &'a PrecondConfig,
+    pub(crate) precond: &'a PrecondConfig,
     /// The partition the cluster set up on. Its blocks are the blocks of
     /// `M` for the whole solve, whatever the layout now is.
-    pub setup: &'a BlockPartition,
+    pub(crate) setup: &'a BlockPartition,
     /// The iteration whose boundary detected the failure.
-    pub iteration: u64,
+    pub(crate) iteration: u64,
     /// `false` at iteration 0 (no previous search direction exists yet).
-    pub has_prev: bool,
+    pub(crate) has_prev: bool,
 }
 
 /// One `(channel, generation)` retained-copy read the engine routes from
 /// the survivors to each failed block's reconstructor.
 pub(crate) struct ChannelRead {
     /// Index into [`Layout::channels`].
-    pub channel: usize,
+    pub(crate) channel: usize,
     /// Which generation to read.
-    pub generation: Gen,
+    pub(crate) generation: Gen,
     /// Panic on a coverage gap (`true`) or hand the kernel `None` (reads
     /// that legitimately may not exist yet, e.g. `p(j-1)` at iteration 0).
-    pub required: bool,
+    pub(crate) required: bool,
     /// What the copies are, for diagnostics.
-    pub what: &'static str,
+    pub(crate) what: &'static str,
 }
 
 /// One failed block at its reconstructor. The engine carries
@@ -410,9 +415,9 @@ pub(crate) struct ChannelRead {
 /// side) and `x` slot (written by the solve).
 pub(crate) struct ReconBlock {
     /// Global rows of the block (one failed rank's old owned range).
-    pub range: Range<usize>,
+    pub(crate) range: Range<usize>,
     /// Kernel-defined per-block vectors.
-    pub vecs: Vec<Vec<f64>>,
+    pub(crate) vecs: Vec<Vec<f64>>,
 }
 
 /// The tables that let the engine handle a kernel's state generically.
@@ -422,27 +427,27 @@ pub(crate) struct KernelShape {
     /// node, rebuilt per failed block, installed or spliced back. A later
     /// slot that is not packed either carries no state across a recovery —
     /// scratch, re-zeroed at the new block length — or is static.
-    pub n_block_vecs: usize,
+    pub(crate) n_block_vecs: usize,
     /// Slots holding static data (on reliable storage, paper Sec. 1.1.2):
     /// the only vectors a node failure leaves intact.
-    pub static_slots: &'static [usize],
+    pub(crate) static_slots: &'static [usize],
     /// Slot of the residual `r` (the engine reads the reconstructed one
     /// when forming `w = b_If − r_If − A_{If,I\If} x_{I\If}`).
-    pub r_slot: usize,
+    pub(crate) r_slot: usize,
     /// Slot of the iterate `x` (survivors serve it to the x gather; the
     /// engine writes the reconstructed one).
-    pub x_slot: usize,
+    pub(crate) x_slot: usize,
     /// The checkpoint pack's vector slots **in wire order** — deposit
     /// sizes feed virtual time and the redundancy-traffic counters. The
     /// pack is these vectors concatenated, then the packed scalars.
-    pub pack_slots: &'static [usize],
+    pub(crate) pack_slots: &'static [usize],
     /// Scalars `0..pack_scalars` are loop-top state and go into the pack;
     /// a later one is a value of the interrupted iteration (pipelined
     /// PCG's drained reduction), which a rollback recomputes.
-    pub pack_scalars: usize,
+    pub(crate) pack_scalars: usize,
     /// The replicated scalars a replacement node must be re-sent (the rest
     /// are written by the continued iteration before they are read).
-    pub resent_scalars: &'static [usize],
+    pub(crate) resent_scalars: &'static [usize],
 }
 
 /// What a solver must describe for the engine to reconstruct it. The
@@ -556,26 +561,26 @@ pub(crate) fn unpack(kernel: &mut dyn ResilientKernel, data: &[f64], nloc: usize
 pub(crate) struct RecoveryBook {
     /// Next tag window: numbers ESR attempts, deposit rounds and rollback
     /// attempts alike.
-    pub recovery_seq: u32,
+    pub(crate) recovery_seq: u32,
     /// This node's view of the cluster's hot-spare pool.
-    pub pool: SparePool,
+    pub(crate) pool: SparePool,
     /// The deposit store under [`Protection::Checkpoint`].
-    pub ckpt: Option<CheckpointStore>,
+    pub(crate) ckpt: Option<CheckpointStore>,
     /// Completed recovery events.
-    pub recoveries: usize,
+    pub(crate) recoveries: usize,
     /// Ranks reconstructed across all events.
-    pub ranks_recovered: usize,
+    pub(crate) ranks_recovered: usize,
     /// Virtual time spent recovering.
-    pub vtime_recovery: f64,
+    pub(crate) vtime_recovery: f64,
     /// Per-substep timeline of every completed event.
-    pub timelines: Vec<RecoveryTimeline>,
+    pub(crate) timelines: Vec<RecoveryTimeline>,
     /// [`RecoveryReport::inner_iterations`] of every completed event.
-    pub inner_iterations: Vec<usize>,
+    pub(crate) inner_iterations: Vec<usize>,
 }
 
 impl RecoveryBook {
     /// Fresh bookkeeping at solve start.
-    pub fn new(pool: SparePool, ckpt: Option<CheckpointStore>) -> Self {
+    pub(crate) fn new(pool: SparePool, ckpt: Option<CheckpointStore>) -> Self {
         RecoveryBook {
             recovery_seq: 0,
             pool,
@@ -592,11 +597,11 @@ impl RecoveryBook {
 /// One attempt as a [`Flavor`] sees it.
 pub(crate) struct Attempt<'a> {
     /// The event's static context.
-    pub env: &'a EngineEnv<'a>,
+    pub(crate) env: &'a EngineEnv<'a>,
     /// The attempt's tag window (see [`tag`]).
-    pub seq: u32,
+    pub(crate) seq: u32,
     /// Who failed, who rebuilds what, the layout afterwards.
-    pub plan: &'a EventPlan,
+    pub(crate) plan: &'a EventPlan,
 }
 
 /// What a state protection contributes to the restart protocol. The attempt

@@ -18,52 +18,52 @@ use super::ReconBlock;
 /// A restart with an enlarged failed set derives a new one.
 pub(crate) struct EventPlan {
     /// This node's rank.
-    pub me: usize,
+    pub(crate) me: usize,
     /// Whether this node is among the failed (past the retire exit: a
     /// replacement node).
-    pub am_failed: bool,
+    pub(crate) am_failed: bool,
     /// This node's owned rows on the layout the event started on.
-    pub my_range: Range<usize>,
+    pub(crate) my_range: Range<usize>,
     /// The attempt's failed ranks, ascending (a snapshot: the loop's own
     /// set may grow at the next boundary).
-    pub failed: Vec<usize>,
+    pub(crate) failed: Vec<usize>,
     /// The `granted` lowest failed ranks are replaced in place; the rest
     /// retire and their subdomains are adopted.
-    pub granted: usize,
+    pub(crate) granted: usize,
     /// Active members that did not fail, ascending.
-    pub survivors: Vec<usize>,
+    pub(crate) survivors: Vec<usize>,
     /// The members after the event: everyone but the retired.
-    pub new_members: Vec<usize>,
+    pub(crate) new_members: Vec<usize>,
     /// Their partition, cut at setup block starts. With no retirements it
     /// is the old partition; otherwise [`place`] picks it: no member holds
     /// more setup blocks than it must, then as few surviving blocks as
     /// possible change holder, then as few rebuilt blocks as possible
     /// leave their reconstructor. A survivor hands each old row it no
     /// longer holds to the row's new holder; see [`EventPlan::holders`].
-    pub new_part: BlockPartition,
+    pub(crate) new_part: BlockPartition,
     /// Per failed rank, in `failed` order: its old rows and who rebuilds
     /// them. The reconstructors' row sets concatenate to sorted `If`.
-    pub lost: Vec<LostBlock>,
+    pub(crate) lost: Vec<LostBlock>,
     /// The distinct reconstructors, ascending.
-    pub reconstructors: Vec<usize>,
+    pub(crate) reconstructors: Vec<usize>,
     /// Per reconstructor, in the same order: the offsets of its rows in
     /// `If`. The slices tile `0..|If|` in ascending order.
-    pub if_slices: Vec<Range<usize>>,
+    pub(crate) if_slices: Vec<Range<usize>>,
     /// Sorted global rows of all failed blocks (`If`).
-    pub if_indices: Vec<usize>,
+    pub(crate) if_indices: Vec<usize>,
 }
 
 /// One failed rank's subdomain in an [`EventPlan`].
 pub(crate) struct LostBlock {
     /// The failed rank.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Its owned rows before the event.
-    pub range: Range<usize>,
+    pub(crate) range: Range<usize>,
     /// Who rebuilds them: the rank itself when replaced in place, else the
     /// nearest preceding new member (the first one for a leading run), so
     /// one member rebuilds a whole run with one exact solve. It hands the
     /// rows it does not hold after the event to their holders at commit.
-    pub reconstructor: usize,
+    pub(crate) reconstructor: usize,
 }
 
 impl EventPlan {
@@ -151,17 +151,17 @@ impl EventPlan {
     }
 
     /// The failed ranks that get a replacement node.
-    pub fn replaced(&self) -> &[usize] {
+    pub(crate) fn replaced(&self) -> &[usize] {
         &self.failed[..self.granted]
     }
 
     /// The failed ranks that leave the cluster.
-    pub fn retired(&self) -> &[usize] {
+    pub(crate) fn retired(&self) -> &[usize] {
         &self.failed[self.granted..]
     }
 
     /// The failed blocks this node rebuilds, in ascending row order.
-    pub fn mine(&self) -> impl Iterator<Item = &LostBlock> {
+    pub(crate) fn mine(&self) -> impl Iterator<Item = &LostBlock> {
         self.lost.iter().filter(|l| l.reconstructor == self.me)
     }
 
@@ -173,7 +173,10 @@ impl EventPlan {
 
     /// `rows` cut at the partition after the event, each piece with its
     /// holder, in row order.
-    pub fn holders(&self, rows: &Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    pub(crate) fn holders(
+        &self,
+        rows: &Range<usize>,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
         cut(&self.new_part, &self.new_members, rows)
     }
 
@@ -196,7 +199,7 @@ impl EventPlan {
 
     /// This node's slot among [`EventPlan::new_members`] (it did not
     /// retire).
-    pub fn new_slot(&self) -> usize {
+    pub(crate) fn new_slot(&self) -> usize {
         self.new_members
             .binary_search(&self.me)
             .expect("active non-retired rank is a new member")

@@ -14,7 +14,7 @@ use std::ops::Range;
 #[derive(Clone, Debug)]
 pub struct LocalMatrix {
     /// Owned global row range `Iᵢ`.
-    pub range: Range<usize>,
+    pub(crate) range: Range<usize>,
     /// Owned rows × owned columns, locally numbered.
     pub diag: Csr,
     /// Owned rows × ghost columns (compressed onto `ghost_cols`).
@@ -85,7 +85,7 @@ impl LocalMatrix {
     ///
     /// Fused single pass over the owned rows (each `y[i]` is written once);
     /// bitwise identical to the two-pass diag-then-offdiag formulation.
-    pub fn spmv(&self, x_loc: &[f64], ghosts: &[f64], y: &mut [f64]) {
+    pub(crate) fn spmv(&self, x_loc: &[f64], ghosts: &[f64], y: &mut [f64]) {
         self.diag.spmv_fused(&self.offdiag, x_loc, ghosts, y);
     }
 

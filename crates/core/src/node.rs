@@ -47,7 +47,7 @@ pub struct NodeOutcome {
     /// Final solver residual norm ‖r‖₂ (global, replicated).
     pub residual_norm: f64,
     /// Initial residual norm ‖b - A x₀‖₂.
-    pub initial_residual_norm: f64,
+    pub(crate) initial_residual_norm: f64,
     /// Whether the residual target was reached.
     pub converged: bool,
     /// Virtual time at solve end (setup excluded).
@@ -55,9 +55,9 @@ pub struct NodeOutcome {
     /// Virtual time spent inside recovery.
     pub vtime_recovery: f64,
     /// Number of recovery events (not attempts).
-    pub recoveries: usize,
+    pub(crate) recoveries: usize,
     /// Total ranks reconstructed across all recoveries.
-    pub ranks_recovered: usize,
+    pub(crate) ranks_recovered: usize,
     /// Communication statistics (setup excluded).
     pub stats: CommStats,
     /// Virtual time of the setup phase (plans, factorizations).
@@ -121,7 +121,7 @@ pub(crate) trait Recurrence: ResilientKernel + Sized {
 
 /// The SPMD node program: solve `A x = b` with the (optionally resilient)
 /// `solver`. All nodes receive the same `problem` (static data on reliable
-/// storage; clones share what is derived from it, see [`crate::statics`])
+/// storage; clones share what is derived from it, see `crate::statics`)
 /// and configuration; the failure script lives in the cluster's oracle.
 /// Panics with the [`crate::config::ConfigError`] message on a
 /// configuration `solver` cannot run on this cluster size — the guard for

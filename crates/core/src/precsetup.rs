@@ -21,7 +21,7 @@ use crate::statics::{BlockFactors, StaticData};
 /// One value lives per node for the whole solve; the size skew between
 /// variants is irrelevant (never stored in bulk).
 #[allow(clippy::large_enum_variant)]
-pub enum NodePrecond {
+pub(crate) enum NodePrecond {
     /// Identity (plain CG).
     None,
     /// `M = diag(A)`.
@@ -57,7 +57,7 @@ impl NodePrecond {
     /// Collective setup — all nodes must call this at the same SPMD point
     /// with the same configuration. `lm` is this node's block of
     /// `statics`' matrix.
-    pub fn setup(
+    pub(crate) fn setup(
         ctx: &mut NodeCtx,
         cfg: &PrecondConfig,
         part: &BlockPartition,
@@ -116,7 +116,13 @@ impl NodePrecond {
     /// preconditioner of the setup partition `part`. Charges `20·l_nnz`
     /// for each block of `part` the node did not hold before, or, if it
     /// lost its memory (a spare: `all`), for every block it covers.
-    pub fn widen(&mut self, ctx: &mut NodeCtx, part: &BlockPartition, lm: &LocalMatrix, all: bool) {
+    pub(crate) fn widen(
+        &mut self,
+        ctx: &mut NodeCtx,
+        part: &BlockPartition,
+        lm: &LocalMatrix,
+        all: bool,
+    ) {
         match self {
             NodePrecond::Jacobi { inv_diag } => {
                 // Every diagonal entry passed setup's check on its owner.
@@ -137,7 +143,7 @@ impl NodePrecond {
 
     /// Apply `z ← M⁻¹ r` on the owned block. May communicate (explicit P
     /// with off-node coupling) — all nodes must call together.
-    pub fn apply(&mut self, ctx: &mut NodeCtx, r_loc: &[f64], z_loc: &mut [f64]) {
+    pub(crate) fn apply(&mut self, ctx: &mut NodeCtx, r_loc: &[f64], z_loc: &mut [f64]) {
         match self {
             NodePrecond::None => z_loc.copy_from_slice(r_loc),
             NodePrecond::Jacobi { inv_diag } => {
@@ -171,7 +177,7 @@ impl NodePrecond {
     }
 
     /// The explicit `P` matrix (P-given recovery needs its rows).
-    pub fn p_matrix(&self) -> Option<&Arc<Csr>> {
+    pub(crate) fn p_matrix(&self) -> Option<&Arc<Csr>> {
         match self {
             NodePrecond::ExplicitP { p_full, .. } => Some(p_full),
             _ => None,

@@ -47,7 +47,7 @@ pub fn backup_targets(i: usize, nodes: usize, phi: usize) -> Vec<usize> {
 
 /// Consecutive-ring targets `d_ik = (i + k) mod N` — the ablation
 /// alternative to Eqn. (5).
-pub fn backup_targets_consecutive(i: usize, nodes: usize, phi: usize) -> Vec<usize> {
+pub(crate) fn backup_targets_consecutive(i: usize, nodes: usize, phi: usize) -> Vec<usize> {
     assert!(
         phi >= 1 && phi < nodes,
         "need 1 ≤ φ < N (φ={phi}, N={nodes})"
@@ -56,7 +56,12 @@ pub fn backup_targets_consecutive(i: usize, nodes: usize, phi: usize) -> Vec<usi
 }
 
 /// The targets a strategy places its copies on.
-pub fn targets_for(strategy: &BackupStrategy, i: usize, nodes: usize, phi: usize) -> Vec<usize> {
+pub(crate) fn targets_for(
+    strategy: &BackupStrategy,
+    i: usize,
+    nodes: usize,
+    phi: usize,
+) -> Vec<usize> {
     match strategy {
         BackupStrategy::Minimal | BackupStrategy::FullBlock => backup_targets(i, nodes, phi),
         BackupStrategy::MinimalConsecutive => backup_targets_consecutive(i, nodes, phi),

@@ -11,7 +11,7 @@
 //! entry per receive link of the [`ScatterPlan`] — O(degree), like the
 //! plan itself.
 //!
-//! **[`CheckpointStore`]** (checkpoint/rollback): the periodic-checkpoint
+//! **`CheckpointStore`** (checkpoint/rollback): the periodic-checkpoint
 //! counterpart. Every deposit round each node replicates its packed
 //! dynamic state to `copies` ring partners — the same Eqn. (5)
 //! alternating-ring placement ESR uses for redundant copies, so the two
@@ -34,7 +34,7 @@ const OFF_CKPT: u32 = 0;
 
 /// Which generation of retained copies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Gen {
+pub(crate) enum Gen {
     /// Copies of `p(j)` — the most recently scattered search direction.
     Cur,
     /// Copies of `p(j-1)`.
@@ -120,7 +120,7 @@ impl Retention {
     /// retained copies that corrupt a later reconstruction — the worst
     /// possible failure mode for a resilience library (the corruption only
     /// surfaces when a node actually dies).
-    pub fn store(&mut self, peer: usize, naturals: &[f64], extras: &[f64]) {
+    pub(crate) fn store(&mut self, peer: usize, naturals: &[f64], extras: &[f64]) {
         let found = self.links.binary_search_by_key(&peer, |l| l.slot);
         let (nat_pos, ext_pos): (&[usize], &[usize]) = match found {
             Ok(at) => (&self.links[at].nat_pos, &self.links[at].ext_pos),
@@ -145,7 +145,7 @@ impl Retention {
     }
 
     /// Is the generation complete?
-    pub fn is_valid(&self, generation: Gen) -> bool {
+    pub(crate) fn is_valid(&self, generation: Gen) -> bool {
         match generation {
             Gen::Cur => self.cur_valid,
             Gen::Prev => self.prev_valid,
@@ -155,7 +155,7 @@ impl Retention {
     /// All retained `(global index, value)` pairs of `generation` whose
     /// indices fall into `[lo, hi)` — the recovery query for a failed
     /// node's range.
-    pub fn collect_range(&self, generation: Gen, lo: usize, hi: usize) -> Vec<(u64, f64)> {
+    pub(crate) fn collect_range(&self, generation: Gen, lo: usize, hi: usize) -> Vec<(u64, f64)> {
         if !self.is_valid(generation) {
             return Vec::new();
         }
@@ -170,19 +170,9 @@ impl Retention {
             .collect()
     }
 
-    /// Number of retained elements per generation.
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// True if nothing is ever retained (single node, no ghosts).
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
     /// Destroy all retained data (this node failed): values become NaN and
     /// both generations invalid, so any illegal read is detectable.
-    pub fn poison(&mut self) {
+    pub(crate) fn poison(&mut self) {
         parcomm::fault::poison(&mut self.cur);
         parcomm::fault::poison(&mut self.prev);
         self.cur_valid = false;
@@ -195,11 +185,11 @@ impl Retention {
 #[derive(Clone, Debug)]
 pub(crate) struct Checkpoint {
     /// The outer iteration the pack describes (a deposit-round boundary).
-    pub iteration: u64,
+    pub(crate) iteration: u64,
     /// The packed dynamic state. `Arc`-backed so one deposit buffer serves
     /// as the own copy *and* every outgoing ring replica without a deep
     /// copy per destination.
-    pub data: Arc<Vec<f64>>,
+    pub(crate) data: Arc<Vec<f64>>,
 }
 
 /// Periodic-checkpoint store for
@@ -220,14 +210,14 @@ pub(crate) struct CheckpointStore {
     /// Newest replica held per client, keyed by global rank.
     held: HashMap<usize, Checkpoint>,
     /// This node's own newest checkpoint.
-    pub own: Checkpoint,
+    pub(crate) own: Checkpoint,
 }
 
 impl CheckpointStore {
     /// Build the store for the current layout. `copies` is clamped to the
     /// member count minus one (a shrink can leave fewer ring partners than
     /// configured replicas).
-    pub fn new(cr: &CrConfig, members: &[usize], my_slot: usize) -> Self {
+    pub(crate) fn new(cr: &CrConfig, members: &[usize], my_slot: usize) -> Self {
         let (partners, clients) = Self::placement(cr.copies, members, my_slot);
         CheckpointStore {
             interval: cr.interval,
@@ -260,13 +250,13 @@ impl CheckpointStore {
     }
 
     /// Checkpoint every `interval` outer iterations.
-    pub fn interval(&self) -> usize {
+    pub(crate) fn interval(&self) -> usize {
         self.interval
     }
 
     /// Global ranks holding replicas of member `f`'s block (ring order —
     /// rollback serves from the first *surviving* one).
-    pub fn holders_of(&self, members: &[usize], f: usize) -> Vec<usize> {
+    pub(crate) fn holders_of(&self, members: &[usize], f: usize) -> Vec<usize> {
         let k = members.len();
         let copies_eff = self.copies.min(k.saturating_sub(1));
         if copies_eff == 0 {
@@ -282,7 +272,7 @@ impl CheckpointStore {
     }
 
     /// The newest replica held for global rank `f`, if any.
-    pub fn replica_of(&self, f: usize) -> Option<&Checkpoint> {
+    pub(crate) fn replica_of(&self, f: usize) -> Option<&Checkpoint> {
         self.held.get(&f)
     }
 
@@ -294,7 +284,7 @@ impl CheckpointStore {
     /// never alias). One shared buffer fans out to every partner (Arc
     /// bump per send, no per-destination deep copy; each message still
     /// pays the full λ + s·µ).
-    pub fn deposit(&mut self, ctx: &mut NodeCtx, seq: u32, iteration: u64, data: Vec<f64>) {
+    pub(crate) fn deposit(&mut self, ctx: &mut NodeCtx, seq: u32, iteration: u64, data: Vec<f64>) {
         ctx.audit_enter_window(seq);
         ctx.trace_open("deposit", iteration);
         self.own = Checkpoint {
@@ -321,7 +311,7 @@ impl CheckpointStore {
 
     /// Destroy all checkpoint data (this node failed): both the own copy
     /// and every held replica are gone.
-    pub fn poison(&mut self) {
+    pub(crate) fn poison(&mut self) {
         self.own.data = Arc::new(Vec::new());
         self.held.clear();
     }
@@ -329,7 +319,7 @@ impl CheckpointStore {
     /// Recompute the ring for a new layout (post-shrink) and drop all
     /// state; the caller re-seeds `own`, and the re-deposit at the rolled
     /// -back iteration (always a deposit boundary) refills the replicas.
-    pub fn rebuild(&mut self, members: &[usize], my_slot: usize) {
+    pub(crate) fn rebuild(&mut self, members: &[usize], my_slot: usize) {
         let (partners, clients) = Self::placement(self.copies, members, my_slot);
         self.partners = partners;
         self.clients = clients;
@@ -349,7 +339,6 @@ mod tests {
         // 2 peers; this node (rank 1 of 3) has ghosts {0, 1, 20} and
         // receives extras {2} from peer 0, {21} from peer 2.
         let mut plan = ScatterPlan {
-            nodes: 3,
             members: [0, 1, 2].into(),
             my_slot: 1,
             my_start: 10,
@@ -369,7 +358,7 @@ mod tests {
     fn build_merges_and_sorts_indices() {
         let (plan, ghosts) = mini_plan();
         let ret = Retention::build(&plan, &ghosts);
-        assert_eq!(ret.len(), 5); // {0,1,2,20,21}
+        assert_eq!(ret.idx.len(), 5); // {0,1,2,20,21}
         assert!(!ret.is_valid(Gen::Cur));
     }
 
@@ -468,10 +457,10 @@ mod tests {
             assert_eq!(plan.recv_links.len(), recv_peers.len(), "rank {i}");
             assert_eq!(ret.links.len(), recv_peers.len(), "rank {i}");
             let per_peer = [
-                plan.send_natural.len(),
-                plan.send_extra.len(),
+                plan.send_natural.slots().count(),
+                plan.send_extra.slots().count(),
                 plan.recv_ghost_range.len(),
-                plan.recv_extra.len(),
+                plan.recv_extra.slots().count(),
                 plan.send_links.len(),
                 plan.recv_links.len(),
                 ret.links.len(),

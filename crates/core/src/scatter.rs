@@ -12,17 +12,17 @@
 //!
 //! Every list that setup exchanges is a function of the static pattern and
 //! the partition, so a node holding [`StaticData`] can also derive the
-//! whole plan alone ([`ScatterPlan::derive`],
-//! [`ScatterPlan::derive_extras`]): recovery re-plans a shrunken cluster
+//! whole plan alone (`ScatterPlan::derive`,
+//! `ScatterPlan::derive_extras`): recovery re-plans a shrunken cluster
 //! that way, without a message.
 //!
 //! **The plan is per neighbour.** The paper's cost argument counts
 //! neighbour links, and so does everything here: the per-peer lists are
 //! sparse ([`PeerLists`] — only peers with traffic are stored) and the
-//! exchange hot paths walk two link vectors ([`SendLink`], [`RecvLink`])
+//! exchange hot paths walk two link vectors (`SendLink`, `RecvLink`)
 //! of length *degree*, never `0..nodes`. A node of a banded matrix holds
 //! a handful of entries whatever the cluster size; only
-//! [`ScatterPlan::members`] has one entry per node.
+//! `ScatterPlan::members` has one entry per node.
 
 use parcomm::{CommPhase, NodeCtx, Payload};
 use sparsemat::BlockPartition;
@@ -36,7 +36,7 @@ use crate::retention::Retention;
 use crate::statics::StaticData;
 
 /// User message tag for SpMV ghost exchange (with appended redundancy).
-pub const TAG_SPMV: u32 = 10;
+pub(crate) const TAG_SPMV: u32 = 10;
 
 /// Index lists for the peers a node has traffic with: `(slot, list)`
 /// entries ascending by slot, empty lists not stored. Reads like the dense
@@ -47,29 +47,19 @@ pub struct PeerLists(Vec<(usize, Vec<usize>)>);
 
 impl PeerLists {
     /// Peer `slot`'s list (empty when nothing is stored for it).
-    pub fn get(&self, slot: usize) -> &[usize] {
+    pub(crate) fn get(&self, slot: usize) -> &[usize] {
         let found = self.0.binary_search_by_key(&slot, |&(k, _)| k);
         found.map_or(&[], |at| &self.0[at].1)
     }
 
     /// The peers with a non-empty list, ascending.
-    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.0.iter().map(|&(k, _)| k)
     }
 
     /// The stored `(slot, list)` entries, ascending by slot.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
         self.0.iter().map(|(k, list)| (*k, list.as_slice()))
-    }
-
-    /// Number of peers with a non-empty list.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when no peer has a list.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -130,49 +120,47 @@ fn linked_peers(peers: impl Iterator<Item = usize>, me: usize) -> Vec<usize> {
 /// and the buffer it is packed into.
 #[derive(Clone, Debug)]
 pub(crate) struct SendLink {
-    pub slot: usize,
+    pub(crate) slot: usize,
     /// How many leading entries of `gather` are natural SpMV traffic.
-    pub n_nat: usize,
+    pub(crate) n_nat: usize,
     /// The pack list `send_natural[slot] ++ send_extra[slot]` as compact
     /// local offsets: the exchange packs the operand at its first `n_nat`
     /// entries and each copy at all of them.
-    pub gather: Vec<u32>,
+    pub(crate) gather: Vec<u32>,
     /// The reusable send buffer. In steady state the receiver has dropped
     /// the previous message before our next exchange (iterations are
     /// separated by blocking collectives), so `Arc::get_mut` succeeds and
     /// packing reuses the allocation; a miss is counted via
     /// [`sparsemat::hotpath`] and falls back to a fresh buffer.
-    pub buf: Arc<Vec<f64>>,
+    pub(crate) buf: Arc<Vec<f64>>,
 }
 
 /// One incoming neighbour link: where `slot`'s natural values land in the
 /// ghost buffer and how many redundancy extras follow them.
 #[derive(Clone, Debug)]
 pub(crate) struct RecvLink {
-    pub slot: usize,
-    pub ghost: Range<usize>,
-    pub n_ext: usize,
+    pub(crate) slot: usize,
+    pub(crate) ghost: Range<usize>,
+    pub(crate) n_ext: usize,
 }
 
 /// The per-node communication plan.
 ///
 /// Peers are addressed by **slot** — the index of their block in the
 /// partition. On the full cluster slot `k` is global rank `k`; on a
-/// shrunken cluster [`ScatterPlan::members`] maps slots to the surviving
+/// shrunken cluster `ScatterPlan::members` maps slots to the surviving
 /// global ranks.
 #[derive(Clone, Debug)]
 pub struct ScatterPlan {
-    /// Number of participating nodes (slots).
-    pub nodes: usize,
     /// Global ranks of the participants, ascending; `members[slot]` is the
     /// rank owning partition block `slot`. Identity on the full cluster.
-    pub members: Arc<[usize]>,
+    pub(crate) members: Arc<[usize]>,
     /// This node's slot (`members[my_slot] == rank`).
-    pub my_slot: usize,
+    pub(crate) my_slot: usize,
     /// Start of the owned range (local offset = global − start).
-    pub my_start: usize,
+    pub(crate) my_start: usize,
     /// Owned range length.
-    pub my_len: usize,
+    pub(crate) my_len: usize,
     /// Per peer slot `k` with natural traffic: local offsets sent during
     /// SpMV (`S_ik`).
     pub send_natural: PeerLists,
@@ -183,10 +171,10 @@ pub struct ScatterPlan {
     /// (non-empty) positions in the ghost buffer filled by that peer's
     /// natural values (contiguous, because ghost columns are sorted and
     /// ownership ranges are contiguous).
-    pub recv_ghost_range: Vec<(usize, Range<usize>)>,
+    pub(crate) recv_ghost_range: Vec<(usize, Range<usize>)>,
     /// Per peer slot `k` sending redundancy extras here: their global
     /// indices.
-    pub recv_extra: PeerLists,
+    pub(crate) recv_extra: PeerLists,
     /// The outgoing links, ascending by slot: one per peer in
     /// `send_natural ∪ send_extra`. Kept in sync by
     /// [`ScatterPlan::refresh_pack_lists`].
@@ -286,7 +274,6 @@ impl ScatterPlan {
             .collect();
 
         let mut plan = ScatterPlan {
-            nodes: members.len(),
             members,
             my_slot,
             my_start,
@@ -311,7 +298,7 @@ impl ScatterPlan {
     /// # Panics
     /// Panics when a send offset lies outside the owned block, in every
     /// build.
-    pub fn refresh_pack_lists(&mut self) {
+    pub(crate) fn refresh_pack_lists(&mut self) {
         let pack = |o: usize| {
             assert!(o < self.my_len, "send offset {o} outside the owned block");
             u32::try_from(o).expect("block offsets fit the pack lists' u32")
@@ -347,7 +334,7 @@ impl ScatterPlan {
 
     /// The positions in the ghost buffer filled by peer `slot`'s natural
     /// values (empty when this node has no ghosts of it).
-    pub fn ghost_range(&self, slot: usize) -> Range<usize> {
+    pub(crate) fn ghost_range(&self, slot: usize) -> Range<usize> {
         let ranges = &self.recv_ghost_range;
         let found = ranges.binary_search_by_key(&slot, |(k, _)| *k);
         found.map_or(0..0, |at| ranges[at].1.clone())
@@ -426,7 +413,7 @@ impl ScatterPlan {
         self.refresh_pack_lists();
     }
 
-    /// [`ScatterPlan::exchange_to`] over every link with `v_loc` as its
+    /// `ScatterPlan::exchange_to` over every link with `v_loc` as its
     /// own copy: ghost values into `ghosts` (one slot per ghost column)
     /// and, with `retention`, naturals and extras recorded as redundant
     /// copies of the sender's block.
@@ -463,7 +450,7 @@ impl ScatterPlan {
     /// Panics when a message's length is not the plan's, in every build: an
     /// unannounced entry would otherwise be dropped unseen or shift every
     /// copy behind it.
-    pub fn exchange_to(
+    pub(crate) fn exchange_to(
         &mut self,
         ctx: &mut NodeCtx,
         v_loc: &[f64],
@@ -580,7 +567,7 @@ mod tests {
     #[test]
     fn peer_lists_read_like_the_dense_form() {
         let lists: PeerLists = vec![vec![], vec![4, 2], vec![], vec![7]].into();
-        assert_eq!(lists.len(), 2, "empty lists are not stored");
+        assert_eq!(lists.slots().count(), 2, "empty lists are not stored");
         assert_eq!(lists[1], [4, 2]);
         assert!(lists[0].is_empty() && lists[2].is_empty() && lists[9].is_empty());
         assert_eq!(lists.slots().collect::<Vec<_>>(), vec![1, 3]);

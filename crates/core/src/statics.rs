@@ -39,7 +39,7 @@ pub struct StaticCounts {
 
 /// The exact LDLᵀ factor of each block of a partition, in block order: the
 /// block-Jacobi preconditioner over it (shared static data).
-pub type BlockFactors = Arc<[Arc<SparseLdl>]>;
+pub(crate) type BlockFactors = Arc<[Arc<SparseLdl>]>;
 
 struct Entry {
     lm: Arc<LocalMatrix>,
@@ -53,7 +53,7 @@ pub(crate) type FullCluster = (Arc<BlockPartition>, Arc<[usize]>);
 /// `|a_ij|`. An assembled symmetric matrix differs from its transpose by
 /// rounding in the last bits of its entries (≈ 1e-16 relative); 1e-12
 /// leaves room for that and no more.
-pub const SYMMETRY_RTOL: f64 = 1e-12;
+pub(crate) const SYMMETRY_RTOL: f64 = 1e-12;
 
 /// The per-row-range static data of one system matrix, filled on demand.
 pub struct StaticData {
@@ -70,7 +70,7 @@ pub struct StaticData {
 
 impl StaticData {
     /// An empty store describing `a`.
-    pub fn new(a: Arc<Csr>) -> Self {
+    pub(crate) fn new(a: Arc<Csr>) -> Self {
         StaticData {
             a,
             symmetric: OnceLock::new(),
@@ -83,14 +83,14 @@ impl StaticData {
     }
 
     /// The matrix this store describes.
-    pub fn matrix(&self) -> &Arc<Csr> {
+    pub(crate) fn matrix(&self) -> &Arc<Csr> {
         &self.a
     }
 
     /// Whether the matrix is symmetric, pattern and values, to
     /// [`SYMMETRY_RTOL`] — what every ESR reconstruction assumes (its
     /// block factors are LDLᵀ, its x solve is CG). Checked on first use.
-    pub fn is_symmetric(&self) -> bool {
+    pub(crate) fn is_symmetric(&self) -> bool {
         *self.symmetric.get_or_init(|| {
             let largest = self.a.vals().iter().fold(0.0, |m: f64, v| m.max(v.abs()));
             self.a.is_symmetric(SYMMETRY_RTOL * largest)
@@ -139,7 +139,7 @@ impl StaticData {
     /// order, or the first error. Assembled once per partition. A node that
     /// holds it holds the factor of every block it may adopt later, so
     /// taking one on cannot fail.
-    pub fn block_jacobi(&self, part: &BlockPartition) -> Result<BlockFactors, PrecondError> {
+    pub(crate) fn block_jacobi(&self, part: &BlockPartition) -> Result<BlockFactors, PrecondError> {
         let mut setups = self.setups.lock().expect("a factorization panicked");
         if let Some(m) = setups.get(part.starts()) {
             return Ok(m.clone());
@@ -162,7 +162,7 @@ impl StaticData {
 
     /// What has been derived so far (statistics; not synchronized with
     /// solves running on other threads).
-    pub fn counts(&self) -> StaticCounts {
+    pub(crate) fn counts(&self) -> StaticCounts {
         StaticCounts {
             blocks_built: self.blocks_built.load(Ordering::Relaxed),
             factors_built: self.factors_built.load(Ordering::Relaxed),

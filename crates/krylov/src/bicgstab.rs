@@ -29,15 +29,11 @@ pub fn bicgstab(
     }
     let r0_norm = norm2(&r);
     let target = rel_tol * r0_norm;
-    let mut history = vec![r0_norm];
     if r0_norm <= f64::MIN_POSITIVE {
         return SolveReport {
             x,
             iterations: 0,
-            residual_norm: r0_norm,
-            initial_residual_norm: r0_norm,
             stop: StopReason::Converged,
-            history,
         };
     }
 
@@ -54,10 +50,7 @@ pub fn bicgstab(
             return SolveReport {
                 x,
                 iterations: j,
-                residual_norm: norm2(&r),
-                initial_residual_norm: r0_norm,
                 stop: StopReason::Breakdown,
-                history,
             };
         }
         m.apply(&p, &mut phat);
@@ -67,10 +60,7 @@ pub fn bicgstab(
             return SolveReport {
                 x,
                 iterations: j,
-                residual_norm: norm2(&r),
-                initial_residual_norm: r0_norm,
                 stop: StopReason::Breakdown,
-                history,
             };
         }
         let alpha = rho / rhat0_v;
@@ -80,14 +70,10 @@ pub fn bicgstab(
         let snorm = norm2(&s);
         if snorm <= target {
             axpy(alpha, &phat, &mut x);
-            history.push(snorm);
             return SolveReport {
                 x,
                 iterations: j + 1,
-                residual_norm: snorm,
-                initial_residual_norm: r0_norm,
                 stop: StopReason::Converged,
-                history,
             };
         }
         m.apply(&s, &mut shat);
@@ -97,10 +83,7 @@ pub fn bicgstab(
             return SolveReport {
                 x,
                 iterations: j,
-                residual_norm: norm2(&r),
-                initial_residual_norm: r0_norm,
                 stop: StopReason::Breakdown,
-                history,
             };
         }
         let omega = dot(&t, &s) / tt;
@@ -110,15 +93,11 @@ pub fn bicgstab(
         r.copy_from_slice(&s);
         axpy(-omega, &t, &mut r);
         let rnorm = norm2(&r);
-        history.push(rnorm);
         if rnorm <= target {
             return SolveReport {
                 x,
                 iterations: j + 1,
-                residual_norm: rnorm,
-                initial_residual_norm: r0_norm,
                 stop: StopReason::Converged,
-                history,
             };
         }
         let rho_next = dot(&rhat0, &r);
@@ -132,10 +111,7 @@ pub fn bicgstab(
     SolveReport {
         x,
         iterations: max_iter,
-        residual_norm: norm2(&r),
-        initial_residual_norm: r0_norm,
         stop: StopReason::MaxIterations,
-        history,
     }
 }
 

@@ -6,7 +6,6 @@
 //!
 //! * [`pcg()`](cg::pcg) — the preconditioned conjugate gradient method, literally the
 //!   paper's Alg. 1;
-//! * [`cg()`](cg::cg) — unpreconditioned CG;
 //! * [`pipecg()`](pipecg::pipecg) — pipelined (communication-hiding) PCG in the
 //!   Ghysels–Vanroose recurrence form, the numerical reference for the
 //!   resilient communication-hiding solver (Levonyak et al., arXiv:1912.09230);
@@ -17,12 +16,12 @@
 // the numeric kernels in this crate; iterator-zip pyramids obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-pub mod bicgstab;
-pub mod cg;
-pub mod pipecg;
-pub mod report;
+pub(crate) mod bicgstab;
+pub(crate) mod cg;
+pub(crate) mod pipecg;
+pub(crate) mod report;
 
 pub use bicgstab::bicgstab;
-pub use cg::{cg, pcg};
+pub use cg::pcg;
 pub use pipecg::pipecg;
-pub use report::{SolveReport, StopReason};
+pub use report::SolveReport;

@@ -56,15 +56,11 @@ pub fn pipecg(
 
     let r0_norm = norm2(&r);
     let target = rel_tol * r0_norm;
-    let mut history = vec![r0_norm];
     if r0_norm <= f64::MIN_POSITIVE {
         return SolveReport {
             x,
             iterations: 0,
-            residual_norm: r0_norm,
-            initial_residual_norm: r0_norm,
             stop: StopReason::Converged,
-            history,
         };
     }
 
@@ -82,27 +78,18 @@ pub fn pipecg(
         // The fused reduction values of iteration j; in the distributed
         // version these travel in ONE overlapped all-reduce.
         let rnorm = norm2(&r);
-        if iterations > 0 {
-            history.push(rnorm);
-        }
         if rnorm <= target {
             return SolveReport {
                 x,
                 iterations,
-                residual_norm: rnorm,
-                initial_residual_norm: r0_norm,
                 stop: StopReason::Converged,
-                history,
             };
         }
         if iterations == max_iter {
             return SolveReport {
                 x,
                 iterations,
-                residual_norm: rnorm,
-                initial_residual_norm: r0_norm,
                 stop: StopReason::MaxIterations,
-                history,
             };
         }
         let gamma = dot(&r, &u);
@@ -116,7 +103,7 @@ pub fn pipecg(
         let alpha;
         if iterations == 0 {
             if delta <= 0.0 || !delta.is_finite() {
-                return breakdown(x, iterations, rnorm, r0_norm, history);
+                return breakdown(x, iterations);
             }
             alpha = gamma / delta;
             z.copy_from_slice(&nbuf);
@@ -128,7 +115,7 @@ pub fn pipecg(
             // In exact arithmetic δ − β γ / α(j-1) = pᵀA p.
             let denom = delta - beta * gamma / alpha_prev;
             if denom <= 0.0 || !denom.is_finite() {
-                return breakdown(x, iterations, rnorm, r0_norm, history);
+                return breakdown(x, iterations);
             }
             alpha = gamma / denom;
             xpay(&nbuf, beta, &mut z); // z = n + β z
@@ -146,20 +133,11 @@ pub fn pipecg(
     }
 }
 
-fn breakdown(
-    x: Vec<f64>,
-    iterations: usize,
-    rnorm: f64,
-    r0_norm: f64,
-    history: Vec<f64>,
-) -> SolveReport {
+fn breakdown(x: Vec<f64>, iterations: usize) -> SolveReport {
     SolveReport {
         x,
         iterations,
-        residual_norm: rnorm,
-        initial_residual_norm: r0_norm,
         stop: StopReason::Breakdown,
-        history,
     }
 }
 
@@ -238,18 +216,6 @@ mod tests {
         let rep = pipecg(&a, &b, &vec![1.0; 64], &Identity::new(64), 1e-8, 10);
         assert_eq!(rep.iterations, 0);
         assert!(rep.converged());
-    }
-
-    #[test]
-    fn history_tracks_iterations() {
-        let a = poisson2d(12, 12);
-        let b = random_rhs(144, 5);
-        let rep = pipecg(&a, &b, &vec![0.0; 144], &Identity::new(144), 1e-8, 2000);
-        assert!(rep.converged());
-        assert_eq!(rep.history.len(), rep.iterations + 1);
-        let first = rep.history[0];
-        let last = *rep.history.last().unwrap();
-        assert!(last <= first * 1e-8);
     }
 
     #[test]

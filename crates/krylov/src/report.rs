@@ -2,7 +2,7 @@
 
 /// Why a solver stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StopReason {
+pub(crate) enum StopReason {
     /// Residual tolerance reached.
     Converged,
     /// Iteration limit hit before convergence.
@@ -18,48 +18,13 @@ pub struct SolveReport {
     pub x: Vec<f64>,
     /// Iterations performed.
     pub iterations: usize,
-    /// Final *recursive* residual norm ‖r‖₂ (the solver residual of the
-    /// paper's Eqn. 7 — not recomputed from `b - Ax`).
-    pub residual_norm: f64,
-    /// Initial residual norm ‖b - A x₀‖₂.
-    pub initial_residual_norm: f64,
     /// Why the solver stopped.
-    pub stop: StopReason,
-    /// Residual-norm history, one entry per iteration (including entry 0).
-    pub history: Vec<f64>,
+    pub(crate) stop: StopReason,
 }
 
 impl SolveReport {
-    /// Relative residual reduction ‖r_k‖/‖r₀‖.
-    pub fn relative_residual(&self) -> f64 {
-        if self.initial_residual_norm == 0.0 {
-            0.0
-        } else {
-            self.residual_norm / self.initial_residual_norm
-        }
-    }
-
     /// True if converged.
     pub fn converged(&self) -> bool {
         self.stop == StopReason::Converged
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn relative_residual_handles_zero_rhs() {
-        let r = SolveReport {
-            x: vec![],
-            iterations: 0,
-            residual_norm: 0.0,
-            initial_residual_norm: 0.0,
-            stop: StopReason::Converged,
-            history: vec![],
-        };
-        assert_eq!(r.relative_residual(), 0.0);
-        assert!(r.converged());
     }
 }

@@ -45,68 +45,68 @@ use crate::tag::Tag;
 /// Audit stamp carried by every [`Message`]; filled in only while the
 /// auditor is on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MsgStamp {
+pub(crate) struct MsgStamp {
     /// Per-`(sender, dest, tag)` send sequence number, starting at 0. The
     /// non-overtaking check demands that same-`(src, tag)` deliveries at one
     /// receiver observe strictly increasing values.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The sender's recovery-attempt window at send time (`None` outside
     /// recovery). A receive must observe its own current window here.
-    pub window: Option<u32>,
+    pub(crate) window: Option<u32>,
 }
 
 /// One recorded receive.
 #[derive(Clone, Copy, Debug)]
-pub struct RecvRec {
+pub(crate) struct RecvRec {
     /// Sending rank.
-    pub src: usize,
+    pub(crate) src: usize,
     /// Matched tag.
-    pub tag: Tag,
+    pub(crate) tag: Tag,
     /// The message's send sequence number (see [`MsgStamp::seq`]).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The window the message was sent in.
-    pub msg_window: Option<u32>,
+    pub(crate) msg_window: Option<u32>,
     /// The receiver's window when the receive matched.
-    pub window: Option<u32>,
+    pub(crate) window: Option<u32>,
 }
 
 /// One recorded collective call (logged *before* the collective runs, so an
 /// interrupted collective still shows what each rank intended to do).
 #[derive(Clone, Debug, PartialEq)]
-pub struct CollEvent {
+pub(crate) struct CollEvent {
     /// `None` for the world communicator, `Some(gid)` for a group.
-    pub scope: Option<u32>,
+    pub(crate) scope: Option<u32>,
     /// The communicator's collective sequence number.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Collective kind (a [`crate::tag::op`] constant).
-    pub kind: u8,
+    pub(crate) kind: u8,
     /// Reduction operator, for reductions.
-    pub rop: Option<ReduceOp>,
+    pub(crate) rop: Option<ReduceOp>,
     /// Contributed buffer length where the protocol requires agreement
     /// (all-reduce, barrier); `None` for the ragged all-to-all.
-    pub len: Option<usize>,
+    pub(crate) len: Option<usize>,
     /// Hash of the member set (0 for the world communicator).
-    pub members_hash: u64,
+    pub(crate) members_hash: u64,
     /// Number of participants the caller believes the communicator has.
-    pub n_members: usize,
+    pub(crate) n_members: usize,
     /// The caller's recovery-attempt window at the call. The resident
     /// all-reduce rounds deliver no message a receive could check, so the
     /// call itself carries the window.
-    pub window: Option<u32>,
+    pub(crate) window: Option<u32>,
 }
 
 /// Placeholder member-set hash for world-communicator collectives.
-pub const WORLD_HASH: u64 = 0;
+pub(crate) const WORLD_HASH: u64 = 0;
 
 /// Per-node event log, returned by the node thread at teardown.
 #[derive(Debug, Default)]
-pub struct NodeLog {
+pub(crate) struct NodeLog {
     /// The rank that produced this log.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Receives, in program order.
-    pub recvs: Vec<RecvRec>,
+    pub(crate) recvs: Vec<RecvRec>,
     /// Collective calls, in program order.
-    pub colls: Vec<CollEvent>,
+    pub(crate) colls: Vec<CollEvent>,
 }
 
 /// Per-node audit state owned by the `NodeCtx`.

@@ -25,16 +25,16 @@ use crate::vclock::{CostModel, VClock};
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Number of compute nodes N.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Latency–bandwidth–flop cost model for the virtual clock.
-    pub cost: CostModel,
+    pub(crate) cost: CostModel,
     /// Scheduled node failures (empty for failure-free runs).
-    pub script: FailureScript,
+    pub(crate) script: FailureScript,
     /// Size of the hot-spare pool: how many failed nodes the cluster can
     /// hand a replacement for before replacement capacity runs out (the
     /// capacity ULFM assumes is unbounded but a real machine is not —
     /// Pachajoa et al., arXiv:2007.04066). `0` means no spares.
-    pub spares: usize,
+    pub(crate) spares: usize,
 }
 
 impl ClusterConfig {
@@ -87,11 +87,6 @@ pub struct SparePool {
 impl SparePool {
     pub(crate) fn new(total: usize) -> Self {
         SparePool { total, claimed: 0 }
-    }
-
-    /// Spares the cluster was provisioned with.
-    pub fn total(&self) -> usize {
-        self.total
     }
 
     /// Spares not yet handed out.
@@ -499,7 +494,7 @@ mod tests {
     fn spare_pool_claims_deterministically() {
         let out = Cluster::run(ClusterConfig::new(3).with_spares(2), |ctx| {
             let mut pool = ctx.spare_pool();
-            assert_eq!(pool.total(), 2);
+            assert_eq!(pool.total, 2);
             let first = pool.claim(1);
             let second = pool.claim(3); // only 1 left
             let third = pool.claim(1); // dry

@@ -11,7 +11,7 @@
 //! topology.
 //!
 //! Every collective is **scheduler-resident**: participants meet once in
-//! [`crate::sched`], the last arriver computes what the message exchange
+//! `crate::sched`, the last arriver computes what the message exchange
 //! would have produced — an all-reduce's reduced buffer and every round's
 //! message stamps, an all-to-all's payloads and stamp rows — and each rank
 //! then books its own messages here, with the same `book_send` /
@@ -20,11 +20,11 @@
 //! exchange produces; only the physical messages and their host-thread
 //! hand-offs are absent.
 //!
-//! An all-reduce is written once, over a [`Scope`] — the world or a
-//! [`Group`] — as [`NodeCtx::allreduce_on`]; the public methods here and on
+//! An all-reduce is written once, over a `Scope` — the world or a
+//! [`Group`] — as `NodeCtx::allreduce_on`; the public methods here and on
 //! `Group` name its span and phase and call it. Everything that watches the
 //! traffic (statistics, auditor, tracer) does so through the one event
-//! [`NodeCtx::emit`] hands to [`crate::observe`].
+//! `NodeCtx::emit` hands to `crate::observe`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,14 +84,14 @@ impl ReduceOp {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Scope<'a> {
     /// Participant index → global rank (`None` ⇒ identity: the world).
-    pub members: Option<&'a [usize]>,
+    pub(crate) members: Option<&'a [usize]>,
     /// This node's participant index in `0..n`.
-    pub my_index: usize,
-    pub n: usize,
+    pub(crate) my_index: usize,
+    pub(crate) n: usize,
     /// The group id (`None`: the world).
-    pub id: Option<u32>,
+    pub(crate) id: Option<u32>,
     /// The communicator's collective sequence number of this call.
-    pub seq: u64,
+    pub(crate) seq: u64,
 }
 
 impl Scope<'_> {
@@ -424,7 +424,7 @@ impl NodeCtx {
     /// Every ordered pair of nodes still exchanges one message in virtual
     /// time — booked here, never built. This node books its `N − 1` sends
     /// on its own clock in ascending rank order (empty ones included),
-    /// meets the others once in [`Scheduler::collective`] with the stamps
+    /// meets the others once in `Scheduler::collective` with the stamps
     /// and the non-empty payloads, and then books its `N − 1` receives in
     /// ascending order from the shared stamp rows: the events, clocks and
     /// statistics of posting all sends and then receiving in rank order.
@@ -660,7 +660,7 @@ impl NodeCtx {
     }
 
     /// The virtual clock.
-    pub fn clock(&self) -> &VClock {
+    pub(crate) fn clock(&self) -> &VClock {
         &self.clock
     }
 

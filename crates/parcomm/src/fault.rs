@@ -21,7 +21,7 @@
 //! ## Node lifecycle
 //!
 //! A node's life is a composition of two state machines. The *scheduler*
-//! level ([`crate::sched`]) knows only execution states — a node is
+//! level (`crate::sched`) knows only execution states — a node is
 //! **Runnable** (parked, dispatchable), **Running** (holds the baton),
 //! **Blocked** (parked in a receive with no matching message), or **Done**
 //! (its program returned). The *solver* level layers failure roles on top,
@@ -217,7 +217,7 @@ impl FailureScript {
     /// # Panics
     /// Panics on the first out-of-bounds rank, and when the script was
     /// built for a different cluster size than it is now being run on.
-    pub fn validate_for_cluster(&self, nodes: usize) {
+    pub(crate) fn validate_for_cluster(&self, nodes: usize) {
         if let Some(built_for) = self.validated_nodes {
             assert!(
                 built_for == nodes,
@@ -244,7 +244,7 @@ impl FailureScript {
     }
 
     /// Ranks that fail exactly at `boundary` (consistent on every caller).
-    pub fn failures_at(&self, boundary: FailAt) -> Vec<usize> {
+    pub(crate) fn failures_at(&self, boundary: FailAt) -> Vec<usize> {
         let mut out: Vec<usize> = self
             .events
             .iter()
@@ -267,37 +267,27 @@ impl FailureScript {
         all.dedup();
         all.len()
     }
-
-    /// True if no failures are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 /// Shared failure oracle; nodes consult it at boundaries. Read-only after
 /// construction, hence trivially consistent across nodes (the ULFM
 /// "agreement" comes for free from SPMD determinism).
 #[derive(Clone, Debug)]
-pub struct FaultOracle {
+pub(crate) struct FaultOracle {
     script: Arc<FailureScript>,
 }
 
 impl FaultOracle {
     /// Wrap a failure script for shared consultation.
-    pub fn new(script: FailureScript) -> Self {
+    pub(crate) fn new(script: FailureScript) -> Self {
         FaultOracle {
             script: Arc::new(script),
         }
     }
 
     /// Ranks newly failed at this boundary.
-    pub fn poll(&self, boundary: FailAt) -> Vec<usize> {
+    pub(crate) fn poll(&self, boundary: FailAt) -> Vec<usize> {
         self.script.failures_at(boundary)
-    }
-
-    /// The underlying script.
-    pub fn script(&self) -> &FailureScript {
-        &self.script
     }
 }
 

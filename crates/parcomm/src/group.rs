@@ -50,16 +50,6 @@ impl Group {
         }
     }
 
-    /// Number of members.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// This node's index within the group (`0..size`).
-    pub fn index(&self) -> usize {
-        self.my_index
-    }
-
     /// Global ranks of the members, ascending.
     pub fn members(&self) -> &[usize] {
         &self.members

@@ -10,7 +10,7 @@
 //! through explicit message passing and collectives, mirroring the MPI
 //! programming model. Node programs are written in blocking style (each
 //! node owns an OS thread as its stack), but execution is driven by a
-//! deterministic discrete-event scheduler ([`sched`]): exactly one node
+//! deterministic discrete-event scheduler (`sched`): exactly one node
 //! runs at a time, blocking operations park the node, and the next
 //! runnable node is dispatched by minimum `(virtual time, rank)` — so a
 //! 1024-node cluster runs on one core and every run replays the identical
@@ -36,16 +36,16 @@
 //! * sub-communicators ([`NodeCtx::group`]) whose all-reduce, blocking or
 //!   not, serves the reconstructors' inner solve and a solver continuing on
 //!   a shrunken cluster,
-//! * a ULFM-like [`fault::FaultOracle`] that detects node failures, notifies
+//! * a ULFM-like `fault::FaultOracle` that detects node failures, notifies
 //!   all surviving nodes consistently, and provisions replacement nodes,
-//! * a **virtual BSP clock** ([`vclock`]) implementing the latency–bandwidth
+//! * a **virtual BSP clock** (`vclock`) implementing the latency–bandwidth
 //!   cost model of the paper's Sec. 4.2 (`λ` per message, `µ` per vector
 //!   element, `γ` per flop), so that 128-node experiments produce meaningful
 //!   timing *shapes* even on a 2-core host.
 //!
 //! Everything that watches the traffic — [`CommStats`] in every run, the
-//! protocol auditor ([`audit`]) wherever debug assertions are on, the
-//! virtual-time tracer ([`trace`]) in a run started with
+//! protocol auditor (`audit`) wherever debug assertions are on, the
+//! virtual-time tracer ([`ClusterTrace`]) in a run started with
 //! [`Cluster::run_traced`] — reads one typed event, emitted once per
 //! boundary (the crate-private `observe` module). There is one build: no
 //! Cargo feature selects an observer.
@@ -60,25 +60,25 @@
 // the numeric kernels in this crate; iterator-zip pyramids obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-pub mod audit;
-pub mod cluster;
+pub(crate) mod audit;
+pub(crate) mod cluster;
 pub mod comm;
 pub mod fault;
-pub mod group;
+pub(crate) mod group;
 pub(crate) mod observe;
-pub mod payload;
+pub(crate) mod payload;
 #[cfg(test)]
 mod rd_oracle;
 pub mod request;
 pub(crate) mod sched;
-pub mod stats;
-pub mod tag;
-pub mod trace;
-pub mod vclock;
+pub(crate) mod stats;
+pub(crate) mod tag;
+pub(crate) mod trace;
+pub(crate) mod vclock;
 
 pub use cluster::{Cluster, ClusterConfig, SparePool};
 pub use comm::{NodeCtx, ReduceOp};
-pub use fault::{FailAt, FailureEvent, FailureScript, FaultOracle, RECOVERY_SUBSTEPS};
+pub use fault::{FailAt, FailureEvent, FailureScript, RECOVERY_SUBSTEPS};
 pub use group::Group;
 pub use payload::Payload;
 pub use request::AllreduceRequest;

@@ -40,7 +40,7 @@ impl Payload {
 
     /// Wrap an index list.
     #[must_use]
-    pub fn u64s(v: Vec<u64>) -> Self {
+    pub(crate) fn u64s(v: Vec<u64>) -> Self {
         Payload::U64s(Arc::new(v))
     }
 
@@ -106,7 +106,7 @@ impl Payload {
     }
 
     /// Unwrap an index-list payload.
-    pub fn into_u64s(self) -> Vec<u64> {
+    pub(crate) fn into_u64s(self) -> Vec<u64> {
         match self {
             Payload::U64s(v) => unwrap_or_clone(v),
             other => panic!("protocol error: expected U64s, got {:?}", other.kind()),
@@ -133,25 +133,30 @@ impl Payload {
 /// A message in flight: source rank, matching tag, payload, and the virtual
 /// time at which it arrives at the receiver (see [`crate::vclock`]).
 #[derive(Clone, Debug)]
-pub struct Message {
+pub(crate) struct Message {
     /// Sending rank.
-    pub src: usize,
+    pub(crate) src: usize,
     /// Matching tag.
-    pub tag: crate::tag::Tag,
+    pub(crate) tag: crate::tag::Tag,
     /// The data.
-    pub payload: Payload,
+    pub(crate) payload: Payload,
     /// Virtual arrival time at the destination under the λ/µ cost model.
-    pub arrival_vtime: f64,
+    pub(crate) arrival_vtime: f64,
     /// Protocol-auditor provenance (send sequence number and recovery
     /// window); filled in by `NodeCtx::send_with_phases` while the auditor is on,
     /// the default otherwise.
-    pub stamp: crate::audit::MsgStamp,
+    pub(crate) stamp: crate::audit::MsgStamp,
 }
 
 impl Message {
     /// Construct a message with a default audit stamp.
     #[must_use]
-    pub fn new(src: usize, tag: crate::tag::Tag, payload: Payload, arrival_vtime: f64) -> Self {
+    pub(crate) fn new(
+        src: usize,
+        tag: crate::tag::Tag,
+        payload: Payload,
+        arrival_vtime: f64,
+    ) -> Self {
         Message {
             src,
             tag,

@@ -25,7 +25,7 @@
 //! pair it with partners that issued the blocking form. That is invisible
 //! to the cost model: scheduling order carries no time, and the rendezvous
 //! computes the same stamps for either accounting (see
-//! [`crate::comm::Timeline`]); virtual time is what the experiments
+//! `crate::comm::Timeline`); virtual time is what the experiments
 //! measure. `wait` itself never parks.
 //!
 //! Requests are **linear**: every request must be consumed by `wait`.

@@ -107,9 +107,9 @@ enum NodeState {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RdShape {
     /// Largest power of two ≤ `n`.
-    pub pof2: usize,
+    pub(crate) pof2: usize,
     /// `n − pof2`: how many index pairs fold.
-    pub rem: usize,
+    pub(crate) rem: usize,
 }
 
 impl RdShape {
@@ -170,21 +170,21 @@ impl RdShape {
 /// participant `peer` (send first), in row `row` of the schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Round {
-    pub row: usize,
-    pub peer: usize,
-    pub sends: bool,
-    pub recvs: bool,
+    pub(crate) row: usize,
+    pub(crate) peer: usize,
+    pub(crate) sends: bool,
+    pub(crate) recvs: bool,
 }
 
 /// What one participant brings to a collective's rendezvous.
 pub(crate) struct Deposit<'a> {
-    pub tag: Tag,
+    pub(crate) tag: Tag,
     /// This participant's index in `0..n`.
-    pub index: usize,
-    pub n: usize,
+    pub(crate) index: usize,
+    pub(crate) n: usize,
     /// Participant index → global rank (`None` ⇒ identity: the world).
-    pub members: Option<&'a [usize]>,
-    pub part: Part,
+    pub(crate) members: Option<&'a [usize]>,
+    pub(crate) part: Part,
 }
 
 /// The kind-specific half of a [`Deposit`].
@@ -223,12 +223,12 @@ impl Part {
 pub(crate) struct CollOutcome {
     /// The reduced buffer, bitwise identical for every participant (empty
     /// for an all-to-all).
-    pub result: Vec<f64>,
+    pub(crate) result: Vec<f64>,
     /// All-reduce: `stamps[row][i]` is the arrival stamp of the message
     /// participant `i` sent in round `row` of the schedule (0 where it sent
     /// none). All-to-all: `stamps[src][dst]` is the arrival stamp of the
     /// message `src` booked for `dst`.
-    pub stamps: Vec<Vec<f64>>,
+    pub(crate) stamps: Vec<Vec<f64>>,
 }
 
 /// What one participant takes home: the shared outcome and the payloads

@@ -27,7 +27,7 @@ pub enum CommPhase {
 }
 
 /// Number of [`CommPhase`] variants (the length of per-phase arrays).
-pub const NPHASES: usize = 6;
+pub(crate) const NPHASES: usize = 6;
 
 fn phase_index(p: CommPhase) -> usize {
     match p {
@@ -94,11 +94,6 @@ impl Default for LogHist {
 }
 
 impl LogHist {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn bucket(v: f64) -> usize {
         // NaN lands in the zero bucket too (partial_cmp → None).
         if v.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
@@ -120,7 +115,7 @@ impl LogHist {
     }
 
     /// Record one sample.
-    pub fn record(&mut self, v: f64) {
+    pub(crate) fn record(&mut self, v: f64) {
         self.buckets[Self::bucket(v)] += 1;
         self.count += 1;
     }
@@ -133,7 +128,7 @@ impl LogHist {
     /// The `q`-quantile (`0 < q ≤ 1`) as the upper bound of the bucket
     /// containing it — a deterministic overestimate within one octave.
     /// Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -159,7 +154,7 @@ impl LogHist {
     }
 
     /// Accumulate another histogram's samples into this one.
-    pub fn merge(&mut self, other: &LogHist) {
+    pub(crate) fn merge(&mut self, other: &LogHist) {
         for i in 0..64 {
             self.buckets[i] += other.buckets[i];
         }
@@ -252,7 +247,8 @@ impl CommStats {
     }
 
     /// Record a sent message of `elems` vector elements in `phase`.
-    pub fn record_send(&mut self, phase: CommPhase, elems: usize) {
+    #[cfg(test)]
+    pub(crate) fn record_send(&mut self, phase: CommPhase, elems: usize) {
         self.record_split_send(&[(phase, elems)]);
     }
 
@@ -273,20 +269,20 @@ impl CommStats {
     }
 
     /// Record one all-reduce call that took `rounds` communication rounds.
-    pub fn record_allreduce(&mut self, rounds: usize) {
+    pub(crate) fn record_allreduce(&mut self, rounds: usize) {
         self.allreduces += 1;
         self.allreduce_rounds += rounds as u64;
     }
 
     /// Record virtual time spent inside a blocking send in `phase`.
-    pub fn record_send_vtime(&mut self, phase: CommPhase, dt: f64) {
+    pub(crate) fn record_send_vtime(&mut self, phase: CommPhase, dt: f64) {
         debug_assert!(dt >= 0.0);
         self.send_vtime[phase_index(phase)] += dt;
     }
 
     /// Record virtual time spent stalled (blocking `recv` arrival wait or
     /// the exposed remainder charged by a non-blocking `wait`) in `phase`.
-    pub fn record_wait_vtime(&mut self, phase: CommPhase, dt: f64) {
+    pub(crate) fn record_wait_vtime(&mut self, phase: CommPhase, dt: f64) {
         debug_assert!(dt >= 0.0);
         let i = phase_index(phase);
         self.wait_vtime[i] += dt;
@@ -294,7 +290,7 @@ impl CommStats {
     }
 
     /// Record non-blocking communication time hidden behind compute.
-    pub fn record_hidden_vtime(&mut self, phase: CommPhase, dt: f64) {
+    pub(crate) fn record_hidden_vtime(&mut self, phase: CommPhase, dt: f64) {
         debug_assert!(dt >= 0.0);
         self.hidden_vtime[phase_index(phase)] += dt;
     }
@@ -360,36 +356,12 @@ impl CommStats {
         &self.hists.wait[phase_index(phase)]
     }
 
-    /// Distribution of individual wait charges across all phases.
-    pub fn total_wait_hist(&self) -> LogHist {
-        let mut h = LogHist::new();
-        for p in &self.hists.wait {
-            h.merge(p);
-        }
-        h
-    }
-
     /// *Exposed* communication time in `phase`: virtual time the node clock
     /// actually advanced doing communication (blocking send transfers plus
     /// stalls). Hidden time is excluded — that is the point of the split.
     pub fn exposed_vtime(&self, phase: CommPhase) -> f64 {
         let i = phase_index(phase);
         self.send_vtime[i] + self.wait_vtime[i]
-    }
-
-    /// Total stalled time across phases.
-    pub fn total_wait_vtime(&self) -> f64 {
-        self.wait_vtime.iter().sum()
-    }
-
-    /// Total hidden time across phases.
-    pub fn total_hidden_vtime(&self) -> f64 {
-        self.hidden_vtime.iter().sum()
-    }
-
-    /// Total exposed communication time across phases.
-    pub fn total_exposed_vtime(&self) -> f64 {
-        self.send_vtime.iter().sum::<f64>() + self.wait_vtime.iter().sum::<f64>()
     }
 
     /// Merge another node's counters into this one (cluster-wide totals).
@@ -409,7 +381,7 @@ impl CommStats {
     }
 
     /// Reset all counters (between timed experiment sections).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = Self::default();
     }
 }
@@ -498,14 +470,11 @@ mod tests {
         assert_eq!(a.exposed_vtime(CommPhase::Reduction), 7.0);
         assert_eq!(a.wait_vtime(CommPhase::Spmv), 0.5);
         assert_eq!(a.hidden_vtime(CommPhase::Spmv), 1.5);
-        assert_eq!(a.total_wait_vtime(), 6.5);
-        assert_eq!(a.total_hidden_vtime(), 4.5);
-        assert_eq!(a.total_exposed_vtime(), 7.5);
     }
 
     #[test]
     fn loghist_buckets_by_octave() {
-        let mut h = LogHist::new();
+        let mut h = LogHist::default();
         for _ in 0..99 {
             h.record(1.5); // [1, 2)
         }
@@ -518,9 +487,9 @@ mod tests {
 
     #[test]
     fn loghist_zero_and_empty() {
-        let h = LogHist::new();
+        let h = LogHist::default();
         assert_eq!(h.p50(), 0.0);
-        let mut h = LogHist::new();
+        let mut h = LogHist::default();
         h.record(0.0);
         h.record(-3.0);
         assert_eq!(h.count(), 2);
@@ -529,9 +498,9 @@ mod tests {
 
     #[test]
     fn loghist_merge_accumulates() {
-        let mut a = LogHist::new();
+        let mut a = LogHist::default();
         a.record(4.0);
-        let mut b = LogHist::new();
+        let mut b = LogHist::default();
         b.record(4.0);
         b.record(1e-6);
         a.merge(&b);
@@ -543,7 +512,7 @@ mod tests {
     #[test]
     fn loghist_deterministic_on_tiny_vtimes() {
         // Wait-time scale samples land in distinct, reproducible buckets.
-        let mut h = LogHist::new();
+        let mut h = LogHist::default();
         h.record(1.2e-5);
         h.record(2.5e-5);
         assert_eq!(h.count(), 2);
@@ -561,7 +530,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.msg_size_hist().count(), 2);
         assert_eq!(a.wait_hist(CommPhase::Reduction).count(), 1);
-        assert_eq!(a.total_wait_hist().count(), 1);
         assert_eq!(a.msg_size_hist().p99(), 128.0); // 100 ∈ [64, 128)
     }
 

@@ -22,25 +22,25 @@ const KIND_GROUP: u64 = 2;
 
 impl Tag {
     /// A user (application-level) point-to-point tag.
-    pub fn user(t: u32) -> Self {
+    pub(crate) fn user(t: u32) -> Self {
         Tag((KIND_USER << 62) | t as u64)
     }
 
     /// An internal collective tag: `op` identifies the collective kind,
     /// `seq` the per-communicator collective sequence number.
-    pub fn coll(op: u8, seq: u64) -> Self {
+    pub(crate) fn coll(op: u8, seq: u64) -> Self {
         debug_assert!(seq < (1 << 48), "collective sequence overflow");
         Tag((KIND_COLL << 62) | ((op as u64) << 48) | (seq & ((1 << 48) - 1)))
     }
 
     /// A sub-communicator collective tag, scoped by `gid`.
-    pub fn group(gid: u32, op: u8, seq: u32) -> Self {
+    pub(crate) fn group(gid: u32, op: u8, seq: u32) -> Self {
         Tag((KIND_GROUP << 62) | ((gid as u64) << 30) | ((op as u64) << 22) | seq as u64)
     }
 
     /// Human-readable decoding for diagnostics ("user(7)",
     /// "coll(allreduce, seq 3)", "group(gid 0x2a, allreduce, seq 1)", …).
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self.0 >> 62 {
             KIND_USER => format!("user({})", self.0 & 0xFFFF_FFFF),
             KIND_COLL => format!(
@@ -62,15 +62,15 @@ impl Tag {
 /// Collective operation identifiers (for tag scoping only). Each value is
 /// part of every tag of its kind, and tags are part of the pinned traces,
 /// so the values are fixed; the gaps are retired kinds.
-pub mod op {
+pub(crate) mod op {
     /// Barrier synchronization.
-    pub const BARRIER: u8 = 1;
+    pub(crate) const BARRIER: u8 = 1;
     /// Personalized all-to-all.
-    pub const ALLTOALL: u8 = 5;
+    pub(crate) const ALLTOALL: u8 = 5;
     /// Recursive-doubling all-reduce (one tag covers all of its rounds:
     /// within one call every ordered pair of ranks exchanges at most one
     /// message, so rounds cannot be confused).
-    pub const ALLREDUCE: u8 = 7;
+    pub(crate) const ALLREDUCE: u8 = 7;
 
     /// The operation's name, for diagnostics.
     pub(crate) fn name(op: u8) -> &'static str {

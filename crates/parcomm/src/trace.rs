@@ -9,7 +9,7 @@
 //! `tests/observers.rs` holds it for every solver).
 //!
 //! The recorder is one consumer of the node's event stream
-//! ([`crate::observe`]): [`TraceState::observe`] keeps every span, marker,
+//! (`crate::observe`): `TraceState::observe` keeps every span, marker,
 //! send, receive and wait it is shown, so the trace and [`crate::CommStats`]
 //! are two readings of the same events in the same order.
 //!
@@ -130,7 +130,7 @@ impl TraceEventKind {
 
 /// Per-node recorder, owned by the `NodeCtx` while the program runs.
 #[derive(Debug)]
-pub struct TraceState {
+pub(crate) struct TraceState {
     rank: usize,
     events: Vec<TraceEvent>,
     send_seq: HashMap<(usize, Tag), u64>,
@@ -257,18 +257,14 @@ pub struct ClusterTrace {
 #[derive(Clone, Debug)]
 pub struct CriticalStep {
     /// Rank the step executed on.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Accounting phase of the step's cost.
-    pub phase: Option<CommPhase>,
+    pub(crate) phase: Option<CommPhase>,
     /// Innermost enclosing scope when the step ran (e.g.
     /// `("iteration", 7)`), if any.
-    pub scope: Option<(&'static str, u64)>,
-    /// Step kind: `"send"`, `"recv"`, or `"wait"`.
-    pub kind: &'static str,
+    pub(crate) scope: Option<(&'static str, u64)>,
     /// Virtual time the chain spends in this step.
-    pub weight: f64,
-    /// Virtual time the step started.
-    pub t: f64,
+    pub(crate) weight: f64,
 }
 
 /// Result of [`ClusterTrace::critical_path`]: the longest dependent chain
@@ -558,19 +554,17 @@ impl ClusterTrace {
                 continue;
             }
             let (r, ev) = event_of(g);
-            let (kind, phase) = match ev.kind {
-                TraceEventKind::Send { phase, .. } => ("send", Some(phase)),
-                TraceEventKind::Recv { phase, .. } => ("recv", Some(phase)),
-                TraceEventKind::Wait { phase, .. } => ("wait", Some(phase)),
-                _ => ("other", None),
+            let phase = match ev.kind {
+                TraceEventKind::Send { phase, .. }
+                | TraceEventKind::Recv { phase, .. }
+                | TraceEventKind::Wait { phase, .. } => Some(phase),
+                _ => None,
             };
             steps.push(CriticalStep {
                 rank: r,
                 phase,
                 scope: scope_of[g],
-                kind,
                 weight: paid,
-                t: ev.t,
             });
         }
 
@@ -821,265 +815,6 @@ fn esc(s: &str) -> String {
     out
 }
 
-// ----------------------------------------------------------------------
-// Chrome-trace schema validation (hand-rolled JSON — the workspace has no
-// serde; see DESIGN.md "Dependency policy").
-// ----------------------------------------------------------------------
-
-#[derive(Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            b: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("JSON parse error at byte {}: {what}", self.i)
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.i + 4 >= self.b.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through bytewise.
-                    let start = self.i;
-                    self.i += 1;
-                    while self.i < self.b.len() && (self.b[self.i] & 0xC0) == 0x80 {
-                        self.i += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.b[start..self.i])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("bad number"))
-    }
-}
-
-/// Parse `json` and verify it is a structurally valid Chrome-trace
-/// document: a top-level object holding a `traceEvents` array whose every
-/// entry is an event object with the fields Perfetto requires for its
-/// phase (`X` complete events, `M` metadata, `i` instants). Returns the
-/// number of events on success.
-pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
-    let mut p = Parser::new(json);
-    let doc = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    let events = match doc.get("traceEvents") {
-        Some(Json::Arr(events)) => events,
-        _ => return Err("top-level object lacks a traceEvents array".to_string()),
-    };
-    for (i, ev) in events.iter().enumerate() {
-        let ph = match ev.get("ph") {
-            Some(Json::Str(s)) => s.as_str(),
-            _ => return Err(format!("event {i}: missing ph")),
-        };
-        let need_num = |key: &str| match ev.get(key) {
-            Some(Json::Num(x)) if x.is_finite() => Ok(*x),
-            _ => Err(format!("event {i} (ph {ph}): missing numeric {key}")),
-        };
-        let need_str = |key: &str| match ev.get(key) {
-            Some(Json::Str(_)) => Ok(()),
-            _ => Err(format!("event {i} (ph {ph}): missing string {key}")),
-        };
-        match ph {
-            "X" => {
-                need_str("name")?;
-                need_num("pid")?;
-                need_num("tid")?;
-                need_num("ts")?;
-                let dur = need_num("dur")?;
-                if dur < 0.0 {
-                    return Err(format!("event {i}: negative dur"));
-                }
-            }
-            "M" => {
-                need_str("name")?;
-                need_num("pid")?;
-            }
-            "i" => {
-                need_str("name")?;
-                need_num("pid")?;
-                need_num("tid")?;
-                need_num("ts")?;
-            }
-            other => return Err(format!("event {i}: unexpected ph {other:?}")),
-        }
-    }
-    Ok(events.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1236,7 +971,7 @@ mod tests {
         let cp = tr.critical_path();
         assert_eq!(cp.total, 1.0);
         assert_eq!(cp.steps.len(), 1);
-        assert_eq!(cp.steps[0].kind, "send");
+        assert_eq!(cp.steps[0].rank, 0, "the step is rank 0's send");
         assert_eq!(cp.by_rank, vec![(0, 1.0)]);
     }
 
@@ -1269,83 +1004,6 @@ mod tests {
         assert_eq!(cp.total, 2.0);
         assert_eq!(cp.by_scope, vec![("iteration 3".to_string(), 2.0)]);
         assert_eq!(cp.by_phase, vec![(CommPhase::Reduction, 2.0)]);
-    }
-
-    #[test]
-    fn chrome_export_is_schema_valid() {
-        let tr = ClusterTrace {
-            nodes: vec![
-                NodeTrace {
-                    rank: 0,
-                    events: vec![
-                        ev(
-                            0.0,
-                            TraceEventKind::Open {
-                                name: "iteration",
-                                arg: 0,
-                            },
-                        ),
-                        ev(0.0, send(1, 0, 0.5)),
-                        ev(
-                            0.5,
-                            TraceEventKind::Instant {
-                                name: "failure",
-                                arg: 1,
-                            },
-                        ),
-                        ev(1.0, TraceEventKind::Close),
-                    ],
-                },
-                NodeTrace {
-                    rank: 1,
-                    events: vec![
-                        ev(0.0, recv(0, 0, 0.5)),
-                        ev(
-                            0.5,
-                            TraceEventKind::Wait {
-                                phase: CommPhase::Reduction,
-                                exposed: 0.25,
-                                hidden: 0.25,
-                            },
-                        ),
-                    ],
-                },
-            ],
-        };
-        let json = tr.chrome_trace_json();
-        let n = validate_chrome_trace(&json).expect("schema-valid");
-        // 2 process_name + 3 thread lanes (rank 0: control+spmv; rank 1:
-        // control+spmv+reduction... rank 1 control lane is still emitted)
-        // plus 5 payload events.
-        assert!(n >= 7, "{n} events in {json}");
-    }
-
-    #[test]
-    fn chrome_export_closes_dangling_spans() {
-        let tr = ClusterTrace {
-            nodes: vec![NodeTrace {
-                rank: 0,
-                events: vec![ev(
-                    0.25,
-                    TraceEventKind::Open {
-                        name: "iteration",
-                        arg: 1,
-                    },
-                )],
-            }],
-        };
-        validate_chrome_trace(&tr.chrome_trace_json()).expect("dangling span closed at export");
-    }
-
-    #[test]
-    fn json_validator_rejects_garbage() {
-        assert!(validate_chrome_trace("").is_err());
-        assert!(validate_chrome_trace("{").is_err());
-        assert!(validate_chrome_trace("[]").is_err());
-        assert!(validate_chrome_trace("{\"traceEvents\":{}}").is_err());
-        assert!(validate_chrome_trace("{\"traceEvents\":[{\"ph\":\"Q\"}]}").is_err());
-        assert!(validate_chrome_trace("{\"traceEvents\":[]} x").is_err());
-        assert!(validate_chrome_trace("{\"traceEvents\":[]}").is_ok());
     }
 
     #[test]

@@ -62,17 +62,17 @@ pub struct VClock {
 
 impl VClock {
     /// A clock at time zero under `model`.
-    pub fn new(model: CostModel) -> Self {
+    pub(crate) fn new(model: CostModel) -> Self {
         VClock { now: 0.0, model }
     }
 
     /// Current virtual time (seconds).
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.now
     }
 
     /// The active cost model.
-    pub fn model(&self) -> CostModel {
+    pub(crate) fn model(&self) -> CostModel {
         self.model
     }
 
@@ -91,7 +91,7 @@ impl VClock {
     /// Stamp an outgoing message: returns its arrival time at the receiver
     /// and advances the sender by the send overhead (the sender is busy for
     /// the full transfer in the one-element-at-a-time model of the paper).
-    pub fn stamp_send(&mut self, elems: usize) -> f64 {
+    pub(crate) fn stamp_send(&mut self, elems: usize) -> f64 {
         let cost = self.model.msg_cost(elems);
         self.now += cost;
         self.now
@@ -101,7 +101,7 @@ impl VClock {
     /// the receiver cannot proceed before the message has arrived. Returns
     /// the stall — how long the clock jumped forward waiting (0 if the
     /// message had already arrived).
-    pub fn absorb_arrival(&mut self, arrival_vtime: f64) -> f64 {
+    pub(crate) fn absorb_arrival(&mut self, arrival_vtime: f64) -> f64 {
         if arrival_vtime > self.now {
             let stall = arrival_vtime - self.now;
             self.now = arrival_vtime;
@@ -111,15 +111,8 @@ impl VClock {
         }
     }
 
-    /// Jump forward to `t` if `t` is later (used by barriers/reductions).
-    pub fn sync_to(&mut self, t: f64) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
     /// Reset to zero (between timed experiment sections).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.now = 0.0;
     }
 }

@@ -109,16 +109,6 @@ impl BlockJacobi {
         })
     }
 
-    /// Number of blocks.
-    pub fn blocks(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// The configured block solver.
-    pub fn solver(&self) -> BlockSolver {
-        self.solver
-    }
-
     /// Densified explicit inverse `P = M⁻¹` as a sparse matrix (dense
     /// within each block). Only sensible for small blocks; used to exercise
     /// the paper's P-given reconstruction variant.
@@ -193,7 +183,7 @@ mod tests {
     fn multi_block_is_spd_operator() {
         let a = poisson2d(6, 6);
         let p = BlockJacobi::with_blocks(&a, 4, BlockSolver::ExactLdl).unwrap();
-        assert_eq!(p.blocks(), 4);
+        assert_eq!(p.factors.len(), 4);
         let x: Vec<f64> = (0..36).map(|i| ((i % 7) as f64) - 3.0).collect();
         let y: Vec<f64> = (0..36).map(|i| ((i % 5) as f64) - 2.0).collect();
         let mut mx = vec![0.0; 36];
@@ -241,6 +231,6 @@ mod tests {
         let a = poisson2d(5, 5);
         let part = BlockPartition::new(25, 3);
         let p = BlockJacobi::from_partition(&a, &part, BlockSolver::ExactLdl).unwrap();
-        assert_eq!(p.blocks(), 3);
+        assert_eq!(p.factors.len(), 3);
     }
 }

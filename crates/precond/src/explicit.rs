@@ -45,11 +45,6 @@ impl ExplicitPrec {
         }
         ExplicitPrec::new(coo.to_csr())
     }
-
-    /// The underlying matrix.
-    pub fn matrix(&self) -> &Csr {
-        &self.p
-    }
 }
 
 impl Preconditioner for ExplicitPrec {
@@ -102,7 +97,7 @@ mod tests {
     fn exposes_matrix_sections() {
         let a = poisson2d(4, 4);
         let pe = ExplicitPrec::jacobi_of(&a).unwrap();
-        let sub = pe.matrix().extract(&[0, 1], &[0, 1]);
+        let sub = pe.p.extract(&[0, 1], &[0, 1]);
         assert_eq!(sub.nnz(), 2);
     }
 }

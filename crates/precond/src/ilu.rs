@@ -99,7 +99,7 @@ impl Ilu0 {
     }
 
     /// In-place forward (unit-L) then backward (U) substitution.
-    pub fn solve_in_place(&self, x: &mut [f64]) {
+    pub(crate) fn solve_in_place(&self, x: &mut [f64]) {
         let n = self.factors.n_rows();
         assert_eq!(x.len(), n);
         let row_ptr = self.factors.row_ptr();
@@ -124,7 +124,7 @@ impl Ilu0 {
     }
 
     /// Flops of one solve (2 per stored entry + n divisions).
-    pub fn solve_flops(&self) -> usize {
+    pub(crate) fn solve_flops(&self) -> usize {
         2 * self.factors.nnz() + self.factors.n_rows()
     }
 }

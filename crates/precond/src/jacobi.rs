@@ -25,11 +25,6 @@ impl Jacobi {
         }
         Ok(Jacobi { inv_diag })
     }
-
-    /// The inverse diagonal entries.
-    pub fn inv_diag(&self) -> &[f64] {
-        &self.inv_diag
-    }
 }
 
 impl Preconditioner for Jacobi {

@@ -15,7 +15,7 @@
 //! pattern of L's columns is kept in one of two encodings, chosen at the
 //! end of [`SparseLdl::factor_with`] from the pattern itself, exactly as
 //! [`Csr`] chooses for its rows (same helper, [`sparsemat::csr::Runs`];
-//! same threshold, [`sparsemat::csr::SEG_MIN_AVG_RUN`]):
+//! same threshold, `sparsemat::csr::SEG_MIN_AVG_RUN`):
 //!
 //! * **runs** — the columns of a banded factor are almost entirely runs of
 //!   consecutive rows. When the average run is long enough only the runs
@@ -57,7 +57,7 @@ use sparsemat::Csr;
 /// Stored entries from which the backward sweep sums a column of L in four
 /// position-lanes (module docs); a shorter column keeps the single ascending
 /// chain, which the lanes' set-up, call and final reduction do not beat.
-/// Measured like [`sparsemat::csr::SEG_MIN_AVG_RUN`], by
+/// Measured like `sparsemat::csr::SEG_MIN_AVG_RUN`, by
 /// `tests::run_length_crossover_sweep` (DESIGN.md, "The kernel layer"): from
 /// here the lanes lose by no more than ≈ 4 % in either encoding at runs of 12
 /// rows or more, and win from 128 entries. Long columns made of 4–7-row runs

@@ -22,12 +22,12 @@
 // the numeric kernels in this crate; iterator-zip pyramids obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-pub mod block_jacobi;
-pub mod explicit;
-pub mod ilu;
-pub mod jacobi;
+pub(crate) mod block_jacobi;
+pub(crate) mod explicit;
+pub(crate) mod ilu;
+pub(crate) mod jacobi;
 pub mod ldl;
-pub mod traits;
+pub(crate) mod traits;
 
 pub use block_jacobi::{BlockJacobi, BlockSolver};
 pub use explicit::ExplicitPrec;

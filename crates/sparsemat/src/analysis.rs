@@ -7,8 +7,8 @@
 //! * `send_sets` — the paper's `S_ik`: elements of node `i` sent to `k`;
 //! * `multiplicities` — the paper's `mᵢ(s)`: to how many distinct nodes an
 //!   owned element travels naturally;
-//! * [`PatternAnalysis`] — summary statistics (multiplicity histogram,
-//!   `|Rᶜᵢ|` per node) used by the Sec. 4.2/5 analysis benchmark.
+//! * [`PatternAnalysis`] — the natural coverage per redundancy level, used
+//!   by the Sec. 4.2/5 analysis benchmark.
 
 use crate::csr::Csr;
 use crate::partition::BlockPartition;
@@ -51,7 +51,7 @@ pub fn send_sets(a: &Csr, part: &BlockPartition) -> Vec<Vec<Vec<usize>>> {
 /// The multiplicities `mᵢ(s)` of the paper's Eqn. (3), as a global array:
 /// `m[s]` = number of distinct *other* nodes that element `s` is sent to
 /// during SpMV.
-pub fn multiplicities(a: &Csr, part: &BlockPartition) -> Vec<u32> {
+pub(crate) fn multiplicities(a: &Csr, part: &BlockPartition) -> Vec<u32> {
     let mut m = vec![0u32; part.n()];
     for k in 0..part.nodes() {
         for idx in ghost_needs(a, part, k) {
@@ -64,14 +64,6 @@ pub fn multiplicities(a: &Csr, part: &BlockPartition) -> Vec<u32> {
 /// Pattern summary for one matrix + partition.
 #[derive(Clone, Debug)]
 pub struct PatternAnalysis {
-    /// `hist[m]` = number of elements with natural multiplicity exactly
-    /// `m`; the last bucket accumulates everything ≥ `hist.len() - 1`.
-    pub multiplicity_hist: Vec<u64>,
-    /// Per node `i`: `|Rᶜᵢ|`, the number of owned elements never sent
-    /// anywhere (Eqn. 2) — these always need extra redundancy messages.
-    pub rc_sizes: Vec<usize>,
-    /// Per node `i`: number of distinct nodes `i` sends to during SpMV.
-    pub spmv_degree: Vec<usize>,
     /// Fraction of elements with multiplicity ≥ φ for φ = 1..=8
     /// (`coverage[φ-1]`): if ≈ 1, redundancy level φ is nearly free
     /// (paper Sec. 5).
@@ -81,39 +73,19 @@ pub struct PatternAnalysis {
 /// Analyze the natural SpMV traffic of `a` under `part`.
 pub fn analyze(a: &Csr, part: &BlockPartition) -> PatternAnalysis {
     let m = multiplicities(a, part);
-    let nodes = part.nodes();
-    const HIST_CAP: usize = 17;
-    let mut hist = vec![0u64; HIST_CAP];
-    for &mi in &m {
-        hist[(mi as usize).min(HIST_CAP - 1)] += 1;
-    }
-    let mut rc_sizes = vec![0usize; nodes];
-    for i in 0..nodes {
-        rc_sizes[i] = part.range(i).filter(|&s| m[s] == 0).count();
-    }
-    let sets = send_sets(a, part);
-    let spmv_degree = sets
-        .iter()
-        .map(|row| row.iter().filter(|s| !s.is_empty()).count())
-        .collect();
     let n = part.n() as f64;
     let mut coverage = [0.0f64; 8];
     for (phi_m1, c) in coverage.iter_mut().enumerate() {
         let phi = phi_m1 as u32 + 1;
         *c = m.iter().filter(|&&mi| mi >= phi).count() as f64 / n;
     }
-    PatternAnalysis {
-        multiplicity_hist: hist,
-        rc_sizes,
-        spmv_degree,
-        coverage,
-    }
+    PatternAnalysis { coverage }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{circuit_like, poisson2d, poisson3d};
+    use crate::gen::{circuit_like, poisson2d};
 
     #[test]
     fn ghost_needs_tridiagonal() {
@@ -168,14 +140,18 @@ mod tests {
         // are boundary rows, so everything they own travels (Rᶜ = 0).
         let a = poisson2d(8, 8);
         let part = BlockPartition::new(64, 4);
-        let an = analyze(&a, &part);
-        assert_eq!(an.rc_sizes, vec![8, 0, 0, 8]);
+        let m = multiplicities(&a, &part);
+        let rc_sizes: Vec<usize> = (0..4)
+            .map(|i| part.range(i).filter(|&s| m[s] == 0).count())
+            .collect();
+        assert_eq!(rc_sizes, vec![8, 0, 0, 8]);
         // Narrow band: neighbours-only communication.
-        assert!(
-            an.spmv_degree.iter().all(|&d| d <= 2),
-            "{:?}",
-            an.spmv_degree
-        );
+        let sets = send_sets(&a, &part);
+        let spmv_degree: Vec<usize> = sets
+            .iter()
+            .map(|row| row.iter().filter(|s| !s.is_empty()).count())
+            .collect();
+        assert!(spmv_degree.iter().all(|&d| d <= 2), "{spmv_degree:?}");
     }
 
     #[test]
@@ -196,15 +172,6 @@ mod tests {
             an.coverage[0],
             bn.coverage[0]
         );
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let a = poisson3d(5, 5, 5);
-        let part = BlockPartition::new(125, 5);
-        let an = analyze(&a, &part);
-        let total: u64 = an.multiplicity_hist.iter().sum();
-        assert_eq!(total, 125);
     }
 
     #[test]

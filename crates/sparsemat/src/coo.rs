@@ -27,7 +27,7 @@ impl Coo {
     }
 
     /// Pre-allocate for `nnz` entries.
-    pub fn with_capacity(n_rows: usize, n_cols: usize, nnz: usize) -> Self {
+    pub(crate) fn with_capacity(n_rows: usize, n_cols: usize, nnz: usize) -> Self {
         let mut c = Coo::new(n_rows, n_cols);
         c.entries.reserve(nnz);
         c
@@ -47,21 +47,6 @@ impl Coo {
         if row != col {
             self.push(col, row, value);
         }
-    }
-
-    /// Number of raw triplets (before duplicate summing).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no triplets were added.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Matrix dimensions.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.n_rows, self.n_cols)
     }
 
     /// Convert to CSR: rows sorted, columns sorted within rows, duplicates

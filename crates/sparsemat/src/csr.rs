@@ -10,7 +10,7 @@
 //! column fits, every row is sorted/unique/in-range), halving index
 //! bandwidth against the former `usize` storage. On top of the indexed
 //! representation, construction detects **runs** of consecutive columns
-//! and, when the average run is long enough ([`SEG_MIN_AVG_RUN`]), keeps a
+//! and, when the average run is long enough (`SEG_MIN_AVG_RUN`), keeps a
 //! run-length encoding ([`Runs`]; `precond`'s LDLᵀ factor encodes its
 //! columns with the same helper). The segment kernel turns the per-element
 //! gather `x[col[p]]` into contiguous slice dot-products with no index
@@ -28,7 +28,7 @@ use crate::coo::Coo;
 /// Minimum average run length (nnz / runs) for construction to keep the
 /// run-length encoding. Below this the per-run slice overhead outweighs
 /// the saved index traffic and the indexed kernel is used instead.
-pub const SEG_MIN_AVG_RUN: usize = 4;
+pub(crate) const SEG_MIN_AVG_RUN: usize = 4;
 
 /// Run-length encoding of the index array of a compressed pattern — the
 /// columns of a [`Csr`]'s rows, or the rows of a column-compressed factor's
@@ -44,7 +44,7 @@ pub struct Runs {
 impl Runs {
     /// Detect the runs of consecutive indices in every slice
     /// `idx[ptr[k]..ptr[k+1]]` (each sorted and unique) and keep the
-    /// encoding when the average run is at least [`SEG_MIN_AVG_RUN`].
+    /// encoding when the average run is at least `SEG_MIN_AVG_RUN`.
     pub fn detect(ptr: &[usize], idx: &[u32]) -> Option<Runs> {
         // First pass: count runs to decide profitability without building.
         let runs: usize = ptr
@@ -157,11 +157,6 @@ impl Csr {
             col_idx,
             vals,
         }
-    }
-
-    /// True if the run-length-encoded kernel is active for this matrix.
-    pub fn uses_segments(&self) -> bool {
-        self.segs.is_some()
     }
 
     /// `n × n` identity.
@@ -340,7 +335,7 @@ impl Csr {
 
     /// Max absolute asymmetry `|A - Aᵀ|∞`; 0 for structurally and
     /// numerically symmetric matrices.
-    pub fn asymmetry(&self) -> f64 {
+    pub(crate) fn asymmetry(&self) -> f64 {
         let t = self.transpose();
         let mut worst = 0.0f64;
         for r in 0..self.n_rows {
@@ -420,23 +415,9 @@ impl Csr {
         Csr::from_parts(rows.len(), cols.len(), row_ptr, col_idx, vals)
     }
 
-    /// Extract rows (renumbered `0..rows.len()`) keeping **all** columns.
-    pub fn extract_rows(&self, rows: &[usize]) -> Csr {
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
-        row_ptr.push(0);
-        for &r in rows {
-            let (cs, vs) = self.row(r);
-            col_idx.extend(cs.iter().map(|&c| c as usize));
-            vals.extend_from_slice(vs);
-            row_ptr.push(col_idx.len());
-        }
-        Csr::from_parts(rows.len(), self.n_cols, row_ptr, col_idx, vals)
-    }
-
     /// Bandwidth: `max |i - j|` over stored entries.
-    pub fn bandwidth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bandwidth(&self) -> usize {
         let mut bw = 0usize;
         for r in 0..self.n_rows {
             let (cols, _) = self.row(r);
@@ -570,7 +551,7 @@ mod tests {
             }
         }
         let a = coo.to_csr();
-        assert!(a.uses_segments());
+        assert!(a.segs.is_some());
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
         let mut y_ref = vec![0.0; n];
         let mut y = vec![0.0; n];
@@ -683,15 +664,6 @@ mod tests {
         let off = a.extract(&[0, 2], &[1]);
         assert_eq!(off.get(0, 0), -1.0);
         assert_eq!(off.get(1, 0), -1.0);
-    }
-
-    #[test]
-    fn extract_rows_keeps_columns() {
-        let a = sample();
-        let s = a.extract_rows(&[1]);
-        assert_eq!(s.n_rows(), 1);
-        assert_eq!(s.n_cols(), 3);
-        assert_eq!(s.row(0), (&[0u32, 1, 2][..], &[-1.0, 2.0, -1.0][..]));
     }
 
     #[test]

@@ -17,52 +17,12 @@ pub struct Dense {
 
 impl Dense {
     /// An `n_rows × n_cols` zero matrix.
-    pub fn zeros(n_rows: usize, n_cols: usize) -> Self {
+    pub(crate) fn zeros(n_rows: usize, n_cols: usize) -> Self {
         Dense {
             n_rows,
             n_cols,
             data: vec![0.0; n_rows * n_cols],
         }
-    }
-
-    /// The `n × n` identity.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Dense::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Build from a row-major slice.
-    pub fn from_rows(n_rows: usize, n_cols: usize, data: &[f64]) -> Self {
-        assert_eq!(data.len(), n_rows * n_cols);
-        Dense {
-            n_rows,
-            n_cols,
-            data: data.to_vec(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of columns.
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
-    /// `y = A x`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n_cols);
-        let mut y = vec![0.0; self.n_rows];
-        for r in 0..self.n_rows {
-            let row = &self.data[r * self.n_cols..(r + 1) * self.n_cols];
-            y[r] = crate::vecops::dot(row, x);
-        }
-        y
     }
 
     /// In-place Cholesky factorization `A = L Lᵀ` (lower triangle).
@@ -150,16 +110,43 @@ impl CholeskyFactor {
         }
         y
     }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dense {
+        /// The `n × n` identity.
+        fn identity(n: usize) -> Self {
+            let mut m = Dense::zeros(n, n);
+            for i in 0..n {
+                m[(i, i)] = 1.0;
+            }
+            m
+        }
+
+        /// Build from a row-major slice.
+        fn from_rows(n_rows: usize, n_cols: usize, data: &[f64]) -> Self {
+            assert_eq!(data.len(), n_rows * n_cols);
+            Dense {
+                n_rows,
+                n_cols,
+                data: data.to_vec(),
+            }
+        }
+
+        /// `y = A x`.
+        fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+            assert_eq!(x.len(), self.n_cols);
+            let mut y = vec![0.0; self.n_rows];
+            for r in 0..self.n_rows {
+                let row = &self.data[r * self.n_cols..(r + 1) * self.n_cols];
+                y[r] = crate::vecops::dot(row, x);
+            }
+            y
+        }
+    }
 
     fn spd3() -> Dense {
         Dense::from_rows(3, 3, &[4.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 2.0])

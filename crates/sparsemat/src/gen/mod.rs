@@ -20,8 +20,8 @@ pub mod suite;
 
 pub use elasticity::{elasticity3d, BlockStencil};
 pub use graphs::{circuit_like, mesh_laplacian_2d, MeshOrdering};
-pub use stencil::{banded_spd, fem3d, poisson2d, poisson3d};
-pub use suite::{generate, PaperMatrix, MATRICES};
+pub use stencil::{banded_spd, poisson2d, poisson3d};
+pub use suite::{generate, PaperMatrix};
 
 use crate::csr::Csr;
 use crate::rng::Rng;

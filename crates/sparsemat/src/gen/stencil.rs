@@ -55,7 +55,7 @@ pub fn poisson3d(nx: usize, ny: usize, nz: usize) -> Csr {
 /// 3-D "finite element" operator on a regular grid: a 19-point stencil
 /// (faces + edge diagonals) with jittered, deterministic coefficients.
 /// ~16–19 nnz/row, medium band. Paper analog class: **M2'** (offshore).
-pub fn fem3d(nx: usize, ny: usize, nz: usize, seed: u64) -> Csr {
+pub(crate) fn fem3d(nx: usize, ny: usize, nz: usize, seed: u64) -> Csr {
     let offsets: [(i64, i64, i64); 9] = [
         // Half of the 19-point stencil (the symmetric counterpart is
         // generated by push_sym); (0,0,0) handled separately.

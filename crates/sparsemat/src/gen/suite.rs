@@ -37,7 +37,7 @@ pub enum PaperMatrix {
 #[derive(Clone, Copy, Debug)]
 pub struct MatrixSpec {
     /// Which of the paper's eight test problems this is.
-    pub id: PaperMatrix,
+    pub(crate) id: PaperMatrix,
     /// The SuiteSparse matrix this stands in for.
     pub paper_name: &'static str,
     /// Application domain (paper Table 1's "Problem type").
@@ -51,7 +51,7 @@ pub struct MatrixSpec {
 }
 
 /// All eight specs in paper order (ordered by increasing paper NNZ).
-pub const MATRICES: [MatrixSpec; 8] = [
+pub(crate) const MATRICES: [MatrixSpec; 8] = [
     MatrixSpec {
         id: PaperMatrix::M1,
         paper_name: "parabolic_fem",

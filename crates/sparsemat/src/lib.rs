@@ -4,7 +4,7 @@
 //!
 //! * [`csr::Csr`] storage with SpMV, submatrix extraction, permutation,
 //!   symmetry checks ([`coo::Coo`] is the builder format);
-//! * [`dense`] — small dense matrices with Cholesky factorization, used for
+//! * `dense` — small dense matrices with Cholesky factorization, used for
 //!   exact preconditioner block solves and as an SPD test oracle;
 //! * [`partition::BlockPartition`] — the contiguous block-row data
 //!   distribution of the paper (Sec. 1.1.2);
@@ -15,9 +15,7 @@
 //! * [`analysis`] — sparsity-pattern analysis: the natural SpMV send sets
 //!   `S_ik` and multiplicities `mᵢ(s)` of the paper's Eqns. (2)–(3), which
 //!   determine the redundancy overhead (paper Sec. 5);
-//! * [`io`] — Matrix Market I/O so the real SuiteSparse matrices can be
-//!   dropped in when available;
-//! * [`rng`] — a seeded SplitMix64/Xoshiro256** PRNG making every generated
+//! * `rng` — a seeded SplitMix64/Xoshiro256** PRNG making every generated
 //!   matrix bit-reproducible across platforms and dependency versions.
 
 // Indexed loops over several parallel arrays are the clearest form for
@@ -25,15 +23,14 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod analysis;
-pub mod coo;
+pub(crate) mod coo;
 pub mod csr;
-pub mod dense;
+pub(crate) mod dense;
 pub mod gen;
 pub mod hotpath;
-pub mod io;
 pub mod order;
-pub mod partition;
-pub mod rng;
+pub(crate) mod partition;
+pub(crate) mod rng;
 pub mod vecops;
 
 pub use coo::Coo;

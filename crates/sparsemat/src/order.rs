@@ -111,7 +111,7 @@ fn bfs_farthest(a: &Csr, start: usize) -> (usize, usize) {
 }
 
 /// Average over rows of `max |i - j|` per row — a finer-grained locality
-/// measure than the worst-case [`Csr::bandwidth`].
+/// measure than the worst-case `Csr::bandwidth`.
 pub fn mean_row_bandwidth(a: &Csr) -> f64 {
     if a.n_rows() == 0 {
         return 0.0;

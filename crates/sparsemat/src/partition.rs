@@ -102,12 +102,6 @@ impl BlockPartition {
         self.starts.partition_point(|&s| s <= i) - 1
     }
 
-    /// Offset of global index `i` within its owner's block.
-    #[inline]
-    pub fn local_of(&self, i: usize) -> usize {
-        i - self.starts[self.owner_of(i)]
-    }
-
     /// The blocks whose union is `rows` — a non-empty range that starts and
     /// ends on block boundaries, such as a block of a partition cut at a
     /// subset of these starts (a shrunken layout's).
@@ -118,19 +112,6 @@ impl BlockPartition {
             (rows.start, rows.end)
         );
         first..last + 1
-    }
-
-    /// Union of ranges of several ranks, as a sorted global index list
-    /// (the failed set `If = I_{f1} ∪ … ∪ I_{fψ}` of paper Sec. 4.1).
-    pub fn union_of(&self, ranks: &[usize]) -> Vec<usize> {
-        let mut sorted = ranks.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut out = Vec::with_capacity(sorted.iter().map(|&r| self.len_of(r)).sum());
-        for r in sorted {
-            out.extend(self.range(r));
-        }
-        out
     }
 }
 
@@ -161,16 +142,9 @@ mod tests {
             for i in p.range(k) {
                 seen[i] += 1;
                 assert_eq!(p.owner_of(i), k);
-                assert_eq!(p.local_of(i), i - p.range(k).start);
             }
         }
         assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn union_is_sorted_and_deduped() {
-        let p = BlockPartition::new(9, 3);
-        assert_eq!(p.union_of(&[2, 0, 2]), vec![0, 1, 2, 6, 7, 8]);
     }
 
     #[test]
@@ -193,9 +167,7 @@ mod tests {
         for i in 0..20 {
             let o = p.owner_of(i);
             assert!(p.range(o).contains(&i));
-            assert_eq!(p.local_of(i), i - p.range(o).start);
         }
-        assert_eq!(p.union_of(&[2, 0]), (0..7).chain(9..20).collect::<Vec<_>>());
         assert_eq!(p.starts(), &[0, 7, 9, 20]);
     }
 

@@ -30,7 +30,7 @@ impl Rng {
     }
 
     /// Next uniformly distributed 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -43,7 +43,7 @@ impl Rng {
     }
 
     /// Uniform `f64` in `[0, 1)` (53-bit resolution).
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -68,12 +68,6 @@ impl Rng {
             }
         }
         (m >> 64) as usize
-    }
-
-    /// Uniform integer in `[lo, hi)`.
-    pub fn range(&mut self, lo: usize, hi: usize) -> usize {
-        assert!(lo < hi, "empty range");
-        lo + self.below(hi - lo)
     }
 
     /// Bernoulli trial with probability `p`.

@@ -17,7 +17,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 
 /// Squared Euclidean norm `‖x‖₂²`.
 #[inline]
-pub fn norm2_sq(x: &[f64]) -> f64 {
+pub(crate) fn norm2_sq(x: &[f64]) -> f64 {
     dot(x, x)
 }
 
@@ -43,31 +43,6 @@ pub fn xpay(x: &[f64], a: f64, y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi = xi + a * *yi;
     }
-}
-
-/// `x ← a·x`.
-#[inline]
-pub fn scale(a: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi *= a;
-    }
-}
-
-/// `z ← x - y`.
-#[inline]
-pub fn sub(x: &[f64], y: &[f64], z: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len(), z.len());
-    for ((zi, xi), yi) in z.iter_mut().zip(x).zip(y) {
-        *zi = xi - yi;
-    }
-}
-
-/// Flop count of one `dot`/`axpy` on vectors of length `n` (for the virtual
-/// clock: one multiply + one add per element).
-#[inline]
-pub fn flops_blas1(n: usize) -> usize {
-    2 * n
 }
 
 #[cfg(test)]
@@ -97,15 +72,5 @@ mod tests {
         let mut p = [3.0, 4.0];
         xpay(&z, 0.5, &mut p); // p = z + 0.5 p
         assert_eq!(p, [2.5, 3.0]);
-    }
-
-    #[test]
-    fn scale_and_sub() {
-        let mut x = [2.0, 4.0];
-        scale(0.5, &mut x);
-        assert_eq!(x, [1.0, 2.0]);
-        let mut z = [0.0, 0.0];
-        sub(&[3.0, 3.0], &[1.0, 2.0], &mut z);
-        assert_eq!(z, [2.0, 1.0]);
     }
 }

@@ -168,16 +168,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn matrix_market_roundtrip(seed in any::<u64>(), n in 3usize..20) {
-        let a = banded_spd(n, 2, 0.7, seed);
-        let path = std::env::temp_dir().join(format!("esr_mm_prop_{seed}_{n}.mtx"));
-        sparsemat::io::write_matrix_market(&a, &path).unwrap();
-        let b = sparsemat::io::read_matrix_market(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(a, b);
-    }
-
     /// The optimized SpMV (bounds-check-free, unrolled, segment-encoded)
     /// is pinned **bitwise** against the plain textbook loop on random
     /// patterns — the accumulation-order contract of the kernel layer.
