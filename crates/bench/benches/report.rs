@@ -112,10 +112,11 @@ fn comm_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
     let mut cases = Vec::new();
     for &n in nodes {
         let wall = Instant::now();
-        let out = Cluster::run(ClusterConfig::new(n).with_cost(cfgb.cost), move |ctx| {
+        let config = ClusterConfig::new(n).with_cost(cfgb.cost);
+        let run = Cluster::run_async(config, async move |ctx| {
             ctx.reset_metrics();
             for i in 0..CALLS {
-                ctx.allreduce_vec(ReduceOp::Sum, vec![i as f64, 1.0]);
+                ctx.allreduce_vec(ReduceOp::Sum, vec![i as f64, 1.0]).await;
             }
             (
                 ctx.vtime(),
@@ -125,7 +126,7 @@ fn comm_report(cfgb: &BenchConfig, nodes: &[usize]) -> String {
                 ctx.stats().total_elems(),
             )
         });
-        let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+        let (out, wall_ms) = (run.values, wall.elapsed().as_secs_f64() * 1e3);
         let vtime = out.iter().map(|o| o.0).fold(0.0, f64::max);
         let rounds_max = out.iter().map(|o| o.2 / o.1).max().unwrap();
         let msgs: u64 = out.iter().map(|o| o.3).sum();

@@ -148,7 +148,7 @@ impl ResilientKernel for BicgstabState {
         blk.vecs[SHAT] = shat;
     }
 
-    fn rebuild_distributed(
+    async fn rebuild_distributed(
         &mut self,
         ctx: &mut NodeCtx,
         env: &EngineEnv<'_>,
@@ -157,7 +157,8 @@ impl ResilientKernel for BicgstabState {
     ) {
         // v_If = A_{If,·} p̂: survivors serve the outside-If values, the
         // If-columns come from the reconstructors' rebuilt p̂ blocks.
-        comm.apply_matrix(ctx, env.statics.matrix(), blocks, PHAT, V, &self.v[PHAT]);
+        comm.apply_matrix(ctx, env.statics.matrix(), blocks, PHAT, V, &self.v[PHAT])
+            .await;
         // r_If = s_If + α v_If  (from s = r − α v).
         let alpha = self.s[ALPHA];
         for blk in blocks.iter_mut() {
@@ -189,7 +190,7 @@ impl Recurrence for BicgstabState {
     const CHANNELS: usize = 2;
     const TEST_FOLLOWS_UPDATE: bool = true;
 
-    fn init(ctx: &mut NodeCtx, layout: &mut Layout, b: &[f64]) -> (Self, f64) {
+    async fn init(ctx: &mut NodeCtx, layout: &mut Layout, b: &[f64]) -> (Self, f64) {
         // x(0) = 0 so that r̂0 = r(0) = p(0) = b is static data.
         let nloc = layout.lm.n_local();
         let b_loc = &b[layout.lm.range.clone()];
@@ -199,10 +200,12 @@ impl Recurrence for BicgstabState {
         }
         // ‖r(0)‖² and ρ(0) = r̂0ᵀr(0) travel in one fused length-2
         // all-reduce.
-        let init = ctx.allreduce_vec(
-            ReduceOp::Sum,
-            vec![dot(&v[R], &v[R]), dot(&v[RHAT0], &v[R])],
-        );
+        let init = ctx
+            .allreduce_vec(
+                ReduceOp::Sum,
+                vec![dot(&v[R], &v[R]), dot(&v[RHAT0], &v[R])],
+            )
+            .await;
         // ρ for the *next* iteration's p-update is fused with the
         // convergence reduction at the end of each iteration (both are
         // dots against the just-updated r) — three global reductions per
@@ -217,7 +220,7 @@ impl Recurrence for BicgstabState {
         false
     }
 
-    fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, j: u64) {
+    async fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, j: u64) {
         let [phat, shat, p, s, v, r, _, rhat0, _] = &mut self.v;
         let [alpha, omega, rho, rho_next] = &mut self.s;
         let (rank, nloc) = (ctx.rank(), r.len());
@@ -235,11 +238,11 @@ impl Recurrence for BicgstabState {
             ctx.clock_mut().advance_flops(6 * nloc);
         }
         // p̂ = M⁻¹ p ; first scatter (channel 0).
-        layout.prec.apply(ctx, p, phat);
-        layout.scatter(ctx, phat, &[(0, None)], None);
+        layout.prec.apply(ctx, p, phat).await;
+        layout.scatter(ctx, phat, &[(0, None)], None).await;
         layout.lm.spmv(phat, &layout.ghosts, v);
         ctx.clock_mut().advance_flops(layout.lm.spmv_flops());
-        let rhat0_v = layout.allreduce_sum(ctx, dot(rhat0, v));
+        let rhat0_v = layout.allreduce_sum(ctx, dot(rhat0, v)).await;
         if rhat0_v.abs() < f64::MIN_POSITIVE {
             panic!("rank {rank}: BiCGSTAB breakdown ((r̂0,v) = 0) at iteration {j}");
         }
@@ -250,19 +253,19 @@ impl Recurrence for BicgstabState {
         ctx.clock_mut().advance_flops(2 * nloc);
         // ŝ = M⁻¹ s ; second scatter (channel 1) — the failure boundary
         // follows with both channels scattered.
-        layout.prec.apply(ctx, s, shat);
-        layout.scatter(ctx, shat, &[(1, None)], None);
+        layout.prec.apply(ctx, s, shat).await;
+        layout.scatter(ctx, shat, &[(1, None)], None).await;
     }
 
-    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) {
+    async fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) {
         // Repair the ŝ scatter into the replaced ranks (a shrunken layout
         // re-exchanges it in full): their ghosts and ŝ copies; the p̂
         // channel heals at the next iteration's scatter. Then fall through
         // to t = A ŝ.
-        layout.scatter(ctx, &self.v[SHAT], &[(1, None)], to);
+        layout.scatter(ctx, &self.v[SHAT], &[(1, None)], to).await;
     }
 
-    fn finish_iteration(
+    async fn finish_iteration(
         &mut self,
         ctx: &mut NodeCtx,
         layout: &mut Layout,
@@ -275,7 +278,9 @@ impl Recurrence for BicgstabState {
         // t = A ŝ
         layout.lm.spmv(shat, &layout.ghosts, t);
         ctx.clock_mut().advance_flops(layout.lm.spmv_flops());
-        let tt_ts = layout.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(t, t), dot(t, s)]);
+        let tt_ts = layout
+            .allreduce_vec(ctx, ReduceOp::Sum, vec![dot(t, t), dot(t, s)])
+            .await;
         ctx.clock_mut().advance_flops(4 * nloc);
         let (tt, ts) = (tt_ts[0], tt_ts[1]);
         if tt <= 0.0 || !tt.is_finite() {
@@ -290,7 +295,9 @@ impl Recurrence for BicgstabState {
         axpy(-*omega, t, r);
         ctx.clock_mut().advance_flops(6 * nloc);
         // Fused: convergence test ‖r‖² + the next iteration's ρ = r̂0ᵀr.
-        let rr_rho = layout.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(r, r), dot(rhat0, r)]);
+        let rr_rho = layout
+            .allreduce_vec(ctx, ReduceOp::Sum, vec![dot(r, r), dot(rhat0, r)])
+            .await;
         ctx.clock_mut().advance_flops(4 * nloc);
         *rho_next = rr_rho[1];
         rr_rho[0]
@@ -314,9 +321,11 @@ mod tests {
     ) -> Vec<NodeOutcome> {
         let problem = problem.clone();
         let cfg = cfg.clone();
-        Cluster::run(ClusterConfig::new(nodes).with_script(script), move |ctx| {
-            node_program(SolverKind::BiCgStab, ctx, &problem, &cfg)
-        })
+        let config = ClusterConfig::new(nodes).with_script(script);
+        let run = Cluster::run_async(config, async move |ctx| {
+            node_program(SolverKind::BiCgStab, ctx, &problem, &cfg).await
+        });
+        run.values
     }
 
     fn max_err_to_ones(outs: &[NodeOutcome]) -> f64 {

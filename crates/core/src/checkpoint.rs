@@ -100,7 +100,7 @@ impl<'a> Rollback<'a> {
     /// one sender apart. A holder that is itself a surviving holder of a
     /// replica reads it locally; nothing is rebuilt, so nothing is handed
     /// over at commit.
-    fn fetch(&mut self, ctx: &mut NodeCtx, at: &Attempt<'_>, layout: &Layout, nv: usize) {
+    async fn fetch(&mut self, ctx: &mut NodeCtx, at: &Attempt<'_>, layout: &Layout, nv: usize) {
         let (plan, store) = (at.plan, &*self.store);
         let me = plan.me;
         let server_of = |f: usize| -> usize {
@@ -143,7 +143,10 @@ impl<'a> Rollback<'a> {
         for (r, rows) in cut(&layout.part, &layout.plan.members, &new_range) {
             let src = from(r);
             let data = match lost_of(r) {
-                _ if src != me => ctx.recv_phase(src, tag(at.seq, OFF_FETCH), CommPhase::Recovery),
+                _ if src != me => {
+                    let tag = tag(at.seq, OFF_FETCH);
+                    ctx.recv_phase(src, tag, CommPhase::Recovery).await
+                }
                 Some(l) => slice_pack(&replica(r).data, &l.range, &rows, nv),
                 // Its own rows: the commit reads its own pack.
                 None => continue,
@@ -163,7 +166,7 @@ impl<'a> Rollback<'a> {
     /// at the same SPMD boundaries, so the min is a guard more than an
     /// arbiter — and the fetched replicas carry the same epoch (deposit
     /// rounds and failure boundaries never interleave).
-    fn agree_on_epoch(&mut self, ctx: &mut NodeCtx, at: &Attempt<'_>) {
+    async fn agree_on_epoch(&mut self, ctx: &mut NodeCtx, at: &Attempt<'_>) {
         let proposal = if at.plan.am_failed {
             f64::INFINITY
         } else {
@@ -171,6 +174,7 @@ impl<'a> Rollback<'a> {
         };
         let mut g = ctx.group(&at.plan.new_members);
         let agreed = g.allreduce_vec(ctx, ReduceOp::Min, vec![proposal], CommPhase::Recovery);
+        let agreed = agreed.await;
         self.epoch = agreed[0] as u64;
     }
 }
@@ -185,17 +189,20 @@ impl Flavor for Rollback<'_> {
         self.store.poison();
     }
 
-    fn stage(
+    async fn stage<K: ResilientKernel>(
         &mut self,
         substep: u32,
         ctx: &mut NodeCtx,
         at: &Attempt<'_>,
         layout: &Layout,
-        kernel: &mut dyn ResilientKernel,
+        kernel: &mut K,
     ) {
         match substep {
-            1 => self.fetch(ctx, at, layout, kernel.shape().pack_slots.len()),
-            2 => self.agree_on_epoch(ctx, at),
+            1 => {
+                let nv = kernel.shape().pack_slots.len();
+                self.fetch(ctx, at, layout, nv).await
+            }
+            2 => self.agree_on_epoch(ctx, at).await,
             // Nothing left to do but hold the last boundary before the
             // state is committed.
             _ => {}
@@ -207,12 +214,12 @@ impl Flavor for Rollback<'_> {
     /// shrink, rebuild the layout on the survivors and re-seed the deposit
     /// ring for the new member list — the re-deposit at the rolled-back
     /// iteration refills the replicas.
-    fn commit(
+    async fn commit<K: ResilientKernel>(
         &mut self,
         ctx: &mut NodeCtx,
         at: &Attempt<'_>,
         layout: &mut Layout,
-        kernel: &mut dyn ResilientKernel,
+        kernel: &mut K,
     ) -> (usize, Option<u64>) {
         let (plan, epoch) = (at.plan, self.epoch);
         let new_range = plan.new_part.range(plan.new_slot());

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parcomm::{Cluster, ClusterConfig, CommStats, CostModel, FailureScript, NodeCtx};
+use parcomm::{Cluster, ClusterConfig, CommStats, CostModel, FailureScript, HostWork, NodeCtx};
 use sparsemat::vecops::norm2;
 use sparsemat::Csr;
 
@@ -98,6 +98,10 @@ pub struct ExperimentResult {
     /// Host wall-clock time of the whole cluster run (oversubscribed
     /// host — use `vtime` for paper-shaped comparisons).
     pub wall: Duration,
+    /// The host work behind `wall`, counted exactly: node suspensions and
+    /// host threads spawned (none: every node is polled on the calling
+    /// thread).
+    pub host: HostWork,
     /// Cluster-wide communication totals.
     pub stats: CommStats,
     /// Failure events recovered from (max over nodes — identical on all).
@@ -226,7 +230,7 @@ impl ExperimentResult {
 /// combination (`SolverConfig::validate`) and, under ESR protection, the
 /// symmetry of `A` up front, and returns a typed
 /// [`ConfigError`] naming the violated constraint — unsupported
-/// combinations fail as a `Result`, not as a panic deep in a node thread.
+/// combinations fail as a `Result`, not as a panic deep in a node program.
 /// State protection is part of the configuration, not of the entry point:
 /// checkpoint/restart is `cfg.resilience` with
 /// [`crate::config::Protection::Checkpoint`].
@@ -245,7 +249,7 @@ pub fn run(
         });
     }
     cfg.validate(solver, nodes)?;
-    // One store for all node threads, also when `problem.a` was replaced.
+    // One store for all nodes, also when `problem.a` was replaced.
     let shared = Problem {
         statics: problem.statics(),
         ..problem.clone()
@@ -267,15 +271,15 @@ pub fn run(
         .with_script(script)
         .with_spares(spares);
     let traced = cfg.trace;
-    let program = move |ctx: &mut NodeCtx| node_program(solver, ctx, &shared, &cfg);
+    let program = async move |ctx: &mut NodeCtx| node_program(solver, ctx, &shared, &cfg).await;
     let start = Instant::now();
-    let (per_node, trace) = if traced {
-        let (per_node, trace) = Cluster::run_traced(cluster_cfg, program);
-        (per_node, Some(trace))
+    let run = if traced {
+        Cluster::run_traced(cluster_cfg, program)
     } else {
-        (Cluster::run(cluster_cfg, program), None)
+        Cluster::run_async(cluster_cfg, program)
     };
     let wall = start.elapsed();
+    let per_node = run.values;
 
     // Assemble the global solution in rank order (retired nodes own no
     // rows; adopters cover the gaps with their widened blocks).
@@ -328,6 +332,7 @@ pub fn run(
         vtime_recovery,
         vtime_setup,
         wall,
+        host: run.host,
         stats,
         recoveries: canon.recoveries,
         ranks_recovered: canon.ranks_recovered,
@@ -335,7 +340,7 @@ pub fn run(
         inner_iterations,
         x,
         per_node,
-        trace,
+        trace: run.trace,
     })
 }
 

@@ -62,17 +62,17 @@ impl Flavor for Reconstruction {
         }
     }
 
-    fn stage(
+    async fn stage<K: ResilientKernel>(
         &mut self,
         substep: u32,
         ctx: &mut NodeCtx,
         at: &Attempt<'_>,
         layout: &Layout,
-        kernel: &mut dyn ResilientKernel,
+        kernel: &mut K,
     ) {
         if substep == 1 {
             *self = Reconstruction::default();
-            return self.gather(ctx, at, layout, kernel);
+            return self.gather(ctx, at, layout, kernel).await;
         }
         let mut comm = EngineComm {
             at,
@@ -80,17 +80,22 @@ impl Flavor for Reconstruction {
             wire: &mut self.wire,
         };
         match substep {
-            2 => kernel.rebuild_distributed(ctx, at.env, &mut comm, &mut self.blocks),
-            _ => comm.solve_x(ctx, kernel, &mut self.blocks),
+            2 => {
+                let blocks = &mut self.blocks;
+                kernel
+                    .rebuild_distributed(ctx, at.env, &mut comm, blocks)
+                    .await
+            }
+            _ => comm.solve_x(ctx, kernel, &mut self.blocks).await,
         }
     }
 
-    fn commit(
+    async fn commit<K: ResilientKernel>(
         &mut self,
         ctx: &mut NodeCtx,
         at: &Attempt<'_>,
         layout: &mut Layout,
-        kernel: &mut dyn ResilientKernel,
+        kernel: &mut K,
     ) -> (usize, Option<u64>) {
         let (plan, me) = (at.plan, at.plan.me);
         let shrunk = !plan.retired().is_empty();
@@ -112,7 +117,7 @@ impl Flavor for Reconstruction {
             for lost in plan.lost.iter().filter(|l| l.reconstructor != me) {
                 let rows = lost.range.start.max(new_range.start)..lost.range.end.min(new_range.end);
                 if !rows.is_empty() {
-                    blocks.push(take_over(ctx, lost.reconstructor, handover, rows));
+                    blocks.push(take_over(ctx, lost.reconstructor, handover, rows).await);
                 }
             }
             blocks.append(&mut self.blocks);
@@ -130,12 +135,12 @@ impl Reconstruction {
     /// Stage 1: route the replicated scalars to the replaced ranks and the
     /// retained copies to the reconstructors, which rebuild the locally
     /// derivable part of their blocks.
-    fn gather(
+    async fn gather<K: ResilientKernel>(
         &mut self,
         ctx: &mut NodeCtx,
         at: &Attempt<'_>,
         layout: &Layout,
-        kernel: &mut dyn ResilientKernel,
+        kernel: &mut K,
     ) {
         let (plan, seq) = (at.plan, at.seq);
         let me = plan.me;
@@ -158,6 +163,7 @@ impl Reconstruction {
         } else if plan.am_failed {
             let sc = ctx
                 .recv_phase(lowest_surv, tag(seq, OFF_SCALARS), CommPhase::Recovery)
+                .await
                 .into_f64s();
             for (&i, v) in resent.iter().zip(sc) {
                 kernel.scalars_mut()[i] = v;
@@ -210,7 +216,7 @@ impl Reconstruction {
                     retained(rd, &lost.range)
                 };
                 let tag = tag(seq, OFF_COPIES + ri as u32);
-                copies.push(assemble_range(ctx, plan, own, &lost.range, tag, rd));
+                copies.push(assemble_range(ctx, plan, own, &lost.range, tag, rd).await);
             }
             let mut blk = ReconBlock {
                 range: lost.range.clone(),
@@ -222,8 +228,8 @@ impl Reconstruction {
         let new_range = plan.new_part.range(plan.new_slot());
         for (src, rows) in cut(&layout.part, &layout.plan.members, &new_range) {
             if src != me && plan.failed.binary_search(&src).is_err() {
-                self.handed
-                    .push(take_over(ctx, src, tag(seq, OFF_SCALARS), rows));
+                let handed = take_over(ctx, src, tag(seq, OFF_SCALARS), rows);
+                self.handed.push(handed.await);
             }
         }
     }
@@ -231,8 +237,9 @@ impl Reconstruction {
 
 /// Receive the piece `rows` that `from` hands over
 /// ([`EventPlan::hand_over`]).
-fn take_over(ctx: &mut NodeCtx, from: usize, tag: u32, rows: Range<usize>) -> ReconBlock {
-    let data = ctx.recv_phase(from, tag, CommPhase::Recovery).into_f64s();
+async fn take_over(ctx: &mut NodeCtx, from: usize, tag: u32, rows: Range<usize>) -> ReconBlock {
+    let data = ctx.recv_phase(from, tag, CommPhase::Recovery).await;
+    let data = data.into_f64s();
     let vecs = data.chunks(rows.len()).map(<[f64]>::to_vec).collect();
     ReconBlock { range: rows, vecs }
 }
@@ -243,7 +250,7 @@ fn take_over(ctx: &mut NodeCtx, from: usize, tag: u32, rows: Range<usize>) -> Re
 /// node whose retention is lost). Panics on a coverage gap when the read is
 /// required (more simultaneous failures than φ); returns `None` on a gap
 /// otherwise (e.g. no `p(j-1)` exists yet at iteration 0).
-fn assemble_range(
+async fn assemble_range(
     ctx: &mut NodeCtx,
     plan: &EventPlan,
     own: Vec<(u64, f64)>,
@@ -263,7 +270,8 @@ fn assemble_range(
     };
     put(own, &mut vals, &mut got);
     for &s in plan.survivors.iter().filter(|&&s| s != plan.me) {
-        let pairs = ctx.recv_phase(s, tag, CommPhase::Recovery).into_pairs();
+        let pairs = ctx.recv_phase(s, tag, CommPhase::Recovery).await;
+        let pairs = pairs.into_pairs();
         put(pairs, &mut vals, &mut got);
     }
     if let Some(o) = got.iter().position(|&g| !g) {
@@ -352,7 +360,7 @@ impl EngineComm<'_> {
     /// each other reconstructor needs from its block and sends exactly
     /// that, and each reconstructor receives from exactly the owners of its
     /// needed columns, ascending. No request, no empty message.
-    pub(crate) fn outside_product(
+    pub(crate) async fn outside_product(
         &mut self,
         ctx: &mut NodeCtx,
         m: &Csr,
@@ -385,7 +393,8 @@ impl EngineComm<'_> {
             if owner == me {
                 v_out.extend(run.iter().map(|&c| v_loc[c - my_range.start]));
             } else {
-                let pairs = ctx.recv_phase(owner, tag, CommPhase::Recovery).into_pairs();
+                let pairs = ctx.recv_phase(owner, tag, CommPhase::Recovery).await;
+                let pairs = pairs.into_pairs();
                 let cols = pairs.iter().map(|e| e.0 as usize);
                 assert!(cols.eq(run.iter().copied()), "values from rank {owner}");
                 v_out.extend(pairs.into_iter().map(|(_, v)| v));
@@ -413,7 +422,7 @@ impl EngineComm<'_> {
     /// lives in `vecs[v_slot]` of the reconstructors' blocks (pushed among
     /// them over the static pattern, [`IfExchange`]) and whose surviving
     /// part is `v_loc` ([`EngineComm::outside_product`]). Collective.
-    pub(crate) fn apply_matrix(
+    pub(crate) async fn apply_matrix(
         &mut self,
         ctx: &mut NodeCtx,
         m: &Csr,
@@ -422,7 +431,7 @@ impl EngineComm<'_> {
         out_slot: usize,
         v_loc: &[f64],
     ) {
-        let outside = self.outside_product(ctx, m, blocks, v_loc);
+        let outside = self.outside_product(ctx, m, blocks, v_loc).await;
         if blocks.is_empty() {
             return;
         }
@@ -432,7 +441,7 @@ impl EngineComm<'_> {
             .collect();
         let if_indices = &self.at.plan.if_indices;
         let mut v_if = vec![0.0; if_indices.len()];
-        self.if_exchange(m).run(ctx, &mine, &mut v_if);
+        self.if_exchange(m).run(ctx, &mine, &mut v_if).await;
         for (blk, (s_out, flops)) in blocks.iter_mut().zip(outside) {
             // Two partial sums — If-coupled and outside — added once at the
             // end: the same floating-point association as the former
@@ -461,7 +470,7 @@ impl EngineComm<'_> {
     /// reconstructed rows), see [`solve_failed_rows`]. `statics` is the
     /// store when `m` is the system matrix (`None` for `P`). Reconstructors
     /// only.
-    pub(crate) fn solve_if_system(
+    pub(crate) async fn solve_if_system(
         &mut self,
         ctx: &mut NodeCtx,
         m: &Csr,
@@ -473,7 +482,8 @@ impl EngineComm<'_> {
         let (rcfg, plan) = (&self.at.env.res.recovery, self.at.plan);
         let ex = self.if_exchange(m);
         let groups = &mut self.wire.groups;
-        let (y, iters) = solve_failed_rows(ctx, groups, &ex, rcfg, plan, m, statics, rhs);
+        let solve = solve_failed_rows(ctx, groups, &ex, rcfg, plan, m, statics, rhs);
+        let (y, iters) = solve.await;
         self.wire.inner_iterations += iters;
         let mut y = &y[..];
         for blk in blocks {
@@ -487,16 +497,17 @@ impl EngineComm<'_> {
     /// form `w = b_If − r_If − A_{If,I\If} x_{I\If}` from the surviving x
     /// values their failed rows couple to, and solve `A_{If,If} x_If = w`
     /// cooperatively over the group.
-    fn solve_x(
+    async fn solve_x<K: ResilientKernel>(
         &mut self,
         ctx: &mut NodeCtx,
-        kernel: &dyn ResilientKernel,
+        kernel: &K,
         blocks: &mut [ReconBlock],
     ) {
         let env = self.at.env;
         let a: &Csr = env.statics.matrix();
         let &KernelShape { r_slot, x_slot, .. } = kernel.shape();
         let outside = self.outside_product(ctx, a, blocks, &kernel.vecs()[x_slot]);
+        let outside = outside.await;
         if blocks.is_empty() {
             return;
         }
@@ -506,7 +517,8 @@ impl EngineComm<'_> {
             rhs.extend(rows.map(|((gr, r), s)| env.b[gr] - r - s));
             ctx.clock_mut().advance_flops(flops + 2 * blk.range.len());
         }
-        self.solve_if_system(ctx, a, Some(env.statics), rhs, blocks, x_slot);
+        self.solve_if_system(ctx, a, Some(env.statics), rhs, blocks, x_slot)
+            .await;
     }
 }
 

@@ -153,7 +153,7 @@ impl Layout {
     /// (checkpoint protection pays its deposit traffic instead, and an
     /// unprotected solve retains nothing). Collective — all nodes call
     /// together at setup.
-    pub(crate) fn build_full(
+    pub(crate) async fn build_full(
         ctx: &mut NodeCtx,
         statics: &StaticData,
         cfg: &SolverConfig,
@@ -162,7 +162,7 @@ impl Layout {
         let rank = ctx.rank();
         let (part, members) = statics.cluster(ctx.size());
         let lm = statics.block(&part.range(rank));
-        let mut plan = ScatterPlan::build(ctx, &lm, &part);
+        let mut plan = ScatterPlan::negotiate(ctx, &lm, &part).await;
         plan.members = members; // the shared list, not a copy per node
         let esr = cfg.resilience.as_ref().filter(|res| res.is_esr());
         if let Some(res) = esr {
@@ -174,12 +174,13 @@ impl Layout {
                 lm.n_local(),
                 &plan.send_natural,
             );
-            plan.announce_extras(ctx);
+            plan.announce(ctx).await;
         }
         let channels = (0..if esr.is_some() { n_channels } else { 0 })
             .map(|_| Retention::build(&plan, &lm.ghost_cols))
             .collect();
         let prec = NodePrecond::setup(ctx, &cfg.precond, &part, statics, &lm)
+            .await
             .unwrap_or_else(|e| panic!("rank {rank}: preconditioner setup failed: {e}"));
         Layout {
             part,
@@ -207,7 +208,7 @@ impl Layout {
     /// passed, the channel's current generation) as a full scatter would;
     /// every survivor still holds its own. After a Shrink the layout is
     /// new, and the repair is the full scatter (`to = None`).
-    pub(crate) fn scatter(
+    pub(crate) async fn scatter(
         &mut self,
         ctx: &mut NodeCtx,
         v: &[f64],
@@ -226,43 +227,45 @@ impl Layout {
         let retained = copies.iter().map(|&(c, _)| c).filter(|_| receives);
         retained.clone().for_each(|c| self.channels[c].rotate());
         let (ghosts, channels) = (&mut self.ghosts, Some(&mut self.channels[..]));
-        self.plan.exchange_to(ctx, v, ghosts, copies, channels, to);
+        self.plan
+            .exchange_to(ctx, v, ghosts, copies, channels, to)
+            .await;
         retained.for_each(|c| self.channels[c].finish_generation());
     }
 
     /// Element-wise all-reduce over the active members, charged to the
     /// Reduction phase. Bitwise-deterministic either way (same
     /// recursive-doubling schedule over member indices).
-    pub(crate) fn allreduce_vec(
+    pub(crate) async fn allreduce_vec(
         &mut self,
         ctx: &mut NodeCtx,
         opr: ReduceOp,
         x: Vec<f64>,
     ) -> Vec<f64> {
         match &mut self.group {
-            None => ctx.allreduce_vec(opr, x),
-            Some(g) => g.allreduce_vec(ctx, opr, x, CommPhase::Reduction),
+            None => ctx.allreduce_vec(opr, x).await,
+            Some(g) => g.allreduce_vec(ctx, opr, x, CommPhase::Reduction).await,
         }
     }
 
     /// Scalar sum all-reduce over the active members.
-    pub(crate) fn allreduce_sum(&mut self, ctx: &mut NodeCtx, x: f64) -> f64 {
-        self.allreduce_vec(ctx, ReduceOp::Sum, vec![x])[0]
+    pub(crate) async fn allreduce_sum(&mut self, ctx: &mut NodeCtx, x: f64) -> f64 {
+        self.allreduce_vec(ctx, ReduceOp::Sum, vec![x]).await[0]
     }
 
     /// Non-blocking element-wise all-reduce over the active members: the
     /// communication-hiding solvers keep their overlap on a shrunken
     /// cluster (the group variant replays the identical schedule, so the
     /// result stays bitwise-deterministic).
-    pub(crate) fn iallreduce_vec(
+    pub(crate) async fn iallreduce_vec(
         &mut self,
         ctx: &mut NodeCtx,
         opr: ReduceOp,
         x: Vec<f64>,
     ) -> AllreduceRequest {
         match &mut self.group {
-            None => ctx.iallreduce_vec(opr, x),
-            Some(g) => g.iallreduce_vec(ctx, opr, x, CommPhase::Reduction),
+            None => ctx.iallreduce_vec(opr, x).await,
+            Some(g) => g.iallreduce_vec(ctx, opr, x, CommPhase::Reduction).await,
         }
     }
 
@@ -481,7 +484,7 @@ pub(crate) trait ResilientKernel {
     /// [`EngineComm`]. Called by **all** active nodes together (survivors
     /// serve value requests inside the comm helpers); `blocks` is empty on
     /// a node that reconstructs nothing. Default: nothing to rebuild.
-    fn rebuild_distributed(
+    async fn rebuild_distributed(
         &mut self,
         ctx: &mut NodeCtx,
         env: &EngineEnv<'_>,
@@ -515,7 +518,7 @@ pub(crate) trait ResilientKernel {
 /// scratch from before the failure would show it. Only the
 /// [`KernelShape::static_slots`] survive, on reliable storage (paper
 /// Sec. 1.1.2).
-pub(crate) fn poison(kernel: &mut dyn ResilientKernel) {
+pub(crate) fn poison(kernel: &mut impl ResilientKernel) {
     let keep = kernel.shape().static_slots;
     for (slot, v) in kernel.vecs_mut().iter_mut().enumerate() {
         if !keep.contains(&slot) {
@@ -528,7 +531,7 @@ pub(crate) fn poison(kernel: &mut dyn ResilientKernel) {
 /// Pack the loop-top state a rolled-back iteration resumes from: the
 /// [`KernelShape::pack_slots`] vectors concatenated, then the
 /// [`KernelShape::pack_scalars`].
-pub(crate) fn pack(kernel: &dyn ResilientKernel) -> Vec<f64> {
+pub(crate) fn pack(kernel: &impl ResilientKernel) -> Vec<f64> {
     let (vecs, shape) = (kernel.vecs(), kernel.shape());
     let (slots, scalars) = (shape.pack_slots, &kernel.scalars()[..shape.pack_scalars]);
     let mut data = Vec::with_capacity(slots.len() * vecs[slots[0]].len() + scalars.len());
@@ -544,7 +547,7 @@ pub(crate) fn pack(kernel: &dyn ResilientKernel) -> Vec<f64> {
 /// packing block's length). Every vector that is not packed restarts
 /// zeroed at the new length — the restarted iteration recomputes it — and
 /// a scalar past [`KernelShape::pack_scalars`] is left as it is.
-pub(crate) fn unpack(kernel: &mut dyn ResilientKernel, data: &[f64], nloc: usize) {
+pub(crate) fn unpack(kernel: &mut impl ResilientKernel, data: &[f64], nloc: usize) {
     let (slots, n_scalars) = (kernel.shape().pack_slots, kernel.shape().pack_scalars);
     for (slot, v) in kernel.vecs_mut().iter_mut().enumerate() {
         *v = match slots.iter().position(|&s| s == slot) {
@@ -624,25 +627,25 @@ pub(crate) trait Flavor {
     /// Stage `substep` (`1..RECOVERY_SUBSTEPS`): what the attempt does
     /// between overlap boundaries `substep − 1` and `substep`. Collective
     /// over the active members that did not retire.
-    fn stage(
+    async fn stage<K: ResilientKernel>(
         &mut self,
         substep: u32,
         ctx: &mut NodeCtx,
         at: &Attempt<'_>,
         layout: &Layout,
-        kernel: &mut dyn ResilientKernel,
+        kernel: &mut K,
     );
 
     /// Past the last boundary: install the recovered state and, when ranks
     /// retired, the shrunken layout ([`rebuild_layout_after_shrink`]).
     /// Returns [`RecoveryReport::inner_iterations`] and
     /// [`RecoveryReport::rollback_to`].
-    fn commit(
+    async fn commit<K: ResilientKernel>(
         &mut self,
         ctx: &mut NodeCtx,
         at: &Attempt<'_>,
         layout: &mut Layout,
-        kernel: &mut dyn ResilientKernel,
+        kernel: &mut K,
     ) -> (usize, Option<u64>);
 }
 
@@ -652,11 +655,11 @@ pub(crate) trait Flavor {
 /// selects the flavor: ESR reconstruction ([`Reconstruction`]) or checkpoint
 /// rollback ([`crate::checkpoint::Rollback`], over the deposit store in
 /// `book.ckpt`).
-pub(crate) fn recover(
+pub(crate) async fn recover<K: ResilientKernel>(
     ctx: &mut NodeCtx,
     env: &EngineEnv<'_>,
     layout: &mut Layout,
-    kernel: &mut dyn ResilientKernel,
+    kernel: &mut K,
     initial_failed: &[usize],
     book: &mut RecoveryBook,
 ) -> EngineOutcome {
@@ -679,6 +682,7 @@ pub(crate) fn recover(
                 pool,
                 &mut flavor,
             )
+            .await
         }
         Protection::Checkpoint(_) => {
             let store = ckpt
@@ -695,17 +699,18 @@ pub(crate) fn recover(
                 pool,
                 &mut flavor,
             )
+            .await
         }
     }
 }
 
 /// The attempt loop of [`recover`], for one flavor.
 #[allow(clippy::too_many_arguments)]
-fn restart_protocol<F: Flavor>(
+async fn restart_protocol<F: Flavor, K: ResilientKernel>(
     ctx: &mut NodeCtx,
     env: &EngineEnv<'_>,
     layout: &mut Layout,
-    kernel: &mut dyn ResilientKernel,
+    kernel: &mut K,
     initial_failed: &[usize],
     recovery_seq: &mut u32,
     pool: &mut SparePool,
@@ -773,7 +778,7 @@ fn restart_protocol<F: Flavor>(
 
         for substep in 0..RECOVERY_SUBSTEPS {
             if substep > 0 {
-                flavor.stage(substep, ctx, &at, layout, kernel);
+                flavor.stage(substep, ctx, &at, layout, kernel).await;
             } else if plan.am_failed {
                 // The node failure: all dynamic data of this rank is lost.
                 poison(kernel);
@@ -806,7 +811,7 @@ fn restart_protocol<F: Flavor>(
         if matches!(env.res.policy, RecoveryPolicy::Spares(_)) {
             pool.claim(plan.granted);
         }
-        let (inner_iterations, rollback_to) = flavor.commit(ctx, &at, layout, kernel);
+        let (inner_iterations, rollback_to) = flavor.commit(ctx, &at, layout, kernel).await;
         ctx.trace_close(); // commit
         timeline.mark(
             ctx,
@@ -843,7 +848,7 @@ pub(crate) fn rebuild_layout_after_shrink(
     ctx: &mut NodeCtx,
     at: &Attempt<'_>,
     layout: &mut Layout,
-    kernel: &mut dyn ResilientKernel,
+    kernel: &mut impl ResilientKernel,
 ) {
     let (env, plan) = (at.env, at.plan);
     let my_new_slot = plan.new_slot();

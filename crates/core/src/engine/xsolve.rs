@@ -89,14 +89,14 @@ impl IfExchange {
     /// copy `mine` into `full` and receive every coupled member's run in
     /// ascending order: `full` (indexed by `If` position) then holds the
     /// all-gathered value at every position this node's rows read.
-    pub(super) fn run(&self, ctx: &mut NodeCtx, mine: &[f64], full: &mut [f64]) {
+    pub(super) async fn run(&self, ctx: &mut NodeCtx, mine: &[f64], full: &mut [f64]) {
         for (q, sends, _) in self.peers.iter().filter(|p| !p.1.is_empty()) {
             let vals = sends.iter().map(|&p| mine[p - self.own.start]).collect();
             ctx.send(*q, self.tag, Payload::f64s(vals), CommPhase::Recovery);
         }
         full[self.own.clone()].copy_from_slice(mine);
         for (q, _, recvs) in self.peers.iter().filter(|p| !p.2.is_empty()) {
-            let vals = ctx.recv_phase(*q, self.tag, CommPhase::Recovery);
+            let vals = ctx.recv_phase(*q, self.tag, CommPhase::Recovery).await;
             let vals = vals.into_f64s();
             assert_eq!(vals.len(), recvs.len(), "run from rank {q}");
             for (&p, v) in recvs.iter().zip(vals) {
@@ -127,11 +127,12 @@ impl IfExchange {
     /// Receive every coupled member's [`IfExchange::push`] with a head of
     /// `h` values and write its run, if it sent one, into `full`. Returns
     /// the head, the same from every member; `None` with no coupled member.
-    fn pull(&self, ctx: &mut NodeCtx, h: usize, full: &mut [f64]) -> Option<Vec<f64>> {
+    async fn pull(&self, ctx: &mut NodeCtx, h: usize, full: &mut [f64]) -> Option<Vec<f64>> {
         let mut head = None;
         for (q, _, recvs) in self.coupled() {
             let vals = ctx
                 .recv_phase(*q, self.tag, CommPhase::Recovery)
+                .await
                 .into_f64s();
             let ok = vals.len() == h || vals.len() == h + recvs.len();
             assert!(ok, "run of {} from rank {q}", vals.len());
@@ -147,7 +148,7 @@ impl IfExchange {
 /// The cooperative inner solve behind
 /// [`EngineComm::solve_if_system`](super::esr::EngineComm::solve_if_system).
 #[allow(clippy::too_many_arguments)]
-pub(super) fn solve_failed_rows(
+pub(super) async fn solve_failed_rows(
     ctx: &mut NodeCtx,
     groups: &mut Vec<Group>,
     ex: &IfExchange,
@@ -184,7 +185,8 @@ pub(super) fn solve_failed_rows(
             .factor(&range)
             .unwrap_or_else(|e| panic!("rank {rank}: reconstruction block not SPD: {e}"));
         if let Some(red) = red_members(&plan.coupling(m)) {
-            return eliminate_reds(ctx, groups, ex, rcfg, plan, &sub, &factor, &red, rhs);
+            let reds = eliminate_reds(ctx, groups, ex, rcfg, plan, &sub, &factor, &red, rhs);
+            return reds.await;
         }
         factor
     } else {
@@ -196,14 +198,17 @@ pub(super) fn solve_failed_rows(
     // The If-vector `sub` multiplies: exact at every position it reads.
     let mut z_full = vec![0.0; plan.if_indices.len()];
     let group = group_over(ctx, groups, &plan.reconstructors);
-    inner_cg(ctx, rcfg, rhs, |ctx, r, z, w, _, _| {
+    inner_cg(ctx, rcfg, rhs, async |ctx, r, z, w, _, _| {
         prec.apply(r, z);
-        ex.run(ctx, z, &mut z_full);
+        ex.run(ctx, z, &mut z_full).await;
         sub.spmv(&z_full, w);
         ctx.clock_mut().advance_flops(sub.spmv_flops());
         let dots = vec![dot(r, r), dot(r, z), dot(z, w)];
-        group.allreduce_vec(ctx, ReduceOp::Sum, dots, CommPhase::Recovery)
+        group
+            .allreduce_vec(ctx, ReduceOp::Sum, dots, CommPhase::Recovery)
+            .await
     })
+    .await
 }
 
 /// The sub-communicator over `ranks`, created on first use.
@@ -270,7 +275,7 @@ fn red_members(adj: &[Vec<usize>]) -> Option<Vec<bool>> {
 /// An uncoupled member is red and solves directly. Every member returns the
 /// blacks' iteration count.
 #[allow(clippy::too_many_arguments)]
-fn eliminate_reds(
+async fn eliminate_reds(
     ctx: &mut NodeCtx,
     groups: &mut Vec<Group>,
     ex: &IfExchange,
@@ -304,7 +309,7 @@ fn eliminate_reds(
         let mut x = solve(&rhs);
         ex.push(ctx, &[], &x);
         let (mut y, mut q, mut iters) = (vec![0.0; nloc], vec![0.0; nloc], 0);
-        while let Some(head) = ex.pull(ctx, 3, &mut full) {
+        while let Some(head) = ex.pull(ctx, 3, &mut full).await {
             // Serve first: carrying `q` and `x` is off the blacks' path.
             let served = (head[2] != 0.0).then(|| {
                 let mut t = vec![0.0; nloc];
@@ -326,13 +331,18 @@ fn eliminate_reds(
         return (x, iters);
     }
     let mut group = (blacks.len() > 1).then(|| group_over(ctx, groups, &blacks));
-    ex.pull(ctx, 0, &mut full);
+    ex.pull(ctx, 0, &mut full).await;
     let mut r = rhs;
     off.spmv_add(&others(&full), &mut r);
     ctx.clock_mut().advance_flops(off.spmv_flops() + nloc);
     // The coefficients a red has not been sent when the solve ends.
     let mut unsent = [0.0; 2];
-    let out = inner_cg(ctx, rcfg, r, |ctx, r, z, w, [beta, alpha], target_sq| {
+    let step = async |ctx: &mut NodeCtx,
+                      r: &[f64],
+                      z: &mut [f64],
+                      w: &mut [f64],
+                      [beta, alpha]: [f64; 2],
+                      target_sq| {
         let rr = dot(r, r);
         if group.is_none() && rr <= target_sq {
             unsent = [beta, alpha];
@@ -340,16 +350,20 @@ fn eliminate_reds(
         }
         factor.apply(r, z);
         ex.push(ctx, &[beta, alpha, 1.0], z);
-        ex.pull(ctx, 0, &mut full);
+        ex.pull(ctx, 0, &mut full).await;
         full[own.clone()].copy_from_slice(z);
         sub.spmv(&full, w);
         ctx.clock_mut().advance_flops(sub.spmv_flops());
         let dots = vec![rr, dot(r, z), dot(z, w)];
         match group.as_mut() {
-            Some(g) => g.allreduce_vec(ctx, ReduceOp::Sum, dots, CommPhase::Recovery),
+            Some(g) => {
+                g.allreduce_vec(ctx, ReduceOp::Sum, dots, CommPhase::Recovery)
+                    .await
+            }
             None => dots,
         }
-    });
+    };
+    let out = inner_cg(ctx, rcfg, r, step).await;
     ex.push(ctx, &[unsent[0], unsent[1], 0.0], &[]);
     out
 }
@@ -362,17 +376,17 @@ fn eliminate_reds(
 /// `β` and `α` (zero before the first) and the exit threshold on `‖r‖²`
 /// (zero before it is known), which it may test before stepping. Stops at
 /// `‖r‖² ≤ tol²·‖r₀‖²`; returns `x` and the iterations.
-fn inner_cg(
+async fn inner_cg(
     ctx: &mut NodeCtx,
     rcfg: &RecoveryConfig,
     mut r: Vec<f64>,
-    mut step: impl FnMut(&mut NodeCtx, &[f64], &mut [f64], &mut [f64], [f64; 2], f64) -> Vec<f64>,
+    mut step: impl AsyncFnMut(&mut NodeCtx, &[f64], &mut [f64], &mut [f64], [f64; 2], f64) -> Vec<f64>,
 ) -> (Vec<f64>, usize) {
     let nloc = r.len();
     let mut x = vec![0.0; nloc];
     let mut z = vec![0.0; nloc];
     let mut w = vec![0.0; nloc];
-    let mut red = step(ctx, &r, &mut z, &mut w, [0.0; 2], 0.0);
+    let mut red = step(ctx, &r, &mut z, &mut w, [0.0; 2], 0.0).await;
     if red[0] <= f64::MIN_POSITIVE {
         return (x, 0);
     }
@@ -395,7 +409,7 @@ fn inner_cg(
         axpy(alpha, &p, &mut x);
         axpy(-alpha, &s, &mut r);
         ctx.clock_mut().advance_flops(4 * nloc);
-        red = step(ctx, &r, &mut z, &mut w, [beta, alpha], target_sq);
+        red = step(ctx, &r, &mut z, &mut w, [beta, alpha], target_sq).await;
         if red[0] <= target_sq {
             return (x, iters);
         }
@@ -465,7 +479,7 @@ mod tests {
             let mut pushed = 0;
             for &(failed, avail) in &events {
                 let plan_of = |me| EventPlan::new(&members, &part, &part, me, failed, avail);
-                let out = Cluster::run(ClusterConfig::new(members.len()), |ctx| {
+                let out = Cluster::run_async(ClusterConfig::new(members.len()), async |ctx| {
                     let plan = plan_of(ctx.rank());
                     if plan.reconstructors.binary_search(&plan.me).is_err() {
                         return None;
@@ -473,12 +487,12 @@ mod tests {
                     let ex = plan.if_exchange(m, tag(0, TAG_STRIDE - 1));
                     let mine: Vec<f64> = plan.rows_of(plan.me).map(value).collect();
                     let mut full = vec![f64::NAN; plan.if_indices.len()];
-                    ex.run(ctx, &mine, &mut full);
+                    ex.run(ctx, &mine, &mut full).await;
                     let peers = ex.peers.iter().filter(|p| !p.1.is_empty()).count();
                     Some((full, peers, ctx.stats().msgs(CommPhase::Recovery)))
                 });
                 let (mut sent, mut coupled) = (0, 0);
-                for (rho, got) in out.into_iter().enumerate() {
+                for (rho, got) in out.values.into_iter().enumerate() {
                     let Some((full, peers, msgs)) = got else {
                         continue;
                     };
@@ -557,7 +571,7 @@ mod tests {
                 ..RecoveryConfig::default()
             };
             let plan_of = |me| EventPlan::new(&members, &part, &part, me, failed, avail);
-            let out = Cluster::run(ClusterConfig::new(members.len()), |ctx| {
+            let out = Cluster::run_async(ClusterConfig::new(members.len()), async |ctx| {
                 let plan = plan_of(ctx.rank());
                 if plan.reconstructors.binary_search(&plan.me).is_err() {
                     return None;
@@ -565,8 +579,9 @@ mod tests {
                 let ex = plan.if_exchange(m, tag(0, TAG_STRIDE - 1));
                 let rhs = plan.rows_of(plan.me).map(rhs_at).collect();
                 let before = ctx.stats().allreduces();
-                let (y, iters) =
-                    solve_failed_rows(ctx, &mut Vec::new(), &ex, &rcfg, &plan, m, None, rhs);
+                let groups = &mut Vec::new();
+                let solve = solve_failed_rows(ctx, groups, &ex, &rcfg, &plan, m, None, rhs);
+                let (y, iters) = solve.await;
                 Some((y, iters, ctx.stats().allreduces() - before))
             });
             let plan = plan_of(0);
@@ -583,7 +598,7 @@ mod tests {
             let zero = vec![0.0; rhs.len()];
             let k = krylov::pcg(&sub, &rhs, &zero, &bj, rcfg.inner_rel_tol, 1000).iterations;
             let (mut y, mut counts) = (Vec::new(), Vec::new());
-            for (i, (y_rho, iters, booked)) in out.into_iter().flatten().enumerate() {
+            for (i, (y_rho, iters, booked)) in out.values.into_iter().flatten().enumerate() {
                 counts.push(iters);
                 let expected = match (&red, blacks) {
                     (Some(red), Some(b)) if red[i] || b == 1 => 0,

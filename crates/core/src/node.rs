@@ -89,16 +89,16 @@ pub(crate) trait Recurrence: ResilientKernel + Sized {
 
     /// Initial state for `x(0) = 0` on the freshly built layout, and
     /// `‖r(0)‖²`.
-    fn init(ctx: &mut NodeCtx, layout: &mut Layout, b: &[f64]) -> (Self, f64);
+    async fn init(ctx: &mut NodeCtx, layout: &mut Layout, b: &[f64]) -> (Self, f64);
     /// Whether previous-generation copies exist at iteration `j`'s
     /// boundary ([`EngineEnv::has_prev`]).
     fn has_prev(&self, j: u64) -> bool;
     /// Iteration `j` from the loop top through the last scatter before the
     /// failure boundary.
-    fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, j: u64);
+    async fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, j: u64);
     /// Complete communication still in flight at the boundary before a
     /// recovery starts.
-    fn drain(&mut self, ctx: &mut NodeCtx) {
+    async fn drain(&mut self, ctx: &mut NodeCtx) {
         let _ = ctx;
     }
     /// After an ESR reconstruction (never after a rollback, which restarts
@@ -107,10 +107,10 @@ pub(crate) trait Recurrence: ResilientKernel + Sized {
     /// [`Layout::scatter`] to `to` — so that the rest of iteration `j`
     /// follows. `to` names the ranks replaced in place on an unchanged
     /// layout; `None` after a Shrink, whose layout is new on every link.
-    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>);
+    async fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>);
     /// The rest of iteration `j`. Returns the new `‖r‖²`; on reaching
     /// `target_sq` the recurrence stops where its convergence test sits.
-    fn finish_iteration(
+    async fn finish_iteration(
         &mut self,
         ctx: &mut NodeCtx,
         layout: &mut Layout,
@@ -127,20 +127,22 @@ pub(crate) trait Recurrence: ResilientKernel + Sized {
 /// configuration `solver` cannot run on this cluster size — the guard for
 /// direct [`parcomm::Cluster::run`] users; [`crate::driver::run`] returns
 /// the same error as a value first.
-pub fn node_program(
+pub async fn node_program(
     solver: SolverKind,
     ctx: &mut NodeCtx,
     problem: &Problem,
     cfg: &SolverConfig,
 ) -> NodeOutcome {
     match solver {
-        SolverKind::Pcg => solve_node::<crate::pcg::PcgState>(ctx, problem, cfg),
-        SolverKind::PipeCg => solve_node::<crate::pipecg::PipeState>(ctx, problem, cfg),
-        SolverKind::BiCgStab => solve_node::<crate::bicgstab::BicgstabState>(ctx, problem, cfg),
+        SolverKind::Pcg => solve_node::<crate::pcg::PcgState>(ctx, problem, cfg).await,
+        SolverKind::PipeCg => solve_node::<crate::pipecg::PipeState>(ctx, problem, cfg).await,
+        SolverKind::BiCgStab => {
+            solve_node::<crate::bicgstab::BicgstabState>(ctx, problem, cfg).await
+        }
     }
 }
 
-fn solve_node<K: Recurrence>(
+async fn solve_node<K: Recurrence>(
     ctx: &mut NodeCtx,
     problem: &Problem,
     cfg: &SolverConfig,
@@ -151,12 +153,12 @@ fn solve_node<K: Recurrence>(
     if let Err(e) = cfg.validate(K::KIND, ctx.size()) {
         panic!("rank {}: {e}", ctx.rank());
     }
-    let mut layout = Layout::build_full(ctx, &statics, cfg, K::CHANNELS);
-    ctx.barrier();
+    let mut layout = Layout::build_full(ctx, &statics, cfg, K::CHANNELS).await;
+    ctx.barrier().await;
     let vtime_setup = ctx.vtime();
     ctx.reset_metrics();
 
-    let (mut kernel, r0_sq) = K::init(ctx, &mut layout, b);
+    let (mut kernel, r0_sq) = K::init(ctx, &mut layout, b).await;
     let r0_norm = r0_sq.sqrt();
     let target_sq = cfg.rel_tol * cfg.rel_tol * r0_sq;
     // Checkpoint protection deposits loop-top packs on a ring instead of
@@ -187,11 +189,11 @@ fn solve_node<K: Recurrence>(
             if j.is_multiple_of(store.interval() as u64) {
                 let seq = book.recovery_seq;
                 book.recovery_seq += 1;
-                store.deposit(ctx, seq, j, engine::pack(&kernel));
+                store.deposit(ctx, seq, j, engine::pack(&kernel)).await;
             }
         }
 
-        kernel.begin_iteration(ctx, &mut layout, j);
+        kernel.begin_iteration(ctx, &mut layout, j).await;
 
         // ULFM failure boundary (paper Sec. 1.1.1): consistent
         // notification. Events naming ranks that already retired in an
@@ -200,7 +202,7 @@ fn solve_node<K: Recurrence>(
             next_poll = j + 1;
             let failed = layout.poll_member_failures(ctx, FailAt::Iteration(j));
             if !failed.is_empty() {
-                kernel.drain(ctx);
+                kernel.drain(ctx).await;
                 let t0 = ctx.vtime();
                 let env = EngineEnv {
                     statics: &statics,
@@ -212,21 +214,17 @@ fn solve_node<K: Recurrence>(
                     iteration: j,
                     has_prev: kernel.has_prev(j),
                 };
-                let report = match engine::recover(
-                    ctx,
-                    &env,
-                    &mut layout,
-                    &mut kernel,
-                    &failed,
-                    &mut book,
-                ) {
-                    EngineOutcome::Retired => {
-                        retired = true;
-                        ctx.trace_close(); // iteration
-                        break;
-                    }
-                    EngineOutcome::Recovered(report) => report,
-                };
+                let report =
+                    match engine::recover(ctx, &env, &mut layout, &mut kernel, &failed, &mut book)
+                        .await
+                    {
+                        EngineOutcome::Retired => {
+                            retired = true;
+                            ctx.trace_close(); // iteration
+                            break;
+                        }
+                        EngineOutcome::Recovered(report) => report,
+                    };
                 book.vtime_recovery += ctx.vtime() - t0;
                 book.recoveries += 1;
                 book.ranks_recovered += report.total_failed;
@@ -239,11 +237,15 @@ fn solve_node<K: Recurrence>(
                     ctx.trace_close(); // iteration
                     continue;
                 }
-                kernel.resume(ctx, &mut layout, report.replaced.as_deref());
+                kernel
+                    .resume(ctx, &mut layout, report.replaced.as_deref())
+                    .await;
             }
         }
 
-        residual_sq = kernel.finish_iteration(ctx, &mut layout, j, target_sq);
+        residual_sq = kernel
+            .finish_iteration(ctx, &mut layout, j, target_sq)
+            .await;
         converged = residual_sq <= target_sq;
         if K::TEST_FOLLOWS_UPDATE || !converged {
             iterations += 1;
@@ -297,10 +299,10 @@ mod tests {
     /// entry fails here, not as a 1e-6 miss in a solve-level matrix cell.
     fn check_kernel_contract<K: Recurrence>() {
         let problem = Problem::with_ones_solution(poisson2d(12, 12));
-        Cluster::run(ClusterConfig::new(4), move |ctx| {
+        Cluster::run_async(ClusterConfig::new(4), async move |ctx| {
             let cfg = SolverConfig::resilient(1);
-            let mut layout = Layout::build_full(ctx, &problem.statics(), &cfg, K::CHANNELS);
-            let (mut k, _) = K::init(ctx, &mut layout, &problem.b);
+            let mut layout = Layout::build_full(ctx, &problem.statics(), &cfg, K::CHANNELS).await;
+            let (mut k, _) = K::init(ctx, &mut layout, &problem.b).await;
             let nloc = layout.lm.n_local();
             let shape = k.shape();
             let (n_vecs, n_scalars) = (k.vecs().len(), k.scalars().len());
@@ -386,9 +388,9 @@ mod tests {
 
     #[test]
     fn per_node_values_stay_small() {
-        // A value on a node stack is copied through the frames of each of
-        // N threads: 4 KB of inline histograms in each once made the
-        // stacks of N = 512 nodes hold 26 MB.
+        // A value a node holds lives in its future and is copied through
+        // its frames: 4 KB of inline histograms in each once made the
+        // stacks of N = 512 node threads hold 26 MB.
         for (name, size) in [
             ("NodeCtx", std::mem::size_of::<parcomm::NodeCtx>()),
             ("NodeOutcome", std::mem::size_of::<NodeOutcome>()),
@@ -401,8 +403,8 @@ mod tests {
     /// configuration `solver` cannot run.
     fn run_unvalidated(solver: SolverKind, nodes: usize, cfg: SolverConfig) {
         let problem = Problem::with_ones_solution(poisson2d(8, 8));
-        Cluster::run(ClusterConfig::new(nodes), move |ctx| {
-            node_program(solver, ctx, &problem, &cfg).converged
+        Cluster::run_async(ClusterConfig::new(nodes), async move |ctx| {
+            node_program(solver, ctx, &problem, &cfg).await.converged
         });
     }
 

@@ -145,7 +145,7 @@ impl ResilientKernel for PcgState {
         blk.vecs[Z] = z;
     }
 
-    fn rebuild_distributed(
+    async fn rebuild_distributed(
         &mut self,
         ctx: &mut NodeCtx,
         _env: &EngineEnv<'_>,
@@ -158,7 +158,7 @@ impl ResilientKernel for PcgState {
         let Some(p_full) = self.explicit_p.clone() else {
             return;
         };
-        let outside = comm.outside_product(ctx, &p_full, blocks, &self.v[R]);
+        let outside = comm.outside_product(ctx, &p_full, blocks, &self.v[R]).await;
         if blocks.is_empty() {
             return;
         }
@@ -167,7 +167,8 @@ impl ResilientKernel for PcgState {
             rhs.extend(blk.vecs[Z].iter().zip(s).map(|(z, s)| z - s));
             ctx.clock_mut().advance_flops(flops + blk.range.len());
         }
-        comm.solve_if_system(ctx, &p_full, None, rhs, blocks, R);
+        comm.solve_if_system(ctx, &p_full, None, rhs, blocks, R)
+            .await;
     }
 }
 
@@ -176,15 +177,16 @@ impl Recurrence for PcgState {
     const CHANNELS: usize = 1;
     const TEST_FOLLOWS_UPDATE: bool = true;
 
-    fn init(ctx: &mut NodeCtx, layout: &mut Layout, b: &[f64]) -> (Self, f64) {
+    async fn init(ctx: &mut NodeCtx, layout: &mut Layout, b: &[f64]) -> (Self, f64) {
         let nloc = layout.lm.n_local();
         let r = b[layout.lm.range.clone()].to_vec(); // r(0) = b − A·0
         let mut z = vec![0.0; nloc];
-        layout.prec.apply(ctx, &r, &mut z);
+        layout.prec.apply(ctx, &r, &mut z).await;
         let p = z.clone(); // p(0) = z(0)
         ctx.clock_mut().advance_flops(4 * nloc);
         // ‖r(0)‖² and r(0)ᵀz(0) travel in one fused length-2 all-reduce.
-        let init = ctx.allreduce_vec(ReduceOp::Sum, vec![dot(&r, &r), dot(&r, &z)]);
+        let init = vec![dot(&r, &r), dot(&r, &z)];
+        let init = ctx.allreduce_vec(ReduceOp::Sum, init).await;
         let state = PcgState {
             v: [p, z, r, vec![0.0; nloc], vec![0.0; nloc]],
             s: [0.0, init[1]],
@@ -197,18 +199,18 @@ impl Recurrence for PcgState {
         j > 0
     }
 
-    fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, _j: u64) {
+    async fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, _j: u64) {
         // SpMV scatter: ghost exchange + redundancy distribution.
-        layout.scatter(ctx, &self.v[P], &[(0, None)], None);
+        layout.scatter(ctx, &self.v[P], &[(0, None)], None).await;
     }
 
-    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) {
+    async fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) {
         // Repair p(j)'s scatter — after a Shrink the same full scatter
         // `begin_iteration` runs — and go on to u = A p(j).
-        layout.scatter(ctx, &self.v[P], &[(0, None)], to);
+        layout.scatter(ctx, &self.v[P], &[(0, None)], to).await;
     }
 
-    fn finish_iteration(
+    async fn finish_iteration(
         &mut self,
         ctx: &mut NodeCtx,
         layout: &mut Layout,
@@ -225,7 +227,7 @@ impl Recurrence for PcgState {
 
         // α(j) = r(j)ᵀz(j) / p(j)ᵀAp(j)   [Alg. 1 line 3]
         ctx.clock_mut().advance_flops(2 * nloc);
-        let pap = layout.allreduce_sum(ctx, dot(p, u));
+        let pap = layout.allreduce_sum(ctx, dot(p, u)).await;
         if pap <= 0.0 || !pap.is_finite() {
             let rank = ctx.rank();
             panic!("rank {rank}: PCG breakdown at iteration {j} (pᵀAp = {pap})");
@@ -242,9 +244,10 @@ impl Recurrence for PcgState {
         // (converging) iteration is discarded work, but a full reduction
         // round is saved on every other iteration, and per Sec. 4.2 the
         // rounds dominate: λ ≫ µ at the reduction's message sizes.
-        layout.prec.apply(ctx, r, z); // line 6
+        layout.prec.apply(ctx, r, z).await; // line 6
         ctx.clock_mut().advance_flops(4 * nloc);
-        let rr_rz = layout.allreduce_vec(ctx, ReduceOp::Sum, vec![dot(r, r), dot(r, z)]);
+        let rr_rz = vec![dot(r, r), dot(r, z)];
+        let rr_rz = layout.allreduce_vec(ctx, ReduceOp::Sum, rr_rz).await;
         if rr_rz[0] <= target_sq {
             return rr_rz[0];
         }

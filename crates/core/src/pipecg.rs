@@ -106,10 +106,14 @@ pub(crate) struct PipeState {
 impl PipeState {
     /// `u = M⁻¹ r`, `w = A u` from the current `r` (one plain ghost
     /// exchange of `u`): the pipeline's entry point.
-    fn bootstrap(&mut self, ctx: &mut NodeCtx, layout: &mut Layout) {
+    async fn bootstrap(&mut self, ctx: &mut NodeCtx, layout: &mut Layout) {
         let [u, _, r, _, w, ..] = &mut self.v;
-        layout.prec.apply(ctx, r, u);
-        layout.plan.exchange(ctx, u, &mut layout.ghosts, None);
+        layout.prec.apply(ctx, r, u).await;
+        let (ghosts, copies) = (&mut layout.ghosts, &[(0, None)]);
+        layout
+            .plan
+            .exchange_to(ctx, u, ghosts, copies, None, None)
+            .await;
         layout.lm.spmv(u, &layout.ghosts, w);
         ctx.clock_mut().advance_flops(layout.lm.spmv_flops());
     }
@@ -180,7 +184,7 @@ impl ResilientKernel for PipeState {
         blk.vecs[U] = u_new;
     }
 
-    fn rebuild_distributed(
+    async fn rebuild_distributed(
         &mut self,
         ctx: &mut NodeCtx,
         env: &EngineEnv<'_>,
@@ -189,15 +193,18 @@ impl ResilientKernel for PipeState {
     ) {
         // w_If = (A u)_If: survivor ghost values + the reconstructed u
         // entries the reconstructors push each other.
-        comm.apply_matrix(ctx, env.statics.matrix(), blocks, U, W, &self.v[U]);
+        comm.apply_matrix(ctx, env.statics.matrix(), blocks, U, W, &self.v[U])
+            .await;
         if env.has_prev {
             // s_If = (A p)_If, then q_If = M⁻¹_{b,b} s_If per block (local,
             // static data), then z_If = (A q)_If.
-            comm.apply_matrix(ctx, env.statics.matrix(), blocks, P, S, &self.v[P]);
+            comm.apply_matrix(ctx, env.statics.matrix(), blocks, P, S, &self.v[P])
+                .await;
             for blk in blocks.iter_mut() {
                 blk.vecs[Q] = engine::m_block(ctx, env, &blk.range, &blk.vecs[S], true);
             }
-            comm.apply_matrix(ctx, env.statics.matrix(), blocks, Q, Z, &self.v[Q]);
+            comm.apply_matrix(ctx, env.statics.matrix(), blocks, Q, Z, &self.v[Q])
+                .await;
         }
     }
 }
@@ -207,7 +214,7 @@ impl Recurrence for PipeState {
     const CHANNELS: usize = 2;
     const TEST_FOLLOWS_UPDATE: bool = false;
 
-    fn init(ctx: &mut NodeCtx, layout: &mut Layout, b: &[f64]) -> (Self, f64) {
+    async fn init(ctx: &mut NodeCtx, layout: &mut Layout, b: &[f64]) -> (Self, f64) {
         // x(0) = 0, r(0) = b − A·0, u(0) = M⁻¹r(0), w(0) = A u(0).
         let nloc = layout.lm.n_local();
         let mut state = PipeState {
@@ -216,8 +223,8 @@ impl Recurrence for PipeState {
             red: None,
         };
         state.v[R].copy_from_slice(&b[layout.lm.range.clone()]);
-        state.bootstrap(ctx, layout);
-        let r0_sq = ctx.allreduce_sum(dot(&state.v[R], &state.v[R]));
+        state.bootstrap(ctx, layout).await;
+        let r0_sq = ctx.allreduce_sum(dot(&state.v[R], &state.v[R])).await;
         ctx.clock_mut().advance_flops(2 * nloc);
         (state, r0_sq)
     }
@@ -226,27 +233,30 @@ impl Recurrence for PipeState {
         self.s[HAS_DIR] != 0.0
     }
 
-    fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, _j: u64) {
+    async fn begin_iteration(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, _j: u64) {
         let [u, p, r, _, w, _, _, _, m, _] = &mut self.v;
         let has_dir = self.s[HAS_DIR] != 0.0;
 
         // The single fused reduction of the iteration, overlapped with
         // everything up to the wait (group-backed after a shrink).
         ctx.clock_mut().advance_flops(6 * r.len());
-        self.red =
-            Some(layout.iallreduce_vec(ctx, ReduceOp::Sum, vec![dot(r, u), dot(w, u), dot(r, r)]));
+        self.red = Some(
+            layout
+                .iallreduce_vec(ctx, ReduceOp::Sum, vec![dot(r, u), dot(w, u), dot(r, r)])
+                .await,
+        );
 
         // m(j) = M⁻¹ w(j) — independent of the reduction result.
-        layout.prec.apply(ctx, w, m);
+        layout.prec.apply(ctx, w, m).await;
 
         // Ghost exchange of m(j), under ESR with redundant copies of u(j)
         // and — once a direction exists — p(j-1) on the same messages.
         let copies = [(0, Some(u.as_slice())), (1, Some(p.as_slice()))];
         let copies = &copies[..if has_dir { 2 } else { 1 }];
-        layout.scatter(ctx, m, copies, None);
+        layout.scatter(ctx, m, copies, None).await;
     }
 
-    fn drain(&mut self, ctx: &mut NodeCtx) {
+    async fn drain(&mut self, ctx: &mut NodeCtx) {
         // Reduced over the pre-failure state, (γ, δ, ‖r‖²) are the
         // failure-free twin's values: held, the iteration goes on with them
         // (a replacement is re-sent them).
@@ -254,20 +264,20 @@ impl Recurrence for PipeState {
         self.s[RED..].copy_from_slice(&red.wait(ctx));
     }
 
-    fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) {
+    async fn resume(&mut self, ctx: &mut NodeCtx, layout: &mut Layout, to: Option<&[usize]>) {
         // m(j) = M⁻¹ w(j) is not reconstructed: a replacement recomputes
         // it, and after a Shrink every member on its new layout.
         let [.., w, _, _, _, m, _] = &mut self.v;
         if to.is_none_or(|to| to.binary_search(&ctx.rank()).is_ok()) {
-            layout.prec.apply(ctx, w, m);
+            layout.prec.apply(ctx, w, m).await;
         }
         // Repair m(j)'s ghosts, without the copies: recovery reads only the
         // current generation, and the next scatter refills it before the
         // next boundary.
-        layout.scatter(ctx, m, &[], to);
+        layout.scatter(ctx, m, &[], to).await;
     }
 
-    fn finish_iteration(
+    async fn finish_iteration(
         &mut self,
         ctx: &mut NodeCtx,
         layout: &mut Layout,

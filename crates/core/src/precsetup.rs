@@ -57,7 +57,7 @@ impl NodePrecond {
     /// Collective setup — all nodes must call this at the same SPMD point
     /// with the same configuration. `lm` is this node's block of
     /// `statics`' matrix.
-    pub(crate) fn setup(
+    pub(crate) async fn setup(
         ctx: &mut NodeCtx,
         cfg: &PrecondConfig,
         part: &BlockPartition,
@@ -98,7 +98,7 @@ impl NodePrecond {
                     )));
                 }
                 let p_local = LocalMatrix::build(p, part, ctx.rank());
-                let p_plan = ScatterPlan::build(ctx, &p_local, part);
+                let p_plan = ScatterPlan::negotiate(ctx, &p_local, part).await;
                 let p_ghosts = vec![0.0; p_local.ghost_cols.len()];
                 Ok(NodePrecond::ExplicitP {
                     p_full: p.clone(),
@@ -143,7 +143,7 @@ impl NodePrecond {
 
     /// Apply `z ← M⁻¹ r` on the owned block. May communicate (explicit P
     /// with off-node coupling) — all nodes must call together.
-    pub(crate) fn apply(&mut self, ctx: &mut NodeCtx, r_loc: &[f64], z_loc: &mut [f64]) {
+    pub(crate) async fn apply(&mut self, ctx: &mut NodeCtx, r_loc: &[f64], z_loc: &mut [f64]) {
         match self {
             NodePrecond::None => z_loc.copy_from_slice(r_loc),
             NodePrecond::Jacobi { inv_diag } => {
@@ -169,7 +169,10 @@ impl NodePrecond {
                 p_ghosts,
                 ..
             } => {
-                p_plan.exchange(ctx, r_loc, p_ghosts, None);
+                let copies = &[(0, None)];
+                p_plan
+                    .exchange_to(ctx, r_loc, p_ghosts, copies, None, None)
+                    .await;
                 p_local.spmv(r_loc, p_ghosts, z_loc);
                 ctx.clock_mut().advance_flops(p_local.spmv_flops());
             }

@@ -284,7 +284,13 @@ impl CheckpointStore {
     /// never alias). One shared buffer fans out to every partner (Arc
     /// bump per send, no per-destination deep copy; each message still
     /// pays the full λ + s·µ).
-    pub(crate) fn deposit(&mut self, ctx: &mut NodeCtx, seq: u32, iteration: u64, data: Vec<f64>) {
+    pub(crate) async fn deposit(
+        &mut self,
+        ctx: &mut NodeCtx,
+        seq: u32,
+        iteration: u64,
+        data: Vec<f64>,
+    ) {
         ctx.audit_enter_window(seq);
         ctx.trace_open("deposit", iteration);
         self.own = Checkpoint {
@@ -302,6 +308,7 @@ impl CheckpointStore {
         for &c in &self.clients {
             let data = ctx
                 .recv_phase(c, crate::engine::tag(seq, OFF_CKPT), CommPhase::Redundancy)
+                .await
                 .into_f64s_arc();
             self.held.insert(c, Checkpoint { iteration, data });
         }
@@ -429,10 +436,12 @@ mod tests {
 
         let (nodes, phi) = (64, 3);
         let statics = StaticData::new(Arc::new(sparsemat::gen::poisson2d(8, 2 * nodes)));
-        let layouts = Cluster::run(ClusterConfig::new(nodes), |ctx| {
-            let layout = Layout::build_full(ctx, &statics, &SolverConfig::resilient(phi), 1);
+        let cfg = SolverConfig::resilient(phi);
+        let layouts = Cluster::run_async(ClusterConfig::new(nodes), async |ctx| {
+            let layout = Layout::build_full(ctx, &statics, &cfg, 1).await;
             (layout.plan, layout.channels)
         });
+        let layouts = layouts.values;
         for (i, (plan, channels)) in layouts.iter().enumerate() {
             let ret = &channels[0];
             if (2..nodes - 2).contains(&i) {

@@ -24,7 +24,7 @@
 //! a handful of entries whatever the cluster size; only
 //! `ScatterPlan::members` has one entry per node.
 
-use parcomm::{CommPhase, NodeCtx, Payload};
+use parcomm::{BlockingCtx, CommPhase, NodeCtx, Payload};
 use sparsemat::BlockPartition;
 use std::ops::{Index, Range};
 use std::sync::Arc;
@@ -185,16 +185,26 @@ pub struct ScatterPlan {
 }
 
 impl ScatterPlan {
+    /// `ScatterPlan::negotiate`, the collective plan setup, in a blocking
+    /// program.
+    pub fn build(ctx: &mut BlockingCtx, lm: &LocalMatrix, part: &BlockPartition) -> Self {
+        ctx.block_on(async |ctx| Self::negotiate(ctx, lm, part).await)
+    }
+
     /// Build the natural-traffic plan collectively over the full cluster.
     /// Must be called by all nodes at the same SPMD point.
-    pub fn build(ctx: &mut NodeCtx, lm: &LocalMatrix, part: &BlockPartition) -> Self {
+    pub(crate) async fn negotiate(
+        ctx: &mut NodeCtx,
+        lm: &LocalMatrix,
+        part: &BlockPartition,
+    ) -> Self {
         let nodes = ctx.size();
         let rank = ctx.rank();
         // Catch a mismatched LocalMatrix/partition pairing here, at the
         // misuse site, not as garbled ghost exchanges several calls later.
         debug_assert_eq!(lm.range, part.range(rank), "lm built for another rank");
         let requests = Self::ghost_requests(lm, part);
-        let incoming = ctx.alltoallv_sparse_u64(requests.0);
+        let incoming = ctx.alltoallv_sparse_u64(requests.0).await;
         Self::assemble((0..nodes).collect(), rank, lm, requests.1, incoming)
     }
 
@@ -353,12 +363,18 @@ impl ScatterPlan {
         buf
     }
 
+    /// `ScatterPlan::announce`, the announcement of the redundancy extras,
+    /// in a blocking program.
+    pub fn announce_extras(&mut self, ctx: &mut BlockingCtx) {
+        ctx.block_on(async |ctx| self.announce(ctx).await)
+    }
+
     /// After `send_extra` is filled, announce the extras to their receivers
     /// so they can size and index their retention stores. Collective over
     /// the full cluster.
-    pub fn announce_extras(&mut self, ctx: &mut NodeCtx) {
+    pub(crate) async fn announce(&mut self, ctx: &mut NodeCtx) {
         let sends = self.extra_announcements();
-        let incoming = ctx.alltoallv_sparse_u64(sends);
+        let incoming = ctx.alltoallv_sparse_u64(sends).await;
         self.record_extras(incoming);
     }
 
@@ -419,13 +435,17 @@ impl ScatterPlan {
     /// copies of the sender's block.
     pub fn exchange(
         &mut self,
-        ctx: &mut NodeCtx,
+        ctx: &mut BlockingCtx,
         v_loc: &[f64],
         ghosts: &mut [f64],
         retention: Option<&mut Retention>,
     ) {
         let channels = retention.map(std::slice::from_mut);
-        self.exchange_to(ctx, v_loc, ghosts, &[(0, None)], channels, None);
+        let copies = &[(0, None)];
+        ctx.block_on(async |ctx| {
+            self.exchange_to(ctx, v_loc, ghosts, copies, channels, None)
+                .await
+        })
     }
 
     /// The SpMV scatter of `v_loc` into `ghosts`, carrying redundant
@@ -450,7 +470,7 @@ impl ScatterPlan {
     /// Panics when a message's length is not the plan's, in every build: an
     /// unannounced entry would otherwise be dropped unseen or shift every
     /// copy behind it.
-    pub(crate) fn exchange_to(
+    pub(crate) async fn exchange_to(
         &mut self,
         ctx: &mut NodeCtx,
         v_loc: &[f64],
@@ -494,7 +514,7 @@ impl ScatterPlan {
         // Receive in deterministic peer order.
         for link in self.recv_links.iter().filter(|_| receives) {
             let from = self.members[link.slot];
-            let msg = ctx.recv_phase(from, TAG_SPMV, CommPhase::Spmv);
+            let msg = ctx.recv_phase(from, TAG_SPMV, CommPhase::Spmv).await;
             let data = msg.as_f64s();
             let n_nat = link.ghost.len();
             let copy_len = |copy: Option<&[f64]>| copy.map_or(0, |_| n_nat) + link.n_ext;
@@ -727,7 +747,7 @@ mod tests {
 
     /// This rank's collective plan on `nodes` equal blocks of `a`, with the
     /// Eqn. 6 extras at `phi` announced, and its local rows.
-    fn plan_with_extras(ctx: &mut NodeCtx, a: &Csr, phi: usize) -> (ScatterPlan, LocalMatrix) {
+    fn plan_with_extras(ctx: &mut BlockingCtx, a: &Csr, phi: usize) -> (ScatterPlan, LocalMatrix) {
         let (rank, k) = (ctx.rank(), ctx.size());
         let part = BlockPartition::new(a.n_rows(), k);
         let lm = LocalMatrix::build(a, &part, rank);
@@ -742,7 +762,7 @@ mod tests {
     /// A full scatter of `v` into `ghosts` and a new generation of `ret`.
     fn scatter_all(
         plan: &mut ScatterPlan,
-        ctx: &mut NodeCtx,
+        ctx: &mut BlockingCtx,
         v: &[f64],
         ghosts: &mut [f64],
         ret: &mut Retention,
@@ -786,7 +806,12 @@ mod tests {
                     together.iter_mut().for_each(Retention::rotate);
                     let before = ctx.stats().total_msgs();
                     let copies = [(0, Some(u.as_slice())), (1, Some(p.as_slice()))];
-                    plan.exchange_to(ctx, &m, &mut ghosts, &copies, Some(&mut together), None);
+                    let channels = Some(&mut together[..]);
+                    ctx.block_on(async |ctx| {
+                        let exchange =
+                            plan.exchange_to(ctx, &m, &mut ghosts, &copies, channels, None);
+                        exchange.await
+                    });
                     let sent = ctx.stats().total_msgs() - before;
                     together.iter_mut().for_each(Retention::finish_generation);
                     let got = together.map(|ret| bits(&ghosts, &ret));
@@ -834,14 +859,13 @@ mod tests {
                         let before = ctx.stats().total_msgs();
                         let receives = mine.then_some(std::slice::from_mut(&mut ret));
                         let copies = [(0, None)];
-                        plan.exchange_to(
-                            ctx,
-                            &wave(0.3),
-                            &mut ghosts,
-                            &copies,
-                            receives,
-                            Some(&to),
-                        );
+                        let v = wave(0.3);
+                        ctx.block_on(async |ctx| {
+                            let to = Some(&to[..]);
+                            let exchange =
+                                plan.exchange_to(ctx, &v, &mut ghosts, &copies, receives, to);
+                            exchange.await
+                        });
                         if mine {
                             ret.finish_generation();
                         }

@@ -14,7 +14,9 @@
 //! observable that depended on host-thread timing — any-source match
 //! order, trace event interleavings — was fair game. Now nothing is.
 
-use esr_core::{run_pcg, Problem, SolverConfig};
+use esr_core::{
+    run, run_pcg, CrConfig, Problem, Protection, RecoveryPolicy, SolverConfig, SolverKind,
+};
 use parcomm::{CostModel, FailureScript};
 use sparsemat::gen::poisson2d;
 
@@ -70,6 +72,9 @@ fn failure_recovery_solve_is_bitwise_reproducible() {
     // individual receive charges, not just changed totals).
     assert_eq!(r1.stats, r2.stats);
 
+    // The host work too: every suspension and spawned thread.
+    assert_eq!(r1.host, r2.host);
+
     // Per-node outcomes.
     assert_eq!(r1.per_node.len(), r2.per_node.len());
     for (a, b) in r1.per_node.iter().zip(&r2.per_node) {
@@ -107,4 +112,44 @@ fn failure_recovery_solve_is_bitwise_reproducible() {
         trace.chrome_trace_json()
     };
     assert_eq!(chrome(&r1), chrome(&r2));
+}
+
+/// A solve's host work is a function of its schedule, so it is pinned like
+/// a message count. Each cell is solved twice and must agree with itself
+/// and with the pin: no thread spawned, and as many node suspensions — a
+/// poll that returned `Pending` — as the thread-per-node runtime this
+/// replaced parked node threads on the same cell (measured on that
+/// runtime; no offset, as it never counted the first baton wait as a
+/// park).
+#[test]
+fn host_work_is_reproducible_and_pinned() {
+    let problem = Problem::with_ones_solution(poisson2d(13, 13));
+    let traced = |cfg: SolverConfig| SolverConfig { trace: true, ..cfg };
+    let shrink = SolverConfig::resilient_with_policy(2, RecoveryPolicy::Shrink);
+    let mut checkpoint = SolverConfig::resilient(2);
+    let cr = CrConfig::default().with_interval(5).with_copies(2);
+    checkpoint.resilience =
+        (checkpoint.resilience).map(|res| res.with_protection(Protection::Checkpoint(cr)));
+    let cells = [
+        ("pcg esr", SolverKind::Pcg, SolverConfig::resilient(2), 928),
+        ("pipecg shrink", SolverKind::PipeCg, shrink, 560),
+        (
+            "bicgstab checkpoint",
+            SolverKind::BiCgStab,
+            checkpoint,
+            1182,
+        ),
+    ];
+    for (cell, solver, cfg, parks) in cells {
+        let cfg = traced(cfg);
+        let solve = || {
+            let script = FailureScript::simultaneous(7, 3, 2, 13);
+            run(solver, &problem, 13, &cfg, CostModel::default(), script).unwrap()
+        };
+        let (r1, r2) = (solve(), solve());
+        assert!(r1.converged && r1.recoveries == 1, "{cell}");
+        assert_eq!(r1.host, r2.host, "{cell}");
+        assert_eq!(r1.host.threads_spawned, 0, "{cell}");
+        assert_eq!(r1.host.suspensions, parks, "{cell}");
+    }
 }

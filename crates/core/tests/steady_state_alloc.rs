@@ -8,38 +8,29 @@
 //! [`sparsemat::hotpath::record_alloc_miss`]; this test asserts the miss
 //! count stays **zero** across entire failure-free solves.
 //!
-//! Counters are thread-local and the simulated cluster runs one thread per
-//! node (`parcomm::Cluster`), so the audit must happen *inside* each node
-//! program — resetting or reading the counter on the test thread would
-//! observe nothing. Each closure resets its node's counter, runs the
-//! solve, and returns the node's miss count for the assertion.
+//! The counter is thread-local, and a solve polls every node of the
+//! simulated cluster on the calling thread (`parcomm::Cluster::run_async`),
+//! so the audit brackets the whole solve: reset the counter, solve, read
+//! the count of every node together. The solve must report no host thread
+//! spawned — a node on another thread would miss the counter.
 //!
 //! Every solver runs the one generic node loop (`esr_core::node`), so the
 //! audit takes the solver as an input and the cells are rows of one table:
 //! {PCG, pipelined PCG, BiCGSTAB} × {plain, ESR φ = 2, checkpoint}.
 
-use esr_core::{
-    node_program, CrConfig, Problem, Protection, ResilienceConfig, SolverConfig, SolverKind,
-};
-use parcomm::{Cluster, ClusterConfig};
+use esr_core::{run, CrConfig, Problem, Protection, ResilienceConfig, SolverConfig, SolverKind};
+use parcomm::{CostModel, FailureScript};
 use sparsemat::gen::poisson2d;
 use sparsemat::hotpath;
 
-/// Run `solver` on a failure-free cluster and return, per node, the
-/// alloc-miss count recorded on that node's thread plus whether its solve
-/// converged.
-fn audit(
-    nodes: usize,
-    problem: &Problem,
-    cfg: SolverConfig,
-    solver: SolverKind,
-) -> Vec<(u64, bool)> {
-    let problem = problem.clone();
-    Cluster::run(ClusterConfig::new(nodes), move |ctx| {
-        hotpath::reset_alloc_misses();
-        let out = node_program(solver, ctx, &problem, &cfg);
-        (hotpath::alloc_misses(), out.converged)
-    })
+/// Run `solver` on a failure-free cluster and return the alloc-miss count
+/// its nodes recorded, setup included, and whether the solve converged.
+fn audit(nodes: usize, problem: &Problem, cfg: SolverConfig, solver: SolverKind) -> (u64, bool) {
+    hotpath::reset_alloc_misses();
+    let none = FailureScript::none();
+    let res = run(solver, problem, nodes, &cfg, CostModel::default(), none).unwrap();
+    assert_eq!(res.host.threads_spawned, 0, "a node ran off this thread");
+    (hotpath::alloc_misses(), res.converged)
 }
 
 /// Checkpoint protection: periodic deposits allocate one fresh pack buffer
@@ -89,12 +80,8 @@ fn steady_state_allocates_nothing() {
         ("bicgstab checkpoint", BiCgStab, ones(16), checkpointed()),
     ];
     for (cell, solver, problem, cfg) in cells {
-        for (rank, (misses, converged)) in audit(4, &problem, cfg, solver).into_iter().enumerate() {
-            assert!(converged, "{cell}: node {rank} did not converge");
-            assert_eq!(
-                misses, 0,
-                "{cell}: node {rank} recorded {misses} hot-path allocation misses"
-            );
-        }
+        let (misses, converged) = audit(4, &problem, cfg, solver);
+        assert!(converged, "{cell}: the solve did not converge");
+        assert_eq!(misses, 0, "{cell}: {misses} hot-path allocation misses");
     }
 }

@@ -17,7 +17,7 @@
 //!   recovery-attempt window;
 //! * every matched receive is recorded into a per-node [`NodeLog`] with the
 //!   receiver's window, and every collective is recorded with its window;
-//! * [`check_teardown`] runs after all node threads have joined (so every
+//! * [`check_teardown`] runs after every node program has stopped (so every
 //!   send has landed — the checks are deterministic) and enforces
 //!   **message-drain**, **non-overtaking**, **collective agreement**, and
 //!   **tag-window disjointness**.
@@ -98,7 +98,7 @@ pub(crate) struct CollEvent {
 /// Placeholder member-set hash for world-communicator collectives.
 pub(crate) const WORLD_HASH: u64 = 0;
 
-/// Per-node event log, returned by the node thread at teardown.
+/// Per-node event log, handed over at teardown.
 #[derive(Debug, Default)]
 pub(crate) struct NodeLog {
     /// The rank that produced this log.

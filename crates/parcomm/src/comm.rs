@@ -17,8 +17,8 @@
 //! then books its own messages here, with the same `book_send` /
 //! `book_recv` steps, in the same order, that exchanging them would have
 //! made. Every virtual time, statistic and trace event is what the message
-//! exchange produces; only the physical messages and their host-thread
-//! hand-offs are absent.
+//! exchange produces; only the physical messages and the node suspensions
+//! they would cost are absent.
 //!
 //! An all-reduce is written once, over a `Scope` — the world or a
 //! [`Group`] — as `NodeCtx::allreduce_on`; the public methods here and on
@@ -132,13 +132,13 @@ impl Timeline {
 
 /// A node's view of the cluster: rank, peers, clock, statistics, the
 /// failure oracle, and the scheduler that carries its messages. Exactly one
-/// `NodeCtx` exists per node thread.
+/// `NodeCtx` exists per node.
 pub struct NodeCtx {
     rank: usize,
     size: usize,
     /// The cluster's node scheduler: owns every rank's message queue and
     /// the open collectives, and parks this node when it must wait.
-    sched: Arc<Scheduler>,
+    pub(crate) sched: Arc<Scheduler>,
     oracle: FaultOracle,
     clock: VClock,
     /// Everything that watches this node's communication.
@@ -351,16 +351,16 @@ impl NodeCtx {
     /// Blocking receive of a user-tagged message from `src` (stall time
     /// accounted to [`CommPhase::Other`]; use [`NodeCtx::recv_phase`] to
     /// attribute it).
-    pub fn recv(&mut self, src: usize, tag: u32) -> Payload {
-        self.recv_phase(src, tag, CommPhase::Other)
+    pub async fn recv(&mut self, src: usize, tag: u32) -> Payload {
+        self.recv_phase(src, tag, CommPhase::Other).await
     }
 
     /// Blocking receive of a user-tagged message from `src`, with the stall
     /// time attributed to `phase`. Messages from one source under one tag
     /// match in the order they were sent.
-    pub fn recv_phase(&mut self, src: usize, tag: u32, phase: CommPhase) -> Payload {
+    pub async fn recv_phase(&mut self, src: usize, tag: u32, phase: CommPhase) -> Payload {
         let tag = Tag::user(tag);
-        let m = self.sched.recv(self.rank, src, tag, self.clock.now());
+        let m = self.sched.recv(self.rank, src, tag, self.clock.now()).await;
         self.emit(self.clock.now(), Event::Matched(&m));
         let (elems, arrival) = (m.payload.elems(), m.arrival_vtime);
         self.book_recv(&mut Timeline::Node, src, tag, elems, arrival, phase);
@@ -374,17 +374,18 @@ impl NodeCtx {
     /// Synchronize all nodes (and their virtual clocks): a zero-length
     /// recursive-doubling all-reduce in ⌈log₂N⌉(+2) rounds, so every node
     /// transitively absorbs every other one's clock.
-    pub fn barrier(&mut self) {
+    pub async fn barrier(&mut self) {
         let s = self.world();
         let tag = self.coll_begin(&s, "barrier", op::BARRIER, None, Some(0));
         let (tl, x) = (&mut Timeline::Node, Vec::new());
-        self.rd_rounds(tl, &s, tag, ReduceOp::Sum, x, CommPhase::Reduction);
+        self.rd_rounds(tl, &s, tag, ReduceOp::Sum, x, CommPhase::Reduction)
+            .await;
         self.trace_close();
     }
 
     /// All-reduce a scalar sum.
-    pub fn allreduce_sum(&mut self, x: f64) -> f64 {
-        self.allreduce_vec(ReduceOp::Sum, vec![x])[0]
+    pub async fn allreduce_sum(&mut self, x: f64) -> f64 {
+        self.allreduce_vec(ReduceOp::Sum, vec![x]).await[0]
     }
 
     /// Element-wise all-reduce of an `f64` buffer (all nodes pass equal
@@ -394,9 +395,10 @@ impl NodeCtx {
     /// every node sends and receives one buffer per round — no root
     /// bottleneck. The pairing and combination order are fixed functions
     /// of (rank, size), so the result is deterministic.
-    pub fn allreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
+    pub async fn allreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> Vec<f64> {
         let (world, tl) = (self.world(), &mut Timeline::Node);
         self.allreduce_on(tl, &world, "allreduce", opr, x, CommPhase::Reduction)
+            .await
     }
 
     /// Non-blocking element-wise all-reduce: same deterministic
@@ -409,9 +411,10 @@ impl NodeCtx {
     ///
     /// All nodes must issue the operation at the same SPMD point (it shares
     /// the collective sequence space with the blocking collectives).
-    pub fn iallreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> AllreduceRequest {
+    pub async fn iallreduce_vec(&mut self, opr: ReduceOp, x: Vec<f64>) -> AllreduceRequest {
         let world = self.world();
         self.iallreduce_on(&world, "iallreduce", opr, x, CommPhase::Reduction)
+            .await
     }
 
     /// Personalized all-to-all of index lists, sparse on both sides:
@@ -435,7 +438,7 @@ impl NodeCtx {
     /// # Panics
     /// Panics when the destinations are not strictly ascending ranks below
     /// the cluster size.
-    pub fn alltoallv_sparse_u64(
+    pub async fn alltoallv_sparse_u64(
         &mut self,
         sends: Vec<(usize, Vec<u64>)>,
     ) -> Vec<(usize, Vec<u64>)> {
@@ -464,7 +467,7 @@ impl NodeCtx {
             sends.extend(data.map(|data| (i, Payload::u64s(data))));
         }
         let part = Part::Exchange { stamps, sends };
-        let (shared, recvd) = self.rendezvous(&s, tag, part);
+        let (shared, recvd) = self.rendezvous(&s, tag, part).await;
 
         let mut out = Vec::with_capacity(recvd.len() + 1);
         let mut recvd = recvd.into_iter().peekable();
@@ -523,7 +526,7 @@ impl NodeCtx {
 
     /// Element-wise all-reduce on `s`, booked on `tl` (all participants
     /// pass equal lengths; the result is bitwise identical on each).
-    pub(crate) fn allreduce_on(
+    pub(crate) async fn allreduce_on(
         &mut self,
         tl: &mut Timeline,
         s: &Scope<'_>,
@@ -533,7 +536,7 @@ impl NodeCtx {
         phase: CommPhase,
     ) -> Vec<f64> {
         let tag = self.coll_begin(s, name, op::ALLREDUCE, Some(opr), Some(x.len()));
-        let (acc, rounds) = self.rd_rounds(tl, s, tag, opr, x, phase);
+        let (acc, rounds) = self.rd_rounds(tl, s, tag, opr, x, phase).await;
         self.trace_close();
         self.emit(self.clock.now(), Event::Allreduce { rounds });
         acc
@@ -541,7 +544,7 @@ impl NodeCtx {
 
     /// Non-blocking all-reduce on `s`: the same schedule on a detached
     /// engine timeline that starts now.
-    pub(crate) fn iallreduce_on(
+    pub(crate) async fn iallreduce_on(
         &mut self,
         s: &Scope<'_>,
         name: &'static str,
@@ -551,7 +554,7 @@ impl NodeCtx {
     ) -> AllreduceRequest {
         let start = self.clock.now();
         let mut engine = Timeline::Engine(start);
-        let acc = self.allreduce_on(&mut engine, s, name, opr, x, phase);
+        let acc = self.allreduce_on(&mut engine, s, name, opr, x, phase).await;
         AllreduceRequest::new(acc, start, engine.now(&self.clock), phase)
     }
 
@@ -565,7 +568,7 @@ impl NodeCtx {
     /// exactly its own rounds, in schedule order. Within one call every
     /// ordered pair of participants exchanges at most one message, so a
     /// single tag covers all rounds.
-    fn rd_rounds(
+    async fn rd_rounds(
         &mut self,
         tl: &mut Timeline,
         s: &Scope<'_>,
@@ -584,7 +587,7 @@ impl NodeCtx {
             x,
             msg_cost: self.clock.model().msg_cost(elems),
         };
-        let (out, _) = self.rendezvous(s, tag, part);
+        let (out, _) = self.rendezvous(s, tag, part).await;
 
         let mut rounds = 0;
         for (k, round) in RdShape::new(s.n).rounds_of(s.my_index).enumerate() {
@@ -607,7 +610,7 @@ impl NodeCtx {
     }
 
     /// Meet the other participants of `s` in the scheduler under `tag`.
-    fn rendezvous(&mut self, s: &Scope<'_>, tag: Tag, part: Part) -> Outcome {
+    async fn rendezvous(&mut self, s: &Scope<'_>, tag: Tag, part: Part) -> Outcome {
         let deposit = Deposit {
             tag,
             index: s.my_index,
@@ -615,7 +618,8 @@ impl NodeCtx {
             members: s.members,
             part,
         };
-        self.sched.collective(self.rank, deposit, self.clock.now())
+        let now = self.clock.now();
+        self.sched.collective(self.rank, deposit, now).await
     }
 
     // ------------------------------------------------------------------
@@ -697,7 +701,7 @@ mod tests {
     fn resurrected_swap_remove_fifo_bug_is_caught() {
         use crate::{Cluster, ClusterConfig, CommPhase, Payload};
         let err = std::panic::catch_unwind(|| {
-            Cluster::run(ClusterConfig::new(2), |ctx| {
+            Cluster::run_async(ClusterConfig::new(2), async |ctx| {
                 if ctx.rank() == 0 {
                     for v in [1.0, 2.0, 3.0] {
                         ctx.send(1, 7, Payload::f64s(vec![v]), CommPhase::Other);
@@ -708,9 +712,9 @@ mod tests {
                     // Receiving tag 9 first forces the three tag-7 messages
                     // through the pending queue, where the seeded
                     // swap_remove reorders them.
-                    let _ = ctx.recv(0, 9);
+                    let _ = ctx.recv(0, 9).await;
                     for _ in 0..3 {
-                        let _ = ctx.recv(0, 7);
+                        let _ = ctx.recv(0, 7).await;
                     }
                 }
             })

@@ -22,8 +22,9 @@
 //!
 //! A node's life is a composition of two state machines. The *scheduler*
 //! level (`crate::sched`) knows only execution states — a node is
-//! **Runnable** (parked, dispatchable), **Running** (holds the baton),
-//! **Blocked** (parked in a receive with no matching message), or **Done**
+//! **Runnable** (suspended, dispatchable), **Running** (the one node
+//! executing), **Blocked** (suspended in a receive with no matching message
+//! or an incomplete collective), or **Done**
 //! (its program returned). The *solver* level layers failure roles on top,
 //! without ever leaving the scheduler's view:
 //!

@@ -73,7 +73,7 @@ impl Group {
     /// charged to `phase`: [`CommPhase::Recovery`] inside a reconstruction,
     /// [`CommPhase::Reduction`] for a solver's reductions on a shrunken
     /// cluster.
-    pub fn allreduce_vec(
+    pub async fn allreduce_vec(
         &mut self,
         ctx: &mut NodeCtx,
         opr: ReduceOp,
@@ -82,6 +82,7 @@ impl Group {
     ) -> Vec<f64> {
         let tl = &mut Timeline::Node;
         ctx.allreduce_on(tl, &self.scope(), "group_allreduce", opr, x, phase)
+            .await
     }
 
     /// Non-blocking group element-wise all-reduce: the same detached-engine
@@ -90,7 +91,7 @@ impl Group {
     /// identical recursive-doubling schedule runs, only the time accounting
     /// differs), so a solver that continues on a shrunken communicator
     /// keeps both its overlap *and* its determinism.
-    pub fn iallreduce_vec(
+    pub async fn iallreduce_vec(
         &mut self,
         ctx: &mut NodeCtx,
         opr: ReduceOp,
@@ -98,6 +99,7 @@ impl Group {
         phase: CommPhase,
     ) -> AllreduceRequest {
         ctx.iallreduce_on(&self.scope(), "group_iallreduce", opr, x, phase)
+            .await
     }
 }
 

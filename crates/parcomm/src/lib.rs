@@ -8,13 +8,16 @@
 //! physical nodes. Here, every **node** of the parallel computer has
 //! strictly private state and a message queue; all interaction happens
 //! through explicit message passing and collectives, mirroring the MPI
-//! programming model. Node programs are written in blocking style (each
-//! node owns an OS thread as its stack), but execution is driven by a
-//! deterministic discrete-event scheduler (`sched`): exactly one node
-//! runs at a time, blocking operations park the node, and the next
-//! runnable node is dispatched by minimum `(virtual time, rank)` — so a
-//! 1024-node cluster runs on one core and every run replays the identical
-//! schedule.
+//! programming model. A node program is an `async fn` over its
+//! [`NodeCtx`], and execution is driven by a deterministic discrete-event
+//! scheduler (`sched`): exactly one node runs at a time, a call that must
+//! wait suspends the node, and the next runnable node is dispatched by
+//! minimum `(virtual time, rank)`. [`Cluster::run_async`] polls every
+//! node's future on the calling thread — a 1024-node cluster runs on one
+//! core with no thread spawned, and every run replays the identical
+//! schedule. [`Cluster::run`] keeps a blocking program working, on one
+//! node thread each: its [`BlockingCtx`] wraps the four waiting calls a
+//! synchronous caller needs; no solve runs there.
 //!
 //! The communication surface is what the solvers call, and nothing more:
 //!
@@ -76,7 +79,7 @@ pub(crate) mod tag;
 pub(crate) mod trace;
 pub(crate) mod vclock;
 
-pub use cluster::{Cluster, ClusterConfig, SparePool};
+pub use cluster::{BlockingCtx, Cluster, ClusterConfig, ClusterRun, HostWork, SparePool};
 pub use comm::{NodeCtx, ReduceOp};
 pub use fault::{FailAt, FailureEvent, FailureScript, RECOVERY_SUBSTEPS};
 pub use group::Group;

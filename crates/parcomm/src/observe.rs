@@ -92,10 +92,8 @@ pub(crate) struct Observers {
     trace: Option<Box<TraceState>>,
 }
 
-/// A node's diagnostic observers, handed back at teardown still boxed: the
-/// node thread returns two pointers whichever observers ran. (Unboxed logs
-/// cost every node thread another stack page, +2.4 MB peak RSS on
-/// `scale_m1_n512`'s 512 threads.)
+/// A node's diagnostic observers, handed back at teardown still boxed: two
+/// pointers whichever observers ran.
 pub(crate) struct NodeLogs {
     pub(crate) audit: Option<Box<AuditState>>,
     pub(crate) trace: Option<Box<TraceState>>,

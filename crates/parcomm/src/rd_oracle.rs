@@ -266,27 +266,28 @@ fn oracle(case: &Case) -> Vec<Observed> {
 
 fn resident(case: &Case) -> Vec<Observed> {
     let world = case.members.len() == case.cluster;
-    let out = Cluster::run(ClusterConfig::new(case.cluster), |ctx| {
+    let out = Cluster::run_async(ClusterConfig::new(case.cluster), async |ctx| {
         let i = case.members.iter().position(|&r| r == ctx.rank())?;
         ctx.clock_mut().advance(case.skew[i]);
         let (opr, x) = (case.opr, case.x[i].clone());
         let mut group = (!world).then(|| ctx.group(&case.members));
         if case.engine[i] {
             let req = match &mut group {
-                Some(g) => g.iallreduce_vec(ctx, opr, x, case.phase),
-                None => ctx.iallreduce_vec(opr, x),
+                Some(g) => g.iallreduce_vec(ctx, opr, x, case.phase).await,
+                None => ctx.iallreduce_vec(opr, x).await,
             };
             let seen = (ctx.vtime(), req.completion_vtime(), ctx.stats().clone());
             Some((req.wait(ctx), seen))
         } else {
             let acc = match &mut group {
-                Some(g) => g.allreduce_vec(ctx, opr, x, case.phase),
-                None => ctx.allreduce_vec(opr, x),
+                Some(g) => g.allreduce_vec(ctx, opr, x, case.phase).await,
+                None => ctx.allreduce_vec(opr, x).await,
             };
             Some((acc, (ctx.vtime(), ctx.vtime(), ctx.stats().clone())))
         }
     });
-    out.into_iter()
+    out.values
+        .into_iter()
         .flatten()
         .map(|(acc, (clock, done, stats))| Observed {
             result_bits: acc.iter().map(|v| v.to_bits()).collect(),
@@ -356,14 +357,14 @@ fn oracle_exchange(case: &ExchangeCase) -> Vec<Observed> {
 /// ones that get nothing with an empty list; otherwise those are left out.
 fn resident_exchange(case: &ExchangeCase, list_empties: bool) -> Vec<Observed> {
     let n = case.sends.len();
-    let out = Cluster::run(ClusterConfig::new(n), |ctx| {
+    let out = Cluster::run_async(ClusterConfig::new(n), async |ctx| {
         let i = ctx.rank();
         ctx.clock_mut().advance(case.skew[i]);
         let sends = case.sends[i].clone().into_iter().enumerate();
         let sends = sends
             .filter(|(_, l)| list_empties || !l.is_empty())
             .collect();
-        let got = ctx.alltoallv_sparse_u64(sends);
+        let got = ctx.alltoallv_sparse_u64(sends).await;
         let mut recvd = vec![Vec::new(); n];
         for (src, l) in got {
             assert!(!l.is_empty() && recvd[src].is_empty(), "sparse result");
@@ -371,7 +372,8 @@ fn resident_exchange(case: &ExchangeCase, list_empties: bool) -> Vec<Observed> {
         }
         (recvd, ctx.vtime(), ctx.stats().clone())
     });
-    out.into_iter()
+    out.values
+        .into_iter()
         .map(|(recvd, clock, stats)| Observed {
             result_bits: list_bits(recvd),
             clock_bits: clock.to_bits(),

@@ -30,7 +30,11 @@
 //!
 //! Requests are **linear**: every request must be consumed by `wait`.
 //! Dropping an un-waited request is a protocol bug (MPI would leak the
-//! request and possibly its buffer) and panics.
+//! request and possibly its buffer) and panics — except while a panic
+//! unwinds, or while an aborted run drops the node programs the panic
+//! stopped (`abandon`): the report then names the root cause.
+
+use std::cell::Cell;
 
 use crate::comm::NodeCtx;
 use crate::observe::Event;
@@ -90,9 +94,21 @@ impl AllreduceRequest {
     }
 }
 
+thread_local! {
+    static ABANDONING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Drop `stopped`, the node programs an abort left unfinished, without the
+/// un-waited-request check: a request they hold is no bug of theirs.
+pub(crate) fn abandon<T>(stopped: T) {
+    ABANDONING.set(true);
+    drop(stopped);
+    ABANDONING.set(false);
+}
+
 impl Drop for AllreduceRequest {
     fn drop(&mut self) {
-        if self.result.is_some() && !std::thread::panicking() {
+        if self.result.is_some() && !std::thread::panicking() && !ABANDONING.get() {
             panic!("AllreduceRequest dropped without wait — requests are linear; call wait()");
         }
     }

@@ -2,43 +2,44 @@
 //! of the simulated cluster, its message queues, and its resident
 //! collectives.
 //!
-//! [`crate::cluster::Cluster::run`] still gives every node its own OS
-//! thread (node programs keep their blocking call style and their private
-//! stacks), but the threads never free-run: exactly **one** node executes
-//! at any moment, and the scheduler decides which. A node runs until it
-//! *blocks* (a receive with no matching message, or a collective not every
-//! participant has reached) or *finishes*; the scheduler then hands the
-//! baton to the runnable node with the minimum `(virtual time, rank)` key.
-//! Execution order is therefore a pure function of the program —
-//! independent of host load, core count, and OS scheduling — and the
-//! cluster occupies one core no matter how many nodes it simulates, which
-//! is what makes N = 1024 runs routine.
+//! A node program is a future ([`crate::cluster::Cluster::run_async`]).
+//! Exactly **one** node executes at any moment, and the scheduler decides
+//! which: a node runs until it *suspends* (a receive with no matching
+//! message, or a collective not every participant has reached) or
+//! *finishes*; the executor then runs the runnable node with the minimum
+//! `(virtual time, rank)` key. Execution order is therefore a pure function
+//! of the program — independent of host load, core count, and OS
+//! scheduling. The poller drives every node from the calling thread, so a
+//! suspension is a return from `poll` and N = 1024 runs are routine.
+//! [`crate::cluster::Cluster::run`] drives a blocking program by the same
+//! dispatch on one OS thread per node: a suspended node's thread parks,
+//! and the next node's thread is handed the baton directly (its atomic
+//! flag, then an unpark, with the lock released).
 //!
 //! ## Invariants
 //!
-//! * **Single baton.** At most one node is [`NodeState::Running`]; every
-//!   other thread is parked. All scheduler state — node states, the
-//!   per-rank message queues, the runnable heap, the open collectives —
-//!   sits behind one mutex, and the running node is the only thread that
-//!   transitions it.
-//! * **Park implies no match.** A receive checks its rank's queue under
-//!   the lock and parks under the same lock hold, and a send needs the
-//!   baton, so a parked node's wait is genuine. "No runnable node while
-//!   blocked nodes exist" is therefore *exactly* a deadlock: detected the
-//!   instant it forms, with the wait-for chain spelled out. No timeouts,
-//!   no snapshot heuristics.
+//! * **One runner.** At most one node is [`NodeState::Running`]; every
+//!   other node is suspended or done. All scheduler state — node states,
+//!   the per-rank message queues, the runnable heap, the open collectives —
+//!   sits behind one lock, and only the running node transitions it.
+//! * **Suspend implies no match.** A receive checks its rank's queue and
+//!   marks itself blocked under one lock hold before it returns `Pending`,
+//!   and a send needs to be running, so a suspended node's wait is
+//!   genuine. "No runnable node while blocked nodes exist" is therefore
+//!   *exactly* a deadlock: detected the instant it forms, with the wait-for
+//!   chain spelled out. No timeouts, no snapshot heuristics.
 //! * **Wake on match only.** A send marks a blocked matching receiver
-//!   runnable (at the virtual time it parked at) but does not preempt the
-//!   sender; the receiver runs when dispatch order reaches it.
+//!   runnable (at the virtual time it suspended at) but does not preempt
+//!   the sender; the receiver runs when dispatch order reaches it.
 //! * **One rendezvous per collective.** Every resident collective — an
 //!   all-reduce, a barrier, a personalized all-to-all — goes through the
 //!   same [`Scheduler::collective`]: a participant deposits its [`Part`]
-//!   in the one map of open collectives and parks once, the participant
+//!   in the one map of open collectives and suspends once, the participant
 //!   count (and a reduction's operator and length) are compared there in
 //!   every build, and the last arriver finishes the collective for
-//!   everyone, leaves each parked participant its outcome, marks it
-//!   runnable at its parked virtual time, and keeps the baton — a
-//!   completing collective never preempts. An all-reduce deposits
+//!   everyone, leaves each suspended participant its outcome, marks it
+//!   runnable at its suspended virtual time, and runs on — a completing
+//!   collective never preempts. An all-reduce deposits
 //!   `(entry clock, contribution)`, the last arriver runs the whole
 //!   recursive-doubling schedule ([`run_rounds`]) and each rank then books
 //!   its own rounds from the shared stamps. An all-to-all books its sends
@@ -46,9 +47,9 @@
 //!   alone), deposits the stamps with its non-empty payloads, and books
 //!   its receives afterwards from the shared stamp rows. No [`Message`] is
 //!   built for either.
-//! * **Direct hand-off.** The next node is chosen under the lock, the lock
-//!   is released, and only then is exactly that thread unparked. The woken
-//!   thread reads its own atomic flag and takes no lock to resume.
+//! * **Counted suspensions.** Every suspension passes through
+//!   [`Scheduler::suspend`], which counts it: the host work of a run is as
+//!   deterministic as its schedule.
 //!
 //! Dispatching by minimum `(vtime, rank)` mirrors the BSP cost model of
 //! [`crate::vclock`]: virtual time advances only through each node's own
@@ -59,8 +60,10 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::future::Future;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::task::Poll;
 use std::thread::Thread;
 
 use crate::comm::ReduceOp;
@@ -82,13 +85,13 @@ pub(crate) enum BlockedOn {
 /// still Runnable/Blocked/Done here.)
 #[derive(Clone, Debug)]
 enum NodeState {
-    /// Parked but dispatchable: its `(vtime, rank)` key is in the heap.
+    /// Suspended but dispatchable: its `(vtime, rank)` key is in the heap.
     Runnable,
-    /// Holds the baton (at most one node at a time).
+    /// Running (at most one node at a time).
     Running,
-    /// Parked in a receive or collective that cannot complete yet.
+    /// Suspended in a receive or collective that cannot complete yet.
     Blocked { on: BlockedOn, vtime: f64 },
-    /// The node program returned — or panicked (see `abort`).
+    /// The node program returned — or panicked (see `retire`).
     Done,
 }
 
@@ -380,9 +383,10 @@ struct SchedInner {
     /// Per-rank unexpected-message queue, in delivery order. One queue per
     /// receiver: per-source deques cost 30 % more resident memory at
     /// N = 512 and bought no wall time. Each starts empty and grows to the
-    /// largest burst its rank receives (a ghost exchange parks the node's
-    /// degree). Never pre-size them for N: a ring buffer's head walks its
-    /// whole capacity under steady traffic, so N² slots would be resident.
+    /// largest burst its rank receives (a ghost exchange queues up to the
+    /// node's degree). Never pre-size them for N: a ring buffer's head walks
+    /// its whole capacity under steady traffic, so N² slots would be
+    /// resident.
     queues: Vec<VecDeque<Message>>,
     /// Runnable nodes keyed by `(vtime bits, rank)`. Virtual times are
     /// non-negative, so their bit patterns order like the values; ties
@@ -390,45 +394,48 @@ struct SchedInner {
     runnable: BinaryHeap<Reverse<(u64, usize)>>,
     /// Collectives some participant has yet to reach.
     colls: HashMap<Tag, CollSlot>,
-    /// Per rank: the outcome of the collective it is parked in, left by the
-    /// last arriver for pick-up.
+    /// Per rank: the outcome of the collective it is suspended in, left by
+    /// the last arriver for pick-up.
     outcomes: Vec<Option<Outcome>>,
-    /// First rank whose program panicked; set before waking everyone so
-    /// woken peers can name the culprit.
+    /// First rank whose program panicked: the nodes it stops name it.
     abort: Option<usize>,
     /// Deadlock report, built by the dispatch that proved the stall.
     deadlock: Option<String>,
+    /// Node suspensions so far: each time a node stopped in a wait.
+    suspensions: u64,
     /// Test double: ranks whose queue reintroduces the `swap_remove` FIFO
     /// defect, so the auditor's non-overtaking check can be proven.
     #[cfg(test)]
     fifo_bug: Vec<bool>,
 }
 
-/// What the thread that just gave up the baton must do once it has
-/// released the lock.
-enum HandOff {
-    /// Unpark this rank: it is now `Running`.
+/// Whom the executor runs next, once the running node stopped.
+pub(crate) enum HandOff {
+    /// Run this rank: it is now `Running`.
     Wake(usize),
-    /// The cluster deadlocked: send every parked thread to the report.
+    /// A node panicked or the cluster deadlocked: every node left stops
+    /// with [`Scheduler::stop_report`].
     Poison,
     /// Nobody is left to run.
     Idle,
 }
 
-// Per-rank baton flag values. `store(Release)` by the thread handing over
-// pairs with the `swap(Acquire)` in `wait_for_baton`, so everything the
-// previous baton holder wrote is visible to the next one.
+// The thread executor's per-rank baton flag values. `store(Release)` by the
+// thread handing over pairs with the `swap(Acquire)` in `wait_for_baton`,
+// so everything the previous baton holder wrote is visible to the next one.
 const PARKED: u8 = 0;
 const GO: u8 = 1;
-/// Abort or deadlock: go to the lock and panic with the report.
+/// Abort or deadlock: panic with [`Scheduler::stop_report`].
 const POISONED: u8 = 2;
 
 /// The cluster-wide scheduler. One per [`crate::cluster::Cluster`] run,
-/// shared by all node threads.
+/// shared by all node contexts.
 pub(crate) struct Scheduler {
     inner: Mutex<SchedInner>,
+    /// Thread executor only: the baton flags, by rank.
     flags: Vec<AtomicU8>,
-    /// The node threads, by rank (set once by `start`).
+    /// Thread executor only: the node threads, by rank (set once by
+    /// `start`).
     threads: OnceLock<Vec<Thread>>,
 }
 
@@ -443,6 +450,7 @@ impl Scheduler {
                 outcomes: (0..n).map(|_| None).collect(),
                 abort: None,
                 deadlock: None,
+                suspensions: 0,
                 #[cfg(test)]
                 fifo_bug: vec![false; n],
             }),
@@ -451,41 +459,42 @@ impl Scheduler {
         }
     }
 
-    /// Register the spawned node threads and hand out the first baton (all
-    /// nodes start runnable at vtime 0.0, so rank 0 runs first). Called by
-    /// the harness thread.
+    /// Thread executor: register the node threads and hand out the first
+    /// baton. Called by the harness thread.
     pub(crate) fn start(&self, threads: Vec<Thread>) {
         self.threads
             .set(threads)
             .expect("a scheduler is started once");
-        let next = self.lock().dispatch();
-        self.hand_off(next);
+        self.hand_off(self.first());
     }
 
-    /// Park until this rank holds the baton. Panics (inside the node's
-    /// `catch_unwind`) when the cluster aborted or deadlocked meanwhile.
+    /// Thread executor: park until this rank holds the baton. Panics
+    /// (inside the node's `catch_unwind`) when the cluster aborted or
+    /// deadlocked meanwhile.
     pub(crate) fn wait_for_baton(&self, rank: usize) {
         loop {
             match self.flags[rank].swap(PARKED, Ordering::Acquire) {
                 GO => return,
-                POISONED => {
-                    let g = self.lock();
-                    let report = match (&g.deadlock, g.abort) {
-                        (Some(report), _) => report.clone(),
-                        (None, Some(p)) => format!("rank {rank}: peer {p} aborted"),
-                        (None, None) => unreachable!("poisoned without a cause"),
-                    };
-                    drop(g);
-                    panic!("{report}");
-                }
+                POISONED => panic!("{}", self.stop_report(rank)),
                 _ => std::thread::park(),
             }
         }
     }
 
+    /// Why `rank` stops unfinished after a [`HandOff::Poison`]: the
+    /// deadlock report, or the peer whose panic aborted the run.
+    pub(crate) fn stop_report(&self, rank: usize) -> String {
+        let g = self.lock();
+        match (&g.deadlock, g.abort) {
+            (Some(report), _) => report.clone(),
+            (None, Some(p)) => format!("rank {rank}: peer {p} aborted"),
+            (None, None) => unreachable!("poisoned without a cause"),
+        }
+    }
+
     /// Deliver `msg` into `dest`'s queue. If `dest` is blocked on a
-    /// matching receive it becomes runnable (at the virtual time it parked
-    /// at) — the sender keeps the baton.
+    /// matching receive it becomes runnable (at the virtual time it
+    /// suspended at) — the sender keeps running.
     pub(crate) fn send(&self, dest: usize, msg: Message) {
         let mut g = self.lock();
         if let NodeState::Blocked {
@@ -501,35 +510,48 @@ impl Scheduler {
     }
 
     /// Blocking receive of the earliest-delivered `(src, tag)` message in
-    /// `rank`'s queue; `now` is the virtual time the node parks at if
+    /// `rank`'s queue; `now` is the virtual time the node suspends at if
     /// nothing matches yet.
     ///
     /// # Panics
     /// Panics when the receive can never be matched: the dispatch that
     /// finds no runnable node reports the exact wait-for cycle (or
     /// terminated-rank chain).
-    pub(crate) fn recv(&self, rank: usize, src: usize, tag: Tag, now: f64) -> Message {
+    pub(crate) async fn recv(&self, rank: usize, src: usize, tag: Tag, now: f64) -> Message {
         loop {
-            let mut g = self.lock();
-            if let Some(m) = g.take_match(rank, src, tag) {
-                return m;
+            {
+                let mut g = self.lock();
+                if let Some(m) = g.take_match(rank, src, tag) {
+                    return m;
+                }
+                g.block(rank, BlockedOn::Recv { src, tag }, now);
             }
-            // Wake on match only: the re-scan after this park succeeds.
-            self.park(g, rank, BlockedOn::Recv { src, tag }, now);
+            // Wake on match only: the re-scan after this suspension succeeds.
+            suspended().await;
         }
     }
 
     /// Join the collective open under `d.tag` and return its outcome once
     /// all `d.n` participants have arrived. Everyone but the last arriver
-    /// parks here (at `vtime`); the last arriver finishes the collective,
-    /// leaves each of them its outcome, and returns without giving up the
-    /// baton.
+    /// suspends here (at `vtime`); the last arriver finishes the collective,
+    /// leaves each of them its outcome, and runs on.
     ///
     /// # Panics
     /// `[collective-mismatch]` when this participant's participant count —
     /// or, for a reduction, operator or length — disagrees with the first
     /// arriver's.
-    pub(crate) fn collective(&self, rank: usize, d: Deposit<'_>, vtime: f64) -> Outcome {
+    pub(crate) async fn collective(&self, rank: usize, d: Deposit<'_>, vtime: f64) -> Outcome {
+        if let Some(out) = self.arrive(rank, d, vtime) {
+            return out;
+        }
+        suspended().await;
+        let out = self.lock().outcomes[rank].take();
+        out.expect("woken by the last arriver")
+    }
+
+    /// [`Scheduler::collective`] up to the suspension: deposit, and either
+    /// block (`None`) or, as the last arriver, finish the collective.
+    fn arrive(&self, rank: usize, d: Deposit<'_>, vtime: f64) -> Option<Outcome> {
         let (tag, n, shape) = (d.tag, d.n, d.part.shape());
         let mut g = self.lock();
         let inner = &mut *g;
@@ -560,9 +582,8 @@ impl Scheduler {
         slot.deposits[d.index] = Some(d.part);
         slot.arrived += 1;
         if slot.arrived < slot.n {
-            self.park(g, rank, BlockedOn::Collective { tag }, vtime);
-            let out = self.lock().outcomes[rank].take();
-            return out.expect("woken by the last arriver");
+            inner.block(rank, BlockedOn::Collective { tag }, vtime);
+            return None;
         }
         let slot = inner.colls.remove(&tag).expect("slot just used");
         let (shared, recvd) = slot.finish();
@@ -579,31 +600,52 @@ impl Scheduler {
                 inner.make_runnable(peer, vtime);
             }
         }
-        (shared, mine)
+        Some((shared, mine))
     }
 
-    /// `rank`'s program returned cleanly; hand the baton on.
-    pub(crate) fn finish(&self, rank: usize) {
+    /// The first node to run: rank 0, all clocks at 0.0.
+    pub(crate) fn first(&self) -> HandOff {
+        self.lock().dispatch()
+    }
+
+    /// `rank` stopped in a wait (its state is `Blocked`): count the
+    /// suspension and pick the next node.
+    ///
+    /// # Panics
+    /// Panics when `rank` is not blocked: its program suspended in a
+    /// future that no send or collective of this cluster will ever wake.
+    pub(crate) fn suspend(&self, rank: usize) -> HandOff {
         let mut g = self.lock();
-        g.state[rank] = NodeState::Done;
-        let next = g.dispatch();
+        if matches!(g.state[rank], NodeState::Blocked { .. }) {
+            g.suspensions += 1;
+            return g.dispatch();
+        }
         drop(g);
-        self.hand_off(next);
+        panic!("rank {rank} suspended outside a parcomm wait");
     }
 
-    /// `rank`'s program panicked. Record the root cause (first aborter
-    /// wins) and wake every parked node; each wakes into a panic naming
-    /// the culprit, so the whole cluster tears down immediately.
-    pub(crate) fn abort(&self, rank: usize) {
+    /// `rank`'s program returned, or `panicked`. A clean return picks the
+    /// next node. A panic records the root cause (first aborter wins) and,
+    /// the first time, stops every node left with a report naming it.
+    pub(crate) fn retire(&self, rank: usize, panicked: bool) -> HandOff {
         let mut g = self.lock();
         g.state[rank] = NodeState::Done;
+        if !panicked {
+            return g.dispatch();
+        }
         let first = g.abort.is_none() && g.deadlock.is_none();
         g.abort.get_or_insert(rank);
-        drop(g);
-        // Later aborters are the peers this broadcast woke.
+        // Later aborters are the node threads this stop woke.
         if first {
-            self.hand_off(HandOff::Poison);
+            HandOff::Poison
+        } else {
+            HandOff::Idle
         }
+    }
+
+    /// Node suspensions since the cluster started.
+    pub(crate) fn suspensions(&self) -> u64 {
+        self.lock().suspensions
     }
 
     /// Test double: reintroduce the `swap_remove` FIFO defect on `rank`.
@@ -636,7 +678,7 @@ impl Scheduler {
     }
 
     /// Hand over everything still queued, as `(receiver, message)`. Called
-    /// by the cluster after all node threads have joined; any message here
+    /// by the cluster after every node program stopped; any message here
     /// was never matched by a receive: every run's teardown fails on it.
     pub(crate) fn drain_residue(&self) -> Vec<(usize, Message)> {
         let mut g = self.lock();
@@ -650,19 +692,18 @@ impl Scheduler {
         self.inner.lock().expect("scheduler lock poisoned")
     }
 
-    /// Block `rank` on `on`, pass the baton, and park until it comes back.
-    fn park(&self, mut g: MutexGuard<'_, SchedInner>, rank: usize, on: BlockedOn, vtime: f64) {
-        g.state[rank] = NodeState::Blocked { on, vtime };
-        let next = g.dispatch();
-        drop(g);
+    /// Thread executor: `rank` suspended; pass the baton and park until it
+    /// comes back.
+    pub(crate) fn park(&self, rank: usize) {
+        let next = self.suspend(rank);
         self.hand_off(next);
         self.wait_for_baton(rank);
     }
 
-    /// The lock-free half of a baton pass (call with the lock released, so
-    /// the woken thread never runs into it).
-    fn hand_off(&self, next: HandOff) {
-        let threads = self.threads.get().expect("scheduler started");
+    /// Thread executor: the lock-free half of a baton pass (call with the
+    /// lock released, so the woken thread never runs into it).
+    pub(crate) fn hand_off(&self, next: HandOff) {
+        let threads = self.threads.get().expect("node threads started");
         let wake = |rank: usize, flag: u8| {
             self.flags[rank].store(flag, Ordering::Release);
             threads[rank].unpark();
@@ -680,7 +721,25 @@ fn matches(m: &Message, src: usize, tag: Tag) -> bool {
     m.src == src && m.tag == tag
 }
 
+/// Suspend the calling node once: `Pending` on the first poll, `Ready` on
+/// the next, which comes once a send or a collective made it runnable.
+fn suspended() -> impl Future<Output = ()> {
+    let mut yielded = false;
+    std::future::poll_fn(move |_| {
+        if std::mem::replace(&mut yielded, true) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    })
+}
+
 impl SchedInner {
+    /// `rank` waits for `on` from virtual time `vtime`.
+    fn block(&mut self, rank: usize, on: BlockedOn, vtime: f64) {
+        self.state[rank] = NodeState::Blocked { on, vtime };
+    }
+
     fn make_runnable(&mut self, rank: usize, vtime: f64) {
         debug_assert!(vtime >= 0.0, "virtual time is non-negative");
         self.state[rank] = NodeState::Runnable;
@@ -704,9 +763,9 @@ impl SchedInner {
         q.remove(pos)
     }
 
-    /// Give the baton to the runnable node with the minimum
-    /// `(vtime, rank)` key. If none is runnable but blocked nodes remain,
-    /// the cluster is deadlocked: publish the report.
+    /// Run the runnable node with the minimum `(vtime, rank)` key next. If
+    /// none is runnable but blocked nodes remain, the cluster is
+    /// deadlocked: publish the report.
     fn dispatch(&mut self) -> HandOff {
         if let Some(Reverse((_, rank))) = self.runnable.pop() {
             self.state[rank] = NodeState::Running;
@@ -727,8 +786,8 @@ impl SchedInner {
 /// Spell out why the cluster can make no progress. Reached only when no
 /// node is runnable and at least one is blocked — every live node is
 /// blocked, so the wait-for graph has either a cycle or a chain into a
-/// terminated rank. A rank parked in a collective waits for its missing
-/// ranks (there is always one: the last arriver never parks); the walk
+/// terminated rank. A rank suspended in a collective waits for its missing
+/// ranks (there is always one: the last arriver never suspends); the walk
 /// follows the lowest.
 fn deadlock_report(state: &[NodeState], colls: &HashMap<Tag, CollSlot>) -> String {
     let blocked_on = |r: usize| match &state[r] {
@@ -951,7 +1010,7 @@ mod tests {
             members: None,
             part: exchange(3),
         };
-        let join = std::panic::AssertUnwindSafe(|| s.collective(1, late, 0.0));
+        let join = std::panic::AssertUnwindSafe(|| s.arrive(1, late, 0.0));
         let err = std::panic::catch_unwind(join).err().expect("refused");
         assert_eq!(
             err.downcast_ref::<String>().expect("a formatted report"),
@@ -991,7 +1050,7 @@ mod tests {
     fn report_names_missing_collective_participants() {
         // Group members {1, 4, 6}: 1 and 6 arrived, 4 waits on a receive
         // from terminated rank 0 — the walk follows the missing rank.
-        // Both kinds of resident collective park in the same slot map.
+        // Both kinds of resident collective suspend in the same slot map.
         let part = |kind: u8| match kind {
             crate::tag::op::ALLTOALL => Part::Exchange {
                 stamps: vec![0.0; 3],

@@ -186,7 +186,7 @@ pub struct CommStats {
     /// compute — flight time the node clock never had to pay for.
     hidden_vtime: [f64; NPHASES],
     /// The histograms, boxed: inline they made this struct 3.9 KB, a
-    /// value every node thread holds and copies through its frames.
+    /// value every node holds and copies through its frames.
     hists: Box<Hists>,
 }
 

@@ -11,17 +11,16 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use parcomm::{Cluster, ClusterConfig, CommPhase, Payload, ReduceOp};
+use parcomm::{Cluster, ClusterConfig, CommPhase, NodeCtx, Payload, ReduceOp};
 
-/// Run a cluster program that must panic; return the panic message.
-fn expect_panic<T, F>(f: F) -> String
-where
-    T: Send,
-    F: Fn(&mut parcomm::NodeCtx) -> T + Sync,
-    F: std::panic::RefUnwindSafe,
-{
+fn run<T>(config: ClusterConfig, program: impl AsyncFn(&mut NodeCtx) -> T) -> Vec<T> {
+    Cluster::run_async(config, program).values
+}
+
+/// Run a two-node cluster program that must panic; return the panic message.
+fn expect_panic<T>(f: impl AsyncFn(&mut NodeCtx) -> T) -> String {
     let err = catch_unwind(AssertUnwindSafe(|| {
-        let _ = Cluster::run(ClusterConfig::new(2), f);
+        let _ = run(ClusterConfig::new(2), f);
     }))
     .expect_err("the auditor must have flagged this run");
     err.downcast_ref::<String>()
@@ -35,7 +34,7 @@ where
 
 #[test]
 fn orphaned_message_is_named_with_provenance() {
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         if ctx.rank() == 0 {
             // Send that no receive will ever match.
             ctx.send(1, 3, Payload::f64s(vec![1.0]), CommPhase::Other);
@@ -63,9 +62,9 @@ fn mismatched_reduce_operators_are_caught() {
     // residual thousands of iterations later. The rendezvous now refuses
     // the second arriver in every build; the teardown check still names
     // both operators from the logs.
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         let opr = [ReduceOp::Sum, ReduceOp::Max][ctx.rank()];
-        ctx.allreduce_vec(opr, vec![1.0])
+        ctx.allreduce_vec(opr, vec![1.0]).await
     });
     assert!(msg.contains("[collective-mismatch]"), "{msg}");
     assert!(msg.contains("seq 0"), "{msg}");
@@ -75,9 +74,9 @@ fn mismatched_reduce_operators_are_caught() {
 
 #[test]
 fn length_mismatched_collective_is_caught() {
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         let n = 1 + ctx.rank(); // rank 0 contributes len 1, rank 1 len 2
-        ctx.allreduce_vec(ReduceOp::Sum, vec![1.0; n])
+        ctx.allreduce_vec(ReduceOp::Sum, vec![1.0; n]).await
     });
     assert!(msg.contains("[collective-mismatch]"), "{msg}");
     assert!(msg.contains("len 1"), "{msg}");
@@ -91,14 +90,14 @@ fn cross_attempt_tag_reuse_is_caught() {
     // Rank 0 sends inside recovery attempt 0; rank 1 matches it from
     // attempt 1 — the cross-attempt match the engine's restart protocol
     // must never allow.
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(0);
             ctx.send(1, 5, Payload::f64s(vec![1.0]), CommPhase::Recovery);
             ctx.audit_exit_window();
         } else {
             ctx.audit_enter_window(1);
-            let _ = ctx.recv(0, 5);
+            let _ = ctx.recv(0, 5).await;
             ctx.audit_exit_window();
         }
     });
@@ -114,7 +113,7 @@ fn window_close_with_unconsumed_recovery_message_panics() {
     // A recovery-window message still queued when its window closes is
     // flagged *at the boundary* (not only at teardown): the next attempt
     // must start with a clean slate.
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(2);
             ctx.send(1, 4, Payload::f64s(vec![1.0]), CommPhase::Recovery);
@@ -124,7 +123,7 @@ fn window_close_with_unconsumed_recovery_message_panics() {
             ctx.audit_enter_window(2);
             // Receiving the marker (tag 8) first parks the tag-4 message in
             // the pending queue, so it is provably queued at window close.
-            let _ = ctx.recv(0, 8);
+            let _ = ctx.recv(0, 8).await;
             ctx.audit_exit_window();
         }
     });
@@ -146,7 +145,7 @@ fn leaked_checkpoint_deposit_is_flagged_at_window_close() {
     // deposit travels in the Redundancy phase, but window residue is
     // phase-blind: the window stamp alone must flag it at the boundary.
     const DEPOSIT_TAG: u32 = (1 << 16) + 6 * 32; // tag(seq 6, OFF_CKPT)
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(6);
             ctx.send(
@@ -160,7 +159,7 @@ fn leaked_checkpoint_deposit_is_flagged_at_window_close() {
             ctx.audit_exit_window();
         } else {
             ctx.audit_enter_window(6);
-            let _ = ctx.recv(0, 8);
+            let _ = ctx.recv(0, 8).await;
             ctx.audit_exit_window();
         }
     });
@@ -178,14 +177,14 @@ fn checkpoint_fetch_across_windows_is_flagged() {
     // sequence (one rank skipping a deposit round) would produce exactly
     // this cross-window match.
     const FETCH_TAG: u32 = (1 << 16) + 3 * 32 + 1; // tag(seq 3, OFF_FETCH)
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         if ctx.rank() == 0 {
             ctx.audit_enter_window(3);
             ctx.send(1, FETCH_TAG, Payload::f64s(vec![1.0]), CommPhase::Recovery);
             ctx.audit_exit_window();
         } else {
             ctx.audit_enter_window(4);
-            let _ = ctx.recv(0, FETCH_TAG);
+            let _ = ctx.recv(0, FETCH_TAG).await;
             ctx.audit_exit_window();
         }
     });
@@ -202,9 +201,9 @@ fn collective_across_attempt_windows_is_caught() {
     // so no receive can compare stamps. The call itself carries the
     // caller's window, and one instance joined from two attempts — on the
     // world or on a group — is the same cross-attempt match.
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         ctx.audit_enter_window(1 + ctx.rank() as u32);
-        let sum = ctx.allreduce_sum(1.0);
+        let sum = ctx.allreduce_sum(1.0).await;
         ctx.audit_exit_window();
         sum
     });
@@ -222,10 +221,12 @@ fn collective_across_attempt_windows_is_caught() {
         "{msg}"
     );
 
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         let mut g = ctx.group(&[0, 1]);
         ctx.audit_enter_window(1 + ctx.rank() as u32);
-        let sum = g.allreduce_vec(ctx, ReduceOp::Sum, vec![1.0], CommPhase::Recovery);
+        let sum = g
+            .allreduce_vec(ctx, ReduceOp::Sum, vec![1.0], CommPhase::Recovery)
+            .await;
         ctx.audit_exit_window();
         sum
     });
@@ -240,9 +241,11 @@ fn alltoall_across_attempt_windows_is_caught() {
     // are booked, never delivered, so there is no stamp for a receive to
     // compare — the `Coll` record's window is the only guard a plan built
     // from two recovery attempts would have.
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         ctx.audit_enter_window(1 + ctx.rank() as u32);
-        let got = ctx.alltoallv_sparse_u64(vec![(0, vec![7]), (1, vec![8])]);
+        let got = ctx
+            .alltoallv_sparse_u64(vec![(0, vec![7]), (1, vec![8])])
+            .await;
         ctx.audit_exit_window();
         got
     });
@@ -265,9 +268,9 @@ fn wait_for_cycle_is_reported_not_hung() {
     // Classic two-rank cycle: each blocks receiving from the other with no
     // message in flight. The scheduler reports the cycle with per-rank
     // blocked-on state the moment no node can run, in every profile.
-    let msg = expect_panic(|ctx| {
+    let msg = expect_panic(async |ctx| {
         let peer = 1 - ctx.rank();
-        let _ = ctx.recv(peer, 1);
+        let _ = ctx.recv(peer, 1).await;
     });
     assert!(msg.contains("[deadlock]"), "{msg}");
     assert!(msg.contains("blocked in recv"), "{msg}");
@@ -281,7 +284,7 @@ fn full_protocol_workout_is_audit_clean() {
     // Point-to-point, world + group collectives, non-blocking all-reduce,
     // and a recovery window, all properly drained: the auditor must stay
     // silent (a checker that cries wolf gets turned off).
-    let out = Cluster::run(ClusterConfig::new(4), |ctx| {
+    let out = run(ClusterConfig::new(4), async |ctx| {
         let next = (ctx.rank() + 1) % ctx.size();
         let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
         ctx.send(
@@ -290,21 +293,24 @@ fn full_protocol_workout_is_audit_clean() {
             Payload::f64s(vec![ctx.rank() as f64]),
             CommPhase::Other,
         );
-        let from_prev = ctx.recv(prev, 11).into_f64s()[0];
+        let from_prev = ctx.recv(prev, 11).await.into_f64s()[0];
 
-        let total = ctx.allreduce_sum(1.0);
-        let req = ctx.iallreduce_vec(ReduceOp::Max, vec![ctx.rank() as f64]);
+        let total = ctx.allreduce_sum(1.0).await;
+        let req = ctx
+            .iallreduce_vec(ReduceOp::Max, vec![ctx.rank() as f64])
+            .await;
         let mx = req.wait(ctx)[0];
 
         ctx.audit_enter_window(0);
         let gsum = if ctx.rank() < 2 {
             let mut g = ctx.group(&[0, 1]);
-            g.allreduce_vec(ctx, ReduceOp::Sum, vec![1.0], CommPhase::Recovery)[0]
+            g.allreduce_vec(ctx, ReduceOp::Sum, vec![1.0], CommPhase::Recovery)
+                .await[0]
         } else {
             0.0
         };
         ctx.audit_exit_window();
-        ctx.barrier();
+        ctx.barrier().await;
         (from_prev, total, mx, gsum)
     });
     for (rank, &(from_prev, total, mx, gsum)) in out.iter().enumerate() {

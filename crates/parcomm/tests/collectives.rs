@@ -4,7 +4,11 @@
 use proptest::prelude::*;
 
 use parcomm::comm::ReduceOp;
-use parcomm::{Cluster, ClusterConfig, CommPhase, Payload};
+use parcomm::{Cluster, ClusterConfig, CommPhase, NodeCtx, Payload};
+
+fn run<T>(config: ClusterConfig, program: impl AsyncFn(&mut NodeCtx) -> T) -> Vec<T> {
+    Cluster::run_async(config, program).values
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -15,8 +19,8 @@ proptest! {
         values in proptest::collection::vec(-1e6f64..1e6, 9),
     ) {
         let vals = values.clone();
-        let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
-            ctx.allreduce_sum(vals[ctx.rank()])
+        let out = run(ClusterConfig::new(nodes), async move |ctx| {
+            ctx.allreduce_sum(vals[ctx.rank()]).await
         });
         // All nodes agree bitwise.
         prop_assert!(out.windows(2).all(|w| w[0] == w[1]));
@@ -31,11 +35,11 @@ proptest! {
         values in proptest::collection::vec(-1e6f64..1e6, 9),
     ) {
         let vals = values.clone();
-        let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
+        let out = run(ClusterConfig::new(nodes), async move |ctx| {
             let x = vec![vals[ctx.rank()]];
             (
-                ctx.allreduce_vec(ReduceOp::Max, x.clone())[0],
-                ctx.allreduce_vec(ReduceOp::Min, x)[0],
+                ctx.allreduce_vec(ReduceOp::Max, x.clone()).await[0],
+                ctx.allreduce_vec(ReduceOp::Min, x).await[0],
             )
         });
         let mx = values[..nodes].iter().copied().fold(f64::MIN, f64::max);
@@ -47,10 +51,10 @@ proptest! {
     fn alltoallv_is_a_transpose(nodes in 2usize..7, seed in any::<u64>()) {
         // sends[i][k] = f(i, k); after the exchange node k holds f(i, k)
         // from every i: the matrix of messages is transposed.
-        let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
+        let out = run(ClusterConfig::new(nodes), async move |ctx| {
             let me = ctx.rank() as u64;
             let sends = (0..ctx.size()).map(|k| (k, vec![seed % 97, me * 100 + k as u64]));
-            ctx.alltoallv_sparse_u64(sends.collect())
+            ctx.alltoallv_sparse_u64(sends.collect()).await
         });
         for (k, received) in out.iter().enumerate() {
             prop_assert_eq!(received.len(), nodes);
@@ -62,11 +66,11 @@ proptest! {
 
     #[test]
     fn vclock_monotone_under_communication(nodes in 2usize..7) {
-        let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
+        let out = run(ClusterConfig::new(nodes), async move |ctx| {
             let t0 = ctx.vtime();
-            ctx.barrier();
+            ctx.barrier().await;
             let t1 = ctx.vtime();
-            ctx.allreduce_sum(1.0);
+            ctx.allreduce_sum(1.0).await;
             let t2 = ctx.vtime();
             (t0, t1, t2)
         });
@@ -90,9 +94,9 @@ proptest! {
         // enough that any timing-dependent reassociation would show.
         let run = || {
             let vals = values.clone();
-            Cluster::run(ClusterConfig::new(nodes), move |ctx| {
+            run(ClusterConfig::new(nodes), async move |ctx| {
                 let x = vals[ctx.rank()] * 1e-3 + 1.0 / (ctx.rank() as f64 + 0.7);
-                ctx.allreduce_vec(ReduceOp::Sum, vec![x, x * 0.3, -x])
+                ctx.allreduce_vec(ReduceOp::Sum, vec![x, x * 0.3, -x]).await
             })
         };
         let a = run();
@@ -117,10 +121,14 @@ fn collectives_at_nonpow2_sizes() {
     // recursive-doubling all-reduce (13 also has a multi-level doubling
     // phase).
     for n in [3usize, 5, 13] {
-        let out = Cluster::run(ClusterConfig::new(n), move |ctx| {
-            let sum = ctx.allreduce_sum((ctx.rank() + 1) as f64);
-            let mx = ctx.allreduce_vec(ReduceOp::Max, vec![ctx.rank() as f64]);
-            let mn = ctx.allreduce_vec(ReduceOp::Min, vec![ctx.rank() as f64 - 1.0]);
+        let out = run(ClusterConfig::new(n), async move |ctx| {
+            let sum = ctx.allreduce_sum((ctx.rank() + 1) as f64).await;
+            let mx = ctx
+                .allreduce_vec(ReduceOp::Max, vec![ctx.rank() as f64])
+                .await;
+            let mn = ctx
+                .allreduce_vec(ReduceOp::Min, vec![ctx.rank() as f64 - 1.0])
+                .await;
             (sum, mx[0], mn[0])
         });
         let expect_sum = (n * (n + 1) / 2) as f64;
@@ -145,8 +153,8 @@ fn allreduce_rounds_match_recursive_doubling_depth() {
         (5, 4),
         (13, 5),
     ] {
-        let out = Cluster::run(ClusterConfig::new(n), |ctx| {
-            ctx.allreduce_sum(1.0);
+        let out = run(ClusterConfig::new(n), async |ctx| {
+            ctx.allreduce_sum(1.0).await;
             (ctx.stats().allreduces(), ctx.stats().allreduce_rounds())
         });
         assert!(out.iter().all(|&(calls, _)| calls == 1), "n={n}");
@@ -159,12 +167,15 @@ fn allreduce_rounds_match_recursive_doubling_depth() {
 fn group_allreduce_on_nonpow2_group_is_bitwise_uniform() {
     // A 5-member group inside a 7-node cluster: the recovery-path
     // sub-communicator shape (non-power-of-two, non-contiguous ranks).
-    let out = Cluster::run(ClusterConfig::new(7), |ctx| {
+    let out = run(ClusterConfig::new(7), async |ctx| {
         let members = [0usize, 2, 3, 5, 6];
         if members.contains(&ctx.rank()) {
             let mut g = ctx.group(&members);
             let x = 1.0 / (ctx.rank() as f64 + 3.0) * 1e10 + 1e-10;
-            Some(g.allreduce_vec(ctx, ReduceOp::Sum, vec![x, -x], CommPhase::Recovery))
+            Some(
+                g.allreduce_vec(ctx, ReduceOp::Sum, vec![x, -x], CommPhase::Recovery)
+                    .await,
+            )
         } else {
             None
         }
@@ -187,9 +198,9 @@ fn group_allreduce_on_nonpow2_group_is_bitwise_uniform() {
                 on 2 members but rank 1 issued Max len 1 on 2 members"
 )]
 fn mismatched_reduce_operators_panic_at_the_rendezvous() {
-    Cluster::run(ClusterConfig::new(2), |ctx| {
+    run(ClusterConfig::new(2), async |ctx| {
         let opr = [ReduceOp::Sum, ReduceOp::Max][ctx.rank()];
-        ctx.allreduce_vec(opr, vec![1.0])
+        ctx.allreduce_vec(opr, vec![1.0]).await
     });
 }
 
@@ -199,17 +210,18 @@ fn mismatched_reduce_operators_panic_at_the_rendezvous() {
                 on 2 members but rank 1 issued Sum len 2 on 2 members"
 )]
 fn length_mismatched_collective_panics_at_the_rendezvous() {
-    Cluster::run(ClusterConfig::new(2), |ctx| {
+    run(ClusterConfig::new(2), async |ctx| {
         let n = 1 + ctx.rank(); // rank 0 contributes len 1, rank 1 len 2
-        ctx.allreduce_vec(ReduceOp::Sum, vec![1.0; n])
+        ctx.allreduce_vec(ReduceOp::Sum, vec![1.0; n]).await
     });
 }
 
 #[test]
 fn reduce_vec_ops_cover_all_variants() {
     for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
-        let out = Cluster::run(ClusterConfig::new(4), move |ctx| {
+        let out = run(ClusterConfig::new(4), async move |ctx| {
             ctx.allreduce_vec(op, vec![ctx.rank() as f64, -(ctx.rank() as f64)])
+                .await
         });
         let expect = match op {
             ReduceOp::Sum => vec![6.0, -6.0],
@@ -223,7 +235,7 @@ fn reduce_vec_ops_cover_all_variants() {
 #[test]
 fn split_phase_send_accounting() {
     // One physical message, elements split across two accounting phases.
-    let out = Cluster::run(ClusterConfig::new(2), |ctx| {
+    let out = run(ClusterConfig::new(2), async |ctx| {
         if ctx.rank() == 0 {
             ctx.send_with_phases(
                 1,
@@ -232,7 +244,7 @@ fn split_phase_send_accounting() {
                 &[(CommPhase::Spmv, 6), (CommPhase::Redundancy, 4)],
             );
         } else {
-            ctx.recv(0, 7);
+            ctx.recv(0, 7).await;
         }
         (
             ctx.stats().msgs(CommPhase::Spmv),

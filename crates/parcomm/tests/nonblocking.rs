@@ -5,7 +5,11 @@
 use proptest::prelude::*;
 
 use parcomm::comm::ReduceOp;
-use parcomm::{Cluster, ClusterConfig, CommPhase, CostModel};
+use parcomm::{Cluster, ClusterConfig, CommPhase, CostModel, NodeCtx};
+
+fn run<T>(config: ClusterConfig, program: impl AsyncFn(&mut NodeCtx) -> T) -> Vec<T> {
+    Cluster::run_async(config, program).values
+}
 
 /// A cost model with round numbers so the overlap arithmetic is exact.
 fn unit_cost() -> CostModel {
@@ -30,11 +34,11 @@ proptest! {
         // rank as the blocking collective — for any size, including the
         // fold-in/out shapes.
         let vals = values.clone();
-        let out = Cluster::run(ClusterConfig::new(nodes), move |ctx| {
+        let out = run(ClusterConfig::new(nodes), async move |ctx| {
             let x = vals[ctx.rank()] * 1e-3 + 1.0 / (ctx.rank() as f64 + 0.7);
             let buf = vec![x, x * 0.3, -x];
-            let blocking = ctx.allreduce_vec(ReduceOp::Sum, buf.clone());
-            let req = ctx.iallreduce_vec(ReduceOp::Sum, buf);
+            let blocking = ctx.allreduce_vec(ReduceOp::Sum, buf.clone()).await;
+            let req = ctx.iallreduce_vec(ReduceOp::Sum, buf).await;
             let nonblocking = req.wait(ctx);
             (blocking, nonblocking)
         });
@@ -59,7 +63,7 @@ fn group_iallreduce_bitwise_matches_group_allreduce() {
     // reduction for the non-blocking one without changing numerics. Odd
     // ranks of a 9-node cluster form the group (non-power-of-two size 5,
     // so the fold-in/out schedule runs too).
-    let out = Cluster::run(ClusterConfig::new(9), move |ctx| {
+    let out = run(ClusterConfig::new(9), async move |ctx| {
         if ctx.rank() % 2 == 0 {
             return None;
         }
@@ -67,8 +71,12 @@ fn group_iallreduce_bitwise_matches_group_allreduce() {
         let x = 1.0 / (ctx.rank() as f64 + 0.3) * 1e8 + 1e-8;
         let buf = vec![x, -x * 0.7, x * x];
         let mut g = ctx.group(&members[..]);
-        let blocking = g.allreduce_vec(ctx, ReduceOp::Sum, buf.clone(), CommPhase::Reduction);
-        let req = g.iallreduce_vec(ctx, ReduceOp::Sum, buf, CommPhase::Reduction);
+        let blocking = g
+            .allreduce_vec(ctx, ReduceOp::Sum, buf.clone(), CommPhase::Reduction)
+            .await;
+        let req = g
+            .iallreduce_vec(ctx, ReduceOp::Sum, buf, CommPhase::Reduction)
+            .await;
         let nonblocking = req.wait(ctx);
         Some((blocking, nonblocking))
     });
@@ -90,27 +98,32 @@ fn group_iallreduce_bitwise_matches_group_allreduce() {
 fn group_iallreduce_overlap_charges_only_exposed_time() {
     // The overlap accounting carries over to group reductions: compute
     // issued between start and wait hides the flight time.
-    let out = Cluster::run(ClusterConfig::new(4).with_cost(unit_cost()), move |ctx| {
-        if ctx.rank() == 3 {
-            return None;
-        }
-        let mut g = ctx.group(&[0, 1, 2]);
-        let t0 = ctx.vtime();
-        let req = g.iallreduce_vec(
-            ctx,
-            ReduceOp::Sum,
-            vec![ctx.rank() as f64],
-            CommPhase::Reduction,
-        );
-        // Local compute long enough to hide the whole reduction.
-        ctx.clock_mut().advance(100.0);
-        let res = req.wait(ctx);
-        Some((
-            res[0],
-            ctx.vtime() - t0,
-            ctx.stats().hidden_vtime(CommPhase::Reduction),
-        ))
-    });
+    let out = run(
+        ClusterConfig::new(4).with_cost(unit_cost()),
+        async move |ctx| {
+            if ctx.rank() == 3 {
+                return None;
+            }
+            let mut g = ctx.group(&[0, 1, 2]);
+            let t0 = ctx.vtime();
+            let req = g
+                .iallreduce_vec(
+                    ctx,
+                    ReduceOp::Sum,
+                    vec![ctx.rank() as f64],
+                    CommPhase::Reduction,
+                )
+                .await;
+            // Local compute long enough to hide the whole reduction.
+            ctx.clock_mut().advance(100.0);
+            let res = req.wait(ctx);
+            Some((
+                res[0],
+                ctx.vtime() - t0,
+                ctx.stats().hidden_vtime(CommPhase::Reduction),
+            ))
+        },
+    );
     for o in out.into_iter().flatten() {
         let (sum, elapsed, hidden) = o;
         assert_eq!(sum, 3.0);
@@ -124,8 +137,10 @@ fn group_iallreduce_overlap_charges_only_exposed_time() {
 fn iallreduce_at_nonpow2_sizes() {
     // N = 3, 5, 13 exercise fold-in/fold-out on the engine timeline.
     for n in [3usize, 5, 13] {
-        let out = Cluster::run(ClusterConfig::new(n), move |ctx| {
-            let req = ctx.iallreduce_vec(ReduceOp::Sum, vec![(ctx.rank() + 1) as f64, 1.0]);
+        let out = run(ClusterConfig::new(n), async move |ctx| {
+            let req = ctx
+                .iallreduce_vec(ReduceOp::Sum, vec![(ctx.rank() + 1) as f64, 1.0])
+                .await;
             req.wait(ctx)
         });
         let expect = (n * (n + 1) / 2) as f64;
@@ -141,8 +156,8 @@ fn compute_between_start_and_wait_hides_flight_time() {
     // work while the reduction is in flight. Blocking order would charge
     // compute + full reduction; overlapped, the reduction (1.2s: one
     // round, λ + 2µ = 1.2) is completely hidden behind the compute.
-    let out = Cluster::run(ClusterConfig::new(2).with_cost(unit_cost()), |ctx| {
-        let req = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0, 2.0]);
+    let out = run(ClusterConfig::new(2).with_cost(unit_cost()), async |ctx| {
+        let req = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0, 2.0]).await;
         ctx.clock_mut().advance(10.0); // overlapped compute
         let sum = req.wait(ctx);
         (sum, ctx.vtime(), ctx.stats().clone())
@@ -162,8 +177,8 @@ fn compute_between_start_and_wait_hides_flight_time() {
 fn wait_charges_only_the_remaining_latency() {
     // Same exchange, but only 0.5s of compute fits before the wait: the
     // wait must charge exactly the remaining 0.7s (1.2 − 0.5), no more.
-    let out = Cluster::run(ClusterConfig::new(2).with_cost(unit_cost()), |ctx| {
-        let req = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0, 2.0]);
+    let out = run(ClusterConfig::new(2).with_cost(unit_cost()), async |ctx| {
+        let req = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0, 2.0]).await;
         ctx.clock_mut().advance(0.5);
         let _ = req.wait(ctx);
         (ctx.vtime(), ctx.stats().clone())
@@ -179,9 +194,11 @@ fn wait_charges_only_the_remaining_latency() {
 fn several_in_flight_iallreduces_complete_in_any_order() {
     // Two overlapped reductions issued back to back; the *second* is
     // waited first. Sequence-numbered tags keep them separate.
-    let out = Cluster::run(ClusterConfig::new(4), |ctx| {
-        let a = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0]);
-        let b = ctx.iallreduce_vec(ReduceOp::Max, vec![ctx.rank() as f64]);
+    let out = run(ClusterConfig::new(4), async |ctx| {
+        let a = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0]).await;
+        let b = ctx
+            .iallreduce_vec(ReduceOp::Max, vec![ctx.rank() as f64])
+            .await;
         let vb = b.wait(ctx);
         let va = a.wait(ctx);
         (va[0], vb[0])
@@ -191,8 +208,8 @@ fn several_in_flight_iallreduces_complete_in_any_order() {
 
 #[test]
 fn wait_after_completion_charges_nothing() {
-    let out = Cluster::run(ClusterConfig::new(2).with_cost(unit_cost()), |ctx| {
-        let req = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0]);
+    let out = run(ClusterConfig::new(2).with_cost(unit_cost()), async |ctx| {
+        let req = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0]).await;
         // Compute past the reduction's completion (1.1s).
         ctx.clock_mut().advance(5.25);
         let t_before_wait = ctx.vtime();
@@ -207,8 +224,8 @@ fn wait_after_completion_charges_nothing() {
 #[test]
 #[should_panic(expected = "dropped without wait")]
 fn dropping_a_request_without_wait_panics() {
-    Cluster::run(ClusterConfig::new(2), |ctx| {
-        let req = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0]);
+    run(ClusterConfig::new(2), async |ctx| {
+        let req = ctx.iallreduce_vec(ReduceOp::Sum, vec![1.0]).await;
         drop(req); // protocol bug: the request is never completed
     });
 }

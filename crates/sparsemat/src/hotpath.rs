@@ -4,14 +4,16 @@
 //! the table; instead, every kernel-layer site that is *supposed* to reuse
 //! a persistent buffer reports here when its reuse path misses and it has
 //! to allocate fresh (e.g. a ghost-exchange send buffer still shared with
-//! the in-flight message, a scratch vector that had to grow). Counters are
-//! thread-local, which in the simulated cluster means **per node**: each
-//! node program audits its own steady state.
+//! the in-flight message, a scratch vector that had to grow). The counter
+//! is thread-local. A distributed solve polls every simulated node on the
+//! thread that started it, so that thread's counter sums the misses of the
+//! whole cluster: reset it before the solve and read it after.
 //!
 //! The contract asserted by `crates/core/tests/steady_state_alloc.rs` and
-//! the CI `paper-scale` job: after setup, steady-state solver iterations
-//! record **zero** misses — every pack/unpack, SpMV, and preconditioner
-//! apply runs out of persistent workspaces.
+//! the CI `paper-scale` job: a failure-free solve, setup and steady-state
+//! iterations alike, records **zero** misses on any node — every
+//! pack/unpack, SpMV, and preconditioner apply runs out of persistent
+//! workspaces.
 
 use std::cell::Cell;
 

@@ -200,14 +200,16 @@ fn explicit_p_reconstruction_with_coupling() {
     // P-given variant (paper Alg. 2 lines 5-6) with a preconditioner that
     // couples across node boundaries: blocks of 36 rows misaligned with the
     // partition's 24, so P_{If,I\If} ≠ 0 and the full gather + distributed
-    // P-solve path runs.
+    // P-solve path runs. The boundary ranks 0–1 fail at iteration 3, a cell
+    // beside the one tests/iteration_pinning.rs pins (ranks 2–3 at 5): the
+    // first block of P lies inside If, the second straddles its edge.
     check(&Cell {
         tune: |cfg| {
             let a = poisson2d(12, 12);
             let bj = BlockJacobi::with_blocks(&a, 4, BlockSolver::ExactLdl).unwrap();
             cfg.precond = PrecondConfig::ExplicitP(Arc::new(bj.to_explicit_inverse(&a)));
         },
-        ..Cell::new(P12, 6, 2, FailureScript::simultaneous(5, 2, 2, 6))
+        ..Cell::new(P12, 6, 2, FailureScript::simultaneous(3, 0, 2, 6))
     });
 }
 

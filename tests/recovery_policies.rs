@@ -9,7 +9,7 @@ mod common;
 use common::grid::{check, grid, matrix, overlap, Cell, Matrix};
 use esr_core::{
     run_pcg, ConfigError, CrConfig, PrecondConfig, Problem, Protection, RecoveryPolicy,
-    SolverConfig, SolverKind as Solver,
+    ResilienceConfig, SolverConfig, SolverKind as Solver,
 };
 use parcomm::{CommPhase, CostModel, FailureScript};
 use sparsemat::gen::poisson2d;
@@ -103,18 +103,22 @@ fn esr_recoveries_proceed_with_the_interrupted_iteration() {
 
 #[test]
 fn replace_iteration_counts_are_policy_default_bitwise() {
-    // `Replace` must reproduce the default-policy trajectory bitwise —
-    // the pinned counts of tests/iteration_pinning.rs run through the
-    // identical code path.
+    // The paper's configuration replaces in place — the trajectories
+    // tests/iteration_pinning.rs pins — and a spare pool that covers both
+    // failed ranks grants a replacement to each: the same in-place path,
+    // so the same trajectory to the bit.
+    assert_eq!(ResilienceConfig::paper(2).policy, RecoveryPolicy::Replace);
     let replace = Cell::new(P14, 7, 2, FailureScript::simultaneous(6, 2, 2, 7));
-    let default = Cell {
-        tune: |cfg| *cfg = SolverConfig::resilient(2),
+    let spares = Cell {
+        policy: RecoveryPolicy::Spares(2),
         ..replace.clone()
     };
-    let (r1, r2) = (check(&default).res, check(&replace).res);
+    let (r1, r2) = (check(&replace).res, check(&spares).res);
     assert_eq!(r1.iterations, r2.iterations);
-    assert_eq!(r1.solver_residual, r2.solver_residual);
-    assert_eq!(r1.vtime, r2.vtime);
+    assert_eq!(r1.solver_residual.to_bits(), r2.solver_residual.to_bits());
+    assert_eq!(r1.vtime.to_bits(), r2.vtime.to_bits());
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&r1.x), bits(&r2.x));
 }
 
 #[test]

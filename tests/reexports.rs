@@ -242,7 +242,7 @@ fn resilient_solve_through_umbrella_paths_only() {
 fn static_data_reaches_through_umbrella_paths() {
     // The per-problem store of blocks and factors is public surface: its
     // counters through `Problem`, the store and `node_program`'s
-    // `&Problem` form for direct `Cluster::run` users, the range form of
+    // `&Problem` form for direct `Cluster::run_async` users, the range form of
     // `LocalMatrix::build`, and the cluster-size error `run` returns.
     use esr_suite::parcomm::{Cluster, ClusterConfig};
     let a = esr_suite::sparsemat::gen::poisson2d(8, 8);
@@ -254,10 +254,11 @@ fn static_data_reaches_through_umbrella_paths() {
 
     let shared = problem.clone();
     let cfg = SolverConfig::reference();
-    let outs = Cluster::run(ClusterConfig::new(4), move |ctx| {
-        esr_suite::core::node_program(esr_core::SolverKind::Pcg, ctx, &shared, &cfg)
+    let outs = Cluster::run_async(ClusterConfig::new(4), async move |ctx| {
+        let pcg = esr_core::SolverKind::Pcg;
+        esr_suite::core::node_program(pcg, ctx, &shared, &cfg).await
     });
-    assert!(outs.iter().all(|o| o.converged));
+    assert!(outs.values.iter().all(|o| o.converged));
     let counts: esr_core::StaticCounts = problem.static_counts();
     assert_eq!((counts.blocks_built, counts.factors_built), (4, 4));
 

@@ -230,7 +230,7 @@ fn chain_critical_path_equals_total_exposed_vtime() {
     // both ranks' exposed vtime bit-for-bit.
     const TAG: u32 = 977;
     const SIZES: [usize; 5] = [3, 64, 1000, 1, 17];
-    let (out, trace) = Cluster::run_traced(ClusterConfig::new(2), |ctx| {
+    let run = Cluster::run_traced(ClusterConfig::new(2), async |ctx| {
         if ctx.rank() == 0 {
             ctx.trace_open("burst", 0);
             for (i, len) in SIZES.into_iter().enumerate() {
@@ -244,7 +244,7 @@ fn chain_critical_path_equals_total_exposed_vtime() {
             ctx.trace_close();
         } else {
             for (i, len) in SIZES.into_iter().enumerate() {
-                let got = ctx.recv_phase(0, TAG + i as u32, CommPhase::Other);
+                let got = ctx.recv_phase(0, TAG + i as u32, CommPhase::Other).await;
                 assert_eq!(got.elems(), len);
             }
         }
@@ -253,6 +253,7 @@ fn chain_critical_path_equals_total_exposed_vtime() {
             .map(|&p| ctx.stats().exposed_vtime(p))
             .sum::<f64>()
     });
+    let (out, trace) = (run.values, run.trace.expect("a traced run"));
     trace.validate().expect("chain trace must be well-formed");
     let cp = trace.critical_path();
     assert!(cp.total > 0.0);
